@@ -28,11 +28,15 @@ class ParameterError(ValueError):
 class StepSolveError(RuntimeError):
     """A linear solve inside a time step did not reach the required residual."""
 
-    def __init__(self, t, residual, tol):
+    def __init__(self, step, t, residual, tol, iterations=None):
+        self.step = int(step)
         self.t = float(t)
         self.residual = float(residual)
+        self.iterations = iterations
+        how = "by LU" if iterations is None else f"after {iterations} GMRES iterations"
         super().__init__(
-            f"step at t = {t:.6g} reached relative residual {residual:.3e} > {tol:.1e}"
+            f"step {step} at t = {t:.6g} reached relative residual {residual:.3e} "
+            f"> {tol:.1e} {how}"
         )
 
 

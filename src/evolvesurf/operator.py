@@ -433,8 +433,37 @@ def verify_anisotropic_identities(grid, lambda1, lambda2, heat_steps=3):
     return {"fundsol_residual": fund, "scaled_heat_residual": heat}
 
 
-# solver utility shared by the steppers and the estimators
+# solver utilities shared by the steppers and the estimators
 
 def factorize(matrix):
+    """Sparse LU with minimum-degree ordering on the pattern of M^T + M.
+
+    The 5- and 9-point stencil matrices are structurally symmetric, and this
+    ordering keeps about half the fill of the default column ordering.
+    """
     m = matrix.matrix if isinstance(matrix, OperatorMatrix) else matrix
-    return spla.splu(m.tocsc())
+    return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def shifted_A_solver(grid, lambda1, lambda2, shift):
+    """Callable r -> (I + shift A)^{-1} r for A = assemble_A(grid, lambda1, lambda2).
+
+    The sine modes sin(pi k i/(n1+1)) sin(pi l j/(n2+1)) diagonalize the
+    5-point operator with eigenvalues lambda1 mu1_k + lambda2 mu2_l, where
+    mu_k = (4/h^2) sin^2(pi k/(2(n+1))); the orthonormal DST-I maps into and
+    out of that basis in O(n log n).
+    """
+    from scipy import fft  # imported on first use, off the package import path
+
+    def eigenvalues(n, h):
+        return 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+
+    mu1 = eigenvalues(grid.n1, grid.h1)
+    mu2 = eigenvalues(grid.n2, grid.h2)
+    denom = 1.0 + shift * (lambda1 * mu1[:, None] + lambda2 * mu2[None, :])
+
+    def solve(r):
+        coeffs = fft.dstn(np.reshape(r, denom.shape), type=1, norm="ortho")
+        return fft.idstn(coeffs / denom, type=1, norm="ortho").ravel()
+
+    return solve

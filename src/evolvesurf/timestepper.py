@@ -3,12 +3,23 @@
 Two routes to the same discrete solution:
 
 * ``solve_direct`` advances dv/dt + L(t) v = F with a theta-scheme, assembling
-  the full operator at each step time;
+  the full operator once per step time;
 * ``solve_picard`` iterates the linearized stages
       dv_{m+1}/dt + A v_{m+1} = -B(t) v_m + F,   B(t) = L(t) - A,
   each stage marched with the same theta-scheme and step size, so the exact
   fixed point of the iteration is the direct theta-scheme trajectory and
   contraction ratios are not polluted by discretization differences.
+
+Every implicit step solves (I + theta dt L(t_{k+1})) v_{k+1} = rhs and is
+accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
+otherwise StepSolveError names the step, time, residual and iteration count.
+A static operator (rigid chart, time-independent diffusivity, or the
+comparison operator A of a Picard stage) is LU-factorized once per march.  A
+moving operator is solved by GMRES started from the previous step's value and
+preconditioned with (I + theta dt A_k)^{-1}, where A_k is the constant
+5-point operator with the mean stencil weights of L(t_{k+1}), inverted by
+DST-I in O(n log n).  The smallness of B = L - A relative to A keeps that
+iteration to a few steps, and no matrix is factorized per step.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -16,17 +27,25 @@ the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
-from .operator import Field, OperatorMatrix, assemble_A, assemble_L, factorize, field_l2
+from .operator import (Field, OperatorMatrix, assemble_A, assemble_L, factorize, field_l2,
+                       shifted_A_solver)
 
 SOLVE_TOL = 1e-10
+# GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
+# march agrees with an LU march to about 1e-14; a step still above SOLVE_TOL
+# after KRYLOV_MAXITER iterations fails
+KRYLOV_RTOL = 1e-15
+KRYLOV_MAXITER = 100
 
 
 @dataclass
@@ -65,35 +84,113 @@ class PicardHistory:
 
 
 def make_L_provider(chart, kappa, grid):
-    """Callable t -> OperatorMatrix.
+    """Callable t -> OperatorMatrix L(t), with a ``static`` flag.
 
     A static operator (rigid chart, time-independent diffusivity) is
-    assembled once; otherwise only the two most recent assembly times are
-    kept, which is what one theta step touches.
+    assembled once and returned for every t; a moving one is assembled on
+    each call, and the march caches it by step index.
     """
-    static = chart.static_metric and getattr(kappa, "time_independent", False)
-    cache = {}
-
-    def provider(t):
-        key = 0.0 if static else float(t)
-        if key not in cache:
-            if not static and len(cache) >= 2:
-                cache.pop(next(iter(cache)))
-            cache[key] = assemble_L(chart, kappa, grid, t)
-        return cache[key]
-
+    if chart.static_metric and getattr(kappa, "time_independent", False):
+        return _static_provider(assemble_L(chart, kappa, grid, 0.0))
+    provider = functools.partial(assemble_L, chart, kappa, grid)
+    provider.static = False
     return provider
 
 
-def _checked_solve(lu, matrix, rhs, t):
-    v = lu.solve(rhs)
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
-        return np.zeros_like(rhs)
-    resid = np.linalg.norm(matrix @ v - rhs) / scale
-    if not np.isfinite(resid) or resid > SOLVE_TOL:
-        raise StepSolveError(t, resid, SOLVE_TOL)
-    return v
+def _static_provider(op):
+    def provider(t):
+        return op
+
+    provider.static = True
+    return provider
+
+
+def _stencil_weights(L):
+    """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings of L."""
+    mat, grid = L.matrix, L.grid
+    n2 = grid.n2
+    w1 = np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)])
+    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1   # skip the row-wrap zeros
+    w2 = np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]])
+    return (-w1.mean() * grid.h1 ** 2 if w1.size else 0.0,
+            -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
+
+
+class _ThetaMarcher:
+    """Theta-scheme propagator over the step times t_k = t0 + k dt.
+
+    L(t_k) is looked up by the integer step index k, and only the two
+    operators one step touches are kept, so a moving march assembles L once
+    per step time.  The implicit solve is one LU per march for a static
+    operator and DST-preconditioned GMRES for a moving one.
+    """
+
+    def __init__(self, dt, theta, L_provider, t0=0.0):
+        if not 0.5 <= theta <= 1.0:
+            raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
+        if dt <= 0.0:
+            raise ParameterError("dt must be positive")
+        self.dt = dt
+        self.theta = theta
+        self.t0 = t0
+        self.L_provider = L_provider
+        self.static = getattr(L_provider, "static", False)
+        self._ops = {}       # step index -> L(t_k), at most two entries
+        self._lu = None      # (I + theta dt L, its LU) of a static operator
+
+    def time(self, k):
+        return self.t0 + k * self.dt
+
+    def L(self, k):
+        if k not in self._ops:
+            if len(self._ops) >= 2:
+                del self._ops[min(self._ops)]
+            self._ops[k] = self.L_provider(self.time(k))
+        return self._ops[k]
+
+    def _system(self, L):
+        n = L.matrix.shape[0]
+        return sp.identity(n, format="csr") + self.theta * self.dt * L.matrix
+
+    def solve(self, k, rhs, guess=None):
+        """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL."""
+        scale = np.linalg.norm(rhs)
+        if scale == 0.0:
+            return np.zeros_like(rhs)
+        iterations = None
+        if self.static:
+            if self._lu is None:
+                impl = self._system(self.L(k))
+                self._lu = (impl, factorize(impl))
+            impl, lu = self._lu
+            v = lu.solve(rhs)
+        else:
+            L = self.L(k)
+            impl = self._system(L)
+            lam1, lam2 = _stencil_weights(L)
+            precond = spla.LinearOperator(
+                impl.shape, shifted_A_solver(L.grid, lam1, lam2, self.theta * self.dt),
+                dtype=float)
+            presids = []
+            v, _ = spla.gmres(impl, rhs, x0=guess, rtol=KRYLOV_RTOL, atol=0.0,
+                              restart=KRYLOV_MAXITER, maxiter=1, M=precond,
+                              callback=presids.append, callback_type="pr_norm")
+            iterations = len(presids)
+        resid = np.linalg.norm(impl @ v - rhs) / scale
+        if not np.isfinite(resid) or resid > SOLVE_TOL:
+            raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, iterations)
+        return v
+
+    def step(self, k, vals, forcing=None):
+        """v_{k+1} from v_k = vals; ``forcing`` is (F(t_k), F(t_{k+1})) or None."""
+        dt, theta = self.dt, self.theta
+        rhs = vals.copy()
+        if theta < 1.0:
+            rhs = rhs - (1.0 - theta) * dt * (self.L(k).matrix @ vals)
+        if forcing is not None:
+            fold, fnew = forcing
+            rhs = rhs + dt * (theta * fnew + (1.0 - theta) * fold)
+        return self.solve(k + 1, rhs, guess=vals)
 
 
 def theta_step(v, t, dt, theta, L_provider, F_provider=None):
@@ -102,58 +199,12 @@ def theta_step(v, t, dt, theta, L_provider, F_provider=None):
     Solves (I + theta dt L(t+dt)) v' = (I - (1-theta) dt L(t)) v
            + dt (theta F(t+dt) + (1-theta) F(t)).
     """
-    if not 0.5 <= theta <= 1.0:
-        raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
-    if dt <= 0.0:
-        raise ParameterError("dt must be positive")
+    marcher = _ThetaMarcher(dt, theta, L_provider, t0=t)
     vals = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
-    Lnew = L_provider(t + dt)
-    n = Lnew.matrix.shape[0]
-    ident = sp.identity(n, format="csr")
-    rhs = vals.copy()
-    if theta < 1.0:
-        Lold = L_provider(t)
-        rhs = rhs - (1.0 - theta) * dt * (Lold.matrix @ vals)
+    forcing = None
     if F_provider is not None:
-        fnew = F_provider(t + dt)
-        fold = F_provider(t)
-        rhs = rhs + dt * (theta * np.asarray(fnew) + (1.0 - theta) * np.asarray(fold))
-    impl = (ident + theta * dt * Lnew.matrix).tocsc()
-    lu = factorize(impl)
-    out = _checked_solve(lu, impl, rhs, t + dt)
-    return Field(out, t + dt)
-
-
-class _ThetaMarcher:
-    """Shared stepping loop with factorization reuse for static operators."""
-
-    def __init__(self, grid, dt, theta, L_provider):
-        self.grid = grid
-        self.dt = dt
-        self.theta = theta
-        self.L_provider = L_provider
-        self.ident = sp.identity(grid.ndof, format="csr")
-        self._impl_cache = {}
-
-    def _implicit(self, t_new):
-        L = self.L_provider(t_new)
-        key = id(L)
-        if key not in self._impl_cache:
-            impl = (self.ident + self.theta * self.dt * L.matrix).tocsc()
-            self._impl_cache = {key: (impl, factorize(impl))}  # keep only latest
-        return L, self._impl_cache[key]
-
-    def step(self, vals, t, forcing=None):
-        dt, theta = self.dt, self.theta
-        rhs = vals.copy()
-        if theta < 1.0:
-            Lold = self.L_provider(t)
-            rhs = rhs - (1.0 - theta) * dt * (Lold.matrix @ vals)
-        if forcing is not None:
-            fold, fnew = forcing
-            rhs = rhs + dt * (theta * fnew + (1.0 - theta) * fold)
-        _, (impl, lu) = self._implicit(t + dt)
-        return _checked_solve(lu, impl, rhs, t + dt)
+        forcing = (np.asarray(F_provider(t)), np.asarray(F_provider(marcher.time(1))))
+    return Field(marcher.step(0, vals, forcing), marcher.time(1))
 
 
 def _prepare_v0(v0, grid):
@@ -184,21 +235,17 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None):
     if T <= 0.0:
         raise ParameterError("horizon must be positive")
     vals = _prepare_v0(v0, grid)
+    marcher = _ThetaMarcher(dt, theta, make_L_provider(chart, kappa, grid))
     nsteps = int(math.ceil(T / dt - 1e-12))
-    provider = make_L_provider(chart, kappa, grid)
-    marcher = _ThetaMarcher(grid, dt, theta, provider)
-    if not 0.5 <= theta <= 1.0:
-        raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
 
     times = np.arange(nsteps + 1) * dt
     fields = np.empty((nsteps + 1, grid.ndof))
     fields[0] = vals
     f_old = _eval_forcing(F_provider, grid, 0.0)
     for k in range(nsteps):
-        t = times[k]
-        f_new = _eval_forcing(F_provider, grid, t + dt)
+        f_new = _eval_forcing(F_provider, grid, times[k + 1])
         forcing = None if F_provider is None else (f_old, f_new)
-        fields[k + 1] = marcher.step(fields[k], t, forcing)
+        fields[k + 1] = marcher.step(k, fields[k], forcing)
         f_old = f_new
     return Trajectory(times, fields, dt, f"theta={theta}", grid, forcing=F_provider)
 
@@ -250,17 +297,12 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    if not 0.5 <= theta <= 1.0:
-        raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
     vals = _prepare_v0(v0, grid)
+    A = assemble_A(grid, lambda1, lambda2)
+    stage = _ThetaMarcher(dt, theta, _static_provider(A))
     nsteps = int(math.ceil(T / dt - 1e-12))
     times = np.arange(nsteps + 1) * dt
-
-    A = assemble_A(grid, lambda1, lambda2)
-    ident = sp.identity(grid.ndof, format="csr")
-    impl = (ident + theta * dt * A.matrix).tocsc()
-    lu = factorize(impl)
-    expl = (ident - (1.0 - theta) * dt * A.matrix).tocsr()
+    expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A.matrix).tocsr()
 
     # B(t_k) frozen once per step time, shared across iterations
     B_mats = [assemble_L(chart, kappa, grid, float(t)).matrix - A.matrix for t in times]
@@ -278,7 +320,7 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
                                   + (1.0 - theta) * (B_mats[k] @ prev_fields[k]))
             if F_vals is not None:
                 rhs = rhs + dt * (theta * F_vals[k + 1] + (1.0 - theta) * F_vals[k])
-            fields[k + 1] = _checked_solve(lu, impl, rhs, times[k + 1])
+            fields[k + 1] = stage.solve(k + 1, rhs)
         return fields
 
     scheme = f"picard-theta={theta}"

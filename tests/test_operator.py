@@ -19,7 +19,12 @@ from evolvesurf import (
     verify_anisotropic_identities,
 )
 from evolvesurf.diagnostics import symbolic_operator_apply
-from evolvesurf.operator import field_l2, weighted_symmetry_defect
+from evolvesurf.operator import (
+    factorize,
+    field_l2,
+    shifted_A_solver,
+    weighted_symmetry_defect,
+)
 
 
 def lowest_discrete_eigenvalue(grid, lam1, lam2):
@@ -217,3 +222,24 @@ class TestAnisotropicIdentities:
         g = make_grid((-1, 1, -1, 1), 15, 15)
         with pytest.raises(ParameterError):
             verify_anisotropic_identities(g, 1.0, 1.0)
+
+
+class TestSolvers:
+    @pytest.mark.parametrize("n1,n2", [(12, 7), (10, 16)])   # n + 1 = 11, 17 prime
+    def test_shifted_A_solver_inverts_I_plus_shift_A(self, n1, n2):
+        grid = make_grid((0.0, 1.5, -0.2, 0.6), n1, n2)
+        lam1, lam2, shift = 0.7, 1.9, 3e-3
+        M = sp.identity(grid.ndof) + shift * assemble_A(grid, lam1, lam2).matrix
+        r = np.random.default_rng(3).standard_normal(grid.ndof)
+        v = shifted_A_solver(grid, lam1, lam2, shift)(r)
+        assert np.linalg.norm(M @ v - r) <= 1e-13 * np.linalg.norm(r)
+
+    def test_factorize_orders_for_low_fill(self):
+        grid = make_grid((0.0, 1.5, 0.0, 1.0), 45, 30)
+        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.1, omega=2.0)
+        L = assemble_L(chart, make_diffusion("constant", value=1.0), grid, 0.3).matrix
+        M = (sp.identity(grid.ndof) + 1e-3 * L).tocsc()
+        lu = factorize(M)
+        assert lu.nnz < spla.splu(M).nnz
+        r = np.ones(grid.ndof)
+        assert np.linalg.norm(M @ lu.solve(r) - r) <= 1e-13 * np.linalg.norm(r)

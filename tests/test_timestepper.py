@@ -1,16 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
+
+import evolvesurf
 
 from evolvesurf import (
     Field,
     ParameterError,
     PicardDivergenceError,
+    StepSolveError,
     assemble_A,
+    assemble_L,
     lambda_select,
     make_chart,
+    make_diffusion,
     make_grid,
     solve_direct,
     solve_picard,
@@ -19,6 +30,7 @@ from evolvesurf import (
 )
 from evolvesurf.geometry import metric_fields
 from evolvesurf.operator import field_l2
+from evolvesurf import timestepper
 from evolvesurf.timestepper import Trajectory, make_L_provider
 
 from test_operator import lowest_discrete_eigenvalue
@@ -216,3 +228,93 @@ class TestSolvePicard:
             rhs = (ident - (1 - theta) * dt * Lo) @ traj.fields[k]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst <= 100 * hist.diff_norms[-1] + 1e-12
+
+
+def _uncached_lu_march(chart, kappa, grid, v0, nsteps, dt, theta):
+    """Theta march with a fresh LU of every step's implicit matrix."""
+    ident = sp.identity(grid.ndof, format="csc")
+    fields = [v0]
+    L_old = assemble_L(chart, kappa, grid, 0.0).matrix
+    for k in range(nsteps):
+        L_new = assemble_L(chart, kappa, grid, (k + 1) * dt).matrix
+        rhs = fields[-1] - (1.0 - theta) * dt * (L_old @ fields[-1])
+        fields.append(spla.splu((ident + theta * dt * L_new).tocsc()).solve(rhs))
+        L_old = L_new
+    return np.array(fields)
+
+
+def _boundary_mode(grid):
+    a, b, c, d = grid.domain
+    X1, X2 = grid.interior_mesh()
+    return (np.sin(np.pi * (X1 - a) / (b - a)) * np.sin(2 * np.pi * (X2 - c) / (d - c))).ravel()
+
+
+class TestImplicitSolve:
+    def test_matches_uncached_lu_march(self, const_kappa, eigenmode):
+        # a long march with a fast-moving chart, where a reused factorization
+        # from another step time would show
+        grid = make_grid((0, 1, 0, 1), 16, 16)
+        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.3, omega=20.0)
+        phi = eigenmode(grid)
+        traj = solve_direct(chart, const_kappa, grid, phi, 0.5, 1e-3)
+        ref = _uncached_lu_march(chart, const_kappa, grid, phi, 500, 1e-3, 0.5)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_matches_uncached_lu_march_non_square(self, theta):
+        grid = make_grid((0.0, 1.5, 0.0, 0.8), 20, 13)
+        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.3, omega=20.0)
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        v0 = _boundary_mode(grid)
+        traj = solve_direct(chart, kappa, grid, v0, 0.2, 1e-3, theta=theta)
+        ref = _uncached_lu_march(chart, kappa, grid, v0, 200, 1e-3, theta)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_moving_march_assembles_once_per_step_time(self, graph, const_kappa,
+                                                       unit_grid, eigenmode, monkeypatch):
+        times = []
+
+        def counting(chart, kappa, grid, t):
+            times.append(t)
+            return assemble_L(chart, kappa, grid, t)
+
+        monkeypatch.setattr(timestepper, "assemble_L", counting)
+        traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.03, 1e-3)
+        assert traj.nsteps == 30
+        assert len(times) == traj.nsteps + 1
+        assert times == [k * 1e-3 for k in range(traj.nsteps + 1)]
+
+    @pytest.mark.parametrize("chart_name,lus", [("flat_static", 1), ("graph_oscillation", 0)])
+    def test_factorizations_per_march(self, const_kappa, unit_grid, eigenmode, monkeypatch,
+                                      chart_name, lus):
+        calls = []
+        factorize = timestepper.factorize
+
+        def counting(matrix):
+            calls.append(matrix)
+            return factorize(matrix)
+
+        monkeypatch.setattr(timestepper, "factorize", counting)
+        chart = make_chart(chart_name, horizon=1.0)
+        solve_direct(chart, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3)
+        assert len(calls) == lus
+
+    def test_krylov_failure_names_step_time_residual_iterations(self, graph, const_kappa,
+                                                                unit_grid, eigenmode,
+                                                                monkeypatch):
+        monkeypatch.setattr(timestepper, "SOLVE_TOL", 1e-30)
+        with pytest.raises(StepSolveError) as info:
+            solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3)
+        err = info.value
+        assert err.step == 1
+        assert err.t == pytest.approx(1e-3)
+        assert 1e-30 < err.residual <= 1e-10
+        assert err.iterations >= 1
+        assert "step 1 at t = 0.001" in str(err)
+        assert f"after {err.iterations} GMRES iterations" in str(err)
+
+    def test_package_import_leaves_scipy_fft_unloaded(self):
+        src = str(Path(evolvesurf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, evolvesurf; sys.exit('scipy.fft' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
