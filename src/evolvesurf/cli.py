@@ -361,6 +361,20 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _vtk_reprs(a):
+    """``repr`` of each element of ``a`` in VTK point order (first index fastest).
+
+    For floats this is the text ``_fmt`` gives.  Float64 values are formatted
+    once per distinct bit pattern: chart coordinates repeat along grid lines.
+    """
+    flat = np.asarray(a).T.ravel()
+    if flat.dtype != np.float64:
+        return list(map(repr, flat.tolist()))
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_vtk_snapshot(path, chart, grid, values, t):
     """Legacy-ASCII structured grid with the solution as point data."""
     X1, X2 = grid.full_mesh()
@@ -374,22 +388,20 @@ def _write_vtk_snapshot(path, chart, grid, values, t):
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {n1p} {n2p} 1",
         f"POINTS {n1p * n2p} double",
+        "\n".join(map(" ".join, zip(*(_vtk_reprs(c) for c in pts[:3])))),
+        f"POINT_DATA {n1p * n2p}",
+        "SCALARS u double 1",
+        "LOOKUP_TABLE default",
+        "\n".join(_vtk_reprs(full)),
     ]
-    for j in range(n2p):
-        for i in range(n1p):
-            lines.append(f"{_fmt(pts[0][i, j])} {_fmt(pts[1][i, j])} {_fmt(pts[2][i, j])}")
-    lines += [f"POINT_DATA {n1p * n2p}", "SCALARS u double 1", "LOOKUP_TABLE default"]
-    for j in range(n2p):
-        for i in range(n1p):
-            lines.append(_fmt(full[i, j]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _dump_matrix(path, matrix):
     m = matrix.matrix.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(m.row, m.col, m.data):
-            fh.write(f"{r} {c} {_fmt(float(v))}\n")
+    data = np.asarray(m.data, dtype=float).tolist()
+    Path(path).write_text("".join(
+        f"{r} {c} {v!r}\n" for r, c, v in zip(m.row.tolist(), m.col.tolist(), data)))
 
 
 def write_outputs(report, trajectory, directory, cfg=None):

@@ -74,6 +74,20 @@ def _cell_center_mesh(grid):
     return np.meshgrid(c1, c2, indexing="ij")
 
 
+def _grad_sq(values, grid, mf, kap):
+    """``surface_grad_sq`` with the cell-centre metric (and kappa) supplied."""
+    d1, d2 = _cell_center_gradients(values, grid)
+    integrand = (mf.ginv11 * d1 * d1 + 2.0 * mf.ginv12 * d1 * d2
+                 + mf.ginv22 * d2 * d2) * mf.sqrtG
+    if kap is not None:
+        integrand = integrand * kap
+    return float(grid.h1 * grid.h2 * np.sum(integrand))
+
+
+def _kappa_on(kappa, X1, X2, t):
+    return np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
+
+
 def surface_grad_sq(values, chart, grid, t, kappa=None):
     """Squared L2 norm of the tangential gradient of a grid function.
 
@@ -81,15 +95,10 @@ def surface_grad_sq(values, chart, grid, t, kappa=None):
     grid; with ``kappa`` the integrand is weighted by the diffusivity, giving
     the dissipation functional of the energy balance.
     """
-    d1, d2 = _cell_center_gradients(values, grid)
     C1, C2 = _cell_center_mesh(grid)
     mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
-    integrand = (mf.ginv11 * d1 * d1 + 2.0 * mf.ginv12 * d1 * d2
-                 + mf.ginv22 * d2 * d2) * mf.sqrtG
-    if kappa is not None:
-        integrand = integrand * np.broadcast_to(
-            np.asarray(kappa.value(C1, C2, t), dtype=float), C1.shape)
-    return float(grid.h1 * grid.h2 * np.sum(integrand))
+    kap = None if kappa is None else _kappa_on(kappa, C1, C2, t)
+    return _grad_sq(values, grid, mf, kap)
 
 
 def surface_gradient_components(values, chart, grid, t):
@@ -108,12 +117,38 @@ def surface_gradient_components(values, chart, grid, t):
     return comps, mf
 
 
+def _mass(values, grid, mf):
+    """``surface_mass`` with the interior-node metric supplied."""
+    v2 = grid.to_grid(np.asarray(values) ** 2)
+    return float(grid.h1 * grid.h2 * np.sum(v2 * mf.sqrtG))
+
+
 def surface_mass(values, chart, grid, t):
     """L2(Gamma(t)) norm squared of a Dirichlet grid function."""
-    v2 = grid.to_grid(np.asarray(values) ** 2)
     X1, X2 = grid.interior_mesh()
-    mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
-    return float(grid.h1 * grid.h2 * np.sum(v2 * mf.sqrtG))
+    return _mass(values, grid, metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False))
+
+
+def _metrics_along(chart, grid, mesh, times):
+    """Metric fields on ``mesh`` at each of ``times``, lazily.
+
+    A chart with a static metric is evaluated once, at the first time; a
+    moving one once per time, so only one step's fields are alive at a time.
+    """
+    X1, X2 = mesh
+    if chart.static_metric:
+        mf = metric_fields(chart, X1, X2, float(times[0]), h_fd=grid.h_fd, want_dGdt=False)
+        return [mf] * len(times)
+    return (metric_fields(chart, X1, X2, float(t), h_fd=grid.h_fd, want_dGdt=False)
+            for t in times)
+
+
+def _kappa_along(kappa, mesh, times):
+    """Diffusivity on ``mesh`` at each of ``times``; once if time-independent."""
+    X1, X2 = mesh
+    if kappa.time_independent:
+        return [_kappa_on(kappa, X1, X2, float(times[0]))] * len(times)
+    return (_kappa_on(kappa, X1, X2, float(t)) for t in times)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +178,13 @@ def energy_report(traj, chart, kappa, grid):
     nt = len(traj.times)
     mass = np.empty(nt)
     diss_rate = np.empty(nt)
-    for k in range(nt):
-        t = float(traj.times[k])
-        mass[k] = 0.5 * surface_mass(traj.fields[k], chart, grid, t)
-        diss_rate[k] = surface_grad_sq(traj.fields[k], chart, grid, t, kappa=kappa)
+    centres = _cell_center_mesh(grid)
+    steps = zip(_metrics_along(chart, grid, grid.interior_mesh(), traj.times),
+                _metrics_along(chart, grid, centres, traj.times),
+                _kappa_along(kappa, centres, traj.times))
+    for k, (mf, mf_c, kap) in enumerate(steps):
+        mass[k] = 0.5 * _mass(traj.fields[k], grid, mf)
+        diss_rate[k] = _grad_sq(traj.fields[k], grid, mf_c, kap)
     diss = np.concatenate([[0.0], np.cumsum(
         0.5 * traj.dt * (diss_rate[1:] + diss_rate[:-1]))])
     resid = np.abs(mass + diss - mass[0])
@@ -167,10 +205,9 @@ def decay_report(traj, chart, grid, lambda1=1.0, lambda2=1.0, t_min=None):
     if w_norm == 0.0:
         raise ParameterError("zero initial datum: decay quotient undefined")
     lo = 0.0 if t_min is None else float(t_min)
-    norms = np.array([
-        math.sqrt(surface_mass(traj.fields[k], chart, grid, float(traj.times[k])))
-        for k in range(len(traj.times))
-    ])
+    metrics = _metrics_along(chart, grid, grid.interior_mesh(), traj.times)
+    norms = np.array([math.sqrt(_mass(traj.fields[k], grid, mf))
+                      for k, mf in enumerate(metrics)])
     mask = traj.times > max(lo, 0.0)
     if not np.any(mask):
         raise ParameterError("no snapshots above t_min")
@@ -209,16 +246,17 @@ def regularity_report(traj, chart, kappa, grid):
     L = cf = None
     dt_sq = np.empty(nt - 2)
     div_sq = np.empty(nt - 2)
-    for k in range(1, nt - 1):
+    metrics = _metrics_along(chart, grid, grid.interior_mesh(), traj.times[1:-1])
+    for k, mf in enumerate(metrics, start=1):
         t = float(traj.times[k])
         mat = material_derivative(traj, k)
-        dt_sq[k - 1] = surface_mass(mat.values, chart, grid, t)
+        dt_sq[k - 1] = _mass(mat.values, grid, mf)
         if L is None or not static:
             L = assemble_L(chart, kappa, grid, t)
             cf = coefficient_fields(chart, kappa, grid, t)
         # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u
         div_vals = -(L.matrix @ traj.fields[k] - cf["d0"].ravel() * traj.fields[k])
-        div_sq[k - 1] = surface_mass(div_vals, chart, grid, t)
+        div_sq[k - 1] = _mass(div_vals, grid, mf)
     dt_norm = math.sqrt(np.sum(traj.dt * dt_sq))
     div_norm = math.sqrt(np.sum(traj.dt * div_sq))
     return {"quotient": (dt_norm + div_norm) / w_norm,
@@ -303,7 +341,7 @@ def symbolic_operator_apply(chart, kappa, builder):
     flux1 = kap * R * (ginv[0][0] * grads[0] + ginv[0][1] * grads[1])
     flux2 = kap * R * (ginv[1][0] * grads[0] + ginv[1][1] * grads[1])
     Lu = -(sp.diff(flux1, X1) + sp.diff(flux2, X2)) / R + sp.diff(G, t) / (2 * G) * u
-    fn = sp.lambdify((X1, X2, t), Lu, "numpy")
+    fn = sp.lambdify((X1, X2, t), Lu, "numpy", cse=True)
 
     def apply(x1, x2, tt):
         return np.broadcast_to(
@@ -320,7 +358,7 @@ def manufactured_forcing(chart, kappa, exact):
 
     X1, X2, t = sp.symbols("X1 X2 t", real=True)
     dudt = sp.diff(exact.builder(X1, X2, t), t)
-    dudt_fn = sp.lambdify((X1, X2, t), dudt, "numpy")
+    dudt_fn = sp.lambdify((X1, X2, t), dudt, "numpy", cse=True)
     L_apply = symbolic_operator_apply(chart, kappa, exact.builder)
 
     def F(x1, x2, tt):

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evolvesurf import ConfigError
-from evolvesurf.cli import main, run_pipeline, write_outputs
+from evolvesurf import ConfigError, make_chart, make_diffusion, make_grid, user_chart
+from evolvesurf.cli import _dump_matrix, _write_vtk_snapshot, main, run_pipeline, write_outputs
 from evolvesurf.config import (
     RunConfig,
     config_initial_datum,
@@ -13,6 +13,7 @@ from evolvesurf.config import (
     parse_config,
     serialize_config,
 )
+from evolvesurf.operator import assemble_A, assemble_L
 
 MINIMAL = """
 [surface]
@@ -186,6 +187,91 @@ class TestOutputs:
         b1 = (Path(cfg1.out_dir) / "conditions.csv").read_bytes()
         b2 = (Path(cfg2.out_dir) / "conditions.csv").read_bytes()
         assert b1 == b2
+
+
+# Per-point reference writers: the loops the array-at-a-time writers replaced.
+
+
+def _fmt_ref(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _vtk_per_point(chart, grid, values, t):
+    X1, X2 = grid.full_mesh()
+    pts = chart.evals["x"](X1, X2, t)
+    full = grid.pad_dirichlet(values)
+    n1p, n2p = X1.shape
+    lines = [
+        "# vtk DataFile Version 3.0",
+        f"evolving surface snapshot t={_fmt_ref(float(t))}",
+        "ASCII",
+        "DATASET STRUCTURED_GRID",
+        f"DIMENSIONS {n1p} {n2p} 1",
+        f"POINTS {n1p * n2p} double",
+    ]
+    for j in range(n2p):
+        for i in range(n1p):
+            lines.append(f"{_fmt_ref(pts[0][i, j])} {_fmt_ref(pts[1][i, j])} "
+                         f"{_fmt_ref(pts[2][i, j])}")
+    lines += [f"POINT_DATA {n1p * n2p}", "SCALARS u double 1", "LOOKUP_TABLE default"]
+    for j in range(n2p):
+        for i in range(n1p):
+            lines.append(_fmt_ref(full[i, j]))
+    return "\n".join(lines) + "\n"
+
+
+def _coo_per_point(matrix):
+    m = matrix.matrix.tocoo()
+    return "".join(f"{r} {c} {_fmt_ref(float(v))}\n" for r, c, v in zip(m.row, m.col, m.data))
+
+
+PRESET_PARAMS = [
+    ("flat_static", {}),
+    ("isotropic_scaling", {"gamma": 1.0}),
+    ("graph_oscillation", {"epsilon": 0.05, "omega": 1.0}),
+    ("translating_patch", {"c": 1.5}),
+]
+
+
+class TestWriterBytes:
+    # non-square grid on a non-unit rectangle
+    GRID = make_grid((-0.5, 1.0, 0.25, 1.05), 13, 6)
+
+    def _check_snapshot(self, tmp_path, chart, t):
+        values = np.random.default_rng(7).standard_normal(self.GRID.ndof)
+        values[:3] = (-0.0, 1e-300, -2.5e17)   # signed zero and exponent forms
+        path = tmp_path / "snapshot.vtk"
+        _write_vtk_snapshot(path, chart, self.GRID, values, t)
+        text = path.read_text()
+        assert text == _vtk_per_point(chart, self.GRID, values, t)
+        # the zero Dirichlet ring is written around the interior values
+        assert text.splitlines()[-1] == "0.0"
+
+    @pytest.mark.parametrize("name,params", PRESET_PARAMS)
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_snapshot_matches_per_point_writer(self, tmp_path, name, params, t):
+        chart = make_chart(name, domain=self.GRID.domain, horizon=1.0, **params)
+        self._check_snapshot(tmp_path, chart, t)
+
+    def test_snapshot_with_integer_coordinates(self, tmp_path):
+        def lattice(x1, x2, t):
+            x1, x2 = np.broadcast_arrays(x1, x2)
+            return np.stack([np.rint(8 * x1), np.rint(8 * x2), 0 * x1]).astype(int)
+
+        self._check_snapshot(tmp_path, user_chart(lattice, self.GRID.domain, 1.0), 0.37)
+
+    def test_matrix_dump_matches_per_point_writer(self, tmp_path):
+        chart = make_chart("graph_oscillation", domain=self.GRID.domain, horizon=1.0,
+                           epsilon=0.05, omega=1.0)
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        for mat in (assemble_A(self.GRID, 0.8, 1.3), assemble_L(chart, kappa, self.GRID, 0.37)):
+            path = tmp_path / "matrix.coo"
+            _dump_matrix(path, mat)
+            assert path.read_text() == _coo_per_point(mat)
 
 
 class TestMainEntry:

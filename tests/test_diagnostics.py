@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from evolvesurf.diagnostics import (
     surface_gradient_components,
     surface_mass,
 )
+from evolvesurf import diagnostics
 from evolvesurf.timestepper import Trajectory
 
 
@@ -219,6 +221,61 @@ class TestRegularityReport:
         # eigenmode closed form: both time and diffusion norms equal
         # 2 pi^2 sqrt(int e^{-4pi^2 t} u0^2) ~ mild O(1) numbers
         assert 0.1 < rep["quotient"] < 10.0
+
+
+class TestStaticChartDiagnostics:
+    """A static metric and a time-independent kappa are evaluated once per mesh."""
+
+    GRID = make_grid((0.0, 1.5, 0.0, 1.0), 14, 9)
+
+    CHART = make_chart("translating_patch", domain=GRID.domain, horizon=1.0, c=1.2)
+    KAPPA = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+
+    def _march(self, T):
+        return solve_direct(self.CHART, self.KAPPA, self.GRID, _bump(self.GRID), T, 5e-3)
+
+    def _reports(self, traj, chart, kappa, monkeypatch):
+        """The three reports and the number of metric_fields calls they made."""
+        calls = 0
+        real = diagnostics.metric_fields
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "metric_fields", counting)
+            reps = (energy_report(traj, chart, kappa, self.GRID),
+                    decay_report(traj, chart, self.GRID),
+                    regularity_report(traj, chart, kappa, self.GRID))
+        return reps, calls
+
+    def test_equal_to_per_step_evaluation(self, monkeypatch):
+        traj = self._march(0.1)
+        (led, dec, reg), _ = self._reports(traj, self.CHART, self.KAPPA, monkeypatch)
+        # the same chart and diffusivity flagged as moving are evaluated per step
+        moving = dataclasses.replace(self.CHART, static_metric=False)
+        varying = dataclasses.replace(self.KAPPA, time_independent=False)
+        (led_ref, dec_ref, reg_ref), n_ref = self._reports(traj, moving, varying, monkeypatch)
+        assert n_ref > 3 * traj.nsteps
+        for name in ("times", "mass", "dissipation", "residual_abs", "residual_rel"):
+            assert np.array_equal(getattr(led, name), getattr(led_ref, name))
+        assert dec == dec_ref
+        assert reg == reg_ref
+
+    def test_metric_calls_independent_of_nsteps(self, monkeypatch):
+        _, n_short = self._reports(self._march(0.05), self.CHART, self.KAPPA, monkeypatch)
+        _, n_long = self._reports(self._march(0.2), self.CHART, self.KAPPA, monkeypatch)
+        assert n_short == n_long
+
+
+def _bump(grid):
+    X1, X2 = grid.interior_mesh()
+    a, b, c, d = grid.domain
+    s1 = (X1 - a) / (b - a)
+    s2 = (X2 - c) / (d - c)
+    return (np.sin(np.pi * s1) * np.sin(2 * np.pi * s2)).ravel()
 
 
 class TestMMS:
