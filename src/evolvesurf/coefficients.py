@@ -21,12 +21,13 @@ from .errors import AssumptionViolationError, ParameterError
 from .geometry import _fd1, metric_fields
 from .operator import (
     OperatorMatrix,
+    SineBasis,
     assemble_A,
     assemble_B_parts,
-    factorize,
     field_l2,
     gradient_norm,
     hessian_seminorm,
+    stencil_weights,
 )
 
 SMALLNESS_THRESHOLD = 1.0 / (8.0 * math.sqrt(2.0))
@@ -195,17 +196,51 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times, with_mixed_factor2
 # constant estimators
 
 
+def _comparison_basis(A, grid):
+    """(matrix, SineBasis) of A; ParameterError unless A = assemble_A(grid, l1, l2).
+
+    The weights are read off the neighbor couplings (from the diagonal when an
+    axis has one interior node), and the matrix must equal assemble_A with
+    them to roundoff.
+    """
+    if grid is None:
+        raise ParameterError("A is a bare matrix: pass the grid it was assembled on")
+    mat = A.matrix if isinstance(A, OperatorMatrix) else A
+    if mat.shape != (grid.ndof, grid.ndof):
+        raise ParameterError(f"matrix of shape {mat.shape} does not act on the "
+                             f"{grid.n1}x{grid.n2} grid")
+    lam1, lam2 = stencil_weights(mat, grid)
+    q1, q2 = 2.0 / grid.h1 ** 2, 2.0 / grid.h2 ** 2
+    diag = float(mat.diagonal().mean())
+    if grid.n1 == 1 and grid.n2 == 1:
+        lam1 = lam2 = diag / (q1 + q2)
+    elif grid.n1 == 1:
+        lam1 = (diag - q2 * lam2) / q1
+    elif grid.n2 == 1:
+        lam2 = (diag - q1 * lam1) / q2
+    if not (lam1 > 0.0 and lam2 > 0.0):
+        raise ParameterError("matrix is not the comparison operator A: "
+                             f"neighbor weights ({lam1}, {lam2}) are not positive")
+    ref = assemble_A(grid, lam1, lam2).matrix
+    defect = abs(mat - ref).max()
+    if not defect <= 1e-12 * abs(ref).max():
+        raise ParameterError("matrix is not the comparison operator A: it differs from "
+                             f"assemble_A(grid, {lam1}, {lam2}) by {defect:.3e}")
+    return mat, SineBasis(grid, lam1, lam2)
+
+
 def estimate_C_sharp(A, grid, probes, seed=42):
     """Probe-based lower bound for the elliptic-regularity constant.
 
     Maximizes (||f|| + ||grad f|| + ||hess f||) / ||A f|| over random fields
     pushed through A^{-1} (so they live in the discrete operator domain) and
-    over the lowest discrete eigenvector.
+    over the lowest discrete eigenvector sin(pi i/(n1+1)) sin(pi j/(n2+1)).
+    A must be assemble_A(grid, lambda1, lambda2) (ParameterError otherwise);
+    A^{-1} is a division by the eigenvalues in its DST-I sine basis.
     """
     if probes < 1:
         raise ParameterError("need at least one probe")
-    mat = A.matrix if isinstance(A, OperatorMatrix) else A
-    lu = factorize(mat)
+    mat, basis = _comparison_basis(A, grid)
     rng = np.random.default_rng(seed)
 
     def ratio(f):
@@ -219,14 +254,37 @@ def estimate_C_sharp(A, grid, probes, seed=42):
     best = 0.0
     for _ in range(probes):
         g = rng.standard_normal(mat.shape[0])
-        best = max(best, ratio(lu.solve(g)))
+        best = max(best, ratio(basis.inverse(basis.forward(g) / basis.eigenvalues)))
 
-    import scipy.sparse.linalg as spla
-    # fixed start vector keeps the estimate bit-reproducible across runs
-    v0 = np.ones(mat.shape[0])
-    vals, vecs = spla.eigsh(mat, k=1, sigma=0.0, which="LM", v0=v0)
-    best = max(best, ratio(vecs[:, 0]))
+    s1 = np.sin(np.pi * np.arange(1, grid.n1 + 1) / (grid.n1 + 1))
+    s2 = np.sin(np.pi * np.arange(1, grid.n2 + 1) / (grid.n2 + 1))
+    best = max(best, ratio(np.outer(s1, s2).ravel()))
     return float(best)
+
+
+def _spectral_cn_ratio(mu, fhat, rows, dt, w):
+    """Crank-Nicolson maximal-regularity quotient, mode by mode.
+
+    The forcing at step time t_k has mode coefficients fhat[rows[k]]; each
+    mode marches vhat <- ((1 - dt mu/2) vhat + dt fbar)/(1 + dt mu/2) from 0.
+    The basis is orthonormal, so the norms are taken on the coefficients.
+    """
+    expl = 1.0 - 0.5 * dt * mu
+    impl = 1.0 + 0.5 * dt * mu
+    v = np.zeros_like(mu)
+    num2 = 0.0
+    den2 = 0.0
+    for k in range(len(rows) - 1):
+        fbar = 0.5 * (fhat[rows[k]] + fhat[rows[k + 1]])
+        vn = (expl * v + dt * fbar) / impl
+        dv = (vn - v) / dt
+        avbar = mu * (0.5 * (v + vn))
+        num2 += dt * w * (np.vdot(dv, dv) + np.vdot(avbar, avbar))
+        den2 += dt * w * np.vdot(fbar, fbar)
+        v = vn
+    if den2 == 0.0:
+        return None
+    return float(math.sqrt(num2 / den2))
 
 
 def maximal_regularity_ratio(A, grid, forcing_steps, dt):
@@ -235,32 +293,14 @@ def maximal_regularity_ratio(A, grid, forcing_steps, dt):
     Marches dV/dt + A V = F from V(0) = 0 by Crank-Nicolson with the forcing
     sampled at step endpoints (array of shape (nsteps+1, ndof)) and returns
     sqrt(||dV/dt||^2 + ||A Vbar||^2) / ||Fbar||, all norms in L2(0,T; L2(U)).
-    For the selfadjoint non-negative A this quotient never exceeds 1.
+    For the selfadjoint non-negative A this quotient never exceeds 1.  A must
+    be assemble_A(grid, lambda1, lambda2) (ParameterError otherwise); the march
+    runs as one scalar recurrence per mode of its DST-I sine basis.
     """
-    mat = A.matrix if isinstance(A, OperatorMatrix) else A
+    _, basis = _comparison_basis(A, grid)
     F = np.asarray(forcing_steps, dtype=float)
-    nsteps = F.shape[0] - 1
-    n = mat.shape[0]
-    import scipy.sparse as sp
-
-    lu = factorize(sp.identity(n, format="csc") + 0.5 * dt * mat)
-    expl = sp.identity(n, format="csr") - 0.5 * dt * mat
-
-    v = np.zeros(n)
-    num2 = 0.0
-    den2 = 0.0
-    w = grid.h1 * grid.h2
-    for k in range(nsteps):
-        fbar = 0.5 * (F[k] + F[k + 1])
-        vn = lu.solve(expl @ v + dt * fbar)
-        dv = (vn - v) / dt
-        avbar = mat @ (0.5 * (v + vn))
-        num2 += dt * w * (np.dot(dv, dv) + np.dot(avbar, avbar))
-        den2 += dt * w * np.dot(fbar, fbar)
-        v = vn
-    if den2 == 0.0:
-        return None
-    return float(math.sqrt(num2 / den2))
+    return _spectral_cn_ratio(basis.eigenvalues, basis.forward(F), range(F.shape[0]),
+                              dt, grid.h1 * grid.h2)
 
 
 def estimate_C_A(A, T, probes, grid=None, seed=42, nsteps=200, pieces=8):
@@ -270,25 +310,26 @@ def estimate_C_A(A, T, probes, grid=None, seed=42, nsteps=200, pieces=8):
     subintervals.  Probes with zero forcing are skipped.  The theoretical
     value for a non-negative selfadjoint generator is 1, which condition
     checks use by default; this estimator is the numerical cross-check.
+    ``grid`` defaults to A.grid; a bare matrix needs it.
     """
     if probes < 1:
         raise ParameterError("need at least one probe")
     if T <= 0:
         raise ParameterError("horizon must be positive")
-    mat = A.matrix if isinstance(A, OperatorMatrix) else A
     if grid is None:
-        grid = A.grid
+        grid = getattr(A, "grid", None)
+    mat, basis = _comparison_basis(A, grid)
     rng = np.random.default_rng(seed)
     n = mat.shape[0]
     dt = T / nsteps
+    k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
     best = 0.0
     for _ in range(probes):
         blocks = rng.standard_normal((pieces, n))
         if np.all(blocks == 0.0):
             continue
-        k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
-        F = blocks[k_idx]
-        r = maximal_regularity_ratio(mat, grid, F, dt)
+        r = _spectral_cn_ratio(basis.eigenvalues, basis.forward(blocks), k_idx,
+                               dt, grid.h1 * grid.h2)
         if r is not None:
             best = max(best, r)
     return float(best)

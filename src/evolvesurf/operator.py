@@ -19,6 +19,10 @@ homogeneous Dirichlet rows eliminated:
                       term.  Exact discrete product rules make the five parts
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
+
+``SineBasis`` is the DST-I eigenbasis of A: every solve with A or I + s A
+(Picard stages, the C_sharp and C_A estimators, the GMRES preconditioner) is a
+division per mode there.  ``factorize`` (sparse LU) is left for a static L.
 """
 
 from __future__ import annotations
@@ -445,25 +449,64 @@ def factorize(matrix):
     return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def shifted_A_solver(grid, lambda1, lambda2, shift):
-    """Callable r -> (I + shift A)^{-1} r for A = assemble_A(grid, lambda1, lambda2).
+def stencil_weights(mat, grid):
+    """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings.
+
+    For A = assemble_A(grid, lambda1, lambda2) these are lambda1 and lambda2
+    to roundoff; an axis with a single interior node has no couplings and
+    reads 0.
+    """
+    n2 = grid.n2
+    w1 = np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)])
+    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1   # skip the row-wrap zeros
+    w2 = np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]])
+    return (-w1.mean() * grid.h1 ** 2 if w1.size else 0.0,
+            -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
+
+
+class SineBasis:
+    """Orthonormal DST-I eigenbasis of A = assemble_A(grid, lambda1, lambda2).
 
     The sine modes sin(pi k i/(n1+1)) sin(pi l j/(n2+1)) diagonalize the
     5-point operator with eigenvalues lambda1 mu1_k + lambda2 mu2_l, where
     mu_k = (4/h^2) sin^2(pi k/(2(n+1))); the orthonormal DST-I maps into and
-    out of that basis in O(n log n).
+    out of that basis in O(n log n) and preserves the Euclidean norm, so
+    ``forward(f)`` carries the same l2 norm as f.  Leading axes of the
+    arguments are batch axes.
     """
-    from scipy import fft  # imported on first use, off the package import path
 
-    def eigenvalues(n, h):
-        return 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+    def __init__(self, grid, lambda1, lambda2):
+        from scipy import fft  # imported on first use, off the package import path
 
-    mu1 = eigenvalues(grid.n1, grid.h1)
-    mu2 = eigenvalues(grid.n2, grid.h2)
-    denom = 1.0 + shift * (lambda1 * mu1[:, None] + lambda2 * mu2[None, :])
+        def eigenvalues(n, h):
+            return 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+
+        self._fft = fft
+        mu1 = eigenvalues(grid.n1, grid.h1)
+        mu2 = eigenvalues(grid.n2, grid.h2)
+        self.eigenvalues = lambda1 * mu1[:, None] + lambda2 * mu2[None, :]
+
+    def forward(self, values):
+        """Mode coefficients, shape (..., n1, n2), of grid functions (..., ndof)."""
+        values = np.asarray(values)
+        shape = values.shape[:-1] + self.eigenvalues.shape
+        return self._fft.dstn(np.reshape(values, shape), type=1, norm="ortho", axes=(-2, -1))
+
+    def inverse(self, coeffs):
+        """Grid functions, shape (..., ndof), from mode coefficients (..., n1, n2)."""
+        out = self._fft.idstn(coeffs, type=1, norm="ortho", axes=(-2, -1))
+        return out.reshape(out.shape[:-2] + (-1,))
+
+
+def shifted_A_solver(grid, lambda1, lambda2, shift):
+    """Callable r -> (I + shift A)^{-1} r for A = assemble_A(grid, lambda1, lambda2).
+
+    Divides by 1 + shift (lambda1 mu1_k + lambda2 mu2_l) in the SineBasis.
+    """
+    basis = SineBasis(grid, lambda1, lambda2)
+    denom = 1.0 + shift * basis.eigenvalues
 
     def solve(r):
-        coeffs = fft.dstn(np.reshape(r, denom.shape), type=1, norm="ortho")
-        return fft.idstn(coeffs / denom, type=1, norm="ortho").ravel()
+        return basis.inverse(basis.forward(r) / denom)
 
     return solve

@@ -13,13 +13,14 @@ Two routes to the same discrete solution:
 Every implicit step solves (I + theta dt L(t_{k+1})) v_{k+1} = rhs and is
 accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
 otherwise StepSolveError names the step, time, residual and iteration count.
-A static operator (rigid chart, time-independent diffusivity, or the
-comparison operator A of a Picard stage) is LU-factorized once per march.  A
-moving operator is solved by GMRES started from the previous step's value and
-preconditioned with (I + theta dt A_k)^{-1}, where A_k is the constant
-5-point operator with the mean stencil weights of L(t_{k+1}), inverted by
-DST-I in O(n log n).  The smallness of B = L - A relative to A keeps that
-iteration to a few steps, and no matrix is factorized per step.
+The comparison operator A of a Picard stage is inverted exactly by DST-I in
+its sine eigenbasis, O(n log n) per step and no factorization.  Any other
+static operator (rigid chart, time-independent diffusivity) is LU-factorized
+once per march.  A moving operator is solved by GMRES started from the
+previous step's value and preconditioned with (I + theta dt A_k)^{-1}, where
+A_k is the constant 5-point operator with the mean stencil weights of
+L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A relative to A
+keeps that iteration to a few steps, and no matrix is factorized per step.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -38,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
 from .operator import (Field, OperatorMatrix, assemble_A, assemble_L, factorize, field_l2,
-                       shifted_A_solver)
+                       shifted_A_solver, stencil_weights)
 
 SOLVE_TOL = 1e-10
 # GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
@@ -97,23 +98,15 @@ def make_L_provider(chart, kappa, grid):
     return provider
 
 
-def _static_provider(op):
+def _static_provider(op, A_weights=None):
+    """Provider of one fixed operator; ``A_weights`` = (lambda1, lambda2)
+    marks it as assemble_A(grid, lambda1, lambda2), solved by DST-I."""
     def provider(t):
         return op
 
     provider.static = True
+    provider.A_weights = A_weights
     return provider
-
-
-def _stencil_weights(L):
-    """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings of L."""
-    mat, grid = L.matrix, L.grid
-    n2 = grid.n2
-    w1 = np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)])
-    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1   # skip the row-wrap zeros
-    w2 = np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]])
-    return (-w1.mean() * grid.h1 ** 2 if w1.size else 0.0,
-            -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
 
 
 class _ThetaMarcher:
@@ -121,8 +114,11 @@ class _ThetaMarcher:
 
     L(t_k) is looked up by the integer step index k, and only the two
     operators one step touches are kept, so a moving march assembles L once
-    per step time.  The implicit solve is one LU per march for a static
-    operator and DST-preconditioned GMRES for a moving one.
+    per step time.  The implicit solve is a DST-I solve in the sine
+    eigenbasis for the comparison operator A of a Picard stage (no LU), one
+    LU per march for any other static operator, and DST-preconditioned GMRES
+    for a moving one.  A static system matrix is built once per march and
+    kept for the residual gate.
     """
 
     def __init__(self, dt, theta, L_provider, t0=0.0):
@@ -136,7 +132,7 @@ class _ThetaMarcher:
         self.L_provider = L_provider
         self.static = getattr(L_provider, "static", False)
         self._ops = {}       # step index -> L(t_k), at most two entries
-        self._lu = None      # (I + theta dt L, its LU) of a static operator
+        self._direct = None  # (I + theta dt L, its solve) of a static operator
 
     def time(self, k):
         return self.t0 + k * self.dt
@@ -152,6 +148,13 @@ class _ThetaMarcher:
         n = L.matrix.shape[0]
         return sp.identity(n, format="csr") + self.theta * self.dt * L.matrix
 
+    def _static_solver(self, L):
+        impl = self._system(L)
+        weights = getattr(self.L_provider, "A_weights", None)
+        if weights is None:
+            return impl, factorize(impl).solve
+        return impl, shifted_A_solver(L.grid, *weights, self.theta * self.dt)
+
     def solve(self, k, rhs, guess=None):
         """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL."""
         scale = np.linalg.norm(rhs)
@@ -159,15 +162,14 @@ class _ThetaMarcher:
             return np.zeros_like(rhs)
         iterations = None
         if self.static:
-            if self._lu is None:
-                impl = self._system(self.L(k))
-                self._lu = (impl, factorize(impl))
-            impl, lu = self._lu
-            v = lu.solve(rhs)
+            if self._direct is None:
+                self._direct = self._static_solver(self.L(k))
+            impl, direct = self._direct
+            v = direct(rhs)
         else:
             L = self.L(k)
             impl = self._system(L)
-            lam1, lam2 = _stencil_weights(L)
+            lam1, lam2 = stencil_weights(L.matrix, L.grid)
             precond = spla.LinearOperator(
                 impl.shape, shifted_A_solver(L.grid, lam1, lam2, self.theta * self.dt),
                 dtype=float)
@@ -271,16 +273,20 @@ def z_norm(traj, A, grid):
         return sup_term
 
     dt = traj.dt
-    dvdt = np.empty_like(fields)
-    dvdt[0] = (fields[1] - fields[0]) / dt
-    dvdt[-1] = (fields[-1] - fields[-2]) / dt
-    if nt > 2:
-        dvdt[1:-1] = (fields[2:] - fields[:-2]) / (2.0 * dt)
+    dv_sq = np.empty(nt)
+    av_sq = np.empty(nt)
+    for k in range(nt):
+        if k == 0:
+            dvdt = (fields[1] - fields[0]) / dt
+        elif k == nt - 1:
+            dvdt = (fields[-1] - fields[-2]) / dt
+        else:
+            dvdt = (fields[k + 1] - fields[k - 1]) / (2.0 * dt)
+        dv_sq[k] = field_l2(dvdt, grid) ** 2
+        av_sq[k] = field_l2(mat @ fields[k], grid) ** 2
 
     w = np.full(nt, dt)
     w[0] = w[-1] = 0.5 * dt
-    dv_sq = np.array([field_l2(dvdt[k], grid) ** 2 for k in range(nt)])
-    av_sq = np.array([field_l2(mat @ fields[k], grid) ** 2 for k in range(nt)])
     return float(sup_term + math.sqrt(np.dot(w, dv_sq)) + math.sqrt(np.dot(w, av_sq)))
 
 
@@ -299,7 +305,7 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
         raise ParameterError("tol must be positive")
     vals = _prepare_v0(v0, grid)
     A = assemble_A(grid, lambda1, lambda2)
-    stage = _ThetaMarcher(dt, theta, _static_provider(A))
+    stage = _ThetaMarcher(dt, theta, _static_provider(A, (lambda1, lambda2)))
     nsteps = int(math.ceil(T / dt - 1e-12))
     times = np.arange(nsteps + 1) * dt
     expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A.matrix).tocsr()
@@ -313,11 +319,15 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
     def march(prev_fields):
         fields = np.empty((nsteps + 1, grid.ndof))
         fields[0] = vals
+        if prev_fields is not None:
+            b_old = B_mats[0] @ prev_fields[0]
         for k in range(nsteps):
             rhs = expl @ fields[k]
             if prev_fields is not None:
-                rhs = rhs - dt * (theta * (B_mats[k + 1] @ prev_fields[k + 1])
-                                  + (1.0 - theta) * (B_mats[k] @ prev_fields[k]))
+                # B(t_{k+1}) v_m(t_{k+1}) is carried over as the next step's b_old
+                b_new = B_mats[k + 1] @ prev_fields[k + 1]
+                rhs = rhs - dt * (theta * b_new + (1.0 - theta) * b_old)
+                b_old = b_new
             if F_vals is not None:
                 rhs = rhs + dt * (theta * F_vals[k + 1] + (1.0 - theta) * F_vals[k])
             fields[k + 1] = stage.solve(k + 1, rhs)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
@@ -9,12 +10,14 @@ from evolvesurf import (
     AssumptionViolationError,
     ParameterError,
     assemble_A,
+    assemble_L,
     estimate_C_A,
     estimate_C_sharp,
     horizon_thm24,
     horizon_thm25,
     lambda_select,
     m_quantities,
+    make_chart,
     make_diffusion,
     make_grid,
     smallness_report,
@@ -25,6 +28,7 @@ from evolvesurf.coefficients import (
     diffusion_bounds,
     maximal_regularity_ratio,
 )
+from evolvesurf.operator import field_l2, gradient_norm, hessian_seminorm
 
 
 class TestLambdaSelect:
@@ -142,6 +146,117 @@ class TestCAEstimator:
         A = assemble_A(unit_grid, 1.0, 1.0)
         F = np.zeros((11, unit_grid.ndof))
         assert maximal_regularity_ratio(A.matrix, unit_grid, F, 0.1) is None
+
+
+def _lu_C_sharp(mat, grid, probes, seed):
+    """estimate_C_sharp by sparse LU and shift-invert eigsh (reference)."""
+    lu = spla.splu(mat.tocsc())
+    rng = np.random.default_rng(seed)
+
+    def ratio(f):
+        denom = field_l2(mat @ f, grid)
+        num = field_l2(f, grid) + gradient_norm(f, grid) + hessian_seminorm(f, grid)
+        return num / denom
+
+    best = max(ratio(lu.solve(rng.standard_normal(mat.shape[0]))) for _ in range(probes))
+    _, vecs = spla.eigsh(mat, k=1, sigma=0.0, which="LM", v0=np.ones(mat.shape[0]))
+    return max(best, ratio(vecs[:, 0]))
+
+
+def _lu_mr_ratio(mat, F, dt):
+    """maximal_regularity_ratio by an LU Crank-Nicolson march (reference; the
+    common factor dt h1 h2 of both norms cancels)."""
+    n = mat.shape[0]
+    lu = spla.splu((sp.identity(n, format="csc") + 0.5 * dt * mat).tocsc())
+    expl = sp.identity(n, format="csr") - 0.5 * dt * mat
+    v = np.zeros(n)
+    num2 = den2 = 0.0
+    for k in range(F.shape[0] - 1):
+        fbar = 0.5 * (F[k] + F[k + 1])
+        vn = lu.solve(expl @ v + dt * fbar)
+        dv = (vn - v) / dt
+        avbar = mat @ (0.5 * (v + vn))
+        num2 += np.dot(dv, dv) + np.dot(avbar, avbar)
+        den2 += np.dot(fbar, fbar)
+        v = vn
+    return math.sqrt(num2 / den2)
+
+
+def _lu_C_A(mat, T, probes, seed, nsteps, pieces):
+    """estimate_C_A through the LU march (reference)."""
+    rng = np.random.default_rng(seed)
+    k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
+    return max(_lu_mr_ratio(mat, rng.standard_normal((pieces, mat.shape[0]))[k_idx],
+                            T / nsteps)
+               for _ in range(probes))
+
+
+SPECTRAL_CASES = [
+    ((0.0, 1.0, 0.0, 1.0), 16, 16, 1.0, 1.0),
+    ((0.0, 1.5, 0.0, 0.8), 20, 13, 0.7, 1.9),
+    ((-0.3, 0.9, 0.2, 2.2), 11, 24, 2.5, 0.4),
+]
+
+
+class TestSpectralEstimators:
+    """The DST-I estimators against the sparse LU / eigsh code they replace."""
+
+    @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
+    def test_C_sharp_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
+        grid = make_grid(domain, n1, n2)
+        A = assemble_A(grid, lam1, lam2)
+        ref = _lu_C_sharp(A.matrix, grid, 6, seed=5)
+        assert estimate_C_sharp(A, grid, 6, seed=5) == pytest.approx(ref, rel=1e-12)
+        assert estimate_C_sharp(A.matrix, grid, 6, seed=5) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
+    def test_C_A_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
+        grid = make_grid(domain, n1, n2)
+        A = assemble_A(grid, lam1, lam2)
+        ref = _lu_C_A(A.matrix, 0.7, 3, seed=11, nsteps=60, pieces=5)
+        est = estimate_C_A(A, 0.7, 3, seed=11, nsteps=60, pieces=5)
+        assert est == pytest.approx(ref, rel=1e-12)
+        assert estimate_C_A(A.matrix, 0.7, 3, grid=grid, seed=11, nsteps=60,
+                            pieces=5) == est
+
+    @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
+    def test_ratio_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
+        grid = make_grid(domain, n1, n2)
+        A = assemble_A(grid, lam1, lam2)
+        F = np.random.default_rng(2).standard_normal((41, grid.ndof))
+        ref = _lu_mr_ratio(A.matrix, F, 0.01)
+        assert maximal_regularity_ratio(A, grid, F, 0.01) == pytest.approx(ref, rel=1e-12)
+
+    def test_non_comparison_operator_rejected(self, unit_grid):
+        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.05, omega=1.0)
+        L = assemble_L(chart, make_diffusion("constant", value=1.0), unit_grid, 0.3)
+        F = np.ones((3, unit_grid.ndof))
+        with pytest.raises(ParameterError, match="comparison operator"):
+            estimate_C_sharp(L, unit_grid, 2)
+        with pytest.raises(ParameterError, match="comparison operator"):
+            estimate_C_A(L.matrix, 1.0, 1, grid=unit_grid)
+        with pytest.raises(ParameterError, match="comparison operator"):
+            maximal_regularity_ratio(L.matrix, unit_grid, F, 0.1)
+
+    def test_operator_of_another_grid_rejected(self, unit_grid):
+        A = assemble_A(make_grid((0.0, 1.0, 0.0, 1.0), 15, 16), 1.0, 1.0)
+        with pytest.raises(ParameterError, match="does not act on"):
+            estimate_C_sharp(A, unit_grid, 2)
+
+    def test_bare_matrix_needs_grid(self, unit_grid):
+        A = assemble_A(unit_grid, 1.0, 1.0)
+        with pytest.raises(ParameterError, match="grid"):
+            estimate_C_A(A.matrix, 1.0, 2)
+
+    @pytest.mark.parametrize("n1,n2", [(1, 9), (9, 1), (1, 1)])
+    def test_single_node_axis(self, n1, n2):
+        # an axis with one interior node has no neighbor couplings to read
+        # its weight from; it comes from the diagonal
+        grid = make_grid((0.0, 1.0, 0.0, 2.0), n1, n2)
+        A = assemble_A(grid, 0.8, 1.7)
+        ref = _lu_C_A(A.matrix, 0.5, 2, seed=1, nsteps=20, pieces=4)
+        assert estimate_C_A(A, 0.5, 2, seed=1, nsteps=20, pieces=4) == pytest.approx(
+            ref, rel=1e-12)
 
 
 class TestSmallnessReport:

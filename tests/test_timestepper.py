@@ -158,6 +158,31 @@ class TestZNorm:
         assert z_norm(scaled, A, unit_grid) == pytest.approx(3.0 * base, rel=1e-12)
 
 
+    @pytest.mark.parametrize("nt", [1, 2, 3, 9])
+    def test_matches_whole_array_differences(self, nt):
+        # the streamed time differences give the same bits as the old
+        # (nt x ndof) buffer of centered/one-sided quotients
+        grid = make_grid((0.0, 1.5, 0.0, 0.8), 7, 5)
+        A = assemble_A(grid, 0.7, 1.9)
+        fields = np.random.default_rng(nt).standard_normal((nt, grid.ndof))
+        dt = 0.013
+        traj = Trajectory(np.arange(nt) * dt, fields, dt, "x", grid)
+        sup = max(math.exp(-k * dt) * field_l2(fields[k], grid) for k in range(nt))
+        if nt == 1:
+            assert z_norm(traj, A, grid) == sup
+            return
+        dvdt = np.empty_like(fields)
+        dvdt[0] = (fields[1] - fields[0]) / dt
+        dvdt[-1] = (fields[-1] - fields[-2]) / dt
+        dvdt[1:-1] = (fields[2:] - fields[:-2]) / (2.0 * dt)
+        w = np.full(nt, dt)
+        w[0] = w[-1] = 0.5 * dt
+        dv_sq = np.array([field_l2(d, grid) ** 2 for d in dvdt])
+        av_sq = np.array([field_l2(A.matrix @ f, grid) ** 2 for f in fields])
+        ref = float(sup + math.sqrt(np.dot(w, dv_sq)) + math.sqrt(np.dot(w, av_sq)))
+        assert z_norm(traj, A, grid) == ref
+
+
 class TestSolvePicard:
     def test_flat_fixed_point_after_one_correction(self, flat, const_kappa,
                                                    unit_grid, eigenmode):
@@ -318,3 +343,38 @@ class TestImplicitSolve:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, evolvesurf; sys.exit('scipy.fft' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestPicardStageSolve:
+    def test_stage_matches_lu_theta_march_of_A(self):
+        # on a flat patch with constant diffusivity B = L - A vanishes to
+        # roundoff, so the Picard iterate is the theta-march of A itself
+        grid = make_grid((0.0, 1.5, 0.0, 0.8), 20, 13)
+        chart = make_chart("flat_static", horizon=1.0)
+        kappa = make_diffusion("constant", value=1.3)
+        v0 = _boundary_mode(grid)
+        traj, hist = solve_picard(chart, kappa, grid, 1.3, 1.3, v0, 0.05, 1e-3)
+        assert hist.converged
+        ref = _uncached_lu_march(chart, kappa, grid, v0, 50, 1e-3, 0.5)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_smallness_report_and_picard_make_no_lu(self, graph, const_kappa, unit_grid,
+                                                    eigenmode, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        rep = evolvesurf.smallness_report(graph, const_kappa, unit_grid,
+                                          np.linspace(0, 1, 3), probes=4)
+        _, hist = solve_picard(graph, const_kappa, unit_grid, rep.lambda1, rep.lambda2,
+                               eigenmode(unit_grid), 0.02, 2e-3)
+        assert hist.converged
+        assert calls == []
+        # the static-L path still factorizes, through the same binding
+        solve_direct(make_chart("flat_static", horizon=1.0), const_kappa, unit_grid,
+                     eigenmode(unit_grid), 0.004, 2e-3)
+        assert len(calls) == 1
