@@ -28,14 +28,14 @@ print("=== reduction sanity checks ===")
 flat = make_chart("flat_static", horizon=1.0)
 A = assemble_A(grid, 1.0, 1.0)
 L = assemble_L(flat, kappa, grid, 0.5)
-print(f"flat chart:      max |L - A| = {abs(L.matrix - A.matrix).max():.2e}")
+print(f"flat chart:      max |L - A| = {abs(L - A).max():.2e}")
 
 iso = make_chart("isotropic_scaling", horizon=1.0, gamma=1.0)
 t = 0.5
 import scipy.sparse as sp
-ref = math.exp(-2 * t) * A.matrix + 2.0 * sp.identity(grid.ndof)
+ref = math.exp(-2 * t) * A + 2.0 * sp.identity(grid.ndof)
 Lt = assemble_L(iso, kappa, grid, t)
-print(f"scaling chart:   max |L(t) - (e^(-2t) A + 2 I)| = {abs(Lt.matrix - ref).max():.2e}")
+print(f"scaling chart:   max |L(t) - (e^(-2t) A + 2 I)| = {abs(Lt - ref).max():.2e}")
 
 print("\n=== five-part perturbation split on the oscillating graph ===")
 chart = make_chart("graph_oscillation", horizon=2.0, epsilon=0.1, omega=1.0)
@@ -47,9 +47,9 @@ A = assemble_A(grid, lam1, lam2)
 print(f"{'t':>5} {'|B1|':>10} {'|B2|':>10} {'|B3|':>10} {'|B4|':>10} {'|B5|':>10} {'sum defect':>12}")
 for t in times:
     parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, float(t))
-    total = sum(parts[f"B{i}"].matrix for i in range(1, 6))
+    total = sum(parts[f"B{i}"] for i in range(1, 6))
     L = assemble_L(chart, kappa, grid, float(t))
-    defect = abs(total - (L.matrix - A.matrix)).max()
+    defect = abs(total - (L - A)).max()
     n = parts["norms"]
     print(f"{t:5.2f} {n[0]:10.4f} {n[1]:10.4f} {n[2]:10.4f} {n[3]:10.4f} {n[4]:10.4f} {defect:12.2e}")
 

@@ -57,8 +57,6 @@ from .geometry import (
     user_chart,
 )
 from .operator import (
-    Field,
-    OperatorMatrix,
     assemble_A,
     assemble_B,
     assemble_B_parts,

@@ -137,7 +137,7 @@ def _operator_reduction_checks(cfg):
     flat = geo.make_chart("flat_static", domain=unit.domain, horizon=1.0)
     A = op.assemble_A(unit, 1.0, 1.0)
     L = op.assemble_L(flat, kap, unit, 0.5)
-    v = float(np.abs(L.matrix - A.matrix).max())
+    v = float(np.abs(L - A).max())
     checks.append({"name": "reduction_flat", "value": v, "tol": 1e-12, "passed": v <= 1e-12})
 
     iso = geo.make_chart("isotropic_scaling", domain=unit.domain, horizon=1.0, gamma=1.0)
@@ -145,8 +145,8 @@ def _operator_reduction_checks(cfg):
     worst = 0.0
     for t in (0.0, 0.5, 1.0):
         Lt = op.assemble_L(iso, kap, unit, t)
-        ref = math.exp(-2.0 * t) * A.matrix + 2.0 * ident
-        worst = max(worst, float(np.abs(Lt.matrix - ref).max()))
+        ref = math.exp(-2.0 * t) * A + 2.0 * ident
+        worst = max(worst, float(np.abs(Lt - ref).max()))
     checks.append({"name": "reduction_isotropic", "value": worst, "tol": 1e-10,
                    "passed": worst <= 1e-10})
     return checks
@@ -166,9 +166,9 @@ def _decomposition_checks(cfg, rng):
     worst = 0.0
     for t in times:
         parts = op.assemble_B_parts(chart, kap, unit, lam1, lam2, float(t), norm_iters=5)
-        S = sum(parts[f"B{i}"].matrix for i in range(1, 6))
+        S = sum(parts[f"B{i}"] for i in range(1, 6))
         L = op.assemble_L(chart, kap, unit, float(t))
-        worst = max(worst, float(np.abs(S - (L.matrix - A.matrix)).max()))
+        worst = max(worst, float(np.abs(S - (L - A)).max()))
     checks.append({"name": "decomposition_sum", "value": worst, "tol": 1e-10,
                    "passed": worst <= 1e-10})
 
@@ -186,8 +186,8 @@ def _decomposition_checks(cfg, rng):
     violations = 0
     for _ in range(100):
         f = rng.standard_normal(unit.ndof)
-        lhs = op.field_l2(B.matrix @ f, unit)
-        rhs = bound * op.field_l2(A2.matrix @ f, unit)
+        lhs = op.field_l2(B @ f, unit)
+        rhs = bound * op.field_l2(A2 @ f, unit)
         if lhs > rhs:
             violations += 1
     checks.append({"name": "perturbation_bound_violations", "value": float(violations),
@@ -398,7 +398,7 @@ def _write_vtk_snapshot(path, chart, grid, values, t):
 
 
 def _dump_matrix(path, matrix):
-    m = matrix.matrix.tocoo()
+    m = matrix.tocoo()
     data = np.asarray(m.data, dtype=float).tolist()
     Path(path).write_text("".join(
         f"{r} {c} {v!r}\n" for r, c, v in zip(m.row.tolist(), m.col.tolist(), data)))
@@ -442,8 +442,8 @@ def write_outputs(report, trajectory, directory, cfg=None):
 
     if report.condition_report is not None:
         path = out / "conditions.csv"
-        _write_csv(path, type(report.condition_report).csv_header(),
-                   [report.condition_report.csv_row()])
+        keys, values = zip(*report.condition_report.as_keyvalues())
+        _write_csv(path, keys, [[_fmt(v) for v in values]])
         manifest.append(str(path))
 
     if report.energy is not None:

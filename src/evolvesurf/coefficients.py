@@ -20,7 +20,6 @@ import numpy as np
 from .errors import AssumptionViolationError, ParameterError
 from .geometry import _fd1, metric_fields
 from .operator import (
-    OperatorMatrix,
     SineBasis,
     assemble_A,
     assemble_B_parts,
@@ -135,7 +134,13 @@ def lambda_select(chart, kappa, grid, times, margin=0.05):
     if not 0.0 <= margin < 1.0:
         raise ParameterError("margin must lie in [0, 1)")
     diffusion_bounds(kappa, chart, grid, times)
-    minima = coefficient_minima(chart, kappa, grid, times)
+    return _weights_below(coefficient_minima(chart, kappa, grid, times), margin)
+
+
+def _weights_below(minima, margin):
+    """(lambda1, lambda2) a relative ``margin`` below the coefficient_minima."""
+    if not 0.0 <= margin < 1.0:
+        raise ParameterError("margin must lie in [0, 1)")
     lam1 = (1.0 - margin) * minima["min_kg11"]
     lam2 = (1.0 - margin) * minima["min_kg22"]
     if lam1 <= 0.0 or lam2 <= 0.0:
@@ -197,7 +202,7 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times, with_mixed_factor2
 
 
 def _comparison_basis(A, grid):
-    """(matrix, SineBasis) of A; ParameterError unless A = assemble_A(grid, l1, l2).
+    """SineBasis of A; ParameterError unless A = assemble_A(grid, l1, l2).
 
     The weights are read off the neighbor couplings (from the diagonal when an
     axis has one interior node), and the matrix must equal assemble_A with
@@ -205,13 +210,12 @@ def _comparison_basis(A, grid):
     """
     if grid is None:
         raise ParameterError("A is a bare matrix: pass the grid it was assembled on")
-    mat = A.matrix if isinstance(A, OperatorMatrix) else A
-    if mat.shape != (grid.ndof, grid.ndof):
-        raise ParameterError(f"matrix of shape {mat.shape} does not act on the "
+    if A.shape != (grid.ndof, grid.ndof):
+        raise ParameterError(f"matrix of shape {A.shape} does not act on the "
                              f"{grid.n1}x{grid.n2} grid")
-    lam1, lam2 = stencil_weights(mat, grid)
+    lam1, lam2 = stencil_weights(A, grid)
     q1, q2 = 2.0 / grid.h1 ** 2, 2.0 / grid.h2 ** 2
-    diag = float(mat.diagonal().mean())
+    diag = float(A.diagonal().mean())
     if grid.n1 == 1 and grid.n2 == 1:
         lam1 = lam2 = diag / (q1 + q2)
     elif grid.n1 == 1:
@@ -221,12 +225,12 @@ def _comparison_basis(A, grid):
     if not (lam1 > 0.0 and lam2 > 0.0):
         raise ParameterError("matrix is not the comparison operator A: "
                              f"neighbor weights ({lam1}, {lam2}) are not positive")
-    ref = assemble_A(grid, lam1, lam2).matrix
-    defect = abs(mat - ref).max()
+    ref = assemble_A(grid, lam1, lam2)
+    defect = abs(A - ref).max()
     if not defect <= 1e-12 * abs(ref).max():
         raise ParameterError("matrix is not the comparison operator A: it differs from "
                              f"assemble_A(grid, {lam1}, {lam2}) by {defect:.3e}")
-    return mat, SineBasis(grid, lam1, lam2)
+    return SineBasis(grid, lam1, lam2)
 
 
 def estimate_C_sharp(A, grid, probes, seed=42):
@@ -240,11 +244,11 @@ def estimate_C_sharp(A, grid, probes, seed=42):
     """
     if probes < 1:
         raise ParameterError("need at least one probe")
-    mat, basis = _comparison_basis(A, grid)
+    basis = _comparison_basis(A, grid)
     rng = np.random.default_rng(seed)
 
     def ratio(f):
-        af = mat @ f
+        af = A @ f
         denom = field_l2(af, grid)
         if denom == 0.0:
             return 0.0
@@ -253,7 +257,7 @@ def estimate_C_sharp(A, grid, probes, seed=42):
 
     best = 0.0
     for _ in range(probes):
-        g = rng.standard_normal(mat.shape[0])
+        g = rng.standard_normal(A.shape[0])
         best = max(best, ratio(basis.inverse(basis.forward(g) / basis.eigenvalues)))
 
     s1 = np.sin(np.pi * np.arange(1, grid.n1 + 1) / (grid.n1 + 1))
@@ -297,7 +301,7 @@ def maximal_regularity_ratio(A, grid, forcing_steps, dt):
     be assemble_A(grid, lambda1, lambda2) (ParameterError otherwise); the march
     runs as one scalar recurrence per mode of its DST-I sine basis.
     """
-    _, basis = _comparison_basis(A, grid)
+    basis = _comparison_basis(A, grid)
     F = np.asarray(forcing_steps, dtype=float)
     return _spectral_cn_ratio(basis.eigenvalues, basis.forward(F), range(F.shape[0]),
                               dt, grid.h1 * grid.h2)
@@ -310,17 +314,15 @@ def estimate_C_A(A, T, probes, grid=None, seed=42, nsteps=200, pieces=8):
     subintervals.  Probes with zero forcing are skipped.  The theoretical
     value for a non-negative selfadjoint generator is 1, which condition
     checks use by default; this estimator is the numerical cross-check.
-    ``grid`` defaults to A.grid; a bare matrix needs it.
+    ``grid`` is the grid A was assembled on (ParameterError when missing).
     """
     if probes < 1:
         raise ParameterError("need at least one probe")
     if T <= 0:
         raise ParameterError("horizon must be positive")
-    if grid is None:
-        grid = getattr(A, "grid", None)
-    mat, basis = _comparison_basis(A, grid)
+    basis = _comparison_basis(A, grid)
     rng = np.random.default_rng(seed)
-    n = mat.shape[0]
+    n = A.shape[0]
     dt = T / nsteps
     k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
     best = 0.0
@@ -383,21 +385,6 @@ class ConditionReport:
         ]
         return items
 
-    @staticmethod
-    def csv_header():
-        return [k for k, _ in _EMPTY_REPORT.as_keyvalues()]
-
-    def csv_row(self):
-        return [_fmt(v) for _, v in self.as_keyvalues()]
-
-
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
-
 
 def horizon_thm24(C_star, C_A, T):
     """Existence horizon paired with the first smallness condition:
@@ -429,7 +416,7 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42,
         raise ParameterError("empty time sample")
     kmin, kmax = diffusion_bounds(kappa, chart, grid, times)
     minima = coefficient_minima(chart, kappa, grid, times)
-    lam1, lam2 = lambda_select(chart, kappa, grid, times, margin=margin)
+    lam1, lam2 = _weights_below(minima, margin)
     M, m1_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times, with_mixed_factor2=True)
 
     A = assemble_A(grid, lam1, lam2)
@@ -460,12 +447,3 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42,
         min_kg22=minima["min_kg22"],
         kappa_min=kmin, kappa_max=kmax, horizon=chart.horizon,
     )
-
-
-_EMPTY_REPORT = ConditionReport(
-    lambda1=1.0, lambda2=1.0, M=np.zeros(5), m1_mixed2=0.0,
-    C_sharp_est=0.0, C_A_est=0.0, C_A_used=1.0, C_star_est=0.0,
-    condition_thm24=True, condition_thm25=True, condition_thm26=True,
-    T_star_24=0.0, T_star_25=0.0, min_kg11=0.0, min_kg12=0.0, min_kg22=0.0,
-    kappa_min=0.0, kappa_max=0.0, horizon=0.0,
-)

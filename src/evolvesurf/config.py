@@ -36,7 +36,6 @@ class RunConfig:
     diffusion_params: dict = dc_field(default_factory=dict)
     h_fd: float = None
     theta: float = 0.5
-    mode: str = "direct"
     tol: float = 1e-8
     max_iter: int = 20
     probes: int = 16
@@ -174,10 +173,6 @@ def parse_config(text):
     if not 0.5 <= theta <= 1.0:
         raise ConfigError("theta must lie in [0.5, 1]", key="theta", line=ln)
 
-    mode, ln = r.take("solver", "mode", default="direct")
-    if mode not in ("direct", "picard"):
-        raise ConfigError(f"mode must be 'direct' or 'picard', got '{mode}'",
-                          key="mode", line=ln)
     tol_s, ln = r.take("solver", "tol", default="1e-8")
     tol = _to_float(tol_s, "tol", ln)
     if tol <= 0:
@@ -223,7 +218,7 @@ def parse_config(text):
         surface_params=surface_params,
         diffusion_preset=dpreset, diffusion_params=diffusion_params,
         n1=n1, n2=n2, h_fd=h_fd, dt=dt, theta=theta,
-        mode=mode, tol=tol, max_iter=max_iter, probes=probes, margin=margin,
+        tol=tol, max_iter=max_iter, probes=probes, margin=margin,
         seed=seed, scan_times=scan_times, v0_k1=v0_k1, v0_k2=v0_k2,
         out_dir=out_dir, snapshot_stride=stride, dump_matrices=dump,
     )
@@ -246,8 +241,7 @@ def serialize_config(cfg):
         lines.append(f"h_fd = {cfg.h_fd!r}")
     lines += ["", "[time]", f"dt = {cfg.dt!r}", f"theta = {cfg.theta!r}"]
     lines += ["", "[solver]",
-              f"mode = {cfg.mode}", f"tol = {cfg.tol!r}",
-              f"max_iter = {cfg.max_iter}", f"probes = {cfg.probes}",
+              f"tol = {cfg.tol!r}", f"max_iter = {cfg.max_iter}", f"probes = {cfg.probes}",
               f"margin = {cfg.margin!r}", f"seed = {cfg.seed}",
               f"scan_times = {cfg.scan_times}",
               f"v0_k1 = {cfg.v0_k1}", f"v0_k2 = {cfg.v0_k2}"]

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import metric_fields
 from .operator import (
-    Field,
     assemble_L,
     coefficient_fields,
     field_l2,
@@ -224,8 +223,7 @@ def material_derivative(traj, index):
     """
     if index <= 0 or index >= len(traj.times) - 1:
         raise ParameterError(f"index {index} is not an interior snapshot")
-    vals = (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
-    return Field(vals, float(traj.times[index]))
+    return (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
 
 
 def regularity_report(traj, chart, kappa, grid):
@@ -249,13 +247,12 @@ def regularity_report(traj, chart, kappa, grid):
     metrics = _metrics_along(chart, grid, grid.interior_mesh(), traj.times[1:-1])
     for k, mf in enumerate(metrics, start=1):
         t = float(traj.times[k])
-        mat = material_derivative(traj, k)
-        dt_sq[k - 1] = _mass(mat.values, grid, mf)
+        dt_sq[k - 1] = _mass(material_derivative(traj, k), grid, mf)
         if L is None or not static:
             L = assemble_L(chart, kappa, grid, t)
             cf = coefficient_fields(chart, kappa, grid, t)
         # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u
-        div_vals = -(L.matrix @ traj.fields[k] - cf["d0"].ravel() * traj.fields[k])
+        div_vals = -(L @ traj.fields[k] - cf["d0"].ravel() * traj.fields[k])
         div_sq[k - 1] = _mass(div_vals, grid, mf)
     dt_norm = math.sqrt(np.sum(traj.dt * dt_sq))
     div_norm = math.sqrt(np.sum(traj.dt * div_sq))

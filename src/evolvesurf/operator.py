@@ -1,7 +1,7 @@
 """Sparse assembly of the pulled-back diffusion operator and its split parts.
 
-Three operators live here, all on the interior nodes of a GridSpec with
-homogeneous Dirichlet rows eliminated:
+Three operators live here, each a ``scipy.sparse`` CSR matrix over the
+interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
 
 * ``assemble_A``   -- the constant anisotropic Laplacian
                       A f = -(lam1 d^2/dX1^2 + lam2 d^2/dX2^2) f,
@@ -27,53 +27,12 @@ division per mode there.  ``factorize`` (sparse LU) is left for a static L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError
 from .geometry import metric_fields
-
-# ---------------------------------------------------------------------------
-# basic containers
-
-
-@dataclass
-class Field:
-    """Grid function on interior nodes at one time."""
-
-    values: np.ndarray
-    t: float = 0.0
-
-    def copy(self):
-        return Field(self.values.copy(), self.t)
-
-
-@dataclass
-class OperatorMatrix:
-    """Sparse operator over interior nodes with provenance tag."""
-
-    matrix: sp.csr_matrix
-    tag: str
-    grid: object
-    t: Optional[float] = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, other):
-        return self.matrix @ other
-
-
-def field_l2(values, grid):
-    """Discrete L2(U) norm, h1*h2-weighted sum over interior nodes."""
-    v = np.asarray(values).ravel()
-    return float(np.sqrt(grid.h1 * grid.h2 * np.dot(v, v)))
-
 
 # ---------------------------------------------------------------------------
 # stencil machinery
@@ -169,7 +128,7 @@ def assemble_A(grid, lambda1, lambda2):
         (1, 0, -q1), (-1, 0, -q1),
         (0, 1, -q2), (0, -1, -q2),
     ]
-    return OperatorMatrix(_stencil_matrix(grid, terms), "A", grid)
+    return _stencil_matrix(grid, terms)
 
 
 def coefficient_fields(chart, kappa, grid, t):
@@ -223,13 +182,13 @@ def assemble_L(chart, kappa, grid, t):
         (1, -1, (c12["ip"] + c12["jm"]) * qx),
         (-1, 1, (c12["im"] + c12["jp"]) * qx),
     ]
-    return OperatorMatrix(_stencil_matrix(grid, terms), "L", grid, t=t)
+    return _stencil_matrix(grid, terms)
 
 
 def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, seed=0):
     """Split L(t) - A into the five-part perturbation decomposition.
 
-    Returns {"B1"..."B5": OperatorMatrix, "norms": array of the five discrete
+    Returns {"B1"..."B5": CSR matrix, "norms": array of the five discrete
     L2->L2 operator norms estimated by power iteration}.  The parts sum to
     assemble_L - assemble_A exactly up to roundoff.
     """
@@ -293,9 +252,8 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, see
     B5 = _stencil_matrix(grid, [(0, 0, cf["d0"])])
 
     mats = [B1, B2, B3, B4, B5]
-    norms = np.array([operator_norm_est(m, iters=norm_iters, seed=seed) for m in mats])
-    out = {f"B{i+1}": OperatorMatrix(m, f"B{i+1}", grid, t=t) for i, m in enumerate(mats)}
-    out["norms"] = norms
+    out = {f"B{i+1}": m for i, m in enumerate(mats)}
+    out["norms"] = np.array([operator_norm_est(m, iters=norm_iters, seed=seed) for m in mats])
     return out
 
 
@@ -303,12 +261,11 @@ def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
     """Full perturbation B(t) = L(t) - A as one matrix."""
     L = assemble_L(chart, kappa, grid, t)
     A = assemble_A(grid, lambda1, lambda2)
-    return OperatorMatrix((L.matrix - A.matrix).tocsr(), "B", grid, t=t)
+    return (L - A).tocsr()
 
 
-def operator_norm_est(matrix, iters=50, seed=0):
+def operator_norm_est(m, iters=50, seed=0):
     """Discrete L2->L2 operator norm by power iteration on M^T M."""
-    m = matrix.matrix if isinstance(matrix, OperatorMatrix) else matrix
     n = m.shape[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
@@ -330,6 +287,12 @@ def operator_norm_est(matrix, iters=50, seed=0):
 
 # ---------------------------------------------------------------------------
 # norms of grid functions
+
+
+def field_l2(values, grid):
+    """Discrete L2(U) norm, h1*h2-weighted sum over interior nodes."""
+    v = np.asarray(values).ravel()
+    return float(np.sqrt(grid.h1 * grid.h2 * np.dot(v, v)))
 
 
 def half_power_norm(values, grid, lambda1, lambda2):
@@ -378,7 +341,7 @@ def weighted_symmetry_defect(chart, kappa, grid, t):
     L = assemble_L(chart, kappa, grid, t)
     cf = coefficient_fields(chart, kappa, grid, t)
     w = (cf["R_int"] * grid.h1 * grid.h2).ravel()
-    M = sp.diags(w) @ (L.matrix - sp.diags(cf["d0"].ravel()))
+    M = sp.diags(w) @ (L - sp.diags(cf["d0"].ravel()))
     defect = np.abs((M - M.T)).max()
     scale = np.abs(M).max()
     return float(defect), float(scale)
@@ -445,8 +408,7 @@ def factorize(matrix):
     The 5- and 9-point stencil matrices are structurally symmetric, and this
     ordering keeps about half the fill of the default column ordering.
     """
-    m = matrix.matrix if isinstance(matrix, OperatorMatrix) else matrix
-    return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def stencil_weights(mat, grid):

@@ -38,8 +38,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
-from .operator import (Field, OperatorMatrix, assemble_A, assemble_L, factorize, field_l2,
-                       shifted_A_solver, stencil_weights)
+from .operator import (assemble_A, assemble_L, factorize, field_l2, shifted_A_solver,
+                       stencil_weights)
 
 SOLVE_TOL = 1e-10
 # GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
@@ -64,9 +64,6 @@ class Trajectory:
     def nsteps(self):
         return len(self.times) - 1
 
-    def snapshot(self, k):
-        return Field(self.fields[k].copy(), float(self.times[k]))
-
 
 @dataclass
 class PicardHistory:
@@ -85,26 +82,28 @@ class PicardHistory:
 
 
 def make_L_provider(chart, kappa, grid):
-    """Callable t -> OperatorMatrix L(t), with a ``static`` flag.
+    """Callable t -> CSR matrix L(t), carrying a ``static`` flag and the ``grid``.
 
     A static operator (rigid chart, time-independent diffusivity) is
     assembled once and returned for every t; a moving one is assembled on
     each call, and the march caches it by step index.
     """
     if chart.static_metric and getattr(kappa, "time_independent", False):
-        return _static_provider(assemble_L(chart, kappa, grid, 0.0))
+        return _static_provider(assemble_L(chart, kappa, grid, 0.0), grid)
     provider = functools.partial(assemble_L, chart, kappa, grid)
     provider.static = False
+    provider.grid = grid
     return provider
 
 
-def _static_provider(op, A_weights=None):
-    """Provider of one fixed operator; ``A_weights`` = (lambda1, lambda2)
-    marks it as assemble_A(grid, lambda1, lambda2), solved by DST-I."""
+def _static_provider(op, grid, A_weights=None):
+    """Provider of one fixed operator on ``grid``; ``A_weights`` = (lambda1,
+    lambda2) marks it as assemble_A(grid, lambda1, lambda2), solved by DST-I."""
     def provider(t):
         return op
 
     provider.static = True
+    provider.grid = grid
     provider.A_weights = A_weights
     return provider
 
@@ -130,7 +129,8 @@ class _ThetaMarcher:
         self.theta = theta
         self.t0 = t0
         self.L_provider = L_provider
-        self.static = getattr(L_provider, "static", False)
+        self.static = L_provider.static
+        self.grid = L_provider.grid
         self._ops = {}       # step index -> L(t_k), at most two entries
         self._direct = None  # (I + theta dt L, its solve) of a static operator
 
@@ -145,15 +145,14 @@ class _ThetaMarcher:
         return self._ops[k]
 
     def _system(self, L):
-        n = L.matrix.shape[0]
-        return sp.identity(n, format="csr") + self.theta * self.dt * L.matrix
+        return sp.identity(L.shape[0], format="csr") + self.theta * self.dt * L
 
     def _static_solver(self, L):
         impl = self._system(L)
-        weights = getattr(self.L_provider, "A_weights", None)
+        weights = self.L_provider.A_weights
         if weights is None:
             return impl, factorize(impl).solve
-        return impl, shifted_A_solver(L.grid, *weights, self.theta * self.dt)
+        return impl, shifted_A_solver(self.grid, *weights, self.theta * self.dt)
 
     def solve(self, k, rhs, guess=None):
         """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL."""
@@ -169,9 +168,9 @@ class _ThetaMarcher:
         else:
             L = self.L(k)
             impl = self._system(L)
-            lam1, lam2 = stencil_weights(L.matrix, L.grid)
+            lam1, lam2 = stencil_weights(L, self.grid)
             precond = spla.LinearOperator(
-                impl.shape, shifted_A_solver(L.grid, lam1, lam2, self.theta * self.dt),
+                impl.shape, shifted_A_solver(self.grid, lam1, lam2, self.theta * self.dt),
                 dtype=float)
             presids = []
             v, _ = spla.gmres(impl, rhs, x0=guess, rtol=KRYLOV_RTOL, atol=0.0,
@@ -188,7 +187,7 @@ class _ThetaMarcher:
         dt, theta = self.dt, self.theta
         rhs = vals.copy()
         if theta < 1.0:
-            rhs = rhs - (1.0 - theta) * dt * (self.L(k).matrix @ vals)
+            rhs = rhs - (1.0 - theta) * dt * (self.L(k) @ vals)
         if forcing is not None:
             fold, fnew = forcing
             rhs = rhs + dt * (theta * fnew + (1.0 - theta) * fold)
@@ -199,19 +198,19 @@ def theta_step(v, t, dt, theta, L_provider, F_provider=None):
     """One theta-scheme step of dv/dt + L(t) v = F from time t to t + dt.
 
     Solves (I + theta dt L(t+dt)) v' = (I - (1-theta) dt L(t)) v
-           + dt (theta F(t+dt) + (1-theta) F(t)).
+           + dt (theta F(t+dt) + (1-theta) F(t))
+    and returns v' as a flat array.  ``L_provider`` is built by
+    make_L_provider (a callable t -> L(t) carrying ``static`` and ``grid``).
     """
     marcher = _ThetaMarcher(dt, theta, L_provider, t0=t)
-    vals = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
     forcing = None
     if F_provider is not None:
         forcing = (np.asarray(F_provider(t)), np.asarray(F_provider(marcher.time(1))))
-    return Field(marcher.step(0, vals, forcing), marcher.time(1))
+    return marcher.step(0, np.asarray(v, dtype=float), forcing)
 
 
 def _prepare_v0(v0, grid):
-    vals = v0.values if isinstance(v0, Field) else np.asarray(v0, dtype=float)
-    vals = vals.ravel()
+    vals = np.asarray(v0, dtype=float).ravel()
     if vals.size != grid.ndof:
         raise ParameterError(f"initial datum has {vals.size} values, grid has {grid.ndof}")
     if not np.all(np.isfinite(vals)):
@@ -264,7 +263,6 @@ def z_norm(traj, A, grid):
     nt = len(times)
     if nt == 0:
         raise ParameterError("empty trajectory")
-    mat = A.matrix if isinstance(A, OperatorMatrix) else A
 
     sup_term = max(
         math.exp(-float(times[k])) * field_l2(fields[k], grid) for k in range(nt)
@@ -283,7 +281,7 @@ def z_norm(traj, A, grid):
         else:
             dvdt = (fields[k + 1] - fields[k - 1]) / (2.0 * dt)
         dv_sq[k] = field_l2(dvdt, grid) ** 2
-        av_sq[k] = field_l2(mat @ fields[k], grid) ** 2
+        av_sq[k] = field_l2(A @ fields[k], grid) ** 2
 
     w = np.full(nt, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -305,13 +303,13 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
         raise ParameterError("tol must be positive")
     vals = _prepare_v0(v0, grid)
     A = assemble_A(grid, lambda1, lambda2)
-    stage = _ThetaMarcher(dt, theta, _static_provider(A, (lambda1, lambda2)))
+    stage = _ThetaMarcher(dt, theta, _static_provider(A, grid, (lambda1, lambda2)))
     nsteps = int(math.ceil(T / dt - 1e-12))
     times = np.arange(nsteps + 1) * dt
-    expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A.matrix).tocsr()
+    expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A).tocsr()
 
     # B(t_k) frozen once per step time, shared across iterations
-    B_mats = [assemble_L(chart, kappa, grid, float(t)).matrix - A.matrix for t in times]
+    B_mats = [assemble_L(chart, kappa, grid, float(t)) - A for t in times]
     F_vals = None
     if F_provider is not None:
         F_vals = np.array([_eval_forcing(F_provider, grid, float(t)) for t in times])

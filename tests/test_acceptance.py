@@ -78,14 +78,14 @@ def test_criterion_02_operator_reduction():
     A = assemble_A(grid, 1.0, 1.0)
 
     flat = make_chart("flat_static", horizon=1.0)
-    d_flat = float(np.abs(assemble_L(flat, KAPPA, grid, 0.5).matrix - A.matrix).max())
+    d_flat = float(np.abs(assemble_L(flat, KAPPA, grid, 0.5) - A).max())
 
     iso = make_chart("isotropic_scaling", horizon=1.0, gamma=1.0)
     ident = sp.identity(grid.ndof)
     d_iso = 0.0
     for t in (0.0, 0.5, 1.0):
-        ref = math.exp(-2.0 * t) * A.matrix + 2.0 * ident
-        d_iso = max(d_iso, float(np.abs(assemble_L(iso, KAPPA, grid, t).matrix - ref).max()))
+        ref = math.exp(-2.0 * t) * A + 2.0 * ident
+        d_iso = max(d_iso, float(np.abs(assemble_L(iso, KAPPA, grid, t) - ref).max()))
     elapsed = time.perf_counter() - t0
     ok = d_flat <= 1e-12 and d_iso <= 1e-10 and elapsed < 1.0
     _report(2, ok, f"flat defect {d_flat:.2e} (tol 1e-12), isotropic defect "
@@ -101,9 +101,9 @@ def test_criterion_03_decomposition_sum():
     worst = 0.0
     for t in times:
         parts = assemble_B_parts(chart, KAPPA, grid, lam1, lam2, float(t), norm_iters=5)
-        total = sum(parts[f"B{i}"].matrix for i in range(1, 6))
+        total = sum(parts[f"B{i}"] for i in range(1, 6))
         L = assemble_L(chart, KAPPA, grid, float(t))
-        worst = max(worst, float(np.abs(total - (L.matrix - A.matrix)).max()))
+        worst = max(worst, float(np.abs(total - (L - A)).max()))
     ok = worst <= 1e-10
     _report(3, ok, f"five-part sum defect {worst:.2e} over 5 times (tol 1e-10)")
 
@@ -120,8 +120,8 @@ def test_criterion_04_relative_bound():
     min_slack = math.inf
     for _ in range(100):
         f = rng.standard_normal(grid.ndof)
-        lhs = field_l2(B.matrix @ f, grid)
-        rhs = bound * field_l2(A.matrix @ f, grid)
+        lhs = field_l2(B @ f, grid)
+        rhs = bound * field_l2(A @ f, grid)
         min_slack = min(min_slack, rhs - lhs)
         if lhs > rhs:
             violations += 1

@@ -22,12 +22,14 @@ from evolvesurf import (
     make_grid,
     smallness_report,
 )
+from evolvesurf import coefficients
 from evolvesurf.coefficients import (
     SMALLNESS_THRESHOLD,
     Diffusion,
     diffusion_bounds,
     maximal_regularity_ratio,
 )
+from evolvesurf.geometry import metric_fields
 from evolvesurf.operator import field_l2, gradient_norm, hessian_seminorm
 
 
@@ -120,11 +122,11 @@ class TestCAEstimator:
 
     def test_eigen_forcing_closed_form(self, unit_grid):
         A = assemble_A(unit_grid, 1.0, 1.0)
-        vals, vecs = spla.eigsh(A.matrix, k=1, sigma=0.0, which="LM")
+        vals, vecs = spla.eigsh(A, k=1, sigma=0.0, which="LM")
         mu, phi = float(vals[0]), vecs[:, 0]
         T, nsteps = 2.0, 2000
         F = np.tile(phi, (nsteps + 1, 1))
-        ratio = maximal_regularity_ratio(A.matrix, unit_grid, F, T / nsteps)
+        ratio = maximal_regularity_ratio(A, unit_grid, F, T / nsteps)
         num = ((1 - math.exp(-2 * mu * T)) / (2 * mu)
                + T - 2 * (1 - math.exp(-mu * T)) / mu
                + (1 - math.exp(-2 * mu * T)) / (2 * mu))
@@ -132,20 +134,20 @@ class TestCAEstimator:
 
     def test_stationary_limit_approaches_one(self, unit_grid):
         A = assemble_A(unit_grid, 1.0, 1.0)
-        vals, vecs = spla.eigsh(A.matrix, k=1, sigma=0.0, which="LM")
+        vals, vecs = spla.eigsh(A, k=1, sigma=0.0, which="LM")
         phi = vecs[:, 0]
         ratios = []
         for T in (0.5, 4.0):
             nsteps = max(200, int(T * 400))
             F = np.tile(phi, (nsteps + 1, 1))
-            ratios.append(maximal_regularity_ratio(A.matrix, unit_grid, F, T / nsteps))
+            ratios.append(maximal_regularity_ratio(A, unit_grid, F, T / nsteps))
         assert ratios[1] > ratios[0]
         assert ratios[1] == pytest.approx(1.0, abs=0.02)
 
     def test_zero_forcing_skipped(self, unit_grid):
         A = assemble_A(unit_grid, 1.0, 1.0)
         F = np.zeros((11, unit_grid.ndof))
-        assert maximal_regularity_ratio(A.matrix, unit_grid, F, 0.1) is None
+        assert maximal_regularity_ratio(A, unit_grid, F, 0.1) is None
 
 
 def _lu_C_sharp(mat, grid, probes, seed):
@@ -205,26 +207,23 @@ class TestSpectralEstimators:
     def test_C_sharp_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
         grid = make_grid(domain, n1, n2)
         A = assemble_A(grid, lam1, lam2)
-        ref = _lu_C_sharp(A.matrix, grid, 6, seed=5)
+        ref = _lu_C_sharp(A, grid, 6, seed=5)
         assert estimate_C_sharp(A, grid, 6, seed=5) == pytest.approx(ref, rel=1e-12)
-        assert estimate_C_sharp(A.matrix, grid, 6, seed=5) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
     def test_C_A_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
         grid = make_grid(domain, n1, n2)
         A = assemble_A(grid, lam1, lam2)
-        ref = _lu_C_A(A.matrix, 0.7, 3, seed=11, nsteps=60, pieces=5)
-        est = estimate_C_A(A, 0.7, 3, seed=11, nsteps=60, pieces=5)
+        ref = _lu_C_A(A, 0.7, 3, seed=11, nsteps=60, pieces=5)
+        est = estimate_C_A(A, 0.7, 3, grid=grid, seed=11, nsteps=60, pieces=5)
         assert est == pytest.approx(ref, rel=1e-12)
-        assert estimate_C_A(A.matrix, 0.7, 3, grid=grid, seed=11, nsteps=60,
-                            pieces=5) == est
 
     @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
     def test_ratio_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
         grid = make_grid(domain, n1, n2)
         A = assemble_A(grid, lam1, lam2)
         F = np.random.default_rng(2).standard_normal((41, grid.ndof))
-        ref = _lu_mr_ratio(A.matrix, F, 0.01)
+        ref = _lu_mr_ratio(A, F, 0.01)
         assert maximal_regularity_ratio(A, grid, F, 0.01) == pytest.approx(ref, rel=1e-12)
 
     def test_non_comparison_operator_rejected(self, unit_grid):
@@ -234,9 +233,9 @@ class TestSpectralEstimators:
         with pytest.raises(ParameterError, match="comparison operator"):
             estimate_C_sharp(L, unit_grid, 2)
         with pytest.raises(ParameterError, match="comparison operator"):
-            estimate_C_A(L.matrix, 1.0, 1, grid=unit_grid)
+            estimate_C_A(L, 1.0, 1, grid=unit_grid)
         with pytest.raises(ParameterError, match="comparison operator"):
-            maximal_regularity_ratio(L.matrix, unit_grid, F, 0.1)
+            maximal_regularity_ratio(L, unit_grid, F, 0.1)
 
     def test_operator_of_another_grid_rejected(self, unit_grid):
         A = assemble_A(make_grid((0.0, 1.0, 0.0, 1.0), 15, 16), 1.0, 1.0)
@@ -246,7 +245,7 @@ class TestSpectralEstimators:
     def test_bare_matrix_needs_grid(self, unit_grid):
         A = assemble_A(unit_grid, 1.0, 1.0)
         with pytest.raises(ParameterError, match="grid"):
-            estimate_C_A(A.matrix, 1.0, 2)
+            estimate_C_A(A, 1.0, 2)
 
     @pytest.mark.parametrize("n1,n2", [(1, 9), (9, 1), (1, 1)])
     def test_single_node_axis(self, n1, n2):
@@ -254,9 +253,9 @@ class TestSpectralEstimators:
         # its weight from; it comes from the diagonal
         grid = make_grid((0.0, 1.0, 0.0, 2.0), n1, n2)
         A = assemble_A(grid, 0.8, 1.7)
-        ref = _lu_C_A(A.matrix, 0.5, 2, seed=1, nsteps=20, pieces=4)
-        assert estimate_C_A(A, 0.5, 2, seed=1, nsteps=20, pieces=4) == pytest.approx(
-            ref, rel=1e-12)
+        ref = _lu_C_A(A, 0.5, 2, seed=1, nsteps=20, pieces=4)
+        assert estimate_C_A(A, 0.5, 2, grid=grid, seed=1, nsteps=20,
+                            pieces=4) == pytest.approx(ref, rel=1e-12)
 
 
 class TestSmallnessReport:
@@ -290,6 +289,20 @@ class TestSmallnessReport:
         assert rep.min_kg22 > 0.0
         assert abs(rep.min_kg12) < rep.min_kg22
         assert rep.m1_mixed2 >= rep.M[0]
+
+    def test_metric_scanned_twice_per_time(self, graph, const_kappa, unit_grid, monkeypatch):
+        # once for the coefficient minima (and the weights), once for M1..M5
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return metric_fields(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "metric_fields", counting)
+        times = np.linspace(0.0, 1.0, 11)
+        rep = smallness_report(graph, const_kappa, unit_grid, times, probes=4)
+        assert len(calls) == 2 * len(times)
+        assert (rep.lambda1, rep.lambda2) == lambda_select(graph, const_kappa, unit_grid, times)
 
 
 class TestHorizonFormulas:

@@ -64,6 +64,10 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "typo = 1\n")
+        # the subcommand picks the solver; [solver] has no mode key
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            parse_config(MINIMAL + "\n[solver]\nmode = picard\n")
+        assert exc.value.key == "mode"
 
     def test_snapshot_stride_zero_rejected(self):
         text = MINIMAL + "\n[output]\nsnapshot_stride = 0\n"
@@ -79,7 +83,7 @@ class TestParseConfig:
             surface_params={"epsilon": 0.07, "omega": 1.3},
             diffusion_preset="sinusoidal",
             diffusion_params={"base": 1.1, "amp": 0.25},
-            h_fd=1e-6, theta=0.75, mode="picard", tol=1e-9, max_iter=12,
+            h_fd=1e-6, theta=0.75, tol=1e-9, max_iter=12,
             probes=7, margin=0.01, seed=5, scan_times=6, v0_k1=2, v0_k2=3,
             out_dir="elsewhere", snapshot_stride=3, dump_matrices=True,
         )
@@ -112,7 +116,6 @@ class TestPipeline:
         cfg.margin = 0.0
         cfg.n1 = cfg.n2 = 12
         cfg.horizon = 0.02
-        cfg.mode = "picard"
         report, traj = run_pipeline(cfg, "picard")
         assert report.picard_history.converged
         assert report.picard_history.iterations == 1
@@ -225,7 +228,7 @@ def _vtk_per_point(chart, grid, values, t):
 
 
 def _coo_per_point(matrix):
-    m = matrix.matrix.tocoo()
+    m = matrix.tocoo()
     return "".join(f"{r} {c} {_fmt_ref(float(v))}\n" for r, c, v in zip(m.row, m.col, m.data))
 
 
@@ -292,7 +295,6 @@ n2 = 12
 dt = 1e-2
 
 [solver]
-mode = picard
 tol = 1e-12
 max_iter = 6
 margin = 0.8

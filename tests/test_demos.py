@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that exercise the smallness report and Picard."""
+"""Smoke runs of every demo script: each must exit 0."""
 
 import os
 import subprocess
@@ -12,10 +12,12 @@ import evolvesurf
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("name", ["04_picard_iteration.py", "05_smallness_conditions.py"])
-def test_demo_runs(name):
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(name, tmp_path):
     src = str(Path(evolvesurf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
+    # demos that write files put them under TMPDIR or the working directory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, str(DEMOS / name)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -174,14 +174,15 @@ class TestMaterialDerivative:
     def test_constant_in_time_gives_zero(self, unit_grid, eigenmode):
         f = eigenmode(unit_grid)
         traj = Trajectory(np.linspace(0, 1, 11), np.tile(f, (11, 1)), 0.1, "x", unit_grid)
-        assert_allclose(material_derivative(traj, 5).values, 0.0)
+        assert_allclose(material_derivative(traj, 5), 0.0)
 
     def test_flat_eigenmode_rate(self, flat, const_kappa, eigenmode):
         grid = make_grid((0, 1, 0, 1), 31, 31)
         traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.05, 1e-3)
         md = material_derivative(traj, 25)
         ref = -2.0 * math.pi ** 2 * traj.fields[25]
-        assert np.max(np.abs(md.values - ref)) / np.max(np.abs(ref)) < 5e-3
+        assert isinstance(md, np.ndarray)
+        assert np.max(np.abs(md - ref)) / np.max(np.abs(ref)) < 5e-3
 
     def test_translation_invariance(self, flat, const_kappa, eigenmode):
         grid = make_grid((0, 1, 0, 1), 15, 15)
@@ -189,8 +190,8 @@ class TestMaterialDerivative:
         phi = eigenmode(grid)
         t1 = solve_direct(flat, const_kappa, grid, phi, 0.05, 5e-3)
         t2 = solve_direct(moving, const_kappa, grid, phi, 0.05, 5e-3)
-        assert_allclose(material_derivative(t2, 5).values,
-                        material_derivative(t1, 5).values, atol=1e-13)
+        assert_allclose(material_derivative(t2, 5),
+                        material_derivative(t1, 5), atol=1e-13)
 
     def test_endpoint_rejected(self, flat, const_kappa, unit_grid, eigenmode):
         traj = solve_direct(flat, const_kappa, unit_grid, eigenmode(unit_grid),

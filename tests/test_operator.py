@@ -36,14 +36,15 @@ def lowest_discrete_eigenvalue(grid, lam1, lam2):
 class TestAssembleA:
     def test_quarter_mesh_stencil_entries(self):
         grid = make_grid((0, 1, 0, 1), 3, 3)
-        A = assemble_A(grid, 1.0, 1.0).matrix.toarray()
+        A = assemble_A(grid, 1.0, 1.0).toarray()
         k = grid.index(1, 1)
         assert A[k, k] == pytest.approx(64.0)
         for nb in (grid.index(0, 1), grid.index(2, 1), grid.index(1, 0), grid.index(1, 2)):
             assert A[k, nb] == pytest.approx(-16.0)
 
     def test_symmetric_positive_definite(self, unit_grid):
-        A = assemble_A(unit_grid, 2.0, 0.5).matrix
+        A = assemble_A(unit_grid, 2.0, 0.5)
+        assert sp.issparse(A) and A.format == "csr"
         assert abs(A - A.T).max() == 0.0
         lo = spla.eigsh(A, k=1, sigma=0.0, which="LM")[0][0]
         floor = min(2.0, 0.5) * lowest_discrete_eigenvalue(unit_grid, 1.0, 1.0)
@@ -54,11 +55,11 @@ class TestAssembleA:
         A = assemble_A(unit_grid, 1.5, 0.5)
         phi = eigenmode(unit_grid)
         mu = lowest_discrete_eigenvalue(unit_grid, 1.5, 0.5)
-        assert_allclose(A.matrix @ phi, mu * phi, rtol=1e-11)
+        assert_allclose(A @ phi, mu * phi, rtol=1e-11)
 
     def test_quadratic_form_matches_half_power_norm(self, unit_grid):
         rng = np.random.default_rng(3)
-        A = assemble_A(unit_grid, 1.3, 0.7).matrix
+        A = assemble_A(unit_grid, 1.3, 0.7)
         for _ in range(5):
             f = rng.standard_normal(unit_grid.ndof)
             quad = float(f @ (A @ f)) * unit_grid.h1 * unit_grid.h2
@@ -74,23 +75,24 @@ class TestAssembleL:
     def test_flat_reduces_to_A_exactly(self, flat, const_kappa, unit_grid):
         L = assemble_L(flat, const_kappa, unit_grid, 0.4)
         A = assemble_A(unit_grid, 1.0, 1.0)
-        assert abs(L.matrix - A.matrix).max() == 0.0
+        assert abs(L - A).max() == 0.0
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     def test_isotropic_reduction(self, iso, const_kappa, unit_grid, t):
         L = assemble_L(iso, const_kappa, unit_grid, t)
         A = assemble_A(unit_grid, 1.0, 1.0)
-        ref = math.exp(-2.0 * t) * A.matrix + 2.0 * sp.identity(unit_grid.ndof)
-        assert abs(L.matrix - ref).max() < 1e-10
+        ref = math.exp(-2.0 * t) * A + 2.0 * sp.identity(unit_grid.ndof)
+        assert abs(L - ref).max() < 1e-10
 
     def test_graph_at_time_zero_is_flat(self, graph, const_kappa, unit_grid):
         L = assemble_L(graph, const_kappa, unit_grid, 0.0)
         A = assemble_A(unit_grid, 1.0, 1.0)
-        assert abs(L.matrix - A.matrix).max() < 1e-12
+        assert abs(L - A).max() < 1e-12
 
     def test_nine_point_pattern(self, graph, const_kappa, unit_grid):
         L = assemble_L(graph, const_kappa, unit_grid, 0.9)
-        assert (L.matrix.getnnz(axis=1) <= 9).all()
+        assert sp.issparse(L) and L.format == "csr"
+        assert (L.getnnz(axis=1) <= 9).all()
 
     def test_weighted_selfadjointness(self, graph, unit_grid):
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
@@ -119,7 +121,7 @@ class TestAssembleL:
             u = (np.sin(np.pi * X1) * np.sin(np.pi * X2) * (1 + X1 * X2 / 2)).ravel()
             L = assemble_L(chart, kap, g, t)
             ref = exact_L(X1, X2, t).ravel()
-            errs.append(float(np.max(np.abs(L.matrix @ u - ref))))
+            errs.append(float(np.max(np.abs(L @ u - ref))))
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert 1.5 < order < 2.5
 
@@ -128,16 +130,16 @@ class TestBParts:
     def test_flat_parts_vanish(self, flat, const_kappa, unit_grid):
         parts = assemble_B_parts(flat, const_kappa, unit_grid, 1.0, 1.0, 0.2, norm_iters=5)
         for i in range(1, 6):
-            assert abs(parts[f"B{i}"].matrix).max() == 0.0
+            assert abs(parts[f"B{i}"]).max() == 0.0
         assert_allclose(parts["norms"], np.zeros(5))
 
     def test_isotropic_matched_lambda(self, iso, const_kappa, unit_grid):
         t0 = 0.5
         lam = math.exp(-2.0 * t0)
         parts = assemble_B_parts(iso, const_kappa, unit_grid, lam, lam, t0, norm_iters=5)
-        assert abs(parts["B1"].matrix).max() < 1e-12
+        assert abs(parts["B1"]).max() < 1e-12
         ref = 2.0 * sp.identity(unit_grid.ndof)
-        assert abs(parts["B5"].matrix - ref).max() < 1e-12
+        assert abs(parts["B5"] - ref).max() < 1e-12
 
     @pytest.mark.parametrize("kappa_name", ["constant", "sinusoidal"])
     def test_sum_matches_L_minus_A(self, graph, unit_grid, kappa_name):
@@ -146,15 +148,16 @@ class TestBParts:
         A = assemble_A(unit_grid, lam1, lam2)
         for t in (0.0, 0.7, 1.4, 2.1, 2.8):
             parts = assemble_B_parts(graph, kap, unit_grid, lam1, lam2, t, norm_iters=5)
-            total = sum(parts[f"B{i}"].matrix for i in range(1, 6))
+            total = sum(parts[f"B{i}"] for i in range(1, 6))
             L = assemble_L(graph, kap, unit_grid, t)
-            assert abs(total - (L.matrix - A.matrix)).max() <= 1e-10
+            assert abs(total - (L - A)).max() <= 1e-10
 
     def test_norms_bound_matrix_action(self, graph, const_kappa, unit_grid):
         parts = assemble_B_parts(graph, const_kappa, unit_grid, 0.9, 0.9, 1.3)
         rng = np.random.default_rng(11)
         for i in range(1, 6):
-            m = parts[f"B{i}"].matrix
+            m = parts[f"B{i}"]
+            assert sp.issparse(m) and m.format == "csr"
             sigma = parts["norms"][i - 1]
             for _ in range(3):
                 f = rng.standard_normal(unit_grid.ndof)
@@ -171,11 +174,12 @@ class TestPerturbationBound:
         bound = 2.0 * rep.C_sharp_est * rep.M.sum() * 1.1
         A = assemble_A(unit_grid, rep.lambda1, rep.lambda2)
         B = assemble_B(chart, kap, unit_grid, rep.lambda1, rep.lambda2, 0.9)
+        assert sp.issparse(B) and B.format == "csr"
         rng = np.random.default_rng(42)
         for _ in range(100):
             f = rng.standard_normal(unit_grid.ndof)
-            lhs = field_l2(B.matrix @ f, unit_grid)
-            rhs = bound * field_l2(A.matrix @ f, unit_grid)
+            lhs = field_l2(B @ f, unit_grid)
+            rhs = bound * field_l2(A @ f, unit_grid)
             assert lhs <= rhs
 
 
@@ -229,7 +233,7 @@ class TestSolvers:
     def test_shifted_A_solver_inverts_I_plus_shift_A(self, n1, n2):
         grid = make_grid((0.0, 1.5, -0.2, 0.6), n1, n2)
         lam1, lam2, shift = 0.7, 1.9, 3e-3
-        M = sp.identity(grid.ndof) + shift * assemble_A(grid, lam1, lam2).matrix
+        M = sp.identity(grid.ndof) + shift * assemble_A(grid, lam1, lam2)
         r = np.random.default_rng(3).standard_normal(grid.ndof)
         v = shifted_A_solver(grid, lam1, lam2, shift)(r)
         assert np.linalg.norm(M @ v - r) <= 1e-13 * np.linalg.norm(r)
@@ -237,7 +241,7 @@ class TestSolvers:
     def test_factorize_orders_for_low_fill(self):
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 45, 30)
         chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.1, omega=2.0)
-        L = assemble_L(chart, make_diffusion("constant", value=1.0), grid, 0.3).matrix
+        L = assemble_L(chart, make_diffusion("constant", value=1.0), grid, 0.3)
         M = (sp.identity(grid.ndof) + 1e-3 * L).tocsc()
         lu = factorize(M)
         assert lu.nnz < spla.splu(M).nnz
