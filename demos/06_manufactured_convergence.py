@@ -1,8 +1,10 @@
 """Manufactured-solution convergence studies.
 
-A prescribed exact solution induces a forcing F = du/dt + L u, generated
-symbolically from the chart; the discrete errors then measure pure
-discretization quality.  Expected: second order in h (5-point flux stencil)
+A prescribed exact solution induces a forcing F = du/dt + L u, evaluated
+numerically from the chart's metric partials; the discrete errors then
+measure pure discretization quality.  The solutions here are sympy
+expressions: ``manufactured_solution`` differentiates them once (sympy is
+needed only for that; the ``mms`` CLI subcommand uses closed-form partials).  Expected: second order in h (5-point flux stencil)
 and in dt (trapezoid scheme); first order in dt for the fully implicit
 scheme.
 """

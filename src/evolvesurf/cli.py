@@ -159,8 +159,9 @@ def _decomposition_checks(cfg, rng):
     chart = geo.make_chart("graph_oscillation", domain=unit.domain,
                            horizon=max(cfg.horizon, 1.0), epsilon=0.05, omega=1.0)
     times = np.linspace(0.0, chart.horizon, 5)
-    rep_times = np.linspace(0.0, chart.horizon, 5)
-    lam1, lam2 = co.lambda_select(chart, kap, unit, rep_times, margin=cfg.margin)
+    rep = co.smallness_report(chart, kap, unit, times, margin=cfg.margin,
+                              probes=max(4, cfg.probes // 4), seed=cfg.seed)
+    lam1, lam2 = rep.lambda1, rep.lambda2
     A = op.assemble_A(unit, lam1, lam2)
 
     worst = 0.0
@@ -178,16 +179,13 @@ def _decomposition_checks(cfg, rng):
                    "passed": d <= tol})
 
     # perturbation bound with estimated constants, inflated by 1.1
-    rep = co.smallness_report(chart, kap, unit, rep_times, margin=cfg.margin,
-                              probes=max(4, cfg.probes // 4), seed=cfg.seed)
-    B = op.assemble_B(chart, kap, unit, rep.lambda1, rep.lambda2, float(times[-1]))
-    A2 = op.assemble_A(unit, rep.lambda1, rep.lambda2)
+    B = op.assemble_B(chart, kap, unit, lam1, lam2, float(times[-1]))
     bound = 2.0 * rep.C_sharp_est * rep.M.sum() * 1.1
     violations = 0
     for _ in range(100):
         f = rng.standard_normal(unit.ndof)
         lhs = op.field_l2(B @ f, unit)
-        rhs = bound * op.field_l2(A2 @ f, unit)
+        rhs = bound * op.field_l2(A @ f, unit)
         if lhs > rhs:
             violations += 1
     checks.append({"name": "perturbation_bound_violations", "value": float(violations),
@@ -306,19 +304,45 @@ def run_picard(cfg):
     return report, traj
 
 
+def _sine_product_solution(domain):
+    """e^{-t} sin(pi s1) sin(pi s2), s the rectangle's unit coordinates.
+
+    Closed-form partials, so the ``mms`` run imports no sympy.
+    """
+    a, b, c, d = domain
+    k1 = math.pi / (b - a)
+    k2 = math.pi / (d - c)
+
+    def phases(x1, x2):
+        return np.pi * ((x1 - a) / (b - a)), np.pi * ((x2 - c) / (d - c))
+
+    def u(x1, x2, t):
+        p1, p2 = phases(x1, x2)
+        return np.exp(-t) * np.sin(p1) * np.sin(p2)
+
+    def u_1(x1, x2, t):
+        p1, p2 = phases(x1, x2)
+        return k1 * np.exp(-t) * np.cos(p1) * np.sin(p2)
+
+    def u_2(x1, x2, t):
+        p1, p2 = phases(x1, x2)
+        return k2 * np.exp(-t) * np.sin(p1) * np.cos(p2)
+
+    def u_12(x1, x2, t):
+        p1, p2 = phases(x1, x2)
+        return k1 * k2 * np.exp(-t) * np.cos(p1) * np.cos(p2)
+
+    return dg.ManufacturedSolution(
+        u=u, u_t=lambda x1, x2, t: -u(x1, x2, t), u_1=u_1, u_2=u_2,
+        u_11=lambda x1, x2, t: -k1 * k1 * u(x1, x2, t), u_12=u_12,
+        u_22=lambda x1, x2, t: -k2 * k2 * u(x1, x2, t))
+
+
 def run_mms(cfg):
     report = RunReport("mms")
     chart = config_chart(cfg)
     kappa = config_diffusion(cfg)
-
-    def smooth(X1, X2, t):
-        import sympy as sp
-        a, b, c, d = chart.domain
-        s1 = (X1 - a) / (b - a)
-        s2 = (X2 - c) / (d - c)
-        return sp.exp(-t) * sp.sin(sp.pi * s1) * sp.sin(sp.pi * s2)
-
-    exact = dg.manufactured_solution(smooth)
+    exact = _sine_product_solution(chart.domain)
     n_fine = cfg.n1
     n_mid = (n_fine + 1) // 2 - 1
     n_coarse = (n_mid + 1) // 2 - 1
@@ -488,8 +512,12 @@ def write_outputs(report, trajectory, directory, cfg=None):
         grid = config_grid(cfg)
         chart = config_chart(cfg)
         kappa = config_diffusion(cfg)
-        times = scan_times_list(cfg)
-        lam1, lam2 = co.lambda_select(chart, kappa, grid, times, margin=cfg.margin)
+        rep = report.condition_report
+        if rep is None:
+            lam1, lam2 = co.lambda_select(chart, kappa, grid, scan_times_list(cfg),
+                                          margin=cfg.margin)
+        else:
+            lam1, lam2 = rep.lambda1, rep.lambda2
         for name, mat in (("A", op.assemble_A(grid, lam1, lam2)),
                           ("L0", op.assemble_L(chart, kappa, grid, 0.0))):
             path = out / f"matrix_{name}.coo"

@@ -283,40 +283,63 @@ def transport_identity_residual(chart, grid, t, dt_fd=1e-4):
 # manufactured solutions
 
 
+# the seven partials a manufactured solution carries: u, du/dt, d_1 u, d_2 u,
+# d_11 u, d_12 u, d_22 u (d_a = d/dX_a)
+SOLUTION_PARTIALS = ("u", "u_t", "u_1", "u_2", "u_11", "u_12", "u_22")
+
+
 @dataclass(frozen=True, eq=False)
 class ManufacturedSolution:
     """Exact solution prescribed for convergence studies.
 
-    ``builder`` maps sympy symbols (X1, X2, t) to the solution expression;
-    numeric evaluators for the solution and for the induced forcing
-    F = du/dt + L u are generated symbolically per chart/diffusivity pair.
+    Seven numeric evaluators (x1, x2, t) -> array, named as in
+    ``SOLUTION_PARTIALS``: the solution, its time derivative and its first and
+    second partials in X1, X2.  The induced forcing F = du/dt + L u is
+    evaluated from them numerically (``manufactured_forcing``), so no sympy
+    is needed unless the partials come from a symbolic builder through
+    ``manufactured_solution``.
     """
 
-    builder: Callable
-    _value: Callable = None
+    u: Callable
+    u_t: Callable
+    u_1: Callable
+    u_2: Callable
+    u_11: Callable
+    u_12: Callable
+    u_22: Callable
+
+    def partial(self, name, x1, x2, t):
+        """One of ``SOLUTION_PARTIALS`` on the broadcast shape of x1, x2."""
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        return np.broadcast_to(np.asarray(getattr(self, name)(x1, x2, t), dtype=float),
+                               np.broadcast(x1, x2).shape)
 
     def value(self, x1, x2, t):
-        return np.broadcast_to(
-            np.asarray(self._value(np.asarray(x1, dtype=float),
-                                   np.asarray(x2, dtype=float), t), dtype=float),
-            np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
+        return self.partial("u", x1, x2, t)
 
 
 def manufactured_solution(builder):
+    """ManufacturedSolution from a symbolic builder (needs sympy).
+
+    ``builder`` maps sympy symbols (X1, X2, t) to the solution expression;
+    its seven partials are differentiated and lambdified here.
+    """
     import sympy as sp
 
     X1, X2, t = sp.symbols("X1 X2 t", real=True)
-    expr = builder(X1, X2, t)
-    fn = sp.lambdify((X1, X2, t), expr, "numpy")
-    return ManufacturedSolution(builder=builder, _value=fn)
+    u = builder(X1, X2, t)
+    exprs = (u, sp.diff(u, t), sp.diff(u, X1), sp.diff(u, X2),
+             sp.diff(u, X1, 2), sp.diff(u, X1, X2), sp.diff(u, X2, 2))
+    return ManufacturedSolution(*(sp.lambdify((X1, X2, t), e, "numpy") for e in exprs))
 
 
 def symbolic_operator_apply(chart, kappa, builder):
     """Numeric evaluator of L(t) applied to a symbolic field.
 
     Requires the chart and diffusivity to carry symbolic forms (all presets
-    do).  Used both for manufactured forcings and as the consistency oracle
-    for the discrete assembly.
+    do).  The consistency oracle of the tests for the discrete assembly and
+    for the numeric ``manufactured_forcing``; imports sympy.
     """
     import sympy as sp
 
@@ -349,19 +372,48 @@ def symbolic_operator_apply(chart, kappa, builder):
     return apply
 
 
-def manufactured_forcing(chart, kappa, exact):
-    """Forcing F = du/dt + L u induced by a manufactured solution."""
-    import sympy as sp
+def _dinverse_metric(mf, c):
+    """(d_c g^11, d_c g^12, d_c g^22) = -g^ae d_c g_ef g^fb, c = 1 or 2."""
+    i11, i12, i22 = mf.ginv11, mf.ginv12, mf.ginv22
+    m11, m12, m22 = ((mf.dg11_d1, mf.dg12_d1, mf.dg22_d1) if c == 1
+                     else (mf.dg11_d2, mf.dg12_d2, mf.dg22_d2))
+    r11, r12 = m11 * i11 + m12 * i12, m11 * i12 + m12 * i22   # rows of (d_c g) g^-1
+    r21, r22 = m12 * i11 + m22 * i12, m12 * i12 + m22 * i22
+    return (-(i11 * r11 + i12 * r21), -(i11 * r12 + i12 * r22),
+            -(i12 * r12 + i22 * r22))
 
-    X1, X2, t = sp.symbols("X1 X2 t", real=True)
-    dudt = sp.diff(exact.builder(X1, X2, t), t)
-    dudt_fn = sp.lambdify((X1, X2, t), dudt, "numpy", cse=True)
-    L_apply = symbolic_operator_apply(chart, kappa, exact.builder)
+
+def manufactured_forcing(chart, kappa, exact):
+    """Forcing F = du/dt + L u induced by a manufactured solution, numerically.
+
+    With R = sqrt(G) and K the diffusivity, L u expands to
+    -(1/R)[d_a(K R g^ab) d_b u + K R g^ab d_ab u] + (dG/dt)/(2G) u, where
+    d_a R / R = d_a G/(2G) and d_c g^ab = -g^ae d_c g_ef g^fb.  The metric
+    partials are the chart's (analytic for presets, finite differences for a
+    user chart without them), d_a K is ``kappa.partial`` and the partials of
+    u are those ``exact`` carries.
+    """
+    h_fd = 1e-5 * max(chart.extent(), 1.0)
+    k1 = kappa.partial("d1", chart.domain, chart.horizon, h_fd)
+    k2 = kappa.partial("d2", chart.domain, chart.horizon, h_fd)
 
     def F(x1, x2, tt):
-        shape = np.broadcast(np.asarray(x1), np.asarray(x2)).shape
-        a = np.broadcast_to(np.asarray(dudt_fn(x1, x2, tt), dtype=float), shape)
-        return a + L_apply(x1, x2, tt)
+        x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        mf = metric_fields(chart, x1, x2, tt, h_fd=h_fd, want_derivs=True)
+        u = {name: exact.partial(name, x1, x2, tt) for name in SOLUTION_PARTIALS}
+        K = _kappa_on(kappa, x1, x2, tt)
+        # (1/R) d_a(K R) = d_a K + K d_a G/(2G)
+        e1 = np.asarray(k1(x1, x2, tt), dtype=float) + K * mf.dG_d1 / (2.0 * mf.G)
+        e2 = np.asarray(k2(x1, x2, tt), dtype=float) + K * mf.dG_d2 / (2.0 * mf.G)
+        d1_11, d1_12, _ = _dinverse_metric(mf, 1)
+        _, d2_12, d2_22 = _dinverse_metric(mf, 2)
+        # first-order coefficients (1/R) d_a(K R g^ab), b = 1, 2
+        c1 = e1 * mf.ginv11 + e2 * mf.ginv12 + K * (d1_11 + d2_12)
+        c2 = e1 * mf.ginv12 + e2 * mf.ginv22 + K * (d1_12 + d2_22)
+        diffusion = (c1 * u["u_1"] + c2 * u["u_2"]
+                     + K * (mf.ginv11 * u["u_11"] + 2.0 * mf.ginv12 * u["u_12"]
+                            + mf.ginv22 * u["u_22"]))
+        return u["u_t"] - diffusion + 0.5 * mf.dGdt / mf.G * u["u"]
 
     return F
 
@@ -413,7 +465,7 @@ def mms_convergence(chart, kappa, exact, levels, T=0.1, theta=0.5):
     """Manufactured-solution refinement study.
 
     ``levels`` is a sequence of (n, dt) pairs, n interior nodes per axis; the
-    forcing is generated symbolically once and evaluated per level.  Errors
+    forcing is built once and evaluated numerically per step.  Errors
     are max-norm and L2-norm against the exact solution at the final time.
     Non-monotone error sequences are flagged, not fatal.
     """

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evolvesurf
 from evolvesurf import ConfigError, make_chart, make_diffusion, make_grid, user_chart
+from evolvesurf import cli
 from evolvesurf.cli import _dump_matrix, _write_vtk_snapshot, main, run_pipeline, write_outputs
 from evolvesurf.config import (
     RunConfig,
@@ -13,6 +18,7 @@ from evolvesurf.config import (
     parse_config,
     serialize_config,
 )
+from evolvesurf.diagnostics import SOLUTION_PARTIALS, manufactured_solution
 from evolvesurf.operator import assemble_A, assemble_L
 
 MINIMAL = """
@@ -184,6 +190,19 @@ class TestOutputs:
         assert len(line) == 3
         int(line[0]), int(line[1]), float(line[2])
 
+    @pytest.mark.parametrize("subcommand", ["check", "picard"])
+    def test_matrix_A_takes_the_report_weights(self, tmp_path, monkeypatch, subcommand):
+        # the condition report already holds (lambda1, lambda2): no second scan
+        def no_scan(*args, **kwargs):
+            raise AssertionError("lambda_select called")
+
+        monkeypatch.setattr(cli.co, "lambda_select", no_scan)
+        cfg, report, _ = self._run(tmp_path, subcommand=subcommand, dump_matrices=True)
+        rep = report.condition_report
+        ref = tmp_path / "A_ref.coo"
+        _dump_matrix(ref, assemble_A(config_grid(cfg), rep.lambda1, rep.lambda2))
+        assert (Path(cfg.out_dir) / "matrix_A.coo").read_bytes() == ref.read_bytes()
+
     def test_deterministic_outputs_for_fixed_seed(self, tmp_path):
         cfg1, _, _ = self._run(tmp_path / "a", subcommand="check")
         cfg2, _, _ = self._run(tmp_path / "b", subcommand="check")
@@ -324,3 +343,71 @@ probes = 4
 
     def test_missing_file(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+class TestVerifySuite:
+    def test_decomposition_checks_scan_once(self, monkeypatch):
+        # the weights come from the smallness report the checks build anyway
+        def no_scan(*args, **kwargs):
+            raise AssertionError("lambda_select called")
+
+        monkeypatch.setattr(cli.co, "lambda_select", no_scan)
+        cfg = parse_config(MINIMAL)
+        checks = cli._decomposition_checks(cfg, np.random.default_rng(cfg.seed))
+        assert [c["name"] for c in checks] == [
+            "decomposition_sum", "weighted_selfadjointness", "perturbation_bound_violations"]
+        assert all(c["passed"] for c in checks)
+
+
+class TestMMSWithoutSympy:
+    def test_sine_product_partials_match_symbolic(self):
+        domain = (-0.5, 1.0, 0.25, 1.05)
+        a, b, c, d = domain
+
+        def smooth(X1, X2, t):
+            import sympy as sp
+            return (sp.exp(-t) * sp.sin(sp.pi * (X1 - a) / (b - a))
+                    * sp.sin(sp.pi * (X2 - c) / (d - c)))
+
+        numeric = cli._sine_product_solution(domain)
+        symbolic = manufactured_solution(smooth)
+        X1, X2 = make_grid(domain, 13, 6).full_mesh()
+        for name in SOLUTION_PARTIALS:
+            for t in (0.0, 0.37):
+                ref = symbolic.partial(name, X1, X2, t)
+                got = numeric.partial(name, X1, X2, t)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), name
+
+    def test_mms_run_imports_no_sympy(self):
+        src = str(Path(evolvesurf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cfg_text = """
+[surface]
+preset = graph_oscillation
+T = 0.05
+epsilon = 0.1
+omega = 2.0
+
+[diffusion]
+preset = sinusoidal
+amp = 0.2
+
+[grid]
+n1 = 15
+n2 = 15
+
+[time]
+dt = 0.005
+"""
+        code = "\n".join([
+            "import sys",
+            "import evolvesurf",
+            "assert 'sympy' not in sys.modules, 'import evolvesurf loaded sympy'",
+            "from evolvesurf import cli, config",
+            "report, _ = cli.run_pipeline(config.parse_config(sys.argv[1]), 'mms')",
+            "assert report.convergence_tables[0].monotone, 'mms errors not monotone'",
+            "assert 'sympy' not in sys.modules, 'the mms run loaded sympy'",
+        ])
+        done = subprocess.run([sys.executable, "-c", code, cfg_text], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

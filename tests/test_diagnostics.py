@@ -23,9 +23,12 @@ from evolvesurf import (
 )
 from evolvesurf.diagnostics import (
     _cell_center_gradients,
+    manufactured_forcing,
     surface_gradient_components,
     surface_mass,
+    symbolic_operator_apply,
 )
+from evolvesurf.geometry import PRESET_NAMES
 from evolvesurf import diagnostics
 from evolvesurf.timestepper import Trajectory
 
@@ -345,3 +348,48 @@ class TestMMS:
         with pytest.raises(ParameterError):
             mms_convergence(flat, const_kappa, manufactured_solution(smooth),
                             [(7, 1e-2), (15, 1e-2)], T=0.05)
+
+
+PRESET_PARAMS = {
+    "isotropic_scaling": {"gamma": 0.7},
+    "graph_oscillation": {"epsilon": 0.2, "omega": 3.0},
+    "translating_patch": {"c": 0.8},
+}
+
+
+class TestNumericForcing:
+    @staticmethod
+    def _builder(domain):
+        # no mirror symmetry and a nonzero mixed partial, so every term of
+        # the expanded operator contributes
+        a, b, c, d = domain
+
+        def u(X1, X2, t):
+            import sympy as sp
+            s1 = (X1 - a) / (b - a)
+            s2 = (X2 - c) / (d - c)
+            return (sp.exp(-t) * sp.sin(sp.pi * s1) * sp.sin(2 * sp.pi * s2) * (1 + X1 * X2 / 3)
+                    + t ** 2 * s1 * (1 - s1) * sp.sin(sp.pi * s2))
+
+        return u
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.5, 0.0, 1.0)])
+    @pytest.mark.parametrize("kappa", [make_diffusion("constant", value=1.3),
+                                       make_diffusion("sinusoidal", base=1.0, amp=0.3)],
+                             ids=["constant", "sinusoidal"])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_matches_symbolic_oracle(self, preset, kappa, domain):
+        import sympy as sp
+
+        chart = make_chart(preset, domain=domain, horizon=1.0, **PRESET_PARAMS.get(preset, {}))
+        builder = self._builder(domain)
+        F = manufactured_forcing(chart, kappa, manufactured_solution(builder))
+        X1s, X2s, ts = sp.symbols("X1 X2 t", real=True)
+        dudt = sp.lambdify((X1s, X2s, ts), sp.diff(builder(X1s, X2s, ts), ts), "numpy")
+        L_apply = symbolic_operator_apply(chart, kappa, builder)
+        X1, X2 = make_grid(domain, 17, 11).interior_mesh()
+        for t in (0.3, 0.8):
+            ref = dudt(X1, X2, t) + L_apply(X1, X2, t)
+            got = F(X1, X2, t)
+            assert got.shape == X1.shape
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
