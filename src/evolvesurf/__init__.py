@@ -31,6 +31,7 @@ from .diagnostics import (
     material_derivative,
     mms_convergence,
     regularity_report,
+    solve_reported,
     surface_grad_sq,
     surface_integral,
     transport_identity_residual,

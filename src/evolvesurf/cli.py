@@ -3,8 +3,11 @@
 Subcommands:
 
 * ``check``  -- coefficient scan, estimated constants, smallness conditions;
-* ``solve``  -- direct time-stepping plus energy/decay/regularity reports;
+* ``solve``  -- direct time-stepping plus energy/decay/regularity reports,
+                read from the march's own step frames;
 * ``picard`` -- fixed-point solve, contraction history, two-solver agreement;
+                the direct march of the agreement check freezes the Picard
+                perturbations B(t_k) from its step frames;
 * ``verify`` -- the structural invariant suite (metric identities, operator
                 reductions, decomposition sum, perturbation bound, anisotropic
                 oracles, dilation identity);
@@ -166,10 +169,11 @@ def _decomposition_checks(cfg, rng):
 
     worst = 0.0
     for t in times:
-        parts = op.assemble_B_parts(chart, kap, unit, lam1, lam2, float(t), norm_iters=5)
+        frame = op.StepFrame(chart, kap, unit, float(t))
+        parts = op.assemble_B_parts(chart, kap, unit, lam1, lam2, float(t), norm_iters=5,
+                                    coefficients=frame.coefficients)
         S = sum(parts[f"B{i}"] for i in range(1, 6))
-        L = op.assemble_L(chart, kap, unit, float(t))
-        worst = max(worst, float(np.abs(S - (L - A)).max()))
+        worst = max(worst, float(np.abs(S - (frame.L - A)).max()))
     checks.append({"name": "decomposition_sum", "value": worst, "tol": 1e-10,
                    "passed": worst <= 1e-10})
 
@@ -267,13 +271,8 @@ def run_solve(cfg):
     report = RunReport("solve")
     chart, kappa, grid, v0 = _solve_common(cfg)
     with _Timer(report, "march"):
-        traj = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta)
-    with _Timer(report, "energy"):
-        report.energy = dg.energy_report(traj, chart, kappa, grid)
-    with _Timer(report, "decay"):
-        report.decay = dg.decay_report(traj, chart, grid)
-        if traj.nsteps >= 2:
-            report.regularity = dg.regularity_report(traj, chart, kappa, grid)
+        traj, report.energy, report.decay, report.regularity = dg.solve_reported(
+            chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta)
     return report, traj
 
 
@@ -284,14 +283,22 @@ def run_picard(cfg):
         rep = co.smallness_report(chart, kappa, grid, scan_times_list(cfg),
                                   margin=cfg.margin, probes=cfg.probes, seed=cfg.seed)
         report.condition_report = rep
+    with _Timer(report, "direct"):
+        # the march the agreement is measured against; its step frames give
+        # the B(t_k) = L(t_k) - A the Picard stages freeze
+        A = op.assemble_A(grid, rep.lambda1, rep.lambda2)
+        frozen_B = []
+        direct = ts.solve_direct(
+            chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
+            observers=(lambda k, frame, _: frozen_B.append(ts.perturbation(frame.L, A)),))
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,
                                      v0, cfg.horizon, cfg.dt, tol=cfg.tol,
                                      max_iter=cfg.max_iter, theta=cfg.theta,
-                                     condition_report=rep)
+                                     condition_report=rep, frozen_B=frozen_B)
         report.picard_history = hist
+        del frozen_B   # the largest arrays of the run; the energy report needs none
     with _Timer(report, "agreement"):
-        direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta)
         scale = float(np.max(np.abs(direct.fields)))
         report.agreement = float(np.max(np.abs(traj.fields - direct.fields)) / scale)
     with _Timer(report, "energy"):

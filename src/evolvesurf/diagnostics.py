@@ -6,6 +6,16 @@ energies through the inverse metric.  On top of those reductions this module
 checks the structural claims the solver is supposed to reproduce: the energy
 balance, the t^{-1/2} decay of the surface mass, the regularity quotient, and
 manufactured-solution convergence orders.
+
+The three reports read each step time from its StepFrame (``operator``):
+the interior-node metric is a slice of the frame's full-mesh metric, the
+regularity report takes L(t_k) and the dilation rate from it, and the energy
+ledger adds the frame's cell-centre metric and diffusivity.  Each report is
+an accumulator fed one frame per step time.  ``solve_reported`` feeds them
+the frames the march itself evaluates, so a solve with its reports evaluates
+each step time once, plus the cell-centre metric; the standalone
+``energy_report``, ``decay_report`` and ``regularity_report`` build the
+frames of a finished trajectory one at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +29,9 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import metric_fields
 from .operator import (
-    assemble_L,
-    coefficient_fields,
+    StepFrame,
+    StepFrames,
+    _on_mesh,
     field_l2,
     half_power_norm,
     sobolev_h1_norm,
@@ -65,14 +76,6 @@ def _cell_center_gradients(values, grid):
     return d1, d2
 
 
-def _cell_center_mesh(grid):
-    x1 = grid.x1_full()
-    x2 = grid.x2_full()
-    c1 = 0.5 * (x1[1:] + x1[:-1])
-    c2 = 0.5 * (x2[1:] + x2[:-1])
-    return np.meshgrid(c1, c2, indexing="ij")
-
-
 def _grad_sq(values, grid, mf, kap):
     """``surface_grad_sq`` with the cell-centre metric (and kappa) supplied."""
     d1, d2 = _cell_center_gradients(values, grid)
@@ -83,10 +86,6 @@ def _grad_sq(values, grid, mf, kap):
     return float(grid.h1 * grid.h2 * np.sum(integrand))
 
 
-def _kappa_on(kappa, X1, X2, t):
-    return np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
-
-
 def surface_grad_sq(values, chart, grid, t, kappa=None):
     """Squared L2 norm of the tangential gradient of a grid function.
 
@@ -94,10 +93,7 @@ def surface_grad_sq(values, chart, grid, t, kappa=None):
     grid; with ``kappa`` the integrand is weighted by the diffusivity, giving
     the dissipation functional of the energy balance.
     """
-    C1, C2 = _cell_center_mesh(grid)
-    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
-    kap = None if kappa is None else _kappa_on(kappa, C1, C2, t)
-    return _grad_sq(values, grid, mf, kap)
+    return _grad_sq(values, grid, *StepFrame(chart, kappa, grid, t).centre)
 
 
 def surface_gradient_components(values, chart, grid, t):
@@ -108,46 +104,22 @@ def surface_gradient_components(values, chart, grid, t):
     of ``surface_grad_sq`` pointwise.
     """
     d1, d2 = _cell_center_gradients(values, grid)
-    C1, C2 = _cell_center_mesh(grid)
-    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
+    mf, _ = StepFrame(chart, None, grid, t).centre
     du1 = mf.ginv11 * d1 + mf.ginv12 * d2   # contravariant components
     du2 = mf.ginv12 * d1 + mf.ginv22 * d2
     comps = mf.g1 * du1[None, ...] + mf.g2 * du2[None, ...]
     return comps, mf
 
 
-def _mass(values, grid, mf):
-    """``surface_mass`` with the interior-node metric supplied."""
+def _mass(values, grid, sqrtG):
+    """``surface_mass`` with the interior-node sqrt(G) supplied."""
     v2 = grid.to_grid(np.asarray(values) ** 2)
-    return float(grid.h1 * grid.h2 * np.sum(v2 * mf.sqrtG))
+    return float(grid.h1 * grid.h2 * np.sum(v2 * sqrtG))
 
 
 def surface_mass(values, chart, grid, t):
     """L2(Gamma(t)) norm squared of a Dirichlet grid function."""
-    X1, X2 = grid.interior_mesh()
-    return _mass(values, grid, metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False))
-
-
-def _metrics_along(chart, grid, mesh, times):
-    """Metric fields on ``mesh`` at each of ``times``, lazily.
-
-    A chart with a static metric is evaluated once, at the first time; a
-    moving one once per time, so only one step's fields are alive at a time.
-    """
-    X1, X2 = mesh
-    if chart.static_metric:
-        mf = metric_fields(chart, X1, X2, float(times[0]), h_fd=grid.h_fd, want_dGdt=False)
-        return [mf] * len(times)
-    return (metric_fields(chart, X1, X2, float(t), h_fd=grid.h_fd, want_dGdt=False)
-            for t in times)
-
-
-def _kappa_along(kappa, mesh, times):
-    """Diffusivity on ``mesh`` at each of ``times``; once if time-independent."""
-    X1, X2 = mesh
-    if kappa.time_independent:
-        return [_kappa_on(kappa, X1, X2, float(times[0]))] * len(times)
-    return (_kappa_on(kappa, X1, X2, float(t)) for t in times)
+    return _mass(values, grid, StepFrame(chart, None, grid, t).interior_sqrtG)
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +140,102 @@ class EnergyLedger:
         return float(np.max(self.residual_rel))
 
 
+class _EnergyBalance:
+    """``energy_report``, fed one StepFrame per step time."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.mass = []
+        self.diss_rate = []
+
+    def observe(self, k, frame, traj):
+        u = traj.fields[k]
+        self.mass.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG))
+        self.diss_rate.append(_grad_sq(u, self.grid, *frame.centre))
+
+    def result(self, traj):
+        mass = np.array(self.mass)
+        diss_rate = np.array(self.diss_rate)
+        diss = np.concatenate([[0.0], np.cumsum(
+            0.5 * traj.dt * (diss_rate[1:] + diss_rate[:-1]))])
+        resid = np.abs(mass + diss - mass[0])
+        scale = mass[0] if mass[0] > 0 else 1.0
+        return EnergyLedger(traj.times.copy(), mass, diss, resid, resid / scale)
+
+
+class _Decay:
+    """``decay_report``, fed one StepFrame per step time."""
+
+    def __init__(self, grid, lambda1=1.0, lambda2=1.0, t_min=None):
+        self.grid = grid
+        self.weights = (lambda1, lambda2)
+        self.t_min = t_min
+        self.norms = []
+
+    def observe(self, k, frame, traj):
+        self.norms.append(math.sqrt(_mass(traj.fields[k], self.grid, frame.interior_sqrtG)))
+
+    def result(self, traj):
+        u0 = traj.fields[0]
+        w_norm = math.hypot(field_l2(u0, self.grid),
+                            half_power_norm(u0, self.grid, *self.weights))
+        if w_norm == 0.0:
+            raise ParameterError("zero initial datum: decay quotient undefined")
+        lo = 0.0 if self.t_min is None else float(self.t_min)
+        norms = np.array(self.norms)
+        mask = traj.times > max(lo, 0.0)
+        if not np.any(mask):
+            raise ParameterError("no snapshots above t_min")
+        sup_bound = float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_norm)
+        monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))
+        return {"sup_bound": sup_bound, "monotone": monotone}
+
+
+class _Regularity:
+    """``regularity_report``, fed the StepFrames of the interior step times."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.dt_sq = []
+        self.div_sq = []
+
+    def observe(self, k, frame, traj):
+        if not 0 < k < traj.nsteps:
+            return
+        u = traj.fields[k]
+        sqrtG = frame.interior_sqrtG
+        self.dt_sq.append(_mass(material_derivative(traj, k), self.grid, sqrtG))
+        # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u
+        div_vals = -(frame.L @ u - frame.coefficients["d0"].ravel() * u)
+        self.div_sq.append(_mass(div_vals, self.grid, sqrtG))
+
+    def result(self, traj):
+        if len(traj.times) < 3:
+            raise ParameterError("need at least three snapshots")
+        w_norm = sobolev_h1_norm(traj.fields[0], self.grid)
+        if w_norm == 0.0:
+            raise ParameterError("zero initial datum")
+        dt_norm = math.sqrt(np.sum(traj.dt * np.array(self.dt_sq)))
+        div_norm = math.sqrt(np.sum(traj.dt * np.array(self.div_sq)))
+        return {"quotient": (dt_norm + div_norm) / w_norm,
+                "material_norm": dt_norm, "diffusion_norm": div_norm}
+
+
+def _replay(report, traj, chart, kappa, steps):
+    """Feed ``report`` the StepFrames of ``steps`` of a finished trajectory."""
+    frames = StepFrames(chart, kappa, report.grid)
+    for k in steps:
+        report.observe(k, frames.frame(float(traj.times[k])), traj)
+    return report.result(traj)
+
+
 def energy_report(traj, chart, kappa, grid):
     """Evaluate mass(t) + cumulative dissipation - mass(0) per snapshot.
 
     The balance holds exactly for the continuous homogeneous system; the
     discrete residual combines the quadrature and time-stepping errors.
     """
-    nt = len(traj.times)
-    mass = np.empty(nt)
-    diss_rate = np.empty(nt)
-    centres = _cell_center_mesh(grid)
-    steps = zip(_metrics_along(chart, grid, grid.interior_mesh(), traj.times),
-                _metrics_along(chart, grid, centres, traj.times),
-                _kappa_along(kappa, centres, traj.times))
-    for k, (mf, mf_c, kap) in enumerate(steps):
-        mass[k] = 0.5 * _mass(traj.fields[k], grid, mf)
-        diss_rate[k] = _grad_sq(traj.fields[k], grid, mf_c, kap)
-    diss = np.concatenate([[0.0], np.cumsum(
-        0.5 * traj.dt * (diss_rate[1:] + diss_rate[:-1]))])
-    resid = np.abs(mass + diss - mass[0])
-    scale = mass[0] if mass[0] > 0 else 1.0
-    return EnergyLedger(traj.times.copy(), mass, diss, resid, resid / scale)
+    return _replay(_EnergyBalance(grid), traj, chart, kappa, range(len(traj.times)))
 
 
 def decay_report(traj, chart, grid, lambda1=1.0, lambda2=1.0, t_min=None):
@@ -199,20 +246,8 @@ def decay_report(traj, chart, grid, lambda1=1.0, lambda2=1.0, t_min=None):
     below ``t_min``) are excluded from the sup; the flag ``monotone`` records
     whether the surface mass never increases.
     """
-    w_norm = math.hypot(field_l2(traj.fields[0], grid),
-                        half_power_norm(traj.fields[0], grid, lambda1, lambda2))
-    if w_norm == 0.0:
-        raise ParameterError("zero initial datum: decay quotient undefined")
-    lo = 0.0 if t_min is None else float(t_min)
-    metrics = _metrics_along(chart, grid, grid.interior_mesh(), traj.times)
-    norms = np.array([math.sqrt(_mass(traj.fields[k], grid, mf))
-                      for k, mf in enumerate(metrics)])
-    mask = traj.times > max(lo, 0.0)
-    if not np.any(mask):
-        raise ParameterError("no snapshots above t_min")
-    sup_bound = float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_norm)
-    monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))
-    return {"sup_bound": sup_bound, "monotone": monotone}
+    return _replay(_Decay(grid, lambda1, lambda2, t_min), traj, chart, None,
+                   range(len(traj.times)))
 
 
 def material_derivative(traj, index):
@@ -234,30 +269,24 @@ def regularity_report(traj, chart, kappa, grid):
     constant of the estimate is abstract, so only finiteness/boundedness of
     the quotient is meaningful.
     """
-    nt = len(traj.times)
-    if nt < 3:
-        raise ParameterError("need at least three snapshots")
-    w_norm = sobolev_h1_norm(traj.fields[0], grid)
-    if w_norm == 0.0:
-        raise ParameterError("zero initial datum")
-    static = chart.static_metric and getattr(kappa, "time_independent", False)
-    L = cf = None
-    dt_sq = np.empty(nt - 2)
-    div_sq = np.empty(nt - 2)
-    metrics = _metrics_along(chart, grid, grid.interior_mesh(), traj.times[1:-1])
-    for k, mf in enumerate(metrics, start=1):
-        t = float(traj.times[k])
-        dt_sq[k - 1] = _mass(material_derivative(traj, k), grid, mf)
-        if L is None or not static:
-            L = assemble_L(chart, kappa, grid, t)
-            cf = coefficient_fields(chart, kappa, grid, t)
-        # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u
-        div_vals = -(L @ traj.fields[k] - cf["d0"].ravel() * traj.fields[k])
-        div_sq[k - 1] = _mass(div_vals, grid, mf)
-    dt_norm = math.sqrt(np.sum(traj.dt * dt_sq))
-    div_norm = math.sqrt(np.sum(traj.dt * div_sq))
-    return {"quotient": (dt_norm + div_norm) / w_norm,
-            "material_norm": dt_norm, "diffusion_norm": div_norm}
+    return _replay(_Regularity(grid), traj, chart, kappa, range(1, len(traj.times) - 1))
+
+
+def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5):
+    """``solve_direct`` together with its energy, decay and regularity reports.
+
+    The reports read the StepFrames of the march itself while it holds them,
+    so each step time is evaluated once for the march and the reports, plus
+    the cell-centre metric of the energy ledger.  Returns (trajectory,
+    EnergyLedger, decay dict, regularity dict); the regularity report is None
+    below two steps.  The reports equal energy_report, decay_report and
+    regularity_report of the trajectory.
+    """
+    ledger, decay, regularity = _EnergyBalance(grid), _Decay(grid), _Regularity(grid)
+    traj = solve_direct(chart, kappa, grid, v0, T, dt, theta=theta,
+                        observers=(ledger.observe, decay.observe, regularity.observe))
+    return (traj, ledger.result(traj), decay.result(traj),
+            regularity.result(traj) if traj.nsteps >= 2 else None)
 
 
 def transport_identity_residual(chart, grid, t, dt_fd=1e-4):
@@ -401,7 +430,7 @@ def manufactured_forcing(chart, kappa, exact):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
         mf = metric_fields(chart, x1, x2, tt, h_fd=h_fd, want_derivs=True)
         u = {name: exact.partial(name, x1, x2, tt) for name in SOLUTION_PARTIALS}
-        K = _kappa_on(kappa, x1, x2, tt)
+        K = _on_mesh(kappa, x1, x2, tt)
         # (1/R) d_a(K R) = d_a K + K d_a G/(2G)
         e1 = np.asarray(k1(x1, x2, tt), dtype=float) + K * mf.dG_d1 / (2.0 * mf.G)
         e2 = np.asarray(k2(x1, x2, tt), dtype=float) + K * mf.dG_d2 / (2.0 * mf.G)

@@ -135,6 +135,12 @@ class GridSpec:
     def full_mesh(self):
         return np.meshgrid(self.x1_full(), self.x2_full(), indexing="ij")
 
+    def cell_center_mesh(self):
+        """Centers of the (n1+1) x (n2+1) grid cells, including the boundary strips."""
+        x1 = self.x1_full()
+        x2 = self.x2_full()
+        return np.meshgrid(0.5 * (x1[1:] + x1[:-1]), 0.5 * (x2[1:] + x2[:-1]), indexing="ij")
+
     def to_grid(self, values):
         return np.asarray(values).reshape(self.n1, self.n2)
 

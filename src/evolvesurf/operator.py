@@ -20,12 +20,21 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
 
+A ``StepFrame`` is everything one time t evaluates: the coefficient fields
+(one full-mesh evaluation of the metric and the diffusivity), L(t) and the
+cell-centre metric of the energy ledger, each built on first use.
+``StepFrames`` builds them for the march, the reports and the verify checks;
+it also holds the one test for a static problem, which gets a single frame.
+``coefficient_fields`` and a standalone ``assemble_L`` go through a frame too.
+
 ``SineBasis`` is the DST-I eigenbasis of A: every solve with A or I + s A
 (Picard stages, the C_sharp and C_A estimators, the GMRES preconditioner) is a
 division per mode there.  ``factorize`` (sparse LU) is left for a static L.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,6 +140,94 @@ def assemble_A(grid, lambda1, lambda2):
     return _stencil_matrix(grid, terms)
 
 
+def _on_mesh(kappa, X1, X2, t):
+    """Diffusivity values on a mesh, broadcast to its shape."""
+    return np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
+
+
+class StepFrame:
+    """What one step time t evaluates on ``grid``, each piece built on first use and kept.
+
+    * ``coefficients`` -- ``coefficient_fields``: one full-mesh evaluation of
+      the metric (with dG/dt) and of the diffusivity; without ``kappa`` (None)
+      it holds only the metric entries R, Ginv*, R_int and d0;
+    * ``L`` -- ``assemble_L`` from the coefficients;
+    * ``centre`` -- the cell-centre MetricFields (without dG/dt) and
+      diffusivity of the energy ledger's dissipation.
+
+    Interior-node data are slices of the full-mesh arrays: the metric is
+    evaluated pointwise, so a slice carries the same bits as an evaluation on
+    the interior mesh.  The rest of the full-mesh MetricFields is not kept.
+    """
+
+    def __init__(self, chart, kappa, grid, t):
+        self.chart = chart
+        self.kappa = kappa
+        self.grid = grid
+        self.t = t
+
+    @functools.cached_property
+    def coefficients(self):
+        X1, X2 = self.grid.full_mesh()
+        mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
+        R = mf.sqrtG
+        cf = {
+            "R": R, "Ginv11": mf.ginv11, "Ginv12": mf.ginv12, "Ginv22": mf.ginv22,
+            "R_int": R[1:-1, 1:-1],
+            "d0": (0.5 * mf.dGdt / mf.G)[1:-1, 1:-1],
+        }
+        if self.kappa is not None:
+            K = _on_mesh(self.kappa, X1, X2, self.t)
+            cf.update({"K": np.array(K),
+                       "C11": K * R * mf.ginv11,
+                       "C12": K * R * mf.ginv12,
+                       "C22": K * R * mf.ginv22})
+        return cf
+
+    @functools.cached_property
+    def interior_sqrtG(self):
+        """sqrt(G) on the interior nodes, contiguous for the reports' quadratures."""
+        return np.ascontiguousarray(self.coefficients["R_int"])
+
+    @functools.cached_property
+    def L(self):
+        return assemble_L(self.chart, self.kappa, self.grid, self.t,
+                          coefficients=self.coefficients)
+
+    @functools.cached_property
+    def centre(self):
+        C1, C2 = self.grid.cell_center_mesh()
+        mf = metric_fields(self.chart, C1, C2, self.t, h_fd=self.grid.h_fd, want_dGdt=False)
+        return mf, None if self.kappa is None else _on_mesh(self.kappa, C1, C2, self.t)
+
+
+class StepFrames:
+    """Source of the StepFrames of ``chart`` and ``kappa`` on ``grid``.
+
+    ``frame(t)`` is the frame at t; calling the source gives its L(t).  A
+    static problem -- a rigid chart and a diffusivity that is time-independent
+    or None -- has one frame, evaluated at t = 0 and returned for every t.
+    """
+
+    def __init__(self, chart, kappa, grid):
+        self.chart = chart
+        self.kappa = kappa
+        self.grid = grid
+        self.static = chart.static_metric and (
+            kappa is None or getattr(kappa, "time_independent", False))
+        self._static_frame = None
+
+    def frame(self, t):
+        if not self.static:
+            return StepFrame(self.chart, self.kappa, self.grid, t)
+        if self._static_frame is None:
+            self._static_frame = StepFrame(self.chart, self.kappa, self.grid, 0.0)
+        return self._static_frame
+
+    def __call__(self, t):
+        return self.frame(t).L
+
+
 def coefficient_fields(chart, kappa, grid, t):
     """Nodal coefficient data on the full grid at time t.
 
@@ -138,25 +235,16 @@ def coefficient_fields(chart, kappa, grid, t):
     components, the flux coefficients C^ab = K R g^ab, and the interior
     arrays R_int and d0 = (dG/dt)/(2G).
     """
-    X1, X2 = grid.full_mesh()
-    mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd)
-    K = np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
-    R = mf.sqrtG
-    fields = {
-        "K": np.array(K), "R": R,
-        "Ginv11": mf.ginv11, "Ginv12": mf.ginv12, "Ginv22": mf.ginv22,
-        "C11": K * R * mf.ginv11,
-        "C12": K * R * mf.ginv12,
-        "C22": K * R * mf.ginv22,
-        "R_int": R[1:-1, 1:-1],
-        "d0": (0.5 * mf.dGdt / mf.G)[1:-1, 1:-1],
-    }
-    return fields
+    return StepFrame(chart, kappa, grid, t).coefficients
 
 
-def assemble_L(chart, kappa, grid, t):
-    """Flux-form discretization of the pulled-back diffusion operator."""
-    cf = coefficient_fields(chart, kappa, grid, t)
+def assemble_L(chart, kappa, grid, t, coefficients=None):
+    """Flux-form discretization of the pulled-back diffusion operator.
+
+    ``coefficients`` is ``coefficient_fields(chart, kappa, grid, t)`` when the
+    caller holds it already (a StepFrame does).
+    """
+    cf = coefficient_fields(chart, kappa, grid, t) if coefficients is None else coefficients
     inv_r = 1.0 / cf["R_int"]
     c11 = _shifts(cf["C11"])
     c22 = _shifts(cf["C22"])
@@ -185,16 +273,19 @@ def assemble_L(chart, kappa, grid, t):
     return _stencil_matrix(grid, terms)
 
 
-def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, seed=0):
+def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, seed=0,
+                     coefficients=None):
     """Split L(t) - A into the five-part perturbation decomposition.
 
     Returns {"B1"..."B5": CSR matrix, "norms": array of the five discrete
-    L2->L2 operator norms estimated by power iteration}.  The parts sum to
-    assemble_L - assemble_A exactly up to roundoff.
+    L2->L2 operator norms}.  The norms of B1..B4 are estimated by power
+    iteration; B5 is diagonal, so its norm is max |d0| exactly.  The parts sum
+    to assemble_L - assemble_A exactly up to roundoff.  ``coefficients`` is as
+    in ``assemble_L``.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda coefficients must be positive")
-    cf = coefficient_fields(chart, kappa, grid, t)
+    cf = coefficient_fields(chart, kappa, grid, t) if coefficients is None else coefficients
     inv_r = 1.0 / cf["R_int"]
     h1, h2 = grid.h1, grid.h2
 
@@ -253,7 +344,8 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, see
 
     mats = [B1, B2, B3, B4, B5]
     out = {f"B{i+1}": m for i, m in enumerate(mats)}
-    out["norms"] = np.array([operator_norm_est(m, iters=norm_iters, seed=seed) for m in mats])
+    out["norms"] = np.array([operator_norm_est(m, iters=norm_iters, seed=seed)
+                             for m in mats[:4]] + [float(np.abs(cf["d0"]).max())])
     return out
 
 
@@ -338,10 +430,10 @@ def weighted_symmetry_defect(chart, kappa, grid, t):
     The divergence-form part of the operator is selfadjoint in L2(sqrtG dX);
     its flux discretization should reproduce that to roundoff.
     """
-    L = assemble_L(chart, kappa, grid, t)
-    cf = coefficient_fields(chart, kappa, grid, t)
+    frame = StepFrame(chart, kappa, grid, t)
+    cf = frame.coefficients
     w = (cf["R_int"] * grid.h1 * grid.h2).ravel()
-    M = sp.diags(w) @ (L - sp.diags(cf["d0"].ravel()))
+    M = sp.diags(w) @ (frame.L - sp.diags(cf["d0"].ravel()))
     defect = np.abs((M - M.T)).max()
     scale = np.abs(M).max()
     return float(defect), float(scale)

@@ -2,8 +2,7 @@
 
 Two routes to the same discrete solution:
 
-* ``solve_direct`` advances dv/dt + L(t) v = F with a theta-scheme, assembling
-  the full operator once per step time;
+* ``solve_direct`` advances dv/dt + L(t) v = F with a theta-scheme;
 * ``solve_picard`` iterates the linearized stages
       dv_{m+1}/dt + A v_{m+1} = -B(t) v_m + F,   B(t) = L(t) - A,
   each stage marched with the same theta-scheme and step size, so the exact
@@ -22,13 +21,21 @@ A_k is the constant 5-point operator with the mean stencil weights of
 L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A relative to A
 keeps that iteration to a few steps, and no matrix is factorized per step.
 
+Each step time t_k is evaluated once, in its StepFrame (``operator``): the
+full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
+march looks frames up by the integer step index k and holds at most two, the
+pair one step touches; a static problem has a single frame.  Observers passed
+to ``solve_direct`` read each frame while the march holds it: the energy,
+decay and regularity reports of ``diagnostics.solve_reported`` do, and so
+does the caller that freezes B(t_k) = L(t_k) - A for ``solve_picard`` from
+the direct march it compares against.
+
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
-from .operator import (assemble_A, assemble_L, factorize, field_l2, shifted_A_solver,
+from .operator import (StepFrames, assemble_A, factorize, field_l2, shifted_A_solver,
                        stencil_weights)
 
 SOLVE_TOL = 1e-10
@@ -81,46 +88,48 @@ class PicardHistory:
     iterations: int = 0
 
 
-def make_L_provider(chart, kappa, grid):
-    """Callable t -> CSR matrix L(t), carrying a ``static`` flag and the ``grid``.
+def perturbation(L, A):
+    """B = L - A, frozen compactly for a Picard iteration.
 
-    A static operator (rigid chart, time-independent diffusivity) is
-    assembled once and returned for every t; a moving one is assembled on
-    each call, and the march caches it by step index.
+    A scipy sparse difference keeps buffers sized for the entries of both
+    operands; the copy holds only the entries of B (a third fewer slots for
+    the 9-point L and the 5-point A).
     """
-    if chart.static_metric and getattr(kappa, "time_independent", False):
-        return _static_provider(assemble_L(chart, kappa, grid, 0.0), grid)
-    provider = functools.partial(assemble_L, chart, kappa, grid)
-    provider.static = False
-    provider.grid = grid
-    return provider
+    return (L - A).copy()
 
 
-def _static_provider(op, grid, A_weights=None):
-    """Provider of one fixed operator on ``grid``; ``A_weights`` = (lambda1,
-    lambda2) marks it as assemble_A(grid, lambda1, lambda2), solved by DST-I."""
-    def provider(t):
-        return op
+class _ComparisonStage:
+    """Frame source of a Picard stage: the comparison operator A at every t.
 
-    provider.static = True
-    provider.grid = grid
-    provider.A_weights = A_weights
-    return provider
+    A frame needs only ``L``, so the source is its own frame; ``A_weights``
+    marks the operator as assemble_A(grid, lambda1, lambda2), solved by DST-I.
+    """
+
+    static = True
+
+    def __init__(self, grid, lambda1, lambda2):
+        self.grid = grid
+        self.A_weights = (lambda1, lambda2)
+        self.L = assemble_A(grid, lambda1, lambda2)
+
+    def frame(self, t):
+        return self
 
 
 class _ThetaMarcher:
     """Theta-scheme propagator over the step times t_k = t0 + k dt.
 
-    L(t_k) is looked up by the integer step index k, and only the two
-    operators one step touches are kept, so a moving march assembles L once
-    per step time.  The implicit solve is a DST-I solve in the sine
+    The StepFrame of t_k is looked up by the integer step index k, and only
+    the two frames one step touches are kept, so a moving march evaluates
+    each step time once.  ``frames`` is a StepFrames source or a
+    _ComparisonStage.  The implicit solve is a DST-I solve in the sine
     eigenbasis for the comparison operator A of a Picard stage (no LU), one
     LU per march for any other static operator, and DST-preconditioned GMRES
     for a moving one.  A static system matrix is built once per march and
     kept for the residual gate.
     """
 
-    def __init__(self, dt, theta, L_provider, t0=0.0):
+    def __init__(self, dt, theta, frames, t0=0.0):
         if not 0.5 <= theta <= 1.0:
             raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
         if dt <= 0.0:
@@ -128,28 +137,31 @@ class _ThetaMarcher:
         self.dt = dt
         self.theta = theta
         self.t0 = t0
-        self.L_provider = L_provider
-        self.static = L_provider.static
-        self.grid = L_provider.grid
-        self._ops = {}       # step index -> L(t_k), at most two entries
+        self.frames = frames
+        self.static = frames.static
+        self.grid = frames.grid
+        self._held = {}      # step index -> StepFrame, at most two entries
         self._direct = None  # (I + theta dt L, its solve) of a static operator
 
     def time(self, k):
         return self.t0 + k * self.dt
 
+    def frame(self, k):
+        if k not in self._held:
+            if len(self._held) >= 2:
+                del self._held[min(self._held)]
+            self._held[k] = self.frames.frame(self.time(k))
+        return self._held[k]
+
     def L(self, k):
-        if k not in self._ops:
-            if len(self._ops) >= 2:
-                del self._ops[min(self._ops)]
-            self._ops[k] = self.L_provider(self.time(k))
-        return self._ops[k]
+        return self.frame(k).L
 
     def _system(self, L):
         return sp.identity(L.shape[0], format="csr") + self.theta * self.dt * L
 
     def _static_solver(self, L):
         impl = self._system(L)
-        weights = self.L_provider.A_weights
+        weights = getattr(self.frames, "A_weights", None)
         if weights is None:
             return impl, factorize(impl).solve
         return impl, shifted_A_solver(self.grid, *weights, self.theta * self.dt)
@@ -194,15 +206,15 @@ class _ThetaMarcher:
         return self.solve(k + 1, rhs, guess=vals)
 
 
-def theta_step(v, t, dt, theta, L_provider, F_provider=None):
+def theta_step(v, t, dt, theta, frames, F_provider=None):
     """One theta-scheme step of dv/dt + L(t) v = F from time t to t + dt.
 
     Solves (I + theta dt L(t+dt)) v' = (I - (1-theta) dt L(t)) v
            + dt (theta F(t+dt) + (1-theta) F(t))
-    and returns v' as a flat array.  ``L_provider`` is built by
-    make_L_provider (a callable t -> L(t) carrying ``static`` and ``grid``).
+    and returns v' as a flat array.  ``frames`` is
+    ``StepFrames(chart, kappa, grid)``.
     """
-    marcher = _ThetaMarcher(dt, theta, L_provider, t0=t)
+    marcher = _ThetaMarcher(dt, theta, frames, t0=t)
     forcing = None
     if F_provider is not None:
         forcing = (np.asarray(F_provider(t)), np.asarray(F_provider(marcher.time(1))))
@@ -225,30 +237,37 @@ def _eval_forcing(F_provider, grid, t):
     return np.asarray(F_provider(X1, X2, t), dtype=float).ravel()
 
 
-def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None):
+def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, observers=()):
     """March the pulled-back system with the time-dependent operator.
 
     ``F_provider`` is an optional manufactured forcing (x1, x2, t) -> array;
     the homogeneous system of the model has F = 0.  Returns a Trajectory of
     ceil(T/dt) uniform steps; the Dirichlet boundary stays identically zero by
-    construction.
+    construction.  Each of ``observers`` is called as
+    ``observer(k, frame, traj)`` for k = 0..nsteps in order, with the
+    StepFrame of t_k while the march holds it; ``traj.fields`` is filled
+    through step k + 1 then (through k at the last step).
     """
     if T <= 0.0:
         raise ParameterError("horizon must be positive")
     vals = _prepare_v0(v0, grid)
-    marcher = _ThetaMarcher(dt, theta, make_L_provider(chart, kappa, grid))
+    marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
     nsteps = int(math.ceil(T / dt - 1e-12))
 
     times = np.arange(nsteps + 1) * dt
     fields = np.empty((nsteps + 1, grid.ndof))
     fields[0] = vals
+    traj = Trajectory(times, fields, dt, f"theta={theta}", grid, forcing=F_provider)
     f_old = _eval_forcing(F_provider, grid, 0.0)
-    for k in range(nsteps):
-        f_new = _eval_forcing(F_provider, grid, times[k + 1])
-        forcing = None if F_provider is None else (f_old, f_new)
-        fields[k + 1] = marcher.step(k, fields[k], forcing)
-        f_old = f_new
-    return Trajectory(times, fields, dt, f"theta={theta}", grid, forcing=F_provider)
+    for k in range(nsteps + 1):
+        if k < nsteps:
+            f_new = _eval_forcing(F_provider, grid, times[k + 1])
+            forcing = None if F_provider is None else (f_old, f_new)
+            fields[k + 1] = marcher.step(k, fields[k], forcing)
+            f_old = f_new
+        for observe in observers:
+            observe(k, marcher.frame(k), traj)
+    return traj
 
 
 def z_norm(traj, A, grid):
@@ -290,26 +309,36 @@ def z_norm(traj, A, grid):
 
 def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
                  tol=1e-8, max_iter=20, theta=0.5, F_provider=None,
-                 condition_report=None):
+                 condition_report=None, frozen_B=None):
     """Fixed-point iteration with the constant comparison operator.
 
     Stage one solves dv/dt + A v = F; stage m+1 solves
     dv/dt + A v = -B(t) v_m + F with B(t) = L(t) - A frozen per step time.
-    Stops when the z-norm of a consecutive difference drops below ``tol``.
-    Raises PicardDivergenceError when max_iter is hit while the last ratio is
-    at or above one (the smallness condition is the quantity to check then).
+    ``frozen_B`` is the list of B(t_k) for k = 0..nsteps when the caller has
+    frozen it already (``perturbation`` of the step frames of a direct
+    march, say);
+    otherwise it is frozen here from step frames.  Stops when the z-norm of a
+    consecutive difference drops below ``tol``.  Raises PicardDivergenceError
+    when max_iter is hit while the last ratio is at or above one (the
+    smallness condition is the quantity to check then).
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
     vals = _prepare_v0(v0, grid)
-    A = assemble_A(grid, lambda1, lambda2)
-    stage = _ThetaMarcher(dt, theta, _static_provider(A, grid, (lambda1, lambda2)))
+    stage = _ThetaMarcher(dt, theta, _ComparisonStage(grid, lambda1, lambda2))
+    A = stage.frames.L
     nsteps = int(math.ceil(T / dt - 1e-12))
     times = np.arange(nsteps + 1) * dt
     expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A).tocsr()
 
     # B(t_k) frozen once per step time, shared across iterations
-    B_mats = [assemble_L(chart, kappa, grid, float(t)) - A for t in times]
+    if frozen_B is None:
+        frames = StepFrames(chart, kappa, grid)
+        B_mats = [perturbation(frames(float(t)), A) for t in times]
+    elif len(frozen_B) == nsteps + 1:
+        B_mats = frozen_B
+    else:
+        raise ParameterError(f"{len(frozen_B)} frozen B(t_k) for {nsteps + 1} step times")
     F_vals = None
     if F_provider is not None:
         F_vals = np.array([_eval_forcing(F_provider, grid, float(t)) for t in times])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,26 @@ def eigenmode():
         X1, X2 = grid.interior_mesh()
         return (np.sin(np.pi * X1) * np.sin(np.pi * X2)).ravel()
     return build
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) -> list that collects the positional arguments
+    of every call to that function, at every binding site in the package."""
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is None or not mod_name.startswith("evolvesurf"):
+                continue
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counting)
+        return calls
+
+    return install

@@ -138,6 +138,45 @@ class TestPipeline:
         assert report.decay["monotone"]
 
 
+MOVING = """
+[surface]
+preset = graph_oscillation
+T = 0.01
+epsilon = 0.05
+
+[grid]
+n1 = 16
+n2 = 16
+
+[time]
+dt = 1e-3
+
+[solver]
+probes = 4
+"""
+
+
+class TestOneEvaluationPerStepTime:
+    """Each step time is evaluated once for the march, its reports and Picard."""
+
+    def test_moving_solve(self, count_calls):
+        from evolvesurf import geometry, operator
+        assembled = count_calls(operator, "assemble_L")
+        metrics = count_calls(geometry, "metric_fields")
+        report, traj = run_pipeline(parse_config(MOVING), "solve")
+        assert traj.nsteps == 10 and report.regularity is not None
+        assert len(assembled) == traj.nsteps + 1
+        # the march's full-mesh metric and the energy ledger's cell-centre one
+        assert len(metrics) <= 2 * (traj.nsteps + 1)
+
+    def test_picard(self, count_calls):
+        from evolvesurf import operator
+        assembled = count_calls(operator, "assemble_L")
+        report, traj = run_pipeline(parse_config(MOVING), "picard")
+        assert report.picard_history.converged and not report.failures
+        assert len(assembled) == traj.nsteps + 1
+
+
 class TestOutputs:
     def _run(self, tmp_path, subcommand="solve", **overrides):
         cfg = parse_config(MINIMAL)

@@ -23,13 +23,18 @@ from evolvesurf import (
 )
 from evolvesurf.diagnostics import (
     _cell_center_gradients,
+    _grad_sq,
+    _mass,
     manufactured_forcing,
     surface_gradient_components,
+    solve_reported,
     surface_mass,
     symbolic_operator_apply,
 )
-from evolvesurf.geometry import PRESET_NAMES
-from evolvesurf import diagnostics
+from evolvesurf.geometry import PRESET_NAMES, metric_fields
+from evolvesurf.operator import (assemble_L, coefficient_fields, field_l2, half_power_norm,
+                                 sobolev_h1_norm)
+from evolvesurf import diagnostics, operator
 from evolvesurf.timestepper import Trajectory
 
 
@@ -88,12 +93,11 @@ class TestSurfaceGradSq:
         # kappa_min * (flat energy * metric floor) <= dissipation <= the
         # analogous ceiling, with pointwise 2x2 eigenvalue bounds of the
         # weighted inverse metric
-        from evolvesurf.diagnostics import _cell_center_mesh
         from evolvesurf.geometry import metric_fields
 
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
         t = 1.3
-        C1, C2 = _cell_center_mesh(unit_grid)
+        C1, C2 = unit_grid.cell_center_mesh()
         mf = metric_fields(graph, C1, C2, t, want_dGdt=False)
         tr = mf.ginv11 + mf.ginv22
         disc = np.sqrt((mf.ginv11 - mf.ginv22) ** 2 + 4.0 * mf.ginv12 ** 2)
@@ -250,6 +254,7 @@ class TestStaticChartDiagnostics:
 
         with monkeypatch.context() as m:
             m.setattr(diagnostics, "metric_fields", counting)
+            m.setattr(operator, "metric_fields", counting)
             reps = (energy_report(traj, chart, kappa, self.GRID),
                     decay_report(traj, chart, self.GRID),
                     regularity_report(traj, chart, kappa, self.GRID))
@@ -272,6 +277,101 @@ class TestStaticChartDiagnostics:
         _, n_short = self._reports(self._march(0.05), self.CHART, self.KAPPA, monkeypatch)
         _, n_long = self._reports(self._march(0.2), self.CHART, self.KAPPA, monkeypatch)
         assert n_short == n_long
+
+
+def _per_step_reports(traj, chart, kappa, grid):
+    """The three reports with every step time evaluated afresh on each mesh."""
+    X1, X2 = grid.interior_mesh()
+    C1, C2 = grid.cell_center_mesh()
+    nt = len(traj.times)
+    mass, rate, norms = np.empty(nt), np.empty(nt), np.empty(nt)
+    dt_sq, div_sq = np.empty(nt - 2), np.empty(nt - 2)
+    for k, t in enumerate(traj.times):
+        u = traj.fields[k]
+        sqrtG = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG
+        mf_c = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
+        kap_c = np.broadcast_to(np.asarray(kappa.value(C1, C2, t), dtype=float), C1.shape)
+        mass[k] = 0.5 * _mass(u, grid, sqrtG)
+        rate[k] = _grad_sq(u, grid, mf_c, kap_c)
+        norms[k] = math.sqrt(_mass(u, grid, sqrtG))
+        if 0 < k < nt - 1:
+            L = assemble_L(chart, kappa, grid, t)
+            d0 = coefficient_fields(chart, kappa, grid, t)["d0"].ravel()
+            dt_sq[k - 1] = _mass(material_derivative(traj, k), grid, sqrtG)
+            div_sq[k - 1] = _mass(-(L @ u - d0 * u), grid, sqrtG)
+    diss = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (rate[1:] + rate[:-1]))])
+    resid = np.abs(mass + diss - mass[0])
+    w_decay = math.hypot(field_l2(traj.fields[0], grid),
+                         half_power_norm(traj.fields[0], grid, 1.0, 1.0))
+    mask = traj.times > 0.0
+    dt_norm = math.sqrt(np.sum(traj.dt * dt_sq))
+    div_norm = math.sqrt(np.sum(traj.dt * div_sq))
+    ledger = {"times": traj.times, "mass": mass, "dissipation": diss,
+              "residual_abs": resid, "residual_rel": resid / mass[0]}
+    decay = {"sup_bound": float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_decay),
+             "monotone": bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))}
+    regularity = {"quotient": (dt_norm + div_norm) / sobolev_h1_norm(traj.fields[0], grid),
+                  "material_norm": dt_norm, "diffusion_norm": div_norm}
+    return ledger, decay, regularity
+
+
+class TestReportsFromStepFrames:
+    """The reports read from the step frames equal a per-step re-evaluation."""
+
+    CASES = {
+        "unit": ((0.0, 1.0, 0.0, 1.0), 16, 16),
+        "rectangle": ((0.0, 1.5, 0.0, 0.8), 20, 13),
+    }
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equal_to_per_step_evaluation(self, case, theta):
+        domain, n1, n2 = self.CASES[case]
+        grid = make_grid(domain, n1, n2)
+        chart = make_chart("graph_oscillation", domain=domain, horizon=1.0,
+                           epsilon=0.3, omega=20.0)
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        traj, led, dec, reg = solve_reported(chart, kappa, grid, _bump(grid), 0.03, 2e-3,
+                                             theta=theta)
+        assert np.array_equal(traj.fields,
+                              solve_direct(chart, kappa, grid, _bump(grid), 0.03, 2e-3,
+                                           theta=theta).fields)
+        led_ref, dec_ref, reg_ref = _per_step_reports(traj, chart, kappa, grid)
+        standalone = (energy_report(traj, chart, kappa, grid), decay_report(traj, chart, grid),
+                      regularity_report(traj, chart, kappa, grid))
+        for ledger, decay, regularity in ((led, dec, reg), standalone):
+            for name, ref in led_ref.items():
+                assert np.array_equal(getattr(ledger, name), ref)
+            assert decay == dec_ref
+            assert regularity == reg_ref
+
+    def test_short_march_has_no_regularity_report(self, flat, const_kappa, eigenmode):
+        grid = make_grid((0, 1, 0, 1), 8, 8)
+        traj, led, dec, reg = solve_reported(flat, const_kappa, grid, eigenmode(grid),
+                                             1e-3, 1e-3)
+        assert traj.nsteps == 1 and reg is None
+        assert len(led.mass) == 2 and dec["sup_bound"] > 0.0
+
+    def test_zero_datum_rejected(self, flat, const_kappa):
+        grid = make_grid((0, 1, 0, 1), 8, 8)
+        with pytest.raises(ParameterError, match="zero initial datum"):
+            solve_reported(flat, const_kappa, grid, np.zeros(grid.ndof), 0.01, 1e-3)
+
+
+class TestMMSEvaluations:
+    def test_march_and_forcing_evaluate_once_per_step_time(self, graph, const_kappa,
+                                                           count_calls):
+        # the march's full-mesh metric and the forcing's interior one; no
+        # cell-centre metric
+        exact = diagnostics.ManufacturedSolution(
+            u=sinsin, u_t=lambda x1, x2, t: 0.0 * x1, u_1=sinsin, u_2=sinsin,
+            u_11=sinsin, u_12=sinsin, u_22=sinsin)
+        calls = count_calls(diagnostics, "metric_fields")
+        levels = [(7, 0.01), (15, 0.005), (31, 0.0025)]
+        mms_convergence(graph, const_kappa, exact, levels, T=0.02)
+        assert len(calls) == sum(2 * (round(0.02 / dt) + 1) for _, dt in levels)
+        shapes = {np.shape(args[1]) for args in calls}
+        assert shapes == {(n + m, n + m) for n, _ in levels for m in (0, 2)}
 
 
 def _bump(grid):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,16 @@ from evolvesurf import (
     make_grid,
     verify_anisotropic_identities,
 )
+from evolvesurf import operator
 from evolvesurf.diagnostics import symbolic_operator_apply
+from evolvesurf.geometry import PRESET_NAMES, metric_fields
 from evolvesurf.operator import (
+    StepFrame,
+    StepFrames,
+    coefficient_fields,
     factorize,
     field_l2,
+    operator_norm_est,
     shifted_A_solver,
     weighted_symmetry_defect,
 )
@@ -162,6 +169,63 @@ class TestBParts:
             for _ in range(3):
                 f = rng.standard_normal(unit_grid.ndof)
                 assert np.linalg.norm(m @ f) <= (sigma + 1e-9) * np.linalg.norm(f) * 1.001
+
+
+    def test_B5_norm_is_exact(self, graph, unit_grid):
+        # B5 is diagonal: its norm is max |d0|, which the power iteration
+        # only approaches from below
+        kap = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        parts = assemble_B_parts(graph, kap, unit_grid, 0.9, 0.9, 0.7)
+        d0 = coefficient_fields(graph, kap, unit_grid, 0.7)["d0"]
+        assert parts["norms"][4] == np.abs(d0).max()
+        assert operator_norm_est(parts["B5"]) <= parts["norms"][4]
+
+
+class TestStepFrame:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("domain,n1,n2", [((0.0, 1.0, 0.0, 1.0), 127, 127),
+                                              ((0.0, 1.5, 0.0, 0.8), 20, 13),
+                                              ((0.0, 1.5, 0.0, 1.0), 150, 100)])
+    def test_interior_slice_equals_interior_evaluation(self, name, domain, n1, n2):
+        chart = make_chart(name, domain=domain, horizon=1.0)
+        grid = make_grid(domain, n1, n2)
+        X1, X2 = grid.interior_mesh()
+        for t in (0.0, 0.37):
+            mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
+            assert np.array_equal(StepFrame(chart, None, grid, t).interior_sqrtG, mf.sqrtG)
+
+    def test_pieces_equal_standalone_evaluations(self, graph):
+        grid = make_grid((0.0, 1.5, 0.0, 0.8), 20, 13)
+        kap = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        frame = StepFrame(graph, kap, grid, 0.7)
+        ref = coefficient_fields(graph, kap, grid, 0.7)
+        assert frame.coefficients.keys() == ref.keys()
+        for key, arr in ref.items():
+            assert np.array_equal(frame.coefficients[key], arr)
+        assert (frame.L != assemble_L(graph, kap, grid, 0.7)).nnz == 0
+        C1, C2 = grid.cell_center_mesh()
+        mf, k_c = frame.centre
+        ref_c = metric_fields(graph, C1, C2, 0.7, h_fd=grid.h_fd, want_dGdt=False)
+        assert np.array_equal(mf.ginv12, ref_c.ginv12) and np.array_equal(mf.sqrtG, ref_c.sqrtG)
+        assert np.array_equal(k_c, kap.value(C1, C2, 0.7))
+
+    def test_static_problem_has_one_frame(self, flat, graph, const_kappa, unit_grid):
+        frames = StepFrames(flat, const_kappa, unit_grid)
+        assert frames.static
+        assert frames.frame(0.3) is frames.frame(0.0)
+        assert frames.frame(0.3).t == 0.0
+        varying = dataclasses.replace(const_kappa, time_independent=False)
+        assert not StepFrames(flat, varying, unit_grid).static
+        moving = StepFrames(graph, const_kappa, unit_grid)
+        assert not moving.static
+        assert moving.frame(0.3) is not moving.frame(0.3)
+        assert moving.frame(0.3).t == 0.3
+
+    def test_assembly_and_symmetry_check_evaluate_once(self, graph, const_kappa, unit_grid,
+                                                        count_calls):
+        calls = count_calls(operator, "metric_fields")
+        weighted_symmetry_defect(graph, const_kappa, unit_grid, 1.1)
+        assert len(calls) == 1
 
 
 class TestPerturbationBound:

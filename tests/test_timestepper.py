@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,11 @@ from evolvesurf import (
     z_norm,
 )
 from evolvesurf.geometry import metric_fields
+from evolvesurf import operator
 from evolvesurf.operator import field_l2
 from evolvesurf import timestepper
-from evolvesurf.timestepper import Trajectory, make_L_provider
+from evolvesurf.operator import StepFrames
+from evolvesurf.timestepper import Trajectory
 
 from test_operator import lowest_discrete_eigenvalue
 
@@ -41,14 +44,14 @@ class TestThetaStep:
         phi = eigenmode(unit_grid)
         mu = lowest_discrete_eigenvalue(unit_grid, 1.0, 1.0)
         dt = 1e-3
-        provider = make_L_provider(flat, const_kappa, unit_grid)
+        provider = StepFrames(flat, const_kappa, unit_grid)
         out = theta_step(phi, 0.0, dt, 0.5, provider)
         rho = (1.0 - 0.5 * dt * mu) / (1.0 + 0.5 * dt * mu)
         assert isinstance(out, np.ndarray)
         assert_allclose(out, rho * phi, atol=1e-13)
 
     def test_zero_stays_zero(self, flat, const_kappa, unit_grid):
-        provider = make_L_provider(flat, const_kappa, unit_grid)
+        provider = StepFrames(flat, const_kappa, unit_grid)
         out = theta_step(np.zeros(unit_grid.ndof), 0.0, 1e-2, 1.0, provider)
         assert_allclose(out, 0.0)
 
@@ -56,7 +59,7 @@ class TestThetaStep:
                                                   unit_grid, eigenmode):
         # (v' - v)/dt -> -Lv with O(dt) defect for theta = 1
         phi = eigenmode(unit_grid)
-        provider = make_L_provider(flat, const_kappa, unit_grid)
+        provider = StepFrames(flat, const_kappa, unit_grid)
         L = provider(0.0)
         target = -(L @ phi)
         defects = []
@@ -67,7 +70,7 @@ class TestThetaStep:
         assert defects[1] / defects[2] == pytest.approx(2.0, rel=0.1)
 
     def test_theta_range_enforced(self, flat, const_kappa, unit_grid):
-        provider = make_L_provider(flat, const_kappa, unit_grid)
+        provider = StepFrames(flat, const_kappa, unit_grid)
         with pytest.raises(ParameterError):
             theta_step(np.zeros(unit_grid.ndof), 0.0, 1e-2, 0.3, provider)
 
@@ -297,11 +300,11 @@ class TestImplicitSolve:
                                                        unit_grid, eigenmode, monkeypatch):
         times = []
 
-        def counting(chart, kappa, grid, t):
+        def counting(chart, kappa, grid, t, **kwargs):
             times.append(t)
-            return assemble_L(chart, kappa, grid, t)
+            return assemble_L(chart, kappa, grid, t, **kwargs)
 
-        monkeypatch.setattr(timestepper, "assemble_L", counting)
+        monkeypatch.setattr(operator, "assemble_L", counting)
         traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.03, 1e-3)
         assert traj.nsteps == 30
         assert len(times) == traj.nsteps + 1
@@ -376,3 +379,71 @@ class TestPicardStageSolve:
         solve_direct(make_chart("flat_static", horizon=1.0), const_kappa, unit_grid,
                      eigenmode(unit_grid), 0.004, 2e-3)
         assert len(calls) == 1
+
+
+class TestStepFrames:
+    """The march evaluates each step time once and shows its frames to observers."""
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_observers_see_every_step_frame_once_in_order(self, graph, const_kappa, unit_grid,
+                                                          eigenmode, count_calls, theta):
+        assembled = count_calls(operator, "assemble_L")
+        seen, filled, alive = [], [], []
+        refs = []
+
+        def observe(k, frame, traj):
+            seen.append((k, frame.t))
+            filled.append(traj.fields[min(k + 1, traj.nsteps)].copy())
+            refs.append(weakref.ref(frame))
+            alive.append(sum(r() is not None for r in refs))
+
+        traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3,
+                            theta=theta, observers=(observe,))
+        assert seen == [(k, k * 1e-3) for k in range(traj.nsteps + 1)]
+        # each L(t_k) once; backward Euler never needs L(t_0)
+        first = 0 if theta < 1.0 else 1
+        assert [args[3] for args in assembled] == [k * 1e-3 for k in range(first, traj.nsteps + 1)]
+        for k, vals in enumerate(filled):
+            assert np.array_equal(vals, traj.fields[min(k + 1, traj.nsteps)])
+        assert max(alive) <= 2
+
+    def test_observers_leave_the_march_unchanged(self, graph, const_kappa, unit_grid,
+                                                 eigenmode):
+        plain = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3)
+        observed = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01,
+                                1e-3, observers=(lambda k, frame, traj: frame.centre,))
+        assert np.array_equal(plain.fields, observed.fields)
+
+    def test_picard_with_frozen_B_from_direct_frames(self, graph, const_kappa, unit_grid,
+                                                     eigenmode, count_calls):
+        lam1, lam2 = lambda_select(graph, const_kappa, unit_grid, [0.0, 0.02])
+        v0 = eigenmode(unit_grid)
+        own, own_hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3)
+        assembled = count_calls(operator, "assemble_L")
+        A = assemble_A(unit_grid, lam1, lam2)
+        frozen = []
+        direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3,
+                              observers=(lambda k, frame, traj:
+                                         frozen.append(timestepper.perturbation(frame.L, A)),))
+        shared, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
+                                    frozen_B=frozen)
+        assert len(assembled) == direct.nsteps + 1
+        assert np.array_equal(shared.fields, own.fields)
+        assert hist.diff_norms == own_hist.diff_norms
+        with pytest.raises(ParameterError, match="frozen B"):
+            solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
+                         frozen_B=frozen[:-1])
+
+    def test_perturbation_holds_only_its_entries(self, graph, const_kappa, unit_grid):
+        L = assemble_L(graph, const_kappa, unit_grid, 0.7)
+        A = assemble_A(unit_grid, 0.9, 0.9)
+        B = timestepper.perturbation(L, A)
+        assert (B != L - A).nnz == 0
+
+        def buffer(arr):
+            while arr.base is not None:
+                arr = arr.base
+            return arr
+
+        assert buffer(B.data).size == buffer(B.indices).size == B.nnz
+        assert buffer((L - A).data).size > B.nnz   # what the copy saves
