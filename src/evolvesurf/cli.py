@@ -170,7 +170,7 @@ def _decomposition_checks(cfg, rng):
     worst = 0.0
     for t in times:
         frame = op.StepFrame(chart, kap, unit, float(t))
-        parts = op.assemble_B_parts(chart, kap, unit, lam1, lam2, float(t), norm_iters=5,
+        parts = op.assemble_B_parts(chart, kap, unit, lam1, lam2, float(t),
                                     coefficients=frame.coefficients)
         S = sum(parts[f"B{i}"] for i in range(1, 6))
         worst = max(worst, float(np.abs(S - (frame.L - A)).max()))
@@ -286,18 +286,16 @@ def run_picard(cfg):
     with _Timer(report, "direct"):
         # the march the agreement is measured against; its step frames give
         # the B(t_k) = L(t_k) - A the Picard stages freeze
-        A = op.assemble_A(grid, rep.lambda1, rep.lambda2)
-        frozen_B = []
-        direct = ts.solve_direct(
-            chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
-            observers=(lambda k, frame, _: frozen_B.append(ts.perturbation(frame.L, A)),))
+        freezer = ts.PerturbationFreezer(op.assemble_A(grid, rep.lambda1, rep.lambda2))
+        direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt,
+                                 theta=cfg.theta, observers=(freezer,))
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,
                                      v0, cfg.horizon, cfg.dt, tol=cfg.tol,
                                      max_iter=cfg.max_iter, theta=cfg.theta,
-                                     condition_report=rep, frozen_B=frozen_B)
+                                     condition_report=rep, frozen_B=freezer.frozen)
         report.picard_history = hist
-        del frozen_B   # the largest arrays of the run; the energy report needs none
+        del freezer   # the largest arrays of the run; the energy report needs none
     with _Timer(report, "agreement"):
         scale = float(np.max(np.abs(direct.fields)))
         report.agreement = float(np.max(np.abs(traj.fields - direct.fields)) / scale)

@@ -6,7 +6,8 @@ perturbation B = L - A is then controlled by five sup-norm quantities M1..M5
 of the coefficients.  ``smallness_report`` bundles the scan, probe-based
 estimates of the elliptic-regularity constant C_sharp and the maximal
 L2-regularity constant C_A, the three smallness conditions and the two
-existence-horizon formulas.
+existence-horizon formulas.  The estimators take A = assemble_A(grid,
+lambda1, lambda2) by its grid and weights and work in its DST-I sine basis.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from .errors import AssumptionViolationError, ParameterError
 from .geometry import _fd1, metric_fields
 from .operator import (
     SineBasis,
+    _on_mesh,
     assemble_A,
     assemble_B_parts,
     field_l2,
     gradient_norm,
     hessian_seminorm,
-    stencil_weights,
+    operator_norm_est,
 )
 
 SMALLNESS_THRESHOLD = 1.0 / (8.0 * math.sqrt(2.0))
@@ -100,7 +102,7 @@ def diffusion_bounds(kappa, chart, grid, times):
     X1, X2 = grid.full_mesh()
     kmin, kmax = math.inf, -math.inf
     for t in times:
-        k = np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
+        k = _on_mesh(kappa, X1, X2, t)
         kmin = min(kmin, float(k.min()))
         kmax = max(kmax, float(k.max()))
     if kmin <= 0.0:
@@ -118,7 +120,7 @@ def coefficient_minima(chart, kappa, grid, times):
     m11 = m12 = m22 = math.inf
     for t in times:
         mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
-        k = np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
+        k = _on_mesh(kappa, X1, X2, t)
         m11 = min(m11, float((k * mf.ginv11).min()))
         m12 = min(m12, float((k * mf.ginv12).min()))
         m22 = min(m22, float((k * mf.ginv22).min()))
@@ -131,8 +133,6 @@ def lambda_select(chart, kappa, grid, times, margin=0.05):
     The second weight reads the diagonal component g^22 (the off-diagonal
     g^12 can vanish identically and cannot sit above a positive weight).
     """
-    if not 0.0 <= margin < 1.0:
-        raise ParameterError("margin must lie in [0, 1)")
     diffusion_bounds(kappa, chart, grid, times)
     return _weights_below(coefficient_minima(chart, kappa, grid, times), margin)
 
@@ -151,15 +151,15 @@ def _weights_below(minima, margin):
     return lam1, lam2
 
 
-def m_quantities(chart, kappa, lambda1, lambda2, grid, times, with_mixed_factor2=False):
+def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
     """Sup-norm coefficient quantities M1..M5 over the space-time scan.
 
     M1 pairs kappa*g11/G with lam2 and kappa*g22/G with lam1 plus the mixed
     term; M2/M3 are the metric first-derivative combinations; M4 the
-    diffusivity-gradient combinations; M5 the dilation rate.  With
-    ``with_mixed_factor2`` the mixed term of M1 is doubled, which is the
-    constant the second-order remainder bound actually uses; both values are
-    reported by the smallness report.
+    diffusivity-gradient combinations; M5 the dilation rate.  Returns
+    (M, m1_mixed2), where m1_mixed2 is M1 with the mixed term doubled, the
+    constant the second-order remainder bound actually uses; the smallness
+    report carries both.
     """
     X1, X2 = grid.full_mesh()
     M = np.zeros(5)
@@ -169,7 +169,7 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times, with_mixed_factor2
     k2 = kappa.partial("d2", dom, hor, grid.h_fd)
     for t in times:
         mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
-        k = np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
+        k = _on_mesh(kappa, X1, X2, t)
         G = mf.G
         term_a = np.abs(k * mf.g11 / G - lambda2).max()
         term_b = np.abs(k * mf.g22 / G - lambda1).max()
@@ -192,59 +192,26 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times, with_mixed_factor2
         M[3] = max(M[3], float(m4))
 
         M[4] = max(M[4], float(np.abs(0.5 * mf.dGdt / G).max()))
-    if with_mixed_factor2:
-        return M, m1_factor2
-    return M
+    return M, m1_factor2
 
 
 # ---------------------------------------------------------------------------
 # constant estimators
 
 
-def _comparison_basis(A, grid):
-    """SineBasis of A; ParameterError unless A = assemble_A(grid, l1, l2).
-
-    The weights are read off the neighbor couplings (from the diagonal when an
-    axis has one interior node), and the matrix must equal assemble_A with
-    them to roundoff.
-    """
-    if grid is None:
-        raise ParameterError("A is a bare matrix: pass the grid it was assembled on")
-    if A.shape != (grid.ndof, grid.ndof):
-        raise ParameterError(f"matrix of shape {A.shape} does not act on the "
-                             f"{grid.n1}x{grid.n2} grid")
-    lam1, lam2 = stencil_weights(A, grid)
-    q1, q2 = 2.0 / grid.h1 ** 2, 2.0 / grid.h2 ** 2
-    diag = float(A.diagonal().mean())
-    if grid.n1 == 1 and grid.n2 == 1:
-        lam1 = lam2 = diag / (q1 + q2)
-    elif grid.n1 == 1:
-        lam1 = (diag - q2 * lam2) / q1
-    elif grid.n2 == 1:
-        lam2 = (diag - q1 * lam1) / q2
-    if not (lam1 > 0.0 and lam2 > 0.0):
-        raise ParameterError("matrix is not the comparison operator A: "
-                             f"neighbor weights ({lam1}, {lam2}) are not positive")
-    ref = assemble_A(grid, lam1, lam2)
-    defect = abs(A - ref).max()
-    if not defect <= 1e-12 * abs(ref).max():
-        raise ParameterError("matrix is not the comparison operator A: it differs from "
-                             f"assemble_A(grid, {lam1}, {lam2}) by {defect:.3e}")
-    return SineBasis(grid, lam1, lam2)
-
-
-def estimate_C_sharp(A, grid, probes, seed=42):
+def estimate_C_sharp(grid, lambda1, lambda2, probes, seed=42):
     """Probe-based lower bound for the elliptic-regularity constant.
 
     Maximizes (||f|| + ||grad f|| + ||hess f||) / ||A f|| over random fields
     pushed through A^{-1} (so they live in the discrete operator domain) and
     over the lowest discrete eigenvector sin(pi i/(n1+1)) sin(pi j/(n2+1)).
-    A must be assemble_A(grid, lambda1, lambda2) (ParameterError otherwise);
-    A^{-1} is a division by the eigenvalues in its DST-I sine basis.
+    A = assemble_A(grid, lambda1, lambda2) (ParameterError unless the weights
+    are positive); A^{-1} is a division by the eigenvalues in its sine basis.
     """
     if probes < 1:
         raise ParameterError("need at least one probe")
-    basis = _comparison_basis(A, grid)
+    A = assemble_A(grid, lambda1, lambda2)
+    basis = SineBasis(grid, lambda1, lambda2)
     rng = np.random.default_rng(seed)
 
     def ratio(f):
@@ -257,7 +224,7 @@ def estimate_C_sharp(A, grid, probes, seed=42):
 
     best = 0.0
     for _ in range(probes):
-        g = rng.standard_normal(A.shape[0])
+        g = rng.standard_normal(grid.ndof)
         best = max(best, ratio(basis.inverse(basis.forward(g) / basis.eigenvalues)))
 
     s1 = np.sin(np.pi * np.arange(1, grid.n1 + 1) / (grid.n1 + 1))
@@ -291,38 +258,42 @@ def _spectral_cn_ratio(mu, fhat, rows, dt, w):
     return float(math.sqrt(num2 / den2))
 
 
-def maximal_regularity_ratio(A, grid, forcing_steps, dt):
+def maximal_regularity_ratio(grid, lambda1, lambda2, forcing_steps, dt):
     """Discrete maximal-regularity quotient for one forcing history.
 
     Marches dV/dt + A V = F from V(0) = 0 by Crank-Nicolson with the forcing
     sampled at step endpoints (array of shape (nsteps+1, ndof)) and returns
     sqrt(||dV/dt||^2 + ||A Vbar||^2) / ||Fbar||, all norms in L2(0,T; L2(U)).
-    For the selfadjoint non-negative A this quotient never exceeds 1.  A must
-    be assemble_A(grid, lambda1, lambda2) (ParameterError otherwise); the march
-    runs as one scalar recurrence per mode of its DST-I sine basis.
+    For the selfadjoint non-negative A this quotient never exceeds 1.
+    A = assemble_A(grid, lambda1, lambda2) (ParameterError unless the weights
+    are positive); the march runs as one scalar recurrence per sine mode.
     """
-    basis = _comparison_basis(A, grid)
+    if lambda1 <= 0 or lambda2 <= 0:
+        raise ParameterError(f"lambda coefficients must be positive, got ({lambda1}, {lambda2})")
+    basis = SineBasis(grid, lambda1, lambda2)
     F = np.asarray(forcing_steps, dtype=float)
     return _spectral_cn_ratio(basis.eigenvalues, basis.forward(F), range(F.shape[0]),
                               dt, grid.h1 * grid.h2)
 
 
-def estimate_C_A(A, T, probes, grid=None, seed=42, nsteps=200, pieces=8):
+def estimate_C_A(grid, lambda1, lambda2, T, probes, seed=42, nsteps=200, pieces=8):
     """Empirical maximal L2-regularity constant from random forcings.
 
     Forcing histories are piecewise constant in time over ``pieces``
     subintervals.  Probes with zero forcing are skipped.  The theoretical
-    value for a non-negative selfadjoint generator is 1, which condition
-    checks use by default; this estimator is the numerical cross-check.
-    ``grid`` is the grid A was assembled on (ParameterError when missing).
+    value for a non-negative selfadjoint generator is 1, which the condition
+    checks use; this estimator is the numerical cross-check.  A is as in
+    ``maximal_regularity_ratio``.
     """
     if probes < 1:
         raise ParameterError("need at least one probe")
     if T <= 0:
         raise ParameterError("horizon must be positive")
-    basis = _comparison_basis(A, grid)
+    if lambda1 <= 0 or lambda2 <= 0:
+        raise ParameterError(f"lambda coefficients must be positive, got ({lambda1}, {lambda2})")
+    basis = SineBasis(grid, lambda1, lambda2)
     rng = np.random.default_rng(seed)
-    n = A.shape[0]
+    n = grid.ndof
     dt = T / nsteps
     k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
     best = 0.0
@@ -403,13 +374,13 @@ def horizon_thm25(C_sharp, M5, C_A, T):
     return min(T, 0.5 * math.log1p(1.0 / q))
 
 
-def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42,
-                     c_a_used=1.0, estimate_ca=True, norm_iters=50):
+def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42):
     """Evaluate the three smallness hypotheses with estimated constants.
 
-    The empirical C_star is the discrete constant of the first-order/zeroth-
-    order remainder: the sum of the power-iteration norms of the B2..B5 parts,
-    maximized over the scanned times.
+    The conditions and horizons use the theoretical C_A = 1.  The empirical
+    C_star is the discrete constant of the first-order/zeroth-order
+    remainder: the power-iteration norms of the B2..B4 parts plus the exact
+    norm max |d0| of the diagonal B5, maximized over the scanned times.
     """
     times = list(times)
     if not times:
@@ -417,20 +388,20 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42,
     kmin, kmax = diffusion_bounds(kappa, chart, grid, times)
     minima = coefficient_minima(chart, kappa, grid, times)
     lam1, lam2 = _weights_below(minima, margin)
-    M, m1_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times, with_mixed_factor2=True)
+    M, m1_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times)
 
-    A = assemble_A(grid, lam1, lam2)
-    c_sharp = estimate_C_sharp(A, grid, probes, seed=seed)
-    c_a_est = estimate_C_A(A, min(chart.horizon, 1.0), max(1, probes // 4),
-                           grid=grid, seed=seed) if estimate_ca else float("nan")
+    c_sharp = estimate_C_sharp(grid, lam1, lam2, probes, seed=seed)
+    c_a_est = estimate_C_A(grid, lam1, lam2, min(chart.horizon, 1.0), max(1, probes // 4),
+                           seed=seed)
 
     c_star = 0.0
     for t in times:
-        parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, t,
-                                 norm_iters=norm_iters, seed=seed)
-        c_star = max(c_star, float(parts["norms"][1:].sum()))
+        parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, t)
+        b5_norm = float(np.abs(parts["B5"].diagonal()).max())   # B5 is diagonal
+        c_star = max(c_star, sum(operator_norm_est(parts[f"B{i}"], iters=50, seed=seed)
+                                 for i in (2, 3, 4)) + b5_norm)
 
-    ca = c_a_used
+    ca = 1.0
     lhs24 = c_sharp * M[0] * (ca + 1.0)
     lhs25 = c_sharp * M[:4].sum() * (ca + 1.0)
     lhs26 = c_sharp * M.sum() * (ca + 1.0)

@@ -19,6 +19,8 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       term.  Exact discrete product rules make the five parts
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
+                      It returns the matrices only; ``operator_norm_est``
+                      estimates a part's L2 norm by power iteration.
 
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 (one full-mesh evaluation of the metric and the diffusivity), L(t) and the
@@ -27,9 +29,10 @@ cell-centre metric of the energy ledger, each built on first use.
 it also holds the one test for a static problem, which gets a single frame.
 ``coefficient_fields`` and a standalone ``assemble_L`` go through a frame too.
 
-``SineBasis`` is the DST-I eigenbasis of A: every solve with A or I + s A
-(Picard stages, the C_sharp and C_A estimators, the GMRES preconditioner) is a
-division per mode there.  ``factorize`` (sparse LU) is left for a static L.
+``SineBasis`` is the DST-I eigenbasis of A, built from the grid and the
+weights: every solve with A or I + s A (Picard stages, the C_sharp and C_A
+estimators, the GMRES preconditioner) is a division per mode there.
+``factorize`` (sparse LU) is left for a static L.
 """
 
 from __future__ import annotations
@@ -273,15 +276,12 @@ def assemble_L(chart, kappa, grid, t, coefficients=None):
     return _stencil_matrix(grid, terms)
 
 
-def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, seed=0,
-                     coefficients=None):
+def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None):
     """Split L(t) - A into the five-part perturbation decomposition.
 
-    Returns {"B1"..."B5": CSR matrix, "norms": array of the five discrete
-    L2->L2 operator norms}.  The norms of B1..B4 are estimated by power
-    iteration; B5 is diagonal, so its norm is max |d0| exactly.  The parts sum
-    to assemble_L - assemble_A exactly up to roundoff.  ``coefficients`` is as
-    in ``assemble_L``.
+    Returns {"B1"..."B5": CSR matrix}; B5 is diagonal (d0).  The parts sum to
+    assemble_L - assemble_A exactly up to roundoff.  ``coefficients`` is as in
+    ``assemble_L``.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda coefficients must be positive")
@@ -342,11 +342,7 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, norm_iters=50, see
     # --- B5: zeroth-order dilation term
     B5 = _stencil_matrix(grid, [(0, 0, cf["d0"])])
 
-    mats = [B1, B2, B3, B4, B5]
-    out = {f"B{i+1}": m for i, m in enumerate(mats)}
-    out["norms"] = np.array([operator_norm_est(m, iters=norm_iters, seed=seed)
-                             for m in mats[:4]] + [float(np.abs(cf["d0"]).max())])
-    return out
+    return {"B1": B1, "B2": B2, "B3": B3, "B4": B4, "B5": B5}
 
 
 def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
@@ -447,7 +443,7 @@ def apply_stencil_full(values_full, grid, lambda1, lambda2):
     return -(lambda1 * d11 + lambda2 * d22)
 
 
-def verify_anisotropic_identities(grid, lambda1, lambda2, heat_steps=3):
+def verify_anisotropic_identities(grid, lambda1, lambda2):
     """Residual checks of the two closed-form identities of the operator.
 
     * fundamental solution: E(X) = log(lam2 X1^2 + lam1 X2^2)/2 is annihilated
@@ -455,7 +451,8 @@ def verify_anisotropic_identities(grid, lambda1, lambda2, heat_steps=3):
       is O(h^2).  The grid rectangle must exclude the origin.
     * rescaled heat solution: Phi(X, t) = phi(X1/sqrt(lam1), X2/sqrt(lam2), t)
       with phi a heat kernel solves the anisotropic heat equation; the
-      Crank-Nicolson residual is O(h^2 + dt^2) with dt tied to h.
+      Crank-Nicolson residual is O(h^2 + dt^2) with dt tied to h; three
+      steps are checked.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda coefficients must be positive")
@@ -482,7 +479,7 @@ def verify_anisotropic_identities(grid, lambda1, lambda2, heat_steps=3):
 
     dt = min(grid.h1, grid.h2)
     heat = 0.0
-    for k in range(heat_steps):
+    for k in range(3):
         t = k * dt
         f0, f1 = phi_pull(t), phi_pull(t + dt)
         resid = ((f1[1:-1, 1:-1] - f0[1:-1, 1:-1]) / dt
@@ -506,7 +503,7 @@ def factorize(matrix):
 def stencil_weights(mat, grid):
     """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings.
 
-    For A = assemble_A(grid, lambda1, lambda2) these are lambda1 and lambda2
+    The GMRES preconditioner reads them off L(t).  For A = assemble_A(grid, lambda1, lambda2) these are lambda1 and lambda2
     to roundoff; an axis with a single interior node has no couplings and
     reads 0.
     """

@@ -27,8 +27,8 @@ march looks frames up by the integer step index k and holds at most two, the
 pair one step touches; a static problem has a single frame.  Observers passed
 to ``solve_direct`` read each frame while the march holds it: the energy,
 decay and regularity reports of ``diagnostics.solve_reported`` do, and so
-does the caller that freezes B(t_k) = L(t_k) - A for ``solve_picard`` from
-the direct march it compares against.
+does the PerturbationFreezer that freezes B(t_k) = L(t_k) - A for
+``solve_picard`` from the direct march it compares against.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -96,6 +96,26 @@ def perturbation(L, A):
     the 9-point L and the 5-point A).
     """
     return (L - A).copy()
+
+
+class PerturbationFreezer:
+    """Observer ``(k, frame, traj)`` appending B(t_k) = L(t_k) - A to ``frozen``.
+
+    One ``perturbation`` per distinct StepFrame: the single frame of a static
+    problem gives one B, repeated.  The last frame is held, so ``is`` cannot
+    match a new frame at a reused address.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.frozen = []
+        self._frame = None
+
+    def __call__(self, k, frame, traj=None):
+        if frame is not self._frame:
+            self._frame = frame
+            self._B = perturbation(frame.L, self.A)
+        self.frozen.append(self._B)
 
 
 class _ComparisonStage:
@@ -315,12 +335,11 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
     Stage one solves dv/dt + A v = F; stage m+1 solves
     dv/dt + A v = -B(t) v_m + F with B(t) = L(t) - A frozen per step time.
     ``frozen_B`` is the list of B(t_k) for k = 0..nsteps when the caller has
-    frozen it already (``perturbation`` of the step frames of a direct
-    march, say);
-    otherwise it is frozen here from step frames.  Stops when the z-norm of a
-    consecutive difference drops below ``tol``.  Raises PicardDivergenceError
-    when max_iter is hit while the last ratio is at or above one (the
-    smallness condition is the quantity to check then).
+    frozen it already (a PerturbationFreezer observing a direct march, say);
+    otherwise it is frozen here, once per distinct step frame.  Stops when
+    the z-norm of a consecutive difference drops below ``tol``.  Raises
+    PicardDivergenceError when max_iter is hit while the last ratio is at or
+    above one (the smallness condition is the quantity to check then).
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
@@ -331,10 +350,13 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
     times = np.arange(nsteps + 1) * dt
     expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A).tocsr()
 
-    # B(t_k) frozen once per step time, shared across iterations
+    # B(t_k) frozen once per distinct step frame, shared across iterations
     if frozen_B is None:
         frames = StepFrames(chart, kappa, grid)
-        B_mats = [perturbation(frames(float(t)), A) for t in times]
+        freezer = PerturbationFreezer(A)
+        for k, t in enumerate(times):
+            freezer(k, frames.frame(float(t)))
+        B_mats = freezer.frozen
     elif len(frozen_B) == nsteps + 1:
         B_mats = frozen_B
     else:

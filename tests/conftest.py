@@ -1,9 +1,22 @@
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evolvesurf import make_chart, make_diffusion, make_grid
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants of local source files in its home
+    directory, ``.hypothesis/`` under the working directory by default; keep
+    that cache in the temporary directory instead of the working tree."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "evolvesurf-hypothesis")
 
 
 @pytest.fixture

@@ -100,7 +100,7 @@ def test_criterion_03_decomposition_sum():
     A = assemble_A(grid, lam1, lam2)
     worst = 0.0
     for t in times:
-        parts = assemble_B_parts(chart, KAPPA, grid, lam1, lam2, float(t), norm_iters=5)
+        parts = assemble_B_parts(chart, KAPPA, grid, lam1, lam2, float(t))
         total = sum(parts[f"B{i}"] for i in range(1, 6))
         L = assemble_L(chart, KAPPA, grid, float(t))
         worst = max(worst, float(np.abs(total - (L - A)).max()))

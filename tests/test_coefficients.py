@@ -10,19 +10,18 @@ from evolvesurf import (
     AssumptionViolationError,
     ParameterError,
     assemble_A,
-    assemble_L,
+    assemble_B_parts,
     estimate_C_A,
     estimate_C_sharp,
     horizon_thm24,
     horizon_thm25,
     lambda_select,
     m_quantities,
-    make_chart,
     make_diffusion,
     make_grid,
     smallness_report,
 )
-from evolvesurf import coefficients
+from evolvesurf import coefficients, operator
 from evolvesurf.coefficients import (
     SMALLNESS_THRESHOLD,
     Diffusion,
@@ -30,7 +29,13 @@ from evolvesurf.coefficients import (
     maximal_regularity_ratio,
 )
 from evolvesurf.geometry import metric_fields
-from evolvesurf.operator import field_l2, gradient_norm, hessian_seminorm
+from evolvesurf.operator import (
+    coefficient_fields,
+    field_l2,
+    gradient_norm,
+    hessian_seminorm,
+    operator_norm_est,
+)
 
 
 class TestLambdaSelect:
@@ -72,12 +77,12 @@ class TestDiffusionPresets:
 
 class TestMQuantities:
     def test_flat_all_vanish(self, flat, const_kappa, unit_grid):
-        M = m_quantities(flat, const_kappa, 1.0, 1.0, unit_grid, [0.0, 0.5, 1.0])
+        M, _ = m_quantities(flat, const_kappa, 1.0, 1.0, unit_grid, [0.0, 0.5, 1.0])
         assert_allclose(M, np.zeros(5), atol=1e-14)
 
     def test_isotropic_closed_forms(self, iso, const_kappa, unit_grid):
         lam = math.exp(-2.0)
-        M = m_quantities(iso, const_kappa, lam, lam, unit_grid, np.linspace(0, 1, 11))
+        M, _ = m_quantities(iso, const_kappa, lam, lam, unit_grid, np.linspace(0, 1, 11))
         assert M[0] == pytest.approx(2.0 * (1.0 - math.exp(-2.0)), rel=1e-12)
         assert_allclose(M[1:4], np.zeros(3), atol=1e-12)
         assert M[4] == pytest.approx(2.0, rel=1e-12)
@@ -85,7 +90,7 @@ class TestMQuantities:
     def test_monotone_in_scan_window(self, graph, const_kappa, unit_grid):
         lam = 0.9
         windows = [np.linspace(0, T, 5) for T in (0.5, 1.0, 2.0)]
-        sums = [m_quantities(graph, const_kappa, lam, lam, unit_grid, w).sum()
+        sums = [m_quantities(graph, const_kappa, lam, lam, unit_grid, w)[0].sum()
                 for w in windows]
         assert sums[0] <= sums[1] + 1e-14
         assert sums[1] <= sums[2] + 1e-14
@@ -97,26 +102,23 @@ class TestCSharpEstimator:
 
     def test_eigen_probe_near_continuum_value(self):
         grid = make_grid((0, 1, 0, 1), 63, 63)
-        A = assemble_A(grid, 1.0, 1.0)
-        est = estimate_C_sharp(A, grid, probes=8, seed=42)
+        est = estimate_C_sharp(grid, 1.0, 1.0, probes=8, seed=42)
         assert est == pytest.approx(self.EIGEN_QUOTIENT, rel=0.05)
 
     @pytest.mark.parametrize("c", [2.0, 10.0])
     def test_scales_as_inverse_lambda(self, unit_grid, c):
-        base = estimate_C_sharp(assemble_A(unit_grid, 1.0, 1.0), unit_grid, 8, seed=42)
-        scaled = estimate_C_sharp(assemble_A(unit_grid, c, c), unit_grid, 8, seed=42)
+        base = estimate_C_sharp(unit_grid, 1.0, 1.0, 8, seed=42)
+        scaled = estimate_C_sharp(unit_grid, c, c, 8, seed=42)
         assert base / scaled == pytest.approx(c, rel=0.05)
 
     def test_zero_probes_rejected(self, unit_grid):
-        A = assemble_A(unit_grid, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            estimate_C_sharp(A, unit_grid, probes=0)
+            estimate_C_sharp(unit_grid, 1.0, 1.0, probes=0)
 
 
 class TestCAEstimator:
     def test_never_exceeds_sqrt2(self, unit_grid):
-        A = assemble_A(unit_grid, 1.0, 1.0)
-        est = estimate_C_A(A, 1.0, probes=4, grid=unit_grid, seed=3, nsteps=100)
+        est = estimate_C_A(unit_grid, 1.0, 1.0, 1.0, probes=4, seed=3, nsteps=100)
         assert est <= math.sqrt(2.0) + 1e-9
         assert est <= 1.0 + 1e-9  # sharp discrete bound for the CN march
 
@@ -126,7 +128,7 @@ class TestCAEstimator:
         mu, phi = float(vals[0]), vecs[:, 0]
         T, nsteps = 2.0, 2000
         F = np.tile(phi, (nsteps + 1, 1))
-        ratio = maximal_regularity_ratio(A, unit_grid, F, T / nsteps)
+        ratio = maximal_regularity_ratio(unit_grid, 1.0, 1.0, F, T / nsteps)
         num = ((1 - math.exp(-2 * mu * T)) / (2 * mu)
                + T - 2 * (1 - math.exp(-mu * T)) / mu
                + (1 - math.exp(-2 * mu * T)) / (2 * mu))
@@ -140,14 +142,13 @@ class TestCAEstimator:
         for T in (0.5, 4.0):
             nsteps = max(200, int(T * 400))
             F = np.tile(phi, (nsteps + 1, 1))
-            ratios.append(maximal_regularity_ratio(A, unit_grid, F, T / nsteps))
+            ratios.append(maximal_regularity_ratio(unit_grid, 1.0, 1.0, F, T / nsteps))
         assert ratios[1] > ratios[0]
         assert ratios[1] == pytest.approx(1.0, abs=0.02)
 
     def test_zero_forcing_skipped(self, unit_grid):
-        A = assemble_A(unit_grid, 1.0, 1.0)
         F = np.zeros((11, unit_grid.ndof))
-        assert maximal_regularity_ratio(A, unit_grid, F, 0.1) is None
+        assert maximal_regularity_ratio(unit_grid, 1.0, 1.0, F, 0.1) is None
 
 
 def _lu_C_sharp(mat, grid, probes, seed):
@@ -208,14 +209,14 @@ class TestSpectralEstimators:
         grid = make_grid(domain, n1, n2)
         A = assemble_A(grid, lam1, lam2)
         ref = _lu_C_sharp(A, grid, 6, seed=5)
-        assert estimate_C_sharp(A, grid, 6, seed=5) == pytest.approx(ref, rel=1e-12)
+        assert estimate_C_sharp(grid, lam1, lam2, 6, seed=5) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
     def test_C_A_matches_lu_reference(self, domain, n1, n2, lam1, lam2):
         grid = make_grid(domain, n1, n2)
         A = assemble_A(grid, lam1, lam2)
         ref = _lu_C_A(A, 0.7, 3, seed=11, nsteps=60, pieces=5)
-        est = estimate_C_A(A, 0.7, 3, grid=grid, seed=11, nsteps=60, pieces=5)
+        est = estimate_C_A(grid, lam1, lam2, 0.7, 3, seed=11, nsteps=60, pieces=5)
         assert est == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("domain,n1,n2,lam1,lam2", SPECTRAL_CASES)
@@ -224,38 +225,31 @@ class TestSpectralEstimators:
         A = assemble_A(grid, lam1, lam2)
         F = np.random.default_rng(2).standard_normal((41, grid.ndof))
         ref = _lu_mr_ratio(A, F, 0.01)
-        assert maximal_regularity_ratio(A, grid, F, 0.01) == pytest.approx(ref, rel=1e-12)
+        est = maximal_regularity_ratio(grid, lam1, lam2, F, 0.01)
+        assert est == pytest.approx(ref, rel=1e-12)
 
-    def test_non_comparison_operator_rejected(self, unit_grid):
-        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.05, omega=1.0)
-        L = assemble_L(chart, make_diffusion("constant", value=1.0), unit_grid, 0.3)
+    @pytest.mark.parametrize("lam1,lam2", [(0.0, 1.0), (1.0, -0.5)])
+    def test_non_positive_weights_rejected(self, unit_grid, lam1, lam2):
         F = np.ones((3, unit_grid.ndof))
-        with pytest.raises(ParameterError, match="comparison operator"):
-            estimate_C_sharp(L, unit_grid, 2)
-        with pytest.raises(ParameterError, match="comparison operator"):
-            estimate_C_A(L, 1.0, 1, grid=unit_grid)
-        with pytest.raises(ParameterError, match="comparison operator"):
-            maximal_regularity_ratio(L, unit_grid, F, 0.1)
-
-    def test_operator_of_another_grid_rejected(self, unit_grid):
-        A = assemble_A(make_grid((0.0, 1.0, 0.0, 1.0), 15, 16), 1.0, 1.0)
-        with pytest.raises(ParameterError, match="does not act on"):
-            estimate_C_sharp(A, unit_grid, 2)
-
-    def test_bare_matrix_needs_grid(self, unit_grid):
-        A = assemble_A(unit_grid, 1.0, 1.0)
-        with pytest.raises(ParameterError, match="grid"):
-            estimate_C_A(A, 1.0, 2)
+        with pytest.raises(ParameterError, match="positive"):
+            estimate_C_sharp(unit_grid, lam1, lam2, 2)
+        with pytest.raises(ParameterError, match="positive"):
+            estimate_C_A(unit_grid, lam1, lam2, 1.0, 1)
+        with pytest.raises(ParameterError, match="positive"):
+            maximal_regularity_ratio(unit_grid, lam1, lam2, F, 0.1)
 
     @pytest.mark.parametrize("n1,n2", [(1, 9), (9, 1), (1, 1)])
     def test_single_node_axis(self, n1, n2):
-        # an axis with one interior node has no neighbor couplings to read
-        # its weight from; it comes from the diagonal
+        # an axis with one interior node has no neighbor couplings; its
+        # weight only enters through the diagonal
         grid = make_grid((0.0, 1.0, 0.0, 2.0), n1, n2)
         A = assemble_A(grid, 0.8, 1.7)
         ref = _lu_C_A(A, 0.5, 2, seed=1, nsteps=20, pieces=4)
-        assert estimate_C_A(A, 0.5, 2, grid=grid, seed=1, nsteps=20,
+        assert estimate_C_A(grid, 0.8, 1.7, 0.5, 2, seed=1, nsteps=20,
                             pieces=4) == pytest.approx(ref, rel=1e-12)
+        F = np.random.default_rng(2).standard_normal((11, grid.ndof))
+        assert maximal_regularity_ratio(grid, 0.8, 1.7, F, 0.01) == pytest.approx(
+            _lu_mr_ratio(A, F, 0.01), rel=1e-12)
 
 
 class TestSmallnessReport:
@@ -303,6 +297,29 @@ class TestSmallnessReport:
         rep = smallness_report(graph, const_kappa, unit_grid, times, probes=4)
         assert len(calls) == 2 * len(times)
         assert (rep.lambda1, rep.lambda2) == lambda_select(graph, const_kappa, unit_grid, times)
+
+
+    def test_power_iterations_only_for_B2_to_B4(self, graph, const_kappa, unit_grid,
+                                                count_calls):
+        calls = count_calls(operator, "operator_norm_est")
+        times = np.linspace(0.0, 1.0, 5)
+        smallness_report(graph, const_kappa, unit_grid, times, probes=4)
+        assert len(calls) == 3 * len(times)
+
+    def test_C_star_sums_B2_to_B4_power_norms_and_exact_B5(self, graph, unit_grid):
+        # B5 is diagonal: its norm is max |d0|, which the power iteration
+        # only approaches from below
+        kap = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        times = np.linspace(0.0, 1.0, 4)
+        rep = smallness_report(graph, kap, unit_grid, times, probes=4, seed=9)
+        sums = []
+        for t in times:
+            parts = assemble_B_parts(graph, kap, unit_grid, rep.lambda1, rep.lambda2, t)
+            d0 = coefficient_fields(graph, kap, unit_grid, t)["d0"]
+            power = [operator_norm_est(parts[f"B{i}"], iters=50, seed=9) for i in (2, 3, 4)]
+            sums.append(power[0] + power[1] + power[2] + np.abs(d0).max())
+            assert operator_norm_est(parts["B5"]) <= np.abs(d0).max()
+        assert rep.C_star_est == max(sums)
 
 
 class TestHorizonFormulas:

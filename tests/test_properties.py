@@ -1,0 +1,82 @@
+"""Property tests over drawn grids and weights.
+
+Grids have n1 != n2 nodes per axis (single-node axes included) on
+non-unit rectangles; the comparison weights lie in [0.2, 3].  The draws are
+derandomized and no example database is kept (conftest.py moves Hypothesis's
+cache of source constants to the temporary directory).
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from evolvesurf import (  # noqa: E402
+    assemble_A,
+    assemble_B_parts,
+    assemble_L,
+    estimate_C_A,
+    estimate_C_sharp,
+    make_chart,
+    make_diffusion,
+    make_grid,
+)
+from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio  # noqa: E402
+from evolvesurf.geometry import PRESET_NAMES  # noqa: E402
+from evolvesurf.operator import shifted_A_solver  # noqa: E402
+
+from test_coefficients import _lu_C_A, _lu_C_sharp, _lu_mr_ratio  # noqa: E402
+
+PROPERTY = settings(max_examples=20, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def grids(draw):
+    n1 = draw(st.integers(1, 12))
+    n2 = draw(st.integers(1, 12).filter(lambda n: n != n1))
+    a = draw(st.floats(-1.0, 1.0))
+    c = draw(st.floats(-1.0, 1.0))
+    b = a + draw(st.floats(0.3, 2.5))
+    d = c + draw(st.floats(0.3, 2.5))
+    return make_grid((a, b, c, d), n1, n2)
+
+
+weights = st.floats(0.2, 3.0)
+
+
+@PROPERTY
+@given(grid=grids(), lam1=weights, lam2=weights, seed=st.integers(0, 2 ** 16))
+def test_estimators_match_lu_references(grid, lam1, lam2, seed):
+    A = assemble_A(grid, lam1, lam2)
+    assert estimate_C_sharp(grid, lam1, lam2, 3, seed=seed) == pytest.approx(
+        _lu_C_sharp(A, grid, 3, seed), rel=1e-12)
+    assert estimate_C_A(grid, lam1, lam2, 0.6, 2, seed=seed, nsteps=24, pieces=3) == \
+        pytest.approx(_lu_C_A(A, 0.6, 2, seed, nsteps=24, pieces=3), rel=1e-12)
+    F = np.random.default_rng(seed).standard_normal((9, grid.ndof))
+    assert maximal_regularity_ratio(grid, lam1, lam2, F, 0.02) == pytest.approx(
+        _lu_mr_ratio(A, F, 0.02), rel=1e-12)
+
+
+@PROPERTY
+@given(grid=grids(), lam1=weights, lam2=weights, shift=st.floats(1e-4, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_shifted_A_solver_inverts_I_plus_sA(grid, lam1, lam2, shift, seed):
+    system = sp.identity(grid.ndof) + shift * assemble_A(grid, lam1, lam2)
+    r = np.random.default_rng(seed).standard_normal(grid.ndof)
+    v = shifted_A_solver(grid, lam1, lam2, shift)(r)
+    scale = abs(system).sum(axis=1).max()   # infinity norm of I + sA
+    assert np.linalg.norm(system @ v - r) <= 1e-13 * scale * np.linalg.norm(r)
+
+
+@PROPERTY
+@given(grid=grids(), lam1=weights, lam2=weights, preset=st.sampled_from(PRESET_NAMES),
+       diffusion=st.sampled_from(DIFFUSION_PRESETS), t=st.floats(0.0, 2.0))
+def test_B_parts_sum_to_L_minus_A(grid, lam1, lam2, preset, diffusion, t):
+    chart = make_chart(preset, domain=grid.domain, horizon=2.0)
+    kappa = make_diffusion(diffusion)
+    parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, t)
+    total = sum(parts[f"B{i}"] for i in range(1, 6))
+    defect = total - (assemble_L(chart, kappa, grid, t) - assemble_A(grid, lam1, lam2))
+    assert abs(defect).max() <= 1e-10

@@ -420,19 +420,43 @@ class TestStepFrames:
         v0 = eigenmode(unit_grid)
         own, own_hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3)
         assembled = count_calls(operator, "assemble_L")
-        A = assemble_A(unit_grid, lam1, lam2)
-        frozen = []
+        freezer = timestepper.PerturbationFreezer(assemble_A(unit_grid, lam1, lam2))
         direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, traj:
-                                         frozen.append(timestepper.perturbation(frame.L, A)),))
+                              observers=(freezer,))
+        frozen = freezer.frozen
         shared, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
                                     frozen_B=frozen)
         assert len(assembled) == direct.nsteps + 1
+        assert len({id(B) for B in frozen}) == direct.nsteps + 1
         assert np.array_equal(shared.fields, own.fields)
         assert hist.diff_norms == own_hist.diff_norms
         with pytest.raises(ParameterError, match="frozen B"):
             solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
                          frozen_B=frozen[:-1])
+
+    def test_static_problem_freezes_one_B(self, const_kappa, eigenmode, count_calls):
+        chart = make_chart("translating_patch", horizon=1.0)
+        grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 9)
+        lam1, lam2 = lambda_select(chart, const_kappa, grid, [0.0])
+        A = assemble_A(grid, lam1, lam2)
+        v0 = eigenmode(grid)
+        freezer = timestepper.PerturbationFreezer(A)
+        direct = solve_direct(chart, const_kappa, grid, v0, 0.02, 2e-3, observers=(freezer,))
+        assert len(freezer.frozen) == direct.nsteps + 1
+        assert len({id(B) for B in freezer.frozen}) == 1
+        # one separate B per step time, as frozen before
+        L = assemble_L(chart, const_kappa, grid, 0.0)
+        per_step = [timestepper.perturbation(L, A) for _ in range(direct.nsteps + 1)]
+        ref, ref_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
+                                     frozen_B=per_step)
+        shared, hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
+                                    frozen_B=freezer.frozen)
+        frozen_here = count_calls(timestepper, "perturbation")
+        own, own_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3)
+        assert len(frozen_here) == 1
+        assert np.array_equal(shared.fields, ref.fields)
+        assert np.array_equal(own.fields, ref.fields)
+        assert hist.diff_norms == own_hist.diff_norms == ref_hist.diff_norms
 
     def test_perturbation_holds_only_its_entries(self, graph, const_kappa, unit_grid):
         L = assemble_L(graph, const_kappa, unit_grid, 0.7)
