@@ -8,9 +8,9 @@ Subcommands:
 * ``picard`` -- fixed-point solve, contraction history, two-solver agreement;
                 the direct march of the agreement check freezes the Picard
                 perturbations B(t_k) from its step frames;
-* ``verify`` -- the structural invariant suite (metric identities, operator
-                reductions, decomposition sum, perturbation bound, anisotropic
-                oracles, dilation identity);
+* ``verify`` -- the structural invariant suite ``checks.VERIFY`` (metric
+                identities, operator reductions, decomposition sum, perturbation
+                bound, anisotropic oracles, dilation identity);
 * ``mms``    -- manufactured-solution refinement study.
 
 Outputs land in the configured directory: report.txt (key = value lines),
@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import checks as ck
 from . import coefficients as co
 from . import diagnostics as dg
-from . import geometry as geo
 from . import operator as op
 from . import timestepper as ts
 from .config import (
@@ -103,140 +102,12 @@ class _Timer:
 # verify suite
 
 
-def _metric_identity_checks(cfg, rng):
-    """Random space-time samples: inverse-metric identity and positivity."""
-    checks = []
-    nsamples = 2000
-    for name in geo.PRESET_NAMES:
-        params = cfg.surface_params if name == cfg.surface_preset else {}
-        chart = geo.make_chart(name, domain=cfg.domain, horizon=cfg.horizon, **params)
-        a, b, c, d = chart.domain
-        x1 = rng.uniform(a, b, nsamples)
-        x2 = rng.uniform(c, d, nsamples)
-        worst = 0.0
-        g_min = math.inf
-        for t in rng.uniform(0.0, chart.horizon, 5):
-            mf = geo.metric_fields(chart, x1, x2, float(t), want_dGdt=False)
-            prod11 = mf.ginv11 * mf.g11 + mf.ginv12 * mf.g12
-            prod12 = mf.ginv11 * mf.g12 + mf.ginv12 * mf.g22
-            prod22 = mf.ginv12 * mf.g12 + mf.ginv22 * mf.g22
-            worst = max(worst, float(np.max(np.abs(prod11 - 1.0))),
-                        float(np.max(np.abs(prod12))),
-                        float(np.max(np.abs(prod22 - 1.0))))
-            g_min = min(g_min, float(np.min(mf.G)))
-        checks.append({"name": f"metric_identity_{name}", "value": worst,
-                       "tol": 1e-12, "passed": worst <= 1e-12})
-        checks.append({"name": f"metric_positive_{name}", "value": g_min,
-                       "tol": 0.0, "passed": g_min > 0.0})
-    return checks
-
-
-def _operator_reduction_checks(cfg):
-    checks = []
-    grid = geo.make_grid(cfg.domain, min(cfg.n1, 32), min(cfg.n2, 32), h_fd=cfg.h_fd)
-    kap = co.make_diffusion("constant", value=1.0)
-    unit = geo.make_grid((0.0, 1.0, 0.0, 1.0), grid.n1, grid.n2)
-
-    flat = geo.make_chart("flat_static", domain=unit.domain, horizon=1.0)
-    A = op.assemble_A(unit, 1.0, 1.0)
-    L = op.assemble_L(flat, kap, unit, 0.5)
-    v = float(np.abs(L - A).max())
-    checks.append({"name": "reduction_flat", "value": v, "tol": 1e-12, "passed": v <= 1e-12})
-
-    iso = geo.make_chart("isotropic_scaling", domain=unit.domain, horizon=1.0, gamma=1.0)
-    ident = sp.identity(unit.ndof)
-    worst = 0.0
-    for t in (0.0, 0.5, 1.0):
-        Lt = op.assemble_L(iso, kap, unit, t)
-        ref = math.exp(-2.0 * t) * A + 2.0 * ident
-        worst = max(worst, float(np.abs(Lt - ref).max()))
-    checks.append({"name": "reduction_isotropic", "value": worst, "tol": 1e-10,
-                   "passed": worst <= 1e-10})
-    return checks
-
-
-def _decomposition_checks(cfg, rng):
-    checks = []
-    unit = geo.make_grid((0.0, 1.0, 0.0, 1.0), 32, 32)
-    kap = co.make_diffusion("constant", value=1.0)
-    chart = geo.make_chart("graph_oscillation", domain=unit.domain,
-                           horizon=max(cfg.horizon, 1.0), epsilon=0.05, omega=1.0)
-    times = np.linspace(0.0, chart.horizon, 5)
-    rep = co.smallness_report(chart, kap, unit, times, margin=cfg.margin,
-                              probes=max(4, cfg.probes // 4), seed=cfg.seed)
-    lam1, lam2 = rep.lambda1, rep.lambda2
-    A = op.assemble_A(unit, lam1, lam2)
-
-    worst = 0.0
-    for t in times:
-        frame = op.StepFrame(chart, kap, unit, float(t))
-        parts = op.assemble_B_parts(chart, kap, unit, lam1, lam2, float(t),
-                                    coefficients=frame.coefficients)
-        S = sum(parts[f"B{i}"] for i in range(1, 6))
-        worst = max(worst, float(np.abs(S - (frame.L - A)).max()))
-    checks.append({"name": "decomposition_sum", "value": worst, "tol": 1e-10,
-                   "passed": worst <= 1e-10})
-
-    d, scale = op.weighted_symmetry_defect(chart, kap, unit, float(times[-1]))
-    tol = 1e-10 * max(scale, 1.0)
-    checks.append({"name": "weighted_selfadjointness", "value": d, "tol": tol,
-                   "passed": d <= tol})
-
-    # perturbation bound with estimated constants, inflated by 1.1
-    B = op.assemble_B(chart, kap, unit, lam1, lam2, float(times[-1]))
-    bound = 2.0 * rep.C_sharp_est * rep.M.sum() * 1.1
-    violations = 0
-    for _ in range(100):
-        f = rng.standard_normal(unit.ndof)
-        lhs = op.field_l2(B @ f, unit)
-        rhs = bound * op.field_l2(A @ f, unit)
-        if lhs > rhs:
-            violations += 1
-    checks.append({"name": "perturbation_bound_violations", "value": float(violations),
-                   "tol": 0.0, "passed": violations == 0})
-    return checks
-
-
-def _anisotropic_checks():
-    checks = []
-    res = {}
-    for n in (31, 63):
-        g = geo.make_grid((1.0, 2.0, 1.0, 2.0), n, n)
-        res[n] = op.verify_anisotropic_identities(g, 1.0, 1.0)
-    for key in ("fundsol_residual", "scaled_heat_residual"):
-        factor = res[31][key] / res[63][key]
-        checks.append({"name": f"order2_{key.replace('_residual', '')}", "value": factor,
-                       "tol": 4.5, "passed": 3.5 <= factor <= 4.5})
-    return checks
-
-
-def _dilation_identity_checks(cfg):
-    checks = []
-    grid = geo.make_grid(cfg.domain, min(cfg.n1, 32), min(cfg.n2, 32), h_fd=cfg.h_fd)
-    for name in geo.PRESET_NAMES:
-        params = cfg.surface_params if name == cfg.surface_preset else {}
-        chart = geo.make_chart(name, domain=cfg.domain, horizon=cfg.horizon, **params)
-        t_mid = 0.5 * chart.horizon
-        r = dg.transport_identity_residual(chart, grid, t_mid)
-        tol = 1e-5
-        checks.append({"name": f"dilation_identity_{name}", "value": r, "tol": tol,
-                       "passed": r <= tol})
-    return checks
-
-
 def run_verify(cfg):
     report = RunReport("verify")
     rng = np.random.default_rng(cfg.seed)
-    with _Timer(report, "metric"):
-        report.verify_checks += _metric_identity_checks(cfg, rng)
-    with _Timer(report, "reduction"):
-        report.verify_checks += _operator_reduction_checks(cfg)
-    with _Timer(report, "decomposition"):
-        report.verify_checks += _decomposition_checks(cfg, rng)
-    with _Timer(report, "anisotropic"):
-        report.verify_checks += _anisotropic_checks()
-    with _Timer(report, "dilation"):
-        report.verify_checks += _dilation_identity_checks(cfg)
+    for group, checks in ck.VERIFY:
+        with _Timer(report, group):
+            report.verify_checks += checks(cfg, rng)
     for c in report.verify_checks:
         if not c["passed"]:
             report.failures.append(f"verify check failed: {c['name']} = {c['value']:.3e}")

@@ -97,7 +97,7 @@ def make_diffusion(name, **params):
     raise ParameterError(f"unknown diffusion preset '{name}'")
 
 
-def diffusion_bounds(kappa, chart, grid, times):
+def diffusion_bounds(kappa, grid, times):
     """Scan kappa over the closure grid; enforce the positivity assumption."""
     X1, X2 = grid.full_mesh()
     kmin, kmax = math.inf, -math.inf
@@ -133,7 +133,7 @@ def lambda_select(chart, kappa, grid, times, margin=0.05):
     The second weight reads the diagonal component g^22 (the off-diagonal
     g^12 can vanish identically and cannot sit above a positive weight).
     """
-    diffusion_bounds(kappa, chart, grid, times)
+    diffusion_bounds(kappa, grid, times)
     return _weights_below(coefficient_minima(chart, kappa, grid, times), margin)
 
 
@@ -385,7 +385,7 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     times = list(times)
     if not times:
         raise ParameterError("empty time sample")
-    kmin, kmax = diffusion_bounds(kappa, chart, grid, times)
+    kmin, kmax = diffusion_bounds(kappa, grid, times)
     minima = coefficient_minima(chart, kappa, grid, times)
     lam1, lam2 = _weights_below(minima, margin)
     M, m1_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times)

@@ -132,8 +132,8 @@ def parse_config(text):
         v, ln = r.take("surface", key)
         if v is not None:
             domain[i] = _to_float(v, key, ln)
-    if not (domain[1] > domain[0] and domain[3] > domain[2]):
-        raise ConfigError("domain rectangle is degenerate", key="x1_max")
+        if i % 2 and not domain[i] > domain[i - 1]:
+            raise ConfigError("domain rectangle is degenerate", key=key, line=ln)
 
     surface_params = {}
     for key in _SURFACE_PARAM_KEYS:
@@ -195,12 +195,13 @@ def parse_config(text):
     scan_times = _to_int(scan_s, "scan_times", ln)
     if scan_times < 2:
         raise ConfigError("scan_times must be at least 2", key="scan_times", line=ln)
-    k1_s, ln = r.take("solver", "v0_k1", default="1")
-    v0_k1 = _to_int(k1_s, "v0_k1", ln)
-    k2_s, ln = r.take("solver", "v0_k2", default="1")
-    v0_k2 = _to_int(k2_s, "v0_k2", ln)
-    if v0_k1 < 1 or v0_k2 < 1:
-        raise ConfigError("initial-datum mode numbers must be positive", key="v0_k1", line=ln)
+    modes = []
+    for key in ("v0_k1", "v0_k2"):
+        k_s, ln = r.take("solver", key, default="1")
+        modes.append(_to_int(k_s, key, ln))
+        if modes[-1] < 1:
+            raise ConfigError("initial-datum mode numbers must be positive", key=key, line=ln)
+    v0_k1, v0_k2 = modes
 
     out_dir, _ = r.take("output", "directory", default="out")
     stride_s, ln = r.take("output", "snapshot_stride", default="10")

@@ -25,8 +25,9 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 (one full-mesh evaluation of the metric and the diffusivity), L(t) and the
 cell-centre metric of the energy ledger, each built on first use.
-``StepFrames`` builds them for the march, the reports and the verify checks;
-it also holds the one test for a static problem, which gets a single frame.
+``StepFrames`` builds them for the march and the reports; it also holds the
+one test for a static problem, which gets a single frame.  The verify checks
+and ``weighted_symmetry_defect`` read single frames.
 ``coefficient_fields`` and a standalone ``assemble_L`` go through a frame too.
 
 ``SineBasis`` is the DST-I eigenbasis of A, built from the grid and the
@@ -420,15 +421,14 @@ def sobolev_h1_norm(values, grid):
 # structural diagnostics
 
 
-def weighted_symmetry_defect(chart, kappa, grid, t):
-    """Asymmetry of W (L - D0) with W = diag(sqrtG h1 h2), relative scale.
+def weighted_symmetry_defect(frame):
+    """Asymmetry of W (L - D0) with W = diag(sqrtG h1 h2) at a StepFrame, relative scale.
 
     The divergence-form part of the operator is selfadjoint in L2(sqrtG dX);
     its flux discretization should reproduce that to roundoff.
     """
-    frame = StepFrame(chart, kappa, grid, t)
     cf = frame.coefficients
-    w = (cf["R_int"] * grid.h1 * grid.h2).ravel()
+    w = (cf["R_int"] * frame.grid.h1 * frame.grid.h2).ravel()
     M = sp.diags(w) @ (frame.L - sp.diags(cf["d0"].ravel()))
     defect = np.abs((M - M.T)).max()
     scale = np.abs(M).max()

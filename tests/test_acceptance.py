@@ -12,8 +12,6 @@ import numpy as np
 from evolvesurf import (
     assemble_A,
     assemble_B,
-    assemble_B_parts,
-    assemble_L,
     decay_report,
     energy_report,
     horizon_thm25,
@@ -26,10 +24,15 @@ from evolvesurf import (
     smallness_report,
     solve_direct,
     solve_picard,
-    verify_anisotropic_identities,
 )
-from evolvesurf.geometry import PRESET_NAMES, metric_fields
-from evolvesurf.operator import field_l2
+from evolvesurf.checks import (
+    bound_violations,
+    decomposition_defect,
+    halving_factors,
+    inverse_metric_defect,
+    reduction_defects,
+)
+from evolvesurf.geometry import PRESET_NAMES
 
 
 def _report(num, ok, detail):
@@ -54,16 +57,9 @@ def test_criterion_01_metric_identities():
         chart = make_chart(name, horizon=2.0)
         x1 = rng.uniform(0.0, 1.0, 10_000)
         x2 = rng.uniform(0.0, 1.0, 10_000)
-        t = rng.uniform(0.0, 2.0)
-        mf = metric_fields(chart, x1, x2, float(t), want_dGdt=False)
-        p11 = mf.ginv11 * mf.g11 + mf.ginv12 * mf.g12
-        p12 = mf.ginv11 * mf.g12 + mf.ginv12 * mf.g22
-        p22 = mf.ginv12 * mf.g12 + mf.ginv22 * mf.g22
-        worst = max(worst,
-                    float(np.max(np.abs(p11 - 1.0))),
-                    float(np.max(np.abs(p12))),
-                    float(np.max(np.abs(p22 - 1.0))))
-        g_min = min(g_min, float(np.min(mf.G)))
+        defect, g = inverse_metric_defect(chart, x1, x2, [rng.uniform(0.0, 2.0)])
+        worst = max(worst, defect)
+        g_min = min(g_min, g)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and g_min > 0.0 and elapsed < 1.0
     _report(1, ok, f"inverse-metric defect {worst:.2e} (tol 1e-12), "
@@ -71,21 +67,8 @@ def test_criterion_01_metric_identities():
 
 
 def test_criterion_02_operator_reduction():
-    import scipy.sparse as sp
-
     t0 = time.perf_counter()
-    grid = make_grid((0, 1, 0, 1), 32, 32)
-    A = assemble_A(grid, 1.0, 1.0)
-
-    flat = make_chart("flat_static", horizon=1.0)
-    d_flat = float(np.abs(assemble_L(flat, KAPPA, grid, 0.5) - A).max())
-
-    iso = make_chart("isotropic_scaling", horizon=1.0, gamma=1.0)
-    ident = sp.identity(grid.ndof)
-    d_iso = 0.0
-    for t in (0.0, 0.5, 1.0):
-        ref = math.exp(-2.0 * t) * A + 2.0 * ident
-        d_iso = max(d_iso, float(np.abs(assemble_L(iso, KAPPA, grid, t) - ref).max()))
+    d_flat, d_iso = reduction_defects(make_grid((0, 1, 0, 1), 32, 32))
     elapsed = time.perf_counter() - t0
     ok = d_flat <= 1e-12 and d_iso <= 1e-10 and elapsed < 1.0
     _report(2, ok, f"flat defect {d_flat:.2e} (tol 1e-12), isotropic defect "
@@ -97,13 +80,7 @@ def test_criterion_03_decomposition_sum():
     chart = make_chart("graph_oscillation", horizon=2.0, epsilon=0.05, omega=1.0)
     times = np.linspace(0.0, 2.0, 5)
     lam1, lam2 = lambda_select(chart, KAPPA, grid, times)
-    A = assemble_A(grid, lam1, lam2)
-    worst = 0.0
-    for t in times:
-        parts = assemble_B_parts(chart, KAPPA, grid, lam1, lam2, float(t))
-        total = sum(parts[f"B{i}"] for i in range(1, 6))
-        L = assemble_L(chart, KAPPA, grid, float(t))
-        worst = max(worst, float(np.abs(total - (L - A)).max()))
+    worst, _ = decomposition_defect(chart, KAPPA, grid, lam1, lam2, times)
     ok = worst <= 1e-10
     _report(3, ok, f"five-part sum defect {worst:.2e} over 5 times (tol 1e-10)")
 
@@ -115,16 +92,8 @@ def test_criterion_04_relative_bound():
     bound = 2.0 * rep.C_sharp_est * rep.M.sum() * 1.1
     A = assemble_A(grid, rep.lambda1, rep.lambda2)
     B = assemble_B(chart, KAPPA, grid, rep.lambda1, rep.lambda2, 0.9)
-    rng = np.random.default_rng(42)
-    violations = 0
-    min_slack = math.inf
-    for _ in range(100):
-        f = rng.standard_normal(grid.ndof)
-        lhs = field_l2(B @ f, grid)
-        rhs = bound * field_l2(A @ f, grid)
-        min_slack = min(min_slack, rhs - lhs)
-        if lhs > rhs:
-            violations += 1
+    fields = np.random.default_rng(42).standard_normal((100, grid.ndof))
+    violations, min_slack = bound_violations(B, A, bound, grid, fields)
     ok = violations == 0
     _report(4, ok, f"{violations} violations over 100 seeded fields "
                    f"(min slack {min_slack:.3e})")
@@ -223,12 +192,9 @@ def test_criterion_09_condition_arithmetic():
 
 
 def test_criterion_10_anisotropic_oracles():
-    res = {}
-    for n in (31, 63):
-        g = make_grid((1, 2, 1, 2), n, n)
-        res[n] = verify_anisotropic_identities(g, 1.0, 1.0)
-    f_fund = res[31]["fundsol_residual"] / res[63]["fundsol_residual"]
-    f_heat = res[31]["scaled_heat_residual"] / res[63]["scaled_heat_residual"]
+    factors = halving_factors()
+    f_fund = factors["fundsol_residual"]
+    f_heat = factors["scaled_heat_residual"]
     ok = 3.5 <= f_fund <= 4.5 and 3.5 <= f_heat <= 4.5
     _report(10, ok, f"halving factors: fundamental solution {f_fund:.2f}, "
                     f"rescaled heat {f_heat:.2f} (range [3.5, 4.5])")

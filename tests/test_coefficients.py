@@ -65,9 +65,9 @@ class TestLambdaSelect:
 
 
 class TestDiffusionPresets:
-    def test_sinusoidal_bounds(self, flat, unit_grid):
+    def test_sinusoidal_bounds(self, unit_grid):
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
-        kmin, kmax = diffusion_bounds(kap, flat, unit_grid, [0.0])
+        kmin, kmax = diffusion_bounds(kap, unit_grid, [0.0])
         assert 0.7 <= kmin <= 1.0 <= kmax <= 1.3
 
     def test_unknown_preset(self):

@@ -9,7 +9,8 @@ import pytest
 
 import evolvesurf
 from evolvesurf import ConfigError, make_chart, make_diffusion, make_grid, user_chart
-from evolvesurf import cli
+from evolvesurf import checks, cli
+from evolvesurf import operator as op
 from evolvesurf.cli import _dump_matrix, _write_vtk_snapshot, main, run_pipeline, write_outputs
 from evolvesurf.config import (
     RunConfig,
@@ -33,6 +34,53 @@ n2 = 32
 [time]
 dt = 1e-3
 """
+
+# the example configuration of the README
+README_EXAMPLE = """
+[surface]
+preset = graph_oscillation   # flat_static | isotropic_scaling | graph_oscillation | translating_patch
+T = 0.05
+epsilon = 0.05
+omega = 1.0
+
+[diffusion]
+preset = constant            # constant | sinusoidal
+value = 1.0
+
+[grid]
+n1 = 32
+n2 = 32
+
+[time]
+dt = 1e-3
+theta = 0.5                  # theta-scheme weight in [0.5, 1]
+
+[solver]
+tol = 1e-8
+probes = 16
+margin = 0.05
+seed = 42
+
+[output]
+directory = out
+snapshot_stride = 10
+"""
+
+VERIFY_CHECK_NAMES = [
+    "metric_identity_flat_static", "metric_positive_flat_static",
+    "metric_identity_isotropic_scaling", "metric_positive_isotropic_scaling",
+    "metric_identity_graph_oscillation", "metric_positive_graph_oscillation",
+    "metric_identity_translating_patch", "metric_positive_translating_patch",
+    "reduction_flat", "reduction_isotropic",
+    "decomposition_sum", "weighted_selfadjointness", "perturbation_bound_violations",
+    "order2_fundsol", "order2_scaled_heat",
+    "dilation_identity_flat_static", "dilation_identity_isotropic_scaling",
+    "dilation_identity_graph_oscillation", "dilation_identity_translating_patch",
+]
+
+
+def _line_of(text, entry):
+    return text.splitlines().index(entry) + 1
 
 
 class TestParseConfig:
@@ -79,6 +127,33 @@ class TestParseConfig:
         text = MINIMAL + "\n[output]\nsnapshot_stride = 0\n"
         with pytest.raises(ConfigError, match="snapshot_stride"):
             parse_config(text)
+
+    def test_second_mode_number_error_names_its_own_key_and_line(self):
+        text = MINIMAL + "\n[solver]\nv0_k1 = 2\nv0_k2 = 0\n"
+        with pytest.raises(ConfigError, match="mode numbers must be positive") as exc:
+            parse_config(text)
+        assert exc.value.key == "v0_k2"
+        assert exc.value.line == _line_of(text, "v0_k2 = 0")
+
+    def test_first_mode_number_error_gives_its_line(self):
+        text = MINIMAL + "\n[solver]\nv0_k1 = 0\n"
+        with pytest.raises(ConfigError, match="mode numbers must be positive") as exc:
+            parse_config(text)
+        assert exc.value.key == "v0_k1"
+        assert exc.value.line == _line_of(text, "v0_k1 = 0")
+
+    def test_degenerate_rectangle_names_the_bad_axis(self):
+        text = MINIMAL.replace("T = 0.1", "T = 0.1\nx2_min = 0.5\nx2_max = 0.25")
+        with pytest.raises(ConfigError, match="degenerate") as exc:
+            parse_config(text)
+        assert exc.value.key == "x2_max"
+        assert exc.value.line == _line_of(text, "x2_max = 0.25")
+        # an unset max bound has no line to give
+        text = MINIMAL.replace("T = 0.1", "T = 0.1\nx1_min = 2.0")
+        with pytest.raises(ConfigError, match="degenerate") as exc:
+            parse_config(text)
+        assert exc.value.key == "x1_max"
+        assert exc.value.line is None
 
     def test_round_trip_exact(self):
         cfg = parse_config(MINIMAL)
@@ -390,12 +465,42 @@ class TestVerifySuite:
         def no_scan(*args, **kwargs):
             raise AssertionError("lambda_select called")
 
-        monkeypatch.setattr(cli.co, "lambda_select", no_scan)
+        monkeypatch.setattr(checks.co, "lambda_select", no_scan)
         cfg = parse_config(MINIMAL)
-        checks = cli._decomposition_checks(cfg, np.random.default_rng(cfg.seed))
-        assert [c["name"] for c in checks] == [
+        records = checks._decomposition_checks(cfg, np.random.default_rng(cfg.seed))
+        assert [c["name"] for c in records] == [
             "decomposition_sum", "weighted_selfadjointness", "perturbation_bound_violations"]
-        assert all(c["passed"] for c in checks)
+        assert all(c["passed"] for c in records)
+
+    def test_readme_example_passes_every_check(self):
+        report = cli.run_verify(parse_config(README_EXAMPLE))
+        assert [c["name"] for c in report.verify_checks] == VERIFY_CHECK_NAMES
+        assert all(c["passed"] for c in report.verify_checks)
+        assert not report.failures
+        assert list(report.timings) == [group for group, _ in checks.VERIFY]
+
+    def test_failing_check_gives_nonzero_exit(self, tmp_path, monkeypatch, capsys):
+        def failing(cfg, rng):
+            return [{"name": "always_fails", "value": 1.0, "tol": 0.5, "passed": False}]
+
+        monkeypatch.setattr(checks, "VERIFY", (checks.VERIFY[1], ("broken", failing)))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(MINIMAL)
+        rc = main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "v")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] always_fails" in out
+        assert "[pass] reduction_flat" in out
+        report = (tmp_path / "v" / "report.txt").read_text()
+        assert "check_always_fails = false\n" in report
+        assert "time_broken = " in report and "failures = 1\n" in report
+
+    def test_one_L_per_scan_time(self, count_calls):
+        # reduction: 1 flat + 3 isotropic; decomposition: one frame per scan
+        # time, whose last L also serves the symmetry and bound checks
+        calls = count_calls(op, "assemble_L")
+        cli.run_verify(parse_config(README_EXAMPLE))
+        assert len(calls) == 9
 
 
 class TestMMSWithoutSympy:

@@ -103,7 +103,7 @@ class TestAssembleL:
 
     def test_weighted_selfadjointness(self, graph, unit_grid):
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
-        defect, scale = weighted_symmetry_defect(graph, kap, unit_grid, 1.1)
+        defect, scale = weighted_symmetry_defect(StepFrame(graph, kap, unit_grid, 1.1))
         assert defect <= 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("chart_name,kappa_name", [
@@ -215,7 +215,7 @@ class TestStepFrame:
     def test_assembly_and_symmetry_check_evaluate_once(self, graph, const_kappa, unit_grid,
                                                         count_calls):
         calls = count_calls(operator, "metric_fields")
-        weighted_symmetry_defect(graph, const_kappa, unit_grid, 1.1)
+        weighted_symmetry_defect(StepFrame(graph, const_kappa, unit_grid, 1.1))
         assert len(calls) == 1
 
 
