@@ -22,6 +22,18 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       It returns the matrices only; ``operator_norm_est``
                       estimates a part's L2 norm by power iteration.
 
+The 9-point pattern of L and the 5-point pattern of A are fixed on a grid;
+only their entries change with t.  ``stencil_pattern`` builds each CSR
+pattern once per (n1, n2) and offset tuple (a bounded cache) with the
+positions of every offset's entries in ``data``; ``assemble_L`` and
+``assemble_A`` scatter their coefficients into a fresh ``data`` on it.  The
+shared index arrays are read-only, so an in-place change of a matrix's
+pattern raises instead of corrupting the next step.  Matrices on L's pattern
+(the GMRES system I + theta dt L, a frozen B = L - A) and the preconditioner
+weights of ``stencil_weights`` are array arithmetic on those positions.  The
+B-parts repeat offsets and keep COO->CSR assembly, whose duplicate sums fix
+their bits.
+
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 (one full-mesh evaluation of the metric and the diffusivity), L(t) and the
 cell-centre metric of the energy ledger, each built on first use.
@@ -39,6 +51,7 @@ estimators, the GMRES preconditioner) is a division per mode there.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,20 +63,106 @@ from .geometry import metric_fields
 # ---------------------------------------------------------------------------
 # stencil machinery
 
+# (di, dj) stencil offsets of L and of A, in the column order of a CSR row
+L_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+A_OFFSETS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+
+
+def _block(n1, n2, di, dj):
+    """Index ranges (i0, i1, j0, j1) of the nodes whose (di, dj) neighbor is interior."""
+    return max(0, -di), n1 - max(0, di), max(0, -dj), n2 - max(0, dj)
+
+
+class StencilPattern(NamedTuple):
+    """CSR pattern of a stencil on an n1 x n2 interior grid.
+
+    ``slots[di, dj]`` holds the int32 positions in ``data`` of the (di, dj)
+    entries, shaped like the block of rows that have that neighbor.  Every
+    array is read-only and shared by all matrices built on the pattern.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: dict
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
+def stencil_pattern(n1, n2, offsets):
+    """The StencilPattern of the distinct ``offsets``, built once per grid and offset tuple.
+
+    Rows keep their entries in column order and omit the neighbors outside
+    the interior (homogeneous Dirichlet data), as COO->CSR conversion does.
+    """
+    if len(set(offsets)) != len(offsets):
+        raise ParameterError(f"repeated stencil offsets {offsets}")
+    counts = np.zeros((n1, n2), dtype=np.int32)
+    for di, dj in offsets:
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        counts[i0:i1, j0:j1] += 1
+    indptr = np.zeros(n1 * n2 + 1, dtype=np.int32)
+    np.cumsum(counts.ravel(), out=indptr[1:])
+    free = indptr[:-1].reshape(n1, n2).copy()   # next free position of each row
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    cols = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)
+    slots = {}
+    for di, dj in sorted(offsets):
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        pos = free[i0:i1, j0:j1].copy()
+        free[i0:i1, j0:j1] += 1
+        indices[pos] = cols[i0 + di:i1 + di, j0 + dj:j1 + dj]
+        slots[di, dj] = _read_only(pos)
+    return StencilPattern(_read_only(indptr), _read_only(indices), slots)
+
+
+def stencil_slots(mat, grid, offsets=L_OFFSETS):
+    """The StencilPattern slots of ``mat``, a matrix built on the pattern of ``offsets``."""
+    pattern = stencil_pattern(grid.n1, grid.n2, offsets)
+    if mat.shape != (grid.ndof, grid.ndof) or mat.nnz != pattern.indices.size:
+        raise ParameterError(f"matrix with {mat.nnz} entries is not on the "
+                             f"{len(offsets)}-point pattern of a {grid.n1}x{grid.n2} grid")
+    return pattern.slots
+
+
+def with_data(mat, data):
+    """A CSR matrix on the pattern of ``mat`` (shared, read-only) holding ``data``."""
+    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+
 
 def _stencil_matrix(grid, terms):
-    """Assemble a CSR matrix from (di, dj, coefficient) stencil terms.
+    """Assemble a CSR matrix from (di, dj, coefficient) terms with distinct offsets.
 
     ``coefficient`` is a scalar or an (n1, n2) array giving the entry that
     row (i, j) places on column (i+di, j+dj).  Neighbors outside the interior
-    are dropped (homogeneous Dirichlet data).
+    are dropped (homogeneous Dirichlet data).  Each term is one scatter into
+    the cached StencilPattern of the grid.
+    """
+    n1, n2 = grid.n1, grid.n2
+    pattern = stencil_pattern(n1, n2, tuple(sorted((di, dj) for di, dj, _ in terms)))
+    data = np.empty(pattern.indices.size)
+    for di, dj, coeff in terms:
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        carr = np.broadcast_to(np.asarray(coeff, dtype=float), (n1, n2))
+        data[pattern.slots[di, dj]] = carr[i0:i1, j0:j1]
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n1 * n2, n1 * n2))
+
+
+def _coo_stencil_matrix(grid, terms):
+    """Assemble a CSR matrix from (di, dj, coefficient) terms through COO.
+
+    Terms may repeat an offset: COO->CSR sums the duplicates, in an order that
+    fixes the bits of the B-parts (and so of the smallness report's
+    C_star_est).  ``assemble_B_parts`` is the one user.
     """
     n1, n2 = grid.n1, grid.n2
     idx = np.arange(n1 * n2).reshape(n1, n2)
     rows, cols, vals = [], [], []
     for di, dj, coeff in terms:
-        i0, i1 = max(0, -di), n1 - max(0, di)
-        j0, j1 = max(0, -dj), n2 - max(0, dj)
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
         if i0 >= i1 or j0 >= j1:
             continue
         carr = np.broadcast_to(np.asarray(coeff, dtype=float), (n1, n2))
@@ -316,7 +415,7 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
     b1_terms = (_d11_terms(grid, -(s11 - lambda1))
                 + _d22_terms(grid, -(s22 - lambda2))
                 + _d12_terms(grid, -s12))
-    B1 = _stencil_matrix(grid, b1_terms)
+    B1 = _coo_stencil_matrix(grid, b1_terms)
 
     # --- B2/B3/B4: exact three-way split of the first-order flux remainder.
     # For each index pair (a, b) the centered difference of C^ab = K*R*g^ab
@@ -336,12 +435,12 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
         b2_terms += op(grid, -b2)
         b3_terms += op(grid, -b3)
         b4_terms += op(grid, -b4)
-    B2 = _stencil_matrix(grid, b2_terms)
-    B3 = _stencil_matrix(grid, b3_terms)
-    B4 = _stencil_matrix(grid, b4_terms)
+    B2 = _coo_stencil_matrix(grid, b2_terms)
+    B3 = _coo_stencil_matrix(grid, b3_terms)
+    B4 = _coo_stencil_matrix(grid, b4_terms)
 
     # --- B5: zeroth-order dilation term
-    B5 = _stencil_matrix(grid, [(0, 0, cf["d0"])])
+    B5 = _coo_stencil_matrix(grid, [(0, 0, cf["d0"])])
 
     return {"B1": B1, "B2": B2, "B3": B3, "B4": B4, "B5": B5}
 
@@ -501,18 +600,20 @@ def factorize(matrix):
 
 
 def stencil_weights(mat, grid):
-    """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings.
+    """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings of L(t).
 
-    The GMRES preconditioner reads them off L(t).  For A = assemble_A(grid, lambda1, lambda2) these are lambda1 and lambda2
-    to roundoff; an axis with a single interior node has no couplings and
-    reads 0.
+    The GMRES preconditioner gathers them from the (+-1, 0) and (0, +-1)
+    slots of ``mat``, a matrix on the 9-point pattern of assemble_L.  An axis
+    with a single interior node has no couplings and reads 0.
     """
-    n2 = grid.n2
-    w1 = np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)])
-    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1   # skip the row-wrap zeros
-    w2 = np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]])
-    return (-w1.mean() * grid.h1 ** 2 if w1.size else 0.0,
-            -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
+    slots = stencil_slots(mat, grid)
+
+    def mean_weight(plus, minus, h):
+        w = np.concatenate([mat.data.take(slots[plus]).ravel(),
+                            mat.data.take(slots[minus]).ravel()])
+        return -w.mean() * h ** 2 if w.size else 0.0
+
+    return mean_weight((1, 0), (-1, 0), grid.h1), mean_weight((0, 1), (0, -1), grid.h2)
 
 
 class SineBasis:

@@ -20,6 +20,8 @@ previous step's value and preconditioned with (I + theta dt A_k)^{-1}, where
 A_k is the constant 5-point operator with the mean stencil weights of
 L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A relative to A
 keeps that iteration to a few steps, and no matrix is factorized per step.
+The moving system matrix, its preconditioner weights and a frozen B(t_k) are
+array arithmetic on the entries of L(t_k), on L's fixed CSR pattern.
 
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
@@ -45,8 +47,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
-from .operator import (StepFrames, assemble_A, factorize, field_l2, shifted_A_solver,
-                       stencil_weights)
+from .operator import (A_OFFSETS, StepFrames, assemble_A, factorize, field_l2,
+                       shifted_A_solver, stencil_slots, stencil_weights, with_data)
 
 SOLVE_TOL = 1e-10
 # GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
@@ -88,14 +90,19 @@ class PicardHistory:
     iterations: int = 0
 
 
-def perturbation(L, A):
-    """B = L - A, frozen compactly for a Picard iteration.
+def perturbation(L, A, grid):
+    """B = L - A on the pattern of L, frozen for a Picard iteration.
 
-    A scipy sparse difference keeps buffers sized for the entries of both
-    operands; the copy holds only the entries of B (a third fewer slots for
-    the 9-point L and the 5-point A).
+    B holds a copy of L's data less A's entries at A's five offsets, and
+    shares L's read-only indices and indptr, so it stores only its data.
+    Where L_ij == A_ij it keeps an explicit zero, which adds +0.0 terms to a
+    matvec.
     """
-    return (L - A).copy()
+    L_slots, A_slots = stencil_slots(L, grid), stencil_slots(A, grid, A_OFFSETS)
+    data = L.data.copy()
+    for offset in A_OFFSETS:
+        data[L_slots[offset]] -= A.data[A_slots[offset]]
+    return with_data(L, data)
 
 
 class PerturbationFreezer:
@@ -114,7 +121,7 @@ class PerturbationFreezer:
     def __call__(self, k, frame, traj=None):
         if frame is not self._frame:
             self._frame = frame
-            self._B = perturbation(frame.L, self.A)
+            self._B = perturbation(frame.L, self.A, frame.grid)
         self.frozen.append(self._B)
 
 
@@ -177,7 +184,15 @@ class _ThetaMarcher:
         return self.frame(k).L
 
     def _system(self, L):
+        # a sparse sum drops explicit zeros (the cross slots of a rigid chart
+        # with g^12 = 0), which sets the pattern a static LU orders and factors
         return sp.identity(L.shape[0], format="csr") + self.theta * self.dt * L
+
+    def _moving_system(self, L):
+        """I + theta dt L on the pattern of L: the 1 is added at its diagonal slots."""
+        data = self.theta * self.dt * L.data
+        data[stencil_slots(L, self.grid)[0, 0]] += 1.0
+        return with_data(L, data)
 
     def _static_solver(self, L):
         impl = self._system(L)
@@ -199,7 +214,7 @@ class _ThetaMarcher:
             v = direct(rhs)
         else:
             L = self.L(k)
-            impl = self._system(L)
+            impl = self._moving_system(L)
             lam1, lam2 = stencil_weights(L, self.grid)
             precond = spla.LinearOperator(
                 impl.shape, shifted_A_solver(self.grid, lam1, lam2, self.theta * self.dt),

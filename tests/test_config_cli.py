@@ -14,6 +14,8 @@ from evolvesurf import operator as op
 from evolvesurf.cli import _dump_matrix, _write_vtk_snapshot, main, run_pipeline, write_outputs
 from evolvesurf.config import (
     RunConfig,
+    config_chart,
+    config_diffusion,
     config_initial_datum,
     config_grid,
     parse_config,
@@ -21,6 +23,8 @@ from evolvesurf.config import (
 )
 from evolvesurf.diagnostics import SOLUTION_PARTIALS, manufactured_solution
 from evolvesurf.operator import assemble_A, assemble_L
+
+from test_operator import assembled_by_coo
 
 MINIMAL = """
 [surface]
@@ -311,11 +315,18 @@ class TestOutputs:
             raise AssertionError("lambda_select called")
 
         monkeypatch.setattr(cli.co, "lambda_select", no_scan)
-        cfg, report, _ = self._run(tmp_path, subcommand=subcommand, dump_matrices=True)
+        cfg, report, _ = self._run(tmp_path, subcommand=subcommand, dump_matrices=True,
+                                   diffusion_preset="sinusoidal")
         rep = report.condition_report
-        ref = tmp_path / "A_ref.coo"
-        _dump_matrix(ref, assemble_A(config_grid(cfg), rep.lambda1, rep.lambda2))
-        assert (Path(cfg.out_dir) / "matrix_A.coo").read_bytes() == ref.read_bytes()
+        grid = config_grid(cfg)
+        # both dumps carry the bytes of the COO->CSR reference assembly
+        refs = {"A": assembled_by_coo(assemble_A, grid, rep.lambda1, rep.lambda2),
+                "L0": assembled_by_coo(assemble_L, config_chart(cfg), config_diffusion(cfg),
+                                       grid, 0.0)}
+        for name, mat in refs.items():
+            ref = tmp_path / f"{name}_ref.coo"
+            _dump_matrix(ref, mat)
+            assert (Path(cfg.out_dir) / f"matrix_{name}.coo").read_bytes() == ref.read_bytes()
 
     def test_deterministic_outputs_for_fixed_seed(self, tmp_path):
         cfg1, _, _ = self._run(tmp_path / "a", subcommand="check")

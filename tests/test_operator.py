@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from evolvesurf.operator import (
     field_l2,
     operator_norm_est,
     shifted_A_solver,
+    stencil_weights,
     weighted_symmetry_defect,
 )
 
@@ -38,6 +40,51 @@ def lowest_discrete_eigenvalue(grid, lam1, lam2):
     m1 = (2.0 - 2.0 * math.cos(math.pi * grid.h1)) / grid.h1 ** 2
     m2 = (2.0 - 2.0 * math.cos(math.pi * grid.h2)) / grid.h2 ** 2
     return lam1 * m1 + lam2 * m2
+
+
+# References for the fixed-pattern assembly: COO triplets converted to CSR, and
+# the preconditioner weights read off the matrix diagonals.
+
+
+def coo_stencil_matrix(grid, terms):
+    """CSR matrix of (di, dj, coefficient) stencil terms through COO->CSR conversion."""
+    n1, n2 = grid.n1, grid.n2
+    idx = np.arange(n1 * n2).reshape(n1, n2)
+    rows, cols, vals = [], [], []
+    for di, dj, coeff in terms:
+        i0, i1 = max(0, -di), n1 - max(0, di)
+        j0, j1 = max(0, -dj), n2 - max(0, dj)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        carr = np.broadcast_to(np.asarray(coeff, dtype=float), (n1, n2))
+        rows.append(idx[i0:i1, j0:j1].ravel())
+        cols.append(idx[i0 + di:i1 + di, j0 + dj:j1 + dj].ravel())
+        vals.append(carr[i0:i1, j0:j1].ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n1 * n2, n1 * n2)).tocsr()
+
+
+def assembled_by_coo(assemble, *args):
+    """``assemble(*args)`` with the COO reference in place of the pattern scatter."""
+    with mock.patch.object(operator, "_stencil_matrix", coo_stencil_matrix):
+        return assemble(*args)
+
+
+def diagonal_stencil_weights(mat, grid):
+    """Mean X1 and X2 neighbor weights read off the diagonals +-n2 and +-1 of ``mat``."""
+    n2 = grid.n2
+    w1 = np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)])
+    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1   # skip the row-wrap zeros
+    w2 = np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]])
+    return (-w1.mean() * grid.h1 ** 2 if w1.size else 0.0,
+            -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
+
+
+def assert_same_csr(mat, ref):
+    """Bitwise equality of the CSR arrays: indptr, indices and data."""
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert mat.data.tobytes() == ref.data.tobytes()
 
 
 class TestAssembleA:
@@ -217,6 +264,36 @@ class TestStepFrame:
         calls = count_calls(operator, "metric_fields")
         weighted_symmetry_defect(StepFrame(graph, const_kappa, unit_grid, 1.1))
         assert len(calls) == 1
+
+
+class TestStencilPattern:
+    def test_grids_with_equal_node_counts_share_one_read_only_pattern(self, graph, const_kappa):
+        operator.stencil_pattern.cache_clear()
+        L = assemble_L(graph, const_kappa, make_grid((0.0, 1.0, 0.0, 1.0), 9, 7), 0.3)
+        other = assemble_L(graph, const_kappa, make_grid((-0.5, 2.0, 0.2, 1.0), 9, 7), 0.6)
+        assert operator.stencil_pattern.cache_info().misses == 1
+        assert np.shares_memory(L.indices, other.indices)
+        assert not np.shares_memory(L.data, other.data)
+        slots = operator.stencil_pattern(9, 7, operator.L_OFFSETS).slots
+        for arr in (L.indices, L.indptr, slots[0, 0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_cache_is_bounded(self):
+        operator.stencil_pattern.cache_clear()
+        for n in range(1, 21):
+            assemble_A(make_grid((0.0, 1.0, 0.0, 1.0), n, 3), 1.0, 1.0)
+        info = operator.stencil_pattern.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (20, 16, 16)
+
+    def test_matrix_off_the_pattern_rejected(self, graph, const_kappa, unit_grid):
+        with pytest.raises(ParameterError, match="9-point pattern"):
+            stencil_weights(assemble_A(unit_grid, 1.0, 1.0), unit_grid)
+        L = assemble_L(graph, const_kappa, make_grid((0.0, 1.0, 0.0, 1.0), 15, 17), 0.3)
+        with pytest.raises(ParameterError, match="16x16 grid"):
+            stencil_weights(L, unit_grid)
+        with pytest.raises(ParameterError, match="repeated"):
+            operator.stencil_pattern(3, 3, ((0, 0), (1, 0), (0, 0)))
 
 
 class TestPerturbationBound:

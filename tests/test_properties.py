@@ -25,9 +25,21 @@ from evolvesurf import (  # noqa: E402
 )
 from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio  # noqa: E402
 from evolvesurf.geometry import PRESET_NAMES  # noqa: E402
-from evolvesurf.operator import shifted_A_solver  # noqa: E402
+from evolvesurf.operator import (  # noqa: E402
+    StepFrame,
+    StepFrames,
+    shifted_A_solver,
+    stencil_weights,
+    weighted_symmetry_defect,
+)
+from evolvesurf.timestepper import _ThetaMarcher  # noqa: E402
 
 from test_coefficients import _lu_C_A, _lu_C_sharp, _lu_mr_ratio  # noqa: E402
+from test_operator import (  # noqa: E402
+    assembled_by_coo,
+    assert_same_csr,
+    diagonal_stencil_weights,
+)
 
 PROPERTY = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
@@ -80,3 +92,32 @@ def test_B_parts_sum_to_L_minus_A(grid, lam1, lam2, preset, diffusion, t):
     total = sum(parts[f"B{i}"] for i in range(1, 6))
     defect = total - (assemble_L(chart, kappa, grid, t) - assemble_A(grid, lam1, lam2))
     assert abs(defect).max() <= 1e-10
+
+
+@PROPERTY
+@given(grid=grids(), lam1=weights, lam2=weights, theta=st.floats(0.5, 1.0),
+       dt=st.floats(1e-4, 0.1))
+def test_pattern_assembly_equals_coo_reference(grid, lam1, lam2, theta, dt):
+    # every preset x both diffusivities x t in {0, 0.37} on each drawn grid
+    assert_same_csr(assemble_A(grid, lam1, lam2), assembled_by_coo(assemble_A, grid, lam1, lam2))
+    for preset in PRESET_NAMES:
+        chart = make_chart(preset, domain=grid.domain, horizon=2.0)
+        for diffusion in DIFFUSION_PRESETS:
+            kappa = make_diffusion(diffusion)
+            marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
+            for t in (0.0, 0.37):
+                L = assemble_L(chart, kappa, grid, t)
+                assert_same_csr(L, assembled_by_coo(assemble_L, chart, kappa, grid, t))
+                assert stencil_weights(L, grid) == diagonal_stencil_weights(L, grid)
+                system = sp.identity(grid.ndof) + theta * dt * L
+                assert np.array_equal(marcher._moving_system(L).toarray(), system.toarray())
+
+
+@PROPERTY
+@given(grid=grids(), preset=st.sampled_from(PRESET_NAMES),
+       diffusion=st.sampled_from(DIFFUSION_PRESETS), t=st.floats(0.0, 2.0))
+def test_flux_stencil_is_selfadjoint_in_weighted_L2(grid, preset, diffusion, t):
+    chart = make_chart(preset, domain=grid.domain, horizon=2.0)
+    frame = StepFrame(chart, make_diffusion(diffusion), grid, t)
+    defect, scale = weighted_symmetry_defect(frame)
+    assert defect <= 1e-10 * max(scale, 1.0)

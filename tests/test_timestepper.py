@@ -18,6 +18,7 @@ from evolvesurf import (
     PicardDivergenceError,
     StepSolveError,
     assemble_A,
+    assemble_B_parts,
     assemble_L,
     lambda_select,
     make_chart,
@@ -446,7 +447,7 @@ class TestStepFrames:
         assert len({id(B) for B in freezer.frozen}) == 1
         # one separate B per step time, as frozen before
         L = assemble_L(chart, const_kappa, grid, 0.0)
-        per_step = [timestepper.perturbation(L, A) for _ in range(direct.nsteps + 1)]
+        per_step = [timestepper.perturbation(L, A, grid) for _ in range(direct.nsteps + 1)]
         ref, ref_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
                                      frozen_B=per_step)
         shared, hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
@@ -458,16 +459,40 @@ class TestStepFrames:
         assert np.array_equal(own.fields, ref.fields)
         assert hist.diff_norms == own_hist.diff_norms == ref_hist.diff_norms
 
-    def test_perturbation_holds_only_its_entries(self, graph, const_kappa, unit_grid):
+    def test_perturbation_stores_only_its_data_on_the_pattern_of_L(self, graph, const_kappa,
+                                                                   unit_grid):
         L = assemble_L(graph, const_kappa, unit_grid, 0.7)
         A = assemble_A(unit_grid, 0.9, 0.9)
-        B = timestepper.perturbation(L, A)
-        assert (B != L - A).nnz == 0
+        B = timestepper.perturbation(L, A, unit_grid)
+        assert np.array_equal(B.toarray(), (L - A).toarray())
+        assert np.shares_memory(B.indices, L.indices) and np.shares_memory(B.indptr, L.indptr)
 
         def buffer(arr):
             while arr.base is not None:
                 arr = arr.base
             return arr
 
-        assert buffer(B.data).size == buffer(B.indices).size == B.nnz
-        assert buffer((L - A).data).size > B.nnz   # what the copy saves
+        assert buffer(B.data).size == B.nnz == L.nnz
+        assert not np.shares_memory(B.data, L.data)
+        with pytest.raises(ParameterError, match="5-point pattern"):
+            timestepper.perturbation(L, L, unit_grid)
+
+    def test_moving_march_builds_the_pattern_once(self, graph, const_kappa, eigenmode,
+                                                  monkeypatch):
+        conversions = []
+        tocsr = sp.coo_matrix.tocsr
+
+        def counting(self, *args, **kwargs):
+            conversions.append(self.shape)
+            return tocsr(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.coo_matrix, "tocsr", counting)
+        grid = make_grid((0.0, 1.5, 0.0, 1.0), 14, 9)
+        operator.stencil_pattern.cache_clear()
+        traj = solve_direct(graph, const_kappa, grid, eigenmode(grid), 0.02, 1e-3)
+        assert traj.nsteps == 20
+        assert operator.stencil_pattern.cache_info().misses == 1
+        assert conversions == []
+        # the B-parts still assemble through COO, and the count sees them
+        assemble_B_parts(graph, const_kappa, grid, 1.0, 1.0, 0.3)
+        assert len(conversions) == 5
