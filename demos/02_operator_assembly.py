@@ -19,7 +19,7 @@ from evolvesurf import (
     make_grid,
 )
 from evolvesurf.checks import reduction_defects
-from evolvesurf.operator import operator_norm_est
+from evolvesurf.operator import max_abs_entry, operator_norm_est
 
 
 def part_norms(parts):
@@ -48,7 +48,7 @@ for t in times:
     parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, float(t))
     total = sum(parts[f"B{i}"] for i in range(1, 6))
     L = assemble_L(chart, kappa, grid, float(t))
-    defect = abs(total - (L - A)).max()
+    defect = max_abs_entry(total - (L - A))
     n = part_norms(parts)
     print(f"{t:5.2f} {n[0]:10.4f} {n[1]:10.4f} {n[2]:10.4f} {n[3]:10.4f} {n[4]:10.4f} {defect:12.2e}")
 

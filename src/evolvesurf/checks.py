@@ -39,12 +39,12 @@ def reduction_defects(grid):
     kappa = co.make_diffusion("constant", value=1.0)
     A = op.assemble_A(grid, 1.0, 1.0)
     flat = geo.make_chart("flat_static", domain=grid.domain, horizon=1.0)
-    d_flat = float(np.abs(op.assemble_L(flat, kappa, grid, 0.5) - A).max())
+    d_flat = op.max_abs_entry(op.assemble_L(flat, kappa, grid, 0.5) - A)
     iso = geo.make_chart("isotropic_scaling", domain=grid.domain, horizon=1.0, gamma=1.0)
     d_iso = 0.0
     for t in (0.0, 0.5, 1.0):
         ref = math.exp(-2.0 * t) * A + 2.0 * sp.identity(grid.ndof)
-        d_iso = max(d_iso, float(np.abs(op.assemble_L(iso, kappa, grid, t) - ref).max()))
+        d_iso = max(d_iso, op.max_abs_entry(op.assemble_L(iso, kappa, grid, t) - ref))
     return d_flat, d_iso
 
 
@@ -57,7 +57,7 @@ def decomposition_defect(chart, kappa, grid, lambda1, lambda2, times):
         parts = op.assemble_B_parts(chart, kappa, grid, lambda1, lambda2, float(t),
                                     coefficients=frame.coefficients)
         total = sum(parts[f"B{i}"] for i in range(1, 6))
-        defect = max(defect, float(np.abs(total - (frame.L - A)).max()))
+        defect = max(defect, op.max_abs_entry(total - (frame.L - A)))
     return defect, frame
 
 

@@ -225,6 +225,9 @@ def run_mms(cfg):
     if n_coarse < 3:
         raise ConfigError("n1 must be at least 15 for the three-level refinement study",
                           key="n1")
+    if cfg.n2 != n_fine:
+        raise ConfigError(f"mms refines square grids: n2 = {cfg.n2} must equal n1 = {n_fine}",
+                          key="n2")
     levels = [(n_coarse, 4.0 * cfg.dt), (n_mid, 2.0 * cfg.dt), (n_fine, cfg.dt)]
     with _Timer(report, "mms"):
         table = dg.mms_convergence(chart, kappa, exact, levels,
@@ -297,11 +300,11 @@ def _write_vtk_snapshot(path, chart, grid, values, t):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _dump_matrix(path, matrix):
-    m = matrix.tocoo()
-    data = np.asarray(m.data, dtype=float).tolist()
+def _dump_matrix(path, matrix, grid, offsets):
+    """Write the in-grid entries of a stencil matrix as "row col value" lines, in CSR order."""
+    rows, cols, vals = op.stencil_entries(matrix, grid, offsets)
     Path(path).write_text("".join(
-        f"{r} {c} {v!r}\n" for r, c, v in zip(m.row.tolist(), m.col.tolist(), data)))
+        f"{r} {c} {v!r}\n" for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist())))
 
 
 def write_outputs(report, trajectory, directory, cfg=None):
@@ -394,10 +397,10 @@ def write_outputs(report, trajectory, directory, cfg=None):
                                           margin=cfg.margin)
         else:
             lam1, lam2 = rep.lambda1, rep.lambda2
-        for name, mat in (("A", op.assemble_A(grid, lam1, lam2)),
-                          ("L0", op.assemble_L(chart, kappa, grid, 0.0))):
+        for name, mat, offsets in (("A", op.assemble_A(grid, lam1, lam2), op.A_OFFSETS),
+                                   ("L0", op.assemble_L(chart, kappa, grid, 0.0), op.L_OFFSETS)):
             path = out / f"matrix_{name}.coo"
-            _dump_matrix(path, mat)
+            _dump_matrix(path, mat, grid, offsets)
             manifest.append(str(path))
 
     report.manifest = manifest

@@ -26,14 +26,19 @@ class ParameterError(ValueError):
 
 
 class StepSolveError(RuntimeError):
-    """A linear solve inside a time step did not reach the required residual."""
+    """A linear solve inside a time step did not reach the required residual.
 
-    def __init__(self, step, t, residual, tol, iterations=None):
+    ``solver`` names the method that ran: "LU", "DST-I" or "GMRES", which
+    also gives its ``iterations``.
+    """
+
+    def __init__(self, step, t, residual, tol, solver, iterations=None):
         self.step = int(step)
         self.t = float(t)
         self.residual = float(residual)
+        self.solver = solver
         self.iterations = iterations
-        how = "by LU" if iterations is None else f"after {iterations} GMRES iterations"
+        how = f"by {solver}" if iterations is None else f"after {iterations} {solver} iterations"
         super().__init__(
             f"step {step} at t = {t:.6g} reached relative residual {residual:.3e} "
             f"> {tol:.1e} {how}"

@@ -1,6 +1,6 @@
 """Sparse assembly of the pulled-back diffusion operator and its split parts.
 
-Three operators live here, each a ``scipy.sparse`` CSR matrix over the
+Three operators live here, each a ``scipy.sparse`` DIA matrix over the
 interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
 
 * ``assemble_A``   -- the constant anisotropic Laplacian
@@ -22,17 +22,15 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       It returns the matrices only; ``operator_norm_est``
                       estimates a part's L2 norm by power iteration.
 
-The 9-point pattern of L and the 5-point pattern of A are fixed on a grid;
-only their entries change with t.  ``stencil_pattern`` builds each CSR
-pattern once per (n1, n2) and offset tuple (a bounded cache) with the
-positions of every offset's entries in ``data``; ``assemble_L`` and
-``assemble_A`` scatter their coefficients into a fresh ``data`` on it.  The
-shared index arrays are read-only, so an in-place change of a matrix's
-pattern raises instead of corrupting the next step.  Matrices on L's pattern
-(the GMRES system I + theta dt L, a frozen B = L - A) and the preconditioner
-weights of ``stencil_weights`` are array arithmetic on those positions.  The
-B-parts repeat offsets and keep COO->CSR assembly, whose duplicate sums fix
-their bits.
+On a grid each operator is a set of stencil diagonals: the (di, dj)
+neighbor of node (i, j) lies on the diagonal di*n2 + dj.  ``_stencil_matrix``
+writes each stencil term into its diagonal of a ``scipy.sparse.dia_matrix``;
+everything else -- B(t) = L(t) - A and the theta-scheme systems
+I + theta dt L and I - (1-theta) dt A -- is scipy's DIA arithmetic, which adds
+diagonals of equal offset and stays DIA.  A DIA matvec sums each row in
+column order, as a CSR matvec on the same entries does.  ``stencil_weights``
+reads the preconditioner weights off the diagonals, and ``stencil_entries``
+lists the in-grid entries for the matrix dump.
 
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 (one full-mesh evaluation of the metric and the diffusivity), L(t) and the
@@ -51,7 +49,6 @@ estimators, the GMRES preconditioner) is a division per mode there.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +60,7 @@ from .geometry import metric_fields
 # ---------------------------------------------------------------------------
 # stencil machinery
 
-# (di, dj) stencil offsets of L and of A, in the column order of a CSR row
+# (di, dj) stencil offsets of L and of A, the entries of the matrix dump
 L_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
 A_OFFSETS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
@@ -73,107 +70,59 @@ def _block(n1, n2, di, dj):
     return max(0, -di), n1 - max(0, di), max(0, -dj), n2 - max(0, dj)
 
 
-class StencilPattern(NamedTuple):
-    """CSR pattern of a stencil on an n1 x n2 interior grid.
-
-    ``slots[di, dj]`` holds the int32 positions in ``data`` of the (di, dj)
-    entries, shaped like the block of rows that have that neighbor.  Every
-    array is read-only and shared by all matrices built on the pattern.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: dict
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
-
-
-@functools.lru_cache(maxsize=16)
-def stencil_pattern(n1, n2, offsets):
-    """The StencilPattern of the distinct ``offsets``, built once per grid and offset tuple.
-
-    Rows keep their entries in column order and omit the neighbors outside
-    the interior (homogeneous Dirichlet data), as COO->CSR conversion does.
-    """
-    if len(set(offsets)) != len(offsets):
-        raise ParameterError(f"repeated stencil offsets {offsets}")
-    counts = np.zeros((n1, n2), dtype=np.int32)
-    for di, dj in offsets:
-        i0, i1, j0, j1 = _block(n1, n2, di, dj)
-        counts[i0:i1, j0:j1] += 1
-    indptr = np.zeros(n1 * n2 + 1, dtype=np.int32)
-    np.cumsum(counts.ravel(), out=indptr[1:])
-    free = indptr[:-1].reshape(n1, n2).copy()   # next free position of each row
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    cols = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)
-    slots = {}
-    for di, dj in sorted(offsets):
-        i0, i1, j0, j1 = _block(n1, n2, di, dj)
-        pos = free[i0:i1, j0:j1].copy()
-        free[i0:i1, j0:j1] += 1
-        indices[pos] = cols[i0 + di:i1 + di, j0 + dj:j1 + dj]
-        slots[di, dj] = _read_only(pos)
-    return StencilPattern(_read_only(indptr), _read_only(indices), slots)
-
-
-def stencil_slots(mat, grid, offsets=L_OFFSETS):
-    """The StencilPattern slots of ``mat``, a matrix built on the pattern of ``offsets``."""
-    pattern = stencil_pattern(grid.n1, grid.n2, offsets)
-    if mat.shape != (grid.ndof, grid.ndof) or mat.nnz != pattern.indices.size:
-        raise ParameterError(f"matrix with {mat.nnz} entries is not on the "
-                             f"{len(offsets)}-point pattern of a {grid.n1}x{grid.n2} grid")
-    return pattern.slots
-
-
-def with_data(mat, data):
-    """A CSR matrix on the pattern of ``mat`` (shared, read-only) holding ``data``."""
-    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
-
-
 def _stencil_matrix(grid, terms):
-    """Assemble a CSR matrix from (di, dj, coefficient) terms with distinct offsets.
+    """Assemble a DIA matrix from (di, dj, coefficient) stencil terms.
 
     ``coefficient`` is a scalar or an (n1, n2) array giving the entry that
-    row (i, j) places on column (i+di, j+dj).  Neighbors outside the interior
-    are dropped (homogeneous Dirichlet data).  Each term is one scatter into
-    the cached StencilPattern of the grid.
+    row (i, j) places on column (i+di, j+dj), stored at that column of the
+    diagonal di*n2 + dj.  Neighbors outside the interior are dropped
+    (homogeneous Dirichlet data).  Terms on one diagonal are added in term
+    order: a repeated offset, or two offsets that meet on one diagonal when
+    an axis has one or two nodes (they fill disjoint positions).  The
+    diagonals start at -0.0, the identity of addition, so a single term
+    keeps its bits, a signed zero included.  They are stored in ascending
+    offset order, so a DIA matvec sums each row in column order, as a CSR
+    matvec does.
     """
     n1, n2 = grid.n1, grid.n2
-    pattern = stencil_pattern(n1, n2, tuple(sorted((di, dj) for di, dj, _ in terms)))
-    data = np.empty(pattern.indices.size)
+    offsets = sorted({di * n2 + dj for di, dj, _ in terms})
+    data = np.full((len(offsets), n1 * n2), -0.0)
     for di, dj, coeff in terms:
         i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        diag = data[offsets.index(di * n2 + dj)].reshape(n1, n2)
         carr = np.broadcast_to(np.asarray(coeff, dtype=float), (n1, n2))
-        data[pattern.slots[di, dj]] = carr[i0:i1, j0:j1]
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n1 * n2, n1 * n2))
+        diag[i0 + di:i1 + di, j0 + dj:j1 + dj] += carr[i0:i1, j0:j1]
+    return sp.dia_matrix((data, offsets), shape=(n1 * n2, n1 * n2))
 
 
-def _coo_stencil_matrix(grid, terms):
-    """Assemble a CSR matrix from (di, dj, coefficient) terms through COO.
+def stencil_entries(mat, grid, offsets):
+    """Rows, columns and values of the in-grid entries of ``mat`` at the (di, dj) ``offsets``.
 
-    Terms may repeat an offset: COO->CSR sums the duplicates, in an order that
-    fixes the bits of the B-parts (and so of the smallness report's
-    C_star_est).  ``assemble_B_parts`` is the one user.
+    ``mat`` is a DIA matrix of this module.  The entries come in CSR order
+    (by row, then column) and include the explicit zeros of the stencil.
     """
     n1, n2 = grid.n1, grid.n2
     idx = np.arange(n1 * n2).reshape(n1, n2)
+    diagonals = dict(zip(mat.offsets.tolist(), mat.data))
     rows, cols, vals = [], [], []
-    for di, dj, coeff in terms:
+    for di, dj in offsets:
         i0, i1, j0, j1 = _block(n1, n2, di, dj)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        carr = np.broadcast_to(np.asarray(coeff, dtype=float), (n1, n2))
+        col = idx[i0 + di:i1 + di, j0 + dj:j1 + dj].ravel()
         rows.append(idx[i0:i1, j0:j1].ravel())
-        cols.append(idx[i0 + di:i1 + di, j0 + dj:j1 + dj].ravel())
-        vals.append(carr[i0:i1, j0:j1].ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n1 * n2, n1 * n2),
-    )
-    return mat.tocsr()
+        cols.append(col)
+        vals.append(diagonals[di * n2 + dj][col])
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+def max_abs_entry(mat):
+    """max |M_ij| of a sparse matrix: its stored values, the rest being zeros.
+
+    A DIA matrix of this module stores zeros outside the grid, so they cannot
+    raise it.
+    """
+    return float(np.abs(mat.data).max())
 
 
 def _shifts(full):
@@ -379,9 +328,10 @@ def assemble_L(chart, kappa, grid, t, coefficients=None):
 def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None):
     """Split L(t) - A into the five-part perturbation decomposition.
 
-    Returns {"B1"..."B5": CSR matrix}; B5 is diagonal (d0).  The parts sum to
-    assemble_L - assemble_A exactly up to roundoff.  ``coefficients`` is as in
-    ``assemble_L``.
+    Returns {"B1"..."B5": DIA matrix}; B5 is diagonal (d0).  The parts sum to
+    assemble_L - assemble_A exactly up to roundoff.  A part repeats stencil
+    offsets, which ``_stencil_matrix`` adds in term order.  ``coefficients``
+    is as in ``assemble_L``.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda coefficients must be positive")
@@ -415,7 +365,7 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
     b1_terms = (_d11_terms(grid, -(s11 - lambda1))
                 + _d22_terms(grid, -(s22 - lambda2))
                 + _d12_terms(grid, -s12))
-    B1 = _coo_stencil_matrix(grid, b1_terms)
+    B1 = _stencil_matrix(grid, b1_terms)
 
     # --- B2/B3/B4: exact three-way split of the first-order flux remainder.
     # For each index pair (a, b) the centered difference of C^ab = K*R*g^ab
@@ -435,21 +385,19 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
         b2_terms += op(grid, -b2)
         b3_terms += op(grid, -b3)
         b4_terms += op(grid, -b4)
-    B2 = _coo_stencil_matrix(grid, b2_terms)
-    B3 = _coo_stencil_matrix(grid, b3_terms)
-    B4 = _coo_stencil_matrix(grid, b4_terms)
+    B2 = _stencil_matrix(grid, b2_terms)
+    B3 = _stencil_matrix(grid, b3_terms)
+    B4 = _stencil_matrix(grid, b4_terms)
 
     # --- B5: zeroth-order dilation term
-    B5 = _coo_stencil_matrix(grid, [(0, 0, cf["d0"])])
+    B5 = _stencil_matrix(grid, [(0, 0, cf["d0"])])
 
     return {"B1": B1, "B2": B2, "B3": B3, "B4": B4, "B5": B5}
 
 
 def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
-    """Full perturbation B(t) = L(t) - A as one matrix."""
-    L = assemble_L(chart, kappa, grid, t)
-    A = assemble_A(grid, lambda1, lambda2)
-    return (L - A).tocsr()
+    """Full perturbation B(t) = L(t) - A as one DIA matrix."""
+    return assemble_L(chart, kappa, grid, t) - assemble_A(grid, lambda1, lambda2)
 
 
 def operator_norm_est(m, iters=50, seed=0):
@@ -461,6 +409,8 @@ def operator_norm_est(m, iters=50, seed=0):
     if nv == 0.0:
         return 0.0
     v /= nv
+    # DIA's transpose stores its offsets in descending order, and a matvec
+    # with it would sum each row backwards; CSR sums in column order
     mt = m.T.tocsr()
     sigma2 = 0.0
     for _ in range(iters):
@@ -529,9 +479,7 @@ def weighted_symmetry_defect(frame):
     cf = frame.coefficients
     w = (cf["R_int"] * frame.grid.h1 * frame.grid.h2).ravel()
     M = sp.diags(w) @ (frame.L - sp.diags(cf["d0"].ravel()))
-    defect = np.abs((M - M.T)).max()
-    scale = np.abs(M).max()
-    return float(defect), float(scale)
+    return max_abs_entry(M - M.T), max_abs_entry(M)
 
 
 def apply_stencil_full(values_full, grid, lambda1, lambda2):
@@ -594,7 +542,9 @@ def factorize(matrix):
     """Sparse LU with minimum-degree ordering on the pattern of M^T + M.
 
     The 5- and 9-point stencil matrices are structurally symmetric, and this
-    ordering keeps about half the fill of the default column ordering.
+    ordering keeps about half the fill of the default column ordering.  The
+    conversion to CSC drops explicit zeros (the cross terms of a rigid chart
+    with g^12 = 0), which sets the pattern that is ordered and factored.
     """
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
@@ -602,18 +552,19 @@ def factorize(matrix):
 def stencil_weights(mat, grid):
     """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings of L(t).
 
-    The GMRES preconditioner gathers them from the (+-1, 0) and (0, +-1)
-    slots of ``mat``, a matrix on the 9-point pattern of assemble_L.  An axis
-    with a single interior node has no couplings and reads 0.
+    The GMRES preconditioner reads them off the diagonals +-n2 and +-1 of
+    ``mat``, skipping the positions of +-1 that wrap to the next grid row.  An
+    axis with a single interior node has no couplings and reads 0.
     """
-    slots = stencil_slots(mat, grid)
+    n2 = grid.n2
+    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1
 
-    def mean_weight(plus, minus, h):
-        w = np.concatenate([mat.data.take(slots[plus]).ravel(),
-                            mat.data.take(slots[minus]).ravel()])
+    def mean_weight(w, h):
         return -w.mean() * h ** 2 if w.size else 0.0
 
-    return mean_weight((1, 0), (-1, 0), grid.h1), mean_weight((0, 1), (0, -1), grid.h2)
+    return (mean_weight(np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)]), grid.h1),
+            mean_weight(np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]]),
+                        grid.h2))
 
 
 class SineBasis:

@@ -11,7 +11,8 @@ Two routes to the same discrete solution:
 
 Every implicit step solves (I + theta dt L(t_{k+1})) v_{k+1} = rhs and is
 accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
-otherwise StepSolveError names the step, time, residual and iteration count.
+otherwise StepSolveError names the step, time, residual and solver (LU,
+DST-I, or GMRES with its iteration count).
 The comparison operator A of a Picard stage is inverted exactly by DST-I in
 its sine eigenbasis, O(n log n) per step and no factorization.  Any other
 static operator (rigid chart, time-independent diffusivity) is LU-factorized
@@ -20,8 +21,9 @@ previous step's value and preconditioned with (I + theta dt A_k)^{-1}, where
 A_k is the constant 5-point operator with the mean stencil weights of
 L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A relative to A
 keeps that iteration to a few steps, and no matrix is factorized per step.
-The moving system matrix, its preconditioner weights and a frozen B(t_k) are
-array arithmetic on the entries of L(t_k), on L's fixed CSR pattern.
+Every system matrix I + theta dt L and a frozen B(t_k) = L(t_k) - A are DIA
+sums of the stencil diagonals (``operator``), so a moving march converts no
+matrix to another sparse format.
 
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
@@ -47,8 +49,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
-from .operator import (A_OFFSETS, StepFrames, assemble_A, factorize, field_l2,
-                       shifted_A_solver, stencil_slots, stencil_weights, with_data)
+from .operator import (StepFrames, assemble_A, factorize, field_l2, shifted_A_solver,
+                       stencil_weights)
 
 SOLVE_TOL = 1e-10
 # GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
@@ -90,25 +92,10 @@ class PicardHistory:
     iterations: int = 0
 
 
-def perturbation(L, A, grid):
-    """B = L - A on the pattern of L, frozen for a Picard iteration.
-
-    B holds a copy of L's data less A's entries at A's five offsets, and
-    shares L's read-only indices and indptr, so it stores only its data.
-    Where L_ij == A_ij it keeps an explicit zero, which adds +0.0 terms to a
-    matvec.
-    """
-    L_slots, A_slots = stencil_slots(L, grid), stencil_slots(A, grid, A_OFFSETS)
-    data = L.data.copy()
-    for offset in A_OFFSETS:
-        data[L_slots[offset]] -= A.data[A_slots[offset]]
-    return with_data(L, data)
-
-
 class PerturbationFreezer:
     """Observer ``(k, frame, traj)`` appending B(t_k) = L(t_k) - A to ``frozen``.
 
-    One ``perturbation`` per distinct StepFrame: the single frame of a static
+    One DIA difference per distinct StepFrame: the single frame of a static
     problem gives one B, repeated.  The last frame is held, so ``is`` cannot
     match a new frame at a reused address.
     """
@@ -121,7 +108,7 @@ class PerturbationFreezer:
     def __call__(self, k, frame, traj=None):
         if frame is not self._frame:
             self._frame = frame
-            self._B = perturbation(frame.L, self.A, frame.grid)
+            self._B = frame.L - self.A
         self.frozen.append(self._B)
 
 
@@ -168,7 +155,7 @@ class _ThetaMarcher:
         self.static = frames.static
         self.grid = frames.grid
         self._held = {}      # step index -> StepFrame, at most two entries
-        self._direct = None  # (I + theta dt L, its solve) of a static operator
+        self._direct = None  # (I + theta dt L, its solve, its name) of a static operator
 
     def time(self, k):
         return self.t0 + k * self.dt
@@ -183,38 +170,31 @@ class _ThetaMarcher:
     def L(self, k):
         return self.frame(k).L
 
-    def _system(self, L):
-        # a sparse sum drops explicit zeros (the cross slots of a rigid chart
-        # with g^12 = 0), which sets the pattern a static LU orders and factors
-        return sp.identity(L.shape[0], format="csr") + self.theta * self.dt * L
-
-    def _moving_system(self, L):
-        """I + theta dt L on the pattern of L: the 1 is added at its diagonal slots."""
-        data = self.theta * self.dt * L.data
-        data[stencil_slots(L, self.grid)[0, 0]] += 1.0
-        return with_data(L, data)
-
-    def _static_solver(self, L):
-        impl = self._system(L)
+    def _static_solver(self, impl):
+        """(solve, name) for the system ``impl`` of a static operator: DST-I for A, else LU."""
         weights = getattr(self.frames, "A_weights", None)
         if weights is None:
-            return impl, factorize(impl).solve
-        return impl, shifted_A_solver(self.grid, *weights, self.theta * self.dt)
+            return factorize(impl).solve, "LU"
+        return shifted_A_solver(self.grid, *weights, self.theta * self.dt), "DST-I"
 
     def solve(self, k, rhs, guess=None):
         """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL."""
         scale = np.linalg.norm(rhs)
         if scale == 0.0:
             return np.zeros_like(rhs)
+        # the system is a DIA sum on the diagonals of L; a static march builds
+        # it once and keeps it with its solver, a moving one (whose _direct
+        # stays None) builds it every step
+        if self._direct is None:
+            L = self.L(k)
+            impl = sp.identity(L.shape[0], format="dia") + self.theta * self.dt * L
+            if self.static:
+                self._direct = (impl, *self._static_solver(impl))
         iterations = None
         if self.static:
-            if self._direct is None:
-                self._direct = self._static_solver(self.L(k))
-            impl, direct = self._direct
+            impl, direct, solver = self._direct
             v = direct(rhs)
         else:
-            L = self.L(k)
-            impl = self._moving_system(L)
             lam1, lam2 = stencil_weights(L, self.grid)
             precond = spla.LinearOperator(
                 impl.shape, shifted_A_solver(self.grid, lam1, lam2, self.theta * self.dt),
@@ -223,10 +203,10 @@ class _ThetaMarcher:
             v, _ = spla.gmres(impl, rhs, x0=guess, rtol=KRYLOV_RTOL, atol=0.0,
                               restart=KRYLOV_MAXITER, maxiter=1, M=precond,
                               callback=presids.append, callback_type="pr_norm")
-            iterations = len(presids)
+            solver, iterations = "GMRES", len(presids)
         resid = np.linalg.norm(impl @ v - rhs) / scale
         if not np.isfinite(resid) or resid > SOLVE_TOL:
-            raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, iterations)
+            raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
         return v
 
     def step(self, k, vals, forcing=None):
@@ -363,7 +343,7 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
     A = stage.frames.L
     nsteps = int(math.ceil(T / dt - 1e-12))
     times = np.arange(nsteps + 1) * dt
-    expl = (sp.identity(grid.ndof, format="csr") - (1.0 - theta) * dt * A).tocsr()
+    expl = sp.identity(grid.ndof, format="dia") - (1.0 - theta) * dt * A
 
     # B(t_k) frozen once per distinct step frame, shared across iterations
     if frozen_B is None:

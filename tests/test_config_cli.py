@@ -319,14 +319,12 @@ class TestOutputs:
                                    diffusion_preset="sinusoidal")
         rep = report.condition_report
         grid = config_grid(cfg)
-        # both dumps carry the bytes of the COO->CSR reference assembly
+        # both dumps carry the text of the COO->CSR reference assembly
         refs = {"A": assembled_by_coo(assemble_A, grid, rep.lambda1, rep.lambda2),
                 "L0": assembled_by_coo(assemble_L, config_chart(cfg), config_diffusion(cfg),
                                        grid, 0.0)}
         for name, mat in refs.items():
-            ref = tmp_path / f"{name}_ref.coo"
-            _dump_matrix(ref, mat)
-            assert (Path(cfg.out_dir) / f"matrix_{name}.coo").read_bytes() == ref.read_bytes()
+            assert (Path(cfg.out_dir) / f"matrix_{name}.coo").read_text() == _coo_per_point(mat)
 
     def test_deterministic_outputs_for_fixed_seed(self, tmp_path):
         cfg1, _, _ = self._run(tmp_path / "a", subcommand="check")
@@ -411,14 +409,20 @@ class TestWriterBytes:
 
         self._check_snapshot(tmp_path, user_chart(lattice, self.GRID.domain, 1.0), 0.37)
 
-    def test_matrix_dump_matches_per_point_writer(self, tmp_path):
-        chart = make_chart("graph_oscillation", domain=self.GRID.domain, horizon=1.0,
-                           epsilon=0.05, omega=1.0)
+    @pytest.mark.parametrize("n1,n2", [(13, 6), (5, 2), (4, 1), (1, 3)])
+    @pytest.mark.parametrize("name,params", [PRESET_PARAMS[2], PRESET_PARAMS[3]])
+    def test_matrix_dump_matches_per_point_writer(self, tmp_path, n1, n2, name, params):
+        # the per-point writer of the COO reference lists every in-grid stencil
+        # entry, the explicit (signed) zeros of the translating patch's cross
+        # terms included; a grid with n2 <= 2 puts two stencil offsets on one diagonal
+        grid = make_grid(self.GRID.domain, n1, n2)
+        chart = make_chart(name, domain=grid.domain, horizon=1.0, **params)
         kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
-        for mat in (assemble_A(self.GRID, 0.8, 1.3), assemble_L(chart, kappa, self.GRID, 0.37)):
+        for build, args, offsets in ((assemble_A, (grid, 0.8, 1.3), op.A_OFFSETS),
+                                     (assemble_L, (chart, kappa, grid, 0.37), op.L_OFFSETS)):
             path = tmp_path / "matrix.coo"
-            _dump_matrix(path, mat)
-            assert path.read_text() == _coo_per_point(mat)
+            _dump_matrix(path, build(*args), grid, offsets)
+            assert path.read_text() == _coo_per_point(assembled_by_coo(build, *args))
 
 
 class TestMainEntry:
@@ -452,6 +456,13 @@ probes = 4
         cfg.n1 = cfg.n2 = 8
         with pytest.raises(ConfigError, match="refinement study"):
             run_pipeline(cfg, "mms")
+
+    def test_mms_rejects_a_non_square_grid(self, tmp_path):
+        cfg = parse_config(MINIMAL)
+        cfg.n1, cfg.n2 = 15, 20
+        with pytest.raises(ConfigError, match="n2 = 20 must equal n1 = 15") as info:
+            run_pipeline(cfg, "mms")
+        assert info.value.key == "n2"
 
     def test_exit_zero_on_solve(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

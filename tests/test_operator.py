@@ -29,9 +29,10 @@ from evolvesurf.operator import (
     coefficient_fields,
     factorize,
     field_l2,
+    L_OFFSETS,
+    max_abs_entry,
     operator_norm_est,
     shifted_A_solver,
-    stencil_weights,
     weighted_symmetry_defect,
 )
 
@@ -42,8 +43,9 @@ def lowest_discrete_eigenvalue(grid, lam1, lam2):
     return lam1 * m1 + lam2 * m2
 
 
-# References for the fixed-pattern assembly: COO triplets converted to CSR, and
-# the preconditioner weights read off the matrix diagonals.
+# References for the DIA assembly: COO triplets converted to CSR, whose
+# duplicate entries are summed, and the preconditioner weights read off the
+# diagonals of a matrix.
 
 
 def coo_stencil_matrix(grid, terms):
@@ -65,7 +67,7 @@ def coo_stencil_matrix(grid, terms):
 
 
 def assembled_by_coo(assemble, *args):
-    """``assemble(*args)`` with the COO reference in place of the pattern scatter."""
+    """``assemble(*args)`` with the COO reference in place of the DIA assembly."""
     with mock.patch.object(operator, "_stencil_matrix", coo_stencil_matrix):
         return assemble(*args)
 
@@ -80,11 +82,9 @@ def diagonal_stencil_weights(mat, grid):
             -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
 
 
-def assert_same_csr(mat, ref):
-    """Bitwise equality of the CSR arrays: indptr, indices and data."""
-    assert np.array_equal(mat.indptr, ref.indptr)
-    assert np.array_equal(mat.indices, ref.indices)
-    assert mat.data.tobytes() == ref.data.tobytes()
+def assert_same_entries(mat, ref):
+    """Bitwise equality of the two matrices, entry for entry."""
+    assert mat.toarray().tobytes() == ref.toarray().tobytes()
 
 
 class TestAssembleA:
@@ -98,8 +98,8 @@ class TestAssembleA:
 
     def test_symmetric_positive_definite(self, unit_grid):
         A = assemble_A(unit_grid, 2.0, 0.5)
-        assert sp.issparse(A) and A.format == "csr"
-        assert abs(A - A.T).max() == 0.0
+        assert sp.issparse(A) and A.format == "dia"
+        assert max_abs_entry(A - A.T) == 0.0
         lo = spla.eigsh(A, k=1, sigma=0.0, which="LM")[0][0]
         floor = min(2.0, 0.5) * lowest_discrete_eigenvalue(unit_grid, 1.0, 1.0)
         assert lo > 0.0
@@ -129,24 +129,25 @@ class TestAssembleL:
     def test_flat_reduces_to_A_exactly(self, flat, const_kappa, unit_grid):
         L = assemble_L(flat, const_kappa, unit_grid, 0.4)
         A = assemble_A(unit_grid, 1.0, 1.0)
-        assert abs(L - A).max() == 0.0
+        assert max_abs_entry(L - A) == 0.0
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     def test_isotropic_reduction(self, iso, const_kappa, unit_grid, t):
         L = assemble_L(iso, const_kappa, unit_grid, t)
         A = assemble_A(unit_grid, 1.0, 1.0)
         ref = math.exp(-2.0 * t) * A + 2.0 * sp.identity(unit_grid.ndof)
-        assert abs(L - ref).max() < 1e-10
+        assert max_abs_entry(L - ref) < 1e-10
 
     def test_graph_at_time_zero_is_flat(self, graph, const_kappa, unit_grid):
         L = assemble_L(graph, const_kappa, unit_grid, 0.0)
         A = assemble_A(unit_grid, 1.0, 1.0)
-        assert abs(L - A).max() < 1e-12
+        assert max_abs_entry(L - A) < 1e-12
 
-    def test_nine_point_pattern(self, graph, const_kappa, unit_grid):
+    def test_nine_diagonals_in_ascending_order(self, graph, const_kappa, unit_grid):
         L = assemble_L(graph, const_kappa, unit_grid, 0.9)
-        assert sp.issparse(L) and L.format == "csr"
-        assert (L.getnnz(axis=1) <= 9).all()
+        assert sp.issparse(L) and L.format == "dia"
+        n2 = unit_grid.n2
+        assert L.offsets.tolist() == sorted(di * n2 + dj for di, dj in L_OFFSETS)
 
     def test_weighted_selfadjointness(self, graph, unit_grid):
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
@@ -185,16 +186,16 @@ class TestBParts:
         parts = assemble_B_parts(flat, const_kappa, unit_grid, 1.0, 1.0, 0.2)
         assert sorted(parts) == ["B1", "B2", "B3", "B4", "B5"]
         for i in range(1, 6):
-            assert abs(parts[f"B{i}"]).max() == 0.0
+            assert max_abs_entry(parts[f"B{i}"]) == 0.0
             assert operator_norm_est(parts[f"B{i}"], iters=5) == 0.0
 
     def test_isotropic_matched_lambda(self, iso, const_kappa, unit_grid):
         t0 = 0.5
         lam = math.exp(-2.0 * t0)
         parts = assemble_B_parts(iso, const_kappa, unit_grid, lam, lam, t0)
-        assert abs(parts["B1"]).max() < 1e-12
+        assert max_abs_entry(parts["B1"]) < 1e-12
         ref = 2.0 * sp.identity(unit_grid.ndof)
-        assert abs(parts["B5"] - ref).max() < 1e-12
+        assert max_abs_entry(parts["B5"] - ref) < 1e-12
 
     @pytest.mark.parametrize("kappa_name", ["constant", "sinusoidal"])
     def test_sum_matches_L_minus_A(self, graph, unit_grid, kappa_name):
@@ -205,14 +206,14 @@ class TestBParts:
             parts = assemble_B_parts(graph, kap, unit_grid, lam1, lam2, t)
             total = sum(parts[f"B{i}"] for i in range(1, 6))
             L = assemble_L(graph, kap, unit_grid, t)
-            assert abs(total - (L - A)).max() <= 1e-10
+            assert max_abs_entry(total - (L - A)) <= 1e-10
 
     def test_norms_bound_matrix_action(self, graph, const_kappa, unit_grid):
         parts = assemble_B_parts(graph, const_kappa, unit_grid, 0.9, 0.9, 1.3)
         rng = np.random.default_rng(11)
         for i in range(1, 6):
             m = parts[f"B{i}"]
-            assert sp.issparse(m) and m.format == "csr"
+            assert sp.issparse(m) and m.format == "dia"
             sigma = operator_norm_est(m)
             for _ in range(3):
                 f = rng.standard_normal(unit_grid.ndof)
@@ -266,36 +267,6 @@ class TestStepFrame:
         assert len(calls) == 1
 
 
-class TestStencilPattern:
-    def test_grids_with_equal_node_counts_share_one_read_only_pattern(self, graph, const_kappa):
-        operator.stencil_pattern.cache_clear()
-        L = assemble_L(graph, const_kappa, make_grid((0.0, 1.0, 0.0, 1.0), 9, 7), 0.3)
-        other = assemble_L(graph, const_kappa, make_grid((-0.5, 2.0, 0.2, 1.0), 9, 7), 0.6)
-        assert operator.stencil_pattern.cache_info().misses == 1
-        assert np.shares_memory(L.indices, other.indices)
-        assert not np.shares_memory(L.data, other.data)
-        slots = operator.stencil_pattern(9, 7, operator.L_OFFSETS).slots
-        for arr in (L.indices, L.indptr, slots[0, 0]):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1
-
-    def test_cache_is_bounded(self):
-        operator.stencil_pattern.cache_clear()
-        for n in range(1, 21):
-            assemble_A(make_grid((0.0, 1.0, 0.0, 1.0), n, 3), 1.0, 1.0)
-        info = operator.stencil_pattern.cache_info()
-        assert (info.misses, info.maxsize, info.currsize) == (20, 16, 16)
-
-    def test_matrix_off_the_pattern_rejected(self, graph, const_kappa, unit_grid):
-        with pytest.raises(ParameterError, match="9-point pattern"):
-            stencil_weights(assemble_A(unit_grid, 1.0, 1.0), unit_grid)
-        L = assemble_L(graph, const_kappa, make_grid((0.0, 1.0, 0.0, 1.0), 15, 17), 0.3)
-        with pytest.raises(ParameterError, match="16x16 grid"):
-            stencil_weights(L, unit_grid)
-        with pytest.raises(ParameterError, match="repeated"):
-            operator.stencil_pattern(3, 3, ((0, 0), (1, 0), (0, 0)))
-
-
 class TestPerturbationBound:
     def test_no_probe_violates_inflated_bound(self, unit_grid):
         from evolvesurf import smallness_report
@@ -306,7 +277,7 @@ class TestPerturbationBound:
         bound = 2.0 * rep.C_sharp_est * rep.M.sum() * 1.1
         A = assemble_A(unit_grid, rep.lambda1, rep.lambda2)
         B = assemble_B(chart, kap, unit_grid, rep.lambda1, rep.lambda2, 0.9)
-        assert sp.issparse(B) and B.format == "csr"
+        assert sp.issparse(B) and B.format == "dia"
         rng = np.random.default_rng(42)
         for _ in range(100):
             f = rng.standard_normal(unit_grid.ndof)

@@ -27,17 +27,16 @@ from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio 
 from evolvesurf.geometry import PRESET_NAMES  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
     StepFrame,
-    StepFrames,
+    max_abs_entry,
     shifted_A_solver,
     stencil_weights,
     weighted_symmetry_defect,
 )
-from evolvesurf.timestepper import _ThetaMarcher  # noqa: E402
 
 from test_coefficients import _lu_C_A, _lu_C_sharp, _lu_mr_ratio  # noqa: E402
 from test_operator import (  # noqa: E402
     assembled_by_coo,
-    assert_same_csr,
+    assert_same_entries,
     diagonal_stencil_weights,
 )
 
@@ -91,26 +90,39 @@ def test_B_parts_sum_to_L_minus_A(grid, lam1, lam2, preset, diffusion, t):
     parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, t)
     total = sum(parts[f"B{i}"] for i in range(1, 6))
     defect = total - (assemble_L(chart, kappa, grid, t) - assemble_A(grid, lam1, lam2))
-    assert abs(defect).max() <= 1e-10
+    assert max_abs_entry(defect) <= 1e-10
 
 
 @PROPERTY
 @given(grid=grids(), lam1=weights, lam2=weights, theta=st.floats(0.5, 1.0),
-       dt=st.floats(1e-4, 0.1))
-def test_pattern_assembly_equals_coo_reference(grid, lam1, lam2, theta, dt):
+       dt=st.floats(1e-4, 0.1), seed=st.integers(0, 2 ** 16))
+def test_dia_operators_equal_coo_reference(grid, lam1, lam2, theta, dt, seed):
     # every preset x both diffusivities x t in {0, 0.37} on each drawn grid
-    assert_same_csr(assemble_A(grid, lam1, lam2), assembled_by_coo(assemble_A, grid, lam1, lam2))
+    A = assemble_A(grid, lam1, lam2)
+    ref_A = assembled_by_coo(assemble_A, grid, lam1, lam2)
+    assert_same_entries(A, ref_A)
+    v = np.random.default_rng(seed).standard_normal(grid.ndof)
     for preset in PRESET_NAMES:
         chart = make_chart(preset, domain=grid.domain, horizon=2.0)
         for diffusion in DIFFUSION_PRESETS:
             kappa = make_diffusion(diffusion)
-            marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
             for t in (0.0, 0.37):
                 L = assemble_L(chart, kappa, grid, t)
-                assert_same_csr(L, assembled_by_coo(assemble_L, chart, kappa, grid, t))
-                assert stencil_weights(L, grid) == diagonal_stencil_weights(L, grid)
-                system = sp.identity(grid.ndof) + theta * dt * L
-                assert np.array_equal(marcher._moving_system(L).toarray(), system.toarray())
+                ref = assembled_by_coo(assemble_L, chart, kappa, grid, t)
+                assert_same_entries(L, ref)
+                assert (L @ v).tobytes() == (ref @ v).tobytes()
+                assert stencil_weights(L, grid) == diagonal_stencil_weights(ref, grid)
+                parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, t)
+                ref_parts = assembled_by_coo(assemble_B_parts, chart, kappa, grid, lam1, lam2, t)
+                for name, part in parts.items():
+                    assert_same_entries(part, ref_parts[name])
+                # the sums stay DIA: a scipy that falls back to CSR arithmetic fails here
+                B = L - A
+                system = sp.identity(grid.ndof, format="dia") + theta * dt * L
+                assert B.format == system.format == "dia"
+                assert_same_entries(B, ref - ref_A)
+                ref_system = sp.identity(grid.ndof, format="csr") + theta * dt * ref
+                assert_same_entries(system, ref_system)
 
 
 @PROPERTY

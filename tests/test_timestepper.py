@@ -18,7 +18,6 @@ from evolvesurf import (
     PicardDivergenceError,
     StepSolveError,
     assemble_A,
-    assemble_B_parts,
     assemble_L,
     lambda_select,
     make_chart,
@@ -36,7 +35,7 @@ from evolvesurf import timestepper
 from evolvesurf.operator import StepFrames
 from evolvesurf.timestepper import Trajectory
 
-from test_operator import lowest_discrete_eigenvalue
+from test_operator import assembled_by_coo, lowest_discrete_eigenvalue
 
 
 class TestThetaStep:
@@ -340,6 +339,22 @@ class TestImplicitSolve:
         assert "step 1 at t = 0.001" in str(err)
         assert f"after {err.iterations} GMRES iterations" in str(err)
 
+    @pytest.mark.parametrize("run,solver", [
+        (lambda chart, kappa, grid, v0: solve_direct(chart, kappa, grid, v0, 0.01, 1e-3), "LU"),
+        (lambda chart, kappa, grid, v0: solve_picard(chart, kappa, grid, 1.0, 1.0, v0,
+                                                     0.01, 1e-3), "DST-I"),
+    ], ids=["solve_direct", "solve_picard"])
+    def test_static_failure_names_the_solver_that_ran(self, flat, const_kappa, unit_grid,
+                                                      eigenmode, monkeypatch, run, solver):
+        # a static solve_direct factorizes L; a Picard stage solves with A by DST-I
+        monkeypatch.setattr(timestepper, "SOLVE_TOL", 1e-30)
+        with pytest.raises(StepSolveError) as info:
+            run(flat, const_kappa, unit_grid, eigenmode(unit_grid))
+        err = info.value
+        assert (err.step, err.solver, err.iterations) == (1, solver, None)
+        assert 1e-30 < err.residual <= 1e-10
+        assert str(err).endswith(f"> 1.0e-30 by {solver}")
+
     def test_package_import_leaves_scipy_fft_unloaded(self):
         src = str(Path(evolvesurf.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -447,52 +462,48 @@ class TestStepFrames:
         assert len({id(B) for B in freezer.frozen}) == 1
         # one separate B per step time, as frozen before
         L = assemble_L(chart, const_kappa, grid, 0.0)
-        per_step = [timestepper.perturbation(L, A, grid) for _ in range(direct.nsteps + 1)]
+        per_step = [L - A for _ in range(direct.nsteps + 1)]
         ref, ref_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
                                      frozen_B=per_step)
         shared, hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
                                     frozen_B=freezer.frozen)
-        frozen_here = count_calls(timestepper, "perturbation")
+        frames_here = count_calls(operator, "assemble_L")
         own, own_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3)
-        assert len(frozen_here) == 1
+        assert len(frames_here) == 1
         assert np.array_equal(shared.fields, ref.fields)
         assert np.array_equal(own.fields, ref.fields)
         assert hist.diff_norms == own_hist.diff_norms == ref_hist.diff_norms
 
-    def test_perturbation_stores_only_its_data_on_the_pattern_of_L(self, graph, const_kappa,
-                                                                   unit_grid):
-        L = assemble_L(graph, const_kappa, unit_grid, 0.7)
+    def test_frozen_B_is_L_minus_A(self, graph, const_kappa, unit_grid):
+        frame = StepFrames(graph, const_kappa, unit_grid).frame(0.7)
         A = assemble_A(unit_grid, 0.9, 0.9)
-        B = timestepper.perturbation(L, A, unit_grid)
-        assert np.array_equal(B.toarray(), (L - A).toarray())
-        assert np.shares_memory(B.indices, L.indices) and np.shares_memory(B.indptr, L.indptr)
+        freezer = timestepper.PerturbationFreezer(A)
+        freezer(0, frame)
+        B, = freezer.frozen
+        assert B.format == "dia"
+        ref = (assembled_by_coo(assemble_L, graph, const_kappa, unit_grid, 0.7)
+               - assembled_by_coo(assemble_A, unit_grid, 0.9, 0.9))
+        assert B.toarray().tobytes() == ref.toarray().tobytes()
 
-        def buffer(arr):
-            while arr.base is not None:
-                arr = arr.base
-            return arr
-
-        assert buffer(B.data).size == B.nnz == L.nnz
-        assert not np.shares_memory(B.data, L.data)
-        with pytest.raises(ParameterError, match="5-point pattern"):
-            timestepper.perturbation(L, L, unit_grid)
-
-    def test_moving_march_builds_the_pattern_once(self, graph, const_kappa, eigenmode,
-                                                  monkeypatch):
-        conversions = []
-        tocsr = sp.coo_matrix.tocsr
-
-        def counting(self, *args, **kwargs):
-            conversions.append(self.shape)
-            return tocsr(self, *args, **kwargs)
-
-        monkeypatch.setattr(sp.coo_matrix, "tocsr", counting)
+    def test_marches_convert_no_matrix_but_the_static_LU(self, graph, flat, const_kappa,
+                                                         eigenmode, monkeypatch):
+        # outermost format conversions of DIA and COO matrices (a DIA tocsc
+        # goes through tocsr, which is not counted again)
+        conversions, depth = [], []
+        for cls in (sp.dia_matrix, sp.coo_matrix):
+            for name in ("tocsr", "tocsc", "tocoo"):
+                def counting(self, *args, _convert=getattr(cls, name), _name=name, **kwargs):
+                    if not depth:
+                        conversions.append((self.format, _name))
+                    depth.append(_name)
+                    try:
+                        return _convert(self, *args, **kwargs)
+                    finally:
+                        depth.pop()
+                monkeypatch.setattr(cls, name, counting)
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 14, 9)
-        operator.stencil_pattern.cache_clear()
         traj = solve_direct(graph, const_kappa, grid, eigenmode(grid), 0.02, 1e-3)
         assert traj.nsteps == 20
-        assert operator.stencil_pattern.cache_info().misses == 1
         assert conversions == []
-        # the B-parts still assemble through COO, and the count sees them
-        assemble_B_parts(graph, const_kappa, grid, 1.0, 1.0, 0.3)
-        assert len(conversions) == 5
+        solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.02, 1e-3)
+        assert conversions == [("dia", "tocsc")]
