@@ -7,7 +7,9 @@ of the coefficients.  ``smallness_report`` bundles the scan, probe-based
 estimates of the elliptic-regularity constant C_sharp and the maximal
 L2-regularity constant C_A, the three smallness conditions and the two
 existence-horizon formulas.  The estimators take A = assemble_A(grid,
-lambda1, lambda2) by its grid and weights and work in its DST-I sine basis.
+lambda1, lambda2) by its grid and weights and work in its DST-I sine basis
+(``operator.SineBasis``), which maps into and out of the modes by dense
+products with the sine matrix of each axis.
 """
 
 from __future__ import annotations

@@ -42,8 +42,12 @@ and ``weighted_symmetry_defect`` read single frames.
 
 ``SineBasis`` is the DST-I eigenbasis of A, built from the grid and the
 weights: every solve with A or I + s A (Picard stages, the C_sharp and C_A
-estimators, the GMRES preconditioner) is a division per mode there.
-``factorize`` (sparse LU) is left for a static L.
+estimators, the GMRES preconditioner) is a division per mode there.  The
+transform is a pair of dense products with the orthonormal sine matrix of
+each axis (``sine_matrix``, built once per node count), O(n1 n2 (n1 + n2))
+per transform; up to about 150 nodes per axis that beats an FFT, and its
+cost does not depend on the factors of n + 1.  ``factorize`` (sparse LU) is
+left for a static L.
 """
 
 from __future__ import annotations
@@ -567,24 +571,49 @@ def stencil_weights(mat, grid):
                         grid.h2))
 
 
+@functools.lru_cache(maxsize=16)
+def sine_matrix(n):
+    """Orthonormal DST-I matrix S[k, l] = sqrt(2/(n+1)) sin(pi k l/(n+1)), k, l = 1..n.
+
+    The product k l is reduced modulo 2(n+1), the period of the sine, so the
+    argument stays below 2 pi.  S is symmetric and orthogonal, hence its own
+    inverse.  Cached per n and read-only.
+    """
+    k = np.arange(1, n + 1)
+    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
+    S.flags.writeable = False
+    return S
+
+
 class SineBasis:
     """Orthonormal DST-I eigenbasis of A = assemble_A(grid, lambda1, lambda2).
 
     The sine modes sin(pi k i/(n1+1)) sin(pi l j/(n2+1)) diagonalize the
     5-point operator with eigenvalues lambda1 mu1_k + lambda2 mu2_l, where
-    mu_k = (4/h^2) sin^2(pi k/(2(n+1))); the orthonormal DST-I maps into and
-    out of that basis in O(n log n) and preserves the Euclidean norm, so
-    ``forward(f)`` carries the same l2 norm as f.  Leading axes of the
-    arguments are batch axes.
+    mu_k = (4/h^2) sin^2(pi k/(2(n+1))).  The orthonormal DST-I maps into and
+    out of that basis as the dense products S1 V S2 with the symmetric,
+    orthogonal ``sine_matrix`` of each axis, so it is its own inverse and
+    preserves the Euclidean norm: ``forward(f)`` carries the same l2 norm as
+    f.  A transform costs O(n1 n2 (n1 + n2)) operations, with no dependence
+    on the factors of n + 1.  Against an O(n log n) FFT-based DST-I
+    (scipy's) the products win up to about 150 nodes per axis, the largest
+    grid of any workload, test or demo.  Time per 2-D transform, BLAS on one
+    thread of a 2-vCPU Xeon KVM guest:
+
+        grid       15^2    63^2    127^2    150x100  255^2   511^2
+        products   4 us    28 us   0.23 ms  0.21 ms  1.8 ms  12.7 ms
+        FFT        21 us   82 us   0.27 ms  1.79 ms  0.83 ms  4.7 ms
+
+    (151 is prime, the slow case of an FFT.)  Leading axes of the arguments
+    are batch axes.
     """
 
     def __init__(self, grid, lambda1, lambda2):
-        from scipy import fft  # imported on first use, off the package import path
-
         def eigenvalues(n, h):
             return 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
 
-        self._fft = fft
+        self._S1 = sine_matrix(grid.n1)
+        self._S2 = sine_matrix(grid.n2)
         mu1 = eigenvalues(grid.n1, grid.h1)
         mu2 = eigenvalues(grid.n2, grid.h2)
         self.eigenvalues = lambda1 * mu1[:, None] + lambda2 * mu2[None, :]
@@ -593,11 +622,11 @@ class SineBasis:
         """Mode coefficients, shape (..., n1, n2), of grid functions (..., ndof)."""
         values = np.asarray(values)
         shape = values.shape[:-1] + self.eigenvalues.shape
-        return self._fft.dstn(np.reshape(values, shape), type=1, norm="ortho", axes=(-2, -1))
+        return self._S1 @ np.reshape(values, shape) @ self._S2
 
     def inverse(self, coeffs):
         """Grid functions, shape (..., ndof), from mode coefficients (..., n1, n2)."""
-        out = self._fft.idstn(coeffs, type=1, norm="ortho", axes=(-2, -1))
+        out = self._S1 @ coeffs @ self._S2
         return out.reshape(out.shape[:-2] + (-1,))
 
 

@@ -14,16 +14,19 @@ accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
 otherwise StepSolveError names the step, time, residual and solver (LU,
 DST-I, or GMRES with its iteration count).
 The comparison operator A of a Picard stage is inverted exactly by DST-I in
-its sine eigenbasis, O(n log n) per step and no factorization.  Any other
-static operator (rigid chart, time-independent diffusivity) is LU-factorized
-once per march.  A moving operator is solved by GMRES started from the
-previous step's value and preconditioned with (I + theta dt A_k)^{-1}, where
-A_k is the constant 5-point operator with the mean stencil weights of
-L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A relative to A
-keeps that iteration to a few steps, and no matrix is factorized per step.
+its sine eigenbasis (``operator.SineBasis``: dense products with the sine
+matrix of each axis, O(n1 n2 (n1 + n2)) per step) and no factorization.  Any
+other static operator (rigid chart, time-independent diffusivity) is
+LU-factorized once per march.  A moving operator is solved by GMRES started
+from the previous step's value and preconditioned with (I + theta dt
+A_k)^{-1}, where A_k is the constant 5-point operator with the mean stencil
+weights of L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A
+relative to A keeps that iteration to a few steps, and no matrix is
+factorized per step.
 Every system matrix I + theta dt L and a frozen B(t_k) = L(t_k) - A are DIA
 sums of the stencil diagonals (``operator``), so a moving march converts no
-matrix to another sparse format.
+matrix to another sparse format; I + theta dt L is the scaled copy of L with
+1 added to its main diagonal in place.
 
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
@@ -187,7 +190,8 @@ class _ThetaMarcher:
         # stays None) builds it every step
         if self._direct is None:
             L = self.L(k)
-            impl = sp.identity(L.shape[0], format="dia") + self.theta * self.dt * L
+            impl = self.theta * self.dt * L   # a scaled copy; L stays as it is
+            impl.data[impl.offsets == 0] += 1.0
             if self.static:
                 self._direct = (impl, *self._static_solver(impl))
         iterations = None

@@ -30,9 +30,11 @@ from evolvesurf.operator import (
     factorize,
     field_l2,
     L_OFFSETS,
+    SineBasis,
     max_abs_entry,
     operator_norm_est,
     shifted_A_solver,
+    sine_matrix,
     weighted_symmetry_defect,
 )
 
@@ -331,8 +333,39 @@ class TestAnisotropicIdentities:
             verify_anisotropic_identities(g, 1.0, 1.0)
 
 
+# single-node axes, n + 1 prime (11, 17, 151), and 150 x 100, the largest
+# grid of any workload
+SINE_GRIDS = [(12, 7), (10, 16), (1, 7), (7, 1), (12, 10), (31, 31), (150, 100)]
+
+
 class TestSolvers:
-    @pytest.mark.parametrize("n1,n2", [(12, 7), (10, 16)])   # n + 1 = 11, 17 prime
+    @pytest.mark.parametrize("n1,n2", SINE_GRIDS)
+    def test_sine_basis_matches_dst_oracle(self, n1, n2):
+        from scipy import fft   # the oracle of the test; no run imports it
+
+        grid = make_grid((0.0, 1.5, -0.2, 0.6), n1, n2)
+        basis = SineBasis(grid, 0.7, 1.9)
+        rng = np.random.default_rng(5)
+        # one grid function, and a (pieces, ndof) batch as estimate_C_A passes
+        for values in (rng.standard_normal(grid.ndof), rng.standard_normal((8, grid.ndof))):
+            fields = values.reshape(values.shape[:-1] + (n1, n2))
+            coeffs = fft.dstn(fields, type=1, norm="ortho", axes=(-2, -1))
+            got = basis.forward(values)
+            assert got.shape == coeffs.shape
+            assert np.max(np.abs(got - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+            ref = fft.idstn(coeffs, type=1, norm="ortho", axes=(-2, -1)).reshape(values.shape)
+            got = basis.inverse(coeffs)
+            assert got.shape == values.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for n in (n1, n2):
+            S = sine_matrix(n)
+            assert S is sine_matrix(n)
+            assert np.array_equal(S, S.T)
+            assert np.max(np.abs(S @ S - np.eye(n))) <= 1e-13
+            with pytest.raises(ValueError):
+                S[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n1,n2", SINE_GRIDS)
     def test_shifted_A_solver_inverts_I_plus_shift_A(self, n1, n2):
         grid = make_grid((0.0, 1.5, -0.2, 0.6), n1, n2)
         lam1, lam2, shift = 0.7, 1.9, 3e-3

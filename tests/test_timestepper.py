@@ -37,6 +37,29 @@ from evolvesurf.timestepper import Trajectory
 
 from test_operator import assembled_by_coo, lowest_discrete_eigenvalue
 
+# a moving chart with a time-dependent operator, small enough for a subprocess
+SMALL_MOVING_RUN = """
+[surface]
+preset = graph_oscillation
+T = 0.02
+epsilon = 0.05
+omega = 1.0
+
+[diffusion]
+preset = constant
+value = 1.0
+
+[grid]
+n1 = 15
+n2 = 15
+
+[time]
+dt = 2e-3
+
+[solver]
+probes = 4
+"""
+
 
 class TestThetaStep:
     def test_crank_nicolson_eigenmode_amplification(self, flat, const_kappa,
@@ -355,11 +378,26 @@ class TestImplicitSolve:
         assert 1e-30 < err.residual <= 1e-10
         assert str(err).endswith(f"> 1.0e-30 by {solver}")
 
-    def test_package_import_leaves_scipy_fft_unloaded(self):
+    @pytest.mark.parametrize("subcommand", ["solve", "picard", "mms"])
+    def test_cli_run_leaves_scipy_fft_unloaded(self, tmp_path, subcommand):
+        # the sine transforms are matrix products, so no run of these
+        # subcommands imports scipy.fft or the scipy.special it loads
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_MOVING_RUN)
         src = str(Path(evolvesurf.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, evolvesurf; sys.exit('scipy.fft' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        code = "\n".join([
+            "import sys",
+            "from evolvesurf import cli",
+            "status = cli.main(sys.argv[1:])",
+            "loaded = [m for m in ('scipy.fft', 'scipy.special') if m in sys.modules]",
+            "assert status == 0, f'exit status {status}'",
+            "assert not loaded, f'the run loaded {loaded}'",
+        ])
+        done = subprocess.run([sys.executable, "-c", code, subcommand, "--config", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPicardStageSolve:
