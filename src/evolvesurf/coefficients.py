@@ -1,5 +1,10 @@
 """Diffusivity presets, coefficient sup-norms and the smallness report.
 
+Both diffusivity presets are one closed form, kappa = base + amp sin(pi X1)
+sin(pi X2), time-independent: ``constant`` is base = value with no sine term
+and ``sinusoidal`` reads base and amp (``DIFFUSION_PARAMS``).  One formula
+gives kappa and its X-partials and one sympy builder its symbolic form.
+
 The comparison operator A needs anisotropy weights lam1, lam2 sitting below
 kappa*g^11 and kappa*g^22 on the whole space-time scan; the size of the
 perturbation B = L - A is then controlled by five sup-norm quantities M1..M5
@@ -15,13 +20,13 @@ products with the sine matrix of each axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import AssumptionViolationError, ParameterError
-from .geometry import _fd1, metric_fields
+from .geometry import _fd1, metric_fields, phi_term, preset_params
 from .operator import (
     SineBasis,
     _on_mesh,
@@ -35,68 +40,58 @@ from .operator import (
 
 SMALLNESS_THRESHOLD = 1.0 / (8.0 * math.sqrt(2.0))
 
-DIFFUSION_PRESETS = ("constant", "sinusoidal")
+# kappa = base + amp phi, phi = sin(pi X1) sin(pi X2): a preset is the
+# parameters it reads, with their defaults; "value" is the base of the
+# constant preset, which has no sine term (amp = 0)
+DIFFUSION_PARAMS = {
+    "constant": {"value": 1.0},
+    "sinusoidal": {"base": 1.0, "amp": 0.2},
+}
+DIFFUSION_PRESETS = tuple(DIFFUSION_PARAMS)
 
 
 @dataclass(frozen=True, eq=False)
 class Diffusion:
-    """Pulled-back diffusivity kappa(X, t) with optional analytic partials."""
+    """Pulled-back diffusivity kappa(X, t) with optional analytic X-partials."""
 
     name: str
     value: Callable
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
-    dt: Optional[Callable] = None
     time_independent: bool = False
-    params: dict = field(default_factory=dict)
     sym_builder: Optional[Callable] = None
 
-    def partial(self, key, domain, horizon, h_fd):
-        """Analytic partial when supplied, FD fallback otherwise."""
-        analytic = {"d1": self.d1, "d2": self.d2, "dt": self.dt}[key]
+    def partial(self, key, domain, h_fd):
+        """Analytic partial "d1" or "d2" when supplied, FD fallback otherwise."""
+        which = ("d1", "d2").index(key)
+        analytic = (self.d1, self.d2)[which]
         if analytic is not None:
             return analytic
-        which = {"d1": 0, "d2": 1, "dt": 2}[key]
-        a, b, c, d = domain
-        lo, hi = ((a, b), (c, d), (0.0, horizon))[which]
-        return _fd1(self.value, which, lo, hi, h_fd)
+        return _fd1(self.value, which, *domain[2 * which:2 * which + 2], h_fd)
 
 
 def make_diffusion(name, **params):
-    if name == "constant":
-        v = float(params.get("value", 1.0))
-        zero = lambda x1, x2, t: np.zeros(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
+    """Build a diffusivity preset by name; see DIFFUSION_PARAMS for the catalogue.
 
-        def sym(X1, X2, t):
-            import sympy as sp
-            return sp.Float(v)
+    Without a sine term (amp = 0) kappa is filled with base and its partials
+    are zero arrays; no sine is evaluated.
+    """
+    params = preset_params("diffusion", DIFFUSION_PARAMS, name, params)
+    base = float(params.get("base", params.get("value")))
+    amp = float(params.get("amp", 0.0))
+    term, d1, d2 = (phi_term(lambda t: amp, index) for index in ("", "1", "2"))
+    zero = lambda x1, x2, t: np.zeros(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
 
-        return Diffusion("constant", lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), v),
-                         d1=zero, d2=zero, dt=zero, time_independent=True,
-                         params={"value": v}, sym_builder=sym)
-    if name == "sinusoidal":
-        base = float(params.get("base", 1.0))
-        amp = float(params.get("amp", 0.2))
-        pi = math.pi
+    def value(x1, x2, t):
+        x1 = np.asarray(x1, dtype=float)
+        return base + term(x1, np.asarray(x2), t) if amp else np.full_like(x1, base)
 
-        def val(x1, x2, t):
-            return base + amp * np.sin(pi * np.asarray(x1)) * np.sin(pi * np.asarray(x2))
+    def sym(X1, X2, t):
+        import sympy as sp
+        return sp.Float(base) + amp * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2)
 
-        def d1(x1, x2, t):
-            return amp * pi * np.cos(pi * np.asarray(x1)) * np.sin(pi * np.asarray(x2))
-
-        def d2(x1, x2, t):
-            return amp * pi * np.sin(pi * np.asarray(x1)) * np.cos(pi * np.asarray(x2))
-
-        zero = lambda x1, x2, t: np.zeros(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
-
-        def sym(X1, X2, t):
-            import sympy as sp
-            return base + amp * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2)
-
-        return Diffusion("sinusoidal", val, d1=d1, d2=d2, dt=zero, time_independent=True,
-                         params={"base": base, "amp": amp}, sym_builder=sym)
-    raise ParameterError(f"unknown diffusion preset '{name}'")
+    return Diffusion(name, value, d1=d1 if amp else zero, d2=d2 if amp else zero,
+                     time_independent=True, sym_builder=sym)
 
 
 def diffusion_bounds(kappa, grid, times):
@@ -166,9 +161,8 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
     X1, X2 = grid.full_mesh()
     M = np.zeros(5)
     m1_factor2 = 0.0
-    dom, hor = chart.domain, chart.horizon
-    k1 = kappa.partial("d1", dom, hor, grid.h_fd)
-    k2 = kappa.partial("d2", dom, hor, grid.h_fd)
+    k1 = kappa.partial("d1", chart.domain, grid.h_fd)
+    k2 = kappa.partial("d2", chart.domain, grid.h_fd)
     for t in times:
         mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
         k = _on_mesh(kappa, X1, X2, t)

@@ -13,14 +13,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .coefficients import DIFFUSION_PRESETS, make_diffusion
+from .coefficients import DIFFUSION_PARAMS, make_diffusion
 from .errors import ConfigError
-from .geometry import PRESET_NAMES, make_chart, make_grid
+from .geometry import PRESET_PARAMS, make_chart, make_grid
 
 _SECTIONS = ("surface", "diffusion", "grid", "time", "solver", "output")
-
-_SURFACE_PARAM_KEYS = ("gamma", "epsilon", "omega", "c")
-_DIFFUSION_PARAM_KEYS = ("value", "base", "amp")
 
 
 @dataclass
@@ -114,13 +111,23 @@ def _to_bool(value, key, line):
     raise ConfigError(f"expected a boolean, got '{value}'", key=key, line=line)
 
 
+def _take_floats(r, section, keys):
+    """The ``keys`` set in [section], as floats."""
+    params = {}
+    for key in keys:
+        v, ln = r.take(section, key)
+        if v is not None:
+            params[key] = _to_float(v, key, ln)
+    return params
+
+
 def parse_config(text):
     """Parse and validate a configuration text into a RunConfig."""
     entries = _parse_lines(text)
     r = _Reader(entries)
 
     preset, ln = r.take("surface", "preset", required=True)
-    if preset not in PRESET_NAMES:
+    if preset not in PRESET_PARAMS:
         raise ConfigError(f"unknown surface preset '{preset}'", key="preset", line=ln)
     horizon_s, ln = r.take("surface", "T", required=True)
     horizon = _to_float(horizon_s, "T", ln)
@@ -135,20 +142,12 @@ def parse_config(text):
         if i % 2 and not domain[i] > domain[i - 1]:
             raise ConfigError("domain rectangle is degenerate", key=key, line=ln)
 
-    surface_params = {}
-    for key in _SURFACE_PARAM_KEYS:
-        v, ln = r.take("surface", key)
-        if v is not None:
-            surface_params[key] = _to_float(v, key, ln)
+    surface_params = _take_floats(r, "surface", PRESET_PARAMS[preset])
 
     dpreset, ln = r.take("diffusion", "preset", default="constant")
-    if dpreset not in DIFFUSION_PRESETS:
+    if dpreset not in DIFFUSION_PARAMS:
         raise ConfigError(f"unknown diffusion preset '{dpreset}'", key="preset", line=ln)
-    diffusion_params = {}
-    for key in _DIFFUSION_PARAM_KEYS:
-        v, ln = r.take("diffusion", key)
-        if v is not None:
-            diffusion_params[key] = _to_float(v, key, ln)
+    diffusion_params = _take_floats(r, "diffusion", DIFFUSION_PARAMS[dpreset])
 
     n1_s, ln1 = r.take("grid", "n1", required=True)
     n1 = _to_int(n1_s, "n1", ln1)
@@ -211,8 +210,11 @@ def parse_config(text):
     dump_s, ln = r.take("output", "dump_matrices", default="false")
     dump = _to_bool(dump_s, "dump_matrices", ln)
 
+    # a parameter of another preset of the family is as unknown as a typo
+    readers = {"surface": preset, "diffusion": dpreset}
     for (section, key), (_, lineno) in r.leftovers().items():
-        raise ConfigError(f"unknown key in [{section}]", key=key, line=lineno)
+        reader = f": preset '{readers[section]}' does not read it" if section in readers else ""
+        raise ConfigError(f"unknown key in [{section}]{reader}", key=key, line=lineno)
 
     return RunConfig(
         surface_preset=preset, horizon=horizon, domain=tuple(domain),
@@ -230,13 +232,9 @@ def serialize_config(cfg):
     lines = ["[surface]", f"preset = {cfg.surface_preset}", f"T = {cfg.horizon!r}"]
     for i, key in enumerate(("x1_min", "x1_max", "x2_min", "x2_max")):
         lines.append(f"{key} = {cfg.domain[i]!r}")
-    for key in _SURFACE_PARAM_KEYS:
-        if key in cfg.surface_params:
-            lines.append(f"{key} = {cfg.surface_params[key]!r}")
+    lines += [f"{key} = {value!r}" for key, value in cfg.surface_params.items()]
     lines += ["", "[diffusion]", f"preset = {cfg.diffusion_preset}"]
-    for key in _DIFFUSION_PARAM_KEYS:
-        if key in cfg.diffusion_params:
-            lines.append(f"{key} = {cfg.diffusion_params[key]!r}")
+    lines += [f"{key} = {value!r}" for key, value in cfg.diffusion_params.items()]
     lines += ["", "[grid]", f"n1 = {cfg.n1}", f"n2 = {cfg.n2}"]
     if cfg.h_fd is not None:
         lines.append(f"h_fd = {cfg.h_fd!r}")

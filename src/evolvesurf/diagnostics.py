@@ -423,8 +423,8 @@ def manufactured_forcing(chart, kappa, exact):
     u are those ``exact`` carries.
     """
     h_fd = 1e-5 * max(chart.extent(), 1.0)
-    k1 = kappa.partial("d1", chart.domain, chart.horizon, h_fd)
-    k2 = kappa.partial("d2", chart.domain, chart.horizon, h_fd)
+    k1 = kappa.partial("d1", chart.domain, h_fd)
+    k2 = kappa.partial("d2", chart.domain, h_fd)
 
     def F(x1, x2, tt):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))

@@ -6,7 +6,16 @@ rectangle U = (a, b) x (c, d), valid for t in [0, T].  Everything downstream
 fundamental form g_ab = g_a . g_b, its inverse g^ab, the area factor
 G = det(g_ab) and the dilation rate dG/dt sampled from a chart.
 
-Preset charts ship analytic partial derivatives; user-supplied charts fall
+The four preset charts are one closed form,
+
+    x(X, t) = (s X1 + c t, s X2, a phi),  s = exp(gamma t),
+    a = epsilon sin(omega t),  phi = sin(pi X1) sin(pi X2),
+
+and each preset is the choice of parameters it reads (``PRESET_PARAMS``):
+flat_static none, isotropic_scaling gamma, graph_oscillation epsilon and
+omega, translating_patch c.  One table gives the analytic partials of the
+form and one sympy builder its symbolic form; ``static_metric`` is derived,
+true when gamma = 0 and there is no height term.  User-supplied charts fall
 back to second-order finite differences with step ``h_fd`` (one-sided at the
 closure of the rectangle and at t = 0, T).
 """
@@ -14,7 +23,7 @@ closure of the rectangle and at t = 0, T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,8 +36,6 @@ PARTIAL_KEYS = (
     "x", "d1", "d2", "d11", "d12", "d22",
     "dt", "dtd1", "dtd2", "dtd11", "dtd12", "dtd22",
 )
-
-PRESET_NAMES = ("flat_static", "isotropic_scaling", "graph_oscillation", "translating_patch")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +52,6 @@ class Chart:
     horizon: float
     evals: dict
     static_metric: bool = False
-    params: dict = field(default_factory=dict)
     sym_builder: Optional[Callable] = None
 
     def extent(self):
@@ -217,7 +223,43 @@ def _fd_partial(chart, key, h_fd):
 
 
 # ---------------------------------------------------------------------------
-# preset charts
+# preset charts: the closed form of the module docstring.  A preset is the
+# parameters it reads, with their defaults; the others are 0.
+
+PRESET_PARAMS = {
+    "flat_static": {},
+    "isotropic_scaling": {"gamma": 1.0},
+    "graph_oscillation": {"epsilon": 0.05, "omega": 1.0},
+    "translating_patch": {"c": 1.0},
+}
+PRESET_NAMES = tuple(PRESET_PARAMS)
+
+# X-partials of phi by index string ("" for phi itself): (factor, f1, f2) with
+# the partial equal to factor * f1(pi X1) * f2(pi X2)
+_PHI_PARTIALS = {
+    "": (1.0, np.sin, np.sin),
+    "1": (math.pi, np.cos, np.sin), "2": (math.pi, np.sin, np.cos),
+    "11": (-math.pi ** 2, np.sin, np.sin), "12": (math.pi ** 2, np.cos, np.cos),
+    "22": (-math.pi ** 2, np.sin, np.sin),
+}
+
+
+def phi_term(coef, index):
+    """Evaluator ``(x1, x2, t) -> coef(t) * d_index phi``, multiplied left to right."""
+    factor, f1, f2 = _PHI_PARTIALS[index]
+    pi = math.pi
+    return lambda x1, x2, t: coef(t) * factor * f1(pi * x1) * f2(pi * x2)
+
+
+def preset_params(kind, table, name, params):
+    """Defaults of preset ``name`` of ``table`` updated by ``params``, each one it reads."""
+    if name not in table:
+        raise ParameterError(f"unknown {kind} preset '{name}'")
+    unread = sorted(set(params) - set(table[name]))
+    if unread:
+        raise ParameterError(f"{kind} preset '{name}' does not read {', '.join(unread)}")
+    return {**table[name], **params}
+
 
 def _c3(f0, f1, f2):
     """Bundle three scalar component evaluators into one (3, ...) evaluator."""
@@ -238,113 +280,50 @@ def _c3(f0, f1, f2):
 _Z = lambda x1, x2, t: 0.0
 
 
-def _flat_static(params):
-    evals = {
-        "x": _c3(lambda x1, x2, t: x1, lambda x1, x2, t: x2, _Z),
-        "d1": _c3(lambda *a: 1.0, _Z, _Z),
-        "d2": _c3(_Z, lambda *a: 1.0, _Z),
-        "d11": _c3(_Z, _Z, _Z), "d12": _c3(_Z, _Z, _Z), "d22": _c3(_Z, _Z, _Z),
-        "dt": _c3(_Z, _Z, _Z), "dtd1": _c3(_Z, _Z, _Z), "dtd2": _c3(_Z, _Z, _Z),
-        "dtd11": _c3(_Z, _Z, _Z), "dtd12": _c3(_Z, _Z, _Z), "dtd22": _c3(_Z, _Z, _Z),
+def _closed_form(gamma=0.0, c=0.0, epsilon=0.0, omega=0.0):
+    """(evals, static_metric, sym_builder) of the closed form.
+
+    A term whose parameter is 0 is left out, not multiplied by 0: without a
+    height term the third component is the scalar 0.0 and no sine is
+    evaluated.  The metric is static when gamma = 0 and there is no height
+    term (epsilon = 0 or omega = 0).
+    """
+    s = lambda t: math.exp(gamma * t)
+    ds = lambda t: gamma * s(t)
+    height = epsilon != 0.0 and omega != 0.0
+    amp = lambda t: epsilon * math.sin(omega * t)
+    damp = lambda t: epsilon * omega * math.cos(omega * t)
+
+    planar = {
+        "x": (lambda x1, x2, t: s(t) * x1 + c * t if c else s(t) * x1,
+              lambda x1, x2, t: s(t) * x2),
+        "d1": (lambda x1, x2, t: s(t), _Z), "d2": (_Z, lambda x1, x2, t: s(t)),
+        "dt": (lambda x1, x2, t: (ds(t) * x1 + c if c else ds(t) * x1) if gamma else c,
+               (lambda x1, x2, t: ds(t) * x2) if gamma else _Z),
+        "dtd1": (lambda x1, x2, t: ds(t), _Z), "dtd2": (_Z, lambda x1, x2, t: ds(t)),
     }
-
-    def sym(X1, X2, t):
-        return (X1, X2, X1 * 0)
-
-    return evals, True, sym
-
-
-def _isotropic_scaling(params):
-    g = float(params.get("gamma", 1.0))
-    s = lambda t: math.exp(g * t)
-    evals = {
-        "x": _c3(lambda x1, x2, t: s(t) * x1, lambda x1, x2, t: s(t) * x2, _Z),
-        "d1": _c3(lambda x1, x2, t: s(t), _Z, _Z),
-        "d2": _c3(_Z, lambda x1, x2, t: s(t), _Z),
-        "d11": _c3(_Z, _Z, _Z), "d12": _c3(_Z, _Z, _Z), "d22": _c3(_Z, _Z, _Z),
-        "dt": _c3(lambda x1, x2, t: g * s(t) * x1, lambda x1, x2, t: g * s(t) * x2, _Z),
-        "dtd1": _c3(lambda x1, x2, t: g * s(t), _Z, _Z),
-        "dtd2": _c3(_Z, lambda x1, x2, t: g * s(t), _Z),
-        "dtd11": _c3(_Z, _Z, _Z), "dtd12": _c3(_Z, _Z, _Z), "dtd22": _c3(_Z, _Z, _Z),
-    }
+    evals = {}
+    for key in PARTIAL_KEYS:
+        timed = key.startswith("dt")
+        third = phi_term(damp if timed else amp, key[3:] if timed else key[1:]) if height else _Z
+        evals[key] = _c3(*planar.get(key, (_Z, _Z)), third)
 
     def sym(X1, X2, t):
         import sympy as sp
-        return (sp.exp(g * t) * X1, sp.exp(g * t) * X2, X1 * 0)
+        return (sp.exp(gamma * t) * X1 + c * t, sp.exp(gamma * t) * X2,
+                epsilon * sp.sin(omega * t) * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2))
 
-    return evals, False, sym
-
-
-def _graph_oscillation(params):
-    eps = float(params.get("epsilon", 0.05))
-    om = float(params.get("omega", 1.0))
-    pi = math.pi
-    sin, cos = np.sin, np.cos
-
-    def h(x1, x2, t):
-        return eps * math.sin(om * t) * sin(pi * x1) * sin(pi * x2)
-
-    st = lambda t: eps * math.sin(om * t)
-    ct = lambda t: eps * om * math.cos(om * t)
-    evals = {
-        "x": _c3(lambda x1, x2, t: x1, lambda x1, x2, t: x2, h),
-        "d1": _c3(lambda *a: 1.0, _Z,
-                  lambda x1, x2, t: st(t) * pi * cos(pi * x1) * sin(pi * x2)),
-        "d2": _c3(_Z, lambda *a: 1.0,
-                  lambda x1, x2, t: st(t) * pi * sin(pi * x1) * cos(pi * x2)),
-        "d11": _c3(_Z, _Z, lambda x1, x2, t: -st(t) * pi**2 * sin(pi * x1) * sin(pi * x2)),
-        "d12": _c3(_Z, _Z, lambda x1, x2, t: st(t) * pi**2 * cos(pi * x1) * cos(pi * x2)),
-        "d22": _c3(_Z, _Z, lambda x1, x2, t: -st(t) * pi**2 * sin(pi * x1) * sin(pi * x2)),
-        "dt": _c3(_Z, _Z, lambda x1, x2, t: ct(t) * sin(pi * x1) * sin(pi * x2)),
-        "dtd1": _c3(_Z, _Z, lambda x1, x2, t: ct(t) * pi * cos(pi * x1) * sin(pi * x2)),
-        "dtd2": _c3(_Z, _Z, lambda x1, x2, t: ct(t) * pi * sin(pi * x1) * cos(pi * x2)),
-        "dtd11": _c3(_Z, _Z, lambda x1, x2, t: -ct(t) * pi**2 * sin(pi * x1) * sin(pi * x2)),
-        "dtd12": _c3(_Z, _Z, lambda x1, x2, t: ct(t) * pi**2 * cos(pi * x1) * cos(pi * x2)),
-        "dtd22": _c3(_Z, _Z, lambda x1, x2, t: -ct(t) * pi**2 * sin(pi * x1) * sin(pi * x2)),
-    }
-
-    def sym(X1, X2, t):
-        import sympy as sp
-        return (X1, X2, eps * sp.sin(om * t) * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2))
-
-    return evals, False, sym
-
-
-def _translating_patch(params):
-    c = float(params.get("c", 1.0))
-    evals = {
-        "x": _c3(lambda x1, x2, t: x1 + c * t, lambda x1, x2, t: x2, _Z),
-        "d1": _c3(lambda *a: 1.0, _Z, _Z),
-        "d2": _c3(_Z, lambda *a: 1.0, _Z),
-        "d11": _c3(_Z, _Z, _Z), "d12": _c3(_Z, _Z, _Z), "d22": _c3(_Z, _Z, _Z),
-        "dt": _c3(lambda x1, x2, t: c, _Z, _Z),
-        "dtd1": _c3(_Z, _Z, _Z), "dtd2": _c3(_Z, _Z, _Z),
-        "dtd11": _c3(_Z, _Z, _Z), "dtd12": _c3(_Z, _Z, _Z), "dtd22": _c3(_Z, _Z, _Z),
-    }
-
-    def sym(X1, X2, t):
-        return (X1 + c * t, X2, X1 * 0)
-
-    return evals, True, sym
-
-
-_PRESETS = {
-    "flat_static": _flat_static,
-    "isotropic_scaling": _isotropic_scaling,
-    "graph_oscillation": _graph_oscillation,
-    "translating_patch": _translating_patch,
-}
+    return evals, gamma == 0.0 and not height, sym
 
 
 def make_chart(name, domain=(0.0, 1.0, 0.0, 1.0), horizon=1.0, **params):
-    """Build a preset chart by name; see PRESET_NAMES for the catalogue."""
-    if name not in _PRESETS:
-        raise ParameterError(f"unknown surface preset '{name}'")
+    """Build a preset chart by name; see PRESET_PARAMS for the catalogue."""
+    params = preset_params("surface", PRESET_PARAMS, name, params)
     if horizon <= 0:
         raise ParameterError("horizon must be positive")
-    evals, static, sym = _PRESETS[name](params)
+    evals, static, sym = _closed_form(**{k: float(v) for k, v in params.items()})
     return Chart(name=name, domain=tuple(float(v) for v in domain), horizon=float(horizon),
-                 evals=evals, static_metric=static, params=dict(params), sym_builder=sym)
+                 evals=evals, static_metric=static, sym_builder=sym)
 
 
 def user_chart(x_eval, domain, horizon, partials=None, name="user", static_metric=False):
@@ -352,7 +331,7 @@ def user_chart(x_eval, domain, horizon, partials=None, name="user", static_metri
     evals = {"x": x_eval}
     evals.update(partials or {})
     return Chart(name=name, domain=tuple(float(v) for v in domain), horizon=float(horizon),
-                 evals=evals, static_metric=static_metric, params={}, sym_builder=None)
+                 evals=evals, static_metric=static_metric, sym_builder=None)
 
 
 # ---------------------------------------------------------------------------

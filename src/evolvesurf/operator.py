@@ -260,9 +260,9 @@ class StepFrame:
 class StepFrames:
     """Source of the StepFrames of ``chart`` and ``kappa`` on ``grid``.
 
-    ``frame(t)`` is the frame at t; calling the source gives its L(t).  A
-    static problem -- a rigid chart and a diffusivity that is time-independent
-    or None -- has one frame, evaluated at t = 0 and returned for every t.
+    ``frame(t)`` is the frame at t.  A static problem -- a rigid chart and a
+    diffusivity that is time-independent or None -- has one frame, evaluated
+    at t = 0 and returned for every t.
     """
 
     def __init__(self, chart, kappa, grid):
@@ -279,9 +279,6 @@ class StepFrames:
         if self._static_frame is None:
             self._static_frame = StepFrame(self.chart, self.kappa, self.grid, 0.0)
         return self._static_frame
-
-    def __call__(self, t):
-        return self.frame(t).L
 
 
 def coefficient_fields(chart, kappa, grid, t):

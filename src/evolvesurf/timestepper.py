@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,7 +71,6 @@ class Trajectory:
     dt: float
     scheme: str
     grid: object
-    forcing: Optional[Callable] = None
 
     @property
     def nsteps(self):
@@ -231,12 +229,13 @@ def theta_step(v, t, dt, theta, frames, F_provider=None):
     Solves (I + theta dt L(t+dt)) v' = (I - (1-theta) dt L(t)) v
            + dt (theta F(t+dt) + (1-theta) F(t))
     and returns v' as a flat array.  ``frames`` is
-    ``StepFrames(chart, kappa, grid)``.
+    ``StepFrames(chart, kappa, grid)``; ``F_provider`` is as in ``solve_direct``.
     """
     marcher = _ThetaMarcher(dt, theta, frames, t0=t)
     forcing = None
     if F_provider is not None:
-        forcing = (np.asarray(F_provider(t)), np.asarray(F_provider(marcher.time(1))))
+        forcing = (_eval_forcing(F_provider, frames.grid, t),
+                   _eval_forcing(F_provider, frames.grid, marcher.time(1)))
     return marcher.step(0, np.asarray(v, dtype=float), forcing)
 
 
@@ -276,7 +275,7 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, obse
     times = np.arange(nsteps + 1) * dt
     fields = np.empty((nsteps + 1, grid.ndof))
     fields[0] = vals
-    traj = Trajectory(times, fields, dt, f"theta={theta}", grid, forcing=F_provider)
+    traj = Trajectory(times, fields, dt, f"theta={theta}", grid)
     f_old = _eval_forcing(F_provider, grid, 0.0)
     for k in range(nsteps + 1):
         if k < nsteps:
@@ -411,5 +410,5 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
                 f"{history.ratios[-1]:.3f} >= 1; check the smallness conditions{hint}"
             )
 
-    traj = Trajectory(times, current, dt, scheme, grid, forcing=F_provider)
+    traj = Trajectory(times, current, dt, scheme, grid)
     return traj, history

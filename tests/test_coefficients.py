@@ -74,6 +74,12 @@ class TestDiffusionPresets:
         with pytest.raises(ParameterError):
             make_diffusion("banana")
 
+    def test_parameter_the_preset_does_not_read(self):
+        with pytest.raises(ParameterError, match="'constant' does not read amp"):
+            make_diffusion("constant", amp=0.4)
+        with pytest.raises(ParameterError, match="'sinusoidal' does not read value"):
+            make_diffusion("sinusoidal", value=1.0)
+
 
 class TestMQuantities:
     def test_flat_all_vanish(self, flat, const_kappa, unit_grid):

@@ -119,6 +119,16 @@ class TestParseConfig:
             parse_config(text)
         assert exc.value.key == "dt"
 
+    def test_parameter_the_preset_does_not_read_names_key_and_line(self):
+        text = MINIMAL.replace("T = 0.1", "T = 0.1\ngamma = 3\nepsilon = 0.2")
+        with pytest.raises(ConfigError, match="preset 'flat_static' does not read it") as exc:
+            parse_config(text)
+        assert (exc.value.key, exc.value.line) == ("gamma", text.splitlines().index("gamma = 3") + 1)
+        text = MINIMAL + "\n[diffusion]\npreset = constant\namp = 0.4\n"
+        with pytest.raises(ConfigError, match="preset 'constant' does not read it") as exc:
+            parse_config(text)
+        assert (exc.value.key, exc.value.line) == ("amp", text.splitlines().index("amp = 0.4") + 1)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "typo = 1\n")

@@ -7,15 +7,34 @@ from numpy.testing import assert_allclose
 from evolvesurf import (
     DegenerateChartError,
     DomainError,
+    ParameterError,
     eval_chart,
     make_chart,
+    make_diffusion,
     make_grid,
     metric_sample,
     motion_velocity,
     nondegeneracy_scan,
     user_chart,
 )
-from evolvesurf.geometry import _c3, metric_fields
+from evolvesurf.geometry import PARTIAL_KEYS, _c3, metric_fields
+
+# each preset at its defaults and at parameters the tests use
+CHART_CASES = [
+    ("flat_static", {}),
+    ("isotropic_scaling", {}), ("isotropic_scaling", {"gamma": -0.7}),
+    ("graph_oscillation", {}), ("graph_oscillation", {"epsilon": 0.3, "omega": 20.0}),
+    ("translating_patch", {}), ("translating_patch", {"c": 1.2}),
+]
+DIFFUSION_CASES = [
+    ("constant", {}), ("constant", {"value": 1.3}),
+    ("sinusoidal", {}), ("sinusoidal", {"base": 1.0, "amp": 0.3}),
+]
+# the variables each partial key differentiates by
+KEY_VARIABLES = {
+    "x": "", "d1": "1", "d2": "2", "d11": "11", "d12": "12", "d22": "22",
+    "dt": "t", "dtd1": "t1", "dtd2": "t2", "dtd11": "t11", "dtd12": "t12", "dtd22": "t22",
+}
 
 
 class TestEvalChart:
@@ -38,6 +57,77 @@ class TestEvalChart:
             eval_chart(flat, (1.5, 0.5), 0.0)
         with pytest.raises(DomainError):
             eval_chart(flat, (0.5, 0.5), 2.0)
+
+
+class TestClosedForm:
+    """The analytic partials of the presets against sympy derivatives of their builders."""
+
+    DOMAIN = (-0.7, 0.9, -1.3, -0.2)
+    T = 0.83
+
+    def points(self):
+        a, b, c, d = self.DOMAIN
+        rng = np.random.default_rng(5)
+        return rng.uniform(a, b, 64), rng.uniform(c, d, 64)
+
+    @staticmethod
+    def assert_matches(value, expr, symbols, x1, x2, t):
+        import sympy as sp
+        ref = np.broadcast_to(np.asarray(sp.lambdify(symbols, expr, "numpy")(x1, x2, t),
+                                         dtype=float), x1.shape)
+        value = np.broadcast_to(np.asarray(value, dtype=float), x1.shape)
+        scale = np.max(np.abs(ref)) or 1.0
+        assert np.max(np.abs(value - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name, params", CHART_CASES)
+    def test_chart_partials_match_sym_builder(self, name, params):
+        sp = pytest.importorskip("sympy")
+        chart = make_chart(name, domain=self.DOMAIN, horizon=2.0, **params)
+        X1, X2, t = symbols = sp.symbols("X1 X2 t", real=True)
+        by_name = {"1": X1, "2": X2, "t": t}
+        x = chart.sym_builder(X1, X2, t)
+        x1, x2 = self.points()
+        for key in PARTIAL_KEYS:
+            variables = [by_name[v] for v in KEY_VARIABLES[key]]
+            values = chart.evals[key](x1, x2, self.T)
+            for comp, expr in enumerate(x):
+                self.assert_matches(values[comp], sp.diff(expr, *variables) if variables else expr,
+                                    symbols, x1, x2, self.T)
+
+    @pytest.mark.parametrize("name, params", DIFFUSION_CASES)
+    def test_diffusion_partials_match_sym_builder(self, name, params):
+        sp = pytest.importorskip("sympy")
+        kappa = make_diffusion(name, **params)
+        X1, X2, t = symbols = sp.symbols("X1 X2 t", real=True)
+        k = kappa.sym_builder(X1, X2, t)
+        x1, x2 = self.points()
+        for value, expr in ((kappa.value, k), (kappa.d1, sp.diff(k, X1)),
+                            (kappa.d2, sp.diff(k, X2))):
+            self.assert_matches(value(x1, x2, self.T), expr, symbols, x1, x2, self.T)
+
+    @pytest.mark.parametrize("name, params", CHART_CASES)
+    def test_static_flags(self, name, params):
+        chart = make_chart(name, horizon=1.0, **params)
+        assert chart.static_metric == (name in ("flat_static", "translating_patch"))
+
+    @pytest.mark.parametrize("name, params", DIFFUSION_CASES)
+    def test_diffusions_are_time_independent(self, name, params):
+        assert make_diffusion(name, **params).time_independent
+
+    def test_static_flag_is_derived(self):
+        assert make_chart("isotropic_scaling", gamma=0.0).static_metric
+        assert make_chart("graph_oscillation", epsilon=0.0).static_metric
+        assert make_chart("graph_oscillation", omega=0.0).static_metric
+
+    def test_parameter_the_preset_does_not_read(self):
+        with pytest.raises(ParameterError, match="'flat_static' does not read epsilon, gamma"):
+            make_chart("flat_static", gamma=3.0, epsilon=0.2)
+        with pytest.raises(ParameterError, match="'translating_patch' does not read gamma"):
+            make_chart("translating_patch", gamma=1.0)
+
+    def test_unknown_preset(self):
+        with pytest.raises(ParameterError, match="unknown surface preset"):
+            make_chart("banana")
 
 
 class TestMetricSample:

@@ -24,7 +24,7 @@ from evolvesurf import (  # noqa: E402
     make_grid,
 )
 from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio  # noqa: E402
-from evolvesurf.geometry import PRESET_NAMES  # noqa: E402
+from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
     StepFrame,
     max_abs_entry,
@@ -133,3 +133,26 @@ def test_flux_stencil_is_selfadjoint_in_weighted_L2(grid, preset, diffusion, t):
     frame = StepFrame(chart, make_diffusion(diffusion), grid, t)
     defect, scale = weighted_symmetry_defect(frame)
     assert defect <= 1e-10 * max(scale, 1.0)
+
+
+# a parameter value of the preset family, 0 among them
+family_value = st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
+
+
+@PROPERTY
+@given(grid=grids(), values=st.fixed_dictionaries({key: family_value for key in
+                                                   ("gamma", "epsilon", "omega", "c")}),
+       t1=st.floats(0.0, 1.0), gap=st.floats(0.25, 1.0))
+def test_static_metric_flag_freezes_the_metric(grid, values, t1, gap):
+    # a wrong flag would march a frozen operator without any error; each
+    # preset reads its own parameters from the drawn values
+    X1, X2 = grid.full_mesh()
+    for name in PRESET_NAMES:
+        chart = make_chart(name, domain=grid.domain, horizon=2.0,
+                           **{key: values[key] for key in PRESET_PARAMS[name]})
+        if not chart.static_metric:
+            continue
+        m1, m2 = (metric_fields(chart, X1, X2, t, h_fd=grid.h_fd) for t in (t1, t1 + gap))
+        for key in ("g11", "g12", "g22", "G"):
+            assert getattr(m1, key).tobytes() == getattr(m2, key).tobytes()
+        assert not np.any(m1.dGdt) and not np.any(m2.dGdt)

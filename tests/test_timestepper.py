@@ -28,6 +28,7 @@ from evolvesurf import (
     theta_step,
     z_norm,
 )
+from evolvesurf.diagnostics import manufactured_forcing, manufactured_solution
 from evolvesurf.geometry import metric_fields
 from evolvesurf import operator
 from evolvesurf.operator import field_l2
@@ -83,7 +84,7 @@ class TestThetaStep:
         # (v' - v)/dt -> -Lv with O(dt) defect for theta = 1
         phi = eigenmode(unit_grid)
         provider = StepFrames(flat, const_kappa, unit_grid)
-        L = provider(0.0)
+        L = provider.frame(0.0).L
         target = -(L @ phi)
         defects = []
         for dt in (1e-2, 5e-3, 2.5e-3):
@@ -96,6 +97,19 @@ class TestThetaStep:
         provider = StepFrames(flat, const_kappa, unit_grid)
         with pytest.raises(ParameterError):
             theta_step(np.zeros(unit_grid.ndof), 0.0, 1e-2, 0.3, provider)
+
+    def test_forced_step_equals_first_solve_direct_step(self, graph, const_kappa, eigenmode):
+        # theta_step takes the (x1, x2, t) forcing solve_direct takes
+        sp = pytest.importorskip("sympy")
+        grid = make_grid((0, 1, 0, 1), 15, 15)
+        exact = manufactured_solution(
+            lambda X1, X2, t: sp.exp(-t) * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2))
+        F = manufactured_forcing(graph, const_kappa, exact)
+        phi = eigenmode(grid)
+        dt = 5e-3
+        out = theta_step(phi, 0.0, dt, 0.5, StepFrames(graph, const_kappa, grid), F_provider=F)
+        traj = solve_direct(graph, const_kappa, grid, phi, dt, dt, F_provider=F)
+        assert out.tobytes() == traj.fields[1].tobytes()
 
 
 class TestSolveDirect:
