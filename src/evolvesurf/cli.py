@@ -6,8 +6,8 @@ Subcommands:
 * ``solve``  -- direct time-stepping plus energy/decay/regularity reports,
                 read from the march's own step frames;
 * ``picard`` -- fixed-point solve, contraction history, two-solver agreement;
-                the direct march of the agreement check freezes the Picard
-                perturbations B(t_k) from its step frames;
+                the direct march of the agreement check hands its step
+                operators L(t_k) to the Picard stages;
 * ``verify`` -- the structural invariant suite ``checks.VERIFY`` (metric
                 identities, operator reductions, decomposition sum, perturbation
                 bound, anisotropic oracles, dilation identity);
@@ -156,17 +156,17 @@ def run_picard(cfg):
         report.condition_report = rep
     with _Timer(report, "direct"):
         # the march the agreement is measured against; its step frames give
-        # the B(t_k) = L(t_k) - A the Picard stages freeze
-        freezer = ts.PerturbationFreezer(op.assemble_A(grid, rep.lambda1, rep.lambda2))
-        direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt,
-                                 theta=cfg.theta, observers=(freezer,))
+        # the L(t_k) the Picard stages read
+        operators = []
+        direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
+                                 observers=(lambda k, frame, traj: operators.append(frame.L),))
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,
                                      v0, cfg.horizon, cfg.dt, tol=cfg.tol,
                                      max_iter=cfg.max_iter, theta=cfg.theta,
-                                     condition_report=rep, frozen_B=freezer.frozen)
+                                     condition_report=rep, operators=operators)
         report.picard_history = hist
-        del freezer   # the largest arrays of the run; the energy report needs none
+        del operators   # the largest arrays of the run; the energy report needs none
     with _Timer(report, "agreement"):
         scale = float(np.max(np.abs(direct.fields)))
         report.agreement = float(np.max(np.abs(traj.fields - direct.fields)) / scale)

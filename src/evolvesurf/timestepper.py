@@ -4,10 +4,15 @@ Two routes to the same discrete solution:
 
 * ``solve_direct`` advances dv/dt + L(t) v = F with a theta-scheme;
 * ``solve_picard`` iterates the linearized stages
-      dv_{m+1}/dt + A v_{m+1} = -B(t) v_m + F,   B(t) = L(t) - A,
-  each stage marched with the same theta-scheme and step size, so the exact
-  fixed point of the iteration is the direct theta-scheme trajectory and
-  contraction ratios are not polluted by discretization differences.
+      dv_{m+1}/dt + A v_{m+1} = F + A v_m - L(t) v_m,
+  i.e. -B(t) v_m + F with B(t) = L(t) - A, each stage marched with the same
+  theta-scheme and step size, so the exact fixed point of the iteration is
+  the direct theta-scheme trajectory and contraction ratios are not polluted
+  by discretization differences.
+
+``_ThetaMarcher.march`` is the one theta-step loop: ``solve_direct``,
+``theta_step`` (a march of one step) and every Picard stage (a march of A
+whose forcing carries the previous iterate) call it.
 
 Every implicit step solves (I + theta dt L(t_{k+1})) v_{k+1} = rhs and is
 accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
@@ -23,19 +28,18 @@ A_k)^{-1}, where A_k is the constant 5-point operator with the mean stencil
 weights of L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A
 relative to A keeps that iteration to a few steps, and no matrix is
 factorized per step.
-Every system matrix I + theta dt L and a frozen B(t_k) = L(t_k) - A are DIA
-sums of the stencil diagonals (``operator``), so a moving march converts no
-matrix to another sparse format; I + theta dt L is the scaled copy of L with
-1 added to its main diagonal in place.
+Every system matrix I + theta dt L is a DIA sum of the stencil diagonals
+(``operator``), so a moving march converts no matrix to another sparse
+format: it is the scaled copy of L with 1 added to its main diagonal in place.
 
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
 march looks frames up by the integer step index k and holds at most two, the
-pair one step touches; a static problem has a single frame.  Observers passed
-to ``solve_direct`` read each frame while the march holds it: the energy,
-decay and regularity reports of ``diagnostics.solve_reported`` do, and so
-does the PerturbationFreezer that freezes B(t_k) = L(t_k) - A for
-``solve_picard`` from the direct march it compares against.
+pair one step touches; a static problem has a single frame.  Observers of a
+march read each frame while the march holds it: the energy, decay and
+regularity reports of ``diagnostics.solve_reported`` do, and so does the
+observer of ``cli.run_picard`` that collects the L(t_k) the Picard stages
+read from the direct march it compares against.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -47,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
@@ -69,7 +72,6 @@ class Trajectory:
     times: np.ndarray           # (N+1,)
     fields: np.ndarray          # (N+1, ndof)
     dt: float
-    scheme: str
     grid: object
 
     @property
@@ -91,26 +93,6 @@ class PicardHistory:
     ratios: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-
-
-class PerturbationFreezer:
-    """Observer ``(k, frame, traj)`` appending B(t_k) = L(t_k) - A to ``frozen``.
-
-    One DIA difference per distinct StepFrame: the single frame of a static
-    problem gives one B, repeated.  The last frame is held, so ``is`` cannot
-    match a new frame at a reused address.
-    """
-
-    def __init__(self, A):
-        self.A = A
-        self.frozen = []
-        self._frame = None
-
-    def __call__(self, k, frame, traj=None):
-        if frame is not self._frame:
-            self._frame = frame
-            self._B = frame.L - self.A
-        self.frozen.append(self._B)
 
 
 class _ComparisonStage:
@@ -140,8 +122,8 @@ class _ThetaMarcher:
     _ComparisonStage.  The implicit solve is a DST-I solve in the sine
     eigenbasis for the comparison operator A of a Picard stage (no LU), one
     LU per march for any other static operator, and DST-preconditioned GMRES
-    for a moving one.  A static system matrix is built once per march and
-    kept for the residual gate.
+    for a moving one.  A static system matrix is built once per marcher and
+    kept for the residual gate, so the stages of a Picard iteration share it.
     """
 
     def __init__(self, dt, theta, frames, t0=0.0):
@@ -211,16 +193,35 @@ class _ThetaMarcher:
             raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
         return v
 
-    def step(self, k, vals, forcing=None):
-        """v_{k+1} from v_k = vals; ``forcing`` is (F(t_k), F(t_{k+1})) or None."""
+    def march(self, v0, nsteps, forcing=None, observers=()):
+        """Trajectory of ``nsteps`` steps from the flat datum ``v0`` at t0.
+
+        Step k solves (I + theta dt L(t_{k+1})) v_{k+1} = (I - (1-theta) dt
+        L(t_k)) v_k + dt (theta F(t_{k+1}) + (1-theta) F(t_k)).  ``forcing(k)``
+        returns F(t_k), or None for no forcing; it is called once per step
+        time, in order.  Each of ``observers`` is called as
+        ``observer(k, frame, traj)`` for k = 0..nsteps in order, with the frame
+        of t_k while the march holds it; ``traj.fields`` is filled through
+        step k + 1 then (through k at the last step).
+        """
         dt, theta = self.dt, self.theta
-        rhs = vals.copy()
-        if theta < 1.0:
-            rhs = rhs - (1.0 - theta) * dt * (self.L(k) @ vals)
-        if forcing is not None:
-            fold, fnew = forcing
-            rhs = rhs + dt * (theta * fnew + (1.0 - theta) * fold)
-        return self.solve(k + 1, rhs, guess=vals)
+        fields = np.empty((nsteps + 1, self.grid.ndof))
+        fields[0] = v0
+        traj = Trajectory(self.t0 + np.arange(nsteps + 1) * dt, fields, dt, self.grid)
+        f_old = None if forcing is None else forcing(0)
+        for k in range(nsteps + 1):
+            if k < nsteps:
+                rhs = fields[k].copy()
+                if theta < 1.0:
+                    rhs = rhs - (1.0 - theta) * dt * (self.L(k) @ fields[k])
+                f_new = None if forcing is None else forcing(k + 1)
+                if f_new is not None:
+                    rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
+                fields[k + 1] = self.solve(k + 1, rhs, guess=fields[k])
+                f_old = f_new
+            for observe in observers:
+                observe(k, self.frame(k), traj)
+        return traj
 
 
 def theta_step(v, t, dt, theta, frames, F_provider=None):
@@ -232,11 +233,15 @@ def theta_step(v, t, dt, theta, frames, F_provider=None):
     ``StepFrames(chart, kappa, grid)``; ``F_provider`` is as in ``solve_direct``.
     """
     marcher = _ThetaMarcher(dt, theta, frames, t0=t)
-    forcing = None
-    if F_provider is not None:
-        forcing = (_eval_forcing(F_provider, frames.grid, t),
-                   _eval_forcing(F_provider, frames.grid, marcher.time(1)))
-    return marcher.step(0, np.asarray(v, dtype=float), forcing)
+    forcing = lambda k: _eval_forcing(F_provider, frames.grid, marcher.time(k))
+    return marcher.march(_prepare_v0(v, frames.grid), 1, forcing).fields[1]
+
+
+def _step_count(T, dt):
+    """ceil(T/dt) uniform steps, at least one, over the horizon T > 0."""
+    if T <= 0.0:
+        raise ParameterError("horizon must be positive")
+    return max(1, int(math.ceil(T / dt - 1e-12)))
 
 
 def _prepare_v0(v0, grid):
@@ -261,31 +266,14 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, obse
     ``F_provider`` is an optional manufactured forcing (x1, x2, t) -> array;
     the homogeneous system of the model has F = 0.  Returns a Trajectory of
     ceil(T/dt) uniform steps; the Dirichlet boundary stays identically zero by
-    construction.  Each of ``observers`` is called as
-    ``observer(k, frame, traj)`` for k = 0..nsteps in order, with the
-    StepFrame of t_k while the march holds it; ``traj.fields`` is filled
-    through step k + 1 then (through k at the last step).
+    construction.  ``observers`` are as in ``_ThetaMarcher.march``: each is
+    called as ``observer(k, frame, traj)`` with the StepFrame of t_k.
     """
-    if T <= 0.0:
-        raise ParameterError("horizon must be positive")
     vals = _prepare_v0(v0, grid)
     marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
-    nsteps = int(math.ceil(T / dt - 1e-12))
-
-    times = np.arange(nsteps + 1) * dt
-    fields = np.empty((nsteps + 1, grid.ndof))
-    fields[0] = vals
-    traj = Trajectory(times, fields, dt, f"theta={theta}", grid)
-    f_old = _eval_forcing(F_provider, grid, 0.0)
-    for k in range(nsteps + 1):
-        if k < nsteps:
-            f_new = _eval_forcing(F_provider, grid, times[k + 1])
-            forcing = None if F_provider is None else (f_old, f_new)
-            fields[k + 1] = marcher.step(k, fields[k], forcing)
-            f_old = f_new
-        for observe in observers:
-            observe(k, marcher.frame(k), traj)
-    return traj
+    nsteps = _step_count(T, dt)
+    forcing = lambda k: _eval_forcing(F_provider, grid, marcher.time(k))
+    return marcher.march(vals, nsteps, forcing, observers)
 
 
 def z_norm(traj, A, grid):
@@ -327,68 +315,48 @@ def z_norm(traj, A, grid):
 
 def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
                  tol=1e-8, max_iter=20, theta=0.5, F_provider=None,
-                 condition_report=None, frozen_B=None):
+                 condition_report=None, operators=None):
     """Fixed-point iteration with the constant comparison operator.
 
-    Stage one solves dv/dt + A v = F; stage m+1 solves
-    dv/dt + A v = -B(t) v_m + F with B(t) = L(t) - A frozen per step time.
-    ``frozen_B`` is the list of B(t_k) for k = 0..nsteps when the caller has
-    frozen it already (a PerturbationFreezer observing a direct march, say);
-    otherwise it is frozen here, once per distinct step frame.  Stops when
-    the z-norm of a consecutive difference drops below ``tol``.  Raises
+    Stage one solves dv/dt + A v = F; stage m+1 is the march of A with the
+    forcing F(t_k) + A v_m(t_k) - L(t_k) v_m(t_k), i.e. F - B(t_k) v_m(t_k)
+    with B = L - A.  ``operators`` is the list of L(t_k) for k = 0..nsteps
+    when the caller holds it already (the step frames of a direct march,
+    say); otherwise it is read from step frames built here.  Stops when the
+    z-norm of a consecutive difference drops below ``tol``.  Raises
     PicardDivergenceError when max_iter is hit while the last ratio is at or
     above one (the smallness condition is the quantity to check then).
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     vals = _prepare_v0(v0, grid)
     stage = _ThetaMarcher(dt, theta, _ComparisonStage(grid, lambda1, lambda2))
     A = stage.frames.L
-    nsteps = int(math.ceil(T / dt - 1e-12))
-    times = np.arange(nsteps + 1) * dt
-    expl = sp.identity(grid.ndof, format="dia") - (1.0 - theta) * dt * A
-
-    # B(t_k) frozen once per distinct step frame, shared across iterations
-    if frozen_B is None:
+    nsteps = _step_count(T, dt)
+    if operators is None:
         frames = StepFrames(chart, kappa, grid)
-        freezer = PerturbationFreezer(A)
-        for k, t in enumerate(times):
-            freezer(k, frames.frame(float(t)))
-        B_mats = freezer.frozen
-    elif len(frozen_B) == nsteps + 1:
-        B_mats = frozen_B
-    else:
-        raise ParameterError(f"{len(frozen_B)} frozen B(t_k) for {nsteps + 1} step times")
-    F_vals = None
-    if F_provider is not None:
-        F_vals = np.array([_eval_forcing(F_provider, grid, float(t)) for t in times])
+        operators = [frames.frame(stage.time(k)).L for k in range(nsteps + 1)]
+    elif len(operators) != nsteps + 1:
+        raise ParameterError(f"{len(operators)} operators L(t_k) for {nsteps + 1} step times")
+    F_vals = [_eval_forcing(F_provider, grid, stage.time(k)) for k in range(nsteps + 1)]
 
-    def march(prev_fields):
-        fields = np.empty((nsteps + 1, grid.ndof))
-        fields[0] = vals
-        if prev_fields is not None:
-            b_old = B_mats[0] @ prev_fields[0]
-        for k in range(nsteps):
-            rhs = expl @ fields[k]
-            if prev_fields is not None:
-                # B(t_{k+1}) v_m(t_{k+1}) is carried over as the next step's b_old
-                b_new = B_mats[k + 1] @ prev_fields[k + 1]
-                rhs = rhs - dt * (theta * b_new + (1.0 - theta) * b_old)
-                b_old = b_new
-            if F_vals is not None:
-                rhs = rhs + dt * (theta * F_vals[k + 1] + (1.0 - theta) * F_vals[k])
-            fields[k + 1] = stage.solve(k + 1, rhs)
-        return fields
+    def stage_forcing(prev):
+        """k -> F(t_k) + A v_m(t_k) - L(t_k) v_m(t_k) for the iterate ``prev``."""
+        def at(k):
+            f = A @ prev[k] - operators[k] @ prev[k]
+            return f if F_vals[k] is None else F_vals[k] + f
+        return at
 
-    scheme = f"picard-theta={theta}"
     history = PicardHistory()
-    current = march(None)   # v_1
+    current = stage.march(vals, nsteps, F_vals.__getitem__)   # v_1
     prev_diff = None
     for m in range(1, max_iter + 1):
-        nxt = march(current)
-        diff_traj = Trajectory(times, nxt - current, dt, scheme, grid)
+        nxt = stage.march(vals, nsteps, stage_forcing(current.fields))
+        diff_traj = Trajectory(nxt.times, nxt.fields - current.fields, dt, grid)
         diff = z_norm(diff_traj, A, grid)
-        znext = z_norm(Trajectory(times, nxt, dt, scheme, grid), A, grid)
+        znext = z_norm(nxt, A, grid)
         history.z_norms.append(znext)
         history.diff_norms.append(diff)
         if prev_diff is not None:
@@ -410,5 +378,4 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
                 f"{history.ratios[-1]:.3f} >= 1; check the smallness conditions{hint}"
             )
 
-    traj = Trajectory(times, current, dt, scheme, grid)
-    return traj, history
+    return current, history

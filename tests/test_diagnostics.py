@@ -180,7 +180,7 @@ class TestDecayReport:
 class TestMaterialDerivative:
     def test_constant_in_time_gives_zero(self, unit_grid, eigenmode):
         f = eigenmode(unit_grid)
-        traj = Trajectory(np.linspace(0, 1, 11), np.tile(f, (11, 1)), 0.1, "x", unit_grid)
+        traj = Trajectory(np.linspace(0, 1, 11), np.tile(f, (11, 1)), 0.1, unit_grid)
         assert_allclose(material_derivative(traj, 5), 0.0)
 
     def test_flat_eigenmode_rate(self, flat, const_kappa, eigenmode):

@@ -19,9 +19,12 @@ from evolvesurf import (  # noqa: E402
     assemble_L,
     estimate_C_A,
     estimate_C_sharp,
+    lambda_select,
     make_chart,
     make_diffusion,
     make_grid,
+    solve_direct,
+    solve_picard,
 )
 from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio  # noqa: E402
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
@@ -156,3 +159,38 @@ def test_static_metric_flag_freezes_the_metric(grid, values, t1, gap):
         for key in ("g11", "g12", "g22", "G"):
             assert getattr(m1, key).tobytes() == getattr(m2, key).tobytes()
         assert not np.any(m1.dGdt) and not np.any(m2.dGdt)
+
+
+# the presets of a moving surface with small parameters, each with the
+# parameters it reads
+moving_charts = st.one_of(
+    st.tuples(st.just("isotropic_scaling"),
+              st.fixed_dictionaries({"gamma": st.floats(-0.5, 0.5)})),
+    st.tuples(st.just("graph_oscillation"),
+              st.fixed_dictionaries({"epsilon": st.floats(-0.05, 0.05),
+                                     "omega": st.floats(0.5, 2.0)})),
+    st.tuples(st.just("translating_patch"), st.fixed_dictionaries({"c": st.floats(-1.5, 1.5)})),
+)
+
+
+@PROPERTY
+@given(grid=grids(), chart=moving_charts, diffusion=st.sampled_from(DIFFUSION_PRESETS),
+       theta=st.floats(0.5, 1.0), dt=st.floats(1e-3, 0.05), nsteps=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_picard_converges_to_the_direct_march(grid, chart, diffusion, theta, dt, nsteps,
+                                              seed):
+    # the fixed point of the Picard stages is the direct theta march at every
+    # theta; a rough random datum, and every draw must converge
+    name, params = chart
+    T = nsteps * dt
+    chart = make_chart(name, domain=grid.domain, horizon=T, **params)
+    kappa = make_diffusion(diffusion)
+    lam1, lam2 = lambda_select(chart, kappa, grid, np.linspace(0.0, T, 5))
+    v0 = np.random.default_rng(seed).standard_normal(grid.ndof)
+    tol = 1e-8
+    traj, hist = solve_picard(chart, kappa, grid, lam1, lam2, v0, T, dt, tol=tol,
+                              max_iter=60, theta=theta)
+    direct = solve_direct(chart, kappa, grid, v0, T, dt, theta=theta)
+    assert hist.converged
+    scale = np.max(np.abs(direct.fields))
+    assert np.max(np.abs(traj.fields - direct.fields)) <= 10.0 * tol * scale

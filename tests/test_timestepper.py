@@ -135,6 +135,18 @@ class TestSolveDirect:
         t_move = solve_direct(moving, const_kappa, grid, phi, 0.05, 5e-3)
         assert_allclose(t_move.fields, t_flat.fields, atol=1e-14)
 
+    @pytest.mark.parametrize("T", [0.0, -0.02])
+    def test_rejects_non_positive_horizon(self, flat, const_kappa, unit_grid, eigenmode, T):
+        with pytest.raises(ParameterError, match="horizon must be positive"):
+            solve_direct(flat, const_kappa, unit_grid, eigenmode(unit_grid), T, 2e-3)
+
+    def test_any_positive_horizon_takes_a_step(self, flat, const_kappa, unit_grid, eigenmode):
+        # T far below dt: one step, not a trajectory of the datum alone
+        v0 = eigenmode(unit_grid)
+        assert solve_direct(flat, const_kappa, unit_grid, v0, 1e-16, 2e-3).nsteps == 1
+        traj, _ = solve_picard(flat, const_kappa, unit_grid, 1.0, 1.0, v0, 1e-16, 2e-3)
+        assert traj.nsteps == 1
+
     @pytest.mark.parametrize("theta,expected", [(0.5, 2.0), (1.0, 1.0)])
     def test_time_order_on_semidiscrete_mode(self, flat, const_kappa, unit_grid,
                                              eigenmode, theta, expected):
@@ -175,7 +187,7 @@ class TestZNorm:
     def test_zero_trajectory(self, unit_grid):
         A = assemble_A(unit_grid, 1.0, 1.0)
         traj = Trajectory(np.linspace(0, 1, 11), np.zeros((11, unit_grid.ndof)),
-                          0.1, "x", unit_grid)
+                          0.1, unit_grid)
         assert z_norm(traj, A, unit_grid) == 0.0
 
     def test_constant_trajectory_closed_form(self, unit_grid, eigenmode):
@@ -183,7 +195,7 @@ class TestZNorm:
         f0 = eigenmode(unit_grid)
         T, n = 0.37, 100
         traj = Trajectory(np.linspace(0, T, n + 1), np.tile(f0, (n + 1, 1)),
-                          T / n, "x", unit_grid)
+                          T / n, unit_grid)
         expected = field_l2(f0, unit_grid) + math.sqrt(T) * field_l2(A @ f0, unit_grid)
         assert z_norm(traj, A, unit_grid) == pytest.approx(expected, rel=1e-12)
 
@@ -192,7 +204,7 @@ class TestZNorm:
         traj = solve_direct(flat, const_kappa, unit_grid, eigenmode(unit_grid),
                             0.02, 2e-3)
         base = z_norm(traj, A, unit_grid)
-        scaled = Trajectory(traj.times, -3.0 * traj.fields, traj.dt, "x", unit_grid)
+        scaled = Trajectory(traj.times, -3.0 * traj.fields, traj.dt, unit_grid)
         assert z_norm(scaled, A, unit_grid) == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -204,7 +216,7 @@ class TestZNorm:
         A = assemble_A(grid, 0.7, 1.9)
         fields = np.random.default_rng(nt).standard_normal((nt, grid.ndof))
         dt = 0.013
-        traj = Trajectory(np.arange(nt) * dt, fields, dt, "x", grid)
+        traj = Trajectory(np.arange(nt) * dt, fields, dt, grid)
         sup = max(math.exp(-k * dt) * field_l2(fields[k], grid) for k in range(nt))
         if nt == 1:
             assert z_norm(traj, A, grid) == sup
@@ -247,6 +259,19 @@ class TestSolvePicard:
         direct = solve_direct(chart, const_kappa, grid, phi, 0.05, 1e-3)
         rel = np.max(np.abs(traj.fields - direct.fields)) / np.max(np.abs(direct.fields))
         assert rel <= 10.0 * tol
+
+    @pytest.mark.parametrize("T,max_iter,message", [
+        (0.0, 20, "horizon must be positive"),
+        (-0.02, 20, "horizon must be positive"),
+        (0.02, 0, "max_iter must be at least 1"),
+    ], ids=["T=0", "T<0", "max_iter=0"])
+    def test_rejects_empty_horizon_and_iteration_cap(self, flat, const_kappa, unit_grid,
+                                                     eigenmode, T, max_iter, message):
+        # no trajectory of zero steps passes for converged, and no stage-one
+        # iterate is returned unchecked
+        with pytest.raises(ParameterError, match=message):
+            solve_picard(flat, const_kappa, unit_grid, 1.0, 1.0, eigenmode(unit_grid),
+                         T, 2e-3, max_iter=max_iter)
 
     def test_history_shape(self, flat, const_kappa, unit_grid, eigenmode):
         _, hist = solve_picard(flat, const_kappa, unit_grid, 1.0, 1.0,
@@ -482,60 +507,49 @@ class TestStepFrames:
                                 1e-3, observers=(lambda k, frame, traj: frame.centre,))
         assert np.array_equal(plain.fields, observed.fields)
 
-    def test_picard_with_frozen_B_from_direct_frames(self, graph, const_kappa, unit_grid,
-                                                     eigenmode, count_calls):
+    def test_picard_with_operators_from_direct_frames(self, graph, const_kappa, unit_grid,
+                                                      eigenmode, count_calls):
         lam1, lam2 = lambda_select(graph, const_kappa, unit_grid, [0.0, 0.02])
         v0 = eigenmode(unit_grid)
         own, own_hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3)
         assembled = count_calls(operator, "assemble_L")
-        freezer = timestepper.PerturbationFreezer(assemble_A(unit_grid, lam1, lam2))
+        operators = []
         direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3,
-                              observers=(freezer,))
-        frozen = freezer.frozen
+                              observers=(lambda k, frame, traj: operators.append(frame.L),))
         shared, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
-                                    frozen_B=frozen)
+                                    operators=operators)
         assert len(assembled) == direct.nsteps + 1
-        assert len({id(B) for B in frozen}) == direct.nsteps + 1
+        assert len({id(L) for L in operators}) == direct.nsteps + 1
         assert np.array_equal(shared.fields, own.fields)
         assert hist.diff_norms == own_hist.diff_norms
-        with pytest.raises(ParameterError, match="frozen B"):
-            solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
-                         frozen_B=frozen[:-1])
+        for wrong in (operators[:-1], operators + operators[-1:]):
+            with pytest.raises(ParameterError, match="operators L"):
+                solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
+                             operators=wrong)
 
-    def test_static_problem_freezes_one_B(self, const_kappa, eigenmode, count_calls):
+    def test_static_problem_hands_one_L_to_every_step(self, const_kappa, eigenmode,
+                                                      count_calls):
         chart = make_chart("translating_patch", horizon=1.0)
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 9)
         lam1, lam2 = lambda_select(chart, const_kappa, grid, [0.0])
-        A = assemble_A(grid, lam1, lam2)
         v0 = eigenmode(grid)
-        freezer = timestepper.PerturbationFreezer(A)
-        direct = solve_direct(chart, const_kappa, grid, v0, 0.02, 2e-3, observers=(freezer,))
-        assert len(freezer.frozen) == direct.nsteps + 1
-        assert len({id(B) for B in freezer.frozen}) == 1
-        # one separate B per step time, as frozen before
-        L = assemble_L(chart, const_kappa, grid, 0.0)
-        per_step = [L - A for _ in range(direct.nsteps + 1)]
+        operators = []
+        direct = solve_direct(chart, const_kappa, grid, v0, 0.02, 2e-3,
+                              observers=(lambda k, frame, traj: operators.append(frame.L),))
+        assert len(operators) == direct.nsteps + 1
+        assert len({id(L) for L in operators}) == 1
+        # one separately assembled L per step time gives the same bits
+        per_step = [assemble_L(chart, const_kappa, grid, 0.0) for _ in operators]
         ref, ref_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
-                                     frozen_B=per_step)
+                                     operators=per_step)
         shared, hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
-                                    frozen_B=freezer.frozen)
+                                    operators=operators)
         frames_here = count_calls(operator, "assemble_L")
         own, own_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3)
         assert len(frames_here) == 1
         assert np.array_equal(shared.fields, ref.fields)
         assert np.array_equal(own.fields, ref.fields)
         assert hist.diff_norms == own_hist.diff_norms == ref_hist.diff_norms
-
-    def test_frozen_B_is_L_minus_A(self, graph, const_kappa, unit_grid):
-        frame = StepFrames(graph, const_kappa, unit_grid).frame(0.7)
-        A = assemble_A(unit_grid, 0.9, 0.9)
-        freezer = timestepper.PerturbationFreezer(A)
-        freezer(0, frame)
-        B, = freezer.frozen
-        assert B.format == "dia"
-        ref = (assembled_by_coo(assemble_L, graph, const_kappa, unit_grid, 0.7)
-               - assembled_by_coo(assemble_A, unit_grid, 0.9, 0.9))
-        assert B.toarray().tobytes() == ref.toarray().tobytes()
 
     def test_marches_convert_no_matrix_but_the_static_LU(self, graph, flat, const_kappa,
                                                          eigenmode, monkeypatch):
