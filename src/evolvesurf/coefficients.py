@@ -96,7 +96,7 @@ def make_diffusion(name, **params):
 
 def diffusion_bounds(kappa, grid, times):
     """Scan kappa over the closure grid; enforce the positivity assumption."""
-    X1, X2 = grid.full_mesh()
+    X1, X2 = grid.full_mesh(sparse=True)
     kmin, kmax = math.inf, -math.inf
     for t in times:
         k = _on_mesh(kappa, X1, X2, t)
@@ -113,7 +113,7 @@ def diffusion_bounds(kappa, grid, times):
 
 def coefficient_minima(chart, kappa, grid, times):
     """Raw scan minima of kappa*g^11, kappa*g^12 and kappa*g^22."""
-    X1, X2 = grid.full_mesh()
+    X1, X2 = grid.full_mesh(sparse=True)
     m11 = m12 = m22 = math.inf
     for t in times:
         mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
@@ -158,7 +158,8 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
     constant the second-order remainder bound actually uses; the smallness
     report carries both.
     """
-    X1, X2 = grid.full_mesh()
+    X1, X2 = grid.full_mesh(sparse=True)
+    shape = (grid.n1 + 2, grid.n2 + 2)
     M = np.zeros(5)
     m1_factor2 = 0.0
     k1 = kappa.partial("d1", chart.domain, grid.h_fd)
@@ -181,8 +182,8 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
             - (k / (2.0 * G ** 2)) * (mf.g11 * mf.dG_d2 - mf.g12 * mf.dG_d1)
         M[2] = max(M[2], float(np.abs(m3).max()))
 
-        dk1 = np.broadcast_to(np.asarray(k1(X1, X2, t), dtype=float), X1.shape)
-        dk2 = np.broadcast_to(np.asarray(k2(X1, X2, t), dtype=float), X1.shape)
+        dk1 = np.broadcast_to(np.asarray(k1(X1, X2, t), dtype=float), shape)
+        dk2 = np.broadcast_to(np.asarray(k2(X1, X2, t), dtype=float), shape)
         m4 = np.abs(mf.g22 / G * dk1 - mf.g12 / G * dk2).max() \
             + np.abs(mf.g11 / G * dk1 - mf.g12 / G * dk2).max()
         M[3] = max(M[3], float(m4))

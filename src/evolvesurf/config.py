@@ -269,7 +269,7 @@ def config_grid(cfg):
 def config_initial_datum(cfg, grid):
     """Product-sine initial datum, vanishing on the rectangle boundary."""
     a, b, c, d = cfg.domain
-    X1, X2 = grid.interior_mesh()
+    X1, X2 = grid.interior_mesh(sparse=True)
     s1 = (X1 - a) / (b - a)
     s2 = (X2 - c) / (d - c)
     return (np.sin(cfg.v0_k1 * np.pi * s1) * np.sin(cfg.v0_k2 * np.pi * s2)).ravel()

@@ -54,13 +54,15 @@ def _trapezoid_weights(n1p2, n2p2):
 def surface_integral(psi, chart, grid, t):
     """Integral of a scalar over the surface patch at time t.
 
-    ``psi`` is an evaluator (x1, x2, t) -> array on the parameter rectangle;
-    the surface integral is the trapezoid quadrature of psi * sqrt(G).
+    ``psi`` is an evaluator (x1, x2, t) -> array on the parameter rectangle,
+    called with the open full mesh; the surface integral is the trapezoid
+    quadrature of psi * sqrt(G).
     """
-    X1, X2 = grid.full_mesh()
+    X1, X2 = grid.full_mesh(sparse=True)
+    shape = (grid.n1 + 2, grid.n2 + 2)
     mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
-    vals = np.broadcast_to(np.asarray(psi(X1, X2, t), dtype=float), X1.shape)
-    w = _trapezoid_weights(*X1.shape)
+    vals = np.broadcast_to(np.asarray(psi(X1, X2, t), dtype=float), shape)
+    w = _trapezoid_weights(*shape)
     return float(grid.h1 * grid.h2 * np.sum(w * vals * mf.sqrtG))
 
 
@@ -427,7 +429,8 @@ def manufactured_forcing(chart, kappa, exact):
     k2 = kappa.partial("d2", chart.domain, h_fd)
 
     def F(x1, x2, tt):
-        x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
         mf = metric_fields(chart, x1, x2, tt, h_fd=h_fd, want_derivs=True)
         u = {name: exact.partial(name, x1, x2, tt) for name in SOLUTION_PARTIALS}
         K = _on_mesh(kappa, x1, x2, tt)
@@ -479,8 +482,8 @@ def _fit_order(params, errors):
 
 
 def _check_boundary_compatible(exact, grid, horizon):
-    X1, X2 = grid.full_mesh()
-    edge = np.zeros_like(X1, dtype=bool)
+    X1, X2 = grid.full_mesh(sparse=True)
+    edge = np.zeros((grid.n1 + 2, grid.n2 + 2), dtype=bool)
     edge[0, :] = edge[-1, :] = True
     edge[:, 0] = edge[:, -1] = True
     for t in (0.0, 0.5 * horizon, horizon):
@@ -508,7 +511,7 @@ def mms_convergence(chart, kappa, exact, levels, T=0.1, theta=0.5):
     for n, dt in levels:
         grid_l = make_grid(chart.domain, n, n)
         _check_boundary_compatible(exact, grid_l, T)
-        X1, X2 = grid_l.interior_mesh()
+        X1, X2 = grid_l.interior_mesh(sparse=True)
         v0 = exact.value(X1, X2, 0.0).ravel()
         traj = solve_direct(chart, kappa, grid_l, v0, T, dt, theta=theta, F_provider=F)
         t_end = float(traj.times[-1])

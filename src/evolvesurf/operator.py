@@ -197,8 +197,9 @@ def assemble_A(grid, lambda1, lambda2):
 
 
 def _on_mesh(kappa, X1, X2, t):
-    """Diffusivity values on a mesh, broadcast to its shape."""
-    return np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float), X1.shape)
+    """Diffusivity values on a mesh, dense or open, broadcast to its full shape."""
+    return np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float),
+                           np.broadcast_shapes(np.shape(X1), np.shape(X2)))
 
 
 class StepFrame:
@@ -211,9 +212,11 @@ class StepFrame:
     * ``centre`` -- the cell-centre MetricFields (without dG/dt) and
       diffusivity of the energy ledger's dissipation.
 
-    Interior-node data are slices of the full-mesh arrays: the metric is
-    evaluated pointwise, so a slice carries the same bits as an evaluation on
-    the interior mesh.  The rest of the full-mesh MetricFields is not kept.
+    Both meshes are open (``sparse=True``), so the chart's sines and cosines
+    are evaluated per axis.  Interior-node data are slices of the full-mesh
+    arrays: the metric is evaluated pointwise, so a slice carries the same
+    bits as an evaluation on the interior mesh.  The rest of the full-mesh
+    MetricFields is not kept.
     """
 
     def __init__(self, chart, kappa, grid, t):
@@ -224,7 +227,7 @@ class StepFrame:
 
     @functools.cached_property
     def coefficients(self):
-        X1, X2 = self.grid.full_mesh()
+        X1, X2 = self.grid.full_mesh(sparse=True)
         mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
         R = mf.sqrtG
         cf = {
@@ -252,7 +255,7 @@ class StepFrame:
 
     @functools.cached_property
     def centre(self):
-        C1, C2 = self.grid.cell_center_mesh()
+        C1, C2 = self.grid.cell_center_mesh(sparse=True)
         mf = metric_fields(self.chart, C1, C2, self.t, h_fd=self.grid.h_fd, want_dGdt=False)
         return mf, None if self.kappa is None else _on_mesh(self.kappa, C1, C2, self.t)
 
@@ -611,9 +614,25 @@ class SineBasis:
 
         self._S1 = sine_matrix(grid.n1)
         self._S2 = sine_matrix(grid.n2)
-        mu1 = eigenvalues(grid.n1, grid.h1)
-        mu2 = eigenvalues(grid.n2, grid.h2)
-        self.eigenvalues = lambda1 * mu1[:, None] + lambda2 * mu2[None, :]
+        self._mu1 = eigenvalues(grid.n1, grid.h1)
+        self._mu2 = eigenvalues(grid.n2, grid.h2)
+        self.eigenvalues = self._eigenvalues(lambda1, lambda2)
+
+    def _eigenvalues(self, lambda1, lambda2):
+        return lambda1 * self._mu1[:, None] + lambda2 * self._mu2[None, :]
+
+    def shifted_solver(self, lambda1, lambda2, shift):
+        """Callable r -> (I + shift A)^{-1} r for A = assemble_A(grid, lambda1, lambda2).
+
+        The sine modes diagonalize A at any weights, so a basis serves every
+        (lambda1, lambda2) on its grid: only the eigenvalues are formed here.
+        """
+        denom = 1.0 + shift * self._eigenvalues(lambda1, lambda2)
+
+        def solve(r):
+            return self.inverse(self.forward(r) / denom)
+
+        return solve
 
     def forward(self, values):
         """Mode coefficients, shape (..., n1, n2), of grid functions (..., ndof)."""
@@ -632,10 +651,4 @@ def shifted_A_solver(grid, lambda1, lambda2, shift):
 
     Divides by 1 + shift (lambda1 mu1_k + lambda2 mu2_l) in the SineBasis.
     """
-    basis = SineBasis(grid, lambda1, lambda2)
-    denom = 1.0 + shift * basis.eigenvalues
-
-    def solve(r):
-        return basis.inverse(basis.forward(r) / denom)
-
-    return solve
+    return SineBasis(grid, lambda1, lambda2).shifted_solver(lambda1, lambda2, shift)

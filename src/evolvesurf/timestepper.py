@@ -54,8 +54,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
-from .operator import (StepFrames, assemble_A, factorize, field_l2, shifted_A_solver,
-                       stencil_weights)
+from .operator import (SineBasis, StepFrames, assemble_A, factorize, field_l2,
+                       shifted_A_solver, stencil_weights)
 
 SOLVE_TOL = 1e-10
 # GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
@@ -122,8 +122,11 @@ class _ThetaMarcher:
     _ComparisonStage.  The implicit solve is a DST-I solve in the sine
     eigenbasis for the comparison operator A of a Picard stage (no LU), one
     LU per march for any other static operator, and DST-preconditioned GMRES
-    for a moving one.  A static system matrix is built once per marcher and
-    kept for the residual gate, so the stages of a Picard iteration share it.
+    for a moving one.  The SineBasis of its preconditioners (the sine
+    matrices and the eigenvalue axes mu1, mu2) is built once per marcher: a
+    step forms only lambda1 mu1 + lambda2 mu2 for its weights.  A static
+    system matrix is built once per marcher and kept for the residual gate,
+    so the stages of a Picard iteration share it.
     """
 
     def __init__(self, dt, theta, frames, t0=0.0):
@@ -139,6 +142,7 @@ class _ThetaMarcher:
         self.grid = frames.grid
         self._held = {}      # step index -> StepFrame, at most two entries
         self._direct = None  # (I + theta dt L, its solve, its name) of a static operator
+        self._basis = None   # SineBasis of a moving march's preconditioners, built once
 
     def time(self, k):
         return self.t0 + k * self.dt
@@ -180,8 +184,10 @@ class _ThetaMarcher:
             v = direct(rhs)
         else:
             lam1, lam2 = stencil_weights(L, self.grid)
+            if self._basis is None:
+                self._basis = SineBasis(self.grid, lam1, lam2)
             precond = spla.LinearOperator(
-                impl.shape, shifted_A_solver(self.grid, lam1, lam2, self.theta * self.dt),
+                impl.shape, self._basis.shifted_solver(lam1, lam2, self.theta * self.dt),
                 dtype=float)
             presids = []
             v, _ = spla.gmres(impl, rhs, x0=guess, rtol=KRYLOV_RTOL, atol=0.0,
@@ -254,20 +260,24 @@ def _prepare_v0(v0, grid):
 
 
 def _eval_forcing(F_provider, grid, t):
+    """F(t) on the interior nodes, flat; the provider gets the open interior mesh."""
     if F_provider is None:
         return None
-    X1, X2 = grid.interior_mesh()
-    return np.asarray(F_provider(X1, X2, t), dtype=float).ravel()
+    X1, X2 = grid.interior_mesh(sparse=True)
+    F = np.asarray(F_provider(X1, X2, t), dtype=float)
+    return np.broadcast_to(F, (grid.n1, grid.n2)).ravel()
 
 
 def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, observers=()):
     """March the pulled-back system with the time-dependent operator.
 
-    ``F_provider`` is an optional manufactured forcing (x1, x2, t) -> array;
-    the homogeneous system of the model has F = 0.  Returns a Trajectory of
-    ceil(T/dt) uniform steps; the Dirichlet boundary stays identically zero by
-    construction.  ``observers`` are as in ``_ThetaMarcher.march``: each is
-    called as ``observer(k, frame, traj)`` with the StepFrame of t_k.
+    ``F_provider`` is an optional manufactured forcing (x1, x2, t) -> array,
+    called with the open interior mesh (x1 of shape (n1, 1), x2 of shape
+    (1, n2)); its value is broadcast to the grid.  The homogeneous system of
+    the model has F = 0.  Returns a Trajectory of ceil(T/dt) uniform steps;
+    the Dirichlet boundary stays identically zero by construction.
+    ``observers`` are as in ``_ThetaMarcher.march``: each is called as
+    ``observer(k, frame, traj)`` with the StepFrame of t_k.
     """
     vals = _prepare_v0(v0, grid)
     marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))

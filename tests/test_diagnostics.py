@@ -370,8 +370,9 @@ class TestMMSEvaluations:
         levels = [(7, 0.01), (15, 0.005), (31, 0.0025)]
         mms_convergence(graph, const_kappa, exact, levels, T=0.02)
         assert len(calls) == sum(2 * (round(0.02 / dt) + 1) for _, dt in levels)
-        shapes = {np.shape(args[1]) for args in calls}
-        assert shapes == {(n + m, n + m) for n, _ in levels for m in (0, 2)}
+        # both are open meshes: x1 of shape (n, 1), x2 of shape (1, n)
+        shapes = {(np.shape(args[1]), np.shape(args[2])) for args in calls}
+        assert shapes == {((n + m, 1), (1, n + m)) for n, _ in levels for m in (0, 2)}
 
 
 def _bump(grid):

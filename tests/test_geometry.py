@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from evolvesurf import (
     nondegeneracy_scan,
     user_chart,
 )
-from evolvesurf.geometry import PARTIAL_KEYS, _c3, metric_fields
+from evolvesurf.geometry import PARTIAL_KEYS, GridSpec, _c3, metric_fields
 
 # each preset at its defaults and at parameters the tests use
 CHART_CASES = [
@@ -35,6 +37,17 @@ KEY_VARIABLES = {
     "x": "", "d1": "1", "d2": "2", "d11": "11", "d12": "12", "d22": "22",
     "dt": "t", "dtd1": "t1", "dtd2": "t2", "dtd11": "t11", "dtd12": "t12", "dtd22": "t22",
 }
+
+
+@contextlib.contextmanager
+def dense_meshes():
+    """GridSpec meshes that ignore ``sparse``: every site evaluates on dense arrays."""
+    with contextlib.ExitStack() as stack:
+        for name in ("interior_mesh", "full_mesh", "cell_center_mesh"):
+            dense = getattr(GridSpec, name)
+            stack.enter_context(mock.patch.object(
+                GridSpec, name, lambda self, sparse=False, dense=dense: dense(self)))
+        yield
 
 
 class TestEvalChart:
@@ -235,3 +248,14 @@ class TestGridSpec:
         assert unit_grid.index(0, 0) == 0
         assert unit_grid.index(0, 1) == 1
         assert unit_grid.index(1, 0) == unit_grid.n2
+
+    def test_meshes_are_dense_unless_asked_open(self):
+        g = make_grid((-0.5, 1.0, 0.0, 2.0), 5, 3)
+        for mesh, shape in ((g.interior_mesh, (5, 3)), (g.full_mesh, (7, 5)),
+                            (g.cell_center_mesh, (6, 4))):
+            X1, X2 = mesh()
+            o1, o2 = mesh(sparse=True)
+            assert X1.shape == X2.shape == shape
+            assert (o1.shape, o2.shape) == ((shape[0], 1), (1, shape[1]))
+            assert np.array_equal(np.broadcast_to(o1, shape), X1)
+            assert np.array_equal(np.broadcast_to(o2, shape), X2)

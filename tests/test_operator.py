@@ -20,7 +20,7 @@ from evolvesurf import (
     make_grid,
     verify_anisotropic_identities,
 )
-from evolvesurf import operator
+from evolvesurf import geometry, operator
 from evolvesurf.diagnostics import symbolic_operator_apply
 from evolvesurf.geometry import PRESET_NAMES, metric_fields
 from evolvesurf.operator import (
@@ -261,6 +261,30 @@ class TestStepFrame:
         assert not moving.static
         assert moving.frame(0.3) is not moving.frame(0.3)
         assert moving.frame(0.3).t == 0.3
+
+    def test_moving_frame_evaluates_sines_per_axis(self, monkeypatch):
+        # one StepFrame of a moving chart at 127^2: every sine or cosine of
+        # the height term runs on an axis of an open mesh, O(n1 + n2) values
+        # per call (a dense mesh takes 4 * 129^2 + 2 * 128^2 values)
+        evaluated = []
+
+        def counting(f):
+            def wrapped(x):
+                evaluated.append(np.size(x))
+                return f(x)
+            return wrapped
+
+        for index, (factor, f1, f2) in list(geometry._PHI_PARTIALS.items()):
+            monkeypatch.setitem(geometry._PHI_PARTIALS, index,
+                                (factor, counting(f1), counting(f2)))
+        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.05, omega=1.0)
+        frame = StepFrame(chart, make_diffusion("constant", value=1.0),
+                          make_grid((0.0, 1.0, 0.0, 1.0), 127, 127), 0.37)
+        frame.coefficients   # g1, g2, dt g1, dt g2 on the 129 x 129 nodes
+        assert sum(evaluated) == 4 * (129 + 129)
+        evaluated.clear()
+        frame.centre         # g1, g2 on the 128 x 128 cell centres
+        assert sum(evaluated) == 2 * (128 + 128)
 
     def test_assembly_and_symmetry_check_evaluate_once(self, graph, const_kappa, unit_grid,
                                                         count_calls):

@@ -6,6 +6,8 @@ derandomized and no example database is kept (conftest.py moves Hypothesis's
 cache of source constants to the temporary directory).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,7 +28,9 @@ from evolvesurf import (  # noqa: E402
     solve_direct,
     solve_picard,
 )
+from evolvesurf.cli import _sine_product_solution  # noqa: E402
 from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio  # noqa: E402
+from evolvesurf.diagnostics import SOLUTION_PARTIALS  # noqa: E402
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
     StepFrame,
@@ -37,6 +41,7 @@ from evolvesurf.operator import (  # noqa: E402
 )
 
 from test_coefficients import _lu_C_A, _lu_C_sharp, _lu_mr_ratio  # noqa: E402
+from test_geometry import dense_meshes  # noqa: E402
 from test_operator import (  # noqa: E402
     assembled_by_coo,
     assert_same_entries,
@@ -194,3 +199,59 @@ def test_picard_converges_to_the_direct_march(grid, chart, diffusion, theta, dt,
     assert hist.converged
     scale = np.max(np.abs(direct.fields))
     assert np.max(np.abs(traj.fields - direct.fields)) <= 10.0 * tol * scale
+
+
+def assert_same_bits(open_result, dense_result):
+    # tobytes compares signed zeros too; an open result must also be dense
+    assert np.shape(open_result) == np.shape(dense_result)
+    assert np.asarray(open_result, dtype=float).tobytes() == \
+        np.asarray(dense_result, dtype=float).tobytes()
+
+
+def assert_same_metric(open_mf, dense_mf):
+    for item in dataclasses.fields(open_mf):
+        a, b = getattr(open_mf, item.name), getattr(dense_mf, item.name)
+        assert (a is None) == (b is None), item.name
+        if a is not None:
+            assert_same_bits(a, b)
+
+
+@PROPERTY
+@given(grid=grids(), preset=st.sampled_from(PRESET_NAMES),
+       values=st.fixed_dictionaries({key: family_value for key in
+                                     ("gamma", "epsilon", "omega", "c")}),
+       diffusion=st.sampled_from(DIFFUSION_PRESETS), base=st.floats(0.5, 2.0),
+       amp=family_value, t=st.floats(0.0, 2.0))
+def test_open_meshes_give_the_dense_bits(grid, preset, values, diffusion, base, amp, t):
+    # each sine and cosine evaluated on its axis and broadcast: the same
+    # products in the same order as on the dense mesh, so the same bits
+    chart = make_chart(preset, domain=grid.domain, horizon=2.0,
+                       **{key: values[key] for key in PRESET_PARAMS[preset]})
+    kappa = make_diffusion(diffusion, **({"value": base} if diffusion == "constant"
+                                         else {"base": base, "amp": amp}))
+    exact = _sine_product_solution(grid.domain)
+    meshes = (grid.full_mesh, grid.cell_center_mesh, grid.interior_mesh)
+    opened = [mesh(sparse=True) for mesh in meshes]
+    dense = [mesh() for mesh in meshes]
+    for (o1, o2), (d1, d2) in zip(opened, dense):
+        assert o1.shape == (d1.shape[0], 1) and o2.shape == (1, d2.shape[1])
+        for kwargs in ({}, {"want_derivs": True}):
+            assert_same_metric(metric_fields(chart, o1, o2, t, h_fd=grid.h_fd, **kwargs),
+                               metric_fields(chart, d1, d2, t, h_fd=grid.h_fd, **kwargs))
+        for key in ("d1", "d2"):
+            partial = kappa.partial(key, grid.domain, grid.h_fd)
+            assert_same_bits(np.broadcast_to(partial(o1, o2, t), d1.shape), partial(d1, d2, t))
+        assert_same_bits(np.broadcast_to(kappa.value(o1, o2, t), d1.shape),
+                         kappa.value(d1, d2, t))
+        for name in SOLUTION_PARTIALS:
+            assert_same_bits(exact.partial(name, o1, o2, t), exact.partial(name, d1, d2, t))
+
+    frame = StepFrame(chart, kappa, grid, t)
+    with dense_meshes():
+        ref = StepFrame(chart, kappa, grid, t)
+        ref_coefficients, ref_centre = ref.coefficients, ref.centre
+    assert frame.coefficients.keys() == ref_coefficients.keys()
+    for key, arr in ref_coefficients.items():
+        assert_same_bits(frame.coefficients[key], arr)
+    assert_same_metric(frame.centre[0], ref_centre[0])
+    assert_same_bits(frame.centre[1], ref_centre[1])

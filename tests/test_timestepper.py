@@ -26,6 +26,7 @@ from evolvesurf import (
     solve_direct,
     solve_picard,
     theta_step,
+    user_chart,
     z_norm,
 )
 from evolvesurf.diagnostics import manufactured_forcing, manufactured_solution
@@ -36,6 +37,7 @@ from evolvesurf import timestepper
 from evolvesurf.operator import StepFrames
 from evolvesurf.timestepper import Trajectory
 
+from test_geometry import dense_meshes
 from test_operator import assembled_by_coo, lowest_discrete_eigenvalue
 
 # a moving chart with a time-dependent operator, small enough for a subprocess
@@ -181,6 +183,48 @@ class TestSolveDirect:
                 v2 = unit_grid.to_grid(traj.fields[k] ** 2)
                 masses.append(float(np.sum(v2 * mf.sqrtG)))
             assert all(b <= a * (1 + 1e-12) for a, b in zip(masses, masses[1:]))
+
+
+class TestUserCallables:
+    """User evaluators reached from the open meshes of the package's sites."""
+
+    GRID = make_grid((0.0, 1.0, 0.0, 1.0), 12, 7)
+
+    def test_user_chart_gets_dense_components(self, const_kappa, eigenmode):
+        # np.stack needs x1 and x2 of one shape; the partials are finite
+        # differences of this evaluator
+        shapes = set()
+
+        def x_eval(x1, x2, t):
+            shapes.add((np.shape(x1), np.shape(x2)))
+            return np.stack([x1, x2, 0.05 * np.sin(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2)])
+
+        chart = user_chart(x_eval, self.GRID.domain, 1.0)
+        v0 = eigenmode(self.GRID)
+        traj = solve_direct(chart, const_kappa, self.GRID, v0, 0.005, 1e-3)
+        assert shapes == {((14, 9), (14, 9))}   # the full mesh, dense
+        with dense_meshes():
+            ref = solve_direct(chart, const_kappa, self.GRID, v0, 0.005, 1e-3)
+        assert traj.fields.tobytes() == ref.fields.tobytes()
+
+    @pytest.mark.parametrize("provider,shape", [
+        (lambda x1, x2, t: (1.0 + t) * np.sin(np.pi * x1), (12, 1)),
+        (lambda x1, x2, t: 2.5, ()),
+    ], ids=["x1_only", "scalar"])
+    def test_forcing_is_broadcast_to_the_grid(self, graph, const_kappa, eigenmode,
+                                              provider, shape):
+        grid = self.GRID
+        X1, X2 = grid.interior_mesh()
+        assert np.shape(provider(*grid.interior_mesh(sparse=True), 0.0)) == shape
+        for t in (0.0, 0.37):
+            F = timestepper._eval_forcing(provider, grid, t)
+            assert F.shape == (grid.ndof,)
+            assert F.tobytes() == np.broadcast_to(provider(X1, X2, t), X1.shape).ravel().tobytes()
+        dense = lambda x1, x2, t: np.broadcast_to(provider(X1, X2, t), X1.shape)
+        v0 = eigenmode(grid)
+        traj = solve_direct(graph, const_kappa, grid, v0, 0.005, 1e-3, F_provider=provider)
+        ref = solve_direct(graph, const_kappa, grid, v0, 0.005, 1e-3, F_provider=dense)
+        assert traj.fields.tobytes() == ref.fields.tobytes()
 
 
 class TestZNorm:
@@ -371,6 +415,22 @@ class TestImplicitSolve:
         assert traj.nsteps == 30
         assert len(times) == traj.nsteps + 1
         assert times == [k * 1e-3 for k in range(traj.nsteps + 1)]
+
+    def test_moving_march_builds_one_sine_basis(self, graph, const_kappa, unit_grid,
+                                                eigenmode, monkeypatch):
+        # the preconditioner of every step shares the sine matrices and the
+        # eigenvalue axes; a step forms only lambda1 mu1 + lambda2 mu2
+        built = []
+        init = operator.SineBasis.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(operator.SineBasis, "__init__", counting)
+        traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3)
+        assert traj.nsteps == 20
+        assert len(built) == 1
 
     @pytest.mark.parametrize("chart_name,lus", [("flat_static", 1), ("graph_oscillation", 0)])
     def test_factorizations_per_march(self, const_kappa, unit_grid, eigenmode, monkeypatch,
