@@ -49,6 +49,9 @@ print((workdir / "solve" / "report.txt").read_text())
 print("=== first lines of energy.csv ===")
 print("\n".join((workdir / "solve" / "energy.csv").read_text().splitlines()[:5]))
 
-print("\n=== head of the t=0 snapshot (legacy-ASCII structured grid) ===")
-print("\n".join((workdir / "solve" / "snapshot_0000.vtk").read_text().splitlines()[:8]))
+print("\n=== header of the t=0 snapshot (legacy-VTK binary structured grid) ===")
+# the ASCII header ends at the POINTS line; big-endian float64 points follow
+snapshot = (workdir / "solve" / "snapshot_0000.vtk").read_bytes()
+header = snapshot[:snapshot.index(b"\n", snapshot.index(b"\nPOINTS ") + 1)]
+print(header.decode("ascii"))
 print(f"\nall artifacts under {workdir}")

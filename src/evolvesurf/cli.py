@@ -15,9 +15,9 @@ Subcommands:
 
 Outputs land in the configured directory: report.txt (key = value lines),
 conditions.csv, energy.csv, picard.csv, convergence.csv as applicable, and
-snapshot_####.vtk legacy-ASCII structured-grid files embedding the grid via
-the chart so a viewer shows the evolving surface.  Exit status is nonzero iff
-a hard assertion failed.
+snapshot_####.vtk legacy-VTK binary structured-grid files embedding the grid
+via the chart so a viewer shows the evolving surface.  Exit status is nonzero
+iff a hard assertion failed.
 """
 
 from __future__ import annotations
@@ -266,40 +266,31 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _vtk_reprs(a):
-    """``repr`` of each element of ``a`` in VTK point order (first index fastest).
-
-    For floats this is the text ``_fmt`` gives.  Float64 values are formatted
-    once per distinct bit pattern: chart coordinates repeat along grid lines.
-    """
-    flat = np.asarray(a).T.ravel()
-    if flat.dtype != np.float64:
-        return list(map(repr, flat.tolist()))
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
-
-
 def _write_vtk_snapshot(path, chart, grid, values, t):
-    """Legacy-ASCII structured grid with the solution as point data."""
+    """Legacy-VTK binary structured grid with the solution as point data.
+
+    Points and values are big-endian float64 in VTK point order (first index
+    fastest); each binary block ends with a newline before the next keyword.
+    """
     X1, X2 = grid.full_mesh(sparse=True)
-    pts = chart.evals["x"](X1, X2, t)
     full = grid.pad_dirichlet(values)
     n1p, n2p = full.shape
+    pts = np.broadcast_to(np.asarray(chart.evals["x"](X1, X2, t))[:3], (3, n1p, n2p))
     lines = [
         "# vtk DataFile Version 3.0",
         f"evolving surface snapshot t={_fmt(float(t))}",
-        "ASCII",
+        "BINARY",
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {n1p} {n2p} 1",
         f"POINTS {n1p * n2p} double",
-        "\n".join(map(" ".join, zip(*(_vtk_reprs(c) for c in pts[:3])))),
+        pts.T.astype(">f8"),
         f"POINT_DATA {n1p * n2p}",
         "SCALARS u double 1",
         "LOOKUP_TABLE default",
-        "\n".join(_vtk_reprs(full)),
+        full.T.astype(">f8"),
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_bytes(b"".join(
+        (line.encode() if isinstance(line, str) else line.tobytes()) + b"\n" for line in lines))
 
 
 def _dump_matrix(path, matrix, grid, offsets):

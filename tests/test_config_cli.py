@@ -293,11 +293,11 @@ class TestOutputs:
 
     def test_flat_snapshot_embeds_identity(self, tmp_path):
         cfg, _, _ = self._run(tmp_path, snapshot_stride=20)
-        snap = (Path(cfg.out_dir) / "snapshot_0000.vtk").read_text().splitlines()
-        assert snap[3] == "DATASET STRUCTURED_GRID"
-        assert snap[4] == "DIMENSIONS 12 12 1"
+        head, points, _ = _read_vtk(Path(cfg.out_dir) / "snapshot_0000.vtk")
+        assert head[3] == "DATASET STRUCTURED_GRID"
+        assert head[4] == "DIMENSIONS 12 12 1"
         # second point is (h1, 0, 0) for the identity embedding
-        assert snap[7].split() == [repr(1.0 / 11), "0.0", "0.0"]
+        assert points[1].tolist() == [1.0 / 11, 0.0, 0.0]
 
     def test_isotropic_snapshot_points_scale(self, tmp_path):
         cfg, _, _ = self._run(
@@ -305,10 +305,27 @@ class TestOutputs:
             surface_params={"gamma": 1.0}, snapshot_stride=10)
         snaps = sorted(Path(cfg.out_dir).glob("snapshot_*.vtk"))
         assert len(snaps) == 3
-        first = snaps[0].read_text().splitlines()[7].split()
-        last = snaps[-1].read_text().splitlines()[7].split()
+        first = _read_vtk(snaps[0])[1][1]
+        last = _read_vtk(snaps[-1])[1][1]
         t_last = 0.02
-        assert float(last[0]) == pytest.approx(float(first[0]) * math.exp(t_last), rel=1e-12)
+        assert last[0] == pytest.approx(first[0] * math.exp(t_last), rel=1e-12)
+
+    def test_solve_snapshots_decode_to_the_trajectory(self, tmp_path):
+        cfg = parse_config(MINIMAL.replace("flat_static", "graph_oscillation\nepsilon = 0.05"))
+        cfg.n1, cfg.n2 = 9, 6
+        cfg.horizon, cfg.probes, cfg.snapshot_stride = 0.02, 4, 7
+        report, traj = run_pipeline(cfg, "solve")
+        write_outputs(report, traj, tmp_path, cfg=cfg)
+        chart = config_chart(cfg)
+        steps = range(0, traj.nsteps + 1, cfg.snapshot_stride)
+        assert sorted(tmp_path.glob("snapshot_*.vtk")) == [
+            tmp_path / f"snapshot_{k:04d}.vtk" for k in steps]
+        for k in steps:
+            _, points, values = _read_vtk(tmp_path / f"snapshot_{k:04d}.vtk")
+            _, ref_points, _ = _vtk_per_point(chart, traj.grid, traj.fields[k], traj.times[k])
+            assert points.astype(np.float64).tobytes() == np.array(ref_points).tobytes()
+            assert values.astype(np.float64).tobytes() == \
+                traj.grid.pad_dirichlet(traj.fields[k]).T.tobytes()
 
     def test_matrix_dump(self, tmp_path):
         cfg, _, manifest = self._run(tmp_path, dump_matrices=True)
@@ -343,6 +360,24 @@ class TestOutputs:
         b2 = (Path(cfg2.out_dir) / "conditions.csv").read_bytes()
         assert b1 == b2
 
+    def test_whole_solve_run_is_byte_reproducible(self, tmp_path):
+        # every file of a moving solve, snapshots and energy.csv included, is
+        # byte-identical for one seed; report.txt differs only in its time_* lines
+        runs = [self._run(tmp_path / side, surface_preset="graph_oscillation",
+                          surface_params={"epsilon": 0.05, "omega": 1.0},
+                          seed=11, snapshot_stride=10)
+                for side in ("a", "b")]
+        names = [[Path(p).name for p in manifest] for _, _, manifest in runs]
+        assert names[0] == names[1]
+        assert {"report.txt", "energy.csv", "snapshot_0000.vtk",
+                "snapshot_0020.vtk"} <= set(names[0])
+        for name in names[0]:
+            b1, b2 = ((Path(cfg.out_dir) / name).read_bytes() for cfg, _, _ in runs)
+            if name == "report.txt":
+                b1, b2 = (b"".join(line for line in b.splitlines(keepends=True)
+                                   if not line.startswith(b"time_")) for b in (b1, b2))
+            assert b1 == b2, name
+
 
 # Per-point reference writers: the loops the array-at-a-time writers replaced.
 
@@ -356,27 +391,59 @@ def _fmt_ref(v):
 
 
 def _vtk_per_point(chart, grid, values, t):
+    """Header lines, points and values of a snapshot, one point at a time (j outer, i inner)."""
     X1, X2 = grid.full_mesh()
     pts = chart.evals["x"](X1, X2, t)
     full = grid.pad_dirichlet(values)
     n1p, n2p = X1.shape
-    lines = [
+    head = [
         "# vtk DataFile Version 3.0",
         f"evolving surface snapshot t={_fmt_ref(float(t))}",
-        "ASCII",
+        "BINARY",
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {n1p} {n2p} 1",
         f"POINTS {n1p * n2p} double",
+        f"POINT_DATA {n1p * n2p}",
+        "SCALARS u double 1",
+        "LOOKUP_TABLE default",
     ]
+    points, point_values = [], []
     for j in range(n2p):
         for i in range(n1p):
-            lines.append(f"{_fmt_ref(pts[0][i, j])} {_fmt_ref(pts[1][i, j])} "
-                         f"{_fmt_ref(pts[2][i, j])}")
-    lines += [f"POINT_DATA {n1p * n2p}", "SCALARS u double 1", "LOOKUP_TABLE default"]
-    for j in range(n2p):
-        for i in range(n1p):
-            lines.append(_fmt_ref(full[i, j]))
-    return "\n".join(lines) + "\n"
+            points.append([float(pts[0][i, j]), float(pts[1][i, j]), float(pts[2][i, j])])
+            point_values.append(float(full[i, j]))
+    return head, points, point_values
+
+
+def _read_vtk(path, dtype=">f8"):
+    """Header lines, points (n, 3) and values (n,) of a binary legacy-VTK snapshot.
+
+    The two blocks are decoded as ``dtype``; each must end with a newline.
+    """
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    def block(count):
+        nonlocal pos
+        out = np.frombuffer(data, dtype, count, pos)
+        pos += out.nbytes
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        return out
+
+    head = [line() for _ in range(6)]
+    n = int(head[5].split()[1])
+    points = block(3 * n).reshape(n, 3)
+    head += [line() for _ in range(3)]
+    values = block(n)
+    assert pos == len(data)
+    return head, points, values
 
 
 def _coo_per_point(matrix):
@@ -398,13 +465,22 @@ class TestWriterBytes:
 
     def _check_snapshot(self, tmp_path, chart, t):
         values = np.random.default_rng(7).standard_normal(self.GRID.ndof)
-        values[:3] = (-0.0, 1e-300, -2.5e17)   # signed zero and exponent forms
+        values[:3] = (-0.0, 1e-300, -2.5e17)   # signed zero and extreme exponents
         path = tmp_path / "snapshot.vtk"
         _write_vtk_snapshot(path, chart, self.GRID, values, t)
-        text = path.read_text()
-        assert text == _vtk_per_point(chart, self.GRID, values, t)
+        head, points, point_values = _read_vtk(path)
+        ref_head, ref_points, ref_values = _vtk_per_point(chart, self.GRID, values, t)
+        assert head == ref_head
+        assert points.astype(np.float64).tobytes() == np.array(ref_points).tobytes()
+        assert point_values.astype(np.float64).tobytes() == np.array(ref_values).tobytes()
+        # big-endian: the little-endian reading of the same bytes is other numbers
+        assert _read_vtk(path, "<f8")[2].tobytes() != np.array(ref_values).tobytes()
         # the zero Dirichlet ring is written around the interior values
-        assert text.splitlines()[-1] == "0.0"
+        n1p, n2p = self.GRID.n1 + 2, self.GRID.n2 + 2
+        grid_values = point_values.astype(np.float64).reshape(n2p, n1p)
+        ring = np.concatenate([grid_values[0], grid_values[-1],
+                               grid_values[:, 0], grid_values[:, -1]])
+        assert not ring.view(np.uint64).any()
 
     @pytest.mark.parametrize("name,params", PRESET_PARAMS)
     @pytest.mark.parametrize("t", [0.0, 0.37])
