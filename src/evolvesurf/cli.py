@@ -275,7 +275,7 @@ def _write_vtk_snapshot(path, chart, grid, values, t):
     X1, X2 = grid.full_mesh(sparse=True)
     full = grid.pad_dirichlet(values)
     n1p, n2p = full.shape
-    pts = np.broadcast_to(np.asarray(chart.evals["x"](X1, X2, t))[:3], (3, n1p, n2p))
+    pts = np.stack(np.broadcast_arrays(*chart.evals["x"](X1, X2, t), full)[:3])
     lines = [
         "# vtk DataFile Version 3.0",
         f"evolving surface snapshot t={_fmt(float(t))}",

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import metric_fields
+from .geometry import default_h_fd, metric_fields
 from .operator import (
     StepFrame,
     StepFrames,
@@ -109,7 +109,7 @@ def surface_gradient_components(values, chart, grid, t):
     mf, _ = StepFrame(chart, None, grid, t).centre
     du1 = mf.ginv11 * d1 + mf.ginv12 * d2   # contravariant components
     du2 = mf.ginv12 * d1 + mf.ginv22 * d2
-    comps = mf.g1 * du1[None, ...] + mf.g2 * du2[None, ...]
+    comps = np.stack([a * du1 + b * du2 for a, b in zip(mf.g1, mf.g2)])
     return comps, mf
 
 
@@ -424,7 +424,7 @@ def manufactured_forcing(chart, kappa, exact):
     user chart without them), d_a K is ``kappa.partial`` and the partials of
     u are those ``exact`` carries.
     """
-    h_fd = 1e-5 * max(chart.extent(), 1.0)
+    h_fd = default_h_fd(chart.extent())
     k1 = kappa.partial("d1", chart.domain, h_fd)
     k2 = kappa.partial("d2", chart.domain, h_fd)
 

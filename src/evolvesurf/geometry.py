@@ -17,7 +17,9 @@ omega, translating_patch c.  One table gives the analytic partials of the
 form and one sympy builder its symbolic form; ``static_metric`` is derived,
 true when gamma = 0 and there is no height term.  User-supplied charts fall
 back to second-order finite differences with step ``h_fd`` (one-sided at the
-closure of the rectangle and at t = 0, T).
+closure of the rectangle and at t = 0, T); ``default_h_fd`` is its default.
+A partial is three broadcastable components: a preset's constant components
+(s(t), 0.0) stay Python floats, and only ``user_chart`` stacks them densely.
 
 Evaluators take broadcastable ``x1, x2``.  The package's own sites pass open
 meshes, ``GridSpec.full_mesh(sparse=True)`` and its siblings: x1 of shape
@@ -51,8 +53,9 @@ class Chart:
     """Evolving parametrization of a surface patch.
 
     ``evals`` maps partial-derivative keys to vectorized evaluators
-    ``(x1, x2, t) -> array (3, ...)``.  Only "x" is mandatory; missing
-    partials are synthesized by finite differences on demand.
+    ``(x1, x2, t) -> (x_1, x_2, x_3)``, three components broadcastable with
+    x1 and x2.  Only "x" is mandatory; missing partials are synthesized by
+    finite differences on demand.
     """
 
     name: str
@@ -65,9 +68,6 @@ class Chart:
     def extent(self):
         a, b, c, d = self.domain
         return max(b - a, d - c)
-
-    def has_partial(self, key):
-        return key in self.evals
 
     def partial(self, key, h_fd):
         """Evaluator for one partial, analytic when supplied, FD otherwise."""
@@ -169,6 +169,11 @@ class GridSpec:
         return full
 
 
+def default_h_fd(extent):
+    """Default finite-difference step on a rectangle of the given extent."""
+    return 1e-5 * max(extent, 1.0)
+
+
 def make_grid(domain, n1, n2, h_fd=None):
     a, b, c, d = (float(v) for v in domain)
     if not (b > a and d > c):
@@ -176,7 +181,7 @@ def make_grid(domain, n1, n2, h_fd=None):
     if n1 < 1 or n2 < 1:
         raise ParameterError("need at least one interior node per axis")
     if h_fd is None:
-        h_fd = 1e-5 * max(b - a, d - c)
+        h_fd = default_h_fd(max(b - a, d - c))
     if h_fd <= 0:
         raise ParameterError("h_fd must be positive")
     return GridSpec((a, b, c, d), int(n1), int(n2), float(h_fd))
@@ -278,19 +283,8 @@ def preset_params(kind, table, name, params):
 
 
 def _c3(f0, f1, f2):
-    """Bundle three scalar component evaluators into one (3, ...) evaluator."""
-
-    def ev(x1, x2, t):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shape = np.broadcast(x1, x2).shape
-        out = np.empty((3,) + shape)
-        out[0] = f0(x1, x2, t)
-        out[1] = f1(x1, x2, t)
-        out[2] = f2(x1, x2, t)
-        return out
-
-    return ev
+    """Bundle three component evaluators into one evaluator of a 3-tuple."""
+    return lambda x1, x2, t: (f0(x1, x2, t), f1(x1, x2, t), f2(x1, x2, t))
 
 
 _Z = lambda x1, x2, t: 0.0
@@ -343,12 +337,12 @@ def make_chart(name, domain=(0.0, 1.0, 0.0, 1.0), horizon=1.0, **params):
 
 
 def _dense(ev):
-    """``ev`` called with x1 and x2 broadcast to one shape when theirs differ."""
+    """``ev`` called with x1 and x2 of one shape, its components stacked to (3, ...)."""
 
     def dense(x1, x2, t):
         if np.shape(x1) != np.shape(x2):
             x1, x2 = np.broadcast_arrays(x1, x2)
-        return ev(x1, x2, t)
+        return np.stack(np.broadcast_arrays(*ev(x1, x2, t), x1)[:3])
 
     return dense
 
@@ -358,6 +352,7 @@ def user_chart(x_eval, domain, horizon, partials=None, name="user", static_metri
 
     The evaluators receive x1 and x2 of one shape (zero-copy broadcast views
     of an open mesh), so user code may stack or index them as dense arrays.
+    They may return a ``(3, ...)`` array or a 3-tuple; either is stacked.
     """
     evals = {key: _dense(ev) for key, ev in {"x": x_eval, **(partials or {})}.items()}
     return Chart(name=name, domain=tuple(float(v) for v in domain), horizon=float(horizon),
@@ -369,10 +364,15 @@ def user_chart(x_eval, domain, horizon, partials=None, name="user", static_metri
 
 @dataclass
 class MetricFields:
-    """Vectorized metric data over an array of sample points at one time."""
+    """Vectorized metric data over an array of sample points at one time.
 
-    g1: np.ndarray
-    g2: np.ndarray
+    ``g1`` and ``g2`` are 3-tuples of components, and the ``dgab_dc`` fields
+    dot products of components: scalars where constant.  The others have
+    the sample shape.
+    """
+
+    g1: tuple
+    g2: tuple
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
@@ -394,7 +394,7 @@ class MetricFields:
 
 
 def _dot3(u, v):
-    return np.einsum("k...,k...->...", u, v)
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False):
@@ -405,15 +405,15 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
     anywhere in the sample.
     """
     if h_fd is None:
-        h_fd = 1e-5 * max(chart.extent(), 1.0)
+        h_fd = default_h_fd(chart.extent())
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
+    shape = np.broadcast(x1, x2).shape
 
-    g1 = chart.partial("d1", h_fd)(x1, x2, t)
-    g2 = chart.partial("d2", h_fd)(x1, x2, t)
-    g11 = _dot3(g1, g1)
-    g12 = _dot3(g1, g2)
-    g22 = _dot3(g2, g2)
+    g1 = tuple(chart.partial("d1", h_fd)(x1, x2, t))
+    g2 = tuple(chart.partial("d2", h_fd)(x1, x2, t))
+    g11, g12, g22 = (np.broadcast_to(g, shape)
+                     for g in (_dot3(g1, g1), _dot3(g1, g2), _dot3(g2, g2)))
     G = g11 * g22 - g12 * g12
 
     Ga = np.atleast_1d(G)
@@ -428,19 +428,12 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
     )
 
     if want_dGdt:
-        if chart.has_partial("dtd1") and chart.has_partial("dtd2"):
-            m1 = chart.evals["dtd1"](x1, x2, t)
-            m2 = chart.evals["dtd2"](x1, x2, t)
-            dg11 = 2.0 * _dot3(m1, g1)
-            dg12 = _dot3(m1, g2) + _dot3(g1, m2)
-            dg22 = 2.0 * _dot3(m2, g2)
-            out.dGdt = dg11 * g22 + g11 * dg22 - 2.0 * g12 * dg12
-        else:
-            def Gfun(a1, a2, tt):
-                gg1 = chart.partial("d1", h_fd)(a1, a2, tt)
-                gg2 = chart.partial("d2", h_fd)(a1, a2, tt)
-                return (_dot3(gg1, gg1) * _dot3(gg2, gg2) - _dot3(gg1, gg2) ** 2)
-            out.dGdt = np.asarray(_fd1(Gfun, 2, 0.0, chart.horizon, h_fd)(x1, x2, t))
+        m1 = chart.partial("dtd1", h_fd)(x1, x2, t)
+        m2 = chart.partial("dtd2", h_fd)(x1, x2, t)
+        dg11 = 2.0 * _dot3(m1, g1)
+        dg12 = _dot3(m1, g2) + _dot3(g1, m2)
+        dg22 = 2.0 * _dot3(m2, g2)
+        out.dGdt = dg11 * g22 + g11 * dg22 - 2.0 * g12 * dg12
 
     if want_derivs:
         d11 = chart.partial("d11", h_fd)(x1, x2, t)
@@ -468,7 +461,7 @@ def motion_velocity(chart, X, t, h_fd=None):
     """Surface motion velocity w = dx/dt at the chart point."""
     chart.check_point(X, t)
     if h_fd is None:
-        h_fd = 1e-5 * max(chart.extent(), 1.0)
+        h_fd = default_h_fd(chart.extent())
     return np.asarray(chart.partial("dt", h_fd)(float(X[0]), float(X[1]), float(t)), dtype=float).reshape(3)
 
 
@@ -504,20 +497,13 @@ def nondegeneracy_scan(chart, grid, times):
     for t in times:
         mf = metric_fields(chart, X1, X2, t, h_fd=h_fd, want_dGdt=False)
         lam_min = min(lam_min, float(np.min(mf.G)))
-        first = {1: chart.partial("d1", h_fd)(X1, X2, t),
-                 2: chart.partial("d2", h_fd)(X1, X2, t)}
-        second = {(1, 1): chart.partial("d11", h_fd)(X1, X2, t),
-                  (1, 2): chart.partial("d12", h_fd)(X1, X2, t),
-                  (2, 2): chart.partial("d22", h_fd)(X1, X2, t)}
-        tfirst = {1: chart.partial("dtd1", h_fd)(X1, X2, t),
-                  2: chart.partial("dtd2", h_fd)(X1, X2, t)}
-        tsecond = {(1, 1): chart.partial("dtd11", h_fd)(X1, X2, t),
-                   (1, 2): chart.partial("dtd12", h_fd)(X1, X2, t),
-                   (2, 2): chart.partial("dtd22", h_fd)(X1, X2, t)}
-        for a in (1, 2):
-            for b in (1, 2):
-                ab = (min(a, b), max(a, b))
-                total = (np.abs(first[a]) + np.abs(second[ab])
-                         + np.abs(tfirst[a]) + np.abs(tsecond[ab]))
+        p = {"d1": mf.g1, "d2": mf.g2}
+        p.update((key, chart.partial(key, h_fd)(X1, X2, t))
+                 for key in ("d11", "d12", "d22", "dtd1", "dtd2", "dtd11", "dtd12", "dtd22"))
+        # (a, ab) over the index pairs (1, 1), (1, 2), (2, 1), (2, 2)
+        for a, ab in (("1", "11"), ("1", "12"), ("2", "12"), ("2", "22")):
+            for j in range(3):
+                total = (np.abs(p["d" + a][j]) + np.abs(p["d" + ab][j])
+                         + np.abs(p["dtd" + a][j]) + np.abs(p["dtd" + ab][j]))
                 lam_max = max(lam_max, float(np.max(total)))
     return {"lambda_min_est": lam_min, "lambda_max_est": lam_max}

@@ -393,7 +393,7 @@ def _fmt_ref(v):
 def _vtk_per_point(chart, grid, values, t):
     """Header lines, points and values of a snapshot, one point at a time (j outer, i inner)."""
     X1, X2 = grid.full_mesh()
-    pts = chart.evals["x"](X1, X2, t)
+    pts = np.broadcast_arrays(*chart.evals["x"](X1, X2, t), X1)   # constants as scalars
     full = grid.pad_dirichlet(values)
     n1p, n2p = X1.shape
     head = [

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -19,7 +20,8 @@ from evolvesurf import (
     nondegeneracy_scan,
     user_chart,
 )
-from evolvesurf.geometry import PARTIAL_KEYS, GridSpec, _c3, metric_fields
+from evolvesurf.geometry import (PARTIAL_KEYS, GridSpec, MetricFields, default_h_fd,
+                                 metric_fields)
 
 # each preset at its defaults and at parameters the tests use
 CHART_CASES = [
@@ -143,6 +145,47 @@ class TestClosedForm:
             make_chart("banana")
 
 
+class TestComponentFormat:
+    """A partial is three broadcastable components, constants as scalars."""
+
+    GRID = make_grid((-0.5, 1.0, 0.25, 1.05), 13, 6)
+
+    @pytest.mark.parametrize("name, params", CHART_CASES)
+    def test_constants_are_scalars_and_the_metric_is_full(self, name, params):
+        chart = make_chart(name, domain=self.GRID.domain, horizon=2.0, **params)
+        X1, X2 = self.GRID.full_mesh(sparse=True)
+        shape = (self.GRID.n1 + 2, self.GRID.n2 + 2)
+        height = name == "graph_oscillation"
+        for key in ("d1", "d2"):
+            planar_1, planar_2, third = chart.evals[key](X1, X2, 0.7)
+            assert np.ndim(planar_1) == np.ndim(planar_2) == 0
+            assert np.ndim(third) == (2 if height else 0)
+        mf = metric_fields(chart, X1, X2, 0.7)
+        for field in ("g11", "g12", "g22", "G", "sqrtG", "ginv11", "ginv12", "ginv22", "dGdt"):
+            assert np.shape(getattr(mf, field)) == shape, field
+
+    @pytest.mark.parametrize("height", [0.0, 0.05])
+    def test_tuple_evaluator_gives_the_stacked_bits(self, height):
+        # the same user embedding as a 3-tuple (a scalar third component when
+        # flat) and as a stacked (3, ...) array; every partial is an FD
+        def third(x1, x2, t):
+            return height * np.sin(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2) if height else 0.0
+
+        def as_tuple(x1, x2, t):
+            return x1, x2, third(x1, x2, t)
+
+        def stacked(x1, x2, t):
+            return np.stack(np.broadcast_arrays(x1, x2, third(x1, x2, t)))
+
+        domain = self.GRID.domain
+        X1, X2 = self.GRID.full_mesh(sparse=True)
+        got = metric_fields(user_chart(as_tuple, domain, 1.0), X1, X2, 0.4, want_derivs=True)
+        ref = metric_fields(user_chart(stacked, domain, 1.0), X1, X2, 0.4, want_derivs=True)
+        for item in dataclasses.fields(MetricFields):
+            a, b = getattr(got, item.name), getattr(ref, item.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), item.name
+
+
 class TestMetricSample:
     def test_flat_identity_package(self, flat):
         ms = metric_sample(flat, (0.2, 0.9), 0.7)
@@ -218,6 +261,28 @@ class TestFiniteDifferenceFallback:
         assert float(abs(fd.dGdt - an.dGdt)) < 1e-6
 
 
+def dense_scan(chart, grid, times):
+    """(min G, max partial sum) of every partial stacked to (3, n1 + 2, n2 + 2)."""
+    X1, X2 = grid.full_mesh()
+
+    def dense(key, t):
+        return np.stack(np.broadcast_arrays(*chart.evals[key](X1, X2, t), X1)[:3])
+
+    lam_min, lam_max = math.inf, 0.0
+    for t in times:
+        p = {key: dense(key, t) for key in PARTIAL_KEYS}
+        g11, g12, g22 = (np.einsum("k...,k...->...", p[u], p[v])
+                         for u, v in (("d1", "d1"), ("d1", "d2"), ("d2", "d2")))
+        lam_min = min(lam_min, float(np.min(g11 * g22 - g12 * g12)))
+        for a in "12":
+            for b in "12":
+                ab = "".join(sorted(a + b))
+                total = (np.abs(p["d" + a]) + np.abs(p["d" + ab])
+                         + np.abs(p["dtd" + a]) + np.abs(p["dtd" + ab]))
+                lam_max = max(lam_max, float(np.max(total)))
+    return lam_min, lam_max
+
+
 class TestNondegeneracyScan:
     def test_flat_scan_is_unit(self, flat, unit_grid):
         out = nondegeneracy_scan(flat, unit_grid, [0.0, 0.5, 1.0])
@@ -228,10 +293,18 @@ class TestNondegeneracyScan:
         out = nondegeneracy_scan(iso, unit_grid, np.linspace(0, 1, 6))
         assert out["lambda_min_est"] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name, params", CHART_CASES)
+    def test_scan_matches_the_dense_reference(self, name, params):
+        grid = make_grid((-0.5, 1.0, 0.25, 1.05), 13, 6)
+        chart = make_chart(name, domain=grid.domain, horizon=2.0, **params)
+        times = np.linspace(0.0, 2.0, 5)
+        out = nondegeneracy_scan(chart, grid, times)
+        ref_min, ref_max = dense_scan(chart, grid, times)
+        assert out["lambda_min_est"] == ref_min
+        assert out["lambda_max_est"] == ref_max
+
     def test_degenerate_chart_reports_location(self, unit_grid):
-        pinch = user_chart(
-            _c3(lambda x1, x2, t: (1.0 - t) * x1, lambda x1, x2, t: x2, lambda *a: 0.0),
-            (0, 1, 0, 1), 2.0)
+        pinch = user_chart(lambda x1, x2, t: ((1.0 - t) * x1, x2, 0.0), (0, 1, 0, 1), 2.0)
         with pytest.raises(DegenerateChartError) as exc:
             nondegeneracy_scan(pinch, unit_grid, [0.0, 1.0])
         assert exc.value.t == pytest.approx(1.0)
@@ -243,6 +316,11 @@ class TestGridSpec:
         assert g.h1 == pytest.approx(1.0 / 16)
         assert g.h2 == pytest.approx(2.0 / 32)
         assert g.ndof == 15 * 31
+
+    def test_default_fd_step(self):
+        # one formula for every default step: 1e-5 max(extent, 1)
+        assert make_grid((0.0, 0.5, 0.0, 0.25), 3, 3).h_fd == default_h_fd(0.5) == 1e-5
+        assert make_grid((0.0, 1.5, 0.0, 1.0), 3, 3).h_fd == default_h_fd(1.5) == 1e-5 * 1.5
 
     def test_row_major_indexing(self, unit_grid):
         assert unit_grid.index(0, 0) == 0
