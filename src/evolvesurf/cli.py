@@ -300,8 +300,8 @@ def _dump_matrix(path, matrix, grid, offsets):
         f"{r} {c} {v!r}\n" for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist())))
 
 
-def write_outputs(report, trajectory, directory, cfg=None):
-    """Emit report.txt plus per-subcommand CSVs and snapshots; returns manifest."""
+def write_outputs(report, trajectory, directory, cfg):
+    """Emit report.txt, per-subcommand CSVs and snapshots of the run ``cfg``; returns manifest."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -372,17 +372,16 @@ def write_outputs(report, trajectory, directory, cfg=None):
         _write_csv(path, ["h", "dt", "err_max", "err_l2", "order_space", "order_time"], rows)
         manifest.append(str(path))
 
-    if trajectory is not None and cfg is not None:
-        chart = config_chart(cfg)
+    chart = config_chart(cfg)
+    if trajectory is not None:
         for k in range(0, trajectory.nsteps + 1, cfg.snapshot_stride):
             path = out / f"snapshot_{k:04d}.vtk"
             _write_vtk_snapshot(path, chart, trajectory.grid,
                                 trajectory.fields[k], float(trajectory.times[k]))
             manifest.append(str(path))
 
-    if cfg is not None and cfg.dump_matrices:
+    if cfg.dump_matrices:
         grid = config_grid(cfg)
-        chart = config_chart(cfg)
         kappa = config_diffusion(cfg)
         rep = report.condition_report
         if rep is None:

@@ -8,13 +8,13 @@ gives kappa and its X-partials and one sympy builder its symbolic form.
 The comparison operator A needs anisotropy weights lam1, lam2 sitting below
 kappa*g^11 and kappa*g^22 on the whole space-time scan; the size of the
 perturbation B = L - A is then controlled by five sup-norm quantities M1..M5
-of the coefficients.  ``smallness_report`` bundles the scan, probe-based
-estimates of the elliptic-regularity constant C_sharp and the maximal
-L2-regularity constant C_A, the three smallness conditions and the two
-existence-horizon formulas.  The estimators take A = assemble_A(grid,
-lambda1, lambda2) by its grid and weights and work in its DST-I sine basis
-(``operator.SineBasis``), which maps into and out of the modes by dense
-products with the sine matrix of each axis.
+of the coefficients, read from one pass over the scan times (``_Scan``).
+``smallness_report`` bundles the scan, probe-based estimates of the
+elliptic-regularity constant C_sharp and the maximal L2-regularity constant
+C_A, the three smallness conditions and the two existence-horizon formulas.
+The estimators take A = assemble_A(grid, lambda1, lambda2) by its grid and
+weights and work in its DST-I sine basis (``operator.SineBasis``), mapped
+into and out of by dense products with the sine matrix of each axis.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .operator import (
     SineBasis,
     _on_mesh,
     assemble_A,
-    assemble_B_parts,
     field_l2,
     gradient_norm,
     hessian_seminorm,
+    lower_order_parts,
+    mesh_coefficients,
     operator_norm_est,
 )
 
@@ -94,34 +95,86 @@ def make_diffusion(name, **params):
                      time_independent=True, sym_builder=sym)
 
 
-def diffusion_bounds(kappa, grid, times):
-    """Scan kappa over the closure grid; enforce the positivity assumption."""
-    X1, X2 = grid.full_mesh(sparse=True)
-    kmin, kmax = math.inf, -math.inf
-    for t in times:
-        k = _on_mesh(kappa, X1, X2, t)
-        kmin = min(kmin, float(k.min()))
-        kmax = max(kmax, float(k.max()))
-    if kmin <= 0.0:
-        raise AssumptionViolationError(f"kappa must be strictly positive; scan minimum {kmin:.6g}")
-    return kmin, kmax
-
-
 # ---------------------------------------------------------------------------
-# lambda selection and the M quantities
+# the scan: lambda selection and the M quantities
 
 
-def coefficient_minima(chart, kappa, grid, times):
-    """Raw scan minima of kappa*g^11, kappa*g^12 and kappa*g^22."""
-    X1, X2 = grid.full_mesh(sparse=True)
-    m11 = m12 = m22 = math.inf
-    for t in times:
-        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
+class _Scan:
+    """One pass over ``times`` and each later ``add``: the metric (with its
+    derivatives) and kappa once per time, keeping only scalars.  M1 reads the
+    weights through max |x - lam| over the mesh (x = kappa*g11/G, kappa*g22/G),
+    which monotone rounding makes max(x_max - lam, lam - x_min) bit for bit.
+    """
+
+    def __init__(self, chart, kappa, grid, times):
+        self.chart, self.kappa, self.grid = chart, kappa, grid
+        self.kappa_min, self.kappa_max = math.inf, -math.inf
+        self.minima = dict.fromkeys(("min_kg11", "min_kg12", "min_kg22"), math.inf)
+        self.M = np.zeros(5)   # M2..M5; M1 is formed by m_quantities
+        self.m1_extremes = []
+        for t in times:
+            self.add(t)
+
+    def add(self, t):
+        """Fold in the scalars of time t; returns its (MetricFields, kappa values)."""
+        chart, kappa, grid, M = self.chart, self.kappa, self.grid, self.M
+        X1, X2 = grid.full_mesh(sparse=True)
+        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
         k = _on_mesh(kappa, X1, X2, t)
-        m11 = min(m11, float((k * mf.ginv11).min()))
-        m12 = min(m12, float((k * mf.ginv12).min()))
-        m22 = min(m22, float((k * mf.ginv22).min()))
-    return {"min_kg11": m11, "min_kg12": m12, "min_kg22": m22}
+        G = mf.G
+        self.kappa_min = min(self.kappa_min, float(k.min()))
+        self.kappa_max = max(self.kappa_max, float(k.max()))
+        for key, ginv in zip(self.minima, (mf.ginv11, mf.ginv12, mf.ginv22)):
+            self.minima[key] = min(self.minima[key], float((k * ginv).min()))
+
+        x_a = k * mf.g11 / G
+        x_b = k * mf.g22 / G
+        self.m1_extremes.append((x_a.min(), x_a.max(), x_b.min(), x_b.max(),
+                                 np.abs(k * mf.g12 / G).max()))
+
+        m2 = (k / G) * (mf.dg22_d1 - mf.dg12_d2) \
+            - (k / (2.0 * G ** 2)) * (mf.g22 * mf.dG_d1 - mf.g12 * mf.dG_d2)
+        M[1] = max(M[1], float(np.abs(m2).max()))
+
+        m3 = (k / G) * (mf.dg11_d2 - mf.dg12_d1) \
+            - (k / (2.0 * G ** 2)) * (mf.g11 * mf.dG_d2 - mf.g12 * mf.dG_d1)
+        M[2] = max(M[2], float(np.abs(m3).max()))
+
+        dk1 = kappa.partial("d1", chart.domain, grid.h_fd)(X1, X2, t)
+        dk2 = kappa.partial("d2", chart.domain, grid.h_fd)(X1, X2, t)
+        m4 = np.abs(mf.g22 / G * dk1 - mf.g12 / G * dk2).max() \
+            + np.abs(mf.g11 / G * dk1 - mf.g12 / G * dk2).max()
+        M[3] = max(M[3], float(m4))
+
+        M[4] = max(M[4], float(np.abs(0.5 * mf.dGdt / G).max()))
+        return mf, k
+
+    def weights(self, margin):
+        """(lambda1, lambda2) a relative ``margin`` below the floors; kappa must be positive."""
+        if self.kappa_min <= 0.0:
+            raise AssumptionViolationError(
+                f"kappa must be strictly positive; scan minimum {self.kappa_min:.6g}")
+        if not 0.0 <= margin < 1.0:
+            raise ParameterError("margin must lie in [0, 1)")
+        minima = self.minima
+        lam1 = (1.0 - margin) * minima["min_kg11"]
+        lam2 = (1.0 - margin) * minima["min_kg22"]
+        if lam1 <= 0.0 or lam2 <= 0.0:
+            raise AssumptionViolationError(
+                f"non-positive coefficient floor: min kappa*g^11 = {minima['min_kg11']:.6g}, "
+                f"min kappa*g^22 = {minima['min_kg22']:.6g}"
+            )
+        return lam1, lam2
+
+    def m_quantities(self, lambda1, lambda2):
+        M = self.M.copy()
+        m1_factor2 = 0.0
+        for lo_a, hi_a, lo_b, hi_b, term_m in self.m1_extremes:
+            term_a = max(hi_a - lambda2, lambda2 - lo_a)
+            term_b = max(hi_b - lambda1, lambda1 - lo_b)
+            M[0] = max(M[0], term_a + term_b + term_m)
+            m1_factor2 = max(m1_factor2, term_a + term_b + 2.0 * term_m)
+        return M, m1_factor2
 
 
 def lambda_select(chart, kappa, grid, times, margin=0.05):
@@ -130,22 +183,7 @@ def lambda_select(chart, kappa, grid, times, margin=0.05):
     The second weight reads the diagonal component g^22 (the off-diagonal
     g^12 can vanish identically and cannot sit above a positive weight).
     """
-    diffusion_bounds(kappa, grid, times)
-    return _weights_below(coefficient_minima(chart, kappa, grid, times), margin)
-
-
-def _weights_below(minima, margin):
-    """(lambda1, lambda2) a relative ``margin`` below the coefficient_minima."""
-    if not 0.0 <= margin < 1.0:
-        raise ParameterError("margin must lie in [0, 1)")
-    lam1 = (1.0 - margin) * minima["min_kg11"]
-    lam2 = (1.0 - margin) * minima["min_kg22"]
-    if lam1 <= 0.0 or lam2 <= 0.0:
-        raise AssumptionViolationError(
-            f"non-positive coefficient floor: min kappa*g^11 = {minima['min_kg11']:.6g}, "
-            f"min kappa*g^22 = {minima['min_kg22']:.6g}"
-        )
-    return lam1, lam2
+    return _Scan(chart, kappa, grid, times).weights(margin)
 
 
 def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
@@ -158,38 +196,7 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
     constant the second-order remainder bound actually uses; the smallness
     report carries both.
     """
-    X1, X2 = grid.full_mesh(sparse=True)
-    shape = (grid.n1 + 2, grid.n2 + 2)
-    M = np.zeros(5)
-    m1_factor2 = 0.0
-    k1 = kappa.partial("d1", chart.domain, grid.h_fd)
-    k2 = kappa.partial("d2", chart.domain, grid.h_fd)
-    for t in times:
-        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
-        k = _on_mesh(kappa, X1, X2, t)
-        G = mf.G
-        term_a = np.abs(k * mf.g11 / G - lambda2).max()
-        term_b = np.abs(k * mf.g22 / G - lambda1).max()
-        term_m = np.abs(k * mf.g12 / G).max()
-        M[0] = max(M[0], term_a + term_b + term_m)
-        m1_factor2 = max(m1_factor2, term_a + term_b + 2.0 * term_m)
-
-        m2 = (k / G) * (mf.dg22_d1 - mf.dg12_d2) \
-            - (k / (2.0 * G ** 2)) * (mf.g22 * mf.dG_d1 - mf.g12 * mf.dG_d2)
-        M[1] = max(M[1], float(np.abs(m2).max()))
-
-        m3 = (k / G) * (mf.dg11_d2 - mf.dg12_d1) \
-            - (k / (2.0 * G ** 2)) * (mf.g11 * mf.dG_d2 - mf.g12 * mf.dG_d1)
-        M[2] = max(M[2], float(np.abs(m3).max()))
-
-        dk1 = np.broadcast_to(np.asarray(k1(X1, X2, t), dtype=float), shape)
-        dk2 = np.broadcast_to(np.asarray(k2(X1, X2, t), dtype=float), shape)
-        m4 = np.abs(mf.g22 / G * dk1 - mf.g12 / G * dk2).max() \
-            + np.abs(mf.g11 / G * dk1 - mf.g12 / G * dk2).max()
-        M[3] = max(M[3], float(m4))
-
-        M[4] = max(M[4], float(np.abs(0.5 * mf.dGdt / G).max()))
-    return M, m1_factor2
+    return _Scan(chart, kappa, grid, times).m_quantities(lambda1, lambda2)
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +385,24 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     C_star is the discrete constant of the first-order/zeroth-order
     remainder: the power-iteration norms of the B2..B4 parts plus the exact
     norm max |d0| of the diagonal B5, maximized over the scanned times.
+    kappa <= 0 raises after the whole scan, a degenerate chart during it.
     """
     times = list(times)
     if not times:
         raise ParameterError("empty time sample")
-    kmin, kmax = diffusion_bounds(kappa, grid, times)
-    minima = coefficient_minima(chart, kappa, grid, times)
-    lam1, lam2 = _weights_below(minima, margin)
-    M, m1_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times)
+    scan = _Scan(chart, kappa, grid, ())   # fed below, sharing each time with C_star
+    c_star = 0.0
+    for t in times:
+        parts = lower_order_parts(grid, mesh_coefficients(*scan.add(t)))
+        b5_norm = float(np.abs(parts["B5"].diagonal()).max())   # B5 is diagonal
+        c_star = max(c_star, sum(operator_norm_est(parts[f"B{i}"], iters=50, seed=seed)
+                                 for i in (2, 3, 4)) + b5_norm)
+    lam1, lam2 = scan.weights(margin)
+    M, m1_mixed2 = scan.m_quantities(lam1, lam2)
 
     c_sharp = estimate_C_sharp(grid, lam1, lam2, probes, seed=seed)
     c_a_est = estimate_C_A(grid, lam1, lam2, min(chart.horizon, 1.0), max(1, probes // 4),
                            seed=seed)
-
-    c_star = 0.0
-    for t in times:
-        parts = assemble_B_parts(chart, kappa, grid, lam1, lam2, t)
-        b5_norm = float(np.abs(parts["B5"].diagonal()).max())   # B5 is diagonal
-        c_star = max(c_star, sum(operator_norm_est(parts[f"B{i}"], iters=50, seed=seed)
-                                 for i in (2, 3, 4)) + b5_norm)
 
     ca = 1.0
     lhs24 = c_sharp * M[0] * (ca + 1.0)
@@ -411,7 +417,6 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
         condition_thm26=bool(lhs26 <= SMALLNESS_THRESHOLD),
         T_star_24=horizon_thm24(c_star, ca, chart.horizon),
         T_star_25=horizon_thm25(c_sharp, M[4], ca, chart.horizon),
-        min_kg11=minima["min_kg11"], min_kg12=minima["min_kg12"],
-        min_kg22=minima["min_kg22"],
-        kappa_min=kmin, kappa_max=kmax, horizon=chart.horizon,
+        **scan.minima, kappa_min=scan.kappa_min, kappa_max=scan.kappa_max,
+        horizon=chart.horizon,
     )

@@ -33,7 +33,7 @@ from .operator import (
     StepFrames,
     _on_mesh,
     field_l2,
-    half_power_norm,
+    gradient_norm,
     sobolev_h1_norm,
 )
 from .timestepper import solve_direct
@@ -168,9 +168,8 @@ class _EnergyBalance:
 class _Decay:
     """``decay_report``, fed one StepFrame per step time."""
 
-    def __init__(self, grid, lambda1=1.0, lambda2=1.0, t_min=None):
+    def __init__(self, grid, t_min=None):
         self.grid = grid
-        self.weights = (lambda1, lambda2)
         self.t_min = t_min
         self.norms = []
 
@@ -179,8 +178,7 @@ class _Decay:
 
     def result(self, traj):
         u0 = traj.fields[0]
-        w_norm = math.hypot(field_l2(u0, self.grid),
-                            half_power_norm(u0, self.grid, *self.weights))
+        w_norm = math.hypot(field_l2(u0, self.grid), gradient_norm(u0, self.grid))
         if w_norm == 0.0:
             raise ParameterError("zero initial datum: decay quotient undefined")
         lo = 0.0 if self.t_min is None else float(self.t_min)
@@ -240,15 +238,13 @@ def energy_report(traj, chart, kappa, grid):
     return _replay(_EnergyBalance(grid), traj, chart, kappa, range(len(traj.times)))
 
 
-def decay_report(traj, chart, grid, lambda1=1.0, lambda2=1.0, t_min=None):
+def decay_report(traj, chart, grid, t_min=None):
     """Decay quotient sup_t sqrt(t) ||u(t)|| / ||u0||_{W^{1,2}(U)}.
 
-    The gradient part of the initial-datum norm is weighted by the anisotropy
-    pair (the defaults give the plain Sobolev norm).  Snapshots at t = 0 (or
-    below ``t_min``) are excluded from the sup; the flag ``monotone`` records
-    whether the surface mass never increases.
+    Snapshots at t = 0 (or below ``t_min``) are excluded from the sup; the
+    flag ``monotone`` records whether the surface mass never increases.
     """
-    return _replay(_Decay(grid, lambda1, lambda2, t_min), traj, chart, None,
+    return _replay(_Decay(grid, t_min), traj, chart, None,
                    range(len(traj.times)))
 
 
@@ -291,12 +287,12 @@ def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5):
             regularity.result(traj) if traj.nsteps >= 2 else None)
 
 
-def transport_identity_residual(chart, grid, t, dt_fd=1e-4):
+def transport_identity_residual(chart, grid, t):
     """Residual of the integrated dilation identity at time t.
 
     The surface integral of the velocity divergence, computed through the
     pulled-back dilation rate (dG/dt)/(2G), must equal the time derivative of
-    the surface area; the latter is approximated by a centered difference.
+    the surface area; the latter by a centered difference of step 1e-4.
     """
     def dil(x1, x2, tt):
         mf = metric_fields(chart, x1, x2, tt, h_fd=grid.h_fd)
@@ -304,8 +300,8 @@ def transport_identity_residual(chart, grid, t, dt_fd=1e-4):
 
     lhs = surface_integral(dil, chart, grid, t)
     area = lambda tt: surface_integral(lambda a, b, c: 1.0, chart, grid, tt)
-    t0 = max(0.0, t - dt_fd)
-    t1 = min(chart.horizon, t + dt_fd)
+    t0 = max(0.0, t - 1e-4)
+    t1 = min(chart.horizon, t + 1e-4)
     rhs = (area(t1) - area(t0)) / (t1 - t0)
     return abs(lhs - rhs)
 

@@ -457,18 +457,17 @@ def eval_chart(chart, X, t):
     return np.asarray(chart.evals["x"](float(X[0]), float(X[1]), float(t)), dtype=float).reshape(3)
 
 
-def motion_velocity(chart, X, t, h_fd=None):
+def motion_velocity(chart, X, t):
     """Surface motion velocity w = dx/dt at the chart point."""
     chart.check_point(X, t)
-    if h_fd is None:
-        h_fd = default_h_fd(chart.extent())
-    return np.asarray(chart.partial("dt", h_fd)(float(X[0]), float(X[1]), float(t)), dtype=float).reshape(3)
+    w = chart.partial("dt", default_h_fd(chart.extent()))(float(X[0]), float(X[1]), float(t))
+    return np.asarray(w, dtype=float).reshape(3)
 
 
-def metric_sample(chart, X, t, h_fd=None):
+def metric_sample(chart, X, t):
     """Pointwise MetricSample at (X, t); raises on a degenerate metric."""
     chart.check_point(X, t)
-    mf = metric_fields(chart, float(X[0]), float(X[1]), float(t), h_fd=h_fd)
+    mf = metric_fields(chart, float(X[0]), float(X[1]), float(t))
     g_ab = np.array([[float(mf.g11), float(mf.g12)], [float(mf.g12), float(mf.g22)]])
     ginv = np.array([[float(mf.ginv11), float(mf.ginv12)], [float(mf.ginv12), float(mf.ginv22)]])
     return MetricSample(

@@ -202,6 +202,22 @@ def _on_mesh(kappa, X1, X2, t):
                            np.broadcast_shapes(np.shape(X1), np.shape(X2)))
 
 
+def mesh_coefficients(mf, K):
+    """``coefficient_fields`` from a full-mesh MetricFields and diffusivity K (or None)."""
+    R = mf.sqrtG
+    cf = {
+        "R": R, "Ginv11": mf.ginv11, "Ginv12": mf.ginv12, "Ginv22": mf.ginv22,
+        "R_int": R[1:-1, 1:-1],
+        "d0": (0.5 * mf.dGdt / mf.G)[1:-1, 1:-1],
+    }
+    if K is not None:
+        cf.update({"K": np.array(K),
+                   "C11": K * R * mf.ginv11,
+                   "C12": K * R * mf.ginv12,
+                   "C22": K * R * mf.ginv22})
+    return cf
+
+
 class StepFrame:
     """What one step time t evaluates on ``grid``, each piece built on first use and kept.
 
@@ -229,19 +245,8 @@ class StepFrame:
     def coefficients(self):
         X1, X2 = self.grid.full_mesh(sparse=True)
         mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
-        R = mf.sqrtG
-        cf = {
-            "R": R, "Ginv11": mf.ginv11, "Ginv12": mf.ginv12, "Ginv22": mf.ginv22,
-            "R_int": R[1:-1, 1:-1],
-            "d0": (0.5 * mf.dGdt / mf.G)[1:-1, 1:-1],
-        }
-        if self.kappa is not None:
-            K = _on_mesh(self.kappa, X1, X2, self.t)
-            cf.update({"K": np.array(K),
-                       "C11": K * R * mf.ginv11,
-                       "C12": K * R * mf.ginv12,
-                       "C22": K * R * mf.ginv22})
-        return cf
+        return mesh_coefficients(
+            mf, None if self.kappa is None else _on_mesh(self.kappa, X1, X2, self.t))
 
     @functools.cached_property
     def interior_sqrtG(self):
@@ -335,18 +340,32 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
     Returns {"B1"..."B5": DIA matrix}; B5 is diagonal (d0).  The parts sum to
     assemble_L - assemble_A exactly up to roundoff.  A part repeats stencil
     offsets, which ``_stencil_matrix`` adds in term order.  ``coefficients``
-    is as in ``assemble_L``.
+    is as in ``assemble_L``; B2..B5 (no weights) are ``lower_order_parts``.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda coefficients must be positive")
     cf = coefficient_fields(chart, kappa, grid, t) if coefficients is None else coefficients
     inv_r = 1.0 / cf["R_int"]
-    h1, h2 = grid.h1, grid.h2
 
+    # --- B1: second-order remainder with face-averaged coefficients
+    c11 = _shifts(cf["C11"])
+    c22 = _shifts(cf["C22"])
+    s11 = 0.25 * (c11["im"] + 2.0 * c11["c"] + c11["ip"]) * inv_r
+    s22 = 0.25 * (c22["jm"] + 2.0 * c22["c"] + c22["jp"]) * inv_r
+    c12 = _shifts(cf["C12"])
+    s12 = (0.5 * (c12["ip"] + c12["im"]) + 0.5 * (c12["jp"] + c12["jm"])) * inv_r
+    b1_terms = (_d11_terms(grid, -(s11 - lambda1))
+                + _d22_terms(grid, -(s22 - lambda2))
+                + _d12_terms(grid, -s12))
+    return {"B1": _stencil_matrix(grid, b1_terms), **lower_order_parts(grid, cf)}
+
+
+def lower_order_parts(grid, cf):
+    """The parts B2..B5 of ``assemble_B_parts`` from its coefficients ``cf``; no weights."""
+    inv_r = 1.0 / cf["R_int"]
     K = cf["K"]
     R = cf["R"]
     ginv = {"11": cf["Ginv11"], "12": cf["Ginv12"], "22": cf["Ginv22"]}
-    C = {"11": cf["C11"], "12": cf["C12"], "22": cf["C22"]}
 
     def sh(arr, d):
         s = _shifts(arr)
@@ -358,18 +377,7 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
 
     def delta(arr, d):
         p, m = sh(arr, d)
-        return (p - m) / (2.0 * (h1 if d == 1 else h2))
-
-    # --- B1: second-order remainder with face-averaged coefficients
-    c11 = _shifts(C["11"])
-    c22 = _shifts(C["22"])
-    s11 = 0.25 * (c11["im"] + 2.0 * c11["c"] + c11["ip"]) * inv_r
-    s22 = 0.25 * (c22["jm"] + 2.0 * c22["c"] + c22["jp"]) * inv_r
-    s12 = (bar(C["12"], 1) + bar(C["12"], 2)) * inv_r
-    b1_terms = (_d11_terms(grid, -(s11 - lambda1))
-                + _d22_terms(grid, -(s22 - lambda2))
-                + _d12_terms(grid, -s12))
-    B1 = _stencil_matrix(grid, b1_terms)
+        return (p - m) / (2.0 * (grid.h1 if d == 1 else grid.h2))
 
     # --- B2/B3/B4: exact three-way split of the first-order flux remainder.
     # For each index pair (a, b) the centered difference of C^ab = K*R*g^ab
@@ -389,14 +397,10 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
         b2_terms += op(grid, -b2)
         b3_terms += op(grid, -b3)
         b4_terms += op(grid, -b4)
-    B2 = _stencil_matrix(grid, b2_terms)
-    B3 = _stencil_matrix(grid, b3_terms)
-    B4 = _stencil_matrix(grid, b4_terms)
 
     # --- B5: zeroth-order dilation term
-    B5 = _stencil_matrix(grid, [(0, 0, cf["d0"])])
-
-    return {"B1": B1, "B2": B2, "B3": B3, "B4": B4, "B5": B5}
+    return {"B2": _stencil_matrix(grid, b2_terms), "B3": _stencil_matrix(grid, b3_terms),
+            "B4": _stencil_matrix(grid, b4_terms), "B5": _stencil_matrix(grid, [(0, 0, cf["d0"])])}
 
 
 def assemble_B(chart, kappa, grid, lambda1, lambda2, t):

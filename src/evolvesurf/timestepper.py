@@ -3,9 +3,9 @@
 Two routes to the same discrete solution:
 
 * ``solve_direct`` advances dv/dt + L(t) v = F with a theta-scheme;
-* ``solve_picard`` iterates the linearized stages
-      dv_{m+1}/dt + A v_{m+1} = F + A v_m - L(t) v_m,
-  i.e. -B(t) v_m + F with B(t) = L(t) - A, each stage marched with the same
+* ``solve_picard`` iterates the linearized stages of the homogeneous system
+      dv_{m+1}/dt + A v_{m+1} = A v_m - L(t) v_m,
+  i.e. -B(t) v_m with B(t) = L(t) - A, each stage marched with the same
   theta-scheme and step size, so the exact fixed point of the iteration is
   the direct theta-scheme trajectory and contraction ratios are not polluted
   by discretization differences.
@@ -324,16 +324,16 @@ def z_norm(traj, A, grid):
 
 
 def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
-                 tol=1e-8, max_iter=20, theta=0.5, F_provider=None,
+                 tol=1e-8, max_iter=20, theta=0.5,
                  condition_report=None, operators=None):
     """Fixed-point iteration with the constant comparison operator.
 
-    Stage one solves dv/dt + A v = F; stage m+1 is the march of A with the
-    forcing F(t_k) + A v_m(t_k) - L(t_k) v_m(t_k), i.e. F - B(t_k) v_m(t_k)
-    with B = L - A.  ``operators`` is the list of L(t_k) for k = 0..nsteps
-    when the caller holds it already (the step frames of a direct march,
-    say); otherwise it is read from step frames built here.  Stops when the
-    z-norm of a consecutive difference drops below ``tol``.  Raises
+    The system is homogeneous: stage one solves dv/dt + A v = 0, stage m+1
+    marches A with the forcing A v_m(t_k) - L(t_k) v_m(t_k) = -B(t_k) v_m(t_k).
+    ``operators`` is the list of L(t_k) for k = 0..nsteps when the caller
+    holds it already (the step frames of a direct march, say); otherwise it
+    is read from step frames built here.  Stops when the z-norm of a
+    consecutive difference drops below ``tol``.  Raises
     PicardDivergenceError when max_iter is hit while the last ratio is at or
     above one (the smallness condition is the quantity to check then).
     """
@@ -350,20 +350,13 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
         operators = [frames.frame(stage.time(k)).L for k in range(nsteps + 1)]
     elif len(operators) != nsteps + 1:
         raise ParameterError(f"{len(operators)} operators L(t_k) for {nsteps + 1} step times")
-    F_vals = [_eval_forcing(F_provider, grid, stage.time(k)) for k in range(nsteps + 1)]
-
-    def stage_forcing(prev):
-        """k -> F(t_k) + A v_m(t_k) - L(t_k) v_m(t_k) for the iterate ``prev``."""
-        def at(k):
-            f = A @ prev[k] - operators[k] @ prev[k]
-            return f if F_vals[k] is None else F_vals[k] + f
-        return at
 
     history = PicardHistory()
-    current = stage.march(vals, nsteps, F_vals.__getitem__)   # v_1
+    current = stage.march(vals, nsteps)   # v_1
     prev_diff = None
     for m in range(1, max_iter + 1):
-        nxt = stage.march(vals, nsteps, stage_forcing(current.fields))
+        # the stage forcing A v_m(t_k) - L(t_k) v_m(t_k) of the iterate v_m = current
+        nxt = stage.march(vals, nsteps, lambda k: A @ current.fields[k] - operators[k] @ current.fields[k])
         diff_traj = Trajectory(nxt.times, nxt.fields - current.fields, dt, grid)
         diff = z_norm(diff_traj, A, grid)
         znext = z_norm(nxt, A, grid)

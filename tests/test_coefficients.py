@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,14 +22,12 @@ from evolvesurf import (
     make_grid,
     smallness_report,
 )
-from evolvesurf import coefficients, operator
+from evolvesurf import geometry, operator
 from evolvesurf.coefficients import (
     SMALLNESS_THRESHOLD,
     Diffusion,
-    diffusion_bounds,
     maximal_regularity_ratio,
 )
-from evolvesurf.geometry import metric_fields
 from evolvesurf.operator import (
     coefficient_fields,
     field_l2,
@@ -65,10 +64,10 @@ class TestLambdaSelect:
 
 
 class TestDiffusionPresets:
-    def test_sinusoidal_bounds(self, unit_grid):
+    def test_sinusoidal_bounds(self, flat, unit_grid):
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
-        kmin, kmax = diffusion_bounds(kap, unit_grid, [0.0])
-        assert 0.7 <= kmin <= 1.0 <= kmax <= 1.3
+        rep = smallness_report(flat, kap, unit_grid, [0.0], probes=4)
+        assert 0.7 <= rep.kappa_min <= 1.0 <= rep.kappa_max <= 1.3
 
     def test_unknown_preset(self):
         with pytest.raises(ParameterError):
@@ -290,20 +289,22 @@ class TestSmallnessReport:
         assert abs(rep.min_kg12) < rep.min_kg22
         assert rep.m1_mixed2 >= rep.M[0]
 
-    def test_metric_scanned_twice_per_time(self, graph, const_kappa, unit_grid, monkeypatch):
-        # once for the coefficient minima (and the weights), once for M1..M5
-        calls = []
+    def test_metric_and_kappa_evaluated_once_per_scan_time(self, graph, const_kappa,
+                                                            unit_grid, count_calls):
+        # one pass: the weights, M1..M5 and C_star share each time's evaluation
+        metrics = count_calls(geometry, "metric_fields")
+        kappa_times = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return metric_fields(*args, **kwargs)
+        def value(x1, x2, t):
+            kappa_times.append(t)
+            return const_kappa.value(x1, x2, t)
 
-        monkeypatch.setattr(coefficients, "metric_fields", counting)
         times = np.linspace(0.0, 1.0, 11)
-        rep = smallness_report(graph, const_kappa, unit_grid, times, probes=4)
-        assert len(calls) == 2 * len(times)
+        rep = smallness_report(graph, dataclasses.replace(const_kappa, value=value),
+                               unit_grid, times, probes=4)
+        assert [args[3] for args in metrics] == list(times)
+        assert kappa_times == list(times)
         assert (rep.lambda1, rep.lambda2) == lambda_select(graph, const_kappa, unit_grid, times)
-
 
     def test_power_iterations_only_for_B2_to_B4(self, graph, const_kappa, unit_grid,
                                                 count_calls):

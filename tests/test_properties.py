@@ -16,12 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from evolvesurf import (  # noqa: E402
+    AssumptionViolationError,
     assemble_A,
     assemble_B_parts,
     assemble_L,
     estimate_C_A,
     estimate_C_sharp,
     lambda_select,
+    m_quantities,
     make_chart,
     make_diffusion,
     make_grid,
@@ -34,6 +36,7 @@ from evolvesurf.diagnostics import SOLUTION_PARTIALS  # noqa: E402
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
     StepFrame,
+    _on_mesh,
     max_abs_entry,
     shifted_A_solver,
     stencil_weights,
@@ -259,3 +262,83 @@ def test_open_meshes_give_the_dense_bits(grid, preset, values, diffusion, base, 
         assert_same_bits(frame.coefficients[key], arr)
     assert_same_metric(frame.centre[0], ref_centre[0])
     assert_same_bits(frame.centre[1], ref_centre[1])
+
+
+def per_array_scan(chart, kappa, grid, times, lambda1, lambda2, margin):
+    """(weights or the error text, M, m1_mixed2): M1..M5 and the weights from
+    whole-mesh arrays per scan time, each quantity in a loop of its own."""
+    X1, X2 = grid.full_mesh(sparse=True)
+    shape = (grid.n1 + 2, grid.n2 + 2)
+    kmin = min(float(_on_mesh(kappa, X1, X2, t).min()) for t in times)
+    minima = dict.fromkeys(("min_kg11", "min_kg12", "min_kg22"), np.inf)
+    for t in times:
+        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
+        k = _on_mesh(kappa, X1, X2, t)
+        for key, ginv in (("min_kg11", mf.ginv11), ("min_kg12", mf.ginv12),
+                          ("min_kg22", mf.ginv22)):
+            minima[key] = min(minima[key], float((k * ginv).min()))
+    lam = ((1.0 - margin) * minima["min_kg11"], (1.0 - margin) * minima["min_kg22"])
+    if kmin <= 0.0:
+        weights = f"kappa must be strictly positive; scan minimum {kmin:.6g}"
+    elif min(lam) <= 0.0:
+        weights = (f"non-positive coefficient floor: min kappa*g^11 = {minima['min_kg11']:.6g}, "
+                   f"min kappa*g^22 = {minima['min_kg22']:.6g}")
+    else:
+        weights = lam
+
+    M = np.zeros(5)
+    m1_factor2 = 0.0
+    k1 = kappa.partial("d1", chart.domain, grid.h_fd)
+    k2 = kappa.partial("d2", chart.domain, grid.h_fd)
+    for t in times:
+        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
+        k = _on_mesh(kappa, X1, X2, t)
+        G = mf.G
+        term_a = np.abs(k * mf.g11 / G - lambda2).max()
+        term_b = np.abs(k * mf.g22 / G - lambda1).max()
+        term_m = np.abs(k * mf.g12 / G).max()
+        M[0] = max(M[0], term_a + term_b + term_m)
+        m1_factor2 = max(m1_factor2, term_a + term_b + 2.0 * term_m)
+        m2 = (k / G) * (mf.dg22_d1 - mf.dg12_d2) \
+            - (k / (2.0 * G ** 2)) * (mf.g22 * mf.dG_d1 - mf.g12 * mf.dG_d2)
+        M[1] = max(M[1], float(np.abs(m2).max()))
+        m3 = (k / G) * (mf.dg11_d2 - mf.dg12_d1) \
+            - (k / (2.0 * G ** 2)) * (mf.g11 * mf.dG_d2 - mf.g12 * mf.dG_d1)
+        M[2] = max(M[2], float(np.abs(m3).max()))
+        dk1 = np.broadcast_to(np.asarray(k1(X1, X2, t), dtype=float), shape)
+        dk2 = np.broadcast_to(np.asarray(k2(X1, X2, t), dtype=float), shape)
+        m4 = np.abs(mf.g22 / G * dk1 - mf.g12 / G * dk2).max() \
+            + np.abs(mf.g11 / G * dk1 - mf.g12 / G * dk2).max()
+        M[3] = max(M[3], float(m4))
+        M[4] = max(M[4], float(np.abs(0.5 * mf.dGdt / G).max()))
+    return weights, M, m1_factor2
+
+
+@PROPERTY
+@given(grid=grids(), preset=st.sampled_from(PRESET_NAMES),
+       values=st.fixed_dictionaries({key: family_value for key in
+                                     ("gamma", "epsilon", "omega", "c")}),
+       diffusion=st.sampled_from(DIFFUSION_PRESETS), base=st.floats(0.5, 2.0),
+       amp=family_value, ntimes=st.integers(1, 4), lam1=weights, lam2=weights,
+       margin=st.floats(0.0, 0.5))
+def test_one_pass_scan_gives_the_per_array_bits(grid, preset, values, diffusion, base, amp,
+                                                ntimes, lam1, lam2, margin):
+    # M1 reads the weights through max |x - lam| = max(x_max - lam, lam - x_min);
+    # the drawn weights fall below, inside and above the coefficient range
+    chart = make_chart(preset, domain=grid.domain, horizon=2.0,
+                       **{key: values[key] for key in PRESET_PARAMS[preset]})
+    kappa = make_diffusion(diffusion, **({"value": base} if diffusion == "constant"
+                                         else {"base": base, "amp": amp}))
+    times = np.linspace(0.0, 2.0, ntimes)
+    weights, M, m1_mixed2 = per_array_scan(chart, kappa, grid, times, lam1, lam2, margin)
+    try:
+        got = lambda_select(chart, kappa, grid, times, margin=margin)
+    except AssumptionViolationError as exc:
+        got = str(exc)
+    if isinstance(weights, str):
+        assert got == weights
+    else:
+        assert np.array(got).tobytes() == np.array(weights).tobytes()
+    got_M, got_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times)
+    assert got_M.tobytes() == M.tobytes()
+    assert np.float64(got_mixed2).tobytes() == np.float64(m1_mixed2).tobytes()
