@@ -159,7 +159,7 @@ def run_picard(cfg):
         # the L(t_k) the Picard stages read
         operators = []
         direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
-                                 observers=(lambda k, frame, traj: operators.append(frame.L),))
+                                 observers=(lambda k, frame, traj, Lv: operators.append(frame.L),))
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,
                                      v0, cfg.horizon, cfg.dt, tol=cfg.tol,

@@ -150,7 +150,7 @@ class _EnergyBalance:
         self.mass = []
         self.diss_rate = []
 
-    def observe(self, k, frame, traj):
+    def observe(self, k, frame, traj, Lv=None):
         u = traj.fields[k]
         self.mass.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG))
         self.diss_rate.append(_grad_sq(u, self.grid, *frame.centre))
@@ -173,7 +173,7 @@ class _Decay:
         self.t_min = t_min
         self.norms = []
 
-    def observe(self, k, frame, traj):
+    def observe(self, k, frame, traj, Lv=None):
         self.norms.append(math.sqrt(_mass(traj.fields[k], self.grid, frame.interior_sqrtG)))
 
     def result(self, traj):
@@ -199,14 +199,16 @@ class _Regularity:
         self.dt_sq = []
         self.div_sq = []
 
-    def observe(self, k, frame, traj):
+    def observe(self, k, frame, traj, Lv=None):
         if not 0 < k < traj.nsteps:
             return
         u = traj.fields[k]
         sqrtG = frame.interior_sqrtG
         self.dt_sq.append(_mass(material_derivative(traj, k), self.grid, sqrtG))
-        # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u
-        div_vals = -(frame.L @ u - frame.coefficients["d0"].ravel() * u)
+        # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u,
+        # with the product L u of the march's right-hand side where it formed one
+        Lu = frame.L @ u if Lv is None else Lv
+        div_vals = -(Lu - frame.coefficients["d0"].ravel() * u)
         self.div_sq.append(_mass(div_vals, self.grid, sqrtG))
 
     def result(self, traj):

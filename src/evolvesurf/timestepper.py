@@ -22,12 +22,14 @@ The comparison operator A of a Picard stage is inverted exactly by DST-I in
 its sine eigenbasis (``operator.SineBasis``: dense products with the sine
 matrix of each axis, O(n1 n2 (n1 + n2)) per step) and no factorization.  Any
 other static operator (rigid chart, time-independent diffusivity) is
-LU-factorized once per march.  A moving operator is solved by GMRES started
-from the previous step's value and preconditioned with (I + theta dt
-A_k)^{-1}, where A_k is the constant 5-point operator with the mean stencil
-weights of L(t_{k+1}), inverted by DST-I.  The smallness of B = L - A
-relative to A keeps that iteration to a few steps, and no matrix is
-factorized per step.
+LU-factorized once per march.  A moving operator is solved by GMRES
+(``_gmres``, in-tree) started from the previous step's value and
+preconditioned on the right with (I + theta dt A_k)^{-1}, where A_k is the
+constant 5-point operator with the mean stencil weights of L(t_{k+1}),
+inverted by DST-I: one pair of sine transforms per Krylov iteration, and its
+stopping estimate is the unpreconditioned residual.  The smallness of
+B = L - A relative to A keeps that iteration to a few steps, and no matrix
+is factorized per step.
 Every system matrix I + theta dt L is a DIA sum of the stencil diagonals
 (``operator``), so a moving march converts no matrix to another sparse
 format: it is the scaled copy of L with 1 added to its main diagonal in place.
@@ -39,7 +41,9 @@ pair one step touches; a static problem has a single frame.  Observers of a
 march read each frame while the march holds it: the energy, decay and
 regularity reports of ``diagnostics.solve_reported`` do, and so does the
 observer of ``cli.run_picard`` that collects the L(t_k) the Picard stages
-read from the direct march it compares against.
+read from the direct march it compares against.  An observer also gets the
+product L(t_k) v_k the step formed for its right-hand side, so the
+regularity report does not form it again.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -51,7 +55,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
 from .operator import (SineBasis, StepFrames, assemble_A, factorize, field_l2,
@@ -113,6 +116,65 @@ class _ComparisonStage:
         return self
 
 
+def _gmres(system, precond, b, x0, target, maxiter):
+    """Right-preconditioned GMRES (Saad-Schultz 1986), one cycle: (x, iterations).
+
+    Solves system @ x = b from x0 over x0 + P^{-1} K_j(system P^{-1}, r0) by
+    Arnoldi with modified Gram-Schmidt and Givens rotations on the Hessenberg
+    columns.  With the preconditioner on the right, the last entry of the
+    rotated right-hand side is the norm of the unpreconditioned residual
+    b - system @ x_j; the cycle stops once it is at most ``target``, at a
+    happy breakdown (the Krylov space is invariant, x_j is exact), or after
+    ``maxiter`` steps.  ``precond`` (r -> P^{-1} r) is applied once per step,
+    and the basis grows by one vector per step: z_j = P^{-1} v_j is kept, so
+    x = x0 + Z y needs no further apply.  An x0 whose residual is at most
+    ``target`` is returned after 0 steps.
+    """
+    r = b - system @ x0
+    beta = np.linalg.norm(r)
+    if beta <= target:
+        return x0, 0
+    basis = [r / beta]   # v_j, orthonormal
+    pre = []             # z_j = P^{-1} v_j
+    columns = []         # rotated Hessenberg columns: the upper triangle R
+    rotations = []       # (c, s) of each Givens rotation
+    g = [beta]           # rotated right-hand side beta e_1
+    for j in range(min(maxiter, b.size)):
+        pre.append(precond(basis[j]))
+        w = system @ pre[j]
+        w_norm = np.linalg.norm(w)
+        col = []
+        for v in basis:
+            h = float(w @ v)
+            w -= h * v
+            col.append(h)
+        h_next = float(np.linalg.norm(w))
+        breakdown = h_next <= np.finfo(float).eps * w_norm
+        if breakdown:
+            h_next = 0.0
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        diag = math.hypot(col[j], h_next)
+        c, s = (col[j] / diag, h_next / diag) if diag > 0.0 else (1.0, 0.0)
+        col[j] = diag
+        rotations.append((c, s))
+        columns.append(col)
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= target or breakdown:
+            break
+        basis.append(w / h_next)
+    m = len(columns)
+    y = [0.0] * m   # R y = g by back substitution; a zero pivot (singular system) gives 0
+    for i in reversed(range(m)):
+        rest = g[i] - sum(columns[l][i] * y[l] for l in range(i + 1, m))
+        y[i] = rest / columns[i][i] if columns[i][i] else 0.0
+    x = x0.copy()
+    for yi, z in zip(y, pre):
+        x += yi * z
+    return x, len(pre)
+
+
 class _ThetaMarcher:
     """Theta-scheme propagator over the step times t_k = t0 + k dt.
 
@@ -164,8 +226,11 @@ class _ThetaMarcher:
             return factorize(impl).solve, "LU"
         return shifted_A_solver(self.grid, *weights, self.theta * self.dt), "DST-I"
 
-    def solve(self, k, rhs, guess=None):
-        """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL."""
+    def solve(self, k, rhs, guess):
+        """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL.
+
+        ``guess`` starts the GMRES of a moving operator; a static one ignores it.
+        """
         scale = np.linalg.norm(rhs)
         if scale == 0.0:
             return np.zeros_like(rhs)
@@ -186,14 +251,9 @@ class _ThetaMarcher:
             lam1, lam2 = stencil_weights(L, self.grid)
             if self._basis is None:
                 self._basis = SineBasis(self.grid, lam1, lam2)
-            precond = spla.LinearOperator(
-                impl.shape, self._basis.shifted_solver(lam1, lam2, self.theta * self.dt),
-                dtype=float)
-            presids = []
-            v, _ = spla.gmres(impl, rhs, x0=guess, rtol=KRYLOV_RTOL, atol=0.0,
-                              restart=KRYLOV_MAXITER, maxiter=1, M=precond,
-                              callback=presids.append, callback_type="pr_norm")
-            solver, iterations = "GMRES", len(presids)
+            precond = self._basis.shifted_solver(lam1, lam2, self.theta * self.dt)
+            v, iterations = _gmres(impl, precond, rhs, guess, KRYLOV_RTOL * scale, KRYLOV_MAXITER)
+            solver = "GMRES"
         resid = np.linalg.norm(impl @ v - rhs) / scale
         if not np.isfinite(resid) or resid > SOLVE_TOL:
             raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
@@ -206,9 +266,11 @@ class _ThetaMarcher:
         L(t_k)) v_k + dt (theta F(t_{k+1}) + (1-theta) F(t_k)).  ``forcing(k)``
         returns F(t_k), or None for no forcing; it is called once per step
         time, in order.  Each of ``observers`` is called as
-        ``observer(k, frame, traj)`` for k = 0..nsteps in order, with the frame
-        of t_k while the march holds it; ``traj.fields`` is filled through
-        step k + 1 then (through k at the last step).
+        ``observer(k, frame, traj, Lv)`` for k = 0..nsteps in order, with the
+        frame of t_k while the march holds it; ``traj.fields`` is filled
+        through step k + 1 then (through k at the last step).  ``Lv`` is the
+        product L(t_k) v_k that step k formed for its right-hand side (theta <
+        1 and k < nsteps), else None.
         """
         dt, theta = self.dt, self.theta
         fields = np.empty((nsteps + 1, self.grid.ndof))
@@ -216,17 +278,19 @@ class _ThetaMarcher:
         traj = Trajectory(self.t0 + np.arange(nsteps + 1) * dt, fields, dt, self.grid)
         f_old = None if forcing is None else forcing(0)
         for k in range(nsteps + 1):
+            Lv = None
             if k < nsteps:
                 rhs = fields[k].copy()
                 if theta < 1.0:
-                    rhs = rhs - (1.0 - theta) * dt * (self.L(k) @ fields[k])
+                    Lv = self.L(k) @ fields[k]
+                    rhs = rhs - (1.0 - theta) * dt * Lv
                 f_new = None if forcing is None else forcing(k + 1)
                 if f_new is not None:
                     rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
                 fields[k + 1] = self.solve(k + 1, rhs, guess=fields[k])
                 f_old = f_new
             for observe in observers:
-                observe(k, self.frame(k), traj)
+                observe(k, self.frame(k), traj, Lv)
         return traj
 
 
@@ -277,7 +341,8 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, obse
     the model has F = 0.  Returns a Trajectory of ceil(T/dt) uniform steps;
     the Dirichlet boundary stays identically zero by construction.
     ``observers`` are as in ``_ThetaMarcher.march``: each is called as
-    ``observer(k, frame, traj)`` with the StepFrame of t_k.
+    ``observer(k, frame, traj, Lv)`` with the StepFrame of t_k and the product
+    L(t_k) v_k when the step formed it (else None).
     """
     vals = _prepare_v0(v0, grid)
     marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))

@@ -36,6 +36,7 @@ from evolvesurf.diagnostics import SOLUTION_PARTIALS  # noqa: E402
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
     StepFrame,
+    StepFrames,
     _on_mesh,
     max_abs_entry,
     shifted_A_solver,
@@ -50,6 +51,7 @@ from test_operator import (  # noqa: E402
     assert_same_entries,
     diagonal_stencil_weights,
 )
+from test_timestepper import _uncached_lu_march, count_krylov_work  # noqa: E402
 
 PROPERTY = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
@@ -202,6 +204,38 @@ def test_picard_converges_to_the_direct_march(grid, chart, diffusion, theta, dt,
     assert hist.converged
     scale = np.max(np.abs(direct.fields))
     assert np.max(np.abs(traj.fields - direct.fields)) <= 10.0 * tol * scale
+
+
+# the presets whose operator moves, with parameters that keep it moving
+nonzero = lambda lo, hi: st.one_of(st.floats(lo, hi), st.floats(-hi, -lo))
+moving_operators = st.one_of(
+    st.tuples(st.just("isotropic_scaling"), st.fixed_dictionaries({"gamma": nonzero(0.05, 0.5)})),
+    st.tuples(st.just("graph_oscillation"),
+              st.fixed_dictionaries({"epsilon": nonzero(0.005, 0.05),
+                                     "omega": st.floats(0.5, 2.0)})),
+)
+
+
+@PROPERTY
+@given(grid=grids(), chart=moving_operators, diffusion=st.sampled_from(DIFFUSION_PRESETS),
+       theta=st.floats(0.5, 1.0), dt=st.floats(1e-3, 0.05), nsteps=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_moving_march_matches_per_step_lu(grid, chart, diffusion, theta, dt, nsteps, seed):
+    # every GMRES step solves to round-off, with one preconditioner apply per
+    # iteration: a fresh sparse LU per step is the reference, from a rough
+    # random datum
+    name, params = chart
+    chart = make_chart(name, domain=grid.domain, horizon=nsteps * dt, **params)
+    kappa = make_diffusion(diffusion)
+    assert not StepFrames(chart, kappa, grid).static
+    v0 = np.random.default_rng(seed).standard_normal(grid.ndof)
+    with pytest.MonkeyPatch.context() as patch:
+        _, iterations, forwards = count_krylov_work(patch)
+        traj = solve_direct(chart, kappa, grid, v0, nsteps * dt, dt, theta=theta)
+    ref = _uncached_lu_march(chart, kappa, grid, v0, nsteps, dt, theta)
+    assert traj.nsteps == len(iterations) == nsteps
+    assert len(forwards) == sum(iterations)
+    assert np.max(np.abs(traj.fields - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def assert_same_bits(open_result, dense_result):

@@ -375,6 +375,28 @@ def _uncached_lu_march(chart, kappa, grid, v0, nsteps, dt, theta):
     return np.array(fields)
 
 
+def count_krylov_work(patch):
+    """(calls, iterations, forwards): lists that record, through the
+    MonkeyPatch ``patch``, the arguments and iteration count of every GMRES
+    solve and the argument of every SineBasis.forward."""
+    calls, iterations, forwards = [], [], []
+    gmres, forward = timestepper._gmres, operator.SineBasis.forward
+
+    def counting_gmres(*args):
+        x, steps = gmres(*args)
+        calls.append(args)
+        iterations.append(steps)
+        return x, steps
+
+    def counting_forward(self, values):
+        forwards.append(values)
+        return forward(self, values)
+
+    patch.setattr(timestepper, "_gmres", counting_gmres)
+    patch.setattr(operator.SineBasis, "forward", counting_forward)
+    return calls, iterations, forwards
+
+
 def _boundary_mode(grid):
     a, b, c, d = grid.domain
     X1, X2 = grid.interior_mesh()
@@ -446,6 +468,59 @@ class TestImplicitSolve:
         chart = make_chart(chart_name, horizon=1.0)
         solve_direct(chart, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3)
         assert len(calls) == lus
+
+    def test_one_preconditioner_apply_per_krylov_iteration(self, graph, const_kappa, unit_grid,
+                                                            eigenmode, monkeypatch):
+        # right preconditioning applies P^{-1} once per Arnoldi step: not to the
+        # right-hand side, the initial residual or the update x0 + Z y
+        calls, iterations, forward = count_krylov_work(monkeypatch)
+        traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3)
+        assert len(iterations) == traj.nsteps
+        assert min(iterations) >= 1
+        assert len(forward) == sum(iterations)
+        # a guess that already solves the step returns after 0 iterations and 0 applies
+        system = calls[-1][0]   # I + theta dt L(t_N) of the last step
+        v = traj.fields[-1]
+        marcher = timestepper._ThetaMarcher(1e-3, 0.5, StepFrames(graph, const_kappa, unit_grid))
+        applies = len(forward)
+        assert marcher.solve(traj.nsteps, system @ v, guess=v).tobytes() == v.tobytes()
+        assert iterations[-1] == 0
+        assert len(forward) == applies
+
+    def test_krylov_happy_breakdown_and_dimension_cap(self):
+        # with no tolerance to stop on, the cycle ends when the Krylov space is
+        # invariant: after one step for an eigenvector, after n steps at the latest
+        d = np.arange(1.0, 21.0)
+        system = sp.diags([d], [0], format="dia")
+        applies = []
+
+        def identity(r):
+            applies.append(r)
+            return r
+
+        for b, steps in ((np.eye(20)[3], 1), (np.random.default_rng(0).standard_normal(20), 20)):
+            applies.clear()
+            x, iterations = timestepper._gmres(system, identity, b, np.zeros(20), 0.0, 100)
+            assert iterations == len(applies) == steps
+            assert np.max(np.abs(x - b / d)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_moving_marches_run_without_scipy_gmres(self, graph, const_kappa, unit_grid,
+                                                    eigenmode, monkeypatch):
+        # the moving path is the in-tree GMRES, and timestepper imports no
+        # scipy.sparse.linalg
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse.linalg's GMRES was called")
+
+        monkeypatch.setattr(spla, "gmres", refuse)
+        monkeypatch.setattr(spla, "LinearOperator", refuse)
+        v0 = eigenmode(unit_grid)
+        traj = solve_direct(graph, const_kappa, unit_grid, v0, 0.01, 1e-3)
+        assert traj.nsteps == 10
+        lam1, lam2 = lambda_select(graph, const_kappa, unit_grid, [0.0, 0.01])
+        picard, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.01, 1e-3)
+        assert hist.converged
+        assert np.max(np.abs(picard.fields - traj.fields)) <= 1e-6 * np.max(np.abs(traj.fields))
+        assert spla not in vars(timestepper).values()
 
     def test_krylov_failure_names_step_time_residual_iterations(self, graph, const_kappa,
                                                                 unit_grid, eigenmode,
@@ -544,11 +619,16 @@ class TestStepFrames:
         seen, filled, alive = [], [], []
         refs = []
 
-        def observe(k, frame, traj):
+        def observe(k, frame, traj, Lv):
             seen.append((k, frame.t))
             filled.append(traj.fields[min(k + 1, traj.nsteps)].copy())
             refs.append(weakref.ref(frame))
             alive.append(sum(r() is not None for r in refs))
+            # the product of the step's right-hand side, handed over as it was formed
+            if theta < 1.0 and k < traj.nsteps:
+                assert Lv.tobytes() == (frame.L @ traj.fields[k]).tobytes()
+            else:
+                assert Lv is None
 
         traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3,
                             theta=theta, observers=(observe,))
@@ -564,7 +644,7 @@ class TestStepFrames:
                                                  eigenmode):
         plain = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3)
         observed = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01,
-                                1e-3, observers=(lambda k, frame, traj: frame.centre,))
+                                1e-3, observers=(lambda k, frame, traj, Lv: frame.centre,))
         assert np.array_equal(plain.fields, observed.fields)
 
     def test_picard_with_operators_from_direct_frames(self, graph, const_kappa, unit_grid,
@@ -575,7 +655,7 @@ class TestStepFrames:
         assembled = count_calls(operator, "assemble_L")
         operators = []
         direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, traj: operators.append(frame.L),))
+                              observers=(lambda k, frame, traj, Lv: operators.append(frame.L),))
         shared, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
                                     operators=operators)
         assert len(assembled) == direct.nsteps + 1
@@ -595,7 +675,7 @@ class TestStepFrames:
         v0 = eigenmode(grid)
         operators = []
         direct = solve_direct(chart, const_kappa, grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, traj: operators.append(frame.L),))
+                              observers=(lambda k, frame, traj, Lv: operators.append(frame.L),))
         assert len(operators) == direct.nsteps + 1
         assert len({id(L) for L in operators}) == 1
         # one separately assembled L per step time gives the same bits
