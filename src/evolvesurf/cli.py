@@ -38,6 +38,7 @@ from . import diagnostics as dg
 from . import operator as op
 from . import timestepper as ts
 from .config import (
+    check_value,
     config_chart,
     config_diffusion,
     config_grid,
@@ -417,13 +418,13 @@ def main(argv=None):
 
     try:
         cfg = parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            cfg.seed = check_value("seed", args.seed)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.dump_matrices:
         cfg.dump_matrices = True
 

@@ -2,14 +2,30 @@
 
 The format is plain "key = value" lines under bracketed section headers
 ([surface], [diffusion], [grid], [time], [solver], [output]).  Parse errors
-name the offending key and line.  ``serialize_config`` emits a canonical text
-whose round-trip through ``parse_config`` reproduces the configuration
-exactly (floats are written with repr, which round-trips).
+name the offending key and line.
+
+``RunConfig``'s field defaults are the only defaults: a key is required
+exactly when its field has none.  ``_KEYS`` is the table of the scalar keys,
+one row per key: its section, its key, the ``RunConfig`` field it sets, its
+kind (float, int, bool or str), its bound (a predicate, or None) and the
+message of a value out of bound.  ``parse_config`` and ``serialize_config``
+both loop over the rows, so a scalar key is one row plus one field.  The
+surface and diffusion presets, the four domain keys and the preset parameters
+have code of their own, because which keys are read, and what bounds them,
+depends on other keys; ``parse_config`` reads them first, then the rows in
+table order, and reports the first fault it meets.  Every number must be
+finite.
+
+``serialize_config`` emits a canonical text whose round-trip through
+``parse_config`` reproduces the configuration exactly (floats are written
+with repr, which round-trips).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -18,6 +34,7 @@ from .errors import ConfigError
 from .geometry import PRESET_PARAMS, make_chart, make_grid
 
 _SECTIONS = ("surface", "diffusion", "grid", "time", "solver", "output")
+_DOMAIN_KEYS = ("x1_min", "x1_max", "x2_min", "x2_max")
 
 
 @dataclass
@@ -46,6 +63,36 @@ class RunConfig:
     dump_matrices: bool = False
 
 
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+
+_Key = namedtuple("_Key", "section key field kind bound message")
+
+_KEYS = tuple(_Key(*row) for row in (
+    ("surface", "T", "horizon", float, lambda v: v > 0, "T must be positive"),
+    ("grid", "n1", "n1", int, lambda v: v >= 3, "n1 must be at least 3"),
+    ("grid", "n2", "n2", int, lambda v: v >= 3, "n2 must be at least 3"),
+    ("grid", "h_fd", "h_fd", float, lambda v: v > 0, "h_fd must be positive"),
+    ("time", "dt", "dt", float, lambda v: v > 0, "dt must be positive"),
+    ("time", "theta", "theta", float, lambda v: 0.5 <= v <= 1.0, "theta must lie in [0.5, 1]"),
+    ("solver", "tol", "tol", float, lambda v: v > 0, "tol must be positive"),
+    ("solver", "max_iter", "max_iter", int, lambda v: v >= 1, "max_iter must be at least 1"),
+    ("solver", "probes", "probes", int, lambda v: v >= 1, "probes must be at least 1"),
+    ("solver", "margin", "margin", float, lambda v: 0.0 <= v < 1.0, "margin must lie in [0, 1)"),
+    ("solver", "seed", "seed", int, lambda v: v >= 0, "seed must be non-negative"),
+    ("solver", "scan_times", "scan_times", int, lambda v: v >= 2,
+     "scan_times must be at least 2"),
+    ("solver", "v0_k1", "v0_k1", int, lambda v: v >= 1,
+     "initial-datum mode numbers must be positive"),
+    ("solver", "v0_k2", "v0_k2", int, lambda v: v >= 1,
+     "initial-datum mode numbers must be positive"),
+    ("output", "directory", "out_dir", str, None, None),
+    ("output", "snapshot_stride", "snapshot_stride", int, lambda v: v >= 1,
+     "snapshot_stride must be at least 1"),
+    ("output", "dump_matrices", "dump_matrices", bool, None, None),
+))
+_KEY_ROWS = {row.key: row for row in _KEYS}
+
+
 def _parse_lines(text):
     """Raw scan: {(section, key): (value_string, line_number)}."""
     entries = {}
@@ -72,27 +119,24 @@ def _parse_lines(text):
     return entries
 
 
-class _Reader:
-    def __init__(self, entries):
-        self.entries = dict(entries)
-
-    def take(self, section, key, default=None, required=False):
-        item = self.entries.pop((section, key), None)
-        if item is None:
-            if required:
-                raise ConfigError(f"missing required key in [{section}]", key=key)
-            return default, None
-        return item
-
-    def leftovers(self):
-        return self.entries
+def _take(entries, section, key, default=None, required=False):
+    """Pop (value string, line) of the key from ``entries``; (default, None) if unset."""
+    item = entries.pop((section, key), None)
+    if item is None:
+        if required:
+            raise ConfigError(f"missing required key in [{section}]", key=key)
+        return default, None
+    return item
 
 
 def _to_float(value, key, line):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"expected a number, got '{value}'", key=key, line=line)
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got '{value}'", key=key, line=line)
+    return number
 
 
 def _to_int(value, key, line):
@@ -111,11 +155,23 @@ def _to_bool(value, key, line):
     raise ConfigError(f"expected a boolean, got '{value}'", key=key, line=line)
 
 
-def _take_floats(r, section, keys):
+_READ = {float: _to_float, int: _to_int, bool: _to_bool, str: lambda value, key, line: value}
+_WRITE = {float: repr, int: str, bool: lambda v: "true" if v else "false", str: str}
+
+
+def check_value(key, value, line=None):
+    """``value`` of the table key ``key`` if it lies in the key's bound; else ConfigError."""
+    row = _KEY_ROWS[key]
+    if row.bound is not None and not row.bound(value):
+        raise ConfigError(row.message, key=key, line=line)
+    return value
+
+
+def _take_floats(entries, section, keys):
     """The ``keys`` set in [section], as floats."""
     params = {}
     for key in keys:
-        v, ln = r.take(section, key)
+        v, ln = _take(entries, section, key)
         if v is not None:
             params[key] = _to_float(v, key, ln)
     return params
@@ -124,131 +180,57 @@ def _take_floats(r, section, keys):
 def parse_config(text):
     """Parse and validate a configuration text into a RunConfig."""
     entries = _parse_lines(text)
-    r = _Reader(entries)
 
-    preset, ln = r.take("surface", "preset", required=True)
+    preset, ln = _take(entries, "surface", "preset", required=True)
     if preset not in PRESET_PARAMS:
         raise ConfigError(f"unknown surface preset '{preset}'", key="preset", line=ln)
-    horizon_s, ln = r.take("surface", "T", required=True)
-    horizon = _to_float(horizon_s, "T", ln)
-    if horizon <= 0:
-        raise ConfigError("T must be positive", key="T", line=ln)
-
-    domain = [0.0, 1.0, 0.0, 1.0]
-    for i, key in enumerate(("x1_min", "x1_max", "x2_min", "x2_max")):
-        v, ln = r.take("surface", key)
+    domain = list(_DEFAULTS["domain"])
+    for i, key in enumerate(_DOMAIN_KEYS):
+        v, ln = _take(entries, "surface", key)
         if v is not None:
             domain[i] = _to_float(v, key, ln)
         if i % 2 and not domain[i] > domain[i - 1]:
             raise ConfigError("domain rectangle is degenerate", key=key, line=ln)
+    surface_params = _take_floats(entries, "surface", PRESET_PARAMS[preset])
 
-    surface_params = _take_floats(r, "surface", PRESET_PARAMS[preset])
-
-    dpreset, ln = r.take("diffusion", "preset", default="constant")
+    dpreset, ln = _take(entries, "diffusion", "preset", default=_DEFAULTS["diffusion_preset"])
     if dpreset not in DIFFUSION_PARAMS:
         raise ConfigError(f"unknown diffusion preset '{dpreset}'", key="preset", line=ln)
-    diffusion_params = _take_floats(r, "diffusion", DIFFUSION_PARAMS[dpreset])
+    diffusion_params = _take_floats(entries, "diffusion", DIFFUSION_PARAMS[dpreset])
 
-    n1_s, ln1 = r.take("grid", "n1", required=True)
-    n1 = _to_int(n1_s, "n1", ln1)
-    n2_s, ln2 = r.take("grid", "n2", required=True)
-    n2 = _to_int(n2_s, "n2", ln2)
-    if n1 < 3:
-        raise ConfigError("n1 must be at least 3", key="n1", line=ln1)
-    if n2 < 3:
-        raise ConfigError("n2 must be at least 3", key="n2", line=ln2)
-    h_fd, ln = r.take("grid", "h_fd")
-    if h_fd is not None:
-        h_fd = _to_float(h_fd, "h_fd", ln)
-        if h_fd <= 0:
-            raise ConfigError("h_fd must be positive", key="h_fd", line=ln)
-
-    dt_s, ln = r.take("time", "dt", required=True)
-    dt = _to_float(dt_s, "dt", ln)
-    if dt <= 0:
-        raise ConfigError("dt must be positive", key="dt", line=ln)
-    theta_s, ln = r.take("time", "theta", default="0.5")
-    theta = _to_float(theta_s, "theta", ln)
-    if not 0.5 <= theta <= 1.0:
-        raise ConfigError("theta must lie in [0.5, 1]", key="theta", line=ln)
-
-    tol_s, ln = r.take("solver", "tol", default="1e-8")
-    tol = _to_float(tol_s, "tol", ln)
-    if tol <= 0:
-        raise ConfigError("tol must be positive", key="tol", line=ln)
-    max_iter_s, ln = r.take("solver", "max_iter", default="20")
-    max_iter = _to_int(max_iter_s, "max_iter", ln)
-    if max_iter < 1:
-        raise ConfigError("max_iter must be at least 1", key="max_iter", line=ln)
-    probes_s, ln = r.take("solver", "probes", default="16")
-    probes = _to_int(probes_s, "probes", ln)
-    if probes < 1:
-        raise ConfigError("probes must be at least 1", key="probes", line=ln)
-    margin_s, ln = r.take("solver", "margin", default="0.05")
-    margin = _to_float(margin_s, "margin", ln)
-    if not 0.0 <= margin < 1.0:
-        raise ConfigError("margin must lie in [0, 1)", key="margin", line=ln)
-    seed_s, ln = r.take("solver", "seed", default="42")
-    seed = _to_int(seed_s, "seed", ln)
-    scan_s, ln = r.take("solver", "scan_times", default="11")
-    scan_times = _to_int(scan_s, "scan_times", ln)
-    if scan_times < 2:
-        raise ConfigError("scan_times must be at least 2", key="scan_times", line=ln)
-    modes = []
-    for key in ("v0_k1", "v0_k2"):
-        k_s, ln = r.take("solver", key, default="1")
-        modes.append(_to_int(k_s, key, ln))
-        if modes[-1] < 1:
-            raise ConfigError("initial-datum mode numbers must be positive", key=key, line=ln)
-    v0_k1, v0_k2 = modes
-
-    out_dir, _ = r.take("output", "directory", default="out")
-    stride_s, ln = r.take("output", "snapshot_stride", default="10")
-    stride = _to_int(stride_s, "snapshot_stride", ln)
-    if stride < 1:
-        raise ConfigError("snapshot_stride must be at least 1", key="snapshot_stride", line=ln)
-    dump_s, ln = r.take("output", "dump_matrices", default="false")
-    dump = _to_bool(dump_s, "dump_matrices", ln)
+    values = {}
+    for row in _KEYS:
+        v, ln = _take(entries, row.section, row.key, required=row.field not in _DEFAULTS)
+        if v is not None:
+            values[row.field] = check_value(row.key, _READ[row.kind](v, row.key, ln), ln)
 
     # a parameter of another preset of the family is as unknown as a typo
     readers = {"surface": preset, "diffusion": dpreset}
-    for (section, key), (_, lineno) in r.leftovers().items():
+    for (section, key), (_, lineno) in entries.items():
         reader = f": preset '{readers[section]}' does not read it" if section in readers else ""
         raise ConfigError(f"unknown key in [{section}]{reader}", key=key, line=lineno)
 
-    return RunConfig(
-        surface_preset=preset, horizon=horizon, domain=tuple(domain),
-        surface_params=surface_params,
-        diffusion_preset=dpreset, diffusion_params=diffusion_params,
-        n1=n1, n2=n2, h_fd=h_fd, dt=dt, theta=theta,
-        tol=tol, max_iter=max_iter, probes=probes, margin=margin,
-        seed=seed, scan_times=scan_times, v0_k1=v0_k1, v0_k2=v0_k2,
-        out_dir=out_dir, snapshot_stride=stride, dump_matrices=dump,
-    )
+    return RunConfig(surface_preset=preset, domain=tuple(domain), surface_params=surface_params,
+                     diffusion_preset=dpreset, diffusion_params=diffusion_params, **values)
 
 
 def serialize_config(cfg):
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = ["[surface]", f"preset = {cfg.surface_preset}", f"T = {cfg.horizon!r}"]
-    for i, key in enumerate(("x1_min", "x1_max", "x2_min", "x2_max")):
-        lines.append(f"{key} = {cfg.domain[i]!r}")
-    lines += [f"{key} = {value!r}" for key, value in cfg.surface_params.items()]
-    lines += ["", "[diffusion]", f"preset = {cfg.diffusion_preset}"]
-    lines += [f"{key} = {value!r}" for key, value in cfg.diffusion_params.items()]
-    lines += ["", "[grid]", f"n1 = {cfg.n1}", f"n2 = {cfg.n2}"]
-    if cfg.h_fd is not None:
-        lines.append(f"h_fd = {cfg.h_fd!r}")
-    lines += ["", "[time]", f"dt = {cfg.dt!r}", f"theta = {cfg.theta!r}"]
-    lines += ["", "[solver]",
-              f"tol = {cfg.tol!r}", f"max_iter = {cfg.max_iter}", f"probes = {cfg.probes}",
-              f"margin = {cfg.margin!r}", f"seed = {cfg.seed}",
-              f"scan_times = {cfg.scan_times}",
-              f"v0_k1 = {cfg.v0_k1}", f"v0_k2 = {cfg.v0_k2}"]
-    lines += ["", "[output]",
-              f"directory = {cfg.out_dir}",
-              f"snapshot_stride = {cfg.snapshot_stride}",
-              f"dump_matrices = {'true' if cfg.dump_matrices else 'false'}"]
-    return "\n".join(lines) + "\n"
+    presets = {"surface": cfg.surface_preset, "diffusion": cfg.diffusion_preset}
+    params = {"surface": [*zip(_DOMAIN_KEYS, cfg.domain), *cfg.surface_params.items()],
+              "diffusion": cfg.diffusion_params.items()}
+    blocks = []
+    for section in _SECTIONS:
+        lines = [f"[{section}]"]
+        if section in presets:
+            lines.append(f"preset = {presets[section]}")
+        for row in _KEYS:
+            value = getattr(cfg, row.field)
+            if row.section == section and value is not None:
+                lines.append(f"{row.key} = {_WRITE[row.kind](value)}")
+        lines += [f"{key} = {value!r}" for key, value in params.get(section, ())]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # builders from a validated configuration

@@ -58,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError
+from .errors import AssumptionViolationError, ParameterError
 from .geometry import metric_fields
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,8 @@ class StepFrame:
 
     * ``coefficients`` -- ``coefficient_fields``: one full-mesh evaluation of
       the metric (with dG/dt) and of the diffusivity; without ``kappa`` (None)
-      it holds only the metric entries R, Ginv*, R_int and d0;
+      it holds only the metric entries R, Ginv*, R_int and d0.  A diffusivity
+      that is not strictly positive on the mesh raises AssumptionViolationError;
     * ``L`` -- ``assemble_L`` from the coefficients;
     * ``centre`` -- the cell-centre MetricFields (without dG/dt) and
       diffusivity of the energy ledger's dissipation.
@@ -245,8 +246,11 @@ class StepFrame:
     def coefficients(self):
         X1, X2 = self.grid.full_mesh(sparse=True)
         mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
-        return mesh_coefficients(
-            mf, None if self.kappa is None else _on_mesh(self.kappa, X1, X2, self.t))
+        K = None if self.kappa is None else _on_mesh(self.kappa, X1, X2, self.t)
+        if K is not None and not K.min() > 0.0:   # nan fails too
+            raise AssumptionViolationError(
+                f"kappa must be strictly positive; minimum {K.min():.6g} at t = {self.t:.6g}")
+        return mesh_coefficients(mf, K)
 
     @functools.cached_property
     def interior_sqrtG(self):

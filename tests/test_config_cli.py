@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 
 import evolvesurf
 from evolvesurf import ConfigError, make_chart, make_diffusion, make_grid, user_chart
-from evolvesurf import checks, cli
+from evolvesurf import checks, cli, config
 from evolvesurf import operator as op
 from evolvesurf.cli import _dump_matrix, _write_vtk_snapshot, main, run_pipeline, write_outputs
+from evolvesurf.coefficients import DIFFUSION_PARAMS
 from evolvesurf.config import (
     RunConfig,
     config_chart,
@@ -22,6 +24,7 @@ from evolvesurf.config import (
     serialize_config,
 )
 from evolvesurf.diagnostics import SOLUTION_PARTIALS, manufactured_solution
+from evolvesurf.geometry import PRESET_PARAMS as SURFACE_PARAMS
 from evolvesurf.operator import assemble_A, assemble_L
 
 from test_operator import assembled_by_coo
@@ -191,6 +194,102 @@ class TestParseConfig:
         X1, X2 = grid.interior_mesh()
         ref = np.sin(np.pi * X1) * np.sin(np.pi * X2)
         np.testing.assert_allclose(v0, ref.ravel())
+
+
+# every numeric key: (section, key, RunConfig field, the preset that reads it,
+# a value outside its bound or None when nothing bounds it)
+NUMERIC_KEYS = [
+    ("surface", "T", "horizon", None, "0"),
+    ("surface", "x1_min", "domain", None, None),
+    ("surface", "x1_max", "domain", None, "-0.5"),
+    ("surface", "x2_min", "domain", None, None),
+    ("surface", "x2_max", "domain", None, "0"),
+    ("surface", "gamma", "surface_params", "isotropic_scaling", None),
+    ("surface", "epsilon", "surface_params", "graph_oscillation", None),
+    ("surface", "omega", "surface_params", "graph_oscillation", None),
+    ("surface", "c", "surface_params", "translating_patch", None),
+    ("diffusion", "value", "diffusion_params", "constant", None),
+    ("diffusion", "base", "diffusion_params", "sinusoidal", None),
+    ("diffusion", "amp", "diffusion_params", "sinusoidal", None),
+    ("grid", "n1", "n1", None, "2"),
+    ("grid", "n2", "n2", None, "2"),
+    ("grid", "h_fd", "h_fd", None, "0"),
+    ("time", "dt", "dt", None, "-1e-3"),
+    ("time", "theta", "theta", None, "1.5"),
+    ("solver", "tol", "tol", None, "0"),
+    ("solver", "max_iter", "max_iter", None, "0"),
+    ("solver", "probes", "probes", None, "0"),
+    ("solver", "margin", "margin", None, "1"),
+    ("solver", "seed", "seed", None, "-3"),
+    ("solver", "scan_times", "scan_times", None, "1"),
+    ("solver", "v0_k1", "v0_k1", None, "0"),
+    ("solver", "v0_k2", "v0_k2", None, "0"),
+    ("output", "snapshot_stride", "snapshot_stride", None, "0"),
+]
+FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+INTEGER_FIELDS = {name for name, f in FIELDS.items() if f.type in (int, "int")}
+
+
+def _numeric_text(section, key, preset, value):
+    """A valid configuration, then ``key = value`` in [section] (value None: key unset)."""
+    sections = {
+        "surface": [f"preset = {preset if section == 'surface' and preset else 'flat_static'}",
+                    "T = 0.1"],
+        "diffusion": [f"preset = {preset if section == 'diffusion' else 'constant'}"],
+        "grid": ["n1 = 12", "n2 = 12"],
+        "time": ["dt = 1e-3"],
+        "solver": [],
+        "output": [],
+    }
+    lines = [line for line in sections[section] if not line.startswith(f"{key} =")]
+    sections[section] = lines + ([] if value is None else [f"{key} = {value}"])
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in body) + "\n"
+                   for name, body in sections.items())
+
+
+def _bad_numbers():
+    for section, key, field, preset, out_of_bound in NUMERIC_KEYS:
+        integer = field in INTEGER_FIELDS
+        for value in ("nan", "inf", "-inf"):
+            message = (f"expected an integer, got '{value}'" if integer
+                       else f"expected a finite number, got '{value}'")
+            yield pytest.param(section, key, preset, value, message, id=f"{key}={value}")
+        message = "expected an integer, got 'ten'" if integer else "expected a number, got 'ten'"
+        yield pytest.param(section, key, preset, "ten", message, id=f"{key}=ten")
+        if out_of_bound is not None:
+            yield pytest.param(section, key, preset, out_of_bound, None,
+                               id=f"{key}={out_of_bound}")
+
+
+class TestNumericKeys:
+    def test_every_numeric_key_is_listed(self):
+        keys = {row.key for row in config._KEYS if row.kind in (int, float)}
+        keys |= {"x1_min", "x1_max", "x2_min", "x2_max"}
+        keys |= {key for params in (*SURFACE_PARAMS.values(), *DIFFUSION_PARAMS.values())
+                 for key in params}
+        assert sorted(key for _, key, *_ in NUMERIC_KEYS) == sorted(keys)
+
+    @pytest.mark.parametrize("section,key,preset,value,message", list(_bad_numbers()))
+    def test_bad_value_names_key_and_line(self, section, key, preset, value, message):
+        text = _numeric_text(section, key, preset, value)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert (exc.value.key, exc.value.line) == (key, _line_of(text, f"{key} = {value}"))
+        if message is not None:
+            assert str(exc.value).startswith(message + " (")
+
+    @pytest.mark.parametrize("section,key,field,preset", [row[:4] for row in NUMERIC_KEYS],
+                             ids=[row[1] for row in NUMERIC_KEYS])
+    def test_unset_key_takes_the_default(self, section, key, field, preset):
+        text = _numeric_text(section, key, preset, None)
+        if field.endswith("_params"):
+            assert key not in getattr(parse_config(text), field)
+        elif FIELDS[field].default is dataclasses.MISSING:
+            with pytest.raises(ConfigError, match=r"missing required key") as exc:
+                parse_config(text)
+            assert exc.value.key == key
+        else:
+            assert getattr(parse_config(text), field) == FIELDS[field].default
 
 
 class TestPipeline:
@@ -565,6 +664,49 @@ probes = 4
 
     def test_missing_file(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("subcommand,key,value", [
+        ("mms", "dt", "nan"), ("mms", "T", "nan"), ("mms", "dt", "inf"),
+        ("solve", "h_fd", "nan"), ("solve", "T", "inf"),
+        ("check", "seed", "-3"), ("picard", "seed", "-3"), ("verify", "seed", "-3")])
+    def test_rejected_text_exits_two_naming_key_and_line(self, tmp_path, capsys,
+                                                         subcommand, key, value):
+        section = next(row[0] for row in NUMERIC_KEYS if row[1] == key)
+        text = _numeric_text(section, key, None, value)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith(f"(key '{key}', line {_line_of(text, f'{key} = {value}')})\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_is_checked_like_the_seed_key(self, tmp_path, capsys):
+        text = MINIMAL + "\n[solver]\nseed = -3\n"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main(["check", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == ("error: seed must be non-negative "
+                                           f"(key 'seed', line {_line_of(text, 'seed = -3')})\n")
+        cfgfile.write_text(MINIMAL)
+        assert main(["check", "--config", str(cfgfile), "--seed", "-3",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative (key 'seed')\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["solve", "mms", "check", "picard"])
+    @pytest.mark.parametrize("value", ["-1.0", "0.0"])
+    def test_diffusivity_not_positive_exits_one(self, tmp_path, capsys, subcommand, value):
+        # solve and mms stop at the first step frame, naming its time; check
+        # and picard stop after the smallness scan, naming the scan minimum
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(_numeric_text("diffusion", "value", "constant", value)
+                           .replace("n1 = 12", "n1 = 15").replace("n2 = 12", "n2 = 15"))
+        rc = main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        where = (f"scan minimum {float(value):.6g}" if subcommand in ("check", "picard")
+                 else f"minimum {float(value):.6g} at t = 0")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: kappa must be strictly positive; {where}\n"
 
 
 class TestVerifySuite:

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from evolvesurf import (
+    AssumptionViolationError,
     ParameterError,
     assemble_A,
     assemble_B,
@@ -21,6 +22,7 @@ from evolvesurf import (
     verify_anisotropic_identities,
 )
 from evolvesurf import geometry, operator
+from evolvesurf.coefficients import Diffusion
 from evolvesurf.diagnostics import symbolic_operator_apply
 from evolvesurf.geometry import PRESET_NAMES, metric_fields
 from evolvesurf.operator import (
@@ -285,6 +287,23 @@ class TestStepFrame:
         evaluated.clear()
         frame.centre         # g1, g2 on the 128 x 128 cell centres
         assert sum(evaluated) == 2 * (128 + 128)
+
+    @pytest.mark.parametrize("bad", [-0.25, 0.0, math.nan])
+    def test_frame_refuses_a_diffusivity_that_is_not_positive(self, graph, unit_grid, bad):
+        # one bad node, on the boundary ring: the full mesh is checked
+        def value(x1, x2, t):
+            k = np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+            k[-1, 0] = bad
+            return k
+
+        frame = StepFrame(graph, Diffusion("spot", value), unit_grid, 0.37)
+        with pytest.raises(AssumptionViolationError,
+                           match=rf"^kappa must be strictly positive; minimum {bad:.6g} "
+                                 r"at t = 0\.37$"):
+            frame.coefficients
+        # the metric-only frame of the reports reads no diffusivity
+        assert StepFrame(graph, None, unit_grid, 0.37).coefficients.keys() == {
+            "R", "Ginv11", "Ginv12", "Ginv22", "R_int", "d0"}
 
     def test_assembly_and_symmetry_check_evaluate_once(self, graph, const_kappa, unit_grid,
                                                         count_calls):

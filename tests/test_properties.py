@@ -31,7 +31,12 @@ from evolvesurf import (  # noqa: E402
     solve_picard,
 )
 from evolvesurf.cli import _sine_product_solution  # noqa: E402
-from evolvesurf.coefficients import DIFFUSION_PRESETS, maximal_regularity_ratio  # noqa: E402
+from evolvesurf.coefficients import (  # noqa: E402
+    DIFFUSION_PARAMS,
+    DIFFUSION_PRESETS,
+    maximal_regularity_ratio,
+)
+from evolvesurf.config import RunConfig, parse_config, serialize_config  # noqa: E402
 from evolvesurf.diagnostics import SOLUTION_PARTIALS  # noqa: E402
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
@@ -287,13 +292,24 @@ def test_open_meshes_give_the_dense_bits(grid, preset, values, diffusion, base, 
         for name in SOLUTION_PARTIALS:
             assert_same_bits(exact.partial(name, o1, o2, t), exact.partial(name, d1, d2, t))
 
+    def coefficients_or_error(frame):
+        # a drawn kappa can dip to or below 0, which a frame refuses
+        try:
+            return frame.coefficients
+        except AssumptionViolationError as exc:
+            return str(exc)
+
     frame = StepFrame(chart, kappa, grid, t)
     with dense_meshes():
         ref = StepFrame(chart, kappa, grid, t)
-        ref_coefficients, ref_centre = ref.coefficients, ref.centre
-    assert frame.coefficients.keys() == ref_coefficients.keys()
-    for key, arr in ref_coefficients.items():
-        assert_same_bits(frame.coefficients[key], arr)
+        ref_coefficients, ref_centre = coefficients_or_error(ref), ref.centre
+    got = coefficients_or_error(frame)
+    if isinstance(ref_coefficients, str):
+        assert got == ref_coefficients
+    else:
+        assert got.keys() == ref_coefficients.keys()
+        for key, arr in ref_coefficients.items():
+            assert_same_bits(got[key], arr)
     assert_same_metric(frame.centre[0], ref_centre[0])
     assert_same_bits(frame.centre[1], ref_centre[1])
 
@@ -376,3 +392,40 @@ def test_one_pass_scan_gives_the_per_array_bits(grid, preset, values, diffusion,
     got_M, got_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times)
     assert got_M.tobytes() == M.tobytes()
     assert np.float64(got_mixed2).tobytes() == np.float64(m1_mixed2).tobytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs: every preset with any subset of its parameters, an
+    optional h_fd, and every scalar anywhere in its bound."""
+    def params(names):
+        return {name: draw(finite) for name in names if draw(st.booleans())}
+
+    preset = draw(st.sampled_from(PRESET_NAMES))
+    diffusion = draw(st.sampled_from(DIFFUSION_PRESETS))
+    a, b, c, d = (*sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True))),
+                  *sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True))))
+    return RunConfig(
+        surface_preset=preset, horizon=draw(positive),
+        n1=draw(st.integers(min_value=3)), n2=draw(st.integers(min_value=3)),
+        dt=draw(positive), domain=(a, b, c, d), surface_params=params(PRESET_PARAMS[preset]),
+        diffusion_preset=diffusion, diffusion_params=params(DIFFUSION_PARAMS[diffusion]),
+        h_fd=draw(st.none() | positive), theta=draw(st.floats(0.5, 1.0)), tol=draw(positive),
+        max_iter=draw(st.integers(min_value=1)), probes=draw(st.integers(min_value=1)),
+        margin=draw(st.floats(0.0, 1.0, exclude_max=True)), seed=draw(st.integers(min_value=0)),
+        scan_times=draw(st.integers(min_value=2)),
+        v0_k1=draw(st.integers(min_value=1)), v0_k2=draw(st.integers(min_value=1)),
+        out_dir=draw(st.just("") | st.from_regex(r"[\w./-]([\w ./-]*[\w./-])?", fullmatch=True)),
+        snapshot_stride=draw(st.integers(min_value=1)), dump_matrices=draw(st.booleans()))
+
+
+@PROPERTY
+@given(cfg=run_configs())
+def test_config_text_round_trips(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
