@@ -4,7 +4,8 @@ Subcommands:
 
 * ``check``  -- coefficient scan, estimated constants, smallness conditions;
 * ``solve``  -- direct time-stepping plus energy/decay/regularity reports,
-                read from the march's own step frames;
+                read from the march's own step frames and three-level
+                window; the march keeps only the snapshots it writes;
 * ``picard`` -- fixed-point solve, contraction history, two-solver agreement;
                 the direct march of the agreement check hands its step
                 operators L(t_k) to the Picard stages;
@@ -55,8 +56,8 @@ from .errors import (
     StepSolveError,
 )
 
-_RUN_ERRORS = (AssumptionViolationError, ConfigError, DegenerateChartError,
-               ParameterError, PicardDivergenceError, StepSolveError)
+_RUN_ERRORS = (AssumptionViolationError, DegenerateChartError, ParameterError,
+               PicardDivergenceError, StepSolveError)
 
 SUBCOMMANDS = ("check", "solve", "picard", "verify", "mms")
 
@@ -144,7 +145,8 @@ def run_solve(cfg):
     chart, kappa, grid, v0 = _solve_common(cfg)
     with _Timer(report, "march"):
         traj, report.energy, report.decay, report.regularity = dg.solve_reported(
-            chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta)
+            chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
+            stride=cfg.snapshot_stride)
     return report, traj
 
 
@@ -160,7 +162,8 @@ def run_picard(cfg):
         # the L(t_k) the Picard stages read
         operators = []
         direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
-                                 observers=(lambda k, frame, traj, Lv: operators.append(frame.L),))
+                                 observers=(lambda k, frame, window, Lv:
+                                            operators.append(frame.L),))
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,
                                      v0, cfg.horizon, cfg.dt, tol=cfg.tol,
@@ -346,9 +349,9 @@ def write_outputs(report, trajectory, directory, cfg):
     if report.energy is not None:
         path = out / "energy.csv"
         e = report.energy
-        rows = [[_fmt(float(e.times[k])), _fmt(float(e.mass[k])),
+        rows = ([_fmt(float(e.times[k])), _fmt(float(e.mass[k])),
                  _fmt(float(e.dissipation[k])), _fmt(float(e.residual_abs[k])),
-                 _fmt(float(e.residual_rel[k]))] for k in range(len(e.times))]
+                 _fmt(float(e.residual_rel[k]))] for k in range(len(e.times)))
         _write_csv(path, ["time", "mass", "dissipation", "residual_abs", "residual_rel"], rows)
         manifest.append(str(path))
 
@@ -375,11 +378,13 @@ def write_outputs(report, trajectory, directory, cfg):
 
     chart = config_chart(cfg)
     if trajectory is not None:
-        for k in range(0, trajectory.nsteps + 1, cfg.snapshot_stride):
-            path = out / f"snapshot_{k:04d}.vtk"
-            _write_vtk_snapshot(path, chart, trajectory.grid,
-                                trajectory.fields[k], float(trajectory.times[k]))
-            manifest.append(str(path))
+        # the kept rows of every snapshot_stride-th step, under their step index
+        for k, values in zip(trajectory.steps, trajectory.fields):
+            if k % cfg.snapshot_stride == 0:
+                path = out / f"snapshot_{k:04d}.vtk"
+                _write_vtk_snapshot(path, chart, trajectory.grid, values,
+                                    float(trajectory.times[k]))
+                manifest.append(str(path))
 
     if cfg.dump_matrices:
         grid = config_grid(cfg)
@@ -431,6 +436,9 @@ def main(argv=None):
     try:
         report, traj = run_pipeline(cfg, args.subcommand)
         manifest = write_outputs(report, traj, cfg.out_dir, cfg=cfg)
+    except ConfigError as exc:   # a configuration the run refuses, as at parse time
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

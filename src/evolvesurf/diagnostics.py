@@ -11,11 +11,15 @@ The three reports read each step time from its StepFrame (``operator``):
 the interior-node metric is a slice of the frame's full-mesh metric, the
 regularity report takes L(t_k) and the dilation rate from it, and the energy
 ledger adds the frame's cell-centre metric and diffusivity.  Each report is
-an accumulator fed one frame per step time.  ``solve_reported`` feeds them
-the frames the march itself evaluates, so a solve with its reports evaluates
-each step time once, plus the cell-centre metric; the standalone
-``energy_report``, ``decay_report`` and ``regularity_report`` build the
-frames of a finished trajectory one at a time.
+an accumulator fed, per step time, the frame, the march's three-level window
+(v_{k-1}, v_k, v_{k+1}) and the surface mass of v_k, which the energy ledger
+and the decay report share; its result reads the datum v_0 (row 0 of every
+Trajectory), the step times and dt.  ``solve_reported`` feeds them from the
+march itself, so a solve with its reports evaluates each step time once,
+plus the cell-centre metric, and holds no more of the trajectory than the
+rows its caller keeps; the standalone ``energy_report``, ``decay_report``
+and ``regularity_report`` build the frames and windows of a finished
+trajectory that kept every step, one at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .operator import (
     gradient_norm,
     sobolev_h1_norm,
 )
-from .timestepper import solve_direct
+from .timestepper import _step_count, solve_direct
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +147,16 @@ class EnergyLedger:
 
 
 class _EnergyBalance:
-    """``energy_report``, fed one StepFrame per step time."""
+    """``energy_report``, fed one step time at a time."""
 
     def __init__(self, grid):
         self.grid = grid
         self.mass = []
         self.diss_rate = []
 
-    def observe(self, k, frame, traj, Lv=None):
-        u = traj.fields[k]
-        self.mass.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG))
-        self.diss_rate.append(_grad_sq(u, self.grid, *frame.centre))
+    def observe(self, frame, window, Lv, mass):
+        self.mass.append(0.5 * mass)
+        self.diss_rate.append(_grad_sq(window[1], self.grid, *frame.centre))
 
     def result(self, traj):
         mass = np.array(self.mass)
@@ -166,15 +169,15 @@ class _EnergyBalance:
 
 
 class _Decay:
-    """``decay_report``, fed one StepFrame per step time."""
+    """``decay_report``, fed one step time at a time."""
 
     def __init__(self, grid, t_min=None):
         self.grid = grid
         self.t_min = t_min
         self.norms = []
 
-    def observe(self, k, frame, traj, Lv=None):
-        self.norms.append(math.sqrt(_mass(traj.fields[k], self.grid, frame.interior_sqrtG)))
+    def observe(self, frame, window, Lv, mass):
+        self.norms.append(math.sqrt(mass))
 
     def result(self, traj):
         u0 = traj.fields[0]
@@ -192,19 +195,21 @@ class _Decay:
 
 
 class _Regularity:
-    """``regularity_report``, fed the StepFrames of the interior step times."""
+    """``regularity_report``, fed one step time at a time; reads the interior ones."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, dt):
         self.grid = grid
+        self.dt = dt
         self.dt_sq = []
         self.div_sq = []
 
-    def observe(self, k, frame, traj, Lv=None):
-        if not 0 < k < traj.nsteps:
+    def observe(self, frame, window, Lv, mass):
+        prev, u, nxt = window
+        if prev is None or nxt is None:
             return
-        u = traj.fields[k]
         sqrtG = frame.interior_sqrtG
-        self.dt_sq.append(_mass(material_derivative(traj, k), self.grid, sqrtG))
+        # the material derivative of ``material_derivative``, from the window
+        self.dt_sq.append(_mass((nxt - prev) / (2.0 * self.dt), self.grid, sqrtG))
         # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u,
         # with the product L u of the march's right-hand side where it formed one
         Lu = frame.L @ u if Lv is None else Lv
@@ -217,17 +222,37 @@ class _Regularity:
         w_norm = sobolev_h1_norm(traj.fields[0], self.grid)
         if w_norm == 0.0:
             raise ParameterError("zero initial datum")
-        dt_norm = math.sqrt(np.sum(traj.dt * np.array(self.dt_sq)))
-        div_norm = math.sqrt(np.sum(traj.dt * np.array(self.div_sq)))
+        dt_norm = math.sqrt(np.sum(self.dt * np.array(self.dt_sq)))
+        div_norm = math.sqrt(np.sum(self.dt * np.array(self.div_sq)))
         return {"quotient": (dt_norm + div_norm) / w_norm,
                 "material_norm": dt_norm, "diffusion_norm": div_norm}
 
 
+def _observer(reports, grid):
+    """March observer that feeds ``reports`` the surface mass of v_k, computed once."""
+    def observe(k, frame, window, Lv):
+        mass = _mass(window[1], grid, frame.interior_sqrtG)
+        for report in reports:
+            report.observe(frame, window, Lv, mass)
+    return observe
+
+
+def _require_every_step(traj):
+    if traj.stride != 1:
+        raise ParameterError(f"a finished trajectory is read at every step; "
+                             f"this one keeps one row per {traj.stride} steps")
+
+
 def _replay(report, traj, chart, kappa, steps):
-    """Feed ``report`` the StepFrames of ``steps`` of a finished trajectory."""
+    """Feed ``report`` the StepFrames and windows of ``steps`` of a finished trajectory."""
+    _require_every_step(traj)
     frames = StepFrames(chart, kappa, report.grid)
+    observe = _observer((report,), report.grid)
+    fields = traj.fields
     for k in steps:
-        report.observe(k, frames.frame(float(traj.times[k])), traj)
+        window = (fields[k - 1] if k > 0 else None, fields[k],
+                  fields[k + 1] if k < traj.nsteps else None)
+        observe(k, frames.frame(float(traj.times[k])), window, None)
     return report.result(traj)
 
 
@@ -254,8 +279,10 @@ def material_derivative(traj, index):
     """Centered time difference of the pulled-back field at one snapshot.
 
     Under the pull-back the material derivative following the surface motion
-    is the plain time derivative on the parameter rectangle.
+    is the plain time derivative on the parameter rectangle.  ``traj`` keeps
+    every step.
     """
+    _require_every_step(traj)
     if index <= 0 or index >= len(traj.times) - 1:
         raise ParameterError(f"index {index} is not an interior snapshot")
     return (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
@@ -269,22 +296,26 @@ def regularity_report(traj, chart, kappa, grid):
     constant of the estimate is abstract, so only finiteness/boundedness of
     the quotient is meaningful.
     """
-    return _replay(_Regularity(grid), traj, chart, kappa, range(1, len(traj.times) - 1))
+    return _replay(_Regularity(grid, traj.dt), traj, chart, kappa,
+                   range(1, len(traj.times) - 1))
 
 
-def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5):
+def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5, stride=1):
     """``solve_direct`` together with its energy, decay and regularity reports.
 
-    The reports read the StepFrames of the march itself while it holds them,
-    so each step time is evaluated once for the march and the reports, plus
-    the cell-centre metric of the energy ledger.  Returns (trajectory,
-    EnergyLedger, decay dict, regularity dict); the regularity report is None
-    below two steps.  The reports equal energy_report, decay_report and
-    regularity_report of the trajectory.
+    The reports read the StepFrames and the three-level window of the march
+    itself while it holds them, so each step time is evaluated once for the
+    march and the reports, plus the cell-centre metric of the energy ledger,
+    and the surface mass of v_k once for the ledger and the decay report.
+    Returns (trajectory keeping every ``stride``-th step, EnergyLedger, decay
+    dict, regularity dict); the regularity report is None below two steps.
+    The reports equal energy_report, decay_report and regularity_report of
+    the trajectory that keeps every step.
     """
-    ledger, decay, regularity = _EnergyBalance(grid), _Decay(grid), _Regularity(grid)
+    reports = (_EnergyBalance(grid), _Decay(grid), _Regularity(grid, dt))
     traj = solve_direct(chart, kappa, grid, v0, T, dt, theta=theta,
-                        observers=(ledger.observe, decay.observe, regularity.observe))
+                        observers=(_observer(reports, grid),), stride=stride)
+    ledger, decay, regularity = reports
     return (traj, ledger.result(traj), decay.result(traj),
             regularity.result(traj) if traj.nsteps >= 2 else None)
 
@@ -511,7 +542,10 @@ def mms_convergence(chart, kappa, exact, levels, T=0.1, theta=0.5):
         _check_boundary_compatible(exact, grid_l, T)
         X1, X2 = grid_l.interior_mesh(sparse=True)
         v0 = exact.value(X1, X2, 0.0).ravel()
-        traj = solve_direct(chart, kappa, grid_l, v0, T, dt, theta=theta, F_provider=F)
+        # the datum and the final step are the only rows kept
+        nsteps = _step_count(T, dt)
+        traj = solve_direct(chart, kappa, grid_l, v0, T, dt, theta=theta, F_provider=F,
+                            stride=nsteps)
         t_end = float(traj.times[-1])
         ref = exact.value(X1, X2, t_end).ravel()
         diff = traj.fields[-1] - ref

@@ -37,13 +37,22 @@ format: it is the scaled copy of L with 1 added to its main diagonal in place.
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
 march looks frames up by the integer step index k and holds at most two, the
-pair one step touches; a static problem has a single frame.  Observers of a
-march read each frame while the march holds it: the energy, decay and
-regularity reports of ``diagnostics.solve_reported`` do, and so does the
-observer of ``cli.run_picard`` that collects the L(t_k) the Picard stages
-read from the direct march it compares against.  An observer also gets the
-product L(t_k) v_k the step formed for its right-hand side, so the
-regularity report does not form it again.
+pair one step touches; a static problem has a single frame.
+
+A march holds O(ndof) state: the three-level window (v_{k-1}, v_k, v_{k+1})
+and the rows it keeps, one for every ``stride``-th step (row 0 is the
+datum).  Its Trajectory is those rows, their stride and every step time.
+``stride = 1`` keeps the whole history, as ``theta_step``, the Picard stages
+and the direct march the Picard agreement compares against need; the CLI
+``solve`` keeps only the snapshots it writes.  Observers are called as
+``observer(k, frame, window, Lv)`` at every step k in order, with the frame
+of t_k while the march holds it, the window (v_{k-1}, v_k, v_{k+1}) (None
+beyond the first and last step) and the product L(t_k) v_k the step formed
+for its right-hand side (None when it formed none), so the regularity report
+does not form it again.  The energy, decay and regularity reports of
+``diagnostics.solve_reported`` are observers, and so is the collector of
+``cli.run_picard`` that hands the L(t_k) of the direct march to the Picard
+stages.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -52,6 +61,7 @@ the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,20 +76,28 @@ SOLVE_TOL = 1e-10
 # after KRYLOV_MAXITER iterations fails
 KRYLOV_RTOL = 1e-15
 KRYLOV_MAXITER = 100
+# bytes of physical memory: a march whose step times and kept rows need more is refused
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass
 class Trajectory:
-    """Uniform-step time history of a grid function."""
+    """The kept rows of a uniform-step march: v_k at k = 0, stride, 2 stride, ... <= N."""
 
-    times: np.ndarray           # (N+1,)
-    fields: np.ndarray          # (N+1, ndof)
+    times: np.ndarray           # (N+1,) every step time t_k
+    fields: np.ndarray          # (len(steps), ndof), the rows of the kept steps
     dt: float
     grid: object
+    stride: int = 1
 
     @property
     def nsteps(self):
         return len(self.times) - 1
+
+    @property
+    def steps(self):
+        """Step index of each kept row."""
+        return range(0, self.nsteps + 1, self.stride)
 
 
 @dataclass
@@ -259,39 +277,56 @@ class _ThetaMarcher:
             raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
         return v
 
-    def march(self, v0, nsteps, forcing=None, observers=()):
+    def march(self, v0, nsteps, forcing=None, observers=(), stride=1):
         """Trajectory of ``nsteps`` steps from the flat datum ``v0`` at t0.
 
         Step k solves (I + theta dt L(t_{k+1})) v_{k+1} = (I - (1-theta) dt
         L(t_k)) v_k + dt (theta F(t_{k+1}) + (1-theta) F(t_k)).  ``forcing(k)``
         returns F(t_k), or None for no forcing; it is called once per step
         time, in order.  Each of ``observers`` is called as
-        ``observer(k, frame, traj, Lv)`` for k = 0..nsteps in order, with the
-        frame of t_k while the march holds it; ``traj.fields`` is filled
-        through step k + 1 then (through k at the last step).  ``Lv`` is the
-        product L(t_k) v_k that step k formed for its right-hand side (theta <
-        1 and k < nsteps), else None.
+        ``observer(k, frame, window, Lv)`` for k = 0..nsteps in order, with the
+        frame of t_k while the march holds it and the window (v_{k-1}, v_k,
+        v_{k+1}), None beyond either end.  ``Lv`` is the product L(t_k) v_k
+        that step k formed for its right-hand side (theta < 1 and k < nsteps),
+        else None.  The march keeps the rows of every ``stride``-th step; a
+        step count whose step times or kept rows do not fit in memory raises
+        ParameterError before the first step.
         """
         dt, theta = self.dt, self.theta
-        fields = np.empty((nsteps + 1, self.grid.ndof))
-        fields[0] = v0
-        traj = Trajectory(self.t0 + np.arange(nsteps + 1) * dt, fields, dt, self.grid)
+        if stride < 1:
+            raise ParameterError(f"stride must be at least 1, got {stride}")
+        nkept = nsteps // stride + 1
+        nbytes = 8 * (nsteps + 1 + nkept * self.grid.ndof)
+        try:
+            # refused up front where the allocator would grant pages it cannot back
+            if nbytes > _PHYSICAL_MEMORY:
+                raise MemoryError
+            times = self.t0 + np.arange(nsteps + 1) * dt
+            kept = np.empty((nkept, self.grid.ndof))
+        except MemoryError:
+            raise ParameterError(
+                f"{nsteps} steps do not fit in memory: their {nsteps + 1} step times and "
+                f"{nkept} kept rows of {self.grid.ndof} values take {nbytes} bytes") from None
         f_old = None if forcing is None else forcing(0)
+        prev, cur = None, v0
         for k in range(nsteps + 1):
-            Lv = None
+            Lv = nxt = None
             if k < nsteps:
-                rhs = fields[k].copy()
+                rhs = cur.copy()
                 if theta < 1.0:
-                    Lv = self.L(k) @ fields[k]
+                    Lv = self.L(k) @ cur
                     rhs = rhs - (1.0 - theta) * dt * Lv
                 f_new = None if forcing is None else forcing(k + 1)
                 if f_new is not None:
                     rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
-                fields[k + 1] = self.solve(k + 1, rhs, guess=fields[k])
+                nxt = self.solve(k + 1, rhs, guess=cur)
                 f_old = f_new
+            if k % stride == 0:
+                kept[k // stride] = cur
             for observe in observers:
-                observe(k, self.frame(k), traj, Lv)
-        return traj
+                observe(k, self.frame(k), (prev, cur, nxt), Lv)
+            prev, cur = cur, nxt
+        return Trajectory(times, kept, dt, self.grid, stride)
 
 
 def theta_step(v, t, dt, theta, frames, F_provider=None):
@@ -332,23 +367,25 @@ def _eval_forcing(F_provider, grid, t):
     return np.broadcast_to(F, (grid.n1, grid.n2)).ravel()
 
 
-def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, observers=()):
+def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, observers=(),
+                 stride=1):
     """March the pulled-back system with the time-dependent operator.
 
     ``F_provider`` is an optional manufactured forcing (x1, x2, t) -> array,
     called with the open interior mesh (x1 of shape (n1, 1), x2 of shape
     (1, n2)); its value is broadcast to the grid.  The homogeneous system of
-    the model has F = 0.  Returns a Trajectory of ceil(T/dt) uniform steps;
-    the Dirichlet boundary stays identically zero by construction.
-    ``observers`` are as in ``_ThetaMarcher.march``: each is called as
-    ``observer(k, frame, traj, Lv)`` with the StepFrame of t_k and the product
-    L(t_k) v_k when the step formed it (else None).
+    the model has F = 0.  Returns the Trajectory of ceil(T/dt) uniform steps
+    that keeps every ``stride``-th step; the Dirichlet boundary stays
+    identically zero by construction.  ``observers`` are as in
+    ``_ThetaMarcher.march``: each is called as ``observer(k, frame, window,
+    Lv)`` with the StepFrame of t_k, the window (v_{k-1}, v_k, v_{k+1}) and
+    the product L(t_k) v_k when the step formed it (else None).
     """
     vals = _prepare_v0(v0, grid)
     marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
     nsteps = _step_count(T, dt)
     forcing = lambda k: _eval_forcing(F_provider, grid, marcher.time(k))
-    return marcher.march(vals, nsteps, forcing, observers)
+    return marcher.march(vals, nsteps, forcing, observers, stride)
 
 
 def z_norm(traj, A, grid):

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evolvesurf
 from evolvesurf import make_chart, make_diffusion, make_grid
 
 
@@ -73,3 +76,35 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+# A process's ru_maxrss keeps the peak of the process it was forked from
+# across exec, so a CLI forked from the test process would report the test
+# process's own peak; a small launcher forks the CLI and reports the CLI's
+# ru_maxrss (KiB on Linux) as its only child.
+_PEAK_RSS_LAUNCHER = """
+import resource, subprocess, sys
+status = subprocess.call([sys.executable, "-m", "evolvesurf.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(status)
+"""
+
+
+@pytest.fixture
+def cli_peak_rss_mib():
+    """cli_peak_rss_mib(argv, timeout) -> peak RSS in MiB of ``evolve-surf *argv``
+    run in a fresh interpreter with BLAS pinned to one thread; the run must
+    exit 0 within ``timeout`` seconds."""
+    src = str(Path(evolvesurf.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(argv, timeout):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv], env=env,
+                              capture_output=True, text=True, timeout=timeout)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout) / 1024.0
+
+    return run

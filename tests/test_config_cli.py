@@ -419,12 +419,14 @@ class TestOutputs:
         steps = range(0, traj.nsteps + 1, cfg.snapshot_stride)
         assert sorted(tmp_path.glob("snapshot_*.vtk")) == [
             tmp_path / f"snapshot_{k:04d}.vtk" for k in steps]
-        for k in steps:
+        # the march kept exactly the rows it writes
+        assert traj.steps == steps and len(traj.fields) == len(steps)
+        for k, row in zip(steps, traj.fields):
             _, points, values = _read_vtk(tmp_path / f"snapshot_{k:04d}.vtk")
-            _, ref_points, _ = _vtk_per_point(chart, traj.grid, traj.fields[k], traj.times[k])
+            _, ref_points, _ = _vtk_per_point(chart, traj.grid, row, traj.times[k])
             assert points.astype(np.float64).tobytes() == np.array(ref_points).tobytes()
             assert values.astype(np.float64).tobytes() == \
-                traj.grid.pad_dirichlet(traj.fields[k]).T.tobytes()
+                traj.grid.pad_dirichlet(row).T.tobytes()
 
     def test_matrix_dump(self, tmp_path):
         cfg, _, manifest = self._run(tmp_path, dump_matrices=True)
@@ -649,6 +651,30 @@ probes = 4
             run_pipeline(cfg, "mms")
         assert info.value.key == "n2"
 
+    @pytest.mark.parametrize("n1,n2,key", [(12, 12, "n1"), (15, 20, "n2")])
+    def test_mms_run_time_config_errors_exit_two(self, tmp_path, capsys, n1, n2, key):
+        # refused by run_pipeline, not by the parser, and exits as a parse-time error does
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(MINIMAL.replace("n1 = 32", f"n1 = {n1}")
+                           .replace("n2 = 32", f"n2 = {n2}"))
+        assert main(["mms", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"(key '{key}')\n")
+        assert err.count("\n") == 1
+
+    def test_huge_horizon_exits_one_before_any_step(self, tmp_path, capsys):
+        # 10^12 steps: the step times and kept rows are refused before the march
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(MINIMAL.replace("T = 0.1", "T = 1e9")
+                           .replace("n1 = 32", "n1 = 5").replace("n2 = 32", "n2 = 5"))
+        assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert err.count("\n") == 1
+        assert err.startswith("error: 1000000000000 steps do not fit in memory: their "
+                              "1000000000001 step times and 100000000001 kept rows of 25 values")
+        assert not (tmp_path / "o").exists()
+
     def test_exit_zero_on_solve(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(MINIMAL.replace("n1 = 32", "n1 = 10")
@@ -707,6 +733,26 @@ probes = 4
                  else f"minimum {float(value):.6g} at t = 0")
         assert rc == 1
         assert capsys.readouterr().err == f"error: kappa must be strictly positive; {where}\n"
+
+
+class TestBoundedMemory:
+    """``solve`` holds the march's window and the snapshots it writes, not the trajectory."""
+
+    CONFIG = MINIMAL.replace("n1 = 32", "n1 = 31").replace("n2 = 32", "n2 = 31") \
+        + "\n[output]\nsnapshot_stride = 1000\n"
+
+    def test_peak_rss_independent_of_step_count(self, tmp_path, cli_peak_rss_mib):
+        # budget: about 4 s on a 2-vCPU host for both runs, each stopped after
+        # 60 s.  Keeping all 10^4 rows of 961 values would add 66 MiB to the
+        # peak of the 10^3-step run; the window and 11 snapshots add none
+        peaks = []
+        for horizon in ("1.0", "10.0"):
+            cfgfile = tmp_path / f"T{horizon}.cfg"
+            cfgfile.write_text(self.CONFIG.replace("T = 0.1", f"T = {horizon}"))
+            peaks.append(cli_peak_rss_mib(
+                ["solve", "--config", str(cfgfile), "--out", str(tmp_path / horizon)], 60))
+        assert len(list((tmp_path / "10.0").glob("snapshot_*.vtk"))) == 11
+        assert abs(peaks[1] - peaks[0]) <= 5.0, peaks
 
 
 class TestVerifySuite:

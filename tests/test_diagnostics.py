@@ -357,6 +357,26 @@ class TestReportsFromStepFrames:
         with pytest.raises(ParameterError, match="zero initial datum"):
             solve_reported(flat, const_kappa, grid, np.zeros(grid.ndof), 0.01, 1e-3)
 
+    def test_one_surface_mass_per_step_for_ledger_and_decay(self, count_calls):
+        # v_k once for the ledger and the decay report, plus the material
+        # derivative and the diffusion term at the interior steps
+        grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 8)
+        chart = make_chart("translating_patch", domain=grid.domain, horizon=1.0, c=1.0)
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        calls = count_calls(diagnostics, "_mass")
+        traj, *_ = solve_reported(chart, kappa, grid, _bump(grid), 0.02, 1e-3, stride=10)
+        assert len(calls) == (traj.nsteps + 1) + 2 * (traj.nsteps - 1)
+
+    def test_finished_reports_need_every_step(self, flat, const_kappa, eigenmode):
+        grid = make_grid((0, 1, 0, 1), 8, 8)
+        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.01, 1e-3, stride=2)
+        for read in (lambda: energy_report(traj, flat, const_kappa, grid),
+                     lambda: decay_report(traj, flat, grid),
+                     lambda: regularity_report(traj, flat, const_kappa, grid),
+                     lambda: material_derivative(traj, 1)):
+            with pytest.raises(ParameterError, match="this one keeps one row per 2 steps"):
+                read()
+
 
 class TestMMSEvaluations:
     def test_march_and_forcing_evaluate_once_per_step_time(self, graph, const_kappa,

@@ -616,17 +616,17 @@ class TestStepFrames:
     def test_observers_see_every_step_frame_once_in_order(self, graph, const_kappa, unit_grid,
                                                           eigenmode, count_calls, theta):
         assembled = count_calls(operator, "assemble_L")
-        seen, filled, alive = [], [], []
+        seen, windows, alive = [], [], []
         refs = []
 
-        def observe(k, frame, traj, Lv):
+        def observe(k, frame, window, Lv):
             seen.append((k, frame.t))
-            filled.append(traj.fields[min(k + 1, traj.nsteps)].copy())
+            windows.append([None if v is None else v.copy() for v in window])
             refs.append(weakref.ref(frame))
             alive.append(sum(r() is not None for r in refs))
             # the product of the step's right-hand side, handed over as it was formed
-            if theta < 1.0 and k < traj.nsteps:
-                assert Lv.tobytes() == (frame.L @ traj.fields[k]).tobytes()
+            if theta < 1.0 and window[2] is not None:
+                assert Lv.tobytes() == (frame.L @ window[1]).tobytes()
             else:
                 assert Lv is None
 
@@ -636,15 +636,20 @@ class TestStepFrames:
         # each L(t_k) once; backward Euler never needs L(t_0)
         first = 0 if theta < 1.0 else 1
         assert [args[3] for args in assembled] == [k * 1e-3 for k in range(first, traj.nsteps + 1)]
-        for k, vals in enumerate(filled):
-            assert np.array_equal(vals, traj.fields[min(k + 1, traj.nsteps)])
+        # the window (v_{k-1}, v_k, v_{k+1}), None beyond either end
+        for k, window in enumerate(windows):
+            for j, vals in zip((k - 1, k, k + 1), window):
+                if 0 <= j <= traj.nsteps:
+                    assert np.array_equal(vals, traj.fields[j])
+                else:
+                    assert vals is None
         assert max(alive) <= 2
 
     def test_observers_leave_the_march_unchanged(self, graph, const_kappa, unit_grid,
                                                  eigenmode):
         plain = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3)
         observed = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01,
-                                1e-3, observers=(lambda k, frame, traj, Lv: frame.centre,))
+                                1e-3, observers=(lambda k, frame, window, Lv: frame.centre,))
         assert np.array_equal(plain.fields, observed.fields)
 
     def test_picard_with_operators_from_direct_frames(self, graph, const_kappa, unit_grid,
@@ -655,7 +660,7 @@ class TestStepFrames:
         assembled = count_calls(operator, "assemble_L")
         operators = []
         direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, traj, Lv: operators.append(frame.L),))
+                              observers=(lambda k, frame, window, Lv: operators.append(frame.L),))
         shared, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
                                     operators=operators)
         assert len(assembled) == direct.nsteps + 1
@@ -675,7 +680,7 @@ class TestStepFrames:
         v0 = eigenmode(grid)
         operators = []
         direct = solve_direct(chart, const_kappa, grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, traj, Lv: operators.append(frame.L),))
+                              observers=(lambda k, frame, window, Lv: operators.append(frame.L),))
         assert len(operators) == direct.nsteps + 1
         assert len({id(L) for L in operators}) == 1
         # one separately assembled L per step time gives the same bits
