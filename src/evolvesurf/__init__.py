@@ -25,12 +25,9 @@ from .coefficients import (
 from .diagnostics import (
     ConvergenceTable,
     EnergyLedger,
-    decay_report,
-    energy_report,
     manufactured_solution,
     material_derivative,
     mms_convergence,
-    regularity_report,
     solve_reported,
     surface_grad_sq,
     surface_integral,

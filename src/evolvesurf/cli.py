@@ -4,11 +4,14 @@ Subcommands:
 
 * ``check``  -- coefficient scan, estimated constants, smallness conditions;
 * ``solve``  -- direct time-stepping plus energy/decay/regularity reports,
-                read from the march's own step frames and three-level
-                window; the march keeps only the snapshots it writes;
+                observers of the march that read its own step frames and
+                three-level window; the march keeps only the snapshots it
+                writes;
 * ``picard`` -- fixed-point solve, contraction history, two-solver agreement;
                 the direct march of the agreement check hands its step
-                operators L(t_k) to the Picard stages;
+                operators L(t_k) to the Picard stages and feeds the energy
+                ledger, so energy.csv is the ledger of the direct march,
+                which the Picard fixed point matches within 10 tol;
 * ``verify`` -- the structural invariant suite ``checks.VERIFY`` (metric
                 identities, operator reductions, decomposition sum, perturbation
                 bound, anisotropic oracles, dilation identity);
@@ -159,23 +162,23 @@ def run_picard(cfg):
         report.condition_report = rep
     with _Timer(report, "direct"):
         # the march the agreement is measured against; its step frames give
-        # the L(t_k) the Picard stages read
+        # the L(t_k) the Picard stages read, and it feeds the energy ledger
         operators = []
+        ledger = dg.EnergyBalance(grid)
         direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
                                  observers=(lambda k, frame, window, Lv:
-                                            operators.append(frame.L),))
+                                            operators.append(frame.L),
+                                            dg.report_observer((ledger,), grid)))
+        report.energy = ledger.result(direct)
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,
                                      v0, cfg.horizon, cfg.dt, tol=cfg.tol,
                                      max_iter=cfg.max_iter, theta=cfg.theta,
                                      condition_report=rep, operators=operators)
         report.picard_history = hist
-        del operators   # the largest arrays of the run; the energy report needs none
     with _Timer(report, "agreement"):
         scale = float(np.max(np.abs(direct.fields)))
         report.agreement = float(np.max(np.abs(traj.fields - direct.fields)) / scale)
-    with _Timer(report, "energy"):
-        report.energy = dg.energy_report(traj, chart, kappa, grid)
     if not hist.converged:
         report.failures.append(f"picard did not converge in {cfg.max_iter} iterations")
     if report.agreement > 10.0 * cfg.tol:
@@ -349,10 +352,9 @@ def write_outputs(report, trajectory, directory, cfg):
     if report.energy is not None:
         path = out / "energy.csv"
         e = report.energy
-        rows = ([_fmt(float(e.times[k])), _fmt(float(e.mass[k])),
-                 _fmt(float(e.dissipation[k])), _fmt(float(e.residual_abs[k])),
-                 _fmt(float(e.residual_rel[k]))] for k in range(len(e.times)))
-        _write_csv(path, ["time", "mass", "dissipation", "residual_abs", "residual_rel"], rows)
+        columns = ("times", "mass", "dissipation", "dilation", "residual_abs", "residual_rel")
+        rows = ([_fmt(float(getattr(e, c)[k])) for c in columns] for k in range(len(e.times)))
+        _write_csv(path, ["time", *columns[1:]], rows)
         manifest.append(str(path))
 
     if report.picard_history is not None:

@@ -7,24 +7,35 @@ checks the structural claims the solver is supposed to reproduce: the energy
 balance, the t^{-1/2} decay of the surface mass, the regularity quotient, and
 manufactured-solution convergence orders.
 
-The three reports read each step time from its StepFrame (``operator``):
-the interior-node metric is a slice of the frame's full-mesh metric, the
-regularity report takes L(t_k) and the dilation rate from it, and the energy
-ledger adds the frame's cell-centre metric and diffusivity.  Each report is
-an accumulator fed, per step time, the frame, the march's three-level window
-(v_{k-1}, v_k, v_{k+1}) and the surface mass of v_k, which the energy ledger
-and the decay report share; its result reads the datum v_0 (row 0 of every
-Trajectory), the step times and dt.  ``solve_reported`` feeds them from the
-march itself, so a solve with its reports evaluates each step time once,
-plus the cell-centre metric, and holds no more of the trajectory than the
-rows its caller keeps; the standalone ``energy_report``, ``decay_report``
-and ``regularity_report`` build the frames and windows of a finished
-trajectory that kept every step, one at a time.
+The energy balance of the homogeneous system on a moving surface is the
+transport theorem's
+
+    d/dt 1/2 int_Gamma u^2 = -int_Gamma kappa |grad_Gamma u|^2
+                             - 1/2 int_Gamma u^2 div_Gamma V,
+
+with div_Gamma V the dilation rate d0 = (dG/dt)/(2G) of the pull-back; the
+ledger integrates both rates in time by the trapezoid rule, so mass(t) +
+dissipation(t) + dilation(t) - mass(0) is its residual.
+
+The three reports are march observers, and the march is the only way they
+are computed.  Each reads each step time from the march's StepFrame
+(``operator``): the interior-node metric is a slice of the frame's full-mesh
+metric, the regularity report takes L(t_k) and the dilation rate from it,
+and the energy ledger adds the frame's cell-centre metric and diffusivity.
+``report_observer`` feeds the reports, per step time, the frame, the march's
+three-level window (v_{k-1}, v_k, v_{k+1}) and the surface mass of v_k, which
+the energy ledger and the decay report share; a report's result reads the
+datum v_0 (row 0 of every Trajectory), the step times and dt.  The reports
+store float64 values, 8 bytes each.  ``solve_reported`` runs a march with all
+three, so a solve with its reports evaluates each step time once, plus the
+cell-centre metric, and holds no more of the trajectory than the rows its
+caller keeps.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +45,6 @@ from .errors import ParameterError
 from .geometry import default_h_fd, metric_fields
 from .operator import (
     StepFrame,
-    StepFrames,
     _on_mesh,
     field_l2,
     gradient_norm,
@@ -139,6 +149,7 @@ class EnergyLedger:
     times: np.ndarray
     mass: np.ndarray          # 0.5 ||u(t)||^2 on the surface
     dissipation: np.ndarray   # cumulative integral of ||sqrt(kappa) grad u||^2
+    dilation: np.ndarray      # cumulative integral of 0.5 int u^2 div V
     residual_abs: np.ndarray
     residual_rel: np.ndarray
 
@@ -146,35 +157,49 @@ class EnergyLedger:
         return float(np.max(self.residual_rel))
 
 
-class _EnergyBalance:
-    """``energy_report``, fed one step time at a time."""
+def _cumulative_trapezoid(rates, dt):
+    return np.concatenate([[0.0], np.cumsum(0.5 * dt * (rates[1:] + rates[:-1]))])
+
+
+class EnergyBalance:
+    """The energy ledger, fed one step time at a time.
+
+    The balance holds exactly for the continuous homogeneous system; the
+    discrete residual combines the quadrature and time-stepping errors.
+    """
 
     def __init__(self, grid):
         self.grid = grid
-        self.mass = []
-        self.diss_rate = []
+        self.mass = array("d")
+        self.diss_rate = array("d")
+        self.dil_rate = array("d")
 
     def observe(self, frame, window, Lv, mass):
+        u = window[1]
         self.mass.append(0.5 * mass)
-        self.diss_rate.append(_grad_sq(window[1], self.grid, *frame.centre))
+        self.diss_rate.append(_grad_sq(u, self.grid, *frame.centre))
+        # 0.5 v^T W D0 v, W = diag(sqrt(G) h1 h2)
+        sqrtG_d0 = frame.interior_sqrtG * frame.coefficients["d0"]
+        self.dil_rate.append(0.5 * _mass(u, self.grid, sqrtG_d0))
 
     def result(self, traj):
         mass = np.array(self.mass)
-        diss_rate = np.array(self.diss_rate)
-        diss = np.concatenate([[0.0], np.cumsum(
-            0.5 * traj.dt * (diss_rate[1:] + diss_rate[:-1]))])
-        resid = np.abs(mass + diss - mass[0])
+        diss = _cumulative_trapezoid(np.array(self.diss_rate), traj.dt)
+        dil = _cumulative_trapezoid(np.array(self.dil_rate), traj.dt)
+        resid = np.abs(mass + diss + dil - mass[0])
         scale = mass[0] if mass[0] > 0 else 1.0
-        return EnergyLedger(traj.times.copy(), mass, diss, resid, resid / scale)
+        return EnergyLedger(traj.times.copy(), mass, diss, dil, resid, resid / scale)
 
 
 class _Decay:
-    """``decay_report``, fed one step time at a time."""
+    """Decay quotient sup_{t > 0} sqrt(t) ||u(t)|| / ||u0||_{W^{1,2}(U)}.
 
-    def __init__(self, grid, t_min=None):
+    The flag ``monotone`` records whether the surface mass never increases.
+    """
+
+    def __init__(self, grid):
         self.grid = grid
-        self.t_min = t_min
-        self.norms = []
+        self.norms = array("d")
 
     def observe(self, frame, window, Lv, mass):
         self.norms.append(math.sqrt(mass))
@@ -184,24 +209,27 @@ class _Decay:
         w_norm = math.hypot(field_l2(u0, self.grid), gradient_norm(u0, self.grid))
         if w_norm == 0.0:
             raise ParameterError("zero initial datum: decay quotient undefined")
-        lo = 0.0 if self.t_min is None else float(self.t_min)
         norms = np.array(self.norms)
-        mask = traj.times > max(lo, 0.0)
-        if not np.any(mask):
-            raise ParameterError("no snapshots above t_min")
+        mask = traj.times > 0.0
         sup_bound = float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_norm)
         monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))
         return {"sup_bound": sup_bound, "monotone": monotone}
 
 
 class _Regularity:
-    """``regularity_report``, fed one step time at a time; reads the interior ones."""
+    """Boundedness quotient of the regularity estimate; reads the interior step times.
+
+    (||material derivative|| + ||surface diffusion term||) in L2-in-time of
+    L2(Gamma), divided by the W^{1,2} norm of the initial datum.  The bound
+    constant of the estimate is abstract, so only finiteness/boundedness of
+    the quotient is meaningful.
+    """
 
     def __init__(self, grid, dt):
         self.grid = grid
         self.dt = dt
-        self.dt_sq = []
-        self.div_sq = []
+        self.dt_sq = array("d")
+        self.div_sq = array("d")
 
     def observe(self, frame, window, Lv, mass):
         prev, u, nxt = window
@@ -228,51 +256,13 @@ class _Regularity:
                 "material_norm": dt_norm, "diffusion_norm": div_norm}
 
 
-def _observer(reports, grid):
+def report_observer(reports, grid):
     """March observer that feeds ``reports`` the surface mass of v_k, computed once."""
     def observe(k, frame, window, Lv):
         mass = _mass(window[1], grid, frame.interior_sqrtG)
         for report in reports:
             report.observe(frame, window, Lv, mass)
     return observe
-
-
-def _require_every_step(traj):
-    if traj.stride != 1:
-        raise ParameterError(f"a finished trajectory is read at every step; "
-                             f"this one keeps one row per {traj.stride} steps")
-
-
-def _replay(report, traj, chart, kappa, steps):
-    """Feed ``report`` the StepFrames and windows of ``steps`` of a finished trajectory."""
-    _require_every_step(traj)
-    frames = StepFrames(chart, kappa, report.grid)
-    observe = _observer((report,), report.grid)
-    fields = traj.fields
-    for k in steps:
-        window = (fields[k - 1] if k > 0 else None, fields[k],
-                  fields[k + 1] if k < traj.nsteps else None)
-        observe(k, frames.frame(float(traj.times[k])), window, None)
-    return report.result(traj)
-
-
-def energy_report(traj, chart, kappa, grid):
-    """Evaluate mass(t) + cumulative dissipation - mass(0) per snapshot.
-
-    The balance holds exactly for the continuous homogeneous system; the
-    discrete residual combines the quadrature and time-stepping errors.
-    """
-    return _replay(_EnergyBalance(grid), traj, chart, kappa, range(len(traj.times)))
-
-
-def decay_report(traj, chart, grid, t_min=None):
-    """Decay quotient sup_t sqrt(t) ||u(t)|| / ||u0||_{W^{1,2}(U)}.
-
-    Snapshots at t = 0 (or below ``t_min``) are excluded from the sup; the
-    flag ``monotone`` records whether the surface mass never increases.
-    """
-    return _replay(_Decay(grid, t_min), traj, chart, None,
-                   range(len(traj.times)))
 
 
 def material_derivative(traj, index):
@@ -282,22 +272,12 @@ def material_derivative(traj, index):
     is the plain time derivative on the parameter rectangle.  ``traj`` keeps
     every step.
     """
-    _require_every_step(traj)
+    if traj.stride != 1:
+        raise ParameterError(f"a finished trajectory is read at every step; "
+                             f"this one keeps one row per {traj.stride} steps")
     if index <= 0 or index >= len(traj.times) - 1:
         raise ParameterError(f"index {index} is not an interior snapshot")
     return (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
-
-
-def regularity_report(traj, chart, kappa, grid):
-    """Boundedness quotient of the regularity estimate.
-
-    (||material derivative|| + ||surface diffusion term||) in L2-in-time of
-    L2(Gamma), divided by the W^{1,2} norm of the initial datum.  The bound
-    constant of the estimate is abstract, so only finiteness/boundedness of
-    the quotient is meaningful.
-    """
-    return _replay(_Regularity(grid, traj.dt), traj, chart, kappa,
-                   range(1, len(traj.times) - 1))
 
 
 def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5, stride=1):
@@ -309,12 +289,11 @@ def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5, stride=1):
     and the surface mass of v_k once for the ledger and the decay report.
     Returns (trajectory keeping every ``stride``-th step, EnergyLedger, decay
     dict, regularity dict); the regularity report is None below two steps.
-    The reports equal energy_report, decay_report and regularity_report of
-    the trajectory that keeps every step.
+    The reports do not depend on ``stride``.
     """
-    reports = (_EnergyBalance(grid), _Decay(grid), _Regularity(grid, dt))
+    reports = (EnergyBalance(grid), _Decay(grid), _Regularity(grid, dt))
     traj = solve_direct(chart, kappa, grid, v0, T, dt, theta=theta,
-                        observers=(_observer(reports, grid),), stride=stride)
+                        observers=(report_observer(reports, grid),), stride=stride)
     ledger, decay, regularity = reports
     return (traj, ledger.result(traj), decay.result(traj),
             regularity.result(traj) if traj.nsteps >= 2 else None)

@@ -50,9 +50,9 @@ of t_k while the march holds it, the window (v_{k-1}, v_k, v_{k+1}) (None
 beyond the first and last step) and the product L(t_k) v_k the step formed
 for its right-hand side (None when it formed none), so the regularity report
 does not form it again.  The energy, decay and regularity reports of
-``diagnostics.solve_reported`` are observers, and so is the collector of
-``cli.run_picard`` that hands the L(t_k) of the direct march to the Picard
-stages.
+``diagnostics`` are observers (the march is the only way they are computed),
+and so is the collector of ``cli.run_picard`` that hands the L(t_k) of the
+direct march to the Picard stages beside that march's energy ledger.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.

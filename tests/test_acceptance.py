@@ -12,8 +12,6 @@ import numpy as np
 from evolvesurf import (
     assemble_A,
     assemble_B,
-    decay_report,
-    energy_report,
     horizon_thm25,
     lambda_select,
     make_chart,
@@ -24,6 +22,7 @@ from evolvesurf import (
     smallness_report,
     solve_direct,
     solve_picard,
+    solve_reported,
 )
 from evolvesurf.checks import (
     bound_violations,
@@ -33,6 +32,7 @@ from evolvesurf.checks import (
     reduction_defects,
 )
 from evolvesurf.geometry import PRESET_NAMES
+from evolvesurf.operator import field_l2, gradient_norm
 
 
 def _report(num, ok, detail):
@@ -132,18 +132,17 @@ def test_criterion_05_heat_oracle_and_mms():
 def test_criterion_06_energy_equality():
     flat = make_chart("flat_static", horizon=1.0)
     grid = make_grid((0, 1, 0, 1), 63, 63)
-    traj = solve_direct(flat, KAPPA, grid, _eigenmode(grid), 0.05, 1e-3)
-    r_flat = energy_report(traj, flat, KAPPA, grid).max_rel_residual()
+    r_flat = solve_reported(flat, KAPPA, grid, _eigenmode(grid), 0.05, 1e-3)[1].max_rel_residual()
 
     chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.05, omega=1.0)
-    traj_g = solve_direct(chart, KAPPA, grid, _eigenmode(grid), 0.05, 1e-3)
-    r_graph = energy_report(traj_g, chart, KAPPA, grid).max_rel_residual()
+    r_graph = solve_reported(chart, KAPPA, grid, _eigenmode(grid), 0.05,
+                             1e-3)[1].max_rel_residual()
 
     refined = []
     for n, dt in ((15, 4e-3), (31, 2e-3)):
         g = make_grid((0, 1, 0, 1), n, n)
-        tr = solve_direct(chart, KAPPA, g, _eigenmode(g), 0.05, dt)
-        refined.append(energy_report(tr, chart, KAPPA, g).max_rel_residual())
+        refined.append(solve_reported(chart, KAPPA, g, _eigenmode(g), 0.05,
+                                      dt)[1].max_rel_residual())
     order = math.log(refined[0] / refined[1]) / math.log(2.0)
 
     ok = r_flat <= 1e-3 and r_graph <= 5e-3 and order >= 1.0
@@ -154,10 +153,15 @@ def test_criterion_06_energy_equality():
 def test_criterion_07_decay_bound():
     flat = make_chart("flat_static", horizon=1.0)
     grid = make_grid((0, 1, 0, 1), 31, 31)
-    traj = solve_direct(flat, KAPPA, grid, _eigenmode(grid), 1.0, 2e-3)
-    rep = decay_report(traj, flat, grid, t_min=0.1)
-    ok = math.isfinite(rep["sup_bound"]) and rep["sup_bound"] <= 1.0
-    _report(7, ok, f"decay quotient sup over [0.1, 1] = {rep['sup_bound']:.3e} <= 1")
+    u0 = _eigenmode(grid)
+    _, ledger, _, _ = solve_reported(flat, KAPPA, grid, u0, 1.0, 2e-3)
+    # sqrt(t) ||u(t)|| / ||u0||_{W^{1,2}} over t in (0.1, 1], with ||u||^2 = 2 mass
+    window = ledger.times > 0.1
+    w_norm = math.hypot(field_l2(u0, grid), gradient_norm(u0, grid))
+    sup = float(np.max(np.sqrt(ledger.times[window]) * np.sqrt(2.0 * ledger.mass[window]))
+                / w_norm)
+    ok = math.isfinite(sup) and sup <= 1.0
+    _report(7, ok, f"decay quotient sup over [0.1, 1] = {sup:.3e} <= 1")
 
 
 def test_criterion_08_picard_contraction():

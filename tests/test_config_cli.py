@@ -358,11 +358,16 @@ class TestOneEvaluationPerStepTime:
         assert len(metrics) <= 2 * (traj.nsteps + 1)
 
     def test_picard(self, count_calls):
-        from evolvesurf import operator
+        from evolvesurf import geometry, operator
         assembled = count_calls(operator, "assemble_L")
-        report, traj = run_pipeline(parse_config(MOVING), "picard")
+        metrics = count_calls(geometry, "metric_fields")
+        cfg = parse_config(MOVING)
+        report, traj = run_pipeline(cfg, "picard")
         assert report.picard_history.converged and not report.failures
         assert len(assembled) == traj.nsteps + 1
+        # one scan per scan time; the direct march's full-mesh metric and the
+        # energy ledger's cell-centre one per step time
+        assert len(metrics) <= cfg.scan_times + 2 * (traj.nsteps + 1)
 
 
 class TestOutputs:
@@ -388,7 +393,7 @@ class TestOutputs:
         cfg, _, manifest = self._run(tmp_path)
         energy = Path(cfg.out_dir) / "energy.csv"
         header = energy.read_text().splitlines()[0]
-        assert header == "time,mass,dissipation,residual_abs,residual_rel"
+        assert header == "time,mass,dissipation,dilation,residual_abs,residual_rel"
 
     def test_flat_snapshot_embeds_identity(self, tmp_path):
         cfg, _, _ = self._run(tmp_path, snapshot_stride=20)
@@ -461,17 +466,22 @@ class TestOutputs:
         b2 = (Path(cfg2.out_dir) / "conditions.csv").read_bytes()
         assert b1 == b2
 
-    def test_whole_solve_run_is_byte_reproducible(self, tmp_path):
-        # every file of a moving solve, snapshots and energy.csv included, is
-        # byte-identical for one seed; report.txt differs only in its time_* lines
-        runs = [self._run(tmp_path / side, surface_preset="graph_oscillation",
+    @pytest.mark.parametrize("subcommand,written", [
+        ("solve", {"report.txt", "energy.csv", "snapshot_0000.vtk", "snapshot_0020.vtk"}),
+        ("picard", {"report.txt", "conditions.csv", "energy.csv", "picard.csv"}),
+    ])
+    def test_whole_solve_run_is_byte_reproducible(self, tmp_path, subcommand, written):
+        # every file of a moving solve or picard run, snapshots and CSVs
+        # included, is byte-identical for one seed; report.txt differs only in
+        # its time_* lines
+        runs = [self._run(tmp_path / side, subcommand=subcommand,
+                          surface_preset="graph_oscillation",
                           surface_params={"epsilon": 0.05, "omega": 1.0},
                           seed=11, snapshot_stride=10)
                 for side in ("a", "b")]
         names = [[Path(p).name for p in manifest] for _, _, manifest in runs]
         assert names[0] == names[1]
-        assert {"report.txt", "energy.csv", "snapshot_0000.vtk",
-                "snapshot_0020.vtk"} <= set(names[0])
+        assert written <= set(names[0])
         for name in names[0]:
             b1, b2 = ((Path(cfg.out_dir) / name).read_bytes() for cfg, _, _ in runs)
             if name == "report.txt":

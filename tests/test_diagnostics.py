@@ -1,5 +1,6 @@
-import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,25 +8,24 @@ from numpy.testing import assert_allclose
 
 from evolvesurf import (
     ParameterError,
-    decay_report,
-    energy_report,
     make_chart,
     make_diffusion,
     make_grid,
     manufactured_solution,
     material_derivative,
     mms_convergence,
-    regularity_report,
     solve_direct,
     surface_grad_sq,
     surface_integral,
     transport_identity_residual,
 )
 from evolvesurf.diagnostics import (
+    EnergyBalance,
     _cell_center_gradients,
     _grad_sq,
     _mass,
     manufactured_forcing,
+    report_observer,
     surface_gradient_components,
     solve_reported,
     surface_mass,
@@ -120,43 +120,87 @@ class TestEnergyReport:
     def test_flat_eigenmode_balance(self, flat, const_kappa, eigenmode):
         # closed form: mass(t) = e^{-4 pi^2 t}/8, dissipation = (1-e^{-4pi^2 t})/8
         grid = make_grid((0, 1, 0, 1), 63, 63)
-        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.05, 1e-3)
-        led = energy_report(traj, flat, const_kappa, grid)
+        _, led, _, _ = solve_reported(flat, const_kappa, grid, eigenmode(grid), 0.05, 1e-3)
         assert led.mass[0] == pytest.approx(0.125, rel=1e-3)
         k = 25
         t = float(led.times[k])
         assert led.mass[k] == pytest.approx(0.125 * math.exp(-4 * math.pi ** 2 * t), rel=5e-3)
         assert led.max_rel_residual() <= 1e-3
         assert np.all(np.diff(led.dissipation) >= 0.0)
+        assert not np.any(led.dilation)   # a rigid chart does not dilate
 
     def test_zero_trajectory_zero_residuals(self, flat, const_kappa, unit_grid):
-        traj = solve_direct(flat, const_kappa, unit_grid,
-                            np.zeros(unit_grid.ndof), 0.02, 2e-3)
-        led = energy_report(traj, flat, const_kappa, unit_grid)
-        assert_allclose(led.residual_abs, 0.0)
+        ledger = EnergyBalance(unit_grid)
+        traj = solve_direct(flat, const_kappa, unit_grid, np.zeros(unit_grid.ndof), 0.02, 2e-3,
+                            observers=(report_observer((ledger,), unit_grid),))
+        assert_allclose(ledger.result(traj).residual_abs, 0.0)
 
     def test_residual_refines_on_moving_surface(self, const_kappa, eigenmode):
         chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.05, omega=1.0)
         residuals = []
         for n, dt in ((15, 4e-3), (31, 2e-3)):
             g = make_grid((0, 1, 0, 1), n, n)
-            traj = solve_direct(chart, const_kappa, g, eigenmode(g), 0.05, dt)
-            residuals.append(energy_report(traj, chart, const_kappa, g).max_rel_residual())
+            _, led, _, _ = solve_reported(chart, const_kappa, g, eigenmode(g), 0.05, dt)
+            residuals.append(led.max_rel_residual())
         assert residuals[1] <= residuals[0] / 2.0  # order >= 1
+
+    @pytest.mark.parametrize("name,params", [
+        ("isotropic_scaling", {"gamma": 0.5}),
+        ("graph_oscillation", {"epsilon": 0.5, "omega": 5.0}),
+    ])
+    def test_dilating_surface_residual_is_second_order(self, name, params, const_kappa,
+                                                       eigenmode):
+        # with the dilation term -1/2 int u^2 div V the balance converges at
+        # order 2 under joint refinement; without it the residual stalls
+        # (about 2e-2 on the scaling chart at every level)
+        t0 = time.perf_counter()
+        chart = make_chart(name, horizon=1.0, **params)
+        residuals = []
+        for n, dt in ((15, 4e-3), (31, 2e-3), (63, 1e-3)):
+            g = make_grid((0, 1, 0, 1), n, n)
+            _, led, _, _ = solve_reported(chart, const_kappa, g, eigenmode(g), 0.05, dt)
+            residuals.append(led.max_rel_residual())
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(residuals, residuals[1:])]
+        elapsed = time.perf_counter() - t0
+        assert min(orders) >= 1.8, f"residuals {residuals}, orders {orders}"
+        assert elapsed < 20.0
+
+    def test_reports_store_eight_bytes_per_value(self, flat, const_kappa):
+        # a long march on a tiny grid: the reports hold float64 values, not
+        # Python floats (about 32 B each with the list slot)
+        grid = make_grid((0, 1, 0, 1), 3, 3)
+        dt, nsteps = 1e-4, 4000
+        reports = (EnergyBalance(grid), diagnostics._Decay(grid),
+                   diagnostics._Regularity(grid, dt))
+        observer = report_observer(reports, grid)
+        tracemalloc.start()
+        try:
+            traj = solve_direct(flat, const_kappa, grid, np.ones(grid.ndof), nsteps * dt, dt,
+                                observers=(observer,), stride=nsteps)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # three values per step in the ledger, one in the decay report, two
+        # in the regularity report; 10 B each leaves room for the growth
+        # reserve of the arrays, and 64 KiB for the solver's set-up
+        values = 6 * (nsteps + 1)
+        assert held - traj.times.nbytes <= 10 * values + 64 * 1024
 
 
 class TestDecayReport:
-    def test_flat_eigenmode_ratio_tiny_at_t1(self, flat, const_kappa, eigenmode):
+    def test_flat_eigenmode_sup_at_the_hump(self, flat, const_kappa, eigenmode):
+        # sup_t sqrt(t) e^{-2 pi^2 t} / 2 over the step times, divided by
+        # ||u0||_{W^{1,2}} = hypot(1/2, pi/sqrt(2)); the hump is t = 1/(4 pi^2)
         grid = make_grid((0, 1, 0, 1), 31, 31)
-        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 1.0, 5e-3)
-        rep = decay_report(traj, flat, grid, t_min=0.99)
-        # sqrt(1) * (e^{-2 pi^2}/2) / ||u0||_{W^{1,2}} ~ 5.9e-10
-        assert rep["sup_bound"] == pytest.approx(5.9e-10, rel=0.3)
+        traj, _, rep, _ = solve_reported(flat, const_kappa, grid, eigenmode(grid), 1.0, 5e-3)
+        t = traj.times[1:]
+        hump = np.max(np.sqrt(t) * 0.5 * np.exp(-2.0 * math.pi ** 2 * t))
+        assert rep["sup_bound"] == pytest.approx(
+            hump / math.hypot(0.5, math.pi / math.sqrt(2.0)), rel=2e-3)
 
     def test_sup_bound_below_one_and_monotone(self, flat, const_kappa, eigenmode):
         grid = make_grid((0, 1, 0, 1), 31, 31)
-        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 1.0, 5e-3)
-        rep = decay_report(traj, flat, grid, t_min=0.1)
+        _, _, rep, _ = solve_reported(flat, const_kappa, grid, eigenmode(grid), 1.0, 5e-3)
         assert rep["sup_bound"] <= 1.0
         assert rep["monotone"]
 
@@ -171,10 +215,8 @@ class TestDecayReport:
         assert ratios[k2] < ratios[k1]
 
     def test_zero_datum_rejected(self, flat, const_kappa, unit_grid):
-        traj = solve_direct(flat, const_kappa, unit_grid,
-                            np.zeros(unit_grid.ndof), 0.02, 2e-3)
-        with pytest.raises(ParameterError):
-            decay_report(traj, flat, unit_grid)
+        with pytest.raises(ParameterError, match="decay quotient undefined"):
+            solve_reported(flat, const_kappa, unit_grid, np.zeros(unit_grid.ndof), 0.02, 2e-3)
 
 
 class TestMaterialDerivative:
@@ -206,6 +248,12 @@ class TestMaterialDerivative:
         with pytest.raises(ParameterError):
             material_derivative(traj, 0)
 
+    def test_strided_trajectory_rejected(self, flat, const_kappa, eigenmode):
+        grid = make_grid((0, 1, 0, 1), 8, 8)
+        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.01, 1e-3, stride=2)
+        with pytest.raises(ParameterError, match="this one keeps one row per 2 steps"):
+            material_derivative(traj, 1)
+
 
 class TestTransportIdentity:
     @pytest.mark.parametrize("name,params", [
@@ -223,8 +271,7 @@ class TestTransportIdentity:
 class TestRegularityReport:
     def test_quotient_finite_and_stable(self, flat, const_kappa, eigenmode):
         grid = make_grid((0, 1, 0, 1), 24, 24)
-        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.2, 5e-3)
-        rep = regularity_report(traj, flat, const_kappa, grid)
+        *_, rep = solve_reported(flat, const_kappa, grid, eigenmode(grid), 0.2, 5e-3)
         assert np.isfinite(rep["quotient"])
         # eigenmode closed form: both time and diffusion norms equal
         # 2 pi^2 sqrt(int e^{-4pi^2 t} u0^2) ~ mild O(1) numbers
@@ -239,11 +286,8 @@ class TestStaticChartDiagnostics:
     CHART = make_chart("translating_patch", domain=GRID.domain, horizon=1.0, c=1.2)
     KAPPA = make_diffusion("sinusoidal", base=1.0, amp=0.2)
 
-    def _march(self, T):
-        return solve_direct(self.CHART, self.KAPPA, self.GRID, _bump(self.GRID), T, 5e-3)
-
-    def _reports(self, traj, chart, kappa, monkeypatch):
-        """The three reports and the number of metric_fields calls they made."""
+    def _reports(self, T, monkeypatch):
+        """The march with its three reports, and the number of metric_fields calls made."""
         calls = 0
         real = diagnostics.metric_fields
 
@@ -255,27 +299,21 @@ class TestStaticChartDiagnostics:
         with monkeypatch.context() as m:
             m.setattr(diagnostics, "metric_fields", counting)
             m.setattr(operator, "metric_fields", counting)
-            reps = (energy_report(traj, chart, kappa, self.GRID),
-                    decay_report(traj, chart, self.GRID),
-                    regularity_report(traj, chart, kappa, self.GRID))
-        return reps, calls
+            out = solve_reported(self.CHART, self.KAPPA, self.GRID, _bump(self.GRID), T, 5e-3)
+        return out, calls
 
     def test_equal_to_per_step_evaluation(self, monkeypatch):
-        traj = self._march(0.1)
-        (led, dec, reg), _ = self._reports(traj, self.CHART, self.KAPPA, monkeypatch)
-        # the same chart and diffusivity flagged as moving are evaluated per step
-        moving = dataclasses.replace(self.CHART, static_metric=False)
-        varying = dataclasses.replace(self.KAPPA, time_independent=False)
-        (led_ref, dec_ref, reg_ref), n_ref = self._reports(traj, moving, varying, monkeypatch)
-        assert n_ref > 3 * traj.nsteps
-        for name in ("times", "mass", "dissipation", "residual_abs", "residual_rel"):
-            assert np.array_equal(getattr(led, name), getattr(led_ref, name))
+        (traj, led, dec, reg), _ = self._reports(0.1, monkeypatch)
+        led_ref, dec_ref, reg_ref = _per_step_reports(traj, self.CHART, self.KAPPA, self.GRID)
+        for name, ref in led_ref.items():
+            assert np.array_equal(getattr(led, name), ref)
+        assert not np.any(led.dilation)
         assert dec == dec_ref
         assert reg == reg_ref
 
     def test_metric_calls_independent_of_nsteps(self, monkeypatch):
-        _, n_short = self._reports(self._march(0.05), self.CHART, self.KAPPA, monkeypatch)
-        _, n_long = self._reports(self._march(0.2), self.CHART, self.KAPPA, monkeypatch)
+        _, n_short = self._reports(0.05, monkeypatch)
+        _, n_long = self._reports(0.2, monkeypatch)
         assert n_short == n_long
 
 
@@ -284,29 +322,31 @@ def _per_step_reports(traj, chart, kappa, grid):
     X1, X2 = grid.interior_mesh()
     C1, C2 = grid.cell_center_mesh()
     nt = len(traj.times)
-    mass, rate, norms = np.empty(nt), np.empty(nt), np.empty(nt)
+    mass, rate, dil_rate, norms = np.empty(nt), np.empty(nt), np.empty(nt), np.empty(nt)
     dt_sq, div_sq = np.empty(nt - 2), np.empty(nt - 2)
     for k, t in enumerate(traj.times):
         u = traj.fields[k]
         sqrtG = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG
         mf_c = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
         kap_c = np.broadcast_to(np.asarray(kappa.value(C1, C2, t), dtype=float), C1.shape)
+        d0 = coefficient_fields(chart, kappa, grid, t)["d0"]
         mass[k] = 0.5 * _mass(u, grid, sqrtG)
         rate[k] = _grad_sq(u, grid, mf_c, kap_c)
+        dil_rate[k] = 0.5 * _mass(u, grid, sqrtG * d0)
         norms[k] = math.sqrt(_mass(u, grid, sqrtG))
         if 0 < k < nt - 1:
             L = assemble_L(chart, kappa, grid, t)
-            d0 = coefficient_fields(chart, kappa, grid, t)["d0"].ravel()
             dt_sq[k - 1] = _mass(material_derivative(traj, k), grid, sqrtG)
-            div_sq[k - 1] = _mass(-(L @ u - d0 * u), grid, sqrtG)
+            div_sq[k - 1] = _mass(-(L @ u - d0.ravel() * u), grid, sqrtG)
     diss = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (rate[1:] + rate[:-1]))])
-    resid = np.abs(mass + diss - mass[0])
+    dil = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (dil_rate[1:] + dil_rate[:-1]))])
+    resid = np.abs(mass + diss + dil - mass[0])
     w_decay = math.hypot(field_l2(traj.fields[0], grid),
                          half_power_norm(traj.fields[0], grid, 1.0, 1.0))
     mask = traj.times > 0.0
     dt_norm = math.sqrt(np.sum(traj.dt * dt_sq))
     div_norm = math.sqrt(np.sum(traj.dt * div_sq))
-    ledger = {"times": traj.times, "mass": mass, "dissipation": diss,
+    ledger = {"times": traj.times, "mass": mass, "dissipation": diss, "dilation": dil,
               "residual_abs": resid, "residual_rel": resid / mass[0]}
     decay = {"sup_bound": float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_decay),
              "monotone": bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))}
@@ -337,13 +377,11 @@ class TestReportsFromStepFrames:
                               solve_direct(chart, kappa, grid, _bump(grid), 0.03, 2e-3,
                                            theta=theta).fields)
         led_ref, dec_ref, reg_ref = _per_step_reports(traj, chart, kappa, grid)
-        standalone = (energy_report(traj, chart, kappa, grid), decay_report(traj, chart, grid),
-                      regularity_report(traj, chart, kappa, grid))
-        for ledger, decay, regularity in ((led, dec, reg), standalone):
-            for name, ref in led_ref.items():
-                assert np.array_equal(getattr(ledger, name), ref)
-            assert decay == dec_ref
-            assert regularity == reg_ref
+        for name, ref in led_ref.items():
+            assert np.array_equal(getattr(led, name), ref)
+        assert np.any(led.dilation)
+        assert dec == dec_ref
+        assert reg == reg_ref
 
     def test_short_march_has_no_regularity_report(self, flat, const_kappa, eigenmode):
         grid = make_grid((0, 1, 0, 1), 8, 8)
@@ -358,24 +396,15 @@ class TestReportsFromStepFrames:
             solve_reported(flat, const_kappa, grid, np.zeros(grid.ndof), 0.01, 1e-3)
 
     def test_one_surface_mass_per_step_for_ledger_and_decay(self, count_calls):
-        # v_k once for the ledger and the decay report, plus the material
-        # derivative and the diffusion term at the interior steps
+        # v_k once for the ledger and the decay report, once more weighted by
+        # the dilation rate for the ledger, plus the material derivative and
+        # the diffusion term at the interior steps
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 8)
         chart = make_chart("translating_patch", domain=grid.domain, horizon=1.0, c=1.0)
         kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
         calls = count_calls(diagnostics, "_mass")
         traj, *_ = solve_reported(chart, kappa, grid, _bump(grid), 0.02, 1e-3, stride=10)
-        assert len(calls) == (traj.nsteps + 1) + 2 * (traj.nsteps - 1)
-
-    def test_finished_reports_need_every_step(self, flat, const_kappa, eigenmode):
-        grid = make_grid((0, 1, 0, 1), 8, 8)
-        traj = solve_direct(flat, const_kappa, grid, eigenmode(grid), 0.01, 1e-3, stride=2)
-        for read in (lambda: energy_report(traj, flat, const_kappa, grid),
-                     lambda: decay_report(traj, flat, grid),
-                     lambda: regularity_report(traj, flat, const_kappa, grid),
-                     lambda: material_derivative(traj, 1)):
-            with pytest.raises(ParameterError, match="this one keeps one row per 2 steps"):
-                read()
+        assert len(calls) == 2 * (traj.nsteps + 1) + 2 * (traj.nsteps - 1)
 
 
 class TestMMSEvaluations:

@@ -39,9 +39,6 @@ from evolvesurf.coefficients import (  # noqa: E402
 from evolvesurf.config import RunConfig, parse_config, serialize_config  # noqa: E402
 from evolvesurf.diagnostics import (  # noqa: E402
     SOLUTION_PARTIALS,
-    decay_report,
-    energy_report,
-    regularity_report,
     solve_reported,
 )
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
@@ -225,25 +222,24 @@ def test_picard_converges_to_the_direct_march(grid, chart, diffusion, theta, dt,
        seed=st.integers(0, 2 ** 16))
 def test_strided_march_keeps_the_full_rows_and_reports(grid, chart, diffusion, theta, dt,
                                                        nsteps, stride, seed):
-    # the kept rows of every stride-th step, and reports read from the
+    # the kept rows of every stride-th step, and the reports read from the
     # march's window, are the bits of the march that keeps every step and of
-    # the standalone reports of its trajectory; a stride above nsteps keeps
-    # only the datum
+    # its reports; a stride above nsteps keeps only the datum
     name, params = chart
     chart = make_chart(name, domain=grid.domain, horizon=nsteps * dt, **params)
     kappa = make_diffusion(diffusion)
     v0 = np.random.default_rng(seed).standard_normal(grid.ndof)
-    full = solve_direct(chart, kappa, grid, v0, nsteps * dt, dt, theta=theta)
+    full, ref, decay_ref, regularity_ref = solve_reported(chart, kappa, grid, v0, nsteps * dt,
+                                                          dt, theta=theta)
     traj, ledger, decay, regularity = solve_reported(chart, kappa, grid, v0, nsteps * dt, dt,
                                                      theta=theta, stride=stride)
     assert traj.steps == range(0, full.nsteps + 1, stride)
     assert traj.times.tobytes() == full.times.tobytes()
     assert traj.fields.tobytes() == full.fields[::stride].tobytes()
-    ref = energy_report(full, chart, kappa, grid)
-    for key in ("times", "mass", "dissipation", "residual_abs", "residual_rel"):
+    for key in ("times", "mass", "dissipation", "dilation", "residual_abs", "residual_rel"):
         assert getattr(ledger, key).tobytes() == getattr(ref, key).tobytes()
-    assert decay == decay_report(full, chart, grid)
-    assert regularity == regularity_report(full, chart, kappa, grid)
+    assert decay == decay_ref
+    assert regularity == regularity_ref
 
 
 # the presets whose operator moves, with parameters that keep it moving
