@@ -20,8 +20,8 @@ dissipation(t) + dilation(t) - mass(0) is its residual.
 The three reports are march observers, and the march is the only way they
 are computed.  Each reads each step time from the march's StepFrame
 (``operator``): the interior-node metric is a slice of the frame's full-mesh
-metric, the regularity report takes L(t_k) and the dilation rate from it,
-and the energy ledger adds the frame's cell-centre metric and diffusivity.
+metric, the regularity report reads its dilation rate beside the march's
+L(t_k) v_k, and the energy ledger adds the cell-centre metric and diffusivity.
 ``report_observer`` feeds the reports, per step time, the frame, the march's
 three-level window (v_{k-1}, v_k, v_{k+1}) and the surface mass of v_k, which
 the energy ledger and the decay report share; a report's result reads the
@@ -179,8 +179,7 @@ class EnergyBalance:
         self.mass.append(0.5 * mass)
         self.diss_rate.append(_grad_sq(u, self.grid, *frame.centre))
         # 0.5 v^T W D0 v, W = diag(sqrt(G) h1 h2)
-        sqrtG_d0 = frame.interior_sqrtG * frame.coefficients["d0"]
-        self.dil_rate.append(0.5 * _mass(u, self.grid, sqrtG_d0))
+        self.dil_rate.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG_d0))
 
     def result(self, traj):
         mass = np.array(self.mass)
@@ -239,9 +238,8 @@ class _Regularity:
         # the material derivative of ``material_derivative``, from the window
         self.dt_sq.append(_mass((nxt - prev) / (2.0 * self.dt), self.grid, sqrtG))
         # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u,
-        # with the product L u of the march's right-hand side where it formed one
-        Lu = frame.L @ u if Lv is None else Lv
-        div_vals = -(Lu - frame.coefficients["d0"].ravel() * u)
+        # with the march's product Lv = L(t_k) u, which every k >= 1 has
+        div_vals = -(Lv - frame.coefficients["d0"].ravel() * u)
         self.div_sq.append(_mass(div_vals, self.grid, sqrtG))
 
     def result(self, traj):

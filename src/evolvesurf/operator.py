@@ -258,6 +258,11 @@ class StepFrame:
         return np.ascontiguousarray(self.coefficients["R_int"])
 
     @functools.cached_property
+    def interior_sqrtG_d0(self):
+        """sqrt(G) d0 on the interior nodes, the weight of the energy ledger's dilation rate."""
+        return self.interior_sqrtG * self.coefficients["d0"]
+
+    @functools.cached_property
     def L(self):
         return assemble_L(self.chart, self.kappa, self.grid, self.t,
                           coefficients=self.coefficients)
@@ -652,11 +657,3 @@ class SineBasis:
         """Grid functions, shape (..., ndof), from mode coefficients (..., n1, n2)."""
         out = self._S1 @ coeffs @ self._S2
         return out.reshape(out.shape[:-2] + (-1,))
-
-
-def shifted_A_solver(grid, lambda1, lambda2, shift):
-    """Callable r -> (I + shift A)^{-1} r for A = assemble_A(grid, lambda1, lambda2).
-
-    Divides by 1 + shift (lambda1 mu1_k + lambda2 mu2_l) in the SineBasis.
-    """
-    return SineBasis(grid, lambda1, lambda2).shifted_solver(lambda1, lambda2, shift)

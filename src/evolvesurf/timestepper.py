@@ -17,7 +17,8 @@ whose forcing carries the previous iterate) call it.
 Every implicit step solves (I + theta dt L(t_{k+1})) v_{k+1} = rhs and is
 accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
 otherwise StepSolveError names the step, time, residual and solver (LU,
-DST-I, or GMRES with its iteration count).
+DST-I, or GMRES with its iteration count).  The gate forms L(t_{k+1}) v_{k+1}
+once, and step k+1 reuses it for its right-hand side.
 The comparison operator A of a Picard stage is inverted exactly by DST-I in
 its sine eigenbasis (``operator.SineBasis``: dense products with the sine
 matrix of each axis, O(n1 n2 (n1 + n2)) per step) and no factorization.  Any
@@ -47,12 +48,12 @@ and the direct march the Picard agreement compares against need; the CLI
 ``solve`` keeps only the snapshots it writes.  Observers are called as
 ``observer(k, frame, window, Lv)`` at every step k in order, with the frame
 of t_k while the march holds it, the window (v_{k-1}, v_k, v_{k+1}) (None
-beyond the first and last step) and the product L(t_k) v_k the step formed
-for its right-hand side (None when it formed none), so the regularity report
-does not form it again.  The energy, decay and regularity reports of
-``diagnostics`` are observers (the march is the only way they are computed),
-and so is the collector of ``cli.run_picard`` that hands the L(t_k) of the
-direct march to the Picard stages beside that march's energy ledger.
+beyond the first and last step) and the gate's product Lv = L(t_k) v_k
+(None only at k = 0 under backward Euler), which the regularity report
+reads.  The energy, decay and regularity reports of ``diagnostics`` are
+observers (the march is the only way they are computed), and so is the
+collector of ``cli.run_picard`` that hands the L(t_k) of the direct march to
+the Picard stages beside that march's energy ledger.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import ParameterError, PicardDivergenceError, StepSolveError
 from .operator import (SineBasis, StepFrames, assemble_A, factorize, field_l2,
-                       shifted_A_solver, stencil_weights)
+                       stencil_weights)
 
 SOLVE_TOL = 1e-10
 # GMRES iterates to roundoff, well inside the SOLVE_TOL gate, so a moving
@@ -204,9 +205,9 @@ class _ThetaMarcher:
     LU per march for any other static operator, and DST-preconditioned GMRES
     for a moving one.  The SineBasis of its preconditioners (the sine
     matrices and the eigenvalue axes mu1, mu2) is built once per marcher: a
-    step forms only lambda1 mu1 + lambda2 mu2 for its weights.  A static
-    system matrix is built once per marcher and kept for the residual gate,
-    so the stages of a Picard iteration share it.
+    step forms only lambda1 mu1 + lambda2 mu2 for its weights.  The solve of
+    a static operator is built once per marcher, so the stages of a Picard
+    iteration share it.
     """
 
     def __init__(self, dt, theta, frames, t0=0.0):
@@ -221,7 +222,7 @@ class _ThetaMarcher:
         self.static = frames.static
         self.grid = frames.grid
         self._held = {}      # step index -> StepFrame, at most two entries
-        self._direct = None  # (I + theta dt L, its solve, its name) of a static operator
+        self._direct = None  # (solve, name) of a static operator's system
         self._basis = None   # SineBasis of a moving march's preconditioners, built once
 
     def time(self, k):
@@ -237,45 +238,46 @@ class _ThetaMarcher:
     def L(self, k):
         return self.frame(k).L
 
-    def _static_solver(self, impl):
-        """(solve, name) for the system ``impl`` of a static operator: DST-I for A, else LU."""
+    def _system(self, L):
+        """I + theta dt L, a scaled copy of L with 1 added to its main diagonal."""
+        impl = self.theta * self.dt * L
+        impl.data[impl.offsets == 0] += 1.0
+        return impl
+
+    def _static_solver(self, L):
+        """(solve, name) of the system of a static operator L: DST-I for A, else one LU."""
         weights = getattr(self.frames, "A_weights", None)
         if weights is None:
-            return factorize(impl).solve, "LU"
-        return shifted_A_solver(self.grid, *weights, self.theta * self.dt), "DST-I"
+            return factorize(self._system(L)).solve, "LU"
+        return SineBasis(self.grid, *weights).shifted_solver(*weights, self.theta * self.dt), "DST-I"
 
     def solve(self, k, rhs, guess):
-        """Solve (I + theta dt L(t_k)) v = rhs; raises StepSolveError above SOLVE_TOL.
+        """(v, L(t_k) v) for (I + theta dt L(t_k)) v = rhs; StepSolveError above SOLVE_TOL.
 
         ``guess`` starts the GMRES of a moving operator; a static one ignores it.
         """
         scale = np.linalg.norm(rhs)
         if scale == 0.0:
-            return np.zeros_like(rhs)
-        # the system is a DIA sum on the diagonals of L; a static march builds
-        # it once and keeps it with its solver, a moving one (whose _direct
-        # stays None) builds it every step
-        if self._direct is None:
-            L = self.L(k)
-            impl = self.theta * self.dt * L   # a scaled copy; L stays as it is
-            impl.data[impl.offsets == 0] += 1.0
-            if self.static:
-                self._direct = (impl, *self._static_solver(impl))
+            return np.zeros_like(rhs), np.zeros_like(rhs)
+        L = self.L(k)
         iterations = None
         if self.static:
-            impl, direct, solver = self._direct
+            self._direct = self._direct or self._static_solver(L)
+            direct, solver = self._direct
             v = direct(rhs)
         else:
             lam1, lam2 = stencil_weights(L, self.grid)
             if self._basis is None:
                 self._basis = SineBasis(self.grid, lam1, lam2)
             precond = self._basis.shifted_solver(lam1, lam2, self.theta * self.dt)
-            v, iterations = _gmres(impl, precond, rhs, guess, KRYLOV_RTOL * scale, KRYLOV_MAXITER)
+            v, iterations = _gmres(self._system(L), precond, rhs, guess,
+                                   KRYLOV_RTOL * scale, KRYLOV_MAXITER)
             solver = "GMRES"
-        resid = np.linalg.norm(impl @ v - rhs) / scale
+        Lv = L @ v
+        resid = np.linalg.norm(v + self.theta * self.dt * Lv - rhs) / scale
         if not np.isfinite(resid) or resid > SOLVE_TOL:
             raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
-        return v
+        return v, Lv
 
     def march(self, v0, nsteps, forcing=None, observers=(), stride=1):
         """Trajectory of ``nsteps`` steps from the flat datum ``v0`` at t0.
@@ -286,11 +288,11 @@ class _ThetaMarcher:
         time, in order.  Each of ``observers`` is called as
         ``observer(k, frame, window, Lv)`` for k = 0..nsteps in order, with the
         frame of t_k while the march holds it and the window (v_{k-1}, v_k,
-        v_{k+1}), None beyond either end.  ``Lv`` is the product L(t_k) v_k
-        that step k formed for its right-hand side (theta < 1 and k < nsteps),
-        else None.  The march keeps the rows of every ``stride``-th step; a
-        step count whose step times or kept rows do not fit in memory raises
-        ParameterError before the first step.
+        v_{k+1}), None beyond either end.  ``Lv`` is L(t_k) v_k, formed once
+        by step k-1's residual gate and reused for step k's right-hand side
+        (None only at k = 0 under backward Euler).  The march keeps the rows
+        of every ``stride``-th step; a step count whose step times or kept
+        rows do not fit in memory raises ParameterError before the first step.
         """
         dt, theta = self.dt, self.theta
         if stride < 1:
@@ -308,24 +310,24 @@ class _ThetaMarcher:
                 f"{nsteps} steps do not fit in memory: their {nsteps + 1} step times and "
                 f"{nkept} kept rows of {self.grid.ndof} values take {nbytes} bytes") from None
         f_old = None if forcing is None else forcing(0)
+        Lv = self.L(0) @ v0 if theta < 1.0 else None   # later steps reuse the gate's product
         prev, cur = None, v0
         for k in range(nsteps + 1):
-            Lv = nxt = None
+            nxt = L_nxt = None
             if k < nsteps:
                 rhs = cur.copy()
                 if theta < 1.0:
-                    Lv = self.L(k) @ cur
                     rhs = rhs - (1.0 - theta) * dt * Lv
                 f_new = None if forcing is None else forcing(k + 1)
                 if f_new is not None:
                     rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
-                nxt = self.solve(k + 1, rhs, guess=cur)
+                nxt, L_nxt = self.solve(k + 1, rhs, guess=cur)
                 f_old = f_new
             if k % stride == 0:
                 kept[k // stride] = cur
             for observe in observers:
                 observe(k, self.frame(k), (prev, cur, nxt), Lv)
-            prev, cur = cur, nxt
+            prev, cur, Lv = cur, nxt, L_nxt
         return Trajectory(times, kept, dt, self.grid, stride)
 
 
@@ -379,7 +381,8 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, obse
     identically zero by construction.  ``observers`` are as in
     ``_ThetaMarcher.march``: each is called as ``observer(k, frame, window,
     Lv)`` with the StepFrame of t_k, the window (v_{k-1}, v_k, v_{k+1}) and
-    the product L(t_k) v_k when the step formed it (else None).
+    the product L(t_k) v_k of step k-1's residual gate (None only at k = 0
+    under backward Euler).
     """
     vals = _prepare_v0(v0, grid)
     marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import evolvesurf
 from evolvesurf import make_chart, make_diffusion, make_grid
@@ -76,6 +77,20 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def count_dia_products(patch):
+    """List that records, through the MonkeyPatch ``patch``, the matrix of
+    every DIA matrix-vector product."""
+    products = []
+    matvec = sp.dia_matrix._matmul_vector
+
+    def counting(self, other):
+        products.append(self)
+        return matvec(self, other)
+
+    patch.setattr(sp.dia_matrix, "_matmul_vector", counting)
+    return products
 
 
 # A process's ru_maxrss keeps the peak of the process it was forked from

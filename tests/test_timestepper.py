@@ -29,7 +29,7 @@ from evolvesurf import (
     user_chart,
     z_norm,
 )
-from evolvesurf.diagnostics import manufactured_forcing, manufactured_solution
+from evolvesurf.diagnostics import manufactured_forcing, manufactured_solution, solve_reported
 from evolvesurf.geometry import metric_fields
 from evolvesurf import operator
 from evolvesurf.operator import field_l2
@@ -37,6 +37,7 @@ from evolvesurf import timestepper
 from evolvesurf.operator import StepFrames
 from evolvesurf.timestepper import Trajectory
 
+from conftest import count_dia_products
 from test_geometry import dense_meshes
 from test_operator import assembled_by_coo, lowest_discrete_eigenvalue
 
@@ -469,6 +470,25 @@ class TestImplicitSolve:
         solve_direct(chart, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3)
         assert len(calls) == lus
 
+    @pytest.mark.parametrize("theta,products", [(0.5, 11), (1.0, 10)])
+    def test_one_L_product_per_step_time(self, flat, const_kappa, unit_grid, eigenmode,
+                                         monkeypatch, theta, products):
+        # the residual gate's L(t_{k+1}) v_{k+1} is the next right-hand side's
+        # product and the reports' Lv; only step 0 forms one more, for theta < 1
+        v0 = eigenmode(unit_grid)
+        formed = count_dia_products(monkeypatch)
+        traj = solve_reported(flat, const_kappa, unit_grid, v0, 0.01, 1e-3, theta=theta)[0]
+        assert traj.nsteps == 10
+        assert len(formed) == products
+        assert all(L is formed[0] for L in formed)   # the one static frame's L
+        # a Picard stage solves with A by DST-I and gates on A v
+        stage = timestepper._ThetaMarcher(1e-3, theta,
+                                          timestepper._ComparisonStage(unit_grid, 1.0, 1.0))
+        formed.clear()
+        stage.march(v0, 10)
+        assert len(formed) == products
+        assert all(A is stage.frames.L for A in formed)
+
     def test_one_preconditioner_apply_per_krylov_iteration(self, graph, const_kappa, unit_grid,
                                                             eigenmode, monkeypatch):
         # right preconditioning applies P^{-1} once per Arnoldi step: not to the
@@ -483,7 +503,8 @@ class TestImplicitSolve:
         v = traj.fields[-1]
         marcher = timestepper._ThetaMarcher(1e-3, 0.5, StepFrames(graph, const_kappa, unit_grid))
         applies = len(forward)
-        assert marcher.solve(traj.nsteps, system @ v, guess=v).tobytes() == v.tobytes()
+        solved, _ = marcher.solve(traj.nsteps, system @ v, guess=v)
+        assert solved.tobytes() == v.tobytes()
         assert iterations[-1] == 0
         assert len(forward) == applies
 
@@ -609,6 +630,92 @@ class TestPicardStageSolve:
         assert len(calls) == 1
 
 
+def _sine_modes(values, grid):
+    """Coefficients (..., n1, n2) of grid functions (..., ndof) in the orthonormal DST-I basis."""
+    S1, S2 = (math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+              for n in (grid.n1, grid.n2) for k in [np.arange(1, n + 1)])
+    return S1 @ np.reshape(values, np.shape(values)[:-1] + (grid.n1, grid.n2)) @ S2
+
+
+def _modal_march(rates, w0, dt, theta, forcing=None):
+    """Theta march of dw/dt + rates(t_k) w = forcing(t_k), mode by mode."""
+    w = [w0]
+    for k in range(len(rates) - 1):
+        rhs = (1.0 - (1.0 - theta) * dt * rates[k]) * w[-1]
+        if forcing is not None:
+            rhs = rhs + dt * (theta * forcing[k + 1] + (1.0 - theta) * forcing[k])
+        w.append(rhs / (1.0 + theta * dt * rates[k + 1]))
+    return np.array(w)
+
+
+def _modal_z_norm(w, a, times, dt, grid):
+    """``z_norm`` of a modal trajectory: the orthonormal basis keeps every l2 norm."""
+    def norm(x):
+        return math.sqrt(grid.h1 * grid.h2 * np.sum(x * x))
+
+    dw = np.concatenate([[w[1] - w[0]], (w[2:] - w[:-2]) / 2.0, [w[-1] - w[-2]]]) / dt
+    weights = np.full(len(w), dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    return (max(math.exp(-t) * norm(x) for t, x in zip(times, w))
+            + math.sqrt(sum(c * norm(x) ** 2 for c, x in zip(weights, dw)))
+            + math.sqrt(sum(c * norm(a * x) ** 2 for c, x in zip(weights, w))))
+
+
+class TestSineModeReference:
+    """On isotropic_scaling with constant kappa the chart is x = e^{gamma t} X, so
+    G = e^{4 gamma t}, g^ab = e^{-2 gamma t} delta^ab and the dilation rate is
+    2 gamma: L(t) = kappa e^{-2 gamma t} (-Delta_h) + 2 gamma, A and B(t) = L(t) - A
+    are all diagonal in the sine basis, and every march is one scalar
+    theta-recurrence per mode."""
+
+    @pytest.mark.parametrize("domain,n1,n2", [((0.0, 1.0, 0.0, 1.0), 12, 12),
+                                              ((0.2, 1.7, -0.3, 0.6), 14, 9)],
+                             ids=["unit-square", "rectangle"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_direct_and_picard_march_each_mode(self, gamma, theta, domain, n1, n2):
+        grid = make_grid(domain, n1, n2)
+        chart = make_chart("isotropic_scaling", domain=domain, horizon=1.0, gamma=gamma)
+        kappa, T, dt = 1.3, 0.1, 5e-3
+        times = np.arange(21) * dt
+        mu1, mu2 = (4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+                    for n, h in ((n1, grid.h1), (n2, grid.h2)))
+        mu = mu1[:, None] + mu2[None, :]
+        ell = kappa * np.exp(-2.0 * gamma * times)[:, None, None] * mu + 2.0 * gamma
+        lam = kappa * math.exp(-gamma * T)   # A with the weights of L at the midpoint
+        a = lam * mu
+        v0 = np.random.default_rng(5).standard_normal(grid.ndof)
+        w0 = _sine_modes(v0, grid)
+        diffusion = make_diffusion("constant", value=kappa)
+
+        direct = solve_direct(chart, diffusion, grid, v0, T, dt, theta=theta)
+        ref = _modal_march(ell, w0, dt, theta)
+        assert np.max(np.abs(_sine_modes(direct.fields, grid) - ref)) <= \
+            1e-12 * np.max(np.abs(ref))
+
+        # tol = 1e-2 ends the iteration while consecutive iterates differ by
+        # about 1e-3 of their size: a difference of two iterates carries their
+        # rounding, so a diff norm near 1e-9 is known only to about 1e-7 of itself
+        picard, hist = solve_picard(chart, diffusion, grid, lam, lam, v0, T, dt,
+                                    tol=1e-2, theta=theta)
+        A = np.broadcast_to(a, ell.shape)
+        current = _modal_march(A, w0, dt, theta)
+        z_norms, diff_norms = [], []
+        for _ in range(hist.iterations):
+            nxt = _modal_march(A, w0, dt, theta, forcing=(a - ell) * current)
+            z_norms.append(_modal_z_norm(nxt, a, times, dt, grid))
+            diff_norms.append(_modal_z_norm(nxt - current, a, times, dt, grid))
+            current = nxt
+        assert hist.converged and hist.iterations >= 3
+        assert np.max(np.abs(_sine_modes(picard.fields, grid) - current)) <= \
+            1e-12 * np.max(np.abs(current))
+        ratios = [d / p for p, d in zip(diff_norms, diff_norms[1:])]
+        for got, want in ((hist.z_norms, z_norms), (hist.diff_norms, diff_norms),
+                          (hist.ratios, ratios)):
+            assert len(got) == len(want)
+            assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 class TestStepFrames:
     """The march evaluates each step time once and shows its frames to observers."""
 
@@ -624,8 +731,9 @@ class TestStepFrames:
             windows.append([None if v is None else v.copy() for v in window])
             refs.append(weakref.ref(frame))
             alive.append(sum(r() is not None for r in refs))
-            # the product of the step's right-hand side, handed over as it was formed
-            if theta < 1.0 and window[2] is not None:
+            # L(t_k) v_k as the march formed it: step k-1's residual gate, or the
+            # right-hand side of step 0; backward Euler forms none at k = 0
+            if k > 0 or theta < 1.0:
                 assert Lv.tobytes() == (frame.L @ window[1]).tobytes()
             else:
                 assert Lv is None
