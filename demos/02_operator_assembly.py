@@ -23,7 +23,7 @@ from evolvesurf.operator import max_abs_entry, operator_norm_est
 
 
 def part_norms(parts):
-    """L2 -> L2 norms of B1..B5: power iteration for B1..B4, max |d0| for the diagonal B5."""
+    """L2 -> L2 norms of B1..B5: Lanczos lower bounds for B1..B4, max |d0| for the diagonal B5."""
     return ([operator_norm_est(parts[f"B{i}"]) for i in range(1, 5)]
             + [np.abs(parts["B5"].diagonal()).max()])
 

@@ -383,8 +383,9 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
 
     The conditions and horizons use the theoretical C_A = 1.  The empirical
     C_star is the discrete constant of the first-order/zeroth-order
-    remainder: the power-iteration norms of the B2..B4 parts plus the exact
-    norm max |d0| of the diagonal B5, maximized over the scanned times.
+    remainder: the Lanczos norm estimates (``operator_norm_est``, lower
+    bounds) of the B2..B4 parts plus the exact norm max |d0| of the diagonal
+    B5, maximized over the scanned times.
     kappa <= 0 raises after the whole scan, a degenerate chart during it.
     """
     times = list(times)
@@ -395,7 +396,7 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     for t in times:
         parts = lower_order_parts(grid, mesh_coefficients(*scan.add(t)))
         b5_norm = float(np.abs(parts["B5"].diagonal()).max())   # B5 is diagonal
-        c_star = max(c_star, sum(operator_norm_est(parts[f"B{i}"], iters=50, seed=seed)
+        c_star = max(c_star, sum(operator_norm_est(parts[f"B{i}"], seed=seed)
                                  for i in (2, 3, 4)) + b5_norm)
     lam1, lam2 = scan.weights(margin)
     M, m1_mixed2 = scan.m_quantities(lam1, lam2)

@@ -20,7 +20,8 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
                       It returns the matrices only; ``operator_norm_est``
-                      estimates a part's L2 norm by power iteration.
+                      estimates a part's L2 norm from below by Lanczos on
+                      M^T M, with the transpose product of ``dia_transpose``.
 
 On a grid each operator is a set of stencil diagonals: the (di, dj)
 neighbor of node (i, j) lies on the diagonal di*n2 + dj.  ``_stencil_matrix``
@@ -57,6 +58,9 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# after scipy.sparse.linalg: imported before scipy.sparse, it made the import
+# of evolvesurf.cli 15-38 ms slower (medians of alternating pairs)
+import scipy.linalg
 
 from .errors import AssumptionViolationError, ParameterError
 from .geometry import metric_fields
@@ -417,27 +421,66 @@ def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
     return assemble_L(chart, kappa, grid, t) - assemble_A(grid, lambda1, lambda2)
 
 
-def operator_norm_est(m, iters=50, seed=0):
-    """Discrete L2->L2 operator norm by power iteration on M^T M."""
-    n = m.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+def dia_transpose(mat):
+    """Transpose of a square DIA matrix of this module, read off its diagonals.
+
+    Each diagonal is shifted by its offset and stored under the negated
+    offset, in ascending offset order, so a matvec with it sums each row in
+    column order, as a CSR matvec does; scipy's own DIA transpose stores the
+    offsets in descending order and would sum each row backwards.
+    """
+    n = mat.shape[0]
+    order = np.argsort(-mat.offsets)
+    data = np.zeros((len(order), n))
+    for row, diag, off in zip(data, mat.data[order], mat.offsets[order]):
+        lo, hi = max(0, -off), min(n, n - off)
+        if lo < hi:   # an offset past the matrix (an axis of one node) stores nothing
+            row[lo:hi] = diag[lo + off:hi + off]
+    return sp.dia_matrix((data, -mat.offsets[order]), shape=(n, n))
+
+
+def operator_norm_est(m, steps=15, seed=0):
+    """Discrete L2->L2 operator norm of ``m``, a lower bound from Lanczos on M^T M.
+
+    This is the V-recurrence of Golub-Kahan bidiagonalization: from the
+    ``default_rng(seed)`` normal vector, each step forms M^T M v with
+    ``dia_transpose`` and reorthogonalizes it against every kept basis
+    vector, a second time (DGKS) when the first pass removes more than
+    1 - 1/sqrt(2) of its norm.  It stops at breakdown, when the new norm is
+    at most n eps max |alpha| (the Krylov space is exhausted, as for a
+    diagonal matrix with repeated entries), or after min(steps, n) steps,
+    and returns the square root of the largest eigenvalue of the tridiagonal.
+    """
+    n = m.shape[1]
+    v = np.random.default_rng(seed).standard_normal(n)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return 0.0
-    v /= nv
-    # DIA's transpose stores its offsets in descending order, and a matvec
-    # with it would sum each row backwards; CSR sums in column order
-    mt = m.T.tocsr()
-    sigma2 = 0.0
-    for _ in range(iters):
-        w = mt @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        sigma2 = nw
-        v = w / nw
-    return float(np.sqrt(sigma2))
+    mt = dia_transpose(m)
+    basis = np.empty((min(steps, n), n))
+    basis[0] = v / nv
+    alpha, beta = [], []
+    for k in range(len(basis)):
+        w = mt @ (m @ basis[k])
+        kept = basis[:k + 1]
+        coeffs = kept @ w
+        alpha.append(coeffs[k])
+        if k + 1 == len(basis):
+            break
+        norm_in = np.linalg.norm(w)
+        w -= coeffs @ kept
+        if np.linalg.norm(w) < norm_in / np.sqrt(2.0):
+            w -= (kept @ w) @ kept
+        b = np.linalg.norm(w)
+        if b <= n * np.finfo(float).eps * np.abs(alpha).max():
+            break
+        beta.append(b)
+        basis[k + 1] = w / b
+    # bisection for the top eigenvalue alone; numpy's dense eigvalsh raised
+    # the peak RSS of a picard run by about 0.2 MiB of LAPACK work space
+    last = len(alpha) - 1
+    top = scipy.linalg.eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(last, last))
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 # ---------------------------------------------------------------------------

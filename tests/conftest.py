@@ -79,17 +79,16 @@ def count_calls(monkeypatch):
     return install
 
 
-def count_dia_products(patch):
-    """List that records, through the MonkeyPatch ``patch``, the matrix of
-    every DIA matrix-vector product."""
-    products = []
-    matvec = sp.dia_matrix._matmul_vector
+def count_sparse_products(patch):
+    """Lists that record, through the MonkeyPatch ``patch``, the matrix of
+    every DIA and every CSR matrix-vector product: {"dia": [...], "csr": [...]}."""
+    products = {}
+    for fmt, cls in (("dia", sp.dia_matrix), ("csr", sp.csr_matrix)):
+        def counting(self, other, matvec=cls._matmul_vector, seen=products.setdefault(fmt, [])):
+            seen.append(self)
+            return matvec(self, other)
 
-    def counting(self, other):
-        products.append(self)
-        return matvec(self, other)
-
-    patch.setattr(sp.dia_matrix, "_matmul_vector", counting)
+        patch.setattr(cls, "_matmul_vector", counting)
     return products
 
 

@@ -23,11 +23,13 @@ from evolvesurf import (
     smallness_report,
 )
 from evolvesurf import geometry, operator
+from evolvesurf.cli import run_check
 from evolvesurf.coefficients import (
     SMALLNESS_THRESHOLD,
     Diffusion,
     maximal_regularity_ratio,
 )
+from evolvesurf.config import parse_config
 from evolvesurf.operator import (
     coefficient_fields,
     field_l2,
@@ -35,6 +37,27 @@ from evolvesurf.operator import (
     hessian_seminorm,
     operator_norm_est,
 )
+
+from conftest import count_sparse_products
+
+PICARD_WORKLOAD_SEED_1 = """
+[surface]
+preset = graph_oscillation
+T = 0.05
+epsilon = 0.05427769606270507
+omega = 0.9068585705196024
+[diffusion]
+preset = constant
+value = 1.0
+[grid]
+n1 = 63
+n2 = 63
+[time]
+dt = 0.001
+theta = 0.5
+[solver]
+seed = 576870710
+"""
 
 
 class TestLambdaSelect:
@@ -306,15 +329,15 @@ class TestSmallnessReport:
         assert kappa_times == list(times)
         assert (rep.lambda1, rep.lambda2) == lambda_select(graph, const_kappa, unit_grid, times)
 
-    def test_power_iterations_only_for_B2_to_B4(self, graph, const_kappa, unit_grid,
-                                                count_calls):
+    def test_norm_estimates_only_for_B2_to_B4(self, graph, const_kappa, unit_grid,
+                                              count_calls):
         calls = count_calls(operator, "operator_norm_est")
         times = np.linspace(0.0, 1.0, 5)
         smallness_report(graph, const_kappa, unit_grid, times, probes=4)
         assert len(calls) == 3 * len(times)
 
-    def test_C_star_sums_B2_to_B4_power_norms_and_exact_B5(self, graph, unit_grid):
-        # B5 is diagonal: its norm is max |d0|, which the power iteration
+    def test_C_star_sums_B2_to_B4_lanczos_norms_and_exact_B5(self, graph, unit_grid):
+        # B5 is diagonal: its norm is max |d0|, which the Lanczos estimate
         # only approaches from below
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.2)
         times = np.linspace(0.0, 1.0, 4)
@@ -323,10 +346,29 @@ class TestSmallnessReport:
         for t in times:
             parts = assemble_B_parts(graph, kap, unit_grid, rep.lambda1, rep.lambda2, t)
             d0 = coefficient_fields(graph, kap, unit_grid, t)["d0"]
-            power = [operator_norm_est(parts[f"B{i}"], iters=50, seed=9) for i in (2, 3, 4)]
-            sums.append(power[0] + power[1] + power[2] + np.abs(d0).max())
+            lanczos = [operator_norm_est(parts[f"B{i}"], seed=9) for i in (2, 3, 4)]
+            sums.append(lanczos[0] + lanczos[1] + lanczos[2] + np.abs(d0).max())
             assert operator_norm_est(parts["B5"]) <= np.abs(d0).max()
         assert rep.C_star_est == max(sums)
+
+    def test_picard_workload_forms_no_csr_product(self, monkeypatch):
+        # the picard benchmark configuration at seed 1: 11 scan times, 33 norm
+        # estimates (13 of them of zero parts) and 17 C_sharp probes; power
+        # iteration through a CSR transpose formed 1030 DIA and 1013 CSR products
+        cfg = parse_config(PICARD_WORKLOAD_SEED_1)
+        products = count_sparse_products(monkeypatch)
+        run_check(cfg)
+        assert len(products["dia"]) <= 681
+        assert not products["csr"]
+
+    def test_runs_without_converting_a_dia_matrix_to_csr(self, graph, unit_grid, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dia_matrix.tocsr called")
+
+        monkeypatch.setattr(sp.dia_matrix, "tocsr", refuse)
+        rep = smallness_report(graph, make_diffusion("sinusoidal"), unit_grid,
+                               np.linspace(0.0, 1.0, 3), probes=4)
+        assert rep.C_star_est > 0.0
 
 
 class TestHorizonFormulas:

@@ -29,6 +29,7 @@ from evolvesurf.operator import (
     StepFrame,
     StepFrames,
     coefficient_fields,
+    dia_transpose,
     factorize,
     field_l2,
     L_OFFSETS,
@@ -38,6 +39,8 @@ from evolvesurf.operator import (
     sine_matrix,
     weighted_symmetry_defect,
 )
+
+from conftest import count_sparse_products
 
 
 def lowest_discrete_eigenvalue(grid, lam1, lam2):
@@ -190,7 +193,7 @@ class TestBParts:
         assert sorted(parts) == ["B1", "B2", "B3", "B4", "B5"]
         for i in range(1, 6):
             assert max_abs_entry(parts[f"B{i}"]) == 0.0
-            assert operator_norm_est(parts[f"B{i}"], iters=5) == 0.0
+            assert operator_norm_est(parts[f"B{i}"], steps=5) == 0.0
 
     def test_isotropic_matched_lambda(self, iso, const_kappa, unit_grid):
         t0 = 0.5
@@ -221,6 +224,71 @@ class TestBParts:
             for _ in range(3):
                 f = rng.standard_normal(unit_grid.ndof)
                 assert np.linalg.norm(m @ f) <= (sigma + 1e-9) * np.linalg.norm(f) * 1.001
+
+
+def b_parts_sweep(domain, n1, n2):
+    """(grid, B part) over every preset, both diffusivities and t in {0, 0.37, 0.9}."""
+    grid = make_grid(domain, n1, n2)
+    for name in PRESET_NAMES:
+        chart = make_chart(name, domain=domain, horizon=1.0)
+        for kappa_name in ("constant", "sinusoidal"):
+            for t in (0.0, 0.37, 0.9):
+                parts = assemble_B_parts(chart, make_diffusion(kappa_name), grid, 0.9, 0.8, t)
+                for part in parts.values():
+                    yield grid, part
+
+
+NORM_GRIDS = pytest.mark.parametrize("domain,n1,n2", [((0.0, 1.0, 0.0, 1.0), 15, 11),
+                                                      ((-0.5, 1.0, 0.2, 1.4), 13, 9)],
+                                     ids=["unit-square", "rectangle"])
+
+
+class TestNormEstimate:
+    """``operator_norm_est``: Lanczos on M^T M with full reorthogonalization."""
+
+    @NORM_GRIDS
+    def test_full_krylov_space_gives_the_dense_norm(self, domain, n1, n2):
+        # B5 is diagonal with repeated entries: its Krylov space is exhausted
+        # long before ndof steps, where a breakdown test too loose for the
+        # rounding left after one Gram-Schmidt pass overshoots sigma_max
+        for grid, part in b_parts_sweep(domain, n1, n2):
+            sigma = np.linalg.svd(part.toarray(), compute_uv=False)[0]
+            estimate = operator_norm_est(part, steps=grid.ndof)
+            assert abs(estimate - sigma) <= 1e-8 * sigma
+
+    @NORM_GRIDS
+    def test_default_steps_stay_below_the_dense_norm(self, domain, n1, n2):
+        for _, part in b_parts_sweep(domain, n1, n2):
+            sigma = np.linalg.svd(part.toarray(), compute_uv=False)[0]
+            assert operator_norm_est(part) <= sigma * (1.0 + 1e-12)
+
+    def test_diagonal_part_breaks_down_early(self, iso, const_kappa, monkeypatch):
+        # isotropic_scaling has d0 = 2 gamma everywhere: one Lanczos step spans
+        # the Krylov space of B5, whose norm is then exact
+        grid = make_grid((0.0, 1.0, 0.0, 1.0), 15, 11)
+        b5 = assemble_B_parts(iso, const_kappa, grid, 0.9, 0.8, 0.37)["B5"]
+        products = count_sparse_products(monkeypatch)
+        assert operator_norm_est(b5, steps=grid.ndof) == pytest.approx(2.0, rel=1e-14)
+        assert len(products["dia"]) == 2 and not products["csr"]
+
+    def test_zero_matrix(self, unit_grid):
+        n = unit_grid.ndof
+        assert operator_norm_est(sp.dia_matrix((n, n))) == 0.0
+        assert operator_norm_est(assemble_A(unit_grid, 1.0, 1.0) * 0.0) == 0.0
+
+    @pytest.mark.parametrize("n1,n2", [(1, 7), (7, 1), (2, 6), (6, 2), (2, 1), (1, 1), (9, 5)])
+    def test_dia_transpose_products_equal_csr_transpose(self, graph, n1, n2):
+        # on an axis of one or two nodes two stencil offsets meet on one diagonal
+        grid = make_grid(graph.domain, n1, n2)
+        x = np.random.default_rng(7).standard_normal(grid.ndof)
+        kappa = make_diffusion("sinusoidal")
+        mats = [assemble_L(graph, kappa, grid, 0.37),
+                *assemble_B_parts(graph, kappa, grid, 0.9, 0.8, 0.37).values()]
+        for m in mats:
+            mt = dia_transpose(m)
+            assert mt.format == "dia" and list(mt.offsets) == sorted(mt.offsets)
+            assert_same_entries(mt, m.T.tocsr())
+            assert (mt @ x).tobytes() == (m.T.tocsr() @ x).tobytes()
 
 
 class TestStepFrame:

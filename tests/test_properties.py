@@ -59,7 +59,12 @@ from test_operator import (  # noqa: E402
     assert_same_entries,
     diagonal_stencil_weights,
 )
-from test_timestepper import _uncached_lu_march, count_krylov_work  # noqa: E402
+from test_timestepper import (  # noqa: E402
+    _modal_reference,
+    _sine_modes,
+    _uncached_lu_march,
+    count_krylov_work,
+)
 
 PROPERTY = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
@@ -272,6 +277,41 @@ def test_moving_march_matches_per_step_lu(grid, chart, diffusion, theta, dt, nst
     assert traj.nsteps == len(iterations) == nsteps
     assert len(forwards) == sum(iterations)
     assert np.max(np.abs(traj.fields - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@PROPERTY
+@given(grid=grids(), gamma=nonzero(0.1, 1.0), kappa=st.floats(0.5, 2.0),
+       theta=st.floats(0.5, 1.0), dt=st.floats(1e-3, 0.02), nsteps=st.integers(2, 12),
+       tol=st.floats(1e-6, 1e-2), seed=st.integers(0, 2 ** 16))
+def test_picard_and_direct_marches_equal_the_modal_reference(grid, gamma, kappa, theta, dt,
+                                                            nsteps, tol, seed):
+    # isotropic_scaling with constant kappa marches each sine mode as one
+    # scalar theta-recurrence (TestSineModeReference); tol is relative to the
+    # datum's size.  A diff norm is a norm of the difference of two near-equal
+    # iterates and carries their rounding, so it is gated relative to the
+    # iterate's z-norm, and a ratio d_{m+1}/d_m by what those errors give it
+    T = nsteps * dt
+    chart = make_chart("isotropic_scaling", domain=grid.domain, horizon=T, gamma=gamma)
+    diffusion = make_diffusion("constant", value=kappa)
+    lam = kappa * np.exp(-gamma * T)
+    v0 = np.random.default_rng(seed).standard_normal(grid.ndof)
+    direct = solve_direct(chart, diffusion, grid, v0, T, dt, theta=theta)
+    picard, hist = solve_picard(chart, diffusion, grid, lam, lam, v0, T, dt,
+                                tol=tol * np.linalg.norm(v0), theta=theta)
+    ref, current, z_norms, diff_norms, ratios = _modal_reference(
+        grid, gamma, kappa, lam, v0, dt, nsteps, theta, hist.iterations)
+    assert hist.converged
+    assert np.max(np.abs(_sine_modes(direct.fields, grid) - ref)) <= \
+        1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(_sine_modes(picard.fields, grid) - current)) <= \
+        1e-12 * np.max(np.abs(current))
+    assert len(hist.z_norms) == len(hist.diff_norms) == len(z_norms)
+    np.testing.assert_allclose(hist.z_norms, z_norms, rtol=1e-10, atol=0.0)
+    slack = 1e-10 * np.array(z_norms)
+    assert np.all(np.abs(np.subtract(hist.diff_norms, diff_norms)) <= slack)
+    assert len(hist.ratios) == len(ratios)
+    for m, (got, want) in enumerate(zip(hist.ratios, ratios)):
+        assert abs(got - want) <= (slack[m + 1] + want * slack[m]) / diff_norms[m]
 
 
 def assert_same_bits(open_result, dense_result):

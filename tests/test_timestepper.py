@@ -37,7 +37,7 @@ from evolvesurf import timestepper
 from evolvesurf.operator import StepFrames
 from evolvesurf.timestepper import Trajectory
 
-from conftest import count_dia_products
+from conftest import count_sparse_products
 from test_geometry import dense_meshes
 from test_operator import assembled_by_coo, lowest_discrete_eigenvalue
 
@@ -476,7 +476,7 @@ class TestImplicitSolve:
         # the residual gate's L(t_{k+1}) v_{k+1} is the next right-hand side's
         # product and the reports' Lv; only step 0 forms one more, for theta < 1
         v0 = eigenmode(unit_grid)
-        formed = count_dia_products(monkeypatch)
+        formed = count_sparse_products(monkeypatch)["dia"]
         traj = solve_reported(flat, const_kappa, unit_grid, v0, 0.01, 1e-3, theta=theta)[0]
         assert traj.nsteps == 10
         assert len(formed) == products
@@ -661,12 +661,39 @@ def _modal_z_norm(w, a, times, dt, grid):
             + math.sqrt(sum(c * norm(a * x) ** 2 for c, x in zip(weights, w))))
 
 
+def _modal_reference(grid, gamma, kappa, lam, v0, dt, nsteps, theta, iterations):
+    """The direct and Picard marches of isotropic_scaling (``gamma``) with constant
+    ``kappa`` against A = lam (-Delta_h), as sine-mode coefficients.
+
+    Returns the direct march, the last of ``iterations`` Picard iterates and
+    their ``z_norms``, ``diff_norms`` and ``ratios``.
+    """
+    times = np.arange(nsteps + 1) * dt
+    mu1, mu2 = (4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+                for n, h in ((grid.n1, grid.h1), (grid.n2, grid.h2)))
+    mu = mu1[:, None] + mu2[None, :]
+    ell = kappa * np.exp(-2.0 * gamma * times)[:, None, None] * mu + 2.0 * gamma
+    a = lam * mu
+    w0 = _sine_modes(v0, grid)
+    direct = _modal_march(ell, w0, dt, theta)
+    A = np.broadcast_to(a, ell.shape)
+    current = _modal_march(A, w0, dt, theta)
+    z_norms, diff_norms = [], []
+    for _ in range(iterations):
+        nxt = _modal_march(A, w0, dt, theta, forcing=(a - ell) * current)
+        z_norms.append(_modal_z_norm(nxt, a, times, dt, grid))
+        diff_norms.append(_modal_z_norm(nxt - current, a, times, dt, grid))
+        current = nxt
+    ratios = [d / p for p, d in zip(diff_norms, diff_norms[1:])]
+    return direct, current, z_norms, diff_norms, ratios
+
+
 class TestSineModeReference:
     """On isotropic_scaling with constant kappa the chart is x = e^{gamma t} X, so
     G = e^{4 gamma t}, g^ab = e^{-2 gamma t} delta^ab and the dilation rate is
     2 gamma: L(t) = kappa e^{-2 gamma t} (-Delta_h) + 2 gamma, A and B(t) = L(t) - A
     are all diagonal in the sine basis, and every march is one scalar
-    theta-recurrence per mode."""
+    theta-recurrence per mode (``_modal_reference``)."""
 
     @pytest.mark.parametrize("domain,n1,n2", [((0.0, 1.0, 0.0, 1.0), 12, 12),
                                               ((0.2, 1.7, -0.3, 0.6), 14, 9)],
@@ -677,39 +704,22 @@ class TestSineModeReference:
         grid = make_grid(domain, n1, n2)
         chart = make_chart("isotropic_scaling", domain=domain, horizon=1.0, gamma=gamma)
         kappa, T, dt = 1.3, 0.1, 5e-3
-        times = np.arange(21) * dt
-        mu1, mu2 = (4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
-                    for n, h in ((n1, grid.h1), (n2, grid.h2)))
-        mu = mu1[:, None] + mu2[None, :]
-        ell = kappa * np.exp(-2.0 * gamma * times)[:, None, None] * mu + 2.0 * gamma
         lam = kappa * math.exp(-gamma * T)   # A with the weights of L at the midpoint
-        a = lam * mu
         v0 = np.random.default_rng(5).standard_normal(grid.ndof)
-        w0 = _sine_modes(v0, grid)
         diffusion = make_diffusion("constant", value=kappa)
-
         direct = solve_direct(chart, diffusion, grid, v0, T, dt, theta=theta)
-        ref = _modal_march(ell, w0, dt, theta)
-        assert np.max(np.abs(_sine_modes(direct.fields, grid) - ref)) <= \
-            1e-12 * np.max(np.abs(ref))
-
         # tol = 1e-2 ends the iteration while consecutive iterates differ by
         # about 1e-3 of their size: a difference of two iterates carries their
         # rounding, so a diff norm near 1e-9 is known only to about 1e-7 of itself
         picard, hist = solve_picard(chart, diffusion, grid, lam, lam, v0, T, dt,
                                     tol=1e-2, theta=theta)
-        A = np.broadcast_to(a, ell.shape)
-        current = _modal_march(A, w0, dt, theta)
-        z_norms, diff_norms = [], []
-        for _ in range(hist.iterations):
-            nxt = _modal_march(A, w0, dt, theta, forcing=(a - ell) * current)
-            z_norms.append(_modal_z_norm(nxt, a, times, dt, grid))
-            diff_norms.append(_modal_z_norm(nxt - current, a, times, dt, grid))
-            current = nxt
+        ref, current, z_norms, diff_norms, ratios = _modal_reference(
+            grid, gamma, kappa, lam, v0, dt, 20, theta, hist.iterations)
+        assert np.max(np.abs(_sine_modes(direct.fields, grid) - ref)) <= \
+            1e-12 * np.max(np.abs(ref))
         assert hist.converged and hist.iterations >= 3
         assert np.max(np.abs(_sine_modes(picard.fields, grid) - current)) <= \
             1e-12 * np.max(np.abs(current))
-        ratios = [d / p for p, d in zip(diff_norms, diff_norms[1:])]
         for got, want in ((hist.z_norms, z_norms), (hist.diff_norms, diff_norms),
                           (hist.ratios, ratios)):
             assert len(got) == len(want)
