@@ -167,8 +167,7 @@ def run_picard(cfg):
         ledger = dg.EnergyBalance(grid)
         direct = ts.solve_direct(chart, kappa, grid, v0, cfg.horizon, cfg.dt, theta=cfg.theta,
                                  observers=(lambda k, frame, window, Lv:
-                                            operators.append(frame.L),
-                                            dg.report_observer((ledger,), grid)))
+                                            operators.append(frame.L), ledger.observe))
         report.energy = ledger.result(direct)
     with _Timer(report, "picard"):
         traj, hist = ts.solve_picard(chart, kappa, grid, rep.lambda1, rep.lambda2,

@@ -15,21 +15,25 @@ transport theorem's
 
 with div_Gamma V the dilation rate d0 = (dG/dt)/(2G) of the pull-back; the
 ledger integrates both rates in time by the trapezoid rule, so mass(t) +
-dissipation(t) + dilation(t) - mass(0) is its residual.
+dissipation(t) + dilation(t) - mass(0) is its residual.  Its dissipation
+rate is the midpoint quadrature ``_flux_sq`` of C^ab d_a u d_b u over the
+cells, with C^ab = kappa sqrt(G) g^ab the flux coefficients of L(t_k)
+averaged from the four corners of each cell (``StepFrame.cell_fluxes``); the
+test oracle ``surface_grad_sq`` runs the same quadrature on the metric and
+kappa evaluated at the cell centres, and the two agree at O(h^2).
 
-The three reports are march observers, and the march is the only way they
-are computed.  Each reads each step time from the march's StepFrame
+The energy ledger and the regularity report are march observers,
+``observe(k, frame, window, Lv)``, and the march is the only way they are
+computed.  Each reads each step time from the march's StepFrame
 (``operator``): the interior-node metric is a slice of the frame's full-mesh
-metric, the regularity report reads its dilation rate beside the march's
-L(t_k) v_k, and the energy ledger adds the cell-centre metric and diffusivity.
-``report_observer`` feeds the reports, per step time, the frame, the march's
-three-level window (v_{k-1}, v_k, v_{k+1}) and the surface mass of v_k, which
-the energy ledger and the decay report share; a report's result reads the
-datum v_0 (row 0 of every Trajectory), the step times and dt.  The reports
-store float64 values, 8 bytes each.  ``solve_reported`` runs a march with all
-three, so a solve with its reports evaluates each step time once, plus the
-cell-centre metric, and holds no more of the trajectory than the rows its
-caller keeps.
+metric, the ledger's dissipation weights are corner means of the frame's
+flux coefficients, and the regularity report reads its dilation rate beside
+the march's L(t_k) v_k.  Their results read the datum v_0 (row 0 of every
+Trajectory), the step times and dt, and the decay quotient reads the
+finished ledger, with ||u|| = sqrt(2 mass).  The reports store float64
+values, 8 bytes each.  ``solve_reported`` runs a march with all three, so a
+solve with its reports evaluates each step time once and holds no more of
+the trajectory than the rows its caller keeps.
 """
 
 from __future__ import annotations
@@ -43,13 +47,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import default_h_fd, metric_fields
-from .operator import (
-    StepFrame,
-    _on_mesh,
-    field_l2,
-    gradient_norm,
-    sobolev_h1_norm,
-)
+from .operator import _on_mesh, field_l2, sobolev_h1_norm
 from .timestepper import _step_count, solve_direct
 
 
@@ -92,24 +90,32 @@ def _cell_center_gradients(values, grid):
     return d1, d2
 
 
-def _grad_sq(values, grid, mf, kap):
-    """``surface_grad_sq`` with the cell-centre metric (and kappa) supplied."""
+def _flux_sq(values, grid, fluxes):
+    """Midpoint quadrature of C^ab d_a u d_b u over the cells of the grid.
+
+    ``fluxes`` are (C11, C12, C22) at the cell centres, shape (n1+1, n2+1):
+    a StepFrame's ``cell_fluxes``, or kappa sqrt(G) g^ab there.
+    """
     d1, d2 = _cell_center_gradients(values, grid)
-    integrand = (mf.ginv11 * d1 * d1 + 2.0 * mf.ginv12 * d1 * d2
-                 + mf.ginv22 * d2 * d2) * mf.sqrtG
-    if kap is not None:
-        integrand = integrand * kap
-    return float(grid.h1 * grid.h2 * np.sum(integrand))
+    c11, c12, c22 = fluxes
+    return float(grid.h1 * grid.h2 * np.sum(c11 * d1 * d1 + 2.0 * c12 * d1 * d2
+                                            + c22 * d2 * d2))
 
 
 def surface_grad_sq(values, chart, grid, t, kappa=None):
     """Squared L2 norm of the tangential gradient of a grid function.
 
     Midpoint quadrature of g^ab d_a u d_b u sqrt(G) over the cells of the
-    grid; with ``kappa`` the integrand is weighted by the diffusivity, giving
-    the dissipation functional of the energy balance.
+    grid, with the metric evaluated at the cell centres; with ``kappa`` the
+    integrand is weighted by the diffusivity, giving the dissipation
+    functional of the energy balance.  The test oracle of the ledger, which
+    reads the same quadrature off its step frame's corner means instead.
     """
-    return _grad_sq(values, grid, *StepFrame(chart, kappa, grid, t).centre)
+    C1, C2 = grid.cell_center_mesh(sparse=True)
+    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
+    weight = mf.sqrtG if kappa is None else _on_mesh(kappa, C1, C2, t) * mf.sqrtG
+    return _flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
+                                   weight * mf.ginv22))
 
 
 def surface_gradient_components(values, chart, grid, t):
@@ -120,7 +126,8 @@ def surface_gradient_components(values, chart, grid, t):
     of ``surface_grad_sq`` pointwise.
     """
     d1, d2 = _cell_center_gradients(values, grid)
-    mf, _ = StepFrame(chart, None, grid, t).centre
+    C1, C2 = grid.cell_center_mesh(sparse=True)
+    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
     du1 = mf.ginv11 * d1 + mf.ginv12 * d2   # contravariant components
     du2 = mf.ginv12 * d1 + mf.ginv22 * d2
     comps = np.stack([a * du1 + b * du2 for a, b in zip(mf.g1, mf.g2)])
@@ -135,7 +142,9 @@ def _mass(values, grid, sqrtG):
 
 def surface_mass(values, chart, grid, t):
     """L2(Gamma(t)) norm squared of a Dirichlet grid function."""
-    return _mass(values, grid, StepFrame(chart, None, grid, t).interior_sqrtG)
+    X1, X2 = grid.interior_mesh(sparse=True)
+    return _mass(values, grid,
+                 metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +173,12 @@ def _cumulative_trapezoid(rates, dt):
 class EnergyBalance:
     """The energy ledger, fed one step time at a time.
 
-    The balance holds exactly for the continuous homogeneous system; the
-    discrete residual combines the quadrature and time-stepping errors.
+    The dissipation rate is ``_flux_sq`` with the step frame's
+    ``cell_fluxes``: the flux coefficients kappa sqrt(G) g^ab that L(t_k)
+    reads, averaged to the cell centres, so the ledger evaluates nothing of
+    its own.  The balance holds exactly for the continuous homogeneous
+    system; the discrete residual combines the quadrature and time-stepping
+    errors.
     """
 
     def __init__(self, grid):
@@ -174,10 +187,10 @@ class EnergyBalance:
         self.diss_rate = array("d")
         self.dil_rate = array("d")
 
-    def observe(self, frame, window, Lv, mass):
+    def observe(self, k, frame, window, Lv):
         u = window[1]
-        self.mass.append(0.5 * mass)
-        self.diss_rate.append(_grad_sq(u, self.grid, *frame.centre))
+        self.mass.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG))
+        self.diss_rate.append(_flux_sq(u, self.grid, frame.cell_fluxes))
         # 0.5 v^T W D0 v, W = diag(sqrt(G) h1 h2)
         self.dil_rate.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG_d0))
 
@@ -190,29 +203,20 @@ class EnergyBalance:
         return EnergyLedger(traj.times.copy(), mass, diss, dil, resid, resid / scale)
 
 
-class _Decay:
-    """Decay quotient sup_{t > 0} sqrt(t) ||u(t)|| / ||u0||_{W^{1,2}(U)}.
+def _decay(ledger, u0, grid):
+    """Decay quotient sup_{t > 0} sqrt(t) ||u(t)|| / ||u0||_{W^{1,2}(U)} of a finished ledger.
 
-    The flag ``monotone`` records whether the surface mass never increases.
+    ||u(t)|| = sqrt(2 mass) is the surface norm; the flag ``monotone``
+    records whether it never increases.
     """
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.norms = array("d")
-
-    def observe(self, frame, window, Lv, mass):
-        self.norms.append(math.sqrt(mass))
-
-    def result(self, traj):
-        u0 = traj.fields[0]
-        w_norm = math.hypot(field_l2(u0, self.grid), gradient_norm(u0, self.grid))
-        if w_norm == 0.0:
-            raise ParameterError("zero initial datum: decay quotient undefined")
-        norms = np.array(self.norms)
-        mask = traj.times > 0.0
-        sup_bound = float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_norm)
-        monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))
-        return {"sup_bound": sup_bound, "monotone": monotone}
+    w_norm = sobolev_h1_norm(u0, grid)
+    if w_norm == 0.0:
+        raise ParameterError("zero initial datum: decay quotient undefined")
+    norms = np.sqrt(2.0 * ledger.mass)
+    mask = ledger.times > 0.0
+    sup_bound = float(np.max(np.sqrt(ledger.times[mask]) * norms[mask]) / w_norm)
+    monotone = bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))
+    return {"sup_bound": sup_bound, "monotone": monotone}
 
 
 class _Regularity:
@@ -230,7 +234,7 @@ class _Regularity:
         self.dt_sq = array("d")
         self.div_sq = array("d")
 
-    def observe(self, frame, window, Lv, mass):
+    def observe(self, k, frame, window, Lv):
         prev, u, nxt = window
         if prev is None or nxt is None:
             return
@@ -254,15 +258,6 @@ class _Regularity:
                 "material_norm": dt_norm, "diffusion_norm": div_norm}
 
 
-def report_observer(reports, grid):
-    """March observer that feeds ``reports`` the surface mass of v_k, computed once."""
-    def observe(k, frame, window, Lv):
-        mass = _mass(window[1], grid, frame.interior_sqrtG)
-        for report in reports:
-            report.observe(frame, window, Lv, mass)
-    return observe
-
-
 def material_derivative(traj, index):
     """Centered time difference of the pulled-back field at one snapshot.
 
@@ -281,19 +276,19 @@ def material_derivative(traj, index):
 def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5, stride=1):
     """``solve_direct`` together with its energy, decay and regularity reports.
 
-    The reports read the StepFrames and the three-level window of the march
-    itself while it holds them, so each step time is evaluated once for the
-    march and the reports, plus the cell-centre metric of the energy ledger,
-    and the surface mass of v_k once for the ledger and the decay report.
-    Returns (trajectory keeping every ``stride``-th step, EnergyLedger, decay
-    dict, regularity dict); the regularity report is None below two steps.
-    The reports do not depend on ``stride``.
+    The energy ledger and the regularity report read the StepFrames and the
+    three-level window of the march itself while it holds them, so each step
+    time is evaluated once for the march and the reports; the decay quotient
+    reads the finished ledger's mass.  Returns (trajectory keeping every
+    ``stride``-th step, EnergyLedger, decay dict, regularity dict); the
+    regularity report is None below two steps.  The reports do not depend on
+    ``stride``.
     """
-    reports = (EnergyBalance(grid), _Decay(grid), _Regularity(grid, dt))
+    ledger, regularity = EnergyBalance(grid), _Regularity(grid, dt)
     traj = solve_direct(chart, kappa, grid, v0, T, dt, theta=theta,
-                        observers=(report_observer(reports, grid),), stride=stride)
-    ledger, decay, regularity = reports
-    return (traj, ledger.result(traj), decay.result(traj),
+                        observers=(ledger.observe, regularity.observe), stride=stride)
+    energy = ledger.result(traj)
+    return (traj, energy, _decay(energy, traj.fields[0], grid),
             regularity.result(traj) if traj.nsteps >= 2 else None)
 
 

@@ -34,8 +34,10 @@ reads the preconditioner weights off the diagonals, and ``stencil_entries``
 lists the in-grid entries for the matrix dump.
 
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
-(one full-mesh evaluation of the metric and the diffusivity), L(t) and the
-cell-centre metric of the energy ledger, each built on first use.
+(one full-mesh evaluation of the metric and the diffusivity), and what is
+built from them on first use: L(t) and the cell-centre flux coefficients of
+the energy ledger, corner means of the C^ab that L(t) reads.  No piece
+evaluates the chart or the diffusivity again.
 ``StepFrames`` builds them for the march and the reports; it also holds the
 one test for a static problem, which gets a single frame.  The verify checks
 and ``weighted_symmetry_defect`` read single frames.
@@ -207,34 +209,32 @@ def _on_mesh(kappa, X1, X2, t):
 
 
 def mesh_coefficients(mf, K):
-    """``coefficient_fields`` from a full-mesh MetricFields and diffusivity K (or None)."""
+    """``coefficient_fields`` from a full-mesh MetricFields and diffusivity K."""
     R = mf.sqrtG
-    cf = {
+    return {
         "R": R, "Ginv11": mf.ginv11, "Ginv12": mf.ginv12, "Ginv22": mf.ginv22,
         "R_int": R[1:-1, 1:-1],
         "d0": (0.5 * mf.dGdt / mf.G)[1:-1, 1:-1],
+        "K": np.array(K),
+        "C11": K * R * mf.ginv11,
+        "C12": K * R * mf.ginv12,
+        "C22": K * R * mf.ginv22,
     }
-    if K is not None:
-        cf.update({"K": np.array(K),
-                   "C11": K * R * mf.ginv11,
-                   "C12": K * R * mf.ginv12,
-                   "C22": K * R * mf.ginv22})
-    return cf
 
 
 class StepFrame:
     """What one step time t evaluates on ``grid``, each piece built on first use and kept.
 
     * ``coefficients`` -- ``coefficient_fields``: one full-mesh evaluation of
-      the metric (with dG/dt) and of the diffusivity; without ``kappa`` (None)
-      it holds only the metric entries R, Ginv*, R_int and d0.  A diffusivity
-      that is not strictly positive on the mesh raises AssumptionViolationError;
+      the metric (with dG/dt) and of the diffusivity.  A diffusivity that is
+      not strictly positive on the mesh raises AssumptionViolationError;
     * ``L`` -- ``assemble_L`` from the coefficients;
-    * ``centre`` -- the cell-centre MetricFields (without dG/dt) and
-      diffusivity of the energy ledger's dissipation.
+    * ``cell_fluxes`` -- (C11, C12, C22) at the cell centres, each the mean of
+      its cell's four corner values of the coefficients: the weights of the
+      energy ledger's dissipation, with no evaluation of their own.
 
-    Both meshes are open (``sparse=True``), so the chart's sines and cosines
-    are evaluated per axis.  Interior-node data are slices of the full-mesh
+    The mesh is open (``sparse=True``), so the chart's sines and cosines are
+    evaluated per axis.  Interior-node data are slices of the full-mesh
     arrays: the metric is evaluated pointwise, so a slice carries the same
     bits as an evaluation on the interior mesh.  The rest of the full-mesh
     MetricFields is not kept.
@@ -250,8 +250,8 @@ class StepFrame:
     def coefficients(self):
         X1, X2 = self.grid.full_mesh(sparse=True)
         mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
-        K = None if self.kappa is None else _on_mesh(self.kappa, X1, X2, self.t)
-        if K is not None and not K.min() > 0.0:   # nan fails too
+        K = _on_mesh(self.kappa, X1, X2, self.t)
+        if not K.min() > 0.0:   # nan fails too
             raise AssumptionViolationError(
                 f"kappa must be strictly positive; minimum {K.min():.6g} at t = {self.t:.6g}")
         return mesh_coefficients(mf, K)
@@ -272,26 +272,25 @@ class StepFrame:
                           coefficients=self.coefficients)
 
     @functools.cached_property
-    def centre(self):
-        C1, C2 = self.grid.cell_center_mesh(sparse=True)
-        mf = metric_fields(self.chart, C1, C2, self.t, h_fd=self.grid.h_fd, want_dGdt=False)
-        return mf, None if self.kappa is None else _on_mesh(self.kappa, C1, C2, self.t)
+    def cell_fluxes(self):
+        cf = self.coefficients
+        return tuple(0.25 * (c[:-1, :-1] + c[1:, :-1] + c[:-1, 1:] + c[1:, 1:])
+                     for c in (cf["C11"], cf["C12"], cf["C22"]))
 
 
 class StepFrames:
     """Source of the StepFrames of ``chart`` and ``kappa`` on ``grid``.
 
     ``frame(t)`` is the frame at t.  A static problem -- a rigid chart and a
-    diffusivity that is time-independent or None -- has one frame, evaluated
-    at t = 0 and returned for every t.
+    time-independent diffusivity -- has one frame, evaluated at t = 0 and
+    returned for every t.
     """
 
     def __init__(self, chart, kappa, grid):
         self.chart = chart
         self.kappa = kappa
         self.grid = grid
-        self.static = chart.static_metric and (
-            kappa is None or getattr(kappa, "time_independent", False))
+        self.static = chart.static_metric and kappa.time_independent
         self._static_frame = None
 
     def frame(self, t):

@@ -50,10 +50,11 @@ and the direct march the Picard agreement compares against need; the CLI
 of t_k while the march holds it, the window (v_{k-1}, v_k, v_{k+1}) (None
 beyond the first and last step) and the gate's product Lv = L(t_k) v_k
 (None only at k = 0 under backward Euler), which the regularity report
-reads.  The energy, decay and regularity reports of ``diagnostics`` are
-observers (the march is the only way they are computed), and so is the
-collector of ``cli.run_picard`` that hands the L(t_k) of the direct march to
-the Picard stages beside that march's energy ledger.
+reads.  The energy ledger and the regularity report of ``diagnostics`` are
+observers (the march is the only way they are computed; the decay quotient
+reads the finished ledger), and so is the collector of ``cli.run_picard``
+that hands the L(t_k) of the direct march to the Picard stages beside that
+march's energy ledger.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.

@@ -354,8 +354,8 @@ class TestOneEvaluationPerStepTime:
         report, traj = run_pipeline(parse_config(MOVING), "solve")
         assert traj.nsteps == 10 and report.regularity is not None
         assert len(assembled) == traj.nsteps + 1
-        # the march's full-mesh metric and the energy ledger's cell-centre one
-        assert len(metrics) <= 2 * (traj.nsteps + 1)
+        # the march's full-mesh metric, which the reports read too
+        assert len(metrics) == traj.nsteps + 1
 
     def test_picard(self, count_calls):
         from evolvesurf import geometry, operator
@@ -365,9 +365,9 @@ class TestOneEvaluationPerStepTime:
         report, traj = run_pipeline(cfg, "picard")
         assert report.picard_history.converged and not report.failures
         assert len(assembled) == traj.nsteps + 1
-        # one scan per scan time; the direct march's full-mesh metric and the
-        # energy ledger's cell-centre one per step time
-        assert len(metrics) <= cfg.scan_times + 2 * (traj.nsteps + 1)
+        # one scan per scan time and the direct march's full-mesh metric per
+        # step time, which its energy ledger reads too
+        assert len(metrics) == cfg.scan_times + traj.nsteps + 1
 
 
 class TestOutputs:

@@ -22,19 +22,17 @@ from evolvesurf import (
 from evolvesurf.diagnostics import (
     EnergyBalance,
     _cell_center_gradients,
-    _grad_sq,
+    _flux_sq,
     _mass,
     manufactured_forcing,
-    report_observer,
     surface_gradient_components,
     solve_reported,
     surface_mass,
     symbolic_operator_apply,
 )
 from evolvesurf.geometry import PRESET_NAMES, metric_fields
-from evolvesurf.operator import (assemble_L, coefficient_fields, field_l2, half_power_norm,
-                                 sobolev_h1_norm)
-from evolvesurf import diagnostics, operator
+from evolvesurf.operator import StepFrame, assemble_L, coefficient_fields, sobolev_h1_norm
+from evolvesurf import diagnostics, geometry
 from evolvesurf.timestepper import Trajectory
 
 
@@ -116,6 +114,57 @@ class TestSurfaceGradSq:
             assert diss <= kmax * hi * flat_energy * (1 + 1e-12)
 
 
+class TestCellFluxQuadrature:
+    """The ledger's dissipation, ``_flux_sq`` on a frame's corner-mean flux
+    coefficients, against ``surface_grad_sq`` with the metric and kappa
+    evaluated at the cell centres: they agree at O(h^2) where C^ab varies and
+    to round-off where it is constant."""
+
+    DOMAIN = (-0.5, 1.0, 0.0, 1.7)
+    LEVELS = ((14, 23), (29, 47), (59, 95))
+    CHART_PARAMS = {"isotropic_scaling": {"gamma": 0.5},
+                    "graph_oscillation": {"epsilon": 0.5, "omega": 5.0}}
+    # C^ab = kappa sqrt(G) g^ab: constant on the flat, translated and scaled
+    # surfaces (sqrt(G) g^ab = I there) unless kappa varies
+    CONSTANT = {("flat_static", "constant"), ("isotropic_scaling", "constant"),
+                ("translating_patch", "constant")}
+
+    @staticmethod
+    def _two_modes(grid):
+        X1, X2 = grid.interior_mesh()
+        a, b, c, d = grid.domain
+        s1, s2 = (X1 - a) / (b - a), (X2 - c) / (d - c)
+        return (np.sin(np.pi * s1) * np.sin(np.pi * s2)
+                + 0.3 * np.sin(2 * np.pi * s1) * np.sin(3 * np.pi * s2)).ravel()
+
+    @pytest.mark.parametrize("diffusion", ["constant", "sinusoidal"])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_corner_means_match_the_cell_centre_oracle(self, preset, diffusion):
+        chart = make_chart(preset, domain=self.DOMAIN, horizon=1.0,
+                           **self.CHART_PARAMS.get(preset, {}))
+        kappa = make_diffusion(diffusion)
+        t = 0.37
+        diffs = []
+        for n1, n2 in self.LEVELS:
+            grid = make_grid(self.DOMAIN, n1, n2)
+            u = self._two_modes(grid)
+            got = _flux_sq(u, grid, StepFrame(chart, kappa, grid, t).cell_fluxes)
+            ref = surface_grad_sq(u, chart, grid, t, kappa)
+            diffs.append(abs(got - ref) / ref)
+            # the oracle shares the ledger's quadrature, so pin it to the
+            # ambient gradient g^ab (d_a x) d_b u, which needs no cross term
+            comps, mf = surface_gradient_components(u, chart, grid, t)
+            C1, C2 = grid.cell_center_mesh()
+            ambient = np.sum(kappa.value(C1, C2, t) * mf.sqrtG * np.sum(comps * comps, axis=0))
+            assert ref == pytest.approx(grid.h1 * grid.h2 * ambient, rel=1e-12, abs=0.0)
+        if (preset, diffusion) in self.CONSTANT:
+            assert max(diffs) <= 1e-14, diffs
+        else:
+            # the grids halve h on both axes
+            orders = [math.log2(coarse / fine) for coarse, fine in zip(diffs, diffs[1:])]
+            assert min(orders) >= 1.9, f"differences {diffs}, orders {orders}"
+
+
 class TestEnergyReport:
     def test_flat_eigenmode_balance(self, flat, const_kappa, eigenmode):
         # closed form: mass(t) = e^{-4 pi^2 t}/8, dissipation = (1-e^{-4pi^2 t})/8
@@ -132,7 +181,7 @@ class TestEnergyReport:
     def test_zero_trajectory_zero_residuals(self, flat, const_kappa, unit_grid):
         ledger = EnergyBalance(unit_grid)
         traj = solve_direct(flat, const_kappa, unit_grid, np.zeros(unit_grid.ndof), 0.02, 2e-3,
-                            observers=(report_observer((ledger,), unit_grid),))
+                            observers=(ledger.observe,))
         assert_allclose(ledger.result(traj).residual_abs, 0.0)
 
     def test_residual_refines_on_moving_surface(self, const_kappa, eigenmode):
@@ -170,20 +219,20 @@ class TestEnergyReport:
         # Python floats (about 32 B each with the list slot)
         grid = make_grid((0, 1, 0, 1), 3, 3)
         dt, nsteps = 1e-4, 4000
-        reports = (EnergyBalance(grid), diagnostics._Decay(grid),
-                   diagnostics._Regularity(grid, dt))
-        observer = report_observer(reports, grid)
+        reports = (EnergyBalance(grid), diagnostics._Regularity(grid, dt))
         tracemalloc.start()
         try:
             traj = solve_direct(flat, const_kappa, grid, np.ones(grid.ndof), nsteps * dt, dt,
-                                observers=(observer,), stride=nsteps)
+                                observers=[report.observe for report in reports],
+                                stride=nsteps)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # three values per step in the ledger, one in the decay report, two
-        # in the regularity report; 10 B each leaves room for the growth
-        # reserve of the arrays, and 64 KiB for the solver's set-up
-        values = 6 * (nsteps + 1)
+        # three values per step in the ledger and two in the regularity
+        # report (the decay quotient reads the ledger); 10 B each leaves room
+        # for the growth reserve of the arrays, and 64 KiB for the solver's
+        # set-up
+        values = 5 * (nsteps + 1)
         assert held - traj.times.nbytes <= 10 * values + 64 * 1024
 
 
@@ -286,24 +335,16 @@ class TestStaticChartDiagnostics:
     CHART = make_chart("translating_patch", domain=GRID.domain, horizon=1.0, c=1.2)
     KAPPA = make_diffusion("sinusoidal", base=1.0, amp=0.2)
 
-    def _reports(self, T, monkeypatch):
-        """The march with its three reports, and the number of metric_fields calls made."""
-        calls = 0
-        real = diagnostics.metric_fields
+    def _reports(self, T, calls):
+        """The march with its three reports, and the number of ``calls`` it adds."""
+        before = len(calls)
+        out = solve_reported(self.CHART, self.KAPPA, self.GRID, _bump(self.GRID), T, 5e-3)
+        return out, len(calls) - before
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(diagnostics, "metric_fields", counting)
-            m.setattr(operator, "metric_fields", counting)
-            out = solve_reported(self.CHART, self.KAPPA, self.GRID, _bump(self.GRID), T, 5e-3)
-        return out, calls
-
-    def test_equal_to_per_step_evaluation(self, monkeypatch):
-        (traj, led, dec, reg), _ = self._reports(0.1, monkeypatch)
+    def test_equal_to_per_step_evaluation(self, count_calls):
+        (traj, led, dec, reg), n_calls = self._reports(
+            0.1, count_calls(geometry, "metric_fields"))
+        assert n_calls == 1
         led_ref, dec_ref, reg_ref = _per_step_reports(traj, self.CHART, self.KAPPA, self.GRID)
         for name, ref in led_ref.items():
             assert np.array_equal(getattr(led, name), ref)
@@ -311,27 +352,29 @@ class TestStaticChartDiagnostics:
         assert dec == dec_ref
         assert reg == reg_ref
 
-    def test_metric_calls_independent_of_nsteps(self, monkeypatch):
-        _, n_short = self._reports(0.05, monkeypatch)
-        _, n_long = self._reports(0.2, monkeypatch)
+    def test_metric_calls_independent_of_nsteps(self, count_calls):
+        calls = count_calls(geometry, "metric_fields")
+        _, n_short = self._reports(0.05, calls)
+        _, n_long = self._reports(0.2, calls)
         assert n_short == n_long
 
 
 def _per_step_reports(traj, chart, kappa, grid):
     """The three reports with every step time evaluated afresh on each mesh."""
     X1, X2 = grid.interior_mesh()
-    C1, C2 = grid.cell_center_mesh()
     nt = len(traj.times)
     mass, rate, dil_rate, norms = np.empty(nt), np.empty(nt), np.empty(nt), np.empty(nt)
     dt_sq, div_sq = np.empty(nt - 2), np.empty(nt - 2)
     for k, t in enumerate(traj.times):
         u = traj.fields[k]
         sqrtG = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG
-        mf_c = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
-        kap_c = np.broadcast_to(np.asarray(kappa.value(C1, C2, t), dtype=float), C1.shape)
-        d0 = coefficient_fields(chart, kappa, grid, t)["d0"]
+        cf = coefficient_fields(chart, kappa, grid, t)
+        d0 = cf["d0"]
+        # the flux coefficients at the cell centres, as means of each cell's corners
+        fluxes = [0.25 * (c[:-1, :-1] + c[1:, :-1] + c[:-1, 1:] + c[1:, 1:])
+                  for c in (cf["C11"], cf["C12"], cf["C22"])]
         mass[k] = 0.5 * _mass(u, grid, sqrtG)
-        rate[k] = _grad_sq(u, grid, mf_c, kap_c)
+        rate[k] = _flux_sq(u, grid, fluxes)
         dil_rate[k] = 0.5 * _mass(u, grid, sqrtG * d0)
         norms[k] = math.sqrt(_mass(u, grid, sqrtG))
         if 0 < k < nt - 1:
@@ -341,16 +384,15 @@ def _per_step_reports(traj, chart, kappa, grid):
     diss = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (rate[1:] + rate[:-1]))])
     dil = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (dil_rate[1:] + dil_rate[:-1]))])
     resid = np.abs(mass + diss + dil - mass[0])
-    w_decay = math.hypot(field_l2(traj.fields[0], grid),
-                         half_power_norm(traj.fields[0], grid, 1.0, 1.0))
+    w_norm = sobolev_h1_norm(traj.fields[0], grid)
     mask = traj.times > 0.0
     dt_norm = math.sqrt(np.sum(traj.dt * dt_sq))
     div_norm = math.sqrt(np.sum(traj.dt * div_sq))
     ledger = {"times": traj.times, "mass": mass, "dissipation": diss, "dilation": dil,
               "residual_abs": resid, "residual_rel": resid / mass[0]}
-    decay = {"sup_bound": float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_decay),
+    decay = {"sup_bound": float(np.max(np.sqrt(traj.times[mask]) * norms[mask]) / w_norm),
              "monotone": bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1.0)))}
-    regularity = {"quotient": (dt_norm + div_norm) / sobolev_h1_norm(traj.fields[0], grid),
+    regularity = {"quotient": (dt_norm + div_norm) / w_norm,
                   "material_norm": dt_norm, "diffusion_norm": div_norm}
     return ledger, decay, regularity
 
@@ -396,9 +438,9 @@ class TestReportsFromStepFrames:
             solve_reported(flat, const_kappa, grid, np.zeros(grid.ndof), 0.01, 1e-3)
 
     def test_one_surface_mass_per_step_for_ledger_and_decay(self, count_calls):
-        # v_k once for the ledger and the decay report, once more weighted by
-        # the dilation rate for the ledger, plus the material derivative and
-        # the diffusion term at the interior steps
+        # v_k once for the ledger, whose mass the decay quotient reads, once
+        # more weighted by the dilation rate for the ledger, plus the material
+        # derivative and the diffusion term at the interior steps
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 8)
         chart = make_chart("translating_patch", domain=grid.domain, horizon=1.0, c=1.0)
         kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)

@@ -300,9 +300,10 @@ class TestStepFrame:
         chart = make_chart(name, domain=domain, horizon=1.0)
         grid = make_grid(domain, n1, n2)
         X1, X2 = grid.interior_mesh()
+        kappa = make_diffusion("constant", value=1.0)
         for t in (0.0, 0.37):
             mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
-            assert np.array_equal(StepFrame(chart, None, grid, t).interior_sqrtG, mf.sqrtG)
+            assert np.array_equal(StepFrame(chart, kappa, grid, t).interior_sqrtG, mf.sqrtG)
 
     def test_pieces_equal_standalone_evaluations(self, graph):
         grid = make_grid((0.0, 1.5, 0.0, 0.8), 20, 13)
@@ -313,11 +314,12 @@ class TestStepFrame:
         for key, arr in ref.items():
             assert np.array_equal(frame.coefficients[key], arr)
         assert (frame.L != assemble_L(graph, kap, grid, 0.7)).nnz == 0
-        C1, C2 = grid.cell_center_mesh()
-        mf, k_c = frame.centre
-        ref_c = metric_fields(graph, C1, C2, 0.7, h_fd=grid.h_fd, want_dGdt=False)
-        assert np.array_equal(mf.ginv12, ref_c.ginv12) and np.array_equal(mf.sqrtG, ref_c.sqrtG)
-        assert np.array_equal(k_c, kap.value(C1, C2, 0.7))
+        # each cell's four corners, in the order the frame adds them
+        for got, key in zip(frame.cell_fluxes, ("C11", "C12", "C22"), strict=True):
+            c = ref[key]
+            means = 0.25 * (c[:-1, :-1] + c[1:, :-1] + c[:-1, 1:] + c[1:, 1:])
+            assert got.shape == (grid.n1 + 1, grid.n2 + 1)
+            assert got.tobytes() == means.tobytes()
 
     def test_static_problem_has_one_frame(self, flat, graph, const_kappa, unit_grid):
         frames = StepFrames(flat, const_kappa, unit_grid)
@@ -352,8 +354,8 @@ class TestStepFrame:
         frame.coefficients   # g1, g2, dt g1, dt g2 on the 129 x 129 nodes
         assert sum(evaluated) == 4 * (129 + 129)
         evaluated.clear()
-        frame.centre         # g1, g2 on the 128 x 128 cell centres
-        assert sum(evaluated) == 2 * (128 + 128)
+        frame.cell_fluxes    # corner means of the coefficients: no evaluation
+        assert evaluated == []
 
     @pytest.mark.parametrize("bad", [-0.25, 0.0, math.nan])
     def test_frame_refuses_a_diffusivity_that_is_not_positive(self, graph, unit_grid, bad):
@@ -368,9 +370,6 @@ class TestStepFrame:
                            match=rf"^kappa must be strictly positive; minimum {bad:.6g} "
                                  r"at t = 0\.37$"):
             frame.coefficients
-        # the metric-only frame of the reports reads no diffusivity
-        assert StepFrame(graph, None, unit_grid, 0.37).coefficients.keys() == {
-            "R", "Ginv11", "Ginv12", "Ginv22", "R_int", "d0"}
 
     def test_assembly_and_symmetry_check_evaluate_once(self, graph, const_kappa, unit_grid,
                                                         count_calls):

@@ -725,6 +725,29 @@ class TestSineModeReference:
             assert len(got) == len(want)
             assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("modes", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_long_gmres_march_stays_at_round_off(self, gamma, theta, modes):
+        # 600 GMRES steps from a single sine mode.  The gate is relative to
+        # the datum: at gamma = -1/2 the (1,2) datum decays below the round-off
+        # that the march seeds into the slower (1,1) mode, so relative to v_k
+        # the error reaches O(1)
+        domain = (0.2, 1.7, -0.3, 0.6)
+        grid = make_grid(domain, 14, 9)
+        chart = make_chart("isotropic_scaling", domain=domain, horizon=1.0, gamma=gamma)
+        kappa, dt, nsteps = 1.3, 1e-3, 600
+        X1, X2 = grid.interior_mesh()
+        s1 = (X1 - domain[0]) / (domain[1] - domain[0])
+        s2 = (X2 - domain[2]) / (domain[3] - domain[2])
+        v0 = (np.sin(modes[0] * np.pi * s1) * np.sin(modes[1] * np.pi * s2)).ravel()
+        direct = solve_direct(chart, make_diffusion("constant", value=kappa), grid, v0,
+                              nsteps * dt, dt, theta=theta)
+        ref = _modal_reference(grid, gamma, kappa, kappa, v0, dt, nsteps, theta, 0)[0]
+        assert direct.nsteps == nsteps
+        assert np.max(np.abs(_sine_modes(direct.fields, grid) - ref)) <= \
+            1e-13 * np.max(np.abs(_sine_modes(v0, grid)))
+
 
 class TestStepFrames:
     """The march evaluates each step time once and shows its frames to observers."""
@@ -767,7 +790,7 @@ class TestStepFrames:
                                                  eigenmode):
         plain = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01, 1e-3)
         observed = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.01,
-                                1e-3, observers=(lambda k, frame, window, Lv: frame.centre,))
+                                1e-3, observers=(lambda k, frame, window, Lv: frame.cell_fluxes,))
         assert np.array_equal(plain.fields, observed.fields)
 
     def test_picard_with_operators_from_direct_frames(self, graph, const_kappa, unit_grid,
