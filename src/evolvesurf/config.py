@@ -14,7 +14,9 @@ surface and diffusion presets, the four domain keys and the preset parameters
 have code of their own, because which keys are read, and what bounds them,
 depends on other keys; ``parse_config`` reads them first, then the rows in
 table order, and reports the first fault it meets.  Every number must be
-finite.
+finite, and the squares of the grid steps h1 = (x1_max - x1_min)/(n1 + 1)
+and h2 must be normal floats: a rectangle that fails is refused under
+x1_max or x2_max.
 
 ``serialize_config`` emits a canonical text whose round-trip through
 ``parse_config`` reproduces the configuration exactly (floats are written
@@ -24,6 +26,7 @@ with repr, which round-trips).
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field as dc_field, fields
 
@@ -185,10 +188,12 @@ def parse_config(text):
     if preset not in PRESET_PARAMS:
         raise ConfigError(f"unknown surface preset '{preset}'", key="preset", line=ln)
     domain = list(_DEFAULTS["domain"])
+    domain_lines = {}
     for i, key in enumerate(_DOMAIN_KEYS):
         v, ln = _take(entries, "surface", key)
         if v is not None:
             domain[i] = _to_float(v, key, ln)
+        domain_lines[key] = ln
         if i % 2 and not domain[i] > domain[i - 1]:
             raise ConfigError("domain rectangle is degenerate", key=key, line=ln)
     surface_params = _take_floats(entries, "surface", PRESET_PARAMS[preset])
@@ -203,6 +208,15 @@ def parse_config(text):
         v, ln = _take(entries, row.section, row.key, required=row.field not in _DEFAULTS)
         if v is not None:
             values[row.field] = check_value(row.key, _READ[row.kind](v, row.key, ln), ln)
+
+    # the stencils divide by h^2: a square that underflows or overflows
+    # would assemble a singular or infinite operator
+    for axis, key in ((1, "x1_max"), (2, "x2_max")):
+        lo, hi = domain[2 * axis - 2], domain[2 * axis - 1]
+        h = (hi - lo) / (values[f"n{axis}"] + 1)
+        if not sys.float_info.min <= h * h < math.inf:
+            raise ConfigError(f"grid step h{axis} = {h!r} of the rectangle: h{axis}^2 is not "
+                              "a normal float", key=key, line=domain_lines[key])
 
     # a parameter of another preset of the family is as unknown as a typo
     readers = {"surface": preset, "diffusion": dpreset}

@@ -24,14 +24,19 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       M^T M, with the transpose product of ``dia_transpose``.
 
 On a grid each operator is a set of stencil diagonals: the (di, dj)
-neighbor of node (i, j) lies on the diagonal di*n2 + dj.  ``_stencil_matrix``
-writes each stencil term into its diagonal of a ``scipy.sparse.dia_matrix``;
-everything else -- B(t) = L(t) - A and the theta-scheme systems
-I + theta dt L and I - (1-theta) dt A -- is scipy's DIA arithmetic, which adds
-diagonals of equal offset and stays DIA.  A DIA matvec sums each row in
-column order, as a CSR matvec on the same entries does.  ``stencil_weights``
-reads the preconditioner weights off the diagonals, and ``stencil_entries``
-lists the in-grid entries for the matrix dump.
+neighbor of node (i, j) lies on the diagonal di*n2 + dj.
+``_stencil_diagonals`` is the one assembly builder: it allocates the
+diagonals of a ``scipy.sparse.dia_matrix`` and hands out, per stencil
+offset, the view of the block that offset fills.  ``assemble_L``, the
+per-step assembly of a moving march, writes its nine terms straight into
+those views; ``_stencil_matrix`` adds (di, dj, coefficient) terms into them
+for A and the B parts.  B(t) = L(t) - A is scipy's DIA arithmetic, which adds
+diagonals of equal offset and stays DIA; the theta-scheme system
+I + theta dt L is refilled in place by the marcher (``timestepper``).  A DIA
+matvec sums each row in column order, as a CSR matvec on the same entries
+does.  ``stencil_weights`` reads the preconditioner weights off the
+diagonals as views, and ``stencil_entries`` lists the in-grid entries for
+the matrix dump.
 
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 (one full-mesh evaluation of the metric and the diffusivity), and what is
@@ -80,29 +85,46 @@ def _block(n1, n2, di, dj):
     return max(0, -di), n1 - max(0, di), max(0, -dj), n2 - max(0, dj)
 
 
+def _stencil_diagonals(grid, pairs):
+    """A DIA matrix with the diagonals of the (di, dj) stencil offsets ``pairs``, and their views.
+
+    The diagonals start at -0.0, the identity of addition, and are stored in
+    ascending offset order, so a DIA matvec sums each row in column order, as
+    a CSR matvec does.  ``views[di, dj]`` is the block of the diagonal
+    di*n2 + dj that holds the entries of the nodes ``_block(n1, n2, di, dj)``
+    (those whose (di, dj) neighbor is interior): element [i - i0, j - j0] is
+    the entry that row (i, j) places on column (i+di, j+dj), stored at that
+    column.  Neighbors outside the interior have no place (homogeneous
+    Dirichlet data).  Two offsets meet on one diagonal only when an axis has
+    one or two nodes, and then their blocks are disjoint.
+    """
+    n1, n2 = grid.n1, grid.n2
+    offsets = sorted({di * n2 + dj for di, dj in pairs})
+    data = np.full((len(offsets), n1 * n2), -0.0)
+    views = {}
+    for di, dj in pairs:
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        diag = data[offsets.index(di * n2 + dj)].reshape(n1, n2)
+        views[di, dj] = diag[i0 + di:i1 + di, j0 + dj:j1 + dj]
+    return sp.dia_matrix((data, offsets), shape=(n1 * n2, n1 * n2)), views
+
+
 def _stencil_matrix(grid, terms):
     """Assemble a DIA matrix from (di, dj, coefficient) stencil terms.
 
     ``coefficient`` is a scalar or an (n1, n2) array giving the entry that
-    row (i, j) places on column (i+di, j+dj), stored at that column of the
-    diagonal di*n2 + dj.  Neighbors outside the interior are dropped
-    (homogeneous Dirichlet data).  Terms on one diagonal are added in term
-    order: a repeated offset, or two offsets that meet on one diagonal when
-    an axis has one or two nodes (they fill disjoint positions).  The
-    diagonals start at -0.0, the identity of addition, so a single term
-    keeps its bits, a signed zero included.  They are stored in ascending
-    offset order, so a DIA matvec sums each row in column order, as a CSR
-    matvec does.
+    row (i, j) places on column (i+di, j+dj); it is added into the view of
+    its offset (``_stencil_diagonals``).  Terms of a repeated offset are
+    added in term order, and a single term keeps its bits, a signed zero
+    included.
     """
     n1, n2 = grid.n1, grid.n2
-    offsets = sorted({di * n2 + dj for di, dj, _ in terms})
-    data = np.full((len(offsets), n1 * n2), -0.0)
+    mat, views = _stencil_diagonals(grid, [(di, dj) for di, dj, _ in terms])
     for di, dj, coeff in terms:
         i0, i1, j0, j1 = _block(n1, n2, di, dj)
-        diag = data[offsets.index(di * n2 + dj)].reshape(n1, n2)
         carr = np.broadcast_to(np.asarray(coeff, dtype=float), (n1, n2))
-        diag[i0 + di:i1 + di, j0 + dj:j1 + dj] += carr[i0:i1, j0:j1]
-    return sp.dia_matrix((data, offsets), shape=(n1 * n2, n1 * n2))
+        views[di, dj] += carr[i0:i1, j0:j1]
+    return mat
 
 
 def stencil_entries(mat, grid, offsets):
@@ -315,35 +337,58 @@ def assemble_L(chart, kappa, grid, t, coefficients=None):
     """Flux-form discretization of the pulled-back diffusion operator.
 
     ``coefficients`` is ``coefficient_fields(chart, kappa, grid, t)`` when the
-    caller holds it already (a StepFrame does).
+    caller holds it already (a StepFrame does).  Each of the nine stencil
+    terms is written straight into its diagonal view (``_stencil_diagonals``),
+    computed on its own block only:
+
+    * X1 and X2 fluxes -f1(i+-1/2) q1 and -f2(j+-1/2) q2, with the face means
+      f1 = (C11 + C11 shifted by one node)/2 formed once per face, on the
+      (n1+1) x n2 and n1 x (n2+1) face grids, and q_a = 1/(sqrtG h_a^2);
+    * the main diagonal (f1(i+1/2) + f1(i-1/2)) q1 + (f2(j+1/2) + f2(j-1/2)) q2
+      + d0;
+    * the cross terms -+(C12 at the i-neighbor + C12 at the j-neighbor) qx,
+      qx = 1/(4 sqrtG h1 h2), minus on the (1, 1) and (-1, -1) offsets.
+
+    The minus signs ride on -q1, -q2 and -qx (x (-q) rounds as -(x q)), and
+    the main diagonal is d0 minus its flux sum taken with -q1 and -q2: that
+    sum is positive, so it rounds as the flux sum plus d0.
     """
     cf = coefficient_fields(chart, kappa, grid, t) if coefficients is None else coefficients
-    inv_r = 1.0 / cf["R_int"]
-    c11 = _shifts(cf["C11"])
-    c22 = _shifts(cf["C22"])
-    c12 = _shifts(cf["C12"])
+    n1, n2 = grid.n1, grid.n2
+    L, views = _stencil_diagonals(grid, L_OFFSETS)
+    nq = -1.0 / cf["R_int"]
+    nq1 = nq / grid.h1 ** 2
+    nq2 = nq / grid.h2 ** 2
+    nqx = nq / (4.0 * grid.h1 * grid.h2)
+    C11, C12, C22 = cf["C11"], cf["C12"], cf["C22"]
+    face1 = C11[:-1, 1:-1] + C11[1:, 1:-1]
+    face1 *= 0.5
+    face2 = C22[1:-1, :-1] + C22[1:-1, 1:]
+    face2 *= 0.5
 
-    face1p = 0.5 * (c11["c"] + c11["ip"])
-    face1m = 0.5 * (c11["c"] + c11["im"])
-    face2p = 0.5 * (c22["c"] + c22["jp"])
-    face2m = 0.5 * (c22["c"] + c22["jm"])
+    # divergence-form diagonal fluxes: row (i, j) reads the face toward its neighbor
+    for (di, dj), face, q in (((1, 0), face1, nq1), ((-1, 0), face1, nq1),
+                              ((0, 1), face2, nq2), ((0, -1), face2, nq2)):
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        fi, fj = max(di, 0), max(dj, 0)
+        np.multiply(face[i0 + fi:i1 + fi, j0 + fj:j1 + fj], q[i0:i1, j0:j1], out=views[di, dj])
+    main = views[0, 0]
+    np.add(face1[1:], face1[:-1], out=main)
+    main *= nq1
+    flux2 = face2[:, 1:] + face2[:, :-1]
+    flux2 *= nq2
+    main += flux2
+    np.subtract(cf["d0"], main, out=main)
 
-    q1 = inv_r / grid.h1 ** 2
-    q2 = inv_r / grid.h2 ** 2
-    qx = inv_r / (4.0 * grid.h1 * grid.h2)
-
-    terms = [
-        # divergence-form diagonal fluxes
-        (1, 0, -face1p * q1), (-1, 0, -face1m * q1),
-        (0, 1, -face2p * q2), (0, -1, -face2m * q2),
-        (0, 0, (face1p + face1m) * q1 + (face2p + face2m) * q2 + cf["d0"]),
-        # centered cross differences of the mixed fluxes
-        (1, 1, -(c12["ip"] + c12["jp"]) * qx),
-        (-1, -1, -(c12["im"] + c12["jm"]) * qx),
-        (1, -1, (c12["ip"] + c12["jm"]) * qx),
-        (-1, 1, (c12["im"] + c12["jp"]) * qx),
-    ]
-    return _stencil_matrix(grid, terms)
+    # centered cross differences of the mixed fluxes
+    qx = np.negative(nqx)
+    for (di, dj), q in (((1, 1), nqx), ((-1, -1), nqx), ((1, -1), qx), ((-1, 1), qx)):
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        out = views[di, dj]
+        np.add(C12[1 + di + i0:1 + di + i1, 1 + j0:1 + j1],
+               C12[1 + i0:1 + i1, 1 + dj + j0:1 + dj + j1], out=out)
+        out *= q[i0:i1, j0:j1]
+    return L
 
 
 def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None):
@@ -445,10 +490,12 @@ def operator_norm_est(m, steps=15, seed=0):
     ``default_rng(seed)`` normal vector, each step forms M^T M v with
     ``dia_transpose`` and reorthogonalizes it against every kept basis
     vector, a second time (DGKS) when the first pass removes more than
-    1 - 1/sqrt(2) of its norm.  It stops at breakdown, when the new norm is
-    at most n eps max |alpha| (the Krylov space is exhausted, as for a
-    diagonal matrix with repeated entries), or after min(steps, n) steps,
-    and returns the square root of the largest eigenvalue of the tridiagonal.
+    1 - 1/sqrt(2) of its norm (not of w - alpha v_k - beta v_{k-1}: against
+    that, single passes lost orthogonality over a full Krylov space).  It
+    stops at breakdown, when the new norm is at most n eps max |alpha| (the
+    Krylov space is exhausted, as for a diagonal matrix with repeated
+    entries), or after min(steps, n) steps, and returns the square root of
+    the largest eigenvalue of the tridiagonal.
     """
     n = m.shape[1]
     v = np.random.default_rng(seed).standard_normal(n)
@@ -608,22 +655,35 @@ def factorize(matrix):
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+@functools.lru_cache(maxsize=16)
+def _in_row(ndof, n2):
+    """Mask of the positions of the +-1 diagonals that stay in one grid row; cached, read-only."""
+    mask = np.arange(ndof - 1) % n2 != n2 - 1
+    mask.flags.writeable = False
+    return mask
+
+
 def stencil_weights(mat, grid):
     """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings of L(t).
 
     The GMRES preconditioner reads them off the diagonals +-n2 and +-1 of
-    ``mat``, skipping the positions of +-1 that wrap to the next grid row.  An
-    axis with a single interior node has no couplings and reads 0.
+    ``mat``, a DIA matrix of this module that stores them, skipping the
+    positions of +-1 that wrap to the next grid row.  The diagonals are read
+    as views of its data.  An axis with a single interior node has no
+    couplings and reads 0.
     """
-    n2 = grid.n2
-    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1
+    n2, n = grid.n2, mat.shape[0]
+    rows = dict(zip(mat.offsets.tolist(), mat.data))
+    in_row = _in_row(n, n2)
+
+    def diagonal(k):   # the entries (i, i + k), stored at their columns
+        return rows[k][max(k, 0):n + min(k, 0)]
 
     def mean_weight(w, h):
         return -w.mean() * h ** 2 if w.size else 0.0
 
-    return (mean_weight(np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)]), grid.h1),
-            mean_weight(np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]]),
-                        grid.h2))
+    return (mean_weight(np.concatenate([diagonal(n2), diagonal(-n2)]), grid.h1),
+            mean_weight(np.concatenate([diagonal(1)[in_row], diagonal(-1)[in_row]]), grid.h2))
 
 
 @functools.lru_cache(maxsize=16)

@@ -31,9 +31,12 @@ inverted by DST-I: one pair of sine transforms per Krylov iteration, and its
 stopping estimate is the unpreconditioned residual.  The smallness of
 B = L - A relative to A keeps that iteration to a few steps, and no matrix
 is factorized per step.
-Every system matrix I + theta dt L is a DIA sum of the stencil diagonals
+Every system matrix I + theta dt L is DIA, with the stencil diagonals of L
 (``operator``), so a moving march converts no matrix to another sparse
-format: it is the scaled copy of L with 1 added to its main diagonal in place.
+format.  A marcher keeps one system buffer: each step overwrites its data
+with theta dt L(t_{k+1}) and adds 1 on the main diagonal, so a moving march
+allocates no system matrix per step; a static LU march drops the buffer once
+the LU has copied it.
 
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
@@ -225,6 +228,7 @@ class _ThetaMarcher:
         self._held = {}      # step index -> StepFrame, at most two entries
         self._direct = None  # (solve, name) of a static operator's system
         self._basis = None   # SineBasis of a moving march's preconditioners, built once
+        self._system_buffer = None   # I + theta dt L of ``_system``, refilled each step
 
     def time(self, k):
         return self.t0 + k * self.dt
@@ -240,16 +244,26 @@ class _ThetaMarcher:
         return self.frame(k).L
 
     def _system(self, L):
-        """I + theta dt L, a scaled copy of L with 1 added to its main diagonal."""
-        impl = self.theta * self.dt * L
-        impl.data[impl.offsets == 0] += 1.0
-        return impl
+        """I + theta dt L in the marcher's one system buffer, refilled from L's diagonals.
+
+        The buffer is a DIA matrix with L's offsets; each call overwrites its
+        data with theta dt L.data and adds 1 on the main diagonal, so a
+        moving march allocates no system matrix after its first step.
+        """
+        if self._system_buffer is None:
+            self._system_buffer = L.copy()
+        system = self._system_buffer
+        np.multiply(L.data, self.theta * self.dt, out=system.data)
+        system.data[system.offsets == 0] += 1.0
+        return system
 
     def _static_solver(self, L):
         """(solve, name) of the system of a static operator L: DST-I for A, else one LU."""
         weights = getattr(self.frames, "A_weights", None)
         if weights is None:
-            return factorize(self._system(L)).solve, "LU"
+            lu = factorize(self._system(L))
+            self._system_buffer = None   # the LU holds its own copy
+            return lu.solve, "LU"
         return SineBasis(self.grid, *weights).shifted_solver(*weights, self.theta * self.dt), "DST-I"
 
     def solve(self, k, rhs, guess):

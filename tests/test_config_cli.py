@@ -172,6 +172,19 @@ class TestParseConfig:
         assert exc.value.key == "x1_max"
         assert exc.value.line is None
 
+    @pytest.mark.parametrize("bounds,key", [
+        ("x1_max = 1e-200", "x1_max"),                  # h1^2 underflows to 0
+        ("x1_min = 0.0\nx1_max = 1e-160", "x1_max"),    # h1^2 is subnormal
+        ("x2_min = -1e300\nx2_max = 1e300", "x2_max"),  # h2^2 overflows
+    ])
+    def test_rectangle_whose_step_squared_is_not_normal_is_refused(self, bounds, key):
+        # the stencils divide by h^2: 0 made assemble_A raise ZeroDivisionError
+        text = MINIMAL.replace("T = 0.1", f"T = 0.1\n{bounds}")
+        with pytest.raises(ConfigError, match=r"\^2 is not a normal float") as exc:
+            parse_config(text)
+        assert exc.value.key == key
+        assert exc.value.line == _line_of(text, bounds.splitlines()[-1])
+
     def test_round_trip_exact(self):
         cfg = parse_config(MINIMAL)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -715,6 +728,16 @@ probes = 4
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.endswith(f"(key '{key}', line {_line_of(text, f'{key} = {value}')})\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["check", "solve"])
+    def test_tiny_rectangle_exits_two_naming_its_key(self, tmp_path, capsys, subcommand):
+        text = MINIMAL.replace("T = 0.1", "T = 0.1\nx1_max = 1e-200")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"(key 'x1_max', line {_line_of(text, 'x1_max = 1e-200')})\n")
         assert not (tmp_path / "o").exists()
 
     def test_seed_flag_is_checked_like_the_seed_key(self, tmp_path, capsys):

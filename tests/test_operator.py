@@ -72,8 +72,47 @@ def coo_stencil_matrix(grid, terms):
                          shape=(n1 * n2, n1 * n2)).tocsr()
 
 
+def coo_L(chart, kappa, grid, t):
+    """L(t) from its nine stencil terms, each over the whole grid, through ``coo_stencil_matrix``.
+
+    The arithmetic of every term is the flux form's: face means of C11 and
+    C22 per neighbor and centered cross differences of C12, each scaled by
+    1/sqrtG.  The DIA assembly must reproduce its entries bit for bit.
+    """
+    cf = coefficient_fields(chart, kappa, grid, t)
+    inv_r = 1.0 / cf["R_int"]
+
+    def shifts(full):   # the interior block and its four neighbor blocks
+        return {"c": full[1:-1, 1:-1], "ip": full[2:, 1:-1], "im": full[:-2, 1:-1],
+                "jp": full[1:-1, 2:], "jm": full[1:-1, :-2]}
+
+    c11, c22, c12 = (shifts(cf[key]) for key in ("C11", "C22", "C12"))
+    face1p = 0.5 * (c11["c"] + c11["ip"])
+    face1m = 0.5 * (c11["c"] + c11["im"])
+    face2p = 0.5 * (c22["c"] + c22["jp"])
+    face2m = 0.5 * (c22["c"] + c22["jm"])
+    q1 = inv_r / grid.h1 ** 2
+    q2 = inv_r / grid.h2 ** 2
+    qx = inv_r / (4.0 * grid.h1 * grid.h2)
+    return coo_stencil_matrix(grid, [
+        (1, 0, -face1p * q1), (-1, 0, -face1m * q1),
+        (0, 1, -face2p * q2), (0, -1, -face2m * q2),
+        (0, 0, (face1p + face1m) * q1 + (face2p + face2m) * q2 + cf["d0"]),
+        (1, 1, -(c12["ip"] + c12["jp"]) * qx),
+        (-1, -1, -(c12["im"] + c12["jm"]) * qx),
+        (1, -1, (c12["ip"] + c12["jm"]) * qx),
+        (-1, 1, (c12["im"] + c12["jp"]) * qx),
+    ])
+
+
 def assembled_by_coo(assemble, *args):
-    """``assemble(*args)`` with the COO reference in place of the DIA assembly."""
+    """The COO reference of ``assemble(*args)``.
+
+    ``assemble_L`` writes its diagonals itself and has ``coo_L``; the other
+    assemblies go through ``_stencil_matrix``, replaced by the COO reference.
+    """
+    if assemble is assemble_L:
+        return coo_L(*args)
     with mock.patch.object(operator, "_stencil_matrix", coo_stencil_matrix):
         return assemble(*args)
 

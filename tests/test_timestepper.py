@@ -439,6 +439,37 @@ class TestImplicitSolve:
         assert len(times) == traj.nsteps + 1
         assert times == [k * 1e-3 for k in range(traj.nsteps + 1)]
 
+    def test_moving_march_refills_one_system_buffer(self, graph, const_kappa, unit_grid,
+                                                    eigenmode, monkeypatch):
+        # all N GMRES solves of a march get one system data array, refilled with
+        # I + theta dt L(t_k) each step; the solve leaves L(t_k) as assembled
+        theta, dt = 0.7, 1e-3
+        assembled, systems = [], []
+        gmres = timestepper._gmres
+
+        def recording_assemble(*args, **kwargs):
+            L = assemble_L(*args, **kwargs)
+            assembled.append((L, L.data.copy()))
+            return L
+
+        def recording_gmres(system, *args):
+            systems.append((system.data, system.data.copy()))
+            return gmres(system, *args)
+
+        monkeypatch.setattr(operator, "assemble_L", recording_assemble)
+        monkeypatch.setattr(timestepper, "_gmres", recording_gmres)
+        traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, dt,
+                            theta=theta)
+        assert len(systems) == traj.nsteps == 20
+        assert len(assembled) == traj.nsteps + 1
+        assert all(data is systems[0][0] for data, _ in systems)
+        for (_, filled), (L, _) in zip(systems, assembled[1:]):
+            system = sp.dia_matrix((filled, L.offsets), shape=L.shape)
+            ref = sp.identity(unit_grid.ndof, format="dia") + theta * dt * L
+            assert system.toarray().tobytes() == ref.toarray().tobytes()
+        for L, data in assembled:
+            assert L.data.tobytes() == data.tobytes()
+
     def test_moving_march_builds_one_sine_basis(self, graph, const_kappa, unit_grid,
                                                 eigenmode, monkeypatch):
         # the preconditioner of every step shares the sine matrices and the
@@ -462,12 +493,17 @@ class TestImplicitSolve:
         factorize = timestepper.factorize
 
         def counting(matrix):
-            calls.append(matrix)
+            calls.append(weakref.ref(matrix))
             return factorize(matrix)
+
+        def system_released(k, frame, window, Lv):
+            # the LU copies its system, and the march keeps no system buffer beside it
+            assert all(ref() is None for ref in calls)
 
         monkeypatch.setattr(timestepper, "factorize", counting)
         chart = make_chart(chart_name, horizon=1.0)
-        solve_direct(chart, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3)
+        solve_direct(chart, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, 1e-3,
+                     observers=(system_released,))
         assert len(calls) == lus
 
     @pytest.mark.parametrize("theta,products", [(0.5, 11), (1.0, 10)])
