@@ -115,6 +115,9 @@ class _Scan:
         for t in times:
             self.add(t)
 
+    # G ** 2 overflows once G passes 1e154, short of the overflow of G itself
+    # that metric_fields refuses
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, t):
         """Fold in the scalars of time t; returns its (MetricFields, kappa values)."""
         chart, kappa, grid, M = self.chart, self.kappa, self.grid, self.M
@@ -122,8 +125,12 @@ class _Scan:
         mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
         k = _on_mesh(kappa, X1, X2, t)
         G = mf.G
-        self.kappa_min = min(self.kappa_min, float(k.min()))
-        self.kappa_max = max(self.kappa_max, float(k.max()))
+        kmin, kmax = float(k.min()), float(k.max())
+        if not (kmin > -math.inf and kmax < math.inf):   # nan fails too
+            raise AssumptionViolationError(
+                f"kappa must be finite; minimum {kmin:.6g}, maximum {kmax:.6g} at t = {t:.6g}")
+        self.kappa_min = min(self.kappa_min, kmin)
+        self.kappa_max = max(self.kappa_max, kmax)
         for key, ginv in zip(self.minima, (mf.ginv11, mf.ginv12, mf.ginv22)):
             self.minima[key] = min(self.minima[key], float((k * ginv).min()))
 
@@ -386,7 +393,8 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     remainder: the Lanczos norm estimates (``operator_norm_est``, lower
     bounds) of the B2..B4 parts plus the exact norm max |d0| of the diagonal
     B5, maximized over the scanned times.
-    kappa <= 0 raises after the whole scan, a degenerate chart during it.
+    kappa <= 0 raises after the whole scan; a non-finite kappa or a degenerate
+    chart raises during it.
     """
     times = list(times)
     if not times:

@@ -1,19 +1,24 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DomainError(ValueError):
     """Evaluation point lies outside the parameter rectangle or time horizon."""
 
 
 class DegenerateChartError(RuntimeError):
-    """The metric determinant is non-positive at some sample point."""
+    """At some sample point the metric determinant G is non-positive or not finite,
+    or another metric field ``name`` (dG/dt) is not finite."""
 
-    def __init__(self, X, t, value):
+    def __init__(self, X, t, value, name="G"):
         self.X = tuple(float(x) for x in X)
         self.t = float(t)
         self.value = float(value)
+        self.name = name
+        why = "<= 0" if math.isfinite(self.value) else "is not finite"
         super().__init__(
-            f"degenerate chart: G = {self.value:.6g} <= 0 at X = {self.X}, t = {self.t:.6g}"
+            f"degenerate chart: {name} = {self.value:.6g} {why} at X = {self.X}, t = {self.t:.6g}"
         )
 
 

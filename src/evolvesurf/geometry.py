@@ -397,12 +397,31 @@ def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _refuse_degenerate(name, values, x1, x2, t, positive=False):
+    """Raise DegenerateChartError unless every sample of ``values`` is finite,
+    and positive if ``positive``.
+
+    Two reductions on the passing path.  The error names the first
+    non-finite sample, or else the smallest one.
+    """
+    v = np.atleast_1d(values)
+    lo, hi = v.min(), v.max()   # nan propagates into both
+    if (lo > 0.0 if positive else lo > -np.inf) and hi < np.inf:
+        return
+    k = int(np.argmin(np.where(np.isfinite(v), v, -np.inf)))
+    where = (np.broadcast_to(x1, v.shape).ravel()[k], np.broadcast_to(x2, v.shape).ravel()[k])
+    raise DegenerateChartError(where, t, v.ravel()[k], name=name)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite G or dG/dt is refused below
 def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False):
     """Sample the metric package over broadcastable arrays of points at time t.
 
     The fields have the broadcast shape of x1 and x2; an open mesh gives the
-    same bits as the dense one.  Raises DegenerateChartError if det(g_ab) <= 0
-    anywhere in the sample.
+    same bits as the dense one.  Raises DegenerateChartError if G = det(g_ab)
+    is not a finite positive number, or dG/dt (when asked for) not a finite
+    one, anywhere in the sample: an overflowing chart is refused here, before
+    any operator is built from it.
     """
     if h_fd is None:
         h_fd = default_h_fd(chart.extent())
@@ -416,11 +435,7 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
                      for g in (_dot3(g1, g1), _dot3(g1, g2), _dot3(g2, g2)))
     G = g11 * g22 - g12 * g12
 
-    Ga = np.atleast_1d(G)
-    if np.any(Ga <= 0.0):
-        k = int(np.argmin(Ga))
-        bad = (np.atleast_1d(x1 + 0 * G).ravel()[k], np.atleast_1d(x2 + 0 * G).ravel()[k])
-        raise DegenerateChartError(bad, t, Ga.ravel()[k])
+    _refuse_degenerate("G", G, x1, x2, t, positive=True)
 
     out = MetricFields(
         g1=g1, g2=g2, g11=g11, g12=g12, g22=g22, G=G, sqrtG=np.sqrt(G),
@@ -434,6 +449,7 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
         dg12 = _dot3(m1, g2) + _dot3(g1, m2)
         dg22 = 2.0 * _dot3(m2, g2)
         out.dGdt = dg11 * g22 + g11 * dg22 - 2.0 * g12 * dg12
+        _refuse_degenerate("dG/dt", out.dGdt, x1, x2, t)
 
     if want_derivs:
         d11 = chart.partial("d11", h_fd)(x1, x2, t)

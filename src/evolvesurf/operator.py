@@ -55,7 +55,9 @@ transform is a pair of dense products with the orthonormal sine matrix of
 each axis (``sine_matrix``, built once per node count), O(n1 n2 (n1 + n2))
 per transform; up to about 150 nodes per axis that beats an FFT, and its
 cost does not depend on the factors of n + 1.  ``factorize`` (sparse LU) is
-left for a static L.
+left for a static L; it imports ``scipy.sparse.linalg`` on first use, so a
+run that factorizes nothing loads neither that module nor the
+``scipy.linalg`` it pulls in.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-# after scipy.sparse.linalg: imported before scipy.sparse, it made the import
-# of evolvesurf.cli 15-38 ms slower (medians of alternating pairs)
-import scipy.linalg
 
 from .errors import AssumptionViolationError, ParameterError
 from .geometry import metric_fields
@@ -224,6 +222,7 @@ def assemble_A(grid, lambda1, lambda2):
     return _stencil_matrix(grid, terms)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # its callers refuse a non-finite kappa
 def _on_mesh(kappa, X1, X2, t):
     """Diffusivity values on a mesh, dense or open, broadcast to its full shape."""
     return np.broadcast_to(np.asarray(kappa.value(X1, X2, t), dtype=float),
@@ -249,7 +248,9 @@ class StepFrame:
 
     * ``coefficients`` -- ``coefficient_fields``: one full-mesh evaluation of
       the metric (with dG/dt) and of the diffusivity.  A diffusivity that is
-      not strictly positive on the mesh raises AssumptionViolationError;
+      not strictly positive and finite on the mesh raises
+      AssumptionViolationError, a metric that is not finite
+      DegenerateChartError (``metric_fields``);
     * ``L`` -- ``assemble_L`` from the coefficients;
     * ``cell_fluxes`` -- (C11, C12, C22) at the cell centres, each the mean of
       its cell's four corner values of the coefficients: the weights of the
@@ -276,6 +277,9 @@ class StepFrame:
         if not K.min() > 0.0:   # nan fails too
             raise AssumptionViolationError(
                 f"kappa must be strictly positive; minimum {K.min():.6g} at t = {self.t:.6g}")
+        if not K.max() < np.inf:
+            raise AssumptionViolationError(
+                f"kappa must be finite; maximum {K.max():.6g} at t = {self.t:.6g}")
         return mesh_coefficients(mf, K)
 
     @functools.cached_property
@@ -495,7 +499,8 @@ def operator_norm_est(m, steps=15, seed=0):
     stops at breakdown, when the new norm is at most n eps max |alpha| (the
     Krylov space is exhausted, as for a diagonal matrix with repeated
     entries), or after min(steps, n) steps, and returns the square root of
-    the largest eigenvalue of the tridiagonal.
+    the largest eigenvalue of the tridiagonal (``_top_eigenvalue``, by
+    numpy: no run imports ``scipy.linalg`` for it).
     """
     n = m.shape[1]
     v = np.random.default_rng(seed).standard_normal(n)
@@ -522,11 +527,15 @@ def operator_norm_est(m, steps=15, seed=0):
             break
         beta.append(b)
         basis[k + 1] = w / b
-    # bisection for the top eigenvalue alone; numpy's dense eigvalsh raised
-    # the peak RSS of a picard run by about 0.2 MiB of LAPACK work space
-    last = len(alpha) - 1
-    top = scipy.linalg.eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(last, last))
-    return float(np.sqrt(max(top[0], 0.0)))
+    return float(np.sqrt(max(_top_eigenvalue(alpha, beta), 0.0)))
+
+
+def _top_eigenvalue(alpha, beta):
+    """Largest eigenvalue of the symmetric tridiagonal with diagonal ``alpha``
+    and off-diagonal ``beta``: numpy's dense ``eigvalsh`` of the k x k matrix
+    (k at most ``steps`` of ``operator_norm_est``, 15 by default), which
+    reads its lower triangle."""
+    return float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, -1))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +661,8 @@ def factorize(matrix):
     conversion to CSC drops explicit zeros (the cross terms of a rigid chart
     with g^12 = 0), which sets the pattern that is ordered and factored.
     """
+    import scipy.sparse.linalg as spla   # on first use: only a static L is factorized
+
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -767,6 +768,43 @@ probes = 4
         assert rc == 1
         assert capsys.readouterr().err == f"error: kappa must be strictly positive; {where}\n"
 
+    @pytest.mark.parametrize("subcommand", ["solve", "check", "picard"])
+    def test_overflowing_diffusivity_exits_one(self, tmp_path, capsys, subcommand):
+        # base + amp sin(pi X1) sin(pi X2) overflows to inf at the centre
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(_numeric_text("diffusion", "base", "sinusoidal", "1e308")
+                           .replace("[diffusion]\n", "[diffusion]\namp = 1e308\n"))
+        rc = main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        where = ("minimum 1e+308, maximum inf" if subcommand in ("check", "picard")
+                 else "maximum inf")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: kappa must be finite; {where} at t = 0\n"
+
+    @pytest.mark.parametrize("subcommand", ["check", "solve", "picard", "verify"])
+    @pytest.mark.parametrize("surface", [
+        "preset = isotropic_scaling\nT = 1\ngamma = 400",
+        "preset = isotropic_scaling\nT = 2\ngamma = 200",
+        "preset = graph_oscillation\nT = 1\nepsilon = 1e200",
+    ], ids=["gamma400", "gamma200", "epsilon1e200"])
+    def test_overflowing_metric_exits_one_naming_X_and_t(self, tmp_path, capsys,
+                                                          subcommand, surface):
+        # G or dG/dt overflows to inf or nan within the horizon: the first
+        # frame or scan time that meets it refuses the chart, before any
+        # operator, norm estimate or step is built from it
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"[surface]\n{surface}\n\n[grid]\nn1 = 8\nn2 = 8\n\n"
+                           "[time]\ndt = 0.01\n")
+        rc = main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in out + err
+        assert err.count("\n") == 1
+        match = re.fullmatch(r"error: degenerate chart: (G|dG/dt) = (inf|nan) is not finite "
+                             r"at X = \((\S+), (\S+)\), t = (\S+)\n", err)
+        assert match, err
+        X1, X2, t = (float(v) for v in match.groups()[2:])
+        assert 0.0 <= X1 <= 1.0 and 0.0 <= X2 <= 1.0 and 0.0 < t <= 2.0
+
 
 class TestBoundedMemory:
     """``solve`` holds the march's window and the snapshots it writes, not the trajectory."""
@@ -851,7 +889,9 @@ class TestMMSWithoutSympy:
                 got = numeric.partial(name, X1, X2, t)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), name
 
-    def test_mms_run_imports_no_sympy(self):
+    def test_mms_run_imports_no_sympy(self, tmp_path):
+        # nor does a moving run load scipy.linalg or scipy.sparse.linalg: only
+        # the LU of a static L imports the latter
         src = str(Path(evolvesurf.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         cfg_text = """
@@ -872,15 +912,30 @@ n2 = 15
 [time]
 dt = 0.005
 """
+        moving, static = tmp_path / "moving.cfg", tmp_path / "static.cfg"
+        moving.write_text(cfg_text)
+        static.write_text(MINIMAL.replace("n1 = 32", "n1 = 10").replace("n2 = 32", "n2 = 10"))
         code = "\n".join([
             "import sys",
             "import evolvesurf",
             "assert 'sympy' not in sys.modules, 'import evolvesurf loaded sympy'",
             "from evolvesurf import cli, config",
-            "report, _ = cli.run_pipeline(config.parse_config(sys.argv[1]), 'mms')",
+            "moving, static, out = sys.argv[1:]",
+            "linalg = lambda: [m for m in ('scipy.linalg', 'scipy.sparse.linalg')",
+            "                  if m in sys.modules]",
+            "assert not linalg(), f'import evolvesurf.cli loaded {linalg()}'",
+            "for sub in ('check', 'solve', 'picard'):",
+            "    assert cli.main([sub, '--config', moving, '--out', f'{out}/{sub}']) == 0, sub",
+            "    assert not linalg(), f'the {sub} run loaded {linalg()}'",
+            "cfg = config.parse_config(open(moving).read())",
+            "report, traj = cli.run_pipeline(cfg, 'mms')",
+            "cli.write_outputs(report, traj, f'{out}/mms', cfg=cfg)",
             "assert report.convergence_tables[0].monotone, 'mms errors not monotone'",
             "assert 'sympy' not in sys.modules, 'the mms run loaded sympy'",
+            "assert not linalg(), f'the mms run loaded {linalg()}'",
+            "assert cli.main(['solve', '--config', static, '--out', f'{out}/static']) == 0",
+            "assert 'scipy.sparse.linalg' in sys.modules, 'a static solve made no LU'",
         ])
-        done = subprocess.run([sys.executable, "-c", code, cfg_text], env=env,
-                              capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-c", code, str(moving), str(static),
+                               str(tmp_path / "out")], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr

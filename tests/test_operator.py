@@ -282,6 +282,33 @@ NORM_GRIDS = pytest.mark.parametrize("domain,n1,n2", [((0.0, 1.0, 0.0, 1.0), 15,
                                      ids=["unit-square", "rectangle"])
 
 
+PICARD_SEED_1 = """
+[surface]
+preset = graph_oscillation
+T = 0.05
+epsilon = 0.05427769606270507
+omega = 0.9068585705196024
+
+[grid]
+n1 = 63
+n2 = 63
+
+[time]
+dt = 0.001
+
+[solver]
+seed = 576870710
+"""
+
+
+def assert_top_eigenvalue_matches_oracle(alpha, beta):
+    from scipy.linalg import eigvalsh_tridiagonal   # the oracle of the test; no run imports it
+
+    last = len(alpha) - 1
+    ref = eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(last, last))[0]
+    assert abs(operator._top_eigenvalue(alpha, beta) - ref) <= 1e-14 * abs(ref)
+
+
 class TestNormEstimate:
     """``operator_norm_est``: Lanczos on M^T M with full reorthogonalization."""
 
@@ -314,6 +341,34 @@ class TestNormEstimate:
         n = unit_grid.ndof
         assert operator_norm_est(sp.dia_matrix((n, n))) == 0.0
         assert operator_norm_est(assemble_A(unit_grid, 1.0, 1.0) * 0.0) == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_top_eigenvalue_matches_the_tridiagonal_oracle(self, k):
+        # Lanczos tridiagonals of M^T M are B^T B for an upper bidiagonal B
+        # (diagonal d, superdiagonal e); these span six decades of scale
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            d, e = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.1, 1.0, size=(2, k))
+            alpha, beta = d * d + np.r_[0.0, e[:-1] ** 2], d[:-1] * e[:-1]
+            assert_top_eigenvalue_matches_oracle(alpha, beta)
+
+    def test_top_eigenvalue_matches_the_oracle_on_a_smallness_report(self, monkeypatch):
+        # the 33 tridiagonals (11 scan times x B2..B4) of the picard benchmark
+        # workload's seed-1 configuration
+        seen = []
+
+        def recording(alpha, beta):
+            seen.append((list(alpha), list(beta)))
+            return top(alpha, beta)
+
+        top = operator._top_eigenvalue
+        monkeypatch.setattr(operator, "_top_eigenvalue", recording)
+        from evolvesurf import cli, config
+        cli.run_pipeline(config.parse_config(PICARD_SEED_1), "check")
+        monkeypatch.undo()
+        assert len(seen) == 33
+        for alpha, beta in seen:
+            assert_top_eigenvalue_matches_oracle(alpha, beta)
 
     @pytest.mark.parametrize("n1,n2", [(1, 7), (7, 1), (2, 6), (6, 2), (2, 1), (1, 1), (9, 5)])
     def test_dia_transpose_products_equal_csr_transpose(self, graph, n1, n2):
