@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import default_h_fd, metric_fields
-from .operator import _on_mesh, field_l2, sobolev_h1_norm
+from .operator import _on_mesh, field_l2, refuse_kappa, sobolev_h1_norm
 from .timestepper import _step_count, solve_direct
 
 
@@ -425,7 +425,8 @@ def manufactured_forcing(chart, kappa, exact):
     d_a R / R = d_a G/(2G) and d_c g^ab = -g^ae d_c g_ef g^fb.  The metric
     partials are the chart's (analytic for presets, finite differences for a
     user chart without them), d_a K is ``kappa.partial`` and the partials of
-    u are those ``exact`` carries.
+    u are those ``exact`` carries.  A diffusivity that is not positive and
+    finite raises AssumptionViolationError, as in a step frame.
     """
     h_fd = default_h_fd(chart.extent())
     k1 = kappa.partial("d1", chart.domain, h_fd)
@@ -437,6 +438,7 @@ def manufactured_forcing(chart, kappa, exact):
         mf = metric_fields(chart, x1, x2, tt, h_fd=h_fd, want_derivs=True)
         u = {name: exact.partial(name, x1, x2, tt) for name in SOLUTION_PARTIALS}
         K = _on_mesh(kappa, x1, x2, tt)
+        refuse_kappa(K, tt)   # before an overflowing kappa meets a metric partial of 0
         # (1/R) d_a(K R) = d_a K + K d_a G/(2G)
         e1 = np.asarray(k1(x1, x2, tt), dtype=float) + K * mf.dG_d1 / (2.0 * mf.G)
         e2 = np.asarray(k2(x1, x2, tt), dtype=float) + K * mf.dG_d2 / (2.0 * mf.G)

@@ -298,7 +298,12 @@ def _closed_form(gamma=0.0, c=0.0, epsilon=0.0, omega=0.0):
     evaluated.  The metric is static when gamma = 0 and there is no height
     term (epsilon = 0 or omega = 0).
     """
-    s = lambda t: math.exp(gamma * t)
+    def s(t):
+        try:
+            return math.exp(gamma * t)
+        except OverflowError:   # metric_fields refuses the chart at t, naming X and t
+            return math.inf
+
     ds = lambda t: gamma * s(t)
     height = epsilon != 0.0 and omega != 0.0
     amp = lambda t: epsilon * math.sin(omega * t)

@@ -229,6 +229,16 @@ def _on_mesh(kappa, X1, X2, t):
                            np.broadcast_shapes(np.shape(X1), np.shape(X2)))
 
 
+def refuse_kappa(K, t):
+    """Raise AssumptionViolationError unless the diffusivity values K at t are positive and finite."""
+    if not K.min() > 0.0:   # nan fails too
+        raise AssumptionViolationError(
+            f"kappa must be strictly positive; minimum {K.min():.6g} at t = {t:.6g}")
+    if not K.max() < np.inf:
+        raise AssumptionViolationError(
+            f"kappa must be finite; maximum {K.max():.6g} at t = {t:.6g}")
+
+
 def mesh_coefficients(mf, K):
     """``coefficient_fields`` from a full-mesh MetricFields and diffusivity K."""
     R = mf.sqrtG
@@ -274,12 +284,7 @@ class StepFrame:
         X1, X2 = self.grid.full_mesh(sparse=True)
         mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
         K = _on_mesh(self.kappa, X1, X2, self.t)
-        if not K.min() > 0.0:   # nan fails too
-            raise AssumptionViolationError(
-                f"kappa must be strictly positive; minimum {K.min():.6g} at t = {self.t:.6g}")
-        if not K.max() < np.inf:
-            raise AssumptionViolationError(
-                f"kappa must be finite; maximum {K.max():.6g} at t = {self.t:.6g}")
+        refuse_kappa(K, self.t)
         return mesh_coefficients(mf, K)
 
     @functools.cached_property

@@ -46,21 +46,39 @@ pair one step touches; a static problem has a single frame.
 A march holds O(ndof) state: the three-level window (v_{k-1}, v_k, v_{k+1})
 and the rows it keeps, one for every ``stride``-th step (row 0 is the
 datum).  Its Trajectory is those rows, their stride and every step time.
-``stride = 1`` keeps the whole history, as ``theta_step``, the Picard stages
-and the direct march the Picard agreement compares against need; the CLI
-``solve`` keeps only the snapshots it writes.  Observers are called as
-``observer(k, frame, window, Lv)`` at every step k in order, with the frame
-of t_k while the march holds it, the window (v_{k-1}, v_k, v_{k+1}) (None
-beyond the first and last step) and the gate's product Lv = L(t_k) v_k
-(None only at k = 0 under backward Euler), which the regularity report
-reads.  The energy ledger and the regularity report of ``diagnostics`` are
+``stride = 1`` keeps the whole history, as ``theta_step`` and the Picard
+stages need; the CLI ``solve`` and ``picard`` keep only the snapshots they
+write.  Observers are called as ``observer(k, frame, window, Lv)`` at every
+step k in order, with the frame of t_k while the march holds it, the window
+(v_{k-1}, v_k, v_{k+1}) (None beyond the first and last step) and the gate's
+product Lv = L(t_k) v_k (None only at k = 0 under backward Euler), which the
+regularity report reads.  The energy ledger and the regularity report of ``diagnostics`` are
 observers (the march is the only way they are computed; the decay quotient
-reads the finished ledger), and so is the collector of ``cli.run_picard``
-that hands the L(t_k) of the direct march to the Picard stages beside that
-march's energy ledger.
+reads the finished ledger), and so is the Picard window loop when a direct
+march runs alongside it (``cli.run_picard``).
+
+The Picard iteration runs on time windows, as the paper continues local
+solutions: a window is min(T, T_star_24, T_star_25) of the smallness report
+in whole steps (at least one; one window over the whole horizon without a
+report).  ``_PicardWindows`` is the one window loop.  It takes L(t_k) one
+step time at a time, from a direct march it observes or from step frames
+built for it; at the end of a window the stages iterate on that window from
+the previous window's Picard end state, the agreement with the direct rows
+is folded into running maxima row by row, and the window's operators and
+rows are dropped.  A Picard run holds one window's L(t_k), its direct rows
+and the rows of one iterate, which each stage overwrites with the next one
+step behind the reads of its forcing.  Beyond the window it holds the kept
+rows of every ``stride``-th step and, per step, only its time and two
+floats of each norm of the window being iterated.
 
 ``z_norm`` is the discrete exponential-weighted graph norm used to monitor
 the iteration: sup_t e^{-t} ||v|| plus the L2-in-time norms of dv/dt and A v.
+A stage's norms are observers of its march (``_StageNorms``): z(v_{m+1})
+reads the gate's product A v_k, and the difference norm reads the march's
+levels minus the iterate v_m and forms A (v_{m+1} - v_m) once per step, so
+a correction stage step forms four products (the forcing's A v_m and
+L(t_k) v_m, the gate's and that one) and no difference trajectory is built.
+``z_norm`` itself replays the same accumulator over stored rows.
 """
 
 from __future__ import annotations
@@ -107,18 +125,31 @@ class Trajectory:
 
 @dataclass
 class PicardHistory:
-    """Per-correction records of the fixed-point iteration.
+    """Per-correction records of the fixed-point iteration, window by window.
 
-    ``z_norms`` and ``diff_norms`` carry one entry per correction stage;
-    ``ratios`` holds the well-defined consecutive quotients, so it is one
-    entry shorter.
+    ``z_norms``, ``diff_norms`` and ``windows`` (the window number, from 0)
+    carry one entry per correction stage, in order; ``ratios`` holds the
+    well-defined consecutive quotients within each window, so a window adds
+    one entry fewer than it has stages.  ``iterations`` is the most stages
+    any window took (each is capped at max_iter), and ``converged`` holds if
+    every window converged.  ``agreement`` is the relative distance to the
+    direct march that ran alongside, or None.
     """
 
     z_norms: list = field(default_factory=list)
     diff_norms: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
+    windows: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    agreement: float = None
+
+    def stages(self):
+        """(window, stage number in it from 1, z_norm, diff_norm, ratio or None) per stage."""
+        ratios = iter(self.ratios)
+        for i, window in enumerate(self.windows):
+            m = m + 1 if i and self.windows[i - 1] == window else 1
+            yield window, m, self.z_norms[i], self.diff_norms[i], next(ratios) if m > 1 else None
 
 
 class _ComparisonStage:
@@ -196,6 +227,27 @@ def _gmres(system, precond, b, x0, target, maxiter):
     for yi, z in zip(y, pre):
         x += yi * z
     return x, len(pre)
+
+
+def _allocate(nsteps, stride, ndof, t0, dt):
+    """(times, kept) of a march: every step time t0 + k dt and a row for every ``stride``-th step.
+
+    A step count whose step times or kept rows do not fit in memory raises
+    ParameterError before anything is marched.
+    """
+    if stride < 1:
+        raise ParameterError(f"stride must be at least 1, got {stride}")
+    nkept = nsteps // stride + 1
+    nbytes = 8 * (nsteps + 1 + nkept * ndof)
+    try:
+        # refused up front where the allocator would grant pages it cannot back
+        if nbytes > _PHYSICAL_MEMORY:
+            raise MemoryError
+        return t0 + np.arange(nsteps + 1) * dt, np.empty((nkept, ndof))
+    except MemoryError:
+        raise ParameterError(
+            f"{nsteps} steps do not fit in memory: their {nsteps + 1} step times and "
+            f"{nkept} kept rows of {ndof} values take {nbytes} bytes") from None
 
 
 class _ThetaMarcher:
@@ -294,7 +346,7 @@ class _ThetaMarcher:
             raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
         return v, Lv
 
-    def march(self, v0, nsteps, forcing=None, observers=(), stride=1):
+    def march(self, v0, nsteps, forcing=None, observers=(), stride=1, out=None):
         """Trajectory of ``nsteps`` steps from the flat datum ``v0`` at t0.
 
         Step k solves (I + theta dt L(t_{k+1})) v_{k+1} = (I - (1-theta) dt
@@ -308,22 +360,15 @@ class _ThetaMarcher:
         (None only at k = 0 under backward Euler).  The march keeps the rows
         of every ``stride``-th step; a step count whose step times or kept
         rows do not fit in memory raises ParameterError before the first step.
+        With ``out`` the rows go into that array instead: row k is written
+        after forcing(k + 1) and before the observers of step k, so both may
+        read the rows of ``out`` from k + 1 on while the march overwrites them.
         """
         dt, theta = self.dt, self.theta
-        if stride < 1:
-            raise ParameterError(f"stride must be at least 1, got {stride}")
-        nkept = nsteps // stride + 1
-        nbytes = 8 * (nsteps + 1 + nkept * self.grid.ndof)
-        try:
-            # refused up front where the allocator would grant pages it cannot back
-            if nbytes > _PHYSICAL_MEMORY:
-                raise MemoryError
-            times = self.t0 + np.arange(nsteps + 1) * dt
-            kept = np.empty((nkept, self.grid.ndof))
-        except MemoryError:
-            raise ParameterError(
-                f"{nsteps} steps do not fit in memory: their {nsteps + 1} step times and "
-                f"{nkept} kept rows of {self.grid.ndof} values take {nbytes} bytes") from None
+        if out is None:
+            times, kept = _allocate(nsteps, stride, self.grid.ndof, self.t0, dt)
+        else:
+            times, kept = self.t0 + np.arange(nsteps + 1) * dt, out
         f_old = None if forcing is None else forcing(0)
         Lv = self.L(0) @ v0 if theta < 1.0 else None   # later steps reuse the gate's product
         prev, cur = None, v0
@@ -406,56 +451,232 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, obse
     return marcher.march(vals, nsteps, forcing, observers, stride)
 
 
+class _ZNorm:
+    """``z_norm`` accumulated one step time at a time, as a march reaches them.
+
+    ``add(k, window, Av)`` takes the three levels (v_{k-1}, v_k, v_{k+1}) of
+    step time t_k = times[k] (None beyond either end) and A v_k (unused for
+    a single row); ``value()`` is the norm once every step time is in.  Each
+    step keeps two floats, so the norm of a march needs none of its rows.
+    """
+
+    def __init__(self, grid, times, dt):
+        self.grid = grid
+        self.times = times
+        self.dt = dt
+        self.sup = None
+        self.dv_sq = np.empty(len(times))
+        self.av_sq = np.empty(len(times))
+
+    def add(self, k, window, Av):
+        prev, v, nxt = window
+        sup = math.exp(-float(self.times[k])) * field_l2(v, self.grid)
+        self.sup = sup if self.sup is None else max(self.sup, sup)
+        if prev is None and nxt is None:
+            return
+        if prev is None:
+            dvdt = (nxt - v) / self.dt
+        elif nxt is None:
+            dvdt = (v - prev) / self.dt
+        else:
+            dvdt = (nxt - prev) / (2.0 * self.dt)
+        self.dv_sq[k] = field_l2(dvdt, self.grid) ** 2
+        self.av_sq[k] = field_l2(Av, self.grid) ** 2
+
+    def value(self):
+        nt = len(self.times)
+        if nt == 1:
+            return self.sup
+        w = np.full(nt, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        return float(self.sup + math.sqrt(np.dot(w, self.dv_sq)) + math.sqrt(np.dot(w, self.av_sq)))
+
+
 def z_norm(traj, A, grid):
-    """Discrete exponential-weighted graph norm of a trajectory.
+    """Discrete exponential-weighted graph norm of a trajectory that keeps every step.
 
     sup_t e^{-t} ||v(t)|| + ||dv/dt||_{L2(0,T;L2)} + ||A v||_{L2(0,T;L2)},
     with centered time differences (one-sided at the ends) and trapezoid
-    quadrature in time.
+    quadrature in time: the accumulator a Picard stage's march feeds,
+    replayed over stored rows.
     """
-    times = traj.times
     fields = traj.fields
-    nt = len(times)
+    nt = len(traj.times)
     if nt == 0:
         raise ParameterError("empty trajectory")
-
-    sup_term = max(
-        math.exp(-float(times[k])) * field_l2(fields[k], grid) for k in range(nt)
-    )
-    if nt == 1:
-        return sup_term
-
-    dt = traj.dt
-    dv_sq = np.empty(nt)
-    av_sq = np.empty(nt)
+    norm = _ZNorm(grid, traj.times, traj.dt)
     for k in range(nt):
-        if k == 0:
-            dvdt = (fields[1] - fields[0]) / dt
-        elif k == nt - 1:
-            dvdt = (fields[-1] - fields[-2]) / dt
-        else:
-            dvdt = (fields[k + 1] - fields[k - 1]) / (2.0 * dt)
-        dv_sq[k] = field_l2(dvdt, grid) ** 2
-        av_sq[k] = field_l2(A @ fields[k], grid) ** 2
+        window = (fields[k - 1] if k > 0 else None, fields[k],
+                  fields[k + 1] if k + 1 < nt else None)
+        norm.add(k, window, A @ fields[k] if nt > 1 else None)
+    return norm.value()
 
-    w = np.full(nt, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return float(sup_term + math.sqrt(np.dot(w, dv_sq)) + math.sqrt(np.dot(w, av_sq)))
+
+class _StageNorms:
+    """Observer of the march of stage m+1: z(v_{m+1}) and z(v_{m+1} - v_m).
+
+    z(v_{m+1}) reads the gate's product Lv = A v_k of the stage march (A v_0
+    is formed here only under backward Euler, where the march has none).
+    The difference reads the march's levels minus ``rows``, the iterate v_m
+    at the same step times, one step ahead of the march overwriting them:
+    one subtraction and one product A (v_{m+1} - v_m) per step, and no
+    difference trajectory.
+    """
+
+    def __init__(self, A, grid, times, dt, rows):
+        self.A = A
+        self.rows = rows
+        self.z = _ZNorm(grid, times, dt)
+        self.diff = _ZNorm(grid, times, dt)
+        self._diffs = None   # (d_{k-1}, d_k), d = v_{m+1} - v_m
+
+    def observe(self, k, frame, window, Lv):
+        prev, v, nxt = window
+        self.z.add(k, window, self.A @ v if Lv is None else Lv)
+        # every iterate starts at the window's start state: d_0 = 0
+        d_prev, d = self._diffs if k else (None, np.zeros_like(v))
+        d_nxt = None if nxt is None else nxt - self.rows[k + 1]
+        self.diff.add(k, (d_prev, d, d_nxt), self.A @ d)
+        self._diffs = (d, d_nxt)
+
+
+def _window_steps(T, dt, nsteps, condition_report):
+    """Steps of a Picard window: W = min(T, T_star_24, T_star_25) in whole steps, at least one.
+
+    Without a smallness report, or where neither horizon is below T, the
+    window is the whole march.
+    """
+    if condition_report is None:
+        return nsteps
+    W = min(T, condition_report.T_star_24, condition_report.T_star_25)
+    if not W < T:
+        return nsteps
+    return min(nsteps, max(1, int(W / dt + 1e-12)))
+
+
+class _PicardWindows:
+    """The Picard iteration, window by window, fed one step time at a time.
+
+    ``add(k, L, row)`` hands over L(t_k) and, when a direct march runs
+    alongside, its row v_k; ``observe`` is the same as an observer of that
+    march.  At the last step time of a window the stages iterate on it from
+    the previous window's Picard end state, every ``stride``-th row of the
+    final iterate goes into ``kept``, and the window's operators are dropped
+    and then its direct rows, after they entered the running maxima of the
+    agreement.  Only the shared step time carries over to the next window.
+    """
+
+    def __init__(self, stage, times, window, start, tol, max_iter, kept, stride,
+                 condition_report):
+        self.stage = stage
+        self.A = stage.frames.L
+        self.times = times
+        self.window = window
+        self.start = start          # the Picard state at the window's first step time
+        self.first = 0              # the window's first step index
+        self.count = 0              # windows done
+        self.tol = tol
+        self.max_iter = max_iter
+        self.kept = kept
+        self.stride = stride
+        self.condition_report = condition_report
+        self.operators = []         # L(t_k) of the window
+        self.rows = []              # direct rows v_k of the window
+        self.err = self.scale = np.float64(0.0)
+        self.history = PicardHistory(converged=True)
+
+    def observe(self, k, frame, window, Lv):
+        self.add(k, frame.L, window[1])
+
+    def add(self, k, L, row=None):
+        self.operators.append(L)
+        if row is not None:
+            self.rows.append(row)
+        if k == self.first + self.window < len(self.times) - 1:
+            self._iterate(k)
+
+    def _iterate(self, last):
+        first, stage, A, hist = self.first, self.stage, self.A, self.history
+        nsteps = last - first
+        times = self.times[first:last + 1]
+        number = self.count
+        # the iterate's rows: v_1, then each stage m+1 overwrites v_m with
+        # v_{m+1} a row behind the reads of its forcing and observer
+        v = stage.march(self.start, nsteps).fields
+        prev_diff = None
+        for m in range(1, self.max_iter + 1):
+            # the stage forcing A v_m(t_k) - L(t_k) v_m(t_k)
+            norms = _StageNorms(A, stage.grid, times, stage.dt, v)
+            stage.march(self.start, nsteps,
+                        lambda j: A @ v[j] - self.operators[j] @ v[j],
+                        observers=(norms.observe,), out=v)
+            diff = norms.diff.value()
+            hist.z_norms.append(norms.z.value())
+            hist.diff_norms.append(diff)
+            hist.windows.append(number)
+            if prev_diff is not None:
+                hist.ratios.append(diff / prev_diff if prev_diff > 0 else 0.0)
+            hist.iterations = max(hist.iterations, m)
+            if diff <= self.tol:
+                break
+            prev_diff = diff
+        else:
+            hist.converged = False
+            if self.max_iter > 1 and hist.ratios[-1] >= 1.0:
+                hint = ""
+                if self.condition_report is not None:
+                    hint = (f" (smallness report: condition_thm26 = "
+                            f"{self.condition_report.condition_thm26})")
+                raise PicardDivergenceError(
+                    f"no contraction after {self.max_iter} iterations on window {number} "
+                    f"(steps {first} to {last}), last ratio {hist.ratios[-1]:.3f} >= 1; "
+                    f"check the smallness conditions{hint}")
+        self.operators = self.operators[-1:]
+        for k in range(first, last + 1):
+            if k % self.stride == 0:
+                self.kept[k // self.stride] = v[k - first]
+        for row, u in zip(v, self.rows):
+            self.err = max(self.err, np.max(np.abs(row - u)))
+            self.scale = max(self.scale, np.max(np.abs(u)))
+        self.rows = self.rows[-1:]
+        self.start = v[-1].copy()
+        self.first = last
+        self.count += 1
+
+    def result(self):
+        """Iterate the last window, once every step time is in; returns the history.
+
+        A direct march has returned by then, so its step frames and system
+        buffer are gone.  The history's ``agreement`` is set when direct rows
+        came in.
+        """
+        self._iterate(len(self.times) - 1)
+        if self.rows:
+            self.history.agreement = float(self.err / self.scale)
+        return self.history
 
 
 def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
                  tol=1e-8, max_iter=20, theta=0.5,
-                 condition_report=None, operators=None):
-    """Fixed-point iteration with the constant comparison operator.
+                 condition_report=None, direct_observers=None, stride=1):
+    """Fixed-point iteration with the constant comparison operator, on time windows.
 
     The system is homogeneous: stage one solves dv/dt + A v = 0, stage m+1
     marches A with the forcing A v_m(t_k) - L(t_k) v_m(t_k) = -B(t_k) v_m(t_k).
-    ``operators`` is the list of L(t_k) for k = 0..nsteps when the caller
-    holds it already (the step frames of a direct march, say); otherwise it
-    is read from step frames built here.  Stops when the z-norm of a
-    consecutive difference drops below ``tol``.  Raises
-    PicardDivergenceError when max_iter is hit while the last ratio is at or
-    above one (the smallness condition is the quantity to check then).
+    The horizon is cut into windows of ``min(T, T_star_24, T_star_25)`` of
+    ``condition_report`` in whole steps (at least one; the whole horizon
+    without a report), and each window is iterated from the previous
+    window's Picard end state until the z-norm of a consecutive difference
+    drops below ``tol``.  Raises PicardDivergenceError when max_iter is hit on
+    a window while its last ratio is at or above one (the smallness
+    condition is the quantity to check then).
+
+    With ``direct_observers`` (a sequence, possibly empty) the direct march
+    runs alongside: it hands each window its L(t_k), calls the observers, and
+    the history's ``agreement`` is max_k |v_k - u_k| / max_k |u_k| against its
+    rows u_k.  Otherwise L(t_k) is read from step frames built here.  Returns
+    (Trajectory keeping every ``stride``-th step of the Picard solution,
+    PicardHistory).
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
@@ -463,42 +684,15 @@ def solve_picard(chart, kappa, grid, lambda1, lambda2, v0, T, dt,
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     vals = _prepare_v0(v0, grid)
     stage = _ThetaMarcher(dt, theta, _ComparisonStage(grid, lambda1, lambda2))
-    A = stage.frames.L
     nsteps = _step_count(T, dt)
-    if operators is None:
+    times, kept = _allocate(nsteps, stride, grid.ndof, 0.0, dt)
+    windows = _PicardWindows(stage, times, _window_steps(T, dt, nsteps, condition_report),
+                             vals, tol, max_iter, kept, stride, condition_report)
+    if direct_observers is None:
         frames = StepFrames(chart, kappa, grid)
-        operators = [frames.frame(stage.time(k)).L for k in range(nsteps + 1)]
-    elif len(operators) != nsteps + 1:
-        raise ParameterError(f"{len(operators)} operators L(t_k) for {nsteps + 1} step times")
-
-    history = PicardHistory()
-    current = stage.march(vals, nsteps)   # v_1
-    prev_diff = None
-    for m in range(1, max_iter + 1):
-        # the stage forcing A v_m(t_k) - L(t_k) v_m(t_k) of the iterate v_m = current
-        nxt = stage.march(vals, nsteps, lambda k: A @ current.fields[k] - operators[k] @ current.fields[k])
-        diff_traj = Trajectory(nxt.times, nxt.fields - current.fields, dt, grid)
-        diff = z_norm(diff_traj, A, grid)
-        znext = z_norm(nxt, A, grid)
-        history.z_norms.append(znext)
-        history.diff_norms.append(diff)
-        if prev_diff is not None:
-            history.ratios.append(diff / prev_diff if prev_diff > 0 else 0.0)
-        history.iterations = m
-        current = nxt
-        if diff <= tol:
-            history.converged = True
-            break
-        prev_diff = diff
+        for k in range(nsteps + 1):
+            windows.add(k, frames.frame(stage.time(k)).L)
     else:
-        if history.ratios and history.ratios[-1] >= 1.0:
-            hint = ""
-            if condition_report is not None:
-                hint = (f" (smallness report: condition_thm26 = "
-                        f"{condition_report.condition_thm26})")
-            raise PicardDivergenceError(
-                f"no contraction after {max_iter} iterations, last ratio "
-                f"{history.ratios[-1]:.3f} >= 1; check the smallness conditions{hint}"
-            )
-
-    return current, history
+        solve_direct(chart, kappa, grid, vals, T, dt, theta=theta,
+                     observers=(*direct_observers, windows.observe), stride=nsteps)
+    return Trajectory(times, kept, dt, grid, stride), windows.result()

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -805,9 +806,33 @@ probes = 4
         X1, X2, t = (float(v) for v in match.groups()[2:])
         assert 0.0 <= X1 <= 1.0 and 0.0 <= X2 <= 1.0 and 0.0 < t <= 2.0
 
+    def test_scale_factor_past_the_float_range_exits_one_naming_t(self, tmp_path, capsys):
+        # gamma t = 1000 at the only step: e^{gamma t} itself overflows, not
+        # only G, and the step frame of t = 1 refuses the chart
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[surface]\npreset = isotropic_scaling\nT = 1\ngamma = 1000\n\n"
+                           "[grid]\nn1 = 8\nn2 = 8\n\n[time]\ndt = 1\n")
+        rc = main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: degenerate chart: G = nan is not finite at X = (0.0, 0.0), t = 1\n")
+
+    def test_mms_refuses_an_overflowing_diffusivity_before_its_forcing_warns(self, tmp_path,
+                                                                             capsys):
+        # the suite turns warnings into errors: the manufactured forcing checks
+        # kappa before kappa times a metric partial of 0 makes a nan
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[surface]\npreset = graph_oscillation\nT = 0.1\nepsilon = 0.05\n"
+                           "omega = 1.0\n\n[diffusion]\npreset = sinusoidal\nbase = 1e308\n"
+                           "amp = 1e308\n\n[grid]\nn1 = 15\nn2 = 15\n\n[time]\ndt = 0.01\n")
+        rc = main(["mms", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: kappa must be finite; maximum inf at t = 0\n"
+
 
 class TestBoundedMemory:
-    """``solve`` holds the march's window and the snapshots it writes, not the trajectory."""
+    """``solve`` holds the march's window and the snapshots it writes, not the trajectory;
+    ``picard`` holds one window of the existence horizon."""
 
     CONFIG = MINIMAL.replace("n1 = 32", "n1 = 31").replace("n2 = 32", "n2 = 31") \
         + "\n[output]\nsnapshot_stride = 1000\n"
@@ -823,6 +848,30 @@ class TestBoundedMemory:
             peaks.append(cli_peak_rss_mib(
                 ["solve", "--config", str(cfgfile), "--out", str(tmp_path / horizon)], 60))
         assert len(list((tmp_path / "10.0").glob("snapshot_*.vtk"))) == 11
+        assert abs(peaks[1] - peaks[0]) <= 5.0, peaks
+
+    PICARD = ("[surface]\npreset = graph_oscillation\nT = 1.0\nepsilon = 0.01\nomega = 1.0\n\n"
+              "[grid]\nn1 = 7\nn2 = 7\n\n[time]\ndt = 1e-3\n\n"
+              "[output]\nsnapshot_stride = 100000\n")
+
+    def test_picard_peak_rss_independent_of_step_count(self, tmp_path, cli_peak_rss_mib):
+        # budget: about 8 s on a 2-vCPU host for both runs, each stopped after
+        # 60 s.  T_star_24 (0.25 over T = 1, 0.19 over T = 10) cuts 10^3 steps
+        # into 5 windows and 10^4 steps into 53, and a window's operators and
+        # rows are dropped before the next; keeping L(t_k) and the iterates of
+        # every step added 52 MiB to the 10^4-step peak
+        peaks = []
+        for horizon in ("1.0", "10.0"):
+            cfgfile = tmp_path / f"T{horizon}.cfg"
+            cfgfile.write_text(self.PICARD.replace("T = 1.0", f"T = {horizon}"))
+            peaks.append(cli_peak_rss_mib(
+                ["picard", "--config", str(cfgfile), "--out", str(tmp_path / horizon)], 60))
+        report = (tmp_path / "10.0" / "report.txt").read_text()
+        assert "picard_windows = 53\n" in report and "picard_converged = true\n" in report
+        rows = list(csv.reader((tmp_path / "10.0" / "picard.csv").read_text().splitlines()))
+        assert rows[0] == ["window", "iteration", "z_norm", "diff_norm", "ratio"]
+        assert [r[0] for r in rows[1:] if r[1] == "1"] == [str(w) for w in range(53)]
+        assert all((r[4] == "") == (r[1] == "1") for r in rows[1:])
         assert abs(peaks[1] - peaks[0]) <= 5.0, peaks
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import subprocess
@@ -304,6 +305,77 @@ class TestSolvePicard:
         direct = solve_direct(chart, const_kappa, grid, phi, 0.05, 1e-3)
         rel = np.max(np.abs(traj.fields - direct.fields)) / np.max(np.abs(direct.fields))
         assert rel <= 10.0 * tol
+
+    def test_windows_of_the_existence_horizon_converge_and_agree(self, const_kappa, eigenmode,
+                                                                 monkeypatch):
+        # budget: about 0.2 s.  T_star_24 = 0.378 of the report cuts the 50
+        # steps into windows of 18, 18 and 14; each restarts from the Picard
+        # end state of the one before and counts its own stages and ratios
+        grid = make_grid((0, 1, 0, 1), 15, 15)
+        chart = make_chart("graph_oscillation", horizon=1.0, epsilon=0.005, omega=1.0)
+        rep = evolvesurf.smallness_report(chart, const_kappa, grid, np.linspace(0, 1, 11))
+        phi, tol, dt = eigenmode(grid), 1e-8, 0.02
+        formed = count_sparse_products(monkeypatch)["dia"]
+        traj, hist = solve_picard(chart, const_kappa, grid, rep.lambda1, rep.lambda2, phi,
+                                  1.0, dt, tol=tol, condition_report=rep, direct_observers=())
+        assert int(min(rep.T_star_24, rep.T_star_25) / dt) == 18
+        stages = [hist.windows.count(w) for w in range(3)]
+        assert hist.windows == sorted(hist.windows) and sum(stages) == len(hist.windows)
+        assert hist.converged and hist.iterations == max(stages)
+        assert len(hist.ratios) == len(hist.windows) - 3
+        assert all(r <= 0.55 for r in hist.ratios)
+        # no window adds a product: the direct march's, stage one's march, and
+        # four per correction stage step
+        picard_products = len(formed)
+        formed.clear()
+        direct = solve_direct(chart, const_kappa, grid, phi, 1.0, dt)
+        assert picard_products == len(formed) + sum((n + 1) * (1 + 4 * m)
+                                                    for n, m in zip((18, 18, 14), stages))
+        scale = np.max(np.abs(direct.fields))
+        assert hist.agreement == float(np.max(np.abs(traj.fields - direct.fields)) / scale)
+        assert hist.agreement <= 10.0 * tol
+        # every 7th row, across the window ends at steps 18 and 36
+        strided, _ = solve_picard(chart, const_kappa, grid, rep.lambda1, rep.lambda2, phi,
+                                  1.0, dt, tol=tol, condition_report=rep, stride=7)
+        assert list(strided.steps) == list(range(0, 51, 7))
+        assert np.array_equal(strided.fields, traj.fields[::7])
+        # one window over the whole horizon meets the same gate
+        whole, whole_hist = solve_picard(chart, const_kappa, grid, rep.lambda1, rep.lambda2,
+                                         phi, 1.0, dt, tol=tol)
+        assert set(whole_hist.windows) == {0}
+        assert np.max(np.abs(whole.fields - direct.fields)) <= 10.0 * tol * scale
+
+    @pytest.mark.parametrize("theta,stage_one", [(0.5, 11), (1.0, 10)])
+    def test_four_products_per_correction_stage_step(self, graph, const_kappa, unit_grid,
+                                                     eigenmode, monkeypatch, theta, stage_one):
+        # the forcing's A v_m and L(t_k) v_m, the gate's A v_{k+1} and
+        # A (v_{m+1} - v_m); z(v_{m+1}) reads the gate's product, and only
+        # backward Euler forms A v_0 for it, which its march does not
+        lam1, lam2 = lambda_select(graph, const_kappa, unit_grid, [0.0, 0.01])
+        formed = count_sparse_products(monkeypatch)["dia"]
+        traj, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2,
+                                  eigenmode(unit_grid), 0.01, 1e-3, theta=theta)
+        assert traj.nsteps == 10 and hist.iterations >= 3
+        assert len(formed) == stage_one + 4 * 11 * hist.iterations
+        # each L(t_k) once per correction stage, and A for the rest
+        counts = sorted(collections.Counter(map(id, formed)).values())
+        assert counts == [hist.iterations] * 11 + [stage_one + 3 * 11 * hist.iterations]
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_stage_norms_are_z_norm_of_the_stored_iterates(self, graph, const_kappa, unit_grid,
+                                                           eigenmode, theta):
+        # the march observers give the bits of the replay over stored rows
+        lam1, lam2 = lambda_select(graph, const_kappa, unit_grid, [0.0, 0.02])
+        A = assemble_A(unit_grid, lam1, lam2)
+        run = lambda m: solve_picard(graph, const_kappa, unit_grid, lam1, lam2,
+                                     eigenmode(unit_grid), 0.02, 2e-3, tol=1e-300,
+                                     max_iter=m, theta=theta)
+        prev, _ = run(2)
+        cur, hist = run(3)
+        assert not hist.converged and len(hist.z_norms) == 3
+        assert hist.z_norms[-1] == z_norm(cur, A, unit_grid)
+        diff = Trajectory(cur.times, cur.fields - prev.fields, cur.dt, unit_grid)
+        assert hist.diff_norms[-1] == z_norm(diff, A, unit_grid)
 
     @pytest.mark.parametrize("T,max_iter,message", [
         (0.0, 20, "horizon must be positive"),
@@ -835,19 +907,20 @@ class TestStepFrames:
         v0 = eigenmode(unit_grid)
         own, own_hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3)
         assembled = count_calls(operator, "assemble_L")
-        operators = []
-        direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, window, Lv: operators.append(frame.L),))
+        observed = []
         shared, hist = solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
-                                    operators=operators)
-        assert len(assembled) == direct.nsteps + 1
-        assert len({id(L) for L in operators}) == direct.nsteps + 1
+                                    direct_observers=(lambda k, frame, window, Lv:
+                                                      observed.append(k),))
+        # the direct march's step frames are the only L(t_k) the stages read
+        assert observed == list(range(shared.nsteps + 1))
+        assert len(assembled) == shared.nsteps + 1
         assert np.array_equal(shared.fields, own.fields)
         assert hist.diff_norms == own_hist.diff_norms
-        for wrong in (operators[:-1], operators + operators[-1:]):
-            with pytest.raises(ParameterError, match="operators L"):
-                solve_picard(graph, const_kappa, unit_grid, lam1, lam2, v0, 0.02, 2e-3,
-                             operators=wrong)
+        # the running maxima give the whole-array agreement
+        direct = solve_direct(graph, const_kappa, unit_grid, v0, 0.02, 2e-3)
+        scale = float(np.max(np.abs(direct.fields)))
+        assert hist.agreement == float(np.max(np.abs(own.fields - direct.fields)) / scale)
+        assert own_hist.agreement is None
 
     def test_static_problem_hands_one_L_to_every_step(self, const_kappa, eigenmode,
                                                       count_calls):
@@ -855,23 +928,14 @@ class TestStepFrames:
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 9)
         lam1, lam2 = lambda_select(chart, const_kappa, grid, [0.0])
         v0 = eigenmode(grid)
-        operators = []
-        direct = solve_direct(chart, const_kappa, grid, v0, 0.02, 2e-3,
-                              observers=(lambda k, frame, window, Lv: operators.append(frame.L),))
-        assert len(operators) == direct.nsteps + 1
-        assert len({id(L) for L in operators}) == 1
-        # one separately assembled L per step time gives the same bits
-        per_step = [assemble_L(chart, const_kappa, grid, 0.0) for _ in operators]
-        ref, ref_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
-                                     operators=per_step)
+        assembled = count_calls(operator, "assemble_L")
         shared, hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3,
-                                    operators=operators)
-        frames_here = count_calls(operator, "assemble_L")
+                                    direct_observers=())
+        assert len(assembled) == 1
         own, own_hist = solve_picard(chart, const_kappa, grid, lam1, lam2, v0, 0.02, 2e-3)
-        assert len(frames_here) == 1
-        assert np.array_equal(shared.fields, ref.fields)
-        assert np.array_equal(own.fields, ref.fields)
-        assert hist.diff_norms == own_hist.diff_norms == ref_hist.diff_norms
+        assert len(assembled) == 2
+        assert np.array_equal(shared.fields, own.fields)
+        assert hist.diff_norms == own_hist.diff_norms
 
     def test_marches_convert_no_matrix_but_the_static_LU(self, graph, flat, const_kappa,
                                                          eigenmode, monkeypatch):
