@@ -14,12 +14,14 @@ elliptic-regularity constant C_sharp and the maximal L2-regularity constant
 C_A, the three smallness conditions and the two existence-horizon formulas.
 The estimators take A = assemble_A(grid, lambda1, lambda2) by its grid and
 weights and work in its DST-I sine basis (``operator.SineBasis``), mapped
-into and out of by dense products with the sine matrix of each axis.
+into and out of by dense products with the sine matrix of each axis; the C_A
+quotient sums each piece of constant forcing in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -244,29 +246,72 @@ def estimate_C_sharp(grid, lambda1, lambda2, probes, seed=42):
     return float(best)
 
 
-def _spectral_cn_ratio(mu, fhat, rows, dt, w):
-    """Crank-Nicolson maximal-regularity quotient, mode by mode.
+# the longest piece of constant forcing that ``_spectral_cn_ratio`` sums in one
+# go; longer pieces are cut, which bounds its power tables at this many rows
+_MAX_PIECE = 64
 
-    The forcing at step time t_k has mode coefficients fhat[rows[k]]; each
-    mode marches vhat <- ((1 - dt mu/2) vhat + dt fbar)/(1 + dt mu/2) from 0.
-    The basis is orthonormal, so the norms are taken on the coefficients.
+
+def _spectral_cn_ratio(mu, fhat, rows, dt):
+    """Crank-Nicolson maximal-regularity quotients of a batch of forcings, mode by mode.
+
+    ``fhat[..., r, :, :]`` holds the mode coefficients of forcing row r (the
+    leading axes are a batch).  Step k, from t_k to t_{k+1}, reads the forcing
+    fbar = (fhat[rows[k]] + fhat[rows[k+1]])/2, and each mode marches
+    vhat <- ((1 - dt mu/2) vhat + dt fbar)/(1 + dt mu/2) from 0.  Returns
+    sqrt(sum ||dv/dt||^2 + ||A vbar||^2) / sqrt(sum ||fbar||^2) per batch
+    entry, nan where the forcing vanishes.  The basis is orthonormal, so the
+    norms are taken on the coefficients; their common weight dt h1 h2 cancels.
+
+    Consecutive steps with the same pair of rows form a piece of constant
+    forcing g, on which the march is geometric: from v_0 = v_s, its levels
+    are v_j = v* + a^j (v_s - v*), where v* = g/mu and
+    a = (1 - dt mu/2)/(1 + dt mu/2).  Hence, for step j of a piece of m steps,
+
+        dv_j = a^j (a - 1)/dt (v_s - v*),    A vbar_j = g + a^j mu (1 + a)/2 (v_s - v*),
+
+    whose sums of squares over the piece are dot products with the power sums
+    S1[m] = sum_{i<m} a^i and S2[m] = sum_{i<m} a^{2i}, tabulated once per
+    call up to the longest piece (pieces are cut at ``_MAX_PIECE`` steps).
+    The piece ends at v_s + (a - 1) S1[m] (v_s - v*), with
+    a - 1 = -dt mu/(1 + dt mu/2) formed without cancellation.  The one loop
+    left runs over the pieces; a forcing that changes every step makes
+    one-step pieces.
     """
-    expl = 1.0 - 0.5 * dt * mu
+    mu = mu.ravel()
+    fhat = fhat.reshape(fhat.shape[:-2] + (-1,))
+    pieces = []   # [row pair, steps]
+    for pair in zip(rows[:-1], rows[1:]):
+        if pieces and pieces[-1][0] == pair and pieces[-1][1] < _MAX_PIECE:
+            pieces[-1][1] += 1
+        else:
+            pieces.append([pair, 1])
+
     impl = 1.0 + 0.5 * dt * mu
-    v = np.zeros_like(mu)
-    num2 = 0.0
-    den2 = 0.0
-    for k in range(len(rows) - 1):
-        fbar = 0.5 * (fhat[rows[k]] + fhat[rows[k + 1]])
-        vn = (expl * v + dt * fbar) / impl
-        dv = (vn - v) / dt
-        avbar = mu * (0.5 * (v + vn))
-        num2 += dt * w * (np.vdot(dv, dv) + np.vdot(avbar, avbar))
-        den2 += dt * w * np.vdot(fbar, fbar)
-        v = vn
-    if den2 == 0.0:
-        return None
-    return float(math.sqrt(num2 / den2))
+    a = (1.0 - 0.5 * dt * mu) / impl
+    a_m1 = -(dt * mu) / impl
+    powers = np.empty((max((m for _, m in pieces), default=1), mu.size))
+    powers[0] = 1.0
+    for i in range(1, len(powers)):
+        np.multiply(powers[i - 1], a, out=powers[i])
+    S1 = np.cumsum(powers, axis=0)   # S1[m - 1] = sum_{i<m} a^i
+    S2 = np.cumsum(powers * powers, axis=0)
+    slope = a_m1 / dt                # dv_j = a^j slope (v_s - v*)
+    avbar = mu * (0.5 * (1.0 + a))   # A vbar_j = g + a^j avbar (v_s - v*)
+
+    v = np.zeros(fhat.shape[:-2] + mu.shape)
+    num2 = np.zeros(v.shape[:-1])
+    den2 = np.zeros(v.shape[:-1])
+    for (p, q), m in pieces:
+        g = fhat[..., p, :] if p == q else 0.5 * (fhat[..., p, :] + fhat[..., q, :])
+        d = v - g / mu
+        dv = slope * d
+        av = avbar * d
+        gg = m * np.einsum("...i,...i", g, g)
+        num2 += (dv * dv + av * av) @ S2[m - 1] + 2.0 * ((g * av) @ S1[m - 1]) + gg
+        den2 += gg
+        v += (a_m1 * S1[m - 1]) * d
+    with np.errstate(invalid="ignore"):   # 0/0 where the forcing vanishes
+        return np.sqrt(num2 / den2)
 
 
 def maximal_regularity_ratio(grid, lambda1, lambda2, forcing_steps, dt):
@@ -274,49 +319,59 @@ def maximal_regularity_ratio(grid, lambda1, lambda2, forcing_steps, dt):
 
     Marches dV/dt + A V = F from V(0) = 0 by Crank-Nicolson with the forcing
     sampled at step endpoints (array of shape (nsteps+1, ndof)) and returns
-    sqrt(||dV/dt||^2 + ||A Vbar||^2) / ||Fbar||, all norms in L2(0,T; L2(U)).
-    For the selfadjoint non-negative A this quotient never exceeds 1.
-    A = assemble_A(grid, lambda1, lambda2) (ParameterError unless the weights
-    are positive); the march runs as one scalar recurrence per sine mode.
+    sqrt(||dV/dt||^2 + ||A Vbar||^2) / ||Fbar||, all norms in L2(0,T; L2(U)),
+    or None when the forcing vanishes.  For the selfadjoint non-negative A
+    this quotient never exceeds 1.  A = assemble_A(grid, lambda1, lambda2)
+    (ParameterError unless the weights are positive); the march runs in its
+    sine basis (``_spectral_cn_ratio``), one step per piece.  A dt that is
+    not positive and finite, or forcing rows that are not ndof wide, raise
+    ParameterError.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError(f"lambda coefficients must be positive, got ({lambda1}, {lambda2})")
-    basis = SineBasis(grid, lambda1, lambda2)
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     F = np.asarray(forcing_steps, dtype=float)
-    return _spectral_cn_ratio(basis.eigenvalues, basis.forward(F), range(F.shape[0]),
-                              dt, grid.h1 * grid.h2)
+    if F.ndim != 2 or F.shape[1] != grid.ndof:
+        raise ParameterError(f"forcing_steps must have shape (nsteps+1, {grid.ndof}), "
+                             f"got {F.shape}")
+    basis = SineBasis(grid, lambda1, lambda2)
+    ratio = float(_spectral_cn_ratio(basis.eigenvalues, basis.forward(F), range(F.shape[0]), dt))
+    return None if math.isnan(ratio) else ratio
+
+
+def _require_count(name, value):
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 def estimate_C_A(grid, lambda1, lambda2, T, probes, seed=42, nsteps=200, pieces=8):
     """Empirical maximal L2-regularity constant from random forcings.
 
     Forcing histories are piecewise constant in time over ``pieces``
-    subintervals.  Probes with zero forcing are skipped.  The theoretical
-    value for a non-negative selfadjoint generator is 1, which the condition
-    checks use; this estimator is the numerical cross-check.  A is as in
-    ``maximal_regularity_ratio``.
+    subintervals of the ``nsteps`` steps; a step across two subintervals
+    reads their mean.  All ``probes`` histories are drawn at once (the draws
+    of one probe after another) and march as one batch, a piece at a time
+    (``_spectral_cn_ratio``); a probe whose forcing vanishes is skipped.  The
+    theoretical value for a non-negative selfadjoint generator is 1, which
+    the condition checks use; this estimator is the numerical cross-check.
+    A is as in ``maximal_regularity_ratio``.  A horizon T that is not
+    positive and finite, or ``probes``, ``nsteps`` or ``pieces`` below 1,
+    raise ParameterError.
     """
-    if probes < 1:
-        raise ParameterError("need at least one probe")
-    if T <= 0:
-        raise ParameterError("horizon must be positive")
+    _require_count("probes", probes)
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon must be positive and finite, got {T!r}")
+    _require_count("nsteps", nsteps)
+    _require_count("pieces", pieces)
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError(f"lambda coefficients must be positive, got ({lambda1}, {lambda2})")
     basis = SineBasis(grid, lambda1, lambda2)
-    rng = np.random.default_rng(seed)
-    n = grid.ndof
-    dt = T / nsteps
+    blocks = np.random.default_rng(seed).standard_normal((probes, pieces, grid.ndof))
     k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
-    best = 0.0
-    for _ in range(probes):
-        blocks = rng.standard_normal((pieces, n))
-        if np.all(blocks == 0.0):
-            continue
-        r = _spectral_cn_ratio(basis.eigenvalues, basis.forward(blocks), k_idx,
-                               dt, grid.h1 * grid.h2)
-        if r is not None:
-            best = max(best, r)
-    return float(best)
+    ratios = _spectral_cn_ratio(basis.eigenvalues, basis.forward(blocks), k_idx.tolist(),
+                                T / nsteps)
+    return float(np.fmax.reduce(ratios, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +446,9 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     The conditions and horizons use the theoretical C_A = 1.  The empirical
     C_star is the discrete constant of the first-order/zeroth-order
     remainder: the Lanczos norm estimates (``operator_norm_est``, lower
-    bounds) of the B2..B4 parts plus the exact norm max |d0| of the diagonal
-    B5, maximized over the scanned times.
+    bounds) of the B2..B4 parts, with the transposes ``lower_order_parts``
+    writes beside them, plus the exact norm max |d0| of the diagonal B5,
+    which is not assembled, maximized over the scanned times.
     kappa <= 0 raises after the whole scan; a non-finite kappa or a degenerate
     chart raises during it.
     """
@@ -402,10 +458,11 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     scan = _Scan(chart, kappa, grid, ())   # fed below, sharing each time with C_star
     c_star = 0.0
     for t in times:
-        parts = lower_order_parts(grid, mesh_coefficients(*scan.add(t)))
-        b5_norm = float(np.abs(parts["B5"].diagonal()).max())   # B5 is diagonal
-        c_star = max(c_star, sum(operator_norm_est(parts[f"B{i}"], seed=seed)
-                                 for i in (2, 3, 4)) + b5_norm)
+        cf = mesh_coefficients(*scan.add(t))
+        b5_norm = float(np.abs(cf["d0"]).max())   # B5 = diag(d0)
+        c_star = max(c_star, sum(operator_norm_est(part, seed=seed, transpose=part_t)
+                                 for part, part_t in lower_order_parts(grid, cf).values())
+                     + b5_norm)
     lam1, lam2 = scan.weights(margin)
     M, m1_mixed2 = scan.m_quantities(lam1, lam2)
 

@@ -19,9 +19,11 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       term.  Exact discrete product rules make the five parts
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
-                      It returns the matrices only; ``operator_norm_est``
-                      estimates a part's L2 norm from below by Lanczos on
-                      M^T M, with the transpose product of ``dia_transpose``.
+                      It returns the matrices only.  ``lower_order_parts``
+                      writes the weight-free parts B2..B4 and their
+                      transposes in one pass; ``operator_norm_est`` estimates
+                      a part's L2 norm from below by Lanczos on M^T M, with
+                      those transposes or ``dia_transpose``.
 
 On a grid each operator is a set of stencil diagonals: the (di, dj)
 neighbor of node (i, j) lies on the diagonal di*n2 + dj.
@@ -29,8 +31,9 @@ neighbor of node (i, j) lies on the diagonal di*n2 + dj.
 diagonals of a ``scipy.sparse.dia_matrix`` and hands out, per stencil
 offset, the view of the block that offset fills.  ``assemble_L``, the
 per-step assembly of a moving march, writes its nine terms straight into
-those views; ``_stencil_matrix`` adds (di, dj, coefficient) terms into them
-for A and the B parts.  B(t) = L(t) - A is scipy's DIA arithmetic, which adds
+those views, and ``lower_order_parts`` the terms of B2..B4;
+``_stencil_matrix`` adds (di, dj, coefficient) terms into them for A, B1 and
+B5.  B(t) = L(t) - A is scipy's DIA arithmetic, which adds
 diagonals of equal offset and stays DIA; the theta-scheme system
 I + theta dt L is refilled in place by the marcher (``timestepper``).  A DIA
 matvec sums each row in column order, as a CSR matvec on the same entries
@@ -63,6 +66,7 @@ run that factorizes nothing loads neither that module nor the
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,29 +183,6 @@ def _d12_terms(grid, rowcoeff):
     q = 1.0 / (4.0 * grid.h1 * grid.h2)
     return [(1, 1, rowcoeff * q), (-1, -1, rowcoeff * q),
             (1, -1, -rowcoeff * q), (-1, 1, -rowcoeff * q)]
-
-
-def _dc1_terms(grid, rowcoeff):
-    q = 1.0 / (2.0 * grid.h1)
-    return [(1, 0, rowcoeff * q), (-1, 0, -rowcoeff * q)]
-
-
-def _dc2_terms(grid, rowcoeff):
-    q = 1.0 / (2.0 * grid.h2)
-    return [(0, 1, rowcoeff * q), (0, -1, -rowcoeff * q)]
-
-
-def _m1d2_terms(grid, rowcoeff):
-    # average over i+-1 of the centered X2 difference
-    q = 1.0 / (4.0 * grid.h2)
-    return [(1, 1, rowcoeff * q), (1, -1, -rowcoeff * q),
-            (-1, 1, rowcoeff * q), (-1, -1, -rowcoeff * q)]
-
-
-def _m2d1_terms(grid, rowcoeff):
-    q = 1.0 / (4.0 * grid.h1)
-    return [(1, 1, rowcoeff * q), (-1, 1, -rowcoeff * q),
-            (1, -1, rowcoeff * q), (-1, -1, -rowcoeff * q)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +385,9 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
     """Split L(t) - A into the five-part perturbation decomposition.
 
     Returns {"B1"..."B5": DIA matrix}; B5 is diagonal (d0).  The parts sum to
-    assemble_L - assemble_A exactly up to roundoff.  A part repeats stencil
+    assemble_L - assemble_A exactly up to roundoff.  B1 repeats stencil
     offsets, which ``_stencil_matrix`` adds in term order.  ``coefficients``
-    is as in ``assemble_L``; B2..B5 (no weights) are ``lower_order_parts``.
+    is as in ``assemble_L``; B2..B4 (no weights) are ``lower_order_parts``.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ParameterError("lambda coefficients must be positive")
@@ -423,50 +404,88 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
     b1_terms = (_d11_terms(grid, -(s11 - lambda1))
                 + _d22_terms(grid, -(s22 - lambda2))
                 + _d12_terms(grid, -s12))
-    return {"B1": _stencil_matrix(grid, b1_terms), **lower_order_parts(grid, cf)}
+    return {"B1": _stencil_matrix(grid, b1_terms),
+            **{name: part for name, (part, _) in lower_order_parts(grid, cf).items()},
+            "B5": _stencil_matrix(grid, [(0, 0, cf["d0"])])}
+
+
+# the stencil offsets of the first-order parts B2..B4, symmetric under negation
+_FIRST_ORDER_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def lower_order_parts(grid, cf):
-    """The parts B2..B5 of ``assemble_B_parts`` from its coefficients ``cf``; no weights."""
+    """The first-order parts B2, B3, B4 of ``assemble_B_parts``, each with its transpose.
+
+    Returns {"B2": (B2, B2^T), "B3": ..., "B4": ...} from the coefficients
+    ``cf``; no weights.  For each index pair (a, b) the centered difference of
+    C^ab = K R g^ab along X_d splits exactly as
+
+        Kbar Rbar delta(g^ab)  (metric-derivative part, B3)
+      + Kbar delta(R) g^ab_bar (volume-factor part, B2)
+      + delta(K) avg(R g^ab)   (diffusivity part, B4),
+
+    each divided by sqrtG.  The bars and deltas of K and R are formed once per
+    direction.  Each term is multiplied straight into its diagonal view
+    (``_stencil_diagonals``), in the order of ``stencils`` below, so the
+    diagonals carry the bits of adding the terms one by one.  Row (i, j)'s
+    coefficient of offset (di, dj) is also the transpose's entry of row
+    (i+di, j+dj) on column (i, j): the same block of numbers, in the (-di, -dj)
+    view of the transpose's diagonals, copied once the part is written.  A
+    matvec with it sums each row in column order, as one with
+    ``dia_transpose`` of the part does.  B5 = diag(d0) is built by
+    ``assemble_B_parts``.
+    """
+    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     inv_r = 1.0 / cf["R_int"]
-    K = cf["K"]
-    R = cf["R"]
-    ginv = {"11": cf["Ginv11"], "12": cf["Ginv12"], "22": cf["Ginv22"]}
+    K, R = cf["K"], cf["R"]
+    # one stencil per direction d and inverse-metric component: the denominator
+    # of its differences and the (di, dj, sign) of each term; a term places
+    # sign * b / denom on its offset, b being the part's row coefficient.  The
+    # g^12 stencils average a centered difference over the other axis and share
+    # the four corner offsets, where the second adds to the first.
+    stencils = (
+        (1, "Ginv11", 2.0 * h1, ((1, 0, -1.0), (-1, 0, 1.0))),
+        (2, "Ginv22", 2.0 * h2, ((0, 1, -1.0), (0, -1, 1.0))),
+        (1, "Ginv12", 4.0 * h2, ((1, 1, -1.0), (1, -1, 1.0), (-1, 1, -1.0), (-1, -1, 1.0))),
+        (2, "Ginv12", 4.0 * h1, ((1, 1, -1.0), (-1, 1, 1.0), (1, -1, -1.0), (-1, -1, 1.0))),
+    )
 
-    def sh(arr, d):
-        s = _shifts(arr)
-        return (s["ip"], s["im"]) if d == 1 else (s["jp"], s["jm"])
+    def pm(arr, d):   # the neighbors along X_d of the interior nodes
+        return (arr[2:, 1:-1], arr[:-2, 1:-1]) if d == 1 else (arr[1:-1, 2:], arr[1:-1, :-2])
 
-    def bar(arr, d):
-        p, m = sh(arr, d)
-        return 0.5 * (p + m)
+    shared = {}
+    for d, step in ((1, 2.0 * h1), (2, 2.0 * h2)):
+        (Kp, Km), (Rp, Rm) = pm(K, d), pm(R, d)
+        Kbar = 0.5 * (Kp + Km)
+        shared[d] = (Kbar * (0.5 * (Rp + Rm)), Kbar * ((Rp - Rm) / step), (Kp - Km) / step,
+                     (Rp, Rm), step)
 
-    def delta(arr, d):
-        p, m = sh(arr, d)
-        return (p - m) / (2.0 * (grid.h1 if d == 1 else grid.h2))
+    parts = {name: _stencil_diagonals(grid, _FIRST_ORDER_OFFSETS) for name in ("B2", "B3", "B4")}
+    written = set()
+    for d, key, denom, terms in stencils:
+        KRbar, KdR, dK, (Rp, Rm), step = shared[d]
+        Gp, Gm = pm(cf[key], d)
+        rows = {"B2": KdR * (0.5 * (Gp + Gm)) * inv_r,
+                "B3": KRbar * ((Gp - Gm) / step) * inv_r,
+                "B4": dK * (0.5 * (Rp * Gp + Rm * Gm)) * inv_r}
+        q = 1.0 / denom
+        for di, dj, sign in terms:
+            i0, i1, j0, j1 = _block(n1, n2, di, dj)
+            for name, b in rows.items():
+                view = parts[name][1][di, dj]
+                if (di, dj) in written:
+                    view += b[i0:i1, j0:j1] * (sign * q)
+                else:
+                    np.multiply(b[i0:i1, j0:j1], sign * q, out=view)
+            written.add((di, dj))
 
-    # --- B2/B3/B4: exact three-way split of the first-order flux remainder.
-    # For each index pair (a, b) the centered difference of C^ab = K*R*g^ab
-    # splits exactly as  Kbar*Rbar*delta(g^ab)  (metric-derivative part, B3)
-    #                  + Kbar*delta(R)*g^ab_bar (volume-factor part, B2)
-    #                  + delta(K)*avg(R*g^ab)   (diffusivity part, B4).
-    op_for_pair = {
-        (1, "11"): _dc1_terms, (2, "22"): _dc2_terms,
-        (1, "12"): _m1d2_terms, (2, "12"): _m2d1_terms,
-    }
-    b2_terms, b3_terms, b4_terms = [], [], []
-    for (d, ab), op in op_for_pair.items():
-        Q = R * ginv[ab]
-        b3 = bar(K, d) * bar(R, d) * delta(ginv[ab], d) * inv_r
-        b2 = bar(K, d) * delta(R, d) * bar(ginv[ab], d) * inv_r
-        b4 = delta(K, d) * bar(Q, d) * inv_r
-        b2_terms += op(grid, -b2)
-        b3_terms += op(grid, -b3)
-        b4_terms += op(grid, -b4)
-
-    # --- B5: zeroth-order dilation term
-    return {"B2": _stencil_matrix(grid, b2_terms), "B3": _stencil_matrix(grid, b3_terms),
-            "B4": _stencil_matrix(grid, b4_terms), "B5": _stencil_matrix(grid, [(0, 0, cf["d0"])])}
+    out = {}
+    for name, (mat, views) in parts.items():
+        mat_t, views_t = _stencil_diagonals(grid, _FIRST_ORDER_OFFSETS)
+        for di, dj in _FIRST_ORDER_OFFSETS:
+            np.copyto(views_t[-di, -dj], views[di, dj])
+        out[name] = (mat, mat_t)
+    return out
 
 
 def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
@@ -492,43 +511,53 @@ def dia_transpose(mat):
     return sp.dia_matrix((data, -mat.offsets[order]), shape=(n, n))
 
 
-def operator_norm_est(m, steps=15, seed=0):
+def operator_norm_est(m, steps=15, seed=0, transpose=None):
     """Discrete L2->L2 operator norm of ``m``, a lower bound from Lanczos on M^T M.
 
     This is the V-recurrence of Golub-Kahan bidiagonalization: from the
-    ``default_rng(seed)`` normal vector, each step forms M^T M v with
-    ``dia_transpose`` and reorthogonalizes it against every kept basis
-    vector, a second time (DGKS) when the first pass removes more than
-    1 - 1/sqrt(2) of its norm (not of w - alpha v_k - beta v_{k-1}: against
-    that, single passes lost orthogonality over a full Krylov space).  It
+    ``default_rng(seed)`` normal vector, each step forms M^T M v and
+    reorthogonalizes it against every kept basis vector, a second time (DGKS)
+    when the first pass removes more than 1 - 1/sqrt(2) of its norm (not of
+    w - alpha v_k - beta v_{k-1}: against that, single passes lost
+    orthogonality over a full Krylov space).  The product with M^T is one
+    with ``transpose``, a DIA matrix with ascending offsets (``lower_order_parts``
+    builds those of B2..B4), or with ``dia_transpose(m)`` when it is None.  It
     stops at breakdown, when the new norm is at most n eps max |alpha| (the
     Krylov space is exhausted, as for a diagonal matrix with repeated
     entries), or after min(steps, n) steps, and returns the square root of
     the largest eigenvalue of the tridiagonal (``_top_eigenvalue``, by
-    numpy: no run imports ``scipy.linalg`` for it).
+    numpy: no run imports ``scipy.linalg`` for it).  Norms are
+    ``math.sqrt(w @ w)``, the bits of ``np.linalg.norm`` of a float vector,
+    and max |alpha| is kept as the steps go.  ``steps`` below 1 raises
+    ParameterError.
     """
+    if steps < 1:
+        raise ParameterError(f"steps must be at least 1, got {steps!r}")
     n = m.shape[1]
     v = np.random.default_rng(seed).standard_normal(n)
-    nv = np.linalg.norm(v)
+    nv = math.sqrt(v @ v)
     if nv == 0.0:
         return 0.0
-    mt = dia_transpose(m)
+    mt = dia_transpose(m) if transpose is None else transpose
     basis = np.empty((min(steps, n), n))
     basis[0] = v / nv
     alpha, beta = [], []
+    breakdown = n * np.finfo(float).eps
+    alpha_max = 0.0
     for k in range(len(basis)):
         w = mt @ (m @ basis[k])
         kept = basis[:k + 1]
         coeffs = kept @ w
         alpha.append(coeffs[k])
+        alpha_max = max(alpha_max, abs(coeffs[k]))
         if k + 1 == len(basis):
             break
-        norm_in = np.linalg.norm(w)
+        norm_in = math.sqrt(w @ w)
         w -= coeffs @ kept
-        if np.linalg.norm(w) < norm_in / np.sqrt(2.0):
+        if math.sqrt(w @ w) < norm_in / math.sqrt(2.0):
             w -= (kept @ w) @ kept
-        b = np.linalg.norm(w)
-        if b <= n * np.finfo(float).eps * np.abs(alpha).max():
+        b = math.sqrt(w @ w)
+        if b <= breakdown * alpha_max:
             break
         beta.append(b)
         basis[k + 1] = w / b

@@ -31,6 +31,7 @@ from evolvesurf.coefficients import (
 )
 from evolvesurf.config import parse_config
 from evolvesurf.operator import (
+    SineBasis,
     coefficient_fields,
     field_l2,
     gradient_norm,
@@ -178,6 +179,43 @@ class TestCAEstimator:
         F = np.zeros((11, unit_grid.ndof))
         assert maximal_regularity_ratio(unit_grid, 1.0, 1.0, F, 0.1) is None
 
+    @pytest.mark.parametrize("name,value", [("pieces", 0), ("pieces", -2), ("pieces", 2.5),
+                                            ("nsteps", 0), ("nsteps", -5), ("probes", 0),
+                                            ("probes", 1.5)])
+    def test_counts_below_one_rejected(self, unit_grid, name, value):
+        with pytest.raises(ParameterError, match=name):
+            estimate_C_A(unit_grid, 1.0, 1.0, 1.0, **{"probes": 2, name: value})
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, unit_grid, T):
+        with pytest.raises(ParameterError, match="horizon"):
+            estimate_C_A(unit_grid, 1.0, 1.0, T, 2)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+    def test_ratio_step_must_be_positive_and_finite(self, unit_grid, dt):
+        F = np.ones((11, unit_grid.ndof))
+        with pytest.raises(ParameterError, match="dt"):
+            maximal_regularity_ratio(unit_grid, 1.0, 1.0, F, dt)
+
+    @pytest.mark.parametrize("shape", [(11, 255), (11, 257), (256,), (2, 11, 256)])
+    def test_ratio_rows_must_be_ndof_wide(self, unit_grid, shape):
+        with pytest.raises(ParameterError, match="forcing_steps"):
+            maximal_regularity_ratio(unit_grid, 1.0, 1.0, np.ones(shape), 0.1)
+
+    @pytest.mark.parametrize("nsteps,pieces", [(200, 8), (7, 3), (3, 8), (1, 1), (200, 1),
+                                               (150, 2)])
+    def test_probes_march_as_one_batch(self, nsteps, pieces):
+        # the same draws in the same order as one probe after another, each
+        # against the step-by-step march; pieces of more than 64 steps are cut
+        grid = make_grid((0.0, 1.5, 0.0, 0.8), 20, 13)
+        basis = SineBasis(grid, 0.7, 1.9)
+        rng = np.random.default_rng(6)
+        k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
+        ref = max(_stepwise_cn_ratio(basis.eigenvalues, basis.forward(rng.standard_normal(
+            (pieces, grid.ndof))), k_idx, 0.3 / nsteps, grid.h1 * grid.h2) for _ in range(5))
+        est = estimate_C_A(grid, 0.7, 1.9, 0.3, 5, seed=6, nsteps=nsteps, pieces=pieces)
+        assert est == pytest.approx(ref, rel=1e-13)
+
 
 def _lu_C_sharp(mat, grid, probes, seed):
     """estimate_C_sharp by sparse LU and shift-invert eigsh (reference)."""
@@ -211,6 +249,27 @@ def _lu_mr_ratio(mat, F, dt):
         den2 += np.dot(fbar, fbar)
         v = vn
     return math.sqrt(num2 / den2)
+
+
+def _stepwise_cn_ratio(mu, fhat, rows, dt, w):
+    """The Crank-Nicolson quotient of one forcing, marched one step at a time:
+    the reference of the closed form per piece of ``_spectral_cn_ratio``."""
+    expl = 1.0 - 0.5 * dt * mu
+    impl = 1.0 + 0.5 * dt * mu
+    v = np.zeros_like(mu)
+    num2 = 0.0
+    den2 = 0.0
+    for k in range(len(rows) - 1):
+        fbar = 0.5 * (fhat[rows[k]] + fhat[rows[k + 1]])
+        vn = (expl * v + dt * fbar) / impl
+        dv = (vn - v) / dt
+        avbar = mu * (0.5 * (v + vn))
+        num2 += dt * w * (np.vdot(dv, dv) + np.vdot(avbar, avbar))
+        den2 += dt * w * np.vdot(fbar, fbar)
+        v = vn
+    if den2 == 0.0:
+        return None
+    return float(math.sqrt(num2 / den2))
 
 
 def _lu_C_A(mat, T, probes, seed, nsteps, pieces):
@@ -360,6 +419,14 @@ class TestSmallnessReport:
         run_check(cfg)
         assert len(products["dia"]) <= 681
         assert not products["csr"]
+
+    def test_picard_workload_reads_the_transposes_of_the_parts(self, monkeypatch, count_calls):
+        # the same 643 DIA products as with a dia_transpose per norm estimate (33)
+        transposes = count_calls(operator, "dia_transpose")
+        products = count_sparse_products(monkeypatch)
+        run_check(parse_config(PICARD_WORKLOAD_SEED_1))
+        assert not transposes
+        assert len(products["dia"]) == 643
 
     def test_runs_without_converting_a_dia_matrix_to_csr(self, graph, unit_grid, monkeypatch):
         def refuse(self, *args, **kwargs):

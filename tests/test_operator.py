@@ -105,15 +105,70 @@ def coo_L(chart, kappa, grid, t):
     ])
 
 
+def term_list_lower_order_parts(grid, cf):
+    """B2, B3, B4 from (di, dj, coefficient) term lists through ``operator._stencil_matrix``.
+
+    The reference of ``lower_order_parts``, which writes the same terms
+    straight into its diagonals: per direction d and index pair (a, b), the
+    centered difference of C^ab = K R g^ab split into its three product-rule
+    terms, each with its own bars and deltas.
+    """
+    inv_r = 1.0 / cf["R_int"]
+    K = cf["K"]
+    R = cf["R"]
+    ginv = {"11": cf["Ginv11"], "12": cf["Ginv12"], "22": cf["Ginv22"]}
+
+    def sh(arr, d):
+        return (arr[2:, 1:-1], arr[:-2, 1:-1]) if d == 1 else (arr[1:-1, 2:], arr[1:-1, :-2])
+
+    def bar(arr, d):
+        p, m = sh(arr, d)
+        return 0.5 * (p + m)
+
+    def delta(arr, d):
+        p, m = sh(arr, d)
+        return (p - m) / (2.0 * (grid.h1 if d == 1 else grid.h2))
+
+    def dc1(r):
+        q = 1.0 / (2.0 * grid.h1)
+        return [(1, 0, r * q), (-1, 0, -r * q)]
+
+    def dc2(r):
+        q = 1.0 / (2.0 * grid.h2)
+        return [(0, 1, r * q), (0, -1, -r * q)]
+
+    def m1d2(r):   # average over i+-1 of the centered X2 difference
+        q = 1.0 / (4.0 * grid.h2)
+        return [(1, 1, r * q), (1, -1, -r * q), (-1, 1, r * q), (-1, -1, -r * q)]
+
+    def m2d1(r):
+        q = 1.0 / (4.0 * grid.h1)
+        return [(1, 1, r * q), (-1, 1, -r * q), (1, -1, r * q), (-1, -1, -r * q)]
+
+    terms = {"B2": [], "B3": [], "B4": []}
+    for (d, ab), op in {(1, "11"): dc1, (2, "22"): dc2, (1, "12"): m1d2, (2, "12"): m2d1}.items():
+        Q = R * ginv[ab]
+        terms["B3"] += op(-(bar(K, d) * bar(R, d) * delta(ginv[ab], d) * inv_r))
+        terms["B2"] += op(-(bar(K, d) * delta(R, d) * bar(ginv[ab], d) * inv_r))
+        terms["B4"] += op(-(delta(K, d) * bar(Q, d) * inv_r))
+    return {name: operator._stencil_matrix(grid, part) for name, part in terms.items()}
+
+
 def assembled_by_coo(assemble, *args):
     """The COO reference of ``assemble(*args)``.
 
     ``assemble_L`` writes its diagonals itself and has ``coo_L``; the other
-    assemblies go through ``_stencil_matrix``, replaced by the COO reference.
+    assemblies go through ``_stencil_matrix``, replaced by the COO reference,
+    and the first-order B parts through their term lists.
     """
     if assemble is assemble_L:
         return coo_L(*args)
-    with mock.patch.object(operator, "_stencil_matrix", coo_stencil_matrix):
+
+    def coo_parts(grid, cf):
+        return {name: (part, None) for name, part in term_list_lower_order_parts(grid, cf).items()}
+
+    with mock.patch.object(operator, "_stencil_matrix", coo_stencil_matrix), \
+            mock.patch.object(operator, "lower_order_parts", coo_parts):
         return assemble(*args)
 
 
@@ -265,6 +320,30 @@ class TestBParts:
                 assert np.linalg.norm(m @ f) <= (sigma + 1e-9) * np.linalg.norm(f) * 1.001
 
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("kappa_name", ["constant", "sinusoidal"])
+    def test_first_order_parts_equal_the_term_list_assembly(self, name, kappa_name):
+        # bit for bit: data, offsets, and the transposes' products against
+        # dia_transpose's; a non-square grid on a non-unit rectangle
+        domain = (-0.5, 1.0, 0.2, 1.4)
+        grid = make_grid(domain, 13, 9)
+        chart = make_chart(name, domain=domain, horizon=2.0)
+        kappa = make_diffusion(kappa_name)
+        x = np.random.default_rng(4).standard_normal(grid.ndof)
+        for t in (0.0, 0.37, 0.9, 1.6):
+            cf = coefficient_fields(chart, kappa, grid, t)
+            ref = term_list_lower_order_parts(grid, cf)
+            parts = operator.lower_order_parts(grid, cf)
+            assert list(parts) == ["B2", "B3", "B4"]
+            for key, (part, part_t) in parts.items():
+                assert part.offsets.tolist() == ref[key].offsets.tolist()
+                assert part.data.tobytes() == ref[key].data.tobytes()
+                mt = dia_transpose(part)
+                assert part_t.offsets.tolist() == mt.offsets.tolist()
+                assert_same_entries(part_t, mt)
+                assert (part_t @ x).tobytes() == (mt @ x).tobytes()
+
+
 def b_parts_sweep(domain, n1, n2):
     """(grid, B part) over every preset, both diffusivities and t in {0, 0.37, 0.9}."""
     grid = make_grid(domain, n1, n2)
@@ -337,6 +416,18 @@ class TestNormEstimate:
         assert operator_norm_est(b5, steps=grid.ndof) == pytest.approx(2.0, rel=1e-14)
         assert len(products["dia"]) == 2 and not products["csr"]
 
+    def test_given_transpose_gives_the_same_bits(self, graph):
+        grid = make_grid((-0.5, 1.0, 0.2, 1.4), 13, 9)
+        cf = coefficient_fields(graph, make_diffusion("sinusoidal"), grid, 0.37)
+        for part, part_t in operator.lower_order_parts(grid, cf).values():
+            assert operator_norm_est(part, seed=5, transpose=part_t) == \
+                operator_norm_est(part, seed=5)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_no_steps_rejected(self, unit_grid, steps):
+        with pytest.raises(ParameterError, match="steps"):
+            operator_norm_est(assemble_A(unit_grid, 1.0, 1.0), steps=steps)
+
     def test_zero_matrix(self, unit_grid):
         n = unit_grid.ndof
         assert operator_norm_est(sp.dia_matrix((n, n))) == 0.0
@@ -383,6 +474,11 @@ class TestNormEstimate:
             assert mt.format == "dia" and list(mt.offsets) == sorted(mt.offsets)
             assert_same_entries(mt, m.T.tocsr())
             assert (mt @ x).tobytes() == (m.T.tocsr() @ x).tobytes()
+        # the transposes written beside B2..B4
+        cf = coefficient_fields(graph, kappa, grid, 0.37)
+        for part, part_t in operator.lower_order_parts(grid, cf).values():
+            assert_same_entries(part_t, part.T.tocsr())
+            assert (part_t @ x).tobytes() == (dia_transpose(part) @ x).tobytes()
 
 
 class TestStepFrame:

@@ -37,6 +37,7 @@ from evolvesurf.cli import _sine_product_solution  # noqa: E402
 from evolvesurf.coefficients import (  # noqa: E402
     DIFFUSION_PARAMS,
     DIFFUSION_PRESETS,
+    _spectral_cn_ratio,
     maximal_regularity_ratio,
 )
 from evolvesurf.config import RunConfig, parse_config, serialize_config  # noqa: E402
@@ -55,7 +56,12 @@ from evolvesurf.operator import (  # noqa: E402
     weighted_symmetry_defect,
 )
 
-from test_coefficients import _lu_C_A, _lu_C_sharp, _lu_mr_ratio  # noqa: E402
+from test_coefficients import (  # noqa: E402
+    _lu_C_A,
+    _lu_C_sharp,
+    _lu_mr_ratio,
+    _stepwise_cn_ratio,
+)
 from test_geometry import dense_meshes  # noqa: E402
 from test_operator import (  # noqa: E402
     assembled_by_coo,
@@ -97,6 +103,32 @@ def test_estimators_match_lu_references(grid, lam1, lam2, seed):
     F = np.random.default_rng(seed).standard_normal((9, grid.ndof))
     assert maximal_regularity_ratio(grid, lam1, lam2, F, 0.02) == pytest.approx(
         _lu_mr_ratio(A, F, 0.02), rel=1e-12)
+
+
+@PROPERTY
+@given(grid=grids(), lam1=weights, lam2=weights, T=st.floats(-4.0, 1.0).map(lambda e: 10.0 ** e),
+       nsteps=st.integers(1, 60), pieces=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+@example(grid=make_grid((0.0, 2.5, 0.0, 1.8), 2, 3), lam1=0.2, lam2=0.3, T=1e-4, nsteps=50,
+         pieces=7, seed=0)   # dt mu from 2e-6 to 1e-5: a near +1
+@example(grid=make_grid((0.0, 0.3, 0.0, 0.4), 12, 11), lam1=3.0, lam2=2.5, T=10.0, nsteps=3,
+         pieces=8, seed=1)   # dt mu from 2e3 to 1e5, pieces > nsteps: a near -1
+@example(grid=make_grid((0.0, 1.0, 0.0, 1.0), 9, 4), lam1=1.0, lam2=1.0, T=0.4, nsteps=31,
+         pieces=4, seed=2)   # dt mu from 0.25 to 6.2, pieces not dividing nsteps
+def test_closed_form_matches_the_stepwise_march(grid, lam1, lam2, T, nsteps, pieces, seed):
+    # pieces of constant forcing (estimate_C_A's batch) and one forcing per
+    # step (maximal_regularity_ratio) against the march one step at a time
+    basis = SineBasis(grid, lam1, lam2)
+    mu, dt, w = basis.eigenvalues, T / nsteps, grid.h1 * grid.h2
+    k_idx = np.minimum((np.arange(nsteps + 1) * pieces) // nsteps, pieces - 1)
+    fhat = basis.forward(np.random.default_rng(seed).standard_normal((3, pieces, grid.ndof)))
+    ratios = _spectral_cn_ratio(mu, fhat, k_idx.tolist(), dt)
+    for probe, ratio in zip(fhat, ratios):
+        assert ratio == pytest.approx(_stepwise_cn_ratio(mu, probe, k_idx, dt, w), rel=1e-13)
+    assert estimate_C_A(grid, lam1, lam2, T, 3, seed=seed, nsteps=nsteps, pieces=pieces) == \
+        pytest.approx(max(ratios), rel=1e-15)
+    F = np.random.default_rng(seed + 1).standard_normal((nsteps + 1, grid.ndof))
+    assert maximal_regularity_ratio(grid, lam1, lam2, F, dt) == pytest.approx(
+        _stepwise_cn_ratio(mu, basis.forward(F), range(nsteps + 1), dt, w), rel=1e-13)
 
 
 @PROPERTY
