@@ -446,9 +446,9 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     The conditions and horizons use the theoretical C_A = 1.  The empirical
     C_star is the discrete constant of the first-order/zeroth-order
     remainder: the Lanczos norm estimates (``operator_norm_est``, lower
-    bounds) of the B2..B4 parts, with the transposes ``lower_order_parts``
-    writes beside them, plus the exact norm max |d0| of the diagonal B5,
-    which is not assembled, maximized over the scanned times.
+    bounds) of the B2..B4 parts (``lower_order_parts``) plus the exact norm
+    max |d0| of the diagonal B5, which is not assembled, maximized over the
+    scanned times.
     kappa <= 0 raises after the whole scan; a non-finite kappa or a degenerate
     chart raises during it.
     """
@@ -460,8 +460,8 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     for t in times:
         cf = mesh_coefficients(*scan.add(t))
         b5_norm = float(np.abs(cf["d0"]).max())   # B5 = diag(d0)
-        c_star = max(c_star, sum(operator_norm_est(part, seed=seed, transpose=part_t)
-                                 for part, part_t in lower_order_parts(grid, cf).values())
+        c_star = max(c_star, sum(operator_norm_est(part, seed=seed)
+                                 for part in lower_order_parts(grid, cf).values())
                      + b5_norm)
     lam1, lam2 = scan.weights(margin)
     M, m1_mixed2 = scan.m_quantities(lam1, lam2)

@@ -20,10 +20,9 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
                       It returns the matrices only.  ``lower_order_parts``
-                      writes the weight-free parts B2..B4 and their
-                      transposes in one pass; ``operator_norm_est`` estimates
-                      a part's L2 norm from below by Lanczos on M^T M, with
-                      those transposes or ``dia_transpose``.
+                      writes the weight-free parts B2..B4 in one pass;
+                      ``operator_norm_est`` estimates a part's L2 norm from
+                      below by Lanczos on M^T M.
 
 On a grid each operator is a set of stencil diagonals: the (di, dj)
 neighbor of node (i, j) lies on the diagonal di*n2 + dj.
@@ -405,7 +404,7 @@ def assemble_B_parts(chart, kappa, grid, lambda1, lambda2, t, coefficients=None)
                 + _d22_terms(grid, -(s22 - lambda2))
                 + _d12_terms(grid, -s12))
     return {"B1": _stencil_matrix(grid, b1_terms),
-            **{name: part for name, (part, _) in lower_order_parts(grid, cf).items()},
+            **lower_order_parts(grid, cf),
             "B5": _stencil_matrix(grid, [(0, 0, cf["d0"])])}
 
 
@@ -414,9 +413,9 @@ _FIRST_ORDER_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1
 
 
 def lower_order_parts(grid, cf):
-    """The first-order parts B2, B3, B4 of ``assemble_B_parts``, each with its transpose.
+    """The first-order parts B2, B3, B4 of ``assemble_B_parts``.
 
-    Returns {"B2": (B2, B2^T), "B3": ..., "B4": ...} from the coefficients
+    Returns {"B2": B2, "B3": B3, "B4": B4} from the coefficients
     ``cf``; no weights.  For each index pair (a, b) the centered difference of
     C^ab = K R g^ab along X_d splits exactly as
 
@@ -427,13 +426,8 @@ def lower_order_parts(grid, cf):
     each divided by sqrtG.  The bars and deltas of K and R are formed once per
     direction.  Each term is multiplied straight into its diagonal view
     (``_stencil_diagonals``), in the order of ``stencils`` below, so the
-    diagonals carry the bits of adding the terms one by one.  Row (i, j)'s
-    coefficient of offset (di, dj) is also the transpose's entry of row
-    (i+di, j+dj) on column (i, j): the same block of numbers, in the (-di, -dj)
-    view of the transpose's diagonals, copied once the part is written.  A
-    matvec with it sums each row in column order, as one with
-    ``dia_transpose`` of the part does.  B5 = diag(d0) is built by
-    ``assemble_B_parts``.
+    diagonals carry the bits of adding the terms one by one.  B5 = diag(d0)
+    is built by ``assemble_B_parts``.
     """
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     inv_r = 1.0 / cf["R_int"]
@@ -478,14 +472,7 @@ def lower_order_parts(grid, cf):
                 else:
                     np.multiply(b[i0:i1, j0:j1], sign * q, out=view)
             written.add((di, dj))
-
-    out = {}
-    for name, (mat, views) in parts.items():
-        mat_t, views_t = _stencil_diagonals(grid, _FIRST_ORDER_OFFSETS)
-        for di, dj in _FIRST_ORDER_OFFSETS:
-            np.copyto(views_t[-di, -dj], views[di, dj])
-        out[name] = (mat, mat_t)
-    return out
+    return {name: mat for name, (mat, _) in parts.items()}
 
 
 def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
@@ -511,7 +498,7 @@ def dia_transpose(mat):
     return sp.dia_matrix((data, -mat.offsets[order]), shape=(n, n))
 
 
-def operator_norm_est(m, steps=15, seed=0, transpose=None):
+def operator_norm_est(m, steps=15, seed=0):
     """Discrete L2->L2 operator norm of ``m``, a lower bound from Lanczos on M^T M.
 
     This is the V-recurrence of Golub-Kahan bidiagonalization: from the
@@ -520,13 +507,12 @@ def operator_norm_est(m, steps=15, seed=0, transpose=None):
     when the first pass removes more than 1 - 1/sqrt(2) of its norm (not of
     w - alpha v_k - beta v_{k-1}: against that, single passes lost
     orthogonality over a full Krylov space).  The product with M^T is one
-    with ``transpose``, a DIA matrix with ascending offsets (``lower_order_parts``
-    builds those of B2..B4), or with ``dia_transpose(m)`` when it is None.  It
-    stops at breakdown, when the new norm is at most n eps max |alpha| (the
-    Krylov space is exhausted, as for a diagonal matrix with repeated
-    entries), or after min(steps, n) steps, and returns the square root of
-    the largest eigenvalue of the tridiagonal (``_top_eigenvalue``, by
-    numpy: no run imports ``scipy.linalg`` for it).  Norms are
+    with ``dia_transpose(m)``.  It stops at breakdown, when the new norm is at
+    most n eps max |alpha| (the Krylov space is exhausted, as for a diagonal
+    matrix with repeated entries), or after min(steps, n) steps, and returns
+    the square root of the largest eigenvalue of the tridiagonal
+    (``_top_eigenvalue``, by numpy: no run imports ``scipy.linalg`` for it).
+    Norms are
     ``math.sqrt(w @ w)``, the bits of ``np.linalg.norm`` of a float vector,
     and max |alpha| is kept as the steps go.  ``steps`` below 1 raises
     ParameterError.
@@ -538,7 +524,7 @@ def operator_norm_est(m, steps=15, seed=0, transpose=None):
     nv = math.sqrt(v @ v)
     if nv == 0.0:
         return 0.0
-    mt = dia_transpose(m) if transpose is None else transpose
+    mt = dia_transpose(m)
     basis = np.empty((min(steps, n), n))
     basis[0] = v / nv
     alpha, beta = [], []

@@ -420,14 +420,6 @@ class TestSmallnessReport:
         assert len(products["dia"]) <= 681
         assert not products["csr"]
 
-    def test_picard_workload_reads_the_transposes_of_the_parts(self, monkeypatch, count_calls):
-        # the same 643 DIA products as with a dia_transpose per norm estimate (33)
-        transposes = count_calls(operator, "dia_transpose")
-        products = count_sparse_products(monkeypatch)
-        run_check(parse_config(PICARD_WORKLOAD_SEED_1))
-        assert not transposes
-        assert len(products["dia"]) == 643
-
     def test_runs_without_converting_a_dia_matrix_to_csr(self, graph, unit_grid, monkeypatch):
         def refuse(self, *args, **kwargs):
             raise AssertionError("dia_matrix.tocsr called")

@@ -164,11 +164,8 @@ def assembled_by_coo(assemble, *args):
     if assemble is assemble_L:
         return coo_L(*args)
 
-    def coo_parts(grid, cf):
-        return {name: (part, None) for name, part in term_list_lower_order_parts(grid, cf).items()}
-
     with mock.patch.object(operator, "_stencil_matrix", coo_stencil_matrix), \
-            mock.patch.object(operator, "lower_order_parts", coo_parts):
+            mock.patch.object(operator, "lower_order_parts", term_list_lower_order_parts):
         return assemble(*args)
 
 
@@ -319,29 +316,22 @@ class TestBParts:
                 f = rng.standard_normal(unit_grid.ndof)
                 assert np.linalg.norm(m @ f) <= (sigma + 1e-9) * np.linalg.norm(f) * 1.001
 
-
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("kappa_name", ["constant", "sinusoidal"])
     def test_first_order_parts_equal_the_term_list_assembly(self, name, kappa_name):
-        # bit for bit: data, offsets, and the transposes' products against
-        # dia_transpose's; a non-square grid on a non-unit rectangle
+        # bit for bit: data and offsets; a non-square grid on a non-unit rectangle
         domain = (-0.5, 1.0, 0.2, 1.4)
         grid = make_grid(domain, 13, 9)
         chart = make_chart(name, domain=domain, horizon=2.0)
         kappa = make_diffusion(kappa_name)
-        x = np.random.default_rng(4).standard_normal(grid.ndof)
         for t in (0.0, 0.37, 0.9, 1.6):
             cf = coefficient_fields(chart, kappa, grid, t)
             ref = term_list_lower_order_parts(grid, cf)
             parts = operator.lower_order_parts(grid, cf)
             assert list(parts) == ["B2", "B3", "B4"]
-            for key, (part, part_t) in parts.items():
+            for key, part in parts.items():
                 assert part.offsets.tolist() == ref[key].offsets.tolist()
                 assert part.data.tobytes() == ref[key].data.tobytes()
-                mt = dia_transpose(part)
-                assert part_t.offsets.tolist() == mt.offsets.tolist()
-                assert_same_entries(part_t, mt)
-                assert (part_t @ x).tobytes() == (mt @ x).tobytes()
 
 
 def b_parts_sweep(domain, n1, n2):
@@ -416,13 +406,6 @@ class TestNormEstimate:
         assert operator_norm_est(b5, steps=grid.ndof) == pytest.approx(2.0, rel=1e-14)
         assert len(products["dia"]) == 2 and not products["csr"]
 
-    def test_given_transpose_gives_the_same_bits(self, graph):
-        grid = make_grid((-0.5, 1.0, 0.2, 1.4), 13, 9)
-        cf = coefficient_fields(graph, make_diffusion("sinusoidal"), grid, 0.37)
-        for part, part_t in operator.lower_order_parts(grid, cf).values():
-            assert operator_norm_est(part, seed=5, transpose=part_t) == \
-                operator_norm_est(part, seed=5)
-
     @pytest.mark.parametrize("steps", [0, -3])
     def test_no_steps_rejected(self, unit_grid, steps):
         with pytest.raises(ParameterError, match="steps"):
@@ -474,11 +457,6 @@ class TestNormEstimate:
             assert mt.format == "dia" and list(mt.offsets) == sorted(mt.offsets)
             assert_same_entries(mt, m.T.tocsr())
             assert (mt @ x).tobytes() == (m.T.tocsr() @ x).tobytes()
-        # the transposes written beside B2..B4
-        cf = coefficient_fields(graph, kappa, grid, 0.37)
-        for part, part_t in operator.lower_order_parts(grid, cf).values():
-            assert_same_entries(part_t, part.T.tocsr())
-            assert (part_t @ x).tobytes() == (dia_transpose(part) @ x).tobytes()
 
 
 class TestStepFrame:
