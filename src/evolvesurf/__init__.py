@@ -26,7 +26,6 @@ from .diagnostics import (
     ConvergenceTable,
     EnergyLedger,
     manufactured_solution,
-    material_derivative,
     mms_convergence,
     solve_reported,
     surface_grad_sq,
@@ -56,7 +55,6 @@ from .geometry import (
 )
 from .operator import (
     assemble_A,
-    assemble_B,
     assemble_B_parts,
     assemble_L,
     half_power_norm,
@@ -67,7 +65,6 @@ from .timestepper import (
     Trajectory,
     solve_direct,
     solve_picard,
-    theta_step,
     z_norm,
 )
 

@@ -186,37 +186,23 @@ def run_picard(cfg):
 def _sine_product_solution(domain):
     """e^{-t} sin(pi s1) sin(pi s2), s the rectangle's unit coordinates.
 
-    Closed-form partials, so the ``mms`` run imports no sympy.  Each sine and
-    cosine is a function of one coordinate, so on the open meshes of
-    ``mms_convergence`` and the forcing it is evaluated per axis.
+    Closed-form partials, so the ``mms`` run imports no sympy.  One
+    evaluation gives all seven from one exponential and the sine and cosine
+    of each axis; each is a function of one coordinate, so on the open
+    meshes of ``mms_convergence`` and the forcing it is evaluated per axis.
     """
     a, b, c, d = domain
     k1 = math.pi / (b - a)
     k2 = math.pi / (d - c)
 
-    def phases(x1, x2):
-        return np.pi * ((x1 - a) / (b - a)), np.pi * ((x2 - c) / (d - c))
+    def partials(x1, x2, t):
+        p1, p2 = np.pi * ((x1 - a) / (b - a)), np.pi * ((x2 - c) / (d - c))
+        e, s1, c1, s2, c2 = np.exp(-t), np.sin(p1), np.cos(p1), np.sin(p2), np.cos(p2)
+        u = e * s1 * s2
+        return (u, -u, k1 * e * c1 * s2, k2 * e * s1 * c2,
+                -k1 * k1 * u, k1 * k2 * e * c1 * c2, -k2 * k2 * u)
 
-    def u(x1, x2, t):
-        p1, p2 = phases(x1, x2)
-        return np.exp(-t) * np.sin(p1) * np.sin(p2)
-
-    def u_1(x1, x2, t):
-        p1, p2 = phases(x1, x2)
-        return k1 * np.exp(-t) * np.cos(p1) * np.sin(p2)
-
-    def u_2(x1, x2, t):
-        p1, p2 = phases(x1, x2)
-        return k2 * np.exp(-t) * np.sin(p1) * np.cos(p2)
-
-    def u_12(x1, x2, t):
-        p1, p2 = phases(x1, x2)
-        return k1 * k2 * np.exp(-t) * np.cos(p1) * np.cos(p2)
-
-    return dg.ManufacturedSolution(
-        u=u, u_t=lambda x1, x2, t: -u(x1, x2, t), u_1=u_1, u_2=u_2,
-        u_11=lambda x1, x2, t: -k1 * k1 * u(x1, x2, t), u_12=u_12,
-        u_22=lambda x1, x2, t: -k2 * k2 * u(x1, x2, t))
+    return dg.ManufacturedSolution(partials)
 
 
 def run_mms(cfg):

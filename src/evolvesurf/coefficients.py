@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AssumptionViolationError, ParameterError
-from .geometry import _fd1, metric_fields, phi_term, preset_params
+from .geometry import _fd1, metric_fields, phi_term, preset_params, volume_divergence
 from .operator import (
     SineBasis,
     _on_mesh,
@@ -117,9 +117,6 @@ class _Scan:
         for t in times:
             self.add(t)
 
-    # G ** 2 overflows once G passes 1e154, short of the overflow of G itself
-    # that metric_fields refuses
-    @np.errstate(over="ignore", invalid="ignore")
     def add(self, t):
         """Fold in the scalars of time t; returns its (MetricFields, kappa values)."""
         chart, kappa, grid, M = self.chart, self.kappa, self.grid, self.M
@@ -141,13 +138,10 @@ class _Scan:
         self.m1_extremes.append((x_a.min(), x_a.max(), x_b.min(), x_b.max(),
                                  np.abs(k * mf.g12 / G).max()))
 
-        m2 = (k / G) * (mf.dg22_d1 - mf.dg12_d2) \
-            - (k / (2.0 * G ** 2)) * (mf.g22 * mf.dG_d1 - mf.g12 * mf.dG_d2)
-        M[1] = max(M[1], float(np.abs(m2).max()))
-
-        m3 = (k / G) * (mf.dg11_d2 - mf.dg12_d1) \
-            - (k / (2.0 * G ** 2)) * (mf.g11 * mf.dG_d2 - mf.g12 * mf.dG_d1)
-        M[2] = max(M[2], float(np.abs(m3).max()))
+        dg = (mf.dg11_d1, mf.dg11_d2, mf.dg12_d1, mf.dg12_d2, mf.dg22_d1, mf.dg22_d2)
+        c1, c2 = volume_divergence(mf.ginv11, mf.ginv12, mf.ginv22, dg)
+        M[1] = max(M[1], float(np.abs(k * c1).max()))
+        M[2] = max(M[2], float(np.abs(k * c2).max()))
 
         dk1 = kappa.partial("d1", chart.domain, grid.h_fd)(X1, X2, t)
         dk2 = kappa.partial("d2", chart.domain, grid.h_fd)(X1, X2, t)
@@ -199,7 +193,8 @@ def m_quantities(chart, kappa, lambda1, lambda2, grid, times):
     """Sup-norm coefficient quantities M1..M5 over the space-time scan.
 
     M1 pairs kappa*g11/G with lam2 and kappa*g22/G with lam1 plus the mixed
-    term; M2/M3 are the metric first-derivative combinations; M4 the
+    term; M2/M3 are the sups of kappa (1/R) d_a(R g^ab), R = sqrt(G), for
+    b = 1, 2 (``geometry.volume_divergence``); M4 the
     diffusivity-gradient combinations; M5 the dilation rate.  Returns
     (M, m1_mixed2), where m1_mixed2 is M1 with the mixed term doubled, the
     constant the second-order remainder bound actually uses; the smallness

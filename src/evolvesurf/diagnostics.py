@@ -34,6 +34,14 @@ finished ledger, with ||u|| = sqrt(2 mass).  The reports store float64
 values, 8 bytes each.  ``solve_reported`` runs a march with all three, so a
 solve with its reports evaluates each step time once and holds no more of
 the trajectory than the rows its caller keeps.
+
+The manufactured forcing reads the march's step frames too: it is a
+callable ``forcing(frame, t)`` that ``solve_direct`` calls once per step
+time, with the frame it holds for t_k and t_k itself (a static problem's
+single frame carries t = 0).  It takes K, the inverse metric and d0 from the
+frame's coefficients and evaluates only what the frame does not hold: the
+metric's X-derivatives, d_a K and the partials of the exact solution.  So a
+manufactured-solution march evaluates the metric once per step time.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import default_h_fd, metric_fields
-from .operator import _on_mesh, field_l2, refuse_kappa, sobolev_h1_norm
+from .geometry import metric_derivatives, metric_fields, volume_divergence
+from .operator import _on_mesh, field_l2, sobolev_h1_norm
 from .timestepper import _step_count, solve_direct
 
 
@@ -116,22 +124,6 @@ def surface_grad_sq(values, chart, grid, t, kappa=None):
     weight = mf.sqrtG if kappa is None else _on_mesh(kappa, C1, C2, t) * mf.sqrtG
     return _flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
                                    weight * mf.ginv22))
-
-
-def surface_gradient_components(values, chart, grid, t):
-    """Ambient components of the tangential gradient at cell centers.
-
-    Uses the pull-back representation g^ab (d x_j / d X_a) d_b u, one array
-    per ambient direction j; contracting the squares reproduces the integrand
-    of ``surface_grad_sq`` pointwise.
-    """
-    d1, d2 = _cell_center_gradients(values, grid)
-    C1, C2 = grid.cell_center_mesh(sparse=True)
-    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
-    du1 = mf.ginv11 * d1 + mf.ginv12 * d2   # contravariant components
-    du2 = mf.ginv12 * d1 + mf.ginv22 * d2
-    comps = np.stack([a * du1 + b * du2 for a, b in zip(mf.g1, mf.g2)])
-    return comps, mf
 
 
 def _mass(values, grid, sqrtG):
@@ -239,7 +231,8 @@ class _Regularity:
         if prev is None or nxt is None:
             return
         sqrtG = frame.interior_sqrtG
-        # the material derivative of ``material_derivative``, from the window
+        # the material derivative: under the pull-back the plain time
+        # derivative on the rectangle, a centered difference of the window
         self.dt_sq.append(_mass((nxt - prev) / (2.0 * self.dt), self.grid, sqrtG))
         # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u,
         # with the march's product Lv = L(t_k) u, which every k >= 1 has
@@ -256,21 +249,6 @@ class _Regularity:
         div_norm = math.sqrt(np.sum(self.dt * np.array(self.div_sq)))
         return {"quotient": (dt_norm + div_norm) / w_norm,
                 "material_norm": dt_norm, "diffusion_norm": div_norm}
-
-
-def material_derivative(traj, index):
-    """Centered time difference of the pulled-back field at one snapshot.
-
-    Under the pull-back the material derivative following the surface motion
-    is the plain time derivative on the parameter rectangle.  ``traj`` keeps
-    every step.
-    """
-    if traj.stride != 1:
-        raise ParameterError(f"a finished trajectory is read at every step; "
-                             f"this one keeps one row per {traj.stride} steps")
-    if index <= 0 or index >= len(traj.times) - 1:
-        raise ParameterError(f"index {index} is not an interior snapshot")
-    return (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
 
 
 def solve_reported(chart, kappa, grid, v0, T, dt, theta=0.5, stride=1):
@@ -326,28 +304,24 @@ SOLUTION_PARTIALS = ("u", "u_t", "u_1", "u_2", "u_11", "u_12", "u_22")
 class ManufacturedSolution:
     """Exact solution prescribed for convergence studies.
 
-    Seven numeric evaluators (x1, x2, t) -> array, named as in
-    ``SOLUTION_PARTIALS``: the solution, its time derivative and its first and
-    second partials in X1, X2.  The induced forcing F = du/dt + L u is
-    evaluated from them numerically (``manufactured_forcing``), so no sympy
-    is needed unless the partials come from a symbolic builder through
-    ``manufactured_solution``.
+    ``partials`` is one numeric evaluator (x1, x2, t) -> the seven partials
+    named in ``SOLUTION_PARTIALS``, in that order: the solution, its time
+    derivative and its first and second partials in X1, X2, each
+    broadcastable with x1 and x2.  One evaluation gives all seven, so
+    partials that share factors compute them once.  The induced forcing
+    F = du/dt + L u is evaluated from them numerically
+    (``manufactured_forcing``), so no sympy is needed unless the partials
+    come from a symbolic builder through ``manufactured_solution``.
     """
 
-    u: Callable
-    u_t: Callable
-    u_1: Callable
-    u_2: Callable
-    u_11: Callable
-    u_12: Callable
-    u_22: Callable
+    partials: Callable
 
     def partial(self, name, x1, x2, t):
         """One of ``SOLUTION_PARTIALS`` on the broadcast shape of x1, x2."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        return np.broadcast_to(np.asarray(getattr(self, name)(x1, x2, t), dtype=float),
-                               np.broadcast(x1, x2).shape)
+        value = self.partials(x1, x2, t)[SOLUTION_PARTIALS.index(name)]
+        return np.broadcast_to(np.asarray(value, dtype=float), np.broadcast(x1, x2).shape)
 
     def value(self, x1, x2, t):
         return self.partial("u", x1, x2, t)
@@ -357,7 +331,8 @@ def manufactured_solution(builder):
     """ManufacturedSolution from a symbolic builder (needs sympy).
 
     ``builder`` maps sympy symbols (X1, X2, t) to the solution expression;
-    its seven partials are differentiated and lambdified here.
+    its seven partials are differentiated here and lambdified together, with
+    their common subexpressions evaluated once.
     """
     import sympy as sp
 
@@ -365,92 +340,44 @@ def manufactured_solution(builder):
     u = builder(X1, X2, t)
     exprs = (u, sp.diff(u, t), sp.diff(u, X1), sp.diff(u, X2),
              sp.diff(u, X1, 2), sp.diff(u, X1, X2), sp.diff(u, X2, 2))
-    return ManufacturedSolution(*(sp.lambdify((X1, X2, t), e, "numpy") for e in exprs))
-
-
-def symbolic_operator_apply(chart, kappa, builder):
-    """Numeric evaluator of L(t) applied to a symbolic field.
-
-    Requires the chart and diffusivity to carry symbolic forms (all presets
-    do).  The consistency oracle of the tests for the discrete assembly and
-    for the numeric ``manufactured_forcing``; imports sympy.
-    """
-    import sympy as sp
-
-    if chart.sym_builder is None or kappa.sym_builder is None:
-        raise ParameterError("chart or diffusivity has no symbolic form")
-    X1, X2, t = sp.symbols("X1 X2 t", real=True)
-    u = builder(X1, X2, t)
-    x = chart.sym_builder(X1, X2, t)
-    g1 = [sp.diff(c, X1) for c in x]
-    g2 = [sp.diff(c, X2) for c in x]
-    g11 = sum(a * b for a, b in zip(g1, g1))
-    g12 = sum(a * b for a, b in zip(g1, g2))
-    g22 = sum(a * b for a, b in zip(g2, g2))
-    G = g11 * g22 - g12 * g12
-    R = sp.sqrt(G)
-    kap = kappa.sym_builder(X1, X2, t)
-    ginv = ((g22 / G, -g12 / G), (-g12 / G, g11 / G))
-    grads = (sp.diff(u, X1), sp.diff(u, X2))
-    flux1 = kap * R * (ginv[0][0] * grads[0] + ginv[0][1] * grads[1])
-    flux2 = kap * R * (ginv[1][0] * grads[0] + ginv[1][1] * grads[1])
-    Lu = -(sp.diff(flux1, X1) + sp.diff(flux2, X2)) / R + sp.diff(G, t) / (2 * G) * u
-    fn = sp.lambdify((X1, X2, t), Lu, "numpy", cse=True)
-
-    def apply(x1, x2, tt):
-        return np.broadcast_to(
-            np.asarray(fn(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float), tt),
-                       dtype=float),
-            np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
-
-    return apply
-
-
-def _dinverse_metric(mf, c):
-    """(d_c g^11, d_c g^12, d_c g^22) = -g^ae d_c g_ef g^fb, c = 1 or 2."""
-    i11, i12, i22 = mf.ginv11, mf.ginv12, mf.ginv22
-    m11, m12, m22 = ((mf.dg11_d1, mf.dg12_d1, mf.dg22_d1) if c == 1
-                     else (mf.dg11_d2, mf.dg12_d2, mf.dg22_d2))
-    r11, r12 = m11 * i11 + m12 * i12, m11 * i12 + m12 * i22   # rows of (d_c g) g^-1
-    r21, r22 = m12 * i11 + m22 * i12, m12 * i12 + m22 * i22
-    return (-(i11 * r11 + i12 * r21), -(i11 * r12 + i12 * r22),
-            -(i12 * r12 + i22 * r22))
+    return ManufacturedSolution(sp.lambdify((X1, X2, t), exprs, "numpy", cse=True))
 
 
 def manufactured_forcing(chart, kappa, exact):
-    """Forcing F = du/dt + L u induced by a manufactured solution, numerically.
+    """Forcing F = du/dt + L u of a manufactured solution, read off the march's step frames.
 
-    With R = sqrt(G) and K the diffusivity, L u expands to
-    -(1/R)[d_a(K R g^ab) d_b u + K R g^ab d_ab u] + (dG/dt)/(2G) u, where
-    d_a R / R = d_a G/(2G) and d_c g^ab = -g^ae d_c g_ef g^fb.  The metric
-    partials are the chart's (analytic for presets, finite differences for a
-    user chart without them), d_a K is ``kappa.partial`` and the partials of
-    u are those ``exact`` carries.  A diffusivity that is not positive and
-    finite raises AssumptionViolationError, as in a step frame.
+    Returns ``F(frame, t)``: F at the step time t on the interior nodes of
+    ``frame.grid``, from the StepFrame the march holds for t.  With R =
+    sqrt(G) and K the diffusivity,
+
+        L u = -K g^ab d_ab u - c^b d_b u + d0 u,
+        c^b = d_a K g^ab + K (1/R) d_a(R g^ab),
+
+    and (1/R) d_a(R g^ab) is ``geometry.volume_divergence``, the field whose
+    sups are M2/M3 of the smallness scan.  K, g^ab and d0 are interior slices
+    of ``frame.coefficients``, so the frame's refusals of a diffusivity that
+    is not positive and finite and of a degenerate metric come first.  Only
+    the chart's first and second X-partials (the metric's derivatives),
+    d_a K (``kappa.partial``) and the seven partials of ``exact`` (one joint
+    evaluation) are evaluated here, on the open interior mesh.  t is the
+    march's step time, not ``frame.t``: the single frame of a static problem
+    carries t = 0.
     """
-    h_fd = default_h_fd(chart.extent())
-    k1 = kappa.partial("d1", chart.domain, h_fd)
-    k2 = kappa.partial("d2", chart.domain, h_fd)
-
-    def F(x1, x2, tt):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        mf = metric_fields(chart, x1, x2, tt, h_fd=h_fd, want_derivs=True)
-        u = {name: exact.partial(name, x1, x2, tt) for name in SOLUTION_PARTIALS}
-        K = _on_mesh(kappa, x1, x2, tt)
-        refuse_kappa(K, tt)   # before an overflowing kappa meets a metric partial of 0
-        # (1/R) d_a(K R) = d_a K + K d_a G/(2G)
-        e1 = np.asarray(k1(x1, x2, tt), dtype=float) + K * mf.dG_d1 / (2.0 * mf.G)
-        e2 = np.asarray(k2(x1, x2, tt), dtype=float) + K * mf.dG_d2 / (2.0 * mf.G)
-        d1_11, d1_12, _ = _dinverse_metric(mf, 1)
-        _, d2_12, d2_22 = _dinverse_metric(mf, 2)
-        # first-order coefficients (1/R) d_a(K R g^ab), b = 1, 2
-        c1 = e1 * mf.ginv11 + e2 * mf.ginv12 + K * (d1_11 + d2_12)
-        c2 = e1 * mf.ginv12 + e2 * mf.ginv22 + K * (d1_12 + d2_22)
-        diffusion = (c1 * u["u_1"] + c2 * u["u_2"]
-                     + K * (mf.ginv11 * u["u_11"] + 2.0 * mf.ginv12 * u["u_12"]
-                            + mf.ginv22 * u["u_22"]))
-        return u["u_t"] - diffusion + 0.5 * mf.dGdt / mf.G * u["u"]
+    def F(frame, t):
+        grid, cf = frame.grid, frame.coefficients
+        x1, x2 = grid.interior_mesh(sparse=True)
+        K, i11, i12, i22 = (cf[key][1:-1, 1:-1] for key in ("K", "Ginv11", "Ginv12", "Ginv22"))
+        g1 = chart.partial("d1", grid.h_fd)(x1, x2, t)
+        g2 = chart.partial("d2", grid.h_fd)(x1, x2, t)
+        v1, v2 = volume_divergence(i11, i12, i22,
+                                   metric_derivatives(chart, x1, x2, t, grid.h_fd, g1, g2))
+        k1 = kappa.partial("d1", chart.domain, grid.h_fd)(x1, x2, t)
+        k2 = kappa.partial("d2", chart.domain, grid.h_fd)(x1, x2, t)
+        u, u_t, u_1, u_2, u_11, u_12, u_22 = exact.partials(x1, x2, t)
+        c1 = k1 * i11 + k2 * i12 + K * v1
+        c2 = k1 * i12 + k2 * i22 + K * v2
+        diffusion = c1 * u_1 + c2 * u_2 + K * (i11 * u_11 + 2.0 * i12 * u_12 + i22 * u_22)
+        return u_t - diffusion + cf["d0"] * u
 
     return F
 
@@ -502,7 +429,8 @@ def mms_convergence(chart, kappa, exact, levels, T=0.1, theta=0.5):
     """Manufactured-solution refinement study.
 
     ``levels`` is a sequence of (n, dt) pairs, n interior nodes per axis; the
-    forcing is built once and evaluated numerically per step.  Errors
+    forcing is built once, and each level's march evaluates it from its step
+    frames, once per step time.  Errors
     are max-norm and L2-norm against the exact solution at the final time.
     Non-monotone error sequences are flagged, not fatal.
     """

@@ -475,11 +475,6 @@ def lower_order_parts(grid, cf):
     return {name: mat for name, (mat, _) in parts.items()}
 
 
-def assemble_B(chart, kappa, grid, lambda1, lambda2, t):
-    """Full perturbation B(t) = L(t) - A as one DIA matrix."""
-    return assemble_L(chart, kappa, grid, t) - assemble_A(grid, lambda1, lambda2)
-
-
 def dia_transpose(mat):
     """Transpose of a square DIA matrix of this module, read off its diagonals.
 

@@ -10,9 +10,9 @@ Two routes to the same discrete solution:
   the direct theta-scheme trajectory and contraction ratios are not polluted
   by discretization differences.
 
-``_ThetaMarcher.march`` is the one theta-step loop: ``solve_direct``,
-``theta_step`` (a march of one step) and every Picard stage (a march of A
-whose forcing carries the previous iterate) call it.
+``_ThetaMarcher.march`` is the one theta-step loop: ``solve_direct`` and
+every Picard stage (a march of A whose forcing carries the previous iterate)
+call it.
 
 Every implicit step solves (I + theta dt L(t_{k+1})) v_{k+1} = rhs and is
 accepted only if its true relative residual is at most SOLVE_TOL = 1e-10;
@@ -41,15 +41,19 @@ the LU has copied it.
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
 march looks frames up by the integer step index k and holds at most two, the
-pair one step touches; a static problem has a single frame.
+pair one step touches; a static problem has a single frame.  A forcing of
+``solve_direct`` reads the same frames: it is called as ``forcing(frame, t)``
+once per step time, with the frame the march holds for t_k and with t_k
+itself, since the single frame of a static problem carries t = 0 (the
+manufactured forcing of ``diagnostics`` is one).
 
 A march holds O(ndof) state: the three-level window (v_{k-1}, v_k, v_{k+1})
 and the rows it keeps, one for every ``stride``-th step (row 0 is the
 datum).  Its Trajectory is those rows, their stride and every step time.
-``stride = 1`` keeps the whole history, as ``theta_step`` and the Picard
-stages need; the CLI ``solve`` and ``picard`` keep only the snapshots they
-write.  Observers are called as ``observer(k, frame, window, Lv)`` at every
-step k in order, with the frame of t_k while the march holds it, the window
+``stride = 1`` keeps the whole history, as the Picard stages need; the CLI
+``solve`` and ``picard`` keep only the snapshots they write.  Observers are
+called as ``observer(k, frame, window, Lv)`` at every step k in order, with
+the frame of t_k while the march holds it, the window
 (v_{k-1}, v_k, v_{k+1}) (None beyond the first and last step) and the gate's
 product Lv = L(t_k) v_k (None only at k = 0 under backward Euler), which the
 regularity report reads.  The energy ledger and the regularity report of ``diagnostics`` are
@@ -295,6 +299,19 @@ class _ThetaMarcher:
     def L(self, k):
         return self.frame(k).L
 
+    def frame_forcing(self, F):
+        """``march``'s forcing(k) from a forcing F(frame, t), or None without one.
+
+        forcing(k) is F(frame of t_k, t_k) broadcast to the interior grid,
+        flat.  The march calls it before the solve of step k, so the frame
+        it reads is the one that solve uses.
+        """
+        if F is None:
+            return None
+        shape = (self.grid.n1, self.grid.n2)
+        return lambda k: np.broadcast_to(np.asarray(F(self.frame(k), self.time(k)), dtype=float),
+                                         shape).ravel()
+
     def _system(self, L):
         """I + theta dt L in the marcher's one system buffer, refilled from L's diagonals.
 
@@ -391,19 +408,6 @@ class _ThetaMarcher:
         return Trajectory(times, kept, dt, self.grid, stride)
 
 
-def theta_step(v, t, dt, theta, frames, F_provider=None):
-    """One theta-scheme step of dv/dt + L(t) v = F from time t to t + dt.
-
-    Solves (I + theta dt L(t+dt)) v' = (I - (1-theta) dt L(t)) v
-           + dt (theta F(t+dt) + (1-theta) F(t))
-    and returns v' as a flat array.  ``frames`` is
-    ``StepFrames(chart, kappa, grid)``; ``F_provider`` is as in ``solve_direct``.
-    """
-    marcher = _ThetaMarcher(dt, theta, frames, t0=t)
-    forcing = lambda k: _eval_forcing(F_provider, frames.grid, marcher.time(k))
-    return marcher.march(_prepare_v0(v, frames.grid), 1, forcing).fields[1]
-
-
 def _step_count(T, dt):
     """ceil(T/dt) uniform steps, at least one, over the horizon T > 0."""
     if T <= 0.0:
@@ -420,24 +424,18 @@ def _prepare_v0(v0, grid):
     return vals.astype(float)
 
 
-def _eval_forcing(F_provider, grid, t):
-    """F(t) on the interior nodes, flat; the provider gets the open interior mesh."""
-    if F_provider is None:
-        return None
-    X1, X2 = grid.interior_mesh(sparse=True)
-    F = np.asarray(F_provider(X1, X2, t), dtype=float)
-    return np.broadcast_to(F, (grid.n1, grid.n2)).ravel()
-
-
 def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, observers=(),
                  stride=1):
     """March the pulled-back system with the time-dependent operator.
 
-    ``F_provider`` is an optional manufactured forcing (x1, x2, t) -> array,
-    called with the open interior mesh (x1 of shape (n1, 1), x2 of shape
-    (1, n2)); its value is broadcast to the grid.  The homogeneous system of
-    the model has F = 0.  Returns the Trajectory of ceil(T/dt) uniform steps
-    that keeps every ``stride``-th step; the Dirichlet boundary stays
+    ``F_provider`` is an optional forcing ``F(frame, t)``, called once per
+    step time t_k, in order, with the StepFrame the march holds for t_k and
+    with t_k itself (not ``frame.t``: a static problem's single frame carries
+    t = 0); its value on the interior nodes is broadcast to the grid.
+    ``diagnostics.manufactured_forcing`` builds the forcing of a
+    manufactured solution; the homogeneous system of the model has F = 0.
+    Returns the Trajectory of ceil(T/dt) uniform steps that keeps every
+    ``stride``-th step; the Dirichlet boundary stays
     identically zero by construction.  ``observers`` are as in
     ``_ThetaMarcher.march``: each is called as ``observer(k, frame, window,
     Lv)`` with the StepFrame of t_k, the window (v_{k-1}, v_k, v_{k+1}) and
@@ -447,8 +445,7 @@ def solve_direct(chart, kappa, grid, v0, T, dt, theta=0.5, F_provider=None, obse
     vals = _prepare_v0(v0, grid)
     marcher = _ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
     nsteps = _step_count(T, dt)
-    forcing = lambda k: _eval_forcing(F_provider, grid, marcher.time(k))
-    return marcher.march(vals, nsteps, forcing, observers, stride)
+    return marcher.march(vals, nsteps, marcher.frame_forcing(F_provider), observers, stride)
 
 
 class _ZNorm:

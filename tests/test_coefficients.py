@@ -116,6 +116,40 @@ class TestMQuantities:
         assert_allclose(M[1:4], np.zeros(3), atol=1e-12)
         assert M[4] == pytest.approx(2.0, rel=1e-12)
 
+    def test_m2_m3_past_the_overflow_of_G_squared(self, const_kappa):
+        # a graph_oscillation surface scaled by S = 1e40: G reaches 1.6e160,
+        # past the 1e154 where G ** 2 overflows.  The reference is the G ** 2
+        # form in 40-digit arithmetic, whose exponent range does not overflow
+        mpmath = pytest.importorskip("mpmath")
+        S, epsilon, omega, times = 1e40, 0.3, 1.0, (0.5, 1.0)
+        base = geometry.make_chart("graph_oscillation", horizon=1.0, epsilon=epsilon,
+                                   omega=omega)
+        scaled = lambda ev: lambda x1, x2, t: tuple(S * c for c in ev(x1, x2, t))
+        chart = geometry.user_chart(scaled(base.evals["x"]), base.domain, 1.0, partials={
+            key: scaled(base.evals[key])
+            for key in ("d1", "d2", "d11", "d12", "d22", "dtd1", "dtd2")})
+        grid = make_grid(base.domain, 8, 8)
+        X1, X2 = grid.full_mesh(sparse=True)
+        M, _ = m_quantities(chart, const_kappa, 1e-80, 1e-80, grid, times)
+        sups = np.zeros(2)
+        with mpmath.workdps(40):
+            for t in times:
+                mf = geometry.metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
+                assert mf.G.max() > 1e160
+                got = geometry.volume_divergence(mf.ginv11, mf.ginv12, mf.ginv22, (
+                    mf.dg11_d1, mf.dg11_d2, mf.dg12_d1, mf.dg12_d2, mf.dg22_d1, mf.dg22_d2))
+                ref = np.array([[[float(m) for m in _scaled_graph_m2_m3(
+                    mpmath, S, epsilon * math.sin(omega * t), x1, x2)]
+                    for x2 in grid.x2_full()] for x1 in grid.x1_full()])
+                for b in range(2):
+                    scale = np.abs(ref[..., b]).max()
+                    assert np.abs(got[b] - ref[..., b]).max() <= 1e-12 * scale
+                sups = np.maximum(sups, np.abs(ref).max(axis=(0, 1)))
+        assert_allclose(M[1:3], sups, rtol=1e-12)
+        # the surface scaled by S has M2/M3 scaled by 1/S^2
+        M_base, _ = m_quantities(base, const_kappa, 1.0, 1.0, grid, times)
+        assert_allclose(M[1:3], M_base[1:3] / S ** 2, rtol=1e-12)
+
     def test_monotone_in_scan_window(self, graph, const_kappa, unit_grid):
         lam = 0.9
         windows = [np.linspace(0, T, 5) for T in (0.5, 1.0, 2.0)]
@@ -123,6 +157,31 @@ class TestMQuantities:
                 for w in windows]
         assert sums[0] <= sums[1] + 1e-14
         assert sums[1] <= sums[2] + 1e-14
+
+
+def _scaled_graph_m2_m3(mpmath, S, a, x1, x2):
+    """M2/M3 integrands (kappa = 1) of x = S (X1, X2, a phi) at one node, in mpmath.
+
+    The G ** 2 form, (d_1 g_22 - d_2 g_12)/G - (g_22 d_1 G - g_12 d_2 G)/(2 G^2)
+    and its mirror, from the exact partials at the float node.
+    """
+    mpf, pi = mpmath.mpf, mpmath.pi
+    S, a = mpf(S), mpf(a)
+    s1, c1 = mpmath.sin(pi * mpf(x1)), mpmath.cos(pi * mpf(x1))
+    s2, c2 = mpmath.sin(pi * mpf(x2)), mpmath.cos(pi * mpf(x2))
+    dot = lambda u, v: sum(p * q for p, q in zip(u, v))
+    g1, g2 = (S, 0, S * a * pi * c1 * s2), (0, S, S * a * pi * s1 * c2)
+    d11 = d22 = (0, 0, -S * a * pi ** 2 * s1 * s2)
+    d12 = (0, 0, S * a * pi ** 2 * c1 * c2)
+    g11, g12, g22 = dot(g1, g1), dot(g1, g2), dot(g2, g2)
+    G = g11 * g22 - g12 ** 2
+    a11_1, a11_2 = 2 * dot(d11, g1), 2 * dot(d12, g1)
+    a12_1, a12_2 = dot(d11, g2) + dot(g1, d12), dot(d12, g2) + dot(g1, d22)
+    a22_1, a22_2 = 2 * dot(d12, g2), 2 * dot(d22, g2)
+    G_1 = a11_1 * g22 + g11 * a22_1 - 2 * g12 * a12_1
+    G_2 = a11_2 * g22 + g11 * a22_2 - 2 * g12 * a12_2
+    return ((a22_1 - a12_2) / G - (g22 * G_1 - g12 * G_2) / (2 * G ** 2),
+            (a11_2 - a12_1) / G - (g11 * G_2 - g12 * G_1) / (2 * G ** 2))
 
 
 class TestCSharpEstimator:

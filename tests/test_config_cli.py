@@ -484,15 +484,17 @@ class TestOutputs:
     @pytest.mark.parametrize("subcommand,written", [
         ("solve", {"report.txt", "energy.csv", "snapshot_0000.vtk", "snapshot_0020.vtk"}),
         ("picard", {"report.txt", "conditions.csv", "energy.csv", "picard.csv"}),
+        ("mms", {"report.txt", "convergence.csv"}),
     ])
     def test_whole_solve_run_is_byte_reproducible(self, tmp_path, subcommand, written):
-        # every file of a moving solve or picard run, snapshots and CSVs
+        # every file of a moving solve, picard or mms run, snapshots and CSVs
         # included, is byte-identical for one seed; report.txt differs only in
-        # its time_* lines
+        # its time_* lines.  mms refines from 15 nodes, the least it takes
+        grid = {"n1": 15, "n2": 15} if subcommand == "mms" else {}
         runs = [self._run(tmp_path / side, subcommand=subcommand,
                           surface_preset="graph_oscillation",
                           surface_params={"epsilon": 0.05, "omega": 1.0},
-                          seed=11, snapshot_stride=10)
+                          seed=11, snapshot_stride=10, **grid)
                 for side in ("a", "b")]
         names = [[Path(p).name for p in manifest] for _, _, manifest in runs]
         assert names[0] == names[1]
@@ -786,7 +788,9 @@ probes = 4
         "preset = isotropic_scaling\nT = 1\ngamma = 400",
         "preset = isotropic_scaling\nT = 2\ngamma = 200",
         "preset = graph_oscillation\nT = 1\nepsilon = 1e200",
-    ], ids=["gamma400", "gamma200", "epsilon1e200"])
+        # G = 1 + a^2 |grad phi|^2 would reach about 1e159, but g11 g22 overflows
+        "preset = graph_oscillation\nT = 1\nepsilon = 3e79",
+    ], ids=["gamma400", "gamma200", "epsilon1e200", "epsilon3e79"])
     def test_overflowing_metric_exits_one_naming_X_and_t(self, tmp_path, capsys,
                                                           subcommand, surface):
         # G or dG/dt overflows to inf or nan within the horizon: the first

@@ -12,7 +12,6 @@ from evolvesurf import (
     make_diffusion,
     make_grid,
     manufactured_solution,
-    material_derivative,
     mms_convergence,
     solve_direct,
     surface_grad_sq,
@@ -25,15 +24,16 @@ from evolvesurf.diagnostics import (
     _flux_sq,
     _mass,
     manufactured_forcing,
-    surface_gradient_components,
     solve_reported,
     surface_mass,
-    symbolic_operator_apply,
 )
 from evolvesurf.geometry import PRESET_NAMES, metric_fields
-from evolvesurf.operator import StepFrame, assemble_L, coefficient_fields, sobolev_h1_norm
+from evolvesurf.operator import (StepFrame, StepFrames, assemble_L, coefficient_fields,
+                                 sobolev_h1_norm)
 from evolvesurf import diagnostics, geometry
 from evolvesurf.timestepper import Trajectory
+
+from oracles import material_derivative, surface_gradient_components, symbolic_operator_apply
 
 
 def sinsin(x1, x2, t):
@@ -455,18 +455,17 @@ class TestReportsFromStepFrames:
 class TestMMSEvaluations:
     def test_march_and_forcing_evaluate_once_per_step_time(self, graph, const_kappa,
                                                            count_calls):
-        # the march's full-mesh metric and the forcing's interior one; no
-        # cell-centre metric
+        # the march's full-mesh metric, which the forcing reads off the step
+        # frame; no interior or cell-centre metric
         exact = diagnostics.ManufacturedSolution(
-            u=sinsin, u_t=lambda x1, x2, t: 0.0 * x1, u_1=sinsin, u_2=sinsin,
-            u_11=sinsin, u_12=sinsin, u_22=sinsin)
+            lambda x1, x2, t: (sinsin(x1, x2, t), 0.0 * x1) + (sinsin(x1, x2, t),) * 5)
         calls = count_calls(diagnostics, "metric_fields")
         levels = [(7, 0.01), (15, 0.005), (31, 0.0025)]
         mms_convergence(graph, const_kappa, exact, levels, T=0.02)
-        assert len(calls) == sum(2 * (round(0.02 / dt) + 1) for _, dt in levels)
-        # both are open meshes: x1 of shape (n, 1), x2 of shape (1, n)
+        assert len(calls) == sum(round(0.02 / dt) + 1 for _, dt in levels)
+        # an open mesh: x1 of shape (n + 2, 1), x2 of shape (1, n + 2)
         shapes = {(np.shape(args[1]), np.shape(args[2])) for args in calls}
-        assert shapes == {((n + m, 1), (1, n + m)) for n, _ in levels for m in (0, 2)}
+        assert shapes == {((n + 2, 1), (1, n + 2)) for n, _ in levels}
 
 
 def _bump(grid):
@@ -582,9 +581,16 @@ class TestNumericForcing:
         X1s, X2s, ts = sp.symbols("X1 X2 t", real=True)
         dudt = sp.lambdify((X1s, X2s, ts), sp.diff(builder(X1s, X2s, ts), ts), "numpy")
         L_apply = symbolic_operator_apply(chart, kappa, builder)
-        X1, X2 = make_grid(domain, 17, 11).interior_mesh()
+        grid = make_grid(domain, 17, 11)
+        X1, X2 = grid.interior_mesh()
+        frames = StepFrames(chart, kappa, grid)
         for t in (0.3, 0.8):
+            frame = frames.frame(t)
+            # flat_static and translating_patch with either diffusivity are
+            # static: their one frame carries t = 0, and the forcing reads t
+            # from its caller
+            assert frame.t == (0.0 if preset in ("flat_static", "translating_patch") else t)
             ref = dudt(X1, X2, t) + L_apply(X1, X2, t)
-            got = F(X1, X2, t)
+            got = F(frame, t)
             assert got.shape == X1.shape
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

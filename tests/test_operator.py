@@ -12,7 +12,6 @@ from evolvesurf import (
     AssumptionViolationError,
     ParameterError,
     assemble_A,
-    assemble_B,
     assemble_B_parts,
     assemble_L,
     half_power_norm,
@@ -23,7 +22,6 @@ from evolvesurf import (
 )
 from evolvesurf import geometry, operator
 from evolvesurf.coefficients import Diffusion
-from evolvesurf.diagnostics import symbolic_operator_apply
 from evolvesurf.geometry import PRESET_NAMES, metric_fields
 from evolvesurf.operator import (
     StepFrame,
@@ -41,6 +39,7 @@ from evolvesurf.operator import (
 )
 
 from conftest import count_sparse_products
+from oracles import assemble_B, symbolic_operator_apply
 
 
 def lowest_discrete_eigenvalue(grid, lam1, lam2):

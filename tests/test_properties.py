@@ -468,12 +468,12 @@ def per_array_scan(chart, kappa, grid, times, lambda1, lambda2, margin):
         term_m = np.abs(k * mf.g12 / G).max()
         M[0] = max(M[0], term_a + term_b + term_m)
         m1_factor2 = max(m1_factor2, term_a + term_b + 2.0 * term_m)
-        m2 = (k / G) * (mf.dg22_d1 - mf.dg12_d2) \
-            - (k / (2.0 * G ** 2)) * (mf.g22 * mf.dG_d1 - mf.g12 * mf.dG_d2)
-        M[1] = max(M[1], float(np.abs(m2).max()))
-        m3 = (k / G) * (mf.dg11_d2 - mf.dg12_d1) \
-            - (k / (2.0 * G ** 2)) * (mf.g11 * mf.dG_d2 - mf.g12 * mf.dG_d1)
-        M[2] = max(M[2], float(np.abs(m3).max()))
+        # kappa (1/R) d_a(R g^ab) through v_f = (d_f G/G)/2 - g^ae d_a g_ef
+        i11, i12, i22 = mf.ginv11, mf.ginv12, mf.ginv22
+        v1 = 0.5 * (i22 * mf.dg22_d1 - i11 * mf.dg11_d1) - i12 * mf.dg11_d2 - i22 * mf.dg12_d2
+        v2 = 0.5 * (i11 * mf.dg11_d2 - i22 * mf.dg22_d2) - i12 * mf.dg22_d1 - i11 * mf.dg12_d1
+        M[1] = max(M[1], float(np.abs(k * (i11 * v1 + i12 * v2)).max()))
+        M[2] = max(M[2], float(np.abs(k * (i12 * v1 + i22 * v2)).max()))
         dk1 = np.broadcast_to(np.asarray(k1(X1, X2, t), dtype=float), shape)
         dk2 = np.broadcast_to(np.asarray(k2(X1, X2, t), dtype=float), shape)
         m4 = np.abs(mf.g22 / G * dk1 - mf.g12 / G * dk2).max() \

@@ -26,7 +26,6 @@ from evolvesurf import (
     make_grid,
     solve_direct,
     solve_picard,
-    theta_step,
     user_chart,
     z_norm,
 )
@@ -39,6 +38,7 @@ from evolvesurf.operator import StepFrames
 from evolvesurf.timestepper import Trajectory
 
 from conftest import count_sparse_products
+from oracles import theta_step
 from test_geometry import dense_meshes
 from test_operator import assembled_by_coo, lowest_discrete_eigenvalue
 
@@ -103,7 +103,7 @@ class TestThetaStep:
             theta_step(np.zeros(unit_grid.ndof), 0.0, 1e-2, 0.3, provider)
 
     def test_forced_step_equals_first_solve_direct_step(self, graph, const_kappa, eigenmode):
-        # theta_step takes the (x1, x2, t) forcing solve_direct takes
+        # theta_step takes the forcing(frame, t) solve_direct takes
         sp = pytest.importorskip("sympy")
         grid = make_grid((0, 1, 0, 1), 15, 15)
         exact = manufactured_solution(
@@ -210,23 +210,53 @@ class TestUserCallables:
         assert traj.fields.tobytes() == ref.fields.tobytes()
 
     @pytest.mark.parametrize("provider,shape", [
-        (lambda x1, x2, t: (1.0 + t) * np.sin(np.pi * x1), (12, 1)),
-        (lambda x1, x2, t: 2.5, ()),
+        (lambda frame, t: (1.0 + t) * np.sin(np.pi * frame.grid.interior_mesh(sparse=True)[0]),
+         (12, 1)),
+        (lambda frame, t: 2.5, ()),
     ], ids=["x1_only", "scalar"])
     def test_forcing_is_broadcast_to_the_grid(self, graph, const_kappa, eigenmode,
                                               provider, shape):
         grid = self.GRID
         X1, X2 = grid.interior_mesh()
-        assert np.shape(provider(*grid.interior_mesh(sparse=True), 0.0)) == shape
-        for t in (0.0, 0.37):
-            F = timestepper._eval_forcing(provider, grid, t)
+        marcher = timestepper._ThetaMarcher(0.37, 0.5, StepFrames(graph, const_kappa, grid))
+        forcing = marcher.frame_forcing(provider)
+        for k, t in ((0, 0.0), (1, 0.37)):
+            assert np.shape(provider(marcher.frame(k), t)) == shape
+            F = forcing(k)
             assert F.shape == (grid.ndof,)
-            assert F.tobytes() == np.broadcast_to(provider(X1, X2, t), X1.shape).ravel().tobytes()
-        dense = lambda x1, x2, t: np.broadcast_to(provider(X1, X2, t), X1.shape)
+            assert F.tobytes() == np.broadcast_to(provider(marcher.frame(k), t),
+                                                  X1.shape).ravel().tobytes()
+        dense = lambda frame, t: np.broadcast_to(provider(frame, t), X1.shape)
         v0 = eigenmode(grid)
         traj = solve_direct(graph, const_kappa, grid, v0, 0.005, 1e-3, F_provider=provider)
         ref = solve_direct(graph, const_kappa, grid, v0, 0.005, 1e-3, F_provider=dense)
         assert traj.fields.tobytes() == ref.fields.tobytes()
+
+    @pytest.mark.parametrize("preset", ["flat_static", "graph_oscillation"])
+    def test_forcing_gets_the_held_frame_and_the_march_time(self, const_kappa, eigenmode,
+                                                            count_calls, preset):
+        # once per step time, in order, with the frame the march holds for
+        # t_k; the one frame of a static problem carries t = 0, so t_k comes
+        # from the march
+        grid = self.GRID
+        chart = make_chart(preset, domain=grid.domain, horizon=1.0)
+        seen = []
+
+        def provider(frame, t):
+            seen.append((frame, t))
+            return 1.0
+
+        calls = count_calls(operator, "metric_fields")
+        traj = solve_direct(chart, const_kappa, grid, eigenmode(grid), 0.005, 1e-3,
+                            F_provider=provider)
+        assert [t for _, t in seen] == traj.times.tolist()
+        frames = [frame for frame, _ in seen]
+        if preset == "flat_static":
+            assert all(frame is frames[0] for frame in frames) and frames[0].t == 0.0
+            assert len(calls) == 1
+        else:
+            assert [frame.t for frame in frames] == traj.times.tolist()
+            assert len({id(frame) for frame in frames}) == len(calls) == len(frames)
 
 
 class TestZNorm:
