@@ -28,7 +28,6 @@ from .diagnostics import (
     manufactured_solution,
     mms_convergence,
     solve_reported,
-    surface_grad_sq,
     surface_integral,
     transport_identity_residual,
 )

@@ -11,7 +11,9 @@ perturbation B = L - A is then controlled by five sup-norm quantities M1..M5
 of the coefficients, read from one pass over the scan times (``_Scan``).
 ``smallness_report`` bundles the scan, probe-based estimates of the
 elliptic-regularity constant C_sharp and the maximal L2-regularity constant
-C_A, the three smallness conditions and the two existence-horizon formulas.
+C_A, the three smallness conditions and the two existence-horizon formulas;
+its C_star, the largest norm of the lower-order perturbation over the scan,
+is estimated only at the scan times whose Schur upper bound could decide it.
 The estimators take A = assemble_A(grid, lambda1, lambda2) by its grid and
 weights and work in its DST-I sine basis (``operator.SineBasis``), mapped
 into and out of by dense products with the sine matrix of each axis; the C_A
@@ -33,12 +35,15 @@ from .operator import (
     SineBasis,
     _on_mesh,
     assemble_A,
+    coefficient_fields,
     field_l2,
     gradient_norm,
     hessian_seminorm,
     lower_order_parts,
     mesh_coefficients,
     operator_norm_est,
+    schur_bound,
+    static_problem,
 )
 
 SMALLNESS_THRESHOLD = 1.0 / (8.0 * math.sqrt(2.0))
@@ -435,6 +440,21 @@ def horizon_thm25(C_sharp, M5, C_A, T):
     return min(T, 0.5 * math.log1p(1.0 / q))
 
 
+def _scan_bound(grid, cf):
+    """Schur bound of the C_star sum of one scan time's coefficients ``cf``.
+
+    It is sum_{B2..B4} ``schur_bound`` + max |d0|, at least the sum of the
+    exact norms, which the Lanczos estimates of ``smallness_report`` exceed
+    by at most their factor 1 + 1e-12.
+    """
+    return sum(schur_bound(part) for part in lower_order_parts(grid, cf).values()) + _b5_norm(cf)
+
+
+def _b5_norm(cf):
+    """The exact norm max |d0| of the diagonal B5 = diag(d0)."""
+    return float(np.abs(cf["d0"]).max())
+
+
 def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42):
     """Evaluate the three smallness hypotheses with estimated constants.
 
@@ -444,22 +464,46 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     bounds) of the B2..B4 parts (``lower_order_parts``) plus the exact norm
     max |d0| of the diagonal B5, which is not assembled, maximized over the
     scanned times.
-    kappa <= 0 raises after the whole scan; a non-finite kappa or a degenerate
-    chart raises during it.
+
+    That maximum is found by bound and prune.  The scan pass forms, beside
+    the ``_Scan`` scalars, each time's Schur bound (``_scan_bound``) from
+    its B-parts, which it drops, keeping the coefficients of the largest
+    bound so far.  The weights are then selected, so kappa <= 0 raises
+    before any norm estimate (a non-finite kappa or a degenerate chart
+    raises during the scan).  The times are then visited in descending
+    bound order, the first from the coefficients kept and each later one
+    from ``coefficient_fields`` (the same bits), until a bound times
+    1 + 1e-12 is at most the maximum so far: a Lanczos estimate exceeds the
+    exact norm by at most that factor and the exact norm never exceeds the
+    bound, so no skipped time could raise the maximum, and ``max`` does not
+    depend on the order of its arguments.  C_star keeps the bits of the
+    maximum over every scan time.  A static problem
+    (``operator.static_problem``) has the same coefficients at every t and
+    scans its first time only.
     """
     times = list(times)
     if not times:
         raise ParameterError("empty time sample")
-    scan = _Scan(chart, kappa, grid, ())   # fed below, sharing each time with C_star
-    c_star = 0.0
-    for t in times:
+    if static_problem(chart, kappa):
+        times = times[:1]
+    scan = _Scan(chart, kappa, grid, ())   # fed below, sharing each time with its bound
+    bounds, kept = [], {}   # kept: {index: coefficients} of the largest bound so far
+    for i, t in enumerate(times):
         cf = mesh_coefficients(*scan.add(t))
-        b5_norm = float(np.abs(cf["d0"]).max())   # B5 = diag(d0)
-        c_star = max(c_star, sum(operator_norm_est(part, seed=seed)
-                                 for part in lower_order_parts(grid, cf).values())
-                     + b5_norm)
+        bounds.append(_scan_bound(grid, cf))
+        if bounds[i] > max(bounds[:i], default=-math.inf):
+            kept = {i: cf}
     lam1, lam2 = scan.weights(margin)
     M, m1_mixed2 = scan.m_quantities(lam1, lam2)
+
+    c_star = 0.0
+    for i in sorted(range(len(times)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] * (1.0 + 1e-12) <= c_star:
+            break
+        cf = kept.pop(i) if i in kept else coefficient_fields(chart, kappa, grid, times[i])
+        c_star = max(c_star, sum(operator_norm_est(part, seed=seed)
+                                 for part in lower_order_parts(grid, cf).values())
+                     + _b5_norm(cf))
 
     c_sharp = estimate_C_sharp(grid, lam1, lam2, probes, seed=seed)
     c_a_est = estimate_C_A(grid, lam1, lam2, min(chart.horizon, 1.0), max(1, probes // 4),

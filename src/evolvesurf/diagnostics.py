@@ -19,8 +19,8 @@ dissipation(t) + dilation(t) - mass(0) is its residual.  Its dissipation
 rate is the midpoint quadrature ``_flux_sq`` of C^ab d_a u d_b u over the
 cells, with C^ab = kappa sqrt(G) g^ab the flux coefficients of L(t_k)
 averaged from the four corners of each cell (``StepFrame.cell_fluxes``); the
-test oracle ``surface_grad_sq`` runs the same quadrature on the metric and
-kappa evaluated at the cell centres, and the two agree at O(h^2).
+same quadrature on the metric and kappa evaluated at the cell centres (the
+tests' oracle) agrees with it at O(h^2).
 
 The energy ledger and the regularity report are march observers,
 ``observe(k, frame, window, Lv)``, and the march is the only way they are
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import metric_derivatives, metric_fields, volume_divergence
-from .operator import _on_mesh, field_l2, sobolev_h1_norm
+from .operator import field_l2, sobolev_h1_norm
 from .timestepper import _step_count, solve_direct
 
 
@@ -108,22 +108,6 @@ def _flux_sq(values, grid, fluxes):
     c11, c12, c22 = fluxes
     return float(grid.h1 * grid.h2 * np.sum(c11 * d1 * d1 + 2.0 * c12 * d1 * d2
                                             + c22 * d2 * d2))
-
-
-def surface_grad_sq(values, chart, grid, t, kappa=None):
-    """Squared L2 norm of the tangential gradient of a grid function.
-
-    Midpoint quadrature of g^ab d_a u d_b u sqrt(G) over the cells of the
-    grid, with the metric evaluated at the cell centres; with ``kappa`` the
-    integrand is weighted by the diffusivity, giving the dissipation
-    functional of the energy balance.  The test oracle of the ledger, which
-    reads the same quadrature off its step frame's corner means instead.
-    """
-    C1, C2 = grid.cell_center_mesh(sparse=True)
-    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
-    weight = mf.sqrtG if kappa is None else _on_mesh(kappa, C1, C2, t) * mf.sqrtG
-    return _flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
-                                   weight * mf.ginv22))
 
 
 def _mass(values, grid, sqrtG):

@@ -22,7 +22,9 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       It returns the matrices only.  ``lower_order_parts``
                       writes the weight-free parts B2..B4 in one pass;
                       ``operator_norm_est`` estimates a part's L2 norm from
-                      below by Lanczos on M^T M.
+                      below by Lanczos on M^T M, and ``schur_bound`` bounds
+                      it from above by sqrt(||M||_1 ||M||_inf), read off the
+                      diagonals.
 
 On a grid each operator is a set of stencil diagonals: the (di, dj)
 neighbor of node (i, j) lies on the diagonal di*n2 + dj.
@@ -45,10 +47,11 @@ A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 built from them on first use: L(t) and the cell-centre flux coefficients of
 the energy ledger, corner means of the C^ab that L(t) reads.  No piece
 evaluates the chart or the diffusivity again.
-``StepFrames`` builds them for the march and the reports; it also holds the
-one test for a static problem, which gets a single frame.  The verify checks
-and ``weighted_symmetry_defect`` read single frames.
-``coefficient_fields`` and a standalone ``assemble_L`` go through a frame too.
+``StepFrames`` builds them for the march and the reports; a static problem
+(``static_problem``, the one test, which the smallness scan shares) gets a
+single frame.  The verify checks and ``weighted_symmetry_defect`` read
+single frames.  ``coefficient_fields`` and a standalone ``assemble_L`` go
+through a frame too.
 
 ``SineBasis`` is the DST-I eigenbasis of A, built from the grid and the
 weights: every solve with A or I + s A (Picard stages, the C_sharp and C_A
@@ -289,6 +292,12 @@ class StepFrame:
                      for c in (cf["C11"], cf["C12"], cf["C22"]))
 
 
+def static_problem(chart, kappa):
+    """True for a rigid chart with a time-independent diffusivity, whose
+    coefficients carry the same bits at every t."""
+    return chart.static_metric and kappa.time_independent
+
+
 class StepFrames:
     """Source of the StepFrames of ``chart`` and ``kappa`` on ``grid``.
 
@@ -301,7 +310,7 @@ class StepFrames:
         self.chart = chart
         self.kappa = kappa
         self.grid = grid
-        self.static = chart.static_metric and kappa.time_independent
+        self.static = static_problem(chart, kappa)
         self._static_frame = None
 
     def frame(self, t):
@@ -491,6 +500,26 @@ def dia_transpose(mat):
         if lo < hi:   # an offset past the matrix (an axis of one node) stores nothing
             row[lo:hi] = diag[lo + off:hi + off]
     return sp.dia_matrix((data, -mat.offsets[order]), shape=(n, n))
+
+
+def schur_bound(m):
+    """Upper bound sqrt(||M||_1 ||M||_inf) of the L2->L2 norm of ``m`` (the Schur test).
+
+    ``m`` is a DIA matrix of this module, whose entries are stored at their
+    column and whose places outside the matrix hold zeros: the column sums
+    are |data| summed over the diagonal axis, and the row sums are the same
+    entries shifted by their offsets, as ``dia_transpose`` shifts them.
+    """
+    n = m.shape[0]
+    mag = np.abs(m.data)
+    if not mag.size:
+        return 0.0
+    rows = np.zeros(n)
+    for diag, off in zip(mag, m.offsets):
+        lo, hi = max(0, -off), min(n, n - off)
+        if lo < hi:
+            rows[lo:hi] += diag[lo + off:hi + off]
+    return math.sqrt(float(mag.sum(axis=0).max()) * float(rows.max()))
 
 
 def operator_norm_est(m, steps=15, seed=0):

@@ -8,10 +8,10 @@ Picard stage forcing), kept here as its oracle.
 
 import numpy as np
 
-from evolvesurf.diagnostics import _cell_center_gradients
+from evolvesurf.diagnostics import _cell_center_gradients, _flux_sq
 from evolvesurf.errors import ParameterError
 from evolvesurf.geometry import metric_fields
-from evolvesurf.operator import assemble_A, assemble_L
+from evolvesurf.operator import _on_mesh, assemble_A, assemble_L
 from evolvesurf.timestepper import _prepare_v0, _ThetaMarcher
 
 
@@ -79,6 +79,22 @@ def material_derivative(traj, index):
     if index <= 0 or index >= len(traj.times) - 1:
         raise ParameterError(f"index {index} is not an interior snapshot")
     return (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
+
+
+def surface_grad_sq(values, chart, grid, t, kappa=None):
+    """Squared L2 norm of the tangential gradient of a grid function.
+
+    Midpoint quadrature of g^ab d_a u d_b u sqrt(G) over the cells of the
+    grid, with the metric evaluated at the cell centres; with ``kappa`` the
+    integrand is weighted by the diffusivity, giving the dissipation
+    functional of the energy balance.  The oracle of the ledger, which reads
+    the same quadrature off its step frame's corner means instead.
+    """
+    C1, C2 = grid.cell_center_mesh(sparse=True)
+    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
+    weight = mf.sqrtG if kappa is None else _on_mesh(kappa, C1, C2, t) * mf.sqrtG
+    return _flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
+                                   weight * mf.ginv22))
 
 
 def surface_gradient_components(values, chart, grid, t):

@@ -18,6 +18,7 @@ from evolvesurf import (
     horizon_thm25,
     lambda_select,
     m_quantities,
+    make_chart,
     make_diffusion,
     make_grid,
     smallness_report,
@@ -27,6 +28,7 @@ from evolvesurf.cli import run_check
 from evolvesurf.coefficients import (
     SMALLNESS_THRESHOLD,
     Diffusion,
+    _Scan,
     maximal_regularity_ratio,
 )
 from evolvesurf.config import parse_config
@@ -36,6 +38,8 @@ from evolvesurf.operator import (
     field_l2,
     gradient_norm,
     hessian_seminorm,
+    lower_order_parts,
+    mesh_coefficients,
     operator_norm_est,
 )
 
@@ -398,6 +402,19 @@ class TestSpectralEstimators:
             _lu_mr_ratio(A, F, 0.01), rel=1e-12)
 
 
+def exhaustive_C_star_sums(chart, kappa, grid, times, seed):
+    """The C_star sum of every scan time, as the report formed them before it
+    pruned: Lanczos estimates of B2..B4 plus max |d0| at each time."""
+    scan = _Scan(chart, kappa, grid, ())
+    sums = []
+    for t in times:
+        cf = mesh_coefficients(*scan.add(t))
+        sums.append(sum(operator_norm_est(part, seed=seed)
+                        for part in lower_order_parts(grid, cf).values())
+                    + float(np.abs(cf["d0"]).max()))
+    return sums
+
+
 class TestSmallnessReport:
     def test_flat_all_conditions_hold(self, flat, const_kappa, unit_grid):
         rep = smallness_report(flat, const_kappa, unit_grid, [0.0, 0.5, 1.0],
@@ -440,19 +457,80 @@ class TestSmallnessReport:
             kappa_times.append(t)
             return const_kappa.value(x1, x2, t)
 
+        norms = count_calls(operator, "operator_norm_est")
         times = np.linspace(0.0, 1.0, 11)
         rep = smallness_report(graph, dataclasses.replace(const_kappa, value=value),
                                unit_grid, times, probes=4)
-        assert [args[3] for args in metrics] == list(times)
-        assert kappa_times == list(times)
+        evaluated = [args[3] for args in metrics]
+        assert evaluated[:len(times)] == list(times)
+        assert kappa_times == evaluated
+        # C_star evaluates again only the times it estimates after the one
+        # whose coefficients the scan kept (here 0.9 after 1.0)
+        assert evaluated[len(times):] == [times[9]]
+        assert len(norms) == 3 * (1 + len(evaluated) - len(times))
         assert (rep.lambda1, rep.lambda2) == lambda_select(graph, const_kappa, unit_grid, times)
+
+    def test_static_problem_scans_one_time(self, count_calls):
+        # a rigid chart with a time-independent kappa has the same coefficients
+        # at every t: one evaluation gives the scan's scalars and C_star
+        chart = make_chart("translating_patch", domain=(0.0, 1.5, 0.0, 1.0), horizon=0.2, c=1.0)
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        grid = make_grid(chart.domain, 15, 10)
+        times = np.linspace(0.0, 0.2, 11)
+        every_time = smallness_report(chart, dataclasses.replace(kappa, time_independent=False),
+                                      grid, times, probes=4)
+        metrics = count_calls(geometry, "metric_fields")
+        norms = count_calls(operator, "operator_norm_est")
+        rep = smallness_report(chart, kappa, grid, times, probes=4)
+        assert [args[3] for args in metrics] == [0.0]
+        assert len(norms) == 3
+        assert repr(rep.as_keyvalues()) == repr(every_time.as_keyvalues())
 
     def test_norm_estimates_only_for_B2_to_B4(self, graph, const_kappa, unit_grid,
                                               count_calls):
+        # the Schur bounds of 0, 0.25, 0.5 and 0.75 lie below the estimate at
+        # 1.0, so one time's B2..B4 are estimated
         calls = count_calls(operator, "operator_norm_est")
         times = np.linspace(0.0, 1.0, 5)
         smallness_report(graph, const_kappa, unit_grid, times, probes=4)
-        assert len(calls) == 3 * len(times)
+        assert len(calls) == 3
+
+    def test_kappa_refused_before_any_norm_estimate(self, graph, unit_grid, count_calls):
+        # kappa = 1 - t/2 reaches 0 at the last scan time
+        fading = Diffusion("fading", lambda x1, x2, t: np.full(np.shape(x1), 1.0 - 0.5 * t),
+                           d1=lambda x1, x2, t: np.zeros(np.shape(x1)),
+                           d2=lambda x1, x2, t: np.zeros(np.shape(x1)))
+        calls = count_calls(operator, "operator_norm_est")
+        with pytest.raises(AssumptionViolationError,
+                           match=r"^kappa must be strictly positive; scan minimum 0$"):
+            smallness_report(graph, fading, unit_grid, np.linspace(0.0, 2.0, 5), probes=4)
+        assert calls == []
+
+    def test_reformed_parts_carry_the_scan_bits(self, graph, unit_grid):
+        # pass 2 forms the parts of a time again from coefficient_fields
+        kap = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        scan = _Scan(graph, kap, unit_grid, ())
+        for t in (0.0, 0.37, 0.9):
+            scanned = lower_order_parts(unit_grid, mesh_coefficients(*scan.add(t)))
+            reformed = lower_order_parts(unit_grid, coefficient_fields(graph, kap, unit_grid, t))
+            for key, part in scanned.items():
+                assert part.offsets.tolist() == reformed[key].offsets.tolist()
+                assert part.data.tobytes() == reformed[key].data.tobytes()
+
+    def test_non_monotone_scan_estimates_several_times(self, count_calls):
+        # omega = 3 over T = 6: C_star(t) rises and falls three times, and four
+        # scan times have bounds above the maximum, which is that of the loop
+        # over every scan time
+        domain = (-0.5, 1.0, 0.2, 1.4)
+        chart = make_chart("graph_oscillation", domain=domain, horizon=6.0, epsilon=0.05,
+                           omega=3.0)
+        kappa = make_diffusion("constant")
+        grid = make_grid(domain, 13, 9)
+        times = np.linspace(0.0, 6.0, 11)
+        norms = count_calls(operator, "operator_norm_est")
+        rep = smallness_report(chart, kappa, grid, times, probes=4, seed=5)
+        assert len(norms) == 3 * 4
+        assert rep.C_star_est == max(exhaustive_C_star_sums(chart, kappa, grid, times, seed=5))
 
     def test_C_star_sums_B2_to_B4_lanczos_norms_and_exact_B5(self, graph, unit_grid):
         # B5 is diagonal: its norm is max |d0|, which the Lanczos estimate
@@ -470,13 +548,14 @@ class TestSmallnessReport:
         assert rep.C_star_est == max(sums)
 
     def test_picard_workload_forms_no_csr_product(self, monkeypatch):
-        # the picard benchmark configuration at seed 1: 11 scan times, 33 norm
-        # estimates (13 of them of zero parts) and 17 C_sharp probes; power
-        # iteration through a CSR transpose formed 1030 DIA and 1013 CSR products
+        # the picard benchmark configuration at seed 1: 11 scan times, of which
+        # the Schur bounds leave one for the 3 norm estimates, and 17 C_sharp
+        # probes; power iteration through a CSR transpose formed 1030 DIA and
+        # 1013 CSR products, and 33 Lanczos estimates 643 DIA products
         cfg = parse_config(PICARD_WORKLOAD_SEED_1)
         products = count_sparse_products(monkeypatch)
         run_check(cfg)
-        assert len(products["dia"]) <= 681
+        assert len(products["dia"]) <= 79
         assert not products["csr"]
 
     def test_runs_without_converting_a_dia_matrix_to_csr(self, graph, unit_grid, monkeypatch):

@@ -14,7 +14,6 @@ from evolvesurf import (
     manufactured_solution,
     mms_convergence,
     solve_direct,
-    surface_grad_sq,
     surface_integral,
     transport_identity_residual,
 )
@@ -33,7 +32,12 @@ from evolvesurf.operator import (StepFrame, StepFrames, assemble_L, coefficient_
 from evolvesurf import diagnostics, geometry
 from evolvesurf.timestepper import Trajectory
 
-from oracles import material_derivative, surface_gradient_components, symbolic_operator_apply
+from oracles import (
+    material_derivative,
+    surface_grad_sq,
+    surface_gradient_components,
+    symbolic_operator_apply,
+)
 
 
 def sinsin(x1, x2, t):

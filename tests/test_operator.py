@@ -34,6 +34,7 @@ from evolvesurf.operator import (
     SineBasis,
     max_abs_entry,
     operator_norm_est,
+    schur_bound,
     sine_matrix,
     weighted_symmetry_defect,
 )
@@ -377,6 +378,38 @@ def assert_top_eigenvalue_matches_oracle(alpha, beta):
     assert abs(operator._top_eigenvalue(alpha, beta) - ref) <= 1e-14 * abs(ref)
 
 
+def dense_schur_bound(part):
+    dense = np.abs(part.toarray())
+    return math.sqrt(dense.sum(axis=0).max() * dense.sum(axis=1).max())
+
+
+class TestSchurBound:
+    """``schur_bound``: sqrt(||M||_1 ||M||_inf) read off the DIA diagonals."""
+
+    @NORM_GRIDS
+    def test_bounds_the_dense_norm_and_equals_the_dense_schur_product(self, domain, n1, n2):
+        for _, part in b_parts_sweep(domain, n1, n2):
+            sigma = np.linalg.svd(part.toarray(), compute_uv=False)[0]
+            ref = dense_schur_bound(part)
+            bound = schur_bound(part)
+            assert bound >= sigma
+            assert abs(bound - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("n1,n2", [(1, 7), (7, 1), (2, 6), (6, 2), (2, 1), (1, 1)])
+    def test_single_and_double_node_axes(self, graph, n1, n2):
+        # offsets meet on one diagonal, or lie past the matrix
+        grid = make_grid(graph.domain, n1, n2)
+        kappa = make_diffusion("sinusoidal")
+        for part in assemble_B_parts(graph, kappa, grid, 0.9, 0.8, 0.37).values():
+            ref = dense_schur_bound(part)
+            assert abs(schur_bound(part) - ref) <= 1e-14 * ref
+
+    def test_zero_matrix(self, unit_grid):
+        n = unit_grid.ndof
+        assert schur_bound(sp.dia_matrix((n, n))) == 0.0
+        assert schur_bound(assemble_A(unit_grid, 1.0, 1.0) * 0.0) == 0.0
+
+
 class TestNormEstimate:
     """``operator_norm_est``: Lanczos on M^T M with full reorthogonalization."""
 
@@ -427,7 +460,10 @@ class TestNormEstimate:
 
     def test_top_eigenvalue_matches_the_oracle_on_a_smallness_report(self, monkeypatch):
         # the 33 tridiagonals (11 scan times x B2..B4) of the picard benchmark
-        # workload's seed-1 configuration
+        # workload's seed-1 configuration, every scan time estimated
+        from evolvesurf import cli, config
+        from test_coefficients import exhaustive_C_star_sums
+
         seen = []
 
         def recording(alpha, beta):
@@ -435,9 +471,10 @@ class TestNormEstimate:
             return top(alpha, beta)
 
         top = operator._top_eigenvalue
+        cfg = config.parse_config(PICARD_SEED_1)
         monkeypatch.setattr(operator, "_top_eigenvalue", recording)
-        from evolvesurf import cli, config
-        cli.run_pipeline(config.parse_config(PICARD_SEED_1), "check")
+        exhaustive_C_star_sums(cli.config_chart(cfg), cli.config_diffusion(cfg),
+                               cli.config_grid(cfg), config.scan_times_list(cfg), cfg.seed)
         monkeypatch.undo()
         assert len(seen) == 33
         for alpha, beta in seen:

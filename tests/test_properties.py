@@ -17,7 +17,7 @@ import scipy.sparse as sp
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from evolvesurf import timestepper  # noqa: E402
+from evolvesurf import coefficients, timestepper  # noqa: E402
 from evolvesurf import (  # noqa: E402
     AssumptionViolationError,
     assemble_A,
@@ -30,6 +30,7 @@ from evolvesurf import (  # noqa: E402
     make_chart,
     make_diffusion,
     make_grid,
+    smallness_report,
     solve_direct,
     solve_picard,
 )
@@ -52,6 +53,7 @@ from evolvesurf.operator import (  # noqa: E402
     StepFrames,
     _on_mesh,
     max_abs_entry,
+    static_problem,
     stencil_weights,
     weighted_symmetry_defect,
 )
@@ -61,6 +63,7 @@ from test_coefficients import (  # noqa: E402
     _lu_C_sharp,
     _lu_mr_ratio,
     _stepwise_cn_ratio,
+    exhaustive_C_star_sums,
 )
 from test_geometry import dense_meshes  # noqa: E402
 from test_operator import (  # noqa: E402
@@ -511,6 +514,45 @@ def test_one_pass_scan_gives_the_per_array_bits(grid, preset, values, diffusion,
     got_M, got_mixed2 = m_quantities(chart, kappa, lam1, lam2, grid, times)
     assert got_M.tobytes() == M.tobytes()
     assert np.float64(got_mixed2).tobytes() == np.float64(m1_mixed2).tobytes()
+
+
+@PROPERTY
+@given(grid=grids(), preset=st.sampled_from(PRESET_NAMES),
+       values=st.fixed_dictionaries({key: family_value for key in
+                                     ("gamma", "epsilon", "omega", "c")}),
+       diffusion=st.sampled_from(DIFFUSION_PRESETS), base=st.floats(0.5, 2.0),
+       amp=st.floats(-0.4, 0.4), T=st.floats(0.05, 6.0), ntimes=st.integers(1, 11),
+       margin=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 16))
+@example(grid=make_grid((-0.5, 1.0, 0.2, 1.4), 13, 9), preset="graph_oscillation",
+         values={"gamma": 0.0, "epsilon": 0.05, "omega": 3.0, "c": 0.0},
+         diffusion="constant", base=1.0, amp=0.0, T=6.0, ntimes=11, margin=0.05,
+         seed=42)   # C_star(t) not monotone: four scan times are estimated
+def test_pruned_C_star_is_the_exhaustive_maximum(grid, preset, values, diffusion, base, amp,
+                                                 T, ntimes, margin, seed):
+    chart = make_chart(preset, domain=grid.domain, horizon=T,
+                       **{key: values[key] for key in PRESET_PARAMS[preset]})
+    kappa = make_diffusion(diffusion, **({"value": base} if diffusion == "constant"
+                                         else {"base": base, "amp": amp}))
+    times = np.linspace(0.0, T, ntimes)
+    bounds = []
+
+    def recording(grid, cf):
+        bounds.append(scan_bound(grid, cf))
+        return bounds[-1]
+
+    scan_bound = coefficients._scan_bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coefficients, "_scan_bound", recording)
+        rep = smallness_report(chart, kappa, grid, times, margin=margin, probes=1, seed=seed)
+    sums = exhaustive_C_star_sums(chart, kappa, grid, times, seed)
+    c_star = 0.0
+    for total in sums:   # the loop of the report before it pruned
+        c_star = max(c_star, total)
+    assert np.float64(rep.C_star_est).tobytes() == np.float64(c_star).tobytes()
+    # a static problem scans its first time, whose coefficients every time shares
+    assert len(bounds) == (1 if static_problem(chart, kappa) else ntimes)
+    for bound, total in zip(bounds, sums):
+        assert bound >= total
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
