@@ -39,9 +39,10 @@ from .operator import (
     field_l2,
     gradient_norm,
     hessian_seminorm,
-    lower_order_parts,
+    lower_order_buffers,
     mesh_coefficients,
     operator_norm_est,
+    refill_lower_order_parts,
     schur_bound,
     static_problem,
 )
@@ -440,14 +441,15 @@ def horizon_thm25(C_sharp, M5, C_A, T):
     return min(T, 0.5 * math.log1p(1.0 / q))
 
 
-def _scan_bound(grid, cf):
+def _scan_bound(parts, cf):
     """Schur bound of the C_star sum of one scan time's coefficients ``cf``.
 
-    It is sum_{B2..B4} ``schur_bound`` + max |d0|, at least the sum of the
-    exact norms, which the Lanczos estimates of ``smallness_report`` exceed
-    by at most their factor 1 + 1e-12.
+    It is sum_{B2..B4} ``schur_bound`` of ``parts``, the B2..B4 of ``cf``,
+    + max |d0|: at least the sum of the exact norms, which the Lanczos
+    estimates of ``smallness_report`` exceed by at most their factor
+    1 + 1e-12.
     """
-    return sum(schur_bound(part) for part in lower_order_parts(grid, cf).values()) + _b5_norm(cf)
+    return sum(schur_bound(part) for part in parts.values()) + _b5_norm(cf)
 
 
 def _b5_norm(cf):
@@ -467,17 +469,18 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
 
     That maximum is found by bound and prune.  The scan pass forms, beside
     the ``_Scan`` scalars, each time's Schur bound (``_scan_bound``) from
-    its B-parts, which it drops, keeping the coefficients of the largest
-    bound so far.  The weights are then selected, so kappa <= 0 raises
-    before any norm estimate (a non-finite kappa or a degenerate chart
-    raises during the scan).  The times are then visited in descending
-    bound order, the first from the coefficients kept and each later one
-    from ``coefficient_fields`` (the same bits), until a bound times
-    1 + 1e-12 is at most the maximum so far: a Lanczos estimate exceeds the
-    exact norm by at most that factor and the exact norm never exceeds the
-    bound, so no skipped time could raise the maximum, and ``max`` does not
-    depend on the order of its arguments.  C_star keeps the bits of the
-    maximum over every scan time.  A static problem
+    its B-parts, keeping the coefficients of the largest bound so far.  The
+    B-parts of every time, scanned or estimated, are written into one set
+    of buffers (``refill_lower_order_parts``).  The weights are then
+    selected, so kappa <= 0 raises before any norm estimate (a non-finite
+    kappa or a degenerate chart raises during the scan).  The times are
+    then visited in descending bound order, the first from the coefficients
+    kept and each later one from ``coefficient_fields`` (the same bits),
+    until a bound times 1 + 1e-12 is at most the maximum so far: a Lanczos
+    estimate exceeds the exact norm by at most that factor and the exact
+    norm never exceeds the bound, so no skipped time could raise the
+    maximum, and ``max`` does not depend on the order of its arguments.
+    C_star keeps the bits of the maximum over every scan time.  A static problem
     (``operator.static_problem``) has the same coefficients at every t and
     scans its first time only.
     """
@@ -487,10 +490,11 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
     if static_problem(chart, kappa):
         times = times[:1]
     scan = _Scan(chart, kappa, grid, ())   # fed below, sharing each time with its bound
+    buffers = lower_order_buffers(grid)   # the B-parts of one time after another
     bounds, kept = [], {}   # kept: {index: coefficients} of the largest bound so far
     for i, t in enumerate(times):
         cf = mesh_coefficients(*scan.add(t))
-        bounds.append(_scan_bound(grid, cf))
+        bounds.append(_scan_bound(refill_lower_order_parts(buffers, grid, cf), cf))
         if bounds[i] > max(bounds[:i], default=-math.inf):
             kept = {i: cf}
     lam1, lam2 = scan.weights(margin)
@@ -501,8 +505,8 @@ def smallness_report(chart, kappa, grid, times, margin=0.05, probes=16, seed=42)
         if bounds[i] * (1.0 + 1e-12) <= c_star:
             break
         cf = kept.pop(i) if i in kept else coefficient_fields(chart, kappa, grid, times[i])
-        c_star = max(c_star, sum(operator_norm_est(part, seed=seed)
-                                 for part in lower_order_parts(grid, cf).values())
+        c_star = max(c_star, sum(operator_norm_est(part, seed=seed) for part in
+                                 refill_lower_order_parts(buffers, grid, cf).values())
                      + _b5_norm(cf))
 
     c_sharp = estimate_C_sharp(grid, lam1, lam2, probes, seed=seed)

@@ -22,6 +22,15 @@ averaged from the four corners of each cell (``StepFrame.cell_fluxes``); the
 same quadrature on the metric and kappa evaluated at the cell centres (the
 tests' oracle) agrees with it at O(h^2).
 
+Each quadrature is a weighted reduction of flat rows, scaled after it.  A
+nodal quadrature (``_mass``) is one squared row dotted with a contiguous
+weight, sqrt(G) or sqrt(G) d0: the ledger's mass and dilation rate share the
+squared v_k, and the regularity report squares its rows in place, dividing
+the centered difference's (2 dt)^2 out after the reduction.  The flux
+quadrature forms 2 h1 d_1 u and 2 h2 d_2 u at the cell centres as half-sums
+of the padded field's axis differences, and each of its three terms is one
+product row and one dot product.
+
 The energy ledger and the regularity report are march observers,
 ``observe(k, frame, window, Lv)``, and the march is the only way they are
 computed.  Each reads each step time from the march's StepFrame
@@ -86,41 +95,46 @@ def surface_integral(psi, chart, grid, t):
     return float(grid.h1 * grid.h2 * np.sum(w * vals * mf.sqrtG))
 
 
-def _cell_center_gradients(values, grid):
-    """Bilinear-consistent difference quotients at cell centers.
+def _quadrature(row, grid, weight):
+    """h1 h2 sum(row * weight): one dot product of a flat row with a contiguous nodal weight."""
+    return grid.h1 * grid.h2 * float(row @ weight.ravel())
 
-    Returns (d1, d2) of shape (n1+1, n2+1); the zero Dirichlet ring enters
-    through the padded field, so boundary strips carry their full gradient.
+
+def _mass(values, grid, sqrtG):
+    """L2(Gamma) norm squared h1 h2 sum v^2 sqrt(G) of a Dirichlet grid function.
+
+    ``sqrtG`` is sqrt(G) on the interior nodes, contiguous (a StepFrame's
+    ``interior_sqrtG``): one squared row and one dot product.
     """
-    p = grid.pad_dirichlet(values)
-    d1 = (p[1:, 1:] + p[1:, :-1] - p[:-1, 1:] - p[:-1, :-1]) / (2.0 * grid.h1)
-    d2 = (p[1:, 1:] - p[1:, :-1] + p[:-1, 1:] - p[:-1, :-1]) / (2.0 * grid.h2)
-    return d1, d2
+    v = np.ravel(values)
+    return _quadrature(v * v, grid, sqrtG)
 
 
 def _flux_sq(values, grid, fluxes):
     """Midpoint quadrature of C^ab d_a u d_b u over the cells of the grid.
 
     ``fluxes`` are (C11, C12, C22) at the cell centres, shape (n1+1, n2+1):
-    a StepFrame's ``cell_fluxes``, or kappa sqrt(G) g^ab there.
+    a StepFrame's ``cell_fluxes``, or kappa sqrt(G) g^ab there.  The
+    bilinear-consistent gradients at the cell centres are half-sums of the
+    zero-padded field's axis differences, D1 = 2 h1 d_1 u and D2 = 2 h2 d_2 u,
+    so the zero Dirichlet ring enters and the boundary strips carry their
+    full gradient.  Each term of the quadratic form is one product row and
+    one dot product, scaled after the reduction.
     """
-    d1, d2 = _cell_center_gradients(values, grid)
+    p = grid.pad_dirichlet(values)
+    q = p[1:] - p[:-1]
+    d1 = (q[:, 1:] + q[:, :-1]).ravel()
+    q = p[:, 1:] - p[:, :-1]
+    d2 = (q[1:] + q[:-1]).ravel()
+    cd = q.ravel()[:d1.size]   # q is read: its memory holds the product rows
+
+    def term(c, a, b):
+        return np.multiply(c.ravel(), a, out=cd) @ b
+
     c11, c12, c22 = fluxes
-    return float(grid.h1 * grid.h2 * np.sum(c11 * d1 * d1 + 2.0 * c12 * d1 * d2
-                                            + c22 * d2 * d2))
-
-
-def _mass(values, grid, sqrtG):
-    """``surface_mass`` with the interior-node sqrt(G) supplied."""
-    v2 = grid.to_grid(np.asarray(values) ** 2)
-    return float(grid.h1 * grid.h2 * np.sum(v2 * sqrtG))
-
-
-def surface_mass(values, chart, grid, t):
-    """L2(Gamma(t)) norm squared of a Dirichlet grid function."""
-    X1, X2 = grid.interior_mesh(sparse=True)
-    return _mass(values, grid,
-                 metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG)
+    h1, h2 = grid.h1, grid.h2
+    return float(0.25 * h2 / h1 * term(c11, d1, d1) + 0.5 * term(c12, d1, d2)
+                 + 0.25 * h1 / h2 * term(c22, d2, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +179,11 @@ class EnergyBalance:
 
     def observe(self, k, frame, window, Lv):
         u = window[1]
-        self.mass.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG))
+        uu = u * u   # the mass and the dilation rate share the squared row
+        self.mass.append(0.5 * _quadrature(uu, self.grid, frame.interior_sqrtG))
         self.diss_rate.append(_flux_sq(u, self.grid, frame.cell_fluxes))
         # 0.5 v^T W D0 v, W = diag(sqrt(G) h1 h2)
-        self.dil_rate.append(0.5 * _mass(u, self.grid, frame.interior_sqrtG_d0))
+        self.dil_rate.append(0.5 * _quadrature(uu, self.grid, frame.interior_sqrtG_d0))
 
     def result(self, traj):
         mass = np.array(self.mass)
@@ -216,12 +231,18 @@ class _Regularity:
             return
         sqrtG = frame.interior_sqrtG
         # the material derivative: under the pull-back the plain time
-        # derivative on the rectangle, a centered difference of the window
-        self.dt_sq.append(_mass((nxt - prev) / (2.0 * self.dt), self.grid, sqrtG))
+        # derivative on the rectangle, the centered difference
+        # (v_{k+1} - v_{k-1}) / (2 dt) of the window, squared in place and
+        # divided by (2 dt)^2 after the reduction
+        row = nxt - prev
+        self.dt_sq.append(_quadrature(np.square(row, out=row), self.grid, sqrtG)
+                          / (2.0 * self.dt) ** 2)
         # diffusion part of the operator: div_Gamma(kappa grad_Gamma u) = -(L - D0) u,
-        # with the march's product Lv = L(t_k) u, which every k >= 1 has
-        div_vals = -(Lv - frame.coefficients["d0"].ravel() * u)
-        self.div_sq.append(_mass(div_vals, self.grid, sqrtG))
+        # with the march's product Lv = L(t_k) u, which every k >= 1 has; the
+        # square drops the sign
+        row = frame.interior_d0 * u
+        np.subtract(Lv, row, out=row)
+        self.div_sq.append(_quadrature(np.square(row, out=row), self.grid, sqrtG))
 
     def result(self, traj):
         if len(traj.times) < 3:

@@ -152,13 +152,6 @@ class GridSpec:
     def full_mesh(self, sparse=False):
         return np.meshgrid(self.x1_full(), self.x2_full(), indexing="ij", sparse=sparse)
 
-    def cell_center_mesh(self, sparse=False):
-        """Centers of the (n1+1) x (n2+1) grid cells, including the boundary strips."""
-        x1 = self.x1_full()
-        x2 = self.x2_full()
-        return np.meshgrid(0.5 * (x1[1:] + x1[:-1]), 0.5 * (x2[1:] + x2[:-1]), indexing="ij",
-                           sparse=sparse)
-
     def to_grid(self, values):
         return np.asarray(values).reshape(self.n1, self.n2)
 

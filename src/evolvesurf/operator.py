@@ -20,7 +20,8 @@ interior nodes of a GridSpec with homogeneous Dirichlet rows eliminated:
                       sum to L - A at roundoff level while each part stays a
                       consistent discretization of its continuous formula.
                       It returns the matrices only.  ``lower_order_parts``
-                      writes the weight-free parts B2..B4 in one pass;
+                      writes the weight-free parts B2..B4 in one pass
+                      (``refill_lower_order_parts`` into reused buffers);
                       ``operator_norm_est`` estimates a part's L2 norm from
                       below by Lanczos on M^T M, and ``schur_bound`` bounds
                       it from above by sqrt(||M||_1 ||M||_inf), read off the
@@ -276,6 +277,11 @@ class StepFrame:
         return np.ascontiguousarray(self.coefficients["R_int"])
 
     @functools.cached_property
+    def interior_d0(self):
+        """d0 on the interior nodes, flat and contiguous for the regularity report's L v - d0 v."""
+        return np.ascontiguousarray(self.coefficients["d0"]).ravel()
+
+    @functools.cached_property
     def interior_sqrtG_d0(self):
         """sqrt(G) d0 on the interior nodes, the weight of the energy ledger's dilation rate."""
         return self.interior_sqrtG * self.coefficients["d0"]
@@ -434,10 +440,32 @@ def lower_order_parts(grid, cf):
 
     each divided by sqrtG.  The bars and deltas of K and R are formed once per
     direction.  Each term is multiplied straight into its diagonal view
-    (``_stencil_diagonals``), in the order of ``stencils`` below, so the
-    diagonals carry the bits of adding the terms one by one.  B5 = diag(d0)
-    is built by ``assemble_B_parts``.
+    (``_stencil_diagonals``), in the order of the ``stencils`` of
+    ``refill_lower_order_parts``, which writes them, so the diagonals carry
+    the bits of adding the terms one by one.  B5 = diag(d0) is built by
+    ``assemble_B_parts``.
     """
+    return refill_lower_order_parts(lower_order_buffers(grid), grid, cf)
+
+
+def lower_order_buffers(grid):
+    """The DIA matrices of B2, B3, B4 on ``grid`` and their views (``_stencil_diagonals``).
+
+    Their diagonals hold -0.0.  ``refill_lower_order_parts`` writes the parts
+    of one set of coefficients after another into them.
+    """
+    return {name: _stencil_diagonals(grid, _FIRST_ORDER_OFFSETS) for name in ("B2", "B3", "B4")}
+
+
+def refill_lower_order_parts(buffers, grid, cf):
+    """``lower_order_parts`` of ``cf`` written into ``buffers`` (``lower_order_buffers``).
+
+    The diagonals are refilled with -0.0 first, so the parts carry the bits
+    of fresh ones.  The matrices returned are the buffers' own: each set of
+    parts is read before the next is written.
+    """
+    for mat, _ in buffers.values():
+        mat.data.fill(-0.0)
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     inv_r = 1.0 / cf["R_int"]
     K, R = cf["K"], cf["R"]
@@ -463,7 +491,6 @@ def lower_order_parts(grid, cf):
         shared[d] = (Kbar * (0.5 * (Rp + Rm)), Kbar * ((Rp - Rm) / step), (Kp - Km) / step,
                      (Rp, Rm), step)
 
-    parts = {name: _stencil_diagonals(grid, _FIRST_ORDER_OFFSETS) for name in ("B2", "B3", "B4")}
     written = set()
     for d, key, denom, terms in stencils:
         KRbar, KdR, dK, (Rp, Rm), step = shared[d]
@@ -475,13 +502,13 @@ def lower_order_parts(grid, cf):
         for di, dj, sign in terms:
             i0, i1, j0, j1 = _block(n1, n2, di, dj)
             for name, b in rows.items():
-                view = parts[name][1][di, dj]
+                view = buffers[name][1][di, dj]
                 if (di, dj) in written:
                     view += b[i0:i1, j0:j1] * (sign * q)
                 else:
                     np.multiply(b[i0:i1, j0:j1], sign * q, out=view)
             written.add((di, dj))
-    return {name: mat for name, (mat, _) in parts.items()}
+    return {name: mat for name, (mat, _) in buffers.items()}
 
 
 def dia_transpose(mat):

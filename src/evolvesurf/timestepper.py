@@ -358,7 +358,10 @@ class _ThetaMarcher:
                                    KRYLOV_RTOL * scale, KRYLOV_MAXITER)
             solver = "GMRES"
         Lv = L @ v
-        resid = np.linalg.norm(v + self.theta * self.dt * Lv - rhs) / scale
+        r = self.theta * self.dt * Lv   # then + v (addition commutes exactly) - rhs
+        r += v
+        r -= rhs
+        resid = np.linalg.norm(r) / scale
         if not np.isfinite(resid) or resid > SOLVE_TOL:
             raise StepSolveError(k, self.time(k), resid, SOLVE_TOL, solver, iterations)
         return v, Lv
@@ -392,12 +395,10 @@ class _ThetaMarcher:
         for k in range(nsteps + 1):
             nxt = L_nxt = None
             if k < nsteps:
-                rhs = cur.copy()
-                if theta < 1.0:
-                    rhs = rhs - (1.0 - theta) * dt * Lv
+                rhs = cur - (1.0 - theta) * dt * Lv if theta < 1.0 else cur.copy()
                 f_new = None if forcing is None else forcing(k + 1)
                 if f_new is not None:
-                    rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
+                    rhs += dt * (theta * f_new + (1.0 - theta) * f_old)
                 nxt, L_nxt = self.solve(k + 1, rhs, guess=cur)
                 f_old = f_new
             if k % stride == 0:

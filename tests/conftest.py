@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,52 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def _ndof_allocations(call, ndof):
+    """(call(), the number of ndof-sized float64 blocks tracemalloc sees it allocate).
+
+    Every bytecode step of ``call`` and of the Python functions it calls is
+    traced.  A step whose traced memory peaks r bytes above where it began
+    allocated r // (8 ndof) blocks, kept or freed within the step: a binary
+    operation on rows counts one, an (n1+2) x (n2+2) padded field one, an
+    8 x ndof array eight.  The count repeats exactly from run to run.
+    """
+    block = 8 * ndof
+    count = 0
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        current, peak = tracemalloc.get_traced_memory()
+        count += (peak - base[0]) // block
+        tracemalloc.reset_peak()
+        base[0] = current
+        return trace
+
+    base = [tracemalloc.get_traced_memory()[0]]
+    tracemalloc.reset_peak()
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(outer)
+        current, peak = tracemalloc.get_traced_memory()
+        count += (peak - base[0]) // block
+        if started:
+            tracemalloc.stop()
+    return result, count
+
+
+@pytest.fixture
+def ndof_allocations():
+    """ndof_allocations(call, ndof) -> (call(), ndof-sized blocks it allocates); see
+    ``_ndof_allocations``."""
+    return _ndof_allocations
 
 
 def count_sparse_products(patch):

@@ -2,13 +2,12 @@
 
 None of these has a caller in the library: each is the plain form of
 something the library computes another way (a march of many steps, the
-numeric forcing, the march's window, the ledger's flux quadrature, the
-Picard stage forcing), kept here as its oracle.
+numeric forcing, the march's window, the reports' quadratures, the ledger's
+flux coefficients, the Picard stage forcing), kept here as its oracle.
 """
 
 import numpy as np
 
-from evolvesurf.diagnostics import _cell_center_gradients, _flux_sq
 from evolvesurf.errors import ParameterError
 from evolvesurf.geometry import metric_fields
 from evolvesurf.operator import _on_mesh, assemble_A, assemble_L
@@ -81,6 +80,52 @@ def material_derivative(traj, index):
     return (traj.fields[index + 1] - traj.fields[index - 1]) / (2.0 * traj.dt)
 
 
+def cell_center_mesh(grid, sparse=False):
+    """Centers of the (n1+1) x (n2+1) grid cells, including the boundary strips."""
+    x1 = grid.x1_full()
+    x2 = grid.x2_full()
+    return np.meshgrid(0.5 * (x1[1:] + x1[:-1]), 0.5 * (x2[1:] + x2[:-1]), indexing="ij",
+                       sparse=sparse)
+
+
+def cell_center_gradients(values, grid):
+    """Bilinear-consistent difference quotients at cell centers.
+
+    Returns (d1, d2) of shape (n1+1, n2+1); the zero Dirichlet ring enters
+    through the padded field, so boundary strips carry their full gradient.
+    """
+    p = grid.pad_dirichlet(values)
+    d1 = (p[1:, 1:] + p[1:, :-1] - p[:-1, 1:] - p[:-1, :-1]) / (2.0 * grid.h1)
+    d2 = (p[1:, 1:] - p[1:, :-1] + p[:-1, 1:] - p[:-1, :-1]) / (2.0 * grid.h2)
+    return d1, d2
+
+
+def plain_flux_sq(values, grid, fluxes):
+    """Midpoint quadrature of C^ab d_a u d_b u over the cells, term by term.
+
+    ``fluxes`` are (C11, C12, C22) at the cell centres.  The oracle of
+    ``diagnostics._flux_sq``, which sums the same quadratic form in three
+    reductions of unscaled half-sums.
+    """
+    d1, d2 = cell_center_gradients(values, grid)
+    c11, c12, c22 = fluxes
+    return float(grid.h1 * grid.h2 * np.sum(c11 * d1 * d1 + 2.0 * c12 * d1 * d2
+                                            + c22 * d2 * d2))
+
+
+def plain_mass(values, grid, sqrtG):
+    """h1 h2 sum v^2 sqrt(G) on the interior grid; the oracle of ``diagnostics._mass``."""
+    v2 = grid.to_grid(np.asarray(values) ** 2)
+    return float(grid.h1 * grid.h2 * np.sum(v2 * sqrtG))
+
+
+def surface_mass(values, chart, grid, t):
+    """L2(Gamma(t)) norm squared of a Dirichlet grid function, the metric evaluated afresh."""
+    X1, X2 = grid.interior_mesh(sparse=True)
+    return plain_mass(values, grid,
+                      metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG)
+
+
 def surface_grad_sq(values, chart, grid, t, kappa=None):
     """Squared L2 norm of the tangential gradient of a grid function.
 
@@ -90,11 +135,11 @@ def surface_grad_sq(values, chart, grid, t, kappa=None):
     functional of the energy balance.  The oracle of the ledger, which reads
     the same quadrature off its step frame's corner means instead.
     """
-    C1, C2 = grid.cell_center_mesh(sparse=True)
+    C1, C2 = cell_center_mesh(grid, sparse=True)
     mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
     weight = mf.sqrtG if kappa is None else _on_mesh(kappa, C1, C2, t) * mf.sqrtG
-    return _flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
-                                   weight * mf.ginv22))
+    return plain_flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
+                                        weight * mf.ginv22))
 
 
 def surface_gradient_components(values, chart, grid, t):
@@ -104,8 +149,8 @@ def surface_gradient_components(values, chart, grid, t):
     per ambient direction j; contracting the squares reproduces the integrand
     of ``surface_grad_sq`` pointwise.
     """
-    d1, d2 = _cell_center_gradients(values, grid)
-    C1, C2 = grid.cell_center_mesh(sparse=True)
+    d1, d2 = cell_center_gradients(values, grid)
+    C1, C2 = cell_center_mesh(grid, sparse=True)
     mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
     du1 = mf.ginv11 * d1 + mf.ginv12 * d2   # contravariant components
     du2 = mf.ginv12 * d1 + mf.ginv22 * d2

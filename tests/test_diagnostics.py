@@ -19,12 +19,11 @@ from evolvesurf import (
 )
 from evolvesurf.diagnostics import (
     EnergyBalance,
-    _cell_center_gradients,
     _flux_sq,
+    _Regularity,
     _mass,
     manufactured_forcing,
     solve_reported,
-    surface_mass,
 )
 from evolvesurf.geometry import PRESET_NAMES, metric_fields
 from evolvesurf.operator import (StepFrame, StepFrames, assemble_L, coefficient_fields,
@@ -33,9 +32,12 @@ from evolvesurf import diagnostics, geometry
 from evolvesurf.timestepper import Trajectory
 
 from oracles import (
+    cell_center_gradients,
+    cell_center_mesh,
     material_derivative,
     surface_grad_sq,
     surface_gradient_components,
+    surface_mass,
     symbolic_operator_apply,
 )
 
@@ -80,7 +82,7 @@ class TestSurfaceGradSq:
         phi = eigenmode(unit_grid)
         comps, mf = surface_gradient_components(phi, graph, unit_grid, 0.9)
         sq_components = np.einsum("kij,kij->ij", comps, comps)
-        d1, d2 = _cell_center_gradients(phi, unit_grid)
+        d1, d2 = cell_center_gradients(phi, unit_grid)
         sq_contracted = (mf.ginv11 * d1 * d1 + 2.0 * mf.ginv12 * d1 * d2
                          + mf.ginv22 * d2 * d2)
         assert np.max(np.abs(sq_components - sq_contracted)) < 1e-10
@@ -99,7 +101,7 @@ class TestSurfaceGradSq:
 
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
         t = 1.3
-        C1, C2 = unit_grid.cell_center_mesh()
+        C1, C2 = cell_center_mesh(unit_grid)
         mf = metric_fields(graph, C1, C2, t, want_dGdt=False)
         tr = mf.ginv11 + mf.ginv22
         disc = np.sqrt((mf.ginv11 - mf.ginv22) ** 2 + 4.0 * mf.ginv12 ** 2)
@@ -158,7 +160,7 @@ class TestCellFluxQuadrature:
             # the oracle shares the ledger's quadrature, so pin it to the
             # ambient gradient g^ab (d_a x) d_b u, which needs no cross term
             comps, mf = surface_gradient_components(u, chart, grid, t)
-            C1, C2 = grid.cell_center_mesh()
+            C1, C2 = cell_center_mesh(grid)
             ambient = np.sum(kappa.value(C1, C2, t) * mf.sqrtG * np.sum(comps * comps, axis=0))
             assert ref == pytest.approx(grid.h1 * grid.h2 * ambient, rel=1e-12, abs=0.0)
         if (preset, diffusion) in self.CONSTANT:
@@ -386,8 +388,11 @@ def _per_step_reports(traj, chart, kappa, grid):
         norms[k] = math.sqrt(_mass(u, grid, sqrtG))
         if 0 < k < nt - 1:
             L = assemble_L(chart, kappa, grid, t)
-            dt_sq[k - 1] = _mass(material_derivative(traj, k), grid, sqrtG)
-            div_sq[k - 1] = _mass(-(L @ u - d0.ravel() * u), grid, sqrtG)
+            # the centered difference's (2 dt)^2 and the diffusion term's
+            # sign leave the reduction
+            dt_sq[k - 1] = (_mass(traj.fields[k + 1] - traj.fields[k - 1], grid, sqrtG)
+                            / (2.0 * traj.dt) ** 2)
+            div_sq[k - 1] = _mass(L @ u - d0.ravel() * u, grid, sqrtG)
     diss = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (rate[1:] + rate[:-1]))])
     dil = np.concatenate([[0.0], np.cumsum(0.5 * traj.dt * (dil_rate[1:] + dil_rate[:-1]))])
     resid = np.abs(mass + diss + dil - mass[0])
@@ -445,15 +450,47 @@ class TestReportsFromStepFrames:
             solve_reported(flat, const_kappa, grid, np.zeros(grid.ndof), 0.01, 1e-3)
 
     def test_one_surface_mass_per_step_for_ledger_and_decay(self, count_calls):
-        # v_k once for the ledger, whose mass the decay quotient reads, once
-        # more weighted by the dilation rate for the ledger, plus the material
-        # derivative and the diffusion term at the interior steps
+        # v_k squared once for the ledger, whose mass the decay quotient
+        # reads, and the same squared row weighted by the dilation rate, plus
+        # the material derivative and the diffusion term at the interior
+        # steps: one nodal quadrature each, every row squared by the report
+        # that reduces it
         grid = make_grid((0.0, 1.5, 0.0, 1.0), 12, 8)
         chart = make_chart("translating_patch", domain=grid.domain, horizon=1.0, c=1.0)
         kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
-        calls = count_calls(diagnostics, "_mass")
+        calls = count_calls(diagnostics, "_quadrature")
+        masses = count_calls(diagnostics, "_mass")
         traj, *_ = solve_reported(chart, kappa, grid, _bump(grid), 0.02, 1e-3, stride=10)
         assert len(calls) == 2 * (traj.nsteps + 1) + 2 * (traj.nsteps - 1)
+        # ``calls`` keeps every row alive, so distinct rows have distinct ids
+        assert len({id(args[0]) for args in calls}) == (traj.nsteps + 1) + 2 * (traj.nsteps - 1)
+        assert masses == []
+
+
+class TestReportArrayPasses:
+    """The step reports' ndof-sized allocations on the solve-static configuration:
+    150 x 100 nodes on (0, 1.5) x (0, 1), translating_patch, sinusoidal kappa."""
+
+    def test_blocks_of_one_observed_step(self, ndof_allocations):
+        grid = make_grid((0.0, 1.5, 0.0, 1.0), 150, 100)
+        chart = make_chart("translating_patch", domain=grid.domain, horizon=0.2, c=1.1)
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        frame = StepFrame(chart, kappa, grid, 0.0)
+        window = tuple(np.random.default_rng(k).standard_normal(grid.ndof) for k in range(3))
+        Lv = frame.L @ window[1]
+        ledger, regularity = EnergyBalance(grid), _Regularity(grid, 1e-3)
+
+        def observe():
+            ledger.observe(1, frame, window, Lv)
+            regularity.observe(1, frame, window, Lv)
+
+        observe()   # the pieces a frame builds once
+        _, blocks = ndof_allocations(observe, grid.ndof)
+        # the ledger's squared row; the padded field, its two axis differences
+        # and the two half-sums (each strided sum also counts its iterator's
+        # buffers as one block); the regularity report's two rows
+        assert blocks <= 10, blocks
+        assert ledger.diss_rate[-1] == ledger.diss_rate[0]
 
 
 class TestMMSEvaluations:

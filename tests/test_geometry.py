@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import math
 from unittest import mock
 
@@ -23,6 +24,8 @@ from evolvesurf import (
 from evolvesurf.geometry import (PARTIAL_KEYS, GridSpec, MetricFields, default_h_fd,
                                  metric_fields)
 
+from oracles import cell_center_mesh
+
 # each preset at its defaults and at parameters the tests use
 CHART_CASES = [
     ("flat_static", {}),
@@ -45,7 +48,7 @@ KEY_VARIABLES = {
 def dense_meshes():
     """GridSpec meshes that ignore ``sparse``: every site evaluates on dense arrays."""
     with contextlib.ExitStack() as stack:
-        for name in ("interior_mesh", "full_mesh", "cell_center_mesh"):
+        for name in ("interior_mesh", "full_mesh"):
             dense = getattr(GridSpec, name)
             stack.enter_context(mock.patch.object(
                 GridSpec, name, lambda self, sparse=False, dense=dense: dense(self)))
@@ -331,7 +334,7 @@ class TestGridSpec:
     def test_meshes_are_dense_unless_asked_open(self):
         g = make_grid((-0.5, 1.0, 0.0, 2.0), 5, 3)
         for mesh, shape in ((g.interior_mesh, (5, 3)), (g.full_mesh, (7, 5)),
-                            (g.cell_center_mesh, (6, 4))):
+                            (functools.partial(cell_center_mesh, g), (6, 4))):
             X1, X2 = mesh()
             o1, o2 = mesh(sparse=True)
             assert X1.shape == X2.shape == shape

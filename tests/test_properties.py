@@ -7,6 +7,7 @@ cache of source constants to the temporary directory).
 """
 
 import dataclasses
+import functools
 import math
 import sys
 
@@ -44,6 +45,10 @@ from evolvesurf.coefficients import (  # noqa: E402
 from evolvesurf.config import RunConfig, parse_config, serialize_config  # noqa: E402
 from evolvesurf.diagnostics import (  # noqa: E402
     SOLUTION_PARTIALS,
+    EnergyBalance,
+    _flux_sq,
+    _mass,
+    _Regularity,
     solve_reported,
 )
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
@@ -65,6 +70,7 @@ from test_coefficients import (  # noqa: E402
     _stepwise_cn_ratio,
     exhaustive_C_star_sums,
 )
+from oracles import cell_center_mesh, plain_flux_sq, plain_mass  # noqa: E402
 from test_geometry import dense_meshes  # noqa: E402
 from test_operator import (  # noqa: E402
     assembled_by_coo,
@@ -298,6 +304,50 @@ def test_strided_march_keeps_the_full_rows_and_reports(grid, chart, diffusion, t
     assert regularity == regularity_ref
 
 
+@PROPERTY
+@given(grid=grids(), preset=st.sampled_from(PRESET_NAMES),
+       values=st.fixed_dictionaries({key: family_value for key in
+                                     ("gamma", "epsilon", "omega", "c")}),
+       diffusion=st.sampled_from(DIFFUSION_PRESETS), theta=st.sampled_from((0.5, 1.0)),
+       dt=st.floats(1e-3, 0.05), seed=st.integers(0, 2 ** 16))
+def test_fused_quadratures_match_the_plain_forms(grid, preset, values, diffusion, theta, dt,
+                                                 seed):
+    # the reports' reductions (one squared row and one dot product per nodal
+    # quadrature, three scaled three-operand sums of unscaled half-sums for
+    # the flux quadrature) against the term-by-term forms, on the frames,
+    # windows and products L(t_k) v_k of a march
+    nsteps = 3
+    chart = make_chart(preset, domain=grid.domain, horizon=nsteps * dt,
+                       **{key: values[key] for key in PRESET_PARAMS[preset]})
+    kappa = make_diffusion(diffusion)
+    ledger, regularity = EnergyBalance(grid), _Regularity(grid, dt)
+    seen = []
+    solve_direct(chart, kappa, grid, np.random.default_rng(seed).standard_normal(grid.ndof),
+                 nsteps * dt, dt, theta=theta,
+                 observers=(ledger.observe, regularity.observe,
+                            lambda k, frame, window, Lv: seen.append((frame, window, Lv))))
+
+    def close(got, ref, scale=None):
+        return abs(got - ref) <= 1e-13 * (abs(ref) if scale is None else scale)
+
+    for k, (frame, (prev, u, nxt), Lv) in enumerate(seen):
+        sqrtG, d0, fluxes = frame.interior_sqrtG, frame.coefficients["d0"], frame.cell_fluxes
+        mass, diss = plain_mass(u, grid, sqrtG), plain_flux_sq(u, grid, fluxes)
+        assert close(_mass(u, grid, sqrtG), mass)
+        assert close(_flux_sq(u, grid, fluxes), diss)
+        assert close(ledger.mass[k], 0.5 * mass)
+        assert close(ledger.diss_rate[k], diss)
+        # d0 may change sign: relative to the integral of |d0| u^2
+        assert close(ledger.dil_rate[k], 0.5 * plain_mass(u, grid, sqrtG * d0),
+                     0.5 * plain_mass(u, grid, sqrtG * np.abs(d0)))
+        if 0 < k < nsteps:
+            assert close(regularity.dt_sq[k - 1],
+                         plain_mass((nxt - prev) / (2.0 * dt), grid, sqrtG))
+            assert close(regularity.div_sq[k - 1],
+                         plain_mass(-(Lv - d0.ravel() * u), grid, sqrtG))
+    assert len(seen) == nsteps + 1 and len(regularity.div_sq) == nsteps - 1
+
+
 # the presets whose operator moves, with parameters that keep it moving
 nonzero = lambda lo, hi: st.one_of(st.floats(lo, hi), st.floats(-hi, -lo))
 moving_operators = st.one_of(
@@ -398,7 +448,7 @@ def test_open_meshes_give_the_dense_bits(grid, preset, values, diffusion, base, 
     kappa = make_diffusion(diffusion, **({"value": base} if diffusion == "constant"
                                          else {"base": base, "amp": amp}))
     exact = _sine_product_solution(grid.domain)
-    meshes = (grid.full_mesh, grid.cell_center_mesh, grid.interior_mesh)
+    meshes = (grid.full_mesh, functools.partial(cell_center_mesh, grid), grid.interior_mesh)
     opened = [mesh(sparse=True) for mesh in meshes]
     dense = [mesh() for mesh in meshes]
     for (o1, o2), (d1, d2) in zip(opened, dense):
@@ -536,8 +586,8 @@ def test_pruned_C_star_is_the_exhaustive_maximum(grid, preset, values, diffusion
     times = np.linspace(0.0, T, ntimes)
     bounds = []
 
-    def recording(grid, cf):
-        bounds.append(scan_bound(grid, cf))
+    def recording(parts, cf):
+        bounds.append(scan_bound(parts, cf))
         return bounds[-1]
 
     scan_bound = coefficients._scan_bound
