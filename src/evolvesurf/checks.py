@@ -143,7 +143,7 @@ def _anisotropic_checks(cfg, rng):
 
 
 def _dilation_checks(cfg, rng):
-    grid = geo.make_grid(cfg.domain, min(cfg.n1, 32), min(cfg.n2, 32), h_fd=cfg.h_fd)
+    grid = geo.make_grid(cfg.domain, min(cfg.n1, 32), min(cfg.n2, 32))
     return [_check(f"dilation_identity_{name}",
                    dg.transport_identity_residual(chart, grid, 0.5 * chart.horizon), 1e-5)
             for name, chart in _preset_charts(cfg)]

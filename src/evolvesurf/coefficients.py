@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AssumptionViolationError, ParameterError
-from .geometry import _fd1, metric_fields, phi_term, preset_params, volume_divergence
+from .geometry import metric_fields, phi_term, preset_params, volume_divergence
 from .operator import (
     SineBasis,
     _on_mesh,
@@ -61,22 +61,18 @@ DIFFUSION_PRESETS = tuple(DIFFUSION_PARAMS)
 
 @dataclass(frozen=True, eq=False)
 class Diffusion:
-    """Pulled-back diffusivity kappa(X, t) with optional analytic X-partials."""
+    """Pulled-back diffusivity kappa(X, t) with its X-partials ``d1`` and ``d2``.
+
+    ``value``, ``d1`` and ``d2`` are evaluators ``(x1, x2, t) -> array``,
+    broadcastable with x1 and x2; all three are required.
+    """
 
     name: str
     value: Callable
-    d1: Optional[Callable] = None
-    d2: Optional[Callable] = None
+    d1: Callable
+    d2: Callable
     time_independent: bool = False
     sym_builder: Optional[Callable] = None
-
-    def partial(self, key, domain, h_fd):
-        """Analytic partial "d1" or "d2" when supplied, FD fallback otherwise."""
-        which = ("d1", "d2").index(key)
-        analytic = (self.d1, self.d2)[which]
-        if analytic is not None:
-            return analytic
-        return _fd1(self.value, which, *domain[2 * which:2 * which + 2], h_fd)
 
 
 def make_diffusion(name, **params):
@@ -127,7 +123,7 @@ class _Scan:
         """Fold in the scalars of time t; returns its (MetricFields, kappa values)."""
         chart, kappa, grid, M = self.chart, self.kappa, self.grid, self.M
         X1, X2 = grid.full_mesh(sparse=True)
-        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
+        mf = metric_fields(chart, X1, X2, t, want_derivs=True)
         k = _on_mesh(kappa, X1, X2, t)
         G = mf.G
         kmin, kmax = float(k.min()), float(k.max())
@@ -149,8 +145,8 @@ class _Scan:
         M[1] = max(M[1], float(np.abs(k * c1).max()))
         M[2] = max(M[2], float(np.abs(k * c2).max()))
 
-        dk1 = kappa.partial("d1", chart.domain, grid.h_fd)(X1, X2, t)
-        dk2 = kappa.partial("d2", chart.domain, grid.h_fd)(X1, X2, t)
+        dk1 = kappa.d1(X1, X2, t)
+        dk2 = kappa.d2(X1, X2, t)
         m4 = np.abs(mf.g22 / G * dk1 - mf.g12 / G * dk2).max() \
             + np.abs(mf.g11 / G * dk1 - mf.g12 / G * dk2).max()
         M[3] = max(M[3], float(m4))

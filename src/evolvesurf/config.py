@@ -51,7 +51,6 @@ class RunConfig:
     surface_params: dict = dc_field(default_factory=dict)
     diffusion_preset: str = "constant"
     diffusion_params: dict = dc_field(default_factory=dict)
-    h_fd: float = None
     theta: float = 0.5
     tol: float = 1e-8
     max_iter: int = 20
@@ -74,7 +73,6 @@ _KEYS = tuple(_Key(*row) for row in (
     ("surface", "T", "horizon", float, lambda v: v > 0, "T must be positive"),
     ("grid", "n1", "n1", int, lambda v: v >= 3, "n1 must be at least 3"),
     ("grid", "n2", "n2", int, lambda v: v >= 3, "n2 must be at least 3"),
-    ("grid", "h_fd", "h_fd", float, lambda v: v > 0, "h_fd must be positive"),
     ("time", "dt", "dt", float, lambda v: v > 0, "dt must be positive"),
     ("time", "theta", "theta", float, lambda v: 0.5 <= v <= 1.0, "theta must lie in [0.5, 1]"),
     ("solver", "tol", "tol", float, lambda v: v > 0, "tol must be positive"),
@@ -259,7 +257,7 @@ def config_diffusion(cfg):
 
 
 def config_grid(cfg):
-    return make_grid(cfg.domain, cfg.n1, cfg.n2, h_fd=cfg.h_fd)
+    return make_grid(cfg.domain, cfg.n1, cfg.n2)
 
 
 def config_initial_datum(cfg, grid):

@@ -89,7 +89,7 @@ def surface_integral(psi, chart, grid, t):
     """
     X1, X2 = grid.full_mesh(sparse=True)
     shape = (grid.n1 + 2, grid.n2 + 2)
-    mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
+    mf = metric_fields(chart, X1, X2, t, want_dGdt=False)
     vals = np.broadcast_to(np.asarray(psi(X1, X2, t), dtype=float), shape)
     w = _trapezoid_weights(*shape)
     return float(grid.h1 * grid.h2 * np.sum(w * vals * mf.sqrtG))
@@ -286,7 +286,7 @@ def transport_identity_residual(chart, grid, t):
     T = 1e-300 the area difference rounded to 0.
     """
     def dil(x1, x2, tt):
-        mf = metric_fields(chart, x1, x2, tt, h_fd=grid.h_fd)
+        mf = metric_fields(chart, x1, x2, tt)
         return 0.5 * mf.dGdt / mf.G
 
     lhs = surface_integral(dil, chart, grid, t)
@@ -363,21 +363,20 @@ def manufactured_forcing(chart, kappa, exact):
     of ``frame.coefficients``, so the frame's refusals of a diffusivity that
     is not positive and finite and of a degenerate metric come first.  Only
     the chart's first and second X-partials (the metric's derivatives),
-    d_a K (``kappa.partial``) and the seven partials of ``exact`` (one joint
-    evaluation) are evaluated here, on the open interior mesh.  t is the
-    march's step time, not ``frame.t``: the single frame of a static problem
-    carries t = 0.
+    d_a K (``kappa.d1``, ``kappa.d2``) and the seven partials of ``exact``
+    (one joint evaluation) are evaluated here, on the open interior mesh.  t
+    is the march's step time, not ``frame.t``: the single frame of a static
+    problem carries t = 0.
     """
     def F(frame, t):
         grid, cf = frame.grid, frame.coefficients
         x1, x2 = grid.interior_mesh(sparse=True)
         K, i11, i12, i22 = (cf[key][1:-1, 1:-1] for key in ("K", "Ginv11", "Ginv12", "Ginv22"))
-        g1 = chart.partial("d1", grid.h_fd)(x1, x2, t)
-        g2 = chart.partial("d2", grid.h_fd)(x1, x2, t)
-        v1, v2 = volume_divergence(i11, i12, i22,
-                                   metric_derivatives(chart, x1, x2, t, grid.h_fd, g1, g2))
-        k1 = kappa.partial("d1", chart.domain, grid.h_fd)(x1, x2, t)
-        k2 = kappa.partial("d2", chart.domain, grid.h_fd)(x1, x2, t)
+        g1 = chart.evals["d1"](x1, x2, t)
+        g2 = chart.evals["d2"](x1, x2, t)
+        v1, v2 = volume_divergence(i11, i12, i22, metric_derivatives(chart, x1, x2, t, g1, g2))
+        k1 = kappa.d1(x1, x2, t)
+        k2 = kappa.d2(x1, x2, t)
         u, u_t, u_1, u_2, u_11, u_12, u_22 = exact.partials(x1, x2, t)
         c1 = k1 * i11 + k2 * i12 + K * v1
         c2 = k1 * i12 + k2 * i22 + K * v2

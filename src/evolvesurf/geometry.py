@@ -15,11 +15,11 @@ and each preset is the choice of parameters it reads (``PRESET_PARAMS``):
 flat_static none, isotropic_scaling gamma, graph_oscillation epsilon and
 omega, translating_patch c.  One table gives the analytic partials of the
 form and one sympy builder its symbolic form; ``static_metric`` is derived,
-true when gamma = 0 and there is no height term.  User-supplied charts fall
-back to second-order finite differences with step ``h_fd`` (one-sided at the
-closure of the rectangle and at t = 0, T); ``default_h_fd`` is its default.
-A partial is three broadcastable components: a preset's constant components
-(s(t), 0.0) stay Python floats, and only ``user_chart`` stacks them densely.
+true when gamma = 0 and there is no height term.  Every chart carries its
+whole partial table (``PARTIAL_KEYS``): a user chart supplies every partial,
+and nothing here differentiates numerically.  A partial is three
+broadcastable components: a preset's constant components (s(t), 0.0) stay
+Python floats, and only ``user_chart`` stacks them densely.
 
 Evaluators take broadcastable ``x1, x2``.  The package's own sites pass open
 meshes, ``GridSpec.full_mesh(sparse=True)`` and its siblings: x1 of shape
@@ -52,10 +52,10 @@ PARTIAL_KEYS = (
 class Chart:
     """Evolving parametrization of a surface patch.
 
-    ``evals`` maps partial-derivative keys to vectorized evaluators
+    ``evals`` maps each of ``PARTIAL_KEYS`` to a vectorized evaluator
     ``(x1, x2, t) -> (x_1, x_2, x_3)``, three components broadcastable with
-    x1 and x2.  Only "x" is mandatory; missing partials are synthesized by
-    finite differences on demand.
+    x1 and x2.  A table that lacks a key is refused with ParameterError
+    naming every missing key.
     """
 
     name: str
@@ -65,15 +65,14 @@ class Chart:
     static_metric: bool = False
     sym_builder: Optional[Callable] = None
 
+    def __post_init__(self):
+        missing = [key for key in PARTIAL_KEYS if key not in self.evals]
+        if missing:
+            raise ParameterError(f"chart '{self.name}' lacks partials {', '.join(missing)}")
+
     def extent(self):
         a, b, c, d = self.domain
         return max(b - a, d - c)
-
-    def partial(self, key, h_fd):
-        """Evaluator for one partial, analytic when supplied, FD otherwise."""
-        if key in self.evals:
-            return self.evals[key]
-        return _fd_partial(self, key, h_fd)
 
     def check_point(self, X, t):
         a, b, c, d = self.domain
@@ -110,7 +109,6 @@ class GridSpec:
     domain: tuple
     n1: int
     n2: int
-    h_fd: float
 
     @property
     def h1(self):
@@ -162,74 +160,13 @@ class GridSpec:
         return full
 
 
-def default_h_fd(extent):
-    """Default finite-difference step on a rectangle of the given extent."""
-    return 1e-5 * max(extent, 1.0)
-
-
-def make_grid(domain, n1, n2, h_fd=None):
+def make_grid(domain, n1, n2):
     a, b, c, d = (float(v) for v in domain)
     if not (b > a and d > c):
         raise ParameterError(f"degenerate rectangle {domain}")
     if n1 < 1 or n2 < 1:
         raise ParameterError("need at least one interior node per axis")
-    if h_fd is None:
-        h_fd = default_h_fd(max(b - a, d - c))
-    if h_fd <= 0:
-        raise ParameterError("h_fd must be positive")
-    return GridSpec((a, b, c, d), int(n1), int(n2), float(h_fd))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference fallbacks for missing chart partials
-
-def _fd1(func, which, lo, hi, h):
-    """Second-order FD of ``func`` in one coordinate, one-sided near the ends.
-
-    ``which`` is 0 (X1), 1 (X2) or 2 (t).  Sample coordinates are clamped to
-    [lo, hi] before evaluation; clamped samples only feed stencils that are
-    never selected for those elements.
-    """
-
-    def deriv(x1, x2, t):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        coords = [x1, x2, np.asarray(t, dtype=float)]
-        base = coords[which]
-
-        def at(offset):
-            shifted = np.clip(base + offset * h, lo, hi)
-            args = list(coords)
-            args[which] = shifted
-            return func(args[0], args[1], args[2])
-
-        fm2, fm1, fp1, fp2 = at(-2), at(-1), at(1), at(2)
-        f0 = func(x1, x2, t)
-        central = (fp1 - fm1) / (2.0 * h)
-        forward = (-3.0 * f0 + 4.0 * fp1 - fp2) / (2.0 * h)
-        backward = (3.0 * f0 - 4.0 * fm1 + fm2) / (2.0 * h)
-        near_lo = base < lo + h
-        near_hi = base > hi - h
-        return np.where(near_lo, forward, np.where(near_hi, backward, central))
-
-    return deriv
-
-
-# derivation chain: each missing key is one FD application on a lower key
-_FD_CHAIN = {
-    "d1": ("x", 0), "d2": ("x", 1),
-    "d11": ("d1", 0), "d12": ("d1", 1), "d22": ("d2", 1),
-    "dt": ("x", 2), "dtd1": ("d1", 2), "dtd2": ("d2", 2),
-    "dtd11": ("d11", 2), "dtd12": ("d12", 2), "dtd22": ("d22", 2),
-}
-
-
-def _fd_partial(chart, key, h_fd):
-    base_key, which = _FD_CHAIN[key]
-    base = chart.evals.get(base_key) or _fd_partial(chart, base_key, h_fd)
-    a, b, c, d = chart.domain
-    lo, hi = ((a, b), (c, d), (0.0, chart.horizon))[which]
-    return _fd1(base, which, lo, hi, h_fd)
+    return GridSpec((a, b, c, d), int(n1), int(n2))
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +282,15 @@ def _dense(ev):
     return dense
 
 
-def user_chart(x_eval, domain, horizon, partials=None, name="user", static_metric=False):
-    """Wrap a user embedding; missing partials use the FD fallback.
+def user_chart(evals, domain, horizon, name="user", static_metric=False):
+    """Wrap a user embedding given by its full partial table.
 
+    ``evals`` maps each of ``PARTIAL_KEYS`` to an evaluator, as in ``Chart``.
     The evaluators receive x1 and x2 of one shape (zero-copy broadcast views
     of an open mesh), so user code may stack or index them as dense arrays.
     They may return a ``(3, ...)`` array or a 3-tuple; either is stacked.
     """
-    evals = {key: _dense(ev) for key, ev in {"x": x_eval, **(partials or {})}.items()}
+    evals = {key: _dense(ev) for key, ev in evals.items()}
     return Chart(name=name, domain=tuple(float(v) for v in domain), horizon=float(horizon),
                  evals=evals, static_metric=static_metric, sym_builder=None)
 
@@ -410,7 +348,7 @@ def _refuse_degenerate(name, values, x1, x2, t, positive=False):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite G or dG/dt is refused below
-def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False):
+def metric_fields(chart, x1, x2, t, want_dGdt=True, want_derivs=False):
     """Sample the metric package over broadcastable arrays of points at time t.
 
     The fields have the broadcast shape of x1 and x2; an open mesh gives the
@@ -419,14 +357,12 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
     one, anywhere in the sample: an overflowing chart is refused here, before
     any operator is built from it.
     """
-    if h_fd is None:
-        h_fd = default_h_fd(chart.extent())
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     shape = np.broadcast(x1, x2).shape
 
-    g1 = tuple(chart.partial("d1", h_fd)(x1, x2, t))
-    g2 = tuple(chart.partial("d2", h_fd)(x1, x2, t))
+    g1 = tuple(chart.evals["d1"](x1, x2, t))
+    g2 = tuple(chart.evals["d2"](x1, x2, t))
     g11, g12, g22 = (np.broadcast_to(g, shape)
                      for g in (_dot3(g1, g1), _dot3(g1, g2), _dot3(g2, g2)))
     G = g11 * g22 - g12 * g12
@@ -439,8 +375,8 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
     )
 
     if want_dGdt:
-        m1 = chart.partial("dtd1", h_fd)(x1, x2, t)
-        m2 = chart.partial("dtd2", h_fd)(x1, x2, t)
+        m1 = chart.evals["dtd1"](x1, x2, t)
+        m2 = chart.evals["dtd2"](x1, x2, t)
         dg11 = 2.0 * _dot3(m1, g1)
         dg12 = _dot3(m1, g2) + _dot3(g1, m2)
         dg22 = 2.0 * _dot3(m2, g2)
@@ -449,21 +385,21 @@ def metric_fields(chart, x1, x2, t, h_fd=None, want_dGdt=True, want_derivs=False
 
     if want_derivs:
         (out.dg11_d1, out.dg11_d2, out.dg12_d1, out.dg12_d2,
-         out.dg22_d1, out.dg22_d2) = metric_derivatives(chart, x1, x2, t, h_fd, g1, g2)
+         out.dg22_d1, out.dg22_d2) = metric_derivatives(chart, x1, x2, t, g1, g2)
 
     return out
 
 
-def metric_derivatives(chart, x1, x2, t, h_fd, g1, g2):
+def metric_derivatives(chart, x1, x2, t, g1, g2):
     """(d_1 g_11, d_2 g_11, d_1 g_12, d_2 g_12, d_1 g_22, d_2 g_22) at (x1, x2, t).
 
     ``g1`` and ``g2`` are the chart's first X-partials there; the second
     ones are evaluated here.  Dot products of components: scalars where
     constant.
     """
-    d11 = chart.partial("d11", h_fd)(x1, x2, t)
-    d12 = chart.partial("d12", h_fd)(x1, x2, t)
-    d22 = chart.partial("d22", h_fd)(x1, x2, t)
+    d11 = chart.evals["d11"](x1, x2, t)
+    d12 = chart.evals["d12"](x1, x2, t)
+    d22 = chart.evals["d22"](x1, x2, t)
     return (2.0 * _dot3(d11, g1), 2.0 * _dot3(d12, g1),
             _dot3(d11, g2) + _dot3(g1, d12), _dot3(d12, g2) + _dot3(g1, d22),
             2.0 * _dot3(d12, g2), 2.0 * _dot3(d22, g2))
@@ -499,7 +435,7 @@ def eval_chart(chart, X, t):
 def motion_velocity(chart, X, t):
     """Surface motion velocity w = dx/dt at the chart point."""
     chart.check_point(X, t)
-    w = chart.partial("dt", default_h_fd(chart.extent()))(float(X[0]), float(X[1]), float(t))
+    w = chart.evals["dt"](float(X[0]), float(X[1]), float(t))
     return np.asarray(w, dtype=float).reshape(3)
 
 
@@ -529,14 +465,13 @@ def nondegeneracy_scan(chart, grid, times):
     if not times:
         raise ParameterError("empty time sample")
     X1, X2 = grid.full_mesh(sparse=True)
-    h_fd = grid.h_fd
     lam_min = math.inf
     lam_max = 0.0
     for t in times:
-        mf = metric_fields(chart, X1, X2, t, h_fd=h_fd, want_dGdt=False)
+        mf = metric_fields(chart, X1, X2, t, want_dGdt=False)
         lam_min = min(lam_min, float(np.min(mf.G)))
         p = {"d1": mf.g1, "d2": mf.g2}
-        p.update((key, chart.partial(key, h_fd)(X1, X2, t))
+        p.update((key, chart.evals[key](X1, X2, t))
                  for key in ("d11", "d12", "d22", "dtd1", "dtd2", "dtd11", "dtd12", "dtd22"))
         # (a, ab) over the index pairs (1, 1), (1, 2), (2, 1), (2, 2)
         for a, ab in (("1", "11"), ("1", "12"), ("2", "12"), ("2", "22")):

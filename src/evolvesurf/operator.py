@@ -266,7 +266,7 @@ class StepFrame:
     @functools.cached_property
     def coefficients(self):
         X1, X2 = self.grid.full_mesh(sparse=True)
-        mf = metric_fields(self.chart, X1, X2, self.t, h_fd=self.grid.h_fd)
+        mf = metric_fields(self.chart, X1, X2, self.t)
         K = _on_mesh(self.kappa, X1, X2, self.t)
         refuse_kappa(K, self.t)
         return mesh_coefficients(mf, K)

@@ -123,7 +123,7 @@ def surface_mass(values, chart, grid, t):
     """L2(Gamma(t)) norm squared of a Dirichlet grid function, the metric evaluated afresh."""
     X1, X2 = grid.interior_mesh(sparse=True)
     return plain_mass(values, grid,
-                      metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG)
+                      metric_fields(chart, X1, X2, t, want_dGdt=False).sqrtG)
 
 
 def surface_grad_sq(values, chart, grid, t, kappa=None):
@@ -136,7 +136,7 @@ def surface_grad_sq(values, chart, grid, t, kappa=None):
     the same quadrature off its step frame's corner means instead.
     """
     C1, C2 = cell_center_mesh(grid, sparse=True)
-    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
+    mf = metric_fields(chart, C1, C2, t, want_dGdt=False)
     weight = mf.sqrtG if kappa is None else _on_mesh(kappa, C1, C2, t) * mf.sqrtG
     return plain_flux_sq(values, grid, (weight * mf.ginv11, weight * mf.ginv12,
                                         weight * mf.ginv22))
@@ -151,7 +151,7 @@ def surface_gradient_components(values, chart, grid, t):
     """
     d1, d2 = cell_center_gradients(values, grid)
     C1, C2 = cell_center_mesh(grid, sparse=True)
-    mf = metric_fields(chart, C1, C2, t, h_fd=grid.h_fd, want_dGdt=False)
+    mf = metric_fields(chart, C1, C2, t, want_dGdt=False)
     du1 = mf.ginv11 * d1 + mf.ginv12 * d2   # contravariant components
     du2 = mf.ginv12 * d1 + mf.ginv22 * d2
     comps = np.stack([a * du1 + b * du2 for a, b in zip(mf.g1, mf.g2)])

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from evolvesurf import checks, lambda_select, user_chart
 from evolvesurf import operator as op
+from evolvesurf.geometry import PARTIAL_KEYS
 
 
 def test_bound_violations_counts_every_field_above_the_bound(unit_grid):
@@ -49,8 +50,10 @@ def test_inverse_metric_defect_sees_a_nearly_degenerate_chart(graph):
             return np.stack([np.cos(s), np.sin(s), np.zeros_like(s)])
         return ev
 
-    chart = user_chart(tangent(0.0), (0.0, 1.0, 0.0, 1.0), 1.0,
-                       partials={"d1": tangent(0.0), "d2": tangent(1e-4)})
+    # the defect reads only the tangents; the other partials are zero
+    zero = lambda x1, x2, t: (0.0, 0.0, 0.0)
+    chart = user_chart({**dict.fromkeys(PARTIAL_KEYS, zero), "x": tangent(0.0),
+                        "d1": tangent(0.0), "d2": tangent(1e-4)}, (0.0, 1.0, 0.0, 1.0), 1.0)
     rng = np.random.default_rng(3)
     x1, x2 = rng.uniform(0.0, 1.0, (2, 2000))
     defect, g_min = checks.inverse_metric_defect(chart, x1, x2, [0.0, 0.5])

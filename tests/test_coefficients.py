@@ -82,7 +82,8 @@ class TestLambdaSelect:
         assert lam1 == pytest.approx(0.75)
 
     def test_vanishing_kappa_rejected(self, flat, unit_grid):
-        dead = Diffusion("dead", lambda x1, x2, t: np.zeros(np.shape(x1)))
+        zero = lambda x1, x2, t: np.zeros(np.shape(x1))
+        dead = Diffusion("dead", zero, d1=zero, d2=zero)
         with pytest.raises(AssumptionViolationError):
             lambda_select(flat, dead, unit_grid, [0.0])
 
@@ -92,6 +93,12 @@ class TestLambdaSelect:
 
 
 class TestDiffusionPresets:
+    @pytest.mark.parametrize("partials,missing", [({}, "'d1' and 'd2'"),
+                                                  ({"d1": np.zeros_like}, "'d2'")])
+    def test_diffusivity_needs_its_partials(self, partials, missing):
+        with pytest.raises(TypeError, match=f"missing .* required .*: {missing}$"):
+            Diffusion("bare", lambda x1, x2, t: np.ones(np.shape(x1)), **partials)
+
     def test_sinusoidal_bounds(self, flat, unit_grid):
         kap = make_diffusion("sinusoidal", base=1.0, amp=0.3)
         rep = smallness_report(flat, kap, unit_grid, [0.0], probes=4)
@@ -129,16 +136,15 @@ class TestMQuantities:
         base = geometry.make_chart("graph_oscillation", horizon=1.0, epsilon=epsilon,
                                    omega=omega)
         scaled = lambda ev: lambda x1, x2, t: tuple(S * c for c in ev(x1, x2, t))
-        chart = geometry.user_chart(scaled(base.evals["x"]), base.domain, 1.0, partials={
-            key: scaled(base.evals[key])
-            for key in ("d1", "d2", "d11", "d12", "d22", "dtd1", "dtd2")})
+        chart = geometry.user_chart({key: scaled(ev) for key, ev in base.evals.items()},
+                                    base.domain, 1.0)
         grid = make_grid(base.domain, 8, 8)
         X1, X2 = grid.full_mesh(sparse=True)
         M, _ = m_quantities(chart, const_kappa, 1e-80, 1e-80, grid, times)
         sups = np.zeros(2)
         with mpmath.workdps(40):
             for t in times:
-                mf = geometry.metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
+                mf = geometry.metric_fields(chart, X1, X2, t, want_derivs=True)
                 assert mf.G.max() > 1e160
                 got = geometry.volume_divergence(mf.ginv11, mf.ginv12, mf.ginv22, (
                     mf.dg11_d1, mf.dg11_d2, mf.dg12_d1, mf.dg12_d2, mf.dg22_d1, mf.dg22_d2))

@@ -26,7 +26,7 @@ from evolvesurf.config import (
     serialize_config,
 )
 from evolvesurf.diagnostics import SOLUTION_PARTIALS, manufactured_solution
-from evolvesurf.geometry import PRESET_PARAMS as SURFACE_PARAMS
+from evolvesurf.geometry import PARTIAL_KEYS, PRESET_PARAMS as SURFACE_PARAMS
 from evolvesurf.operator import assemble_A, assemble_L
 
 from test_operator import assembled_by_coo
@@ -196,7 +196,7 @@ class TestParseConfig:
             surface_params={"epsilon": 0.07, "omega": 1.3},
             diffusion_preset="sinusoidal",
             diffusion_params={"base": 1.1, "amp": 0.25},
-            h_fd=1e-6, theta=0.75, tol=1e-9, max_iter=12,
+            theta=0.75, tol=1e-9, max_iter=12,
             probes=7, margin=0.01, seed=5, scan_times=6, v0_k1=2, v0_k2=3,
             out_dir="elsewhere", snapshot_stride=3, dump_matrices=True,
         )
@@ -228,7 +228,6 @@ NUMERIC_KEYS = [
     ("diffusion", "amp", "diffusion_params", "sinusoidal", None),
     ("grid", "n1", "n1", None, "2"),
     ("grid", "n2", "n2", None, "2"),
-    ("grid", "h_fd", "h_fd", None, "0"),
     ("time", "dt", "dt", None, "-1e-3"),
     ("time", "theta", "theta", None, "1.5"),
     ("solver", "tol", "tol", None, "0"),
@@ -621,7 +620,11 @@ class TestWriterBytes:
             x1, x2 = np.broadcast_arrays(x1, x2)
             return np.stack([np.rint(8 * x1), np.rint(8 * x2), 0 * x1]).astype(int)
 
-        self._check_snapshot(tmp_path, user_chart(lattice, self.GRID.domain, 1.0), 0.37)
+        # the writer reads only the embedding; the other partials are zero
+        zero = lambda x1, x2, t: (0, 0, 0)
+        chart = user_chart({**dict.fromkeys(PARTIAL_KEYS, zero), "x": lattice},
+                           self.GRID.domain, 1.0)
+        self._check_snapshot(tmp_path, chart, 0.37)
 
     @pytest.mark.parametrize("n1,n2", [(13, 6), (5, 2), (4, 1), (1, 3)])
     @pytest.mark.parametrize("name,params", [PRESET_PARAMS[2], PRESET_PARAMS[3]])
@@ -720,7 +723,7 @@ probes = 4
 
     @pytest.mark.parametrize("subcommand,key,value", [
         ("mms", "dt", "nan"), ("mms", "T", "nan"), ("mms", "dt", "inf"),
-        ("solve", "h_fd", "nan"), ("solve", "T", "inf"),
+        ("solve", "theta", "nan"), ("solve", "T", "inf"),
         ("check", "seed", "-3"), ("picard", "seed", "-3"), ("verify", "seed", "-3")])
     def test_rejected_text_exits_two_naming_key_and_line(self, tmp_path, capsys,
                                                          subcommand, key, value):
@@ -732,6 +735,16 @@ probes = 4
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.endswith(f"(key '{key}', line {_line_of(text, f'{key} = {value}')})\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_removed_fd_step_key_exits_two_naming_it(self, tmp_path, capsys):
+        # every chart carries its partials, so [grid] has no finite-difference step
+        text = _numeric_text("grid", "h_fd", None, "1e-5")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown key in [grid] (key 'h_fd', line {_line_of(text, 'h_fd = 1e-5')})\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("subcommand", ["check", "solve"])

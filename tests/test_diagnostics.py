@@ -376,7 +376,7 @@ def _per_step_reports(traj, chart, kappa, grid):
     dt_sq, div_sq = np.empty(nt - 2), np.empty(nt - 2)
     for k, t in enumerate(traj.times):
         u = traj.fields[k]
-        sqrtG = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False).sqrtG
+        sqrtG = metric_fields(chart, X1, X2, t, want_dGdt=False).sqrtG
         cf = coefficient_fields(chart, kappa, grid, t)
         d0 = cf["d0"]
         # the flux coefficients at the cell centres, as means of each cell's corners

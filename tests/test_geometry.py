@@ -21,8 +21,7 @@ from evolvesurf import (
     nondegeneracy_scan,
     user_chart,
 )
-from evolvesurf.geometry import (PARTIAL_KEYS, GridSpec, MetricFields, default_h_fd,
-                                 metric_fields)
+from evolvesurf.geometry import PARTIAL_KEYS, GridSpec, MetricFields, metric_fields
 
 from oracles import cell_center_mesh
 
@@ -169,24 +168,28 @@ class TestComponentFormat:
 
     @pytest.mark.parametrize("height", [0.0, 0.05])
     def test_tuple_evaluator_gives_the_stacked_bits(self, height):
-        # the same user embedding as a 3-tuple (a scalar third component when
-        # flat) and as a stacked (3, ...) array; every partial is an FD
-        def third(x1, x2, t):
-            return height * np.sin(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2) if height else 0.0
-
-        def as_tuple(x1, x2, t):
-            return x1, x2, third(x1, x2, t)
-
-        def stacked(x1, x2, t):
-            return np.stack(np.broadcast_arrays(x1, x2, third(x1, x2, t)))
-
+        # the same user table as 3-tuples (scalar constants, a scalar third
+        # component when flat) and as stacked (3, ...) arrays
         domain = self.GRID.domain
+        table = make_chart("graph_oscillation", domain=domain, horizon=1.0, epsilon=height).evals
+        stack = lambda ev: lambda x1, x2, t: np.stack(np.broadcast_arrays(*ev(x1, x2, t)))
+        stacked = {key: stack(ev) for key, ev in table.items()}
         X1, X2 = self.GRID.full_mesh(sparse=True)
-        got = metric_fields(user_chart(as_tuple, domain, 1.0), X1, X2, 0.4, want_derivs=True)
+        got = metric_fields(user_chart(table, domain, 1.0), X1, X2, 0.4, want_derivs=True)
         ref = metric_fields(user_chart(stacked, domain, 1.0), X1, X2, 0.4, want_derivs=True)
         for item in dataclasses.fields(MetricFields):
             a, b = getattr(got, item.name), getattr(ref, item.name)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), item.name
+
+
+class TestUserChart:
+    @pytest.mark.parametrize("missing", [("x",), ("d12", "dtd22"), PARTIAL_KEYS[1:]],
+                             ids=["x", "two", "all_but_x"])
+    def test_table_without_every_partial_is_refused(self, graph, missing):
+        table = {key: ev for key, ev in graph.evals.items() if key not in missing}
+        with pytest.raises(ParameterError,
+                           match=rf"^chart 'user' lacks partials {', '.join(missing)}$"):
+            user_chart(table, graph.domain, graph.horizon)
 
 
 class TestMetricSample:
@@ -242,29 +245,6 @@ class TestMotionVelocity:
                         rtol=1e-13)
 
 
-class TestFiniteDifferenceFallback:
-    def test_second_order_agreement_with_analytic(self, graph):
-        bare = user_chart(graph.evals["x"], graph.domain, graph.horizon)
-        pt = (0.37, 0.81, 0.9)
-        errs = []
-        for h in (2e-3, 1e-3, 5e-4):
-            fd = metric_fields(bare, pt[0], pt[1], pt[2], h_fd=h, want_derivs=True)
-            an = metric_fields(graph, pt[0], pt[1], pt[2], want_derivs=True)
-            errs.append(max(abs(float(fd.dGdt - an.dGdt)),
-                            abs(float(fd.g11 - an.g11)),
-                            *(abs(float(getattr(fd, key) - getattr(an, key)))
-                              for key in ("dg11_d1", "dg12_d1", "dg22_d1"))))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
-
-    def test_one_sided_at_boundary_and_t0(self, graph):
-        bare = user_chart(graph.evals["x"], graph.domain, graph.horizon)
-        fd = metric_fields(bare, 0.0, 0.0, 0.0, h_fd=1e-4)
-        an = metric_fields(graph, 0.0, 0.0, 0.0)
-        assert float(abs(fd.G - an.G)) < 1e-7
-        assert float(abs(fd.dGdt - an.dGdt)) < 1e-6
-
-
 def dense_scan(chart, grid, times):
     """(min G, max partial sum) of every partial stacked to (3, n1 + 2, n2 + 2)."""
     X1, X2 = grid.full_mesh()
@@ -308,7 +288,14 @@ class TestNondegeneracyScan:
         assert out["lambda_max_est"] == ref_max
 
     def test_degenerate_chart_reports_location(self, unit_grid):
-        pinch = user_chart(lambda x1, x2, t: ((1.0 - t) * x1, x2, 0.0), (0, 1, 0, 1), 2.0)
+        # x = ((1 - t) X1, X2, 0): the first tangent vanishes at t = 1
+        zero = lambda x1, x2, t: (0.0, 0.0, 0.0)
+        pinch = user_chart({**dict.fromkeys(PARTIAL_KEYS, zero),
+                            "x": lambda x1, x2, t: ((1.0 - t) * x1, x2, 0.0),
+                            "d1": lambda x1, x2, t: (1.0 - t, 0.0, 0.0),
+                            "d2": lambda x1, x2, t: (0.0, 1.0, 0.0),
+                            "dt": lambda x1, x2, t: (-x1, 0.0, 0.0),
+                            "dtd1": lambda x1, x2, t: (-1.0, 0.0, 0.0)}, (0, 1, 0, 1), 2.0)
         with pytest.raises(DegenerateChartError) as exc:
             nondegeneracy_scan(pinch, unit_grid, [0.0, 1.0])
         assert exc.value.t == pytest.approx(1.0)
@@ -320,11 +307,6 @@ class TestGridSpec:
         assert g.h1 == pytest.approx(1.0 / 16)
         assert g.h2 == pytest.approx(2.0 / 32)
         assert g.ndof == 15 * 31
-
-    def test_default_fd_step(self):
-        # one formula for every default step: 1e-5 max(extent, 1)
-        assert make_grid((0.0, 0.5, 0.0, 0.25), 3, 3).h_fd == default_h_fd(0.5) == 1e-5
-        assert make_grid((0.0, 1.5, 0.0, 1.0), 3, 3).h_fd == default_h_fd(1.5) == 1e-5 * 1.5
 
     def test_row_major_indexing(self, unit_grid):
         assert unit_grid.index(0, 0) == 0

@@ -506,7 +506,7 @@ class TestStepFrame:
         X1, X2 = grid.interior_mesh()
         kappa = make_diffusion("constant", value=1.0)
         for t in (0.0, 0.37):
-            mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
+            mf = metric_fields(chart, X1, X2, t, want_dGdt=False)
             assert np.array_equal(StepFrame(chart, kappa, grid, t).interior_sqrtG, mf.sqrtG)
 
     def test_pieces_equal_standalone_evaluations(self, graph):
@@ -569,7 +569,8 @@ class TestStepFrame:
             k[-1, 0] = bad
             return k
 
-        frame = StepFrame(graph, Diffusion("spot", value), unit_grid, 0.37)
+        zero = lambda x1, x2, t: 0.0
+        frame = StepFrame(graph, Diffusion("spot", value, d1=zero, d2=zero), unit_grid, 0.37)
         with pytest.raises(AssumptionViolationError,
                            match=rf"^kappa must be strictly positive; minimum {bad:.6g} "
                                  r"at t = 0\.37$"):

@@ -235,7 +235,7 @@ def test_static_metric_flag_freezes_the_metric(grid, values, t1, gap):
                            **{key: values[key] for key in PRESET_PARAMS[name]})
         if not chart.static_metric:
             continue
-        m1, m2 = (metric_fields(chart, X1, X2, t, h_fd=grid.h_fd) for t in (t1, t1 + gap))
+        m1, m2 = (metric_fields(chart, X1, X2, t) for t in (t1, t1 + gap))
         for key in ("g11", "g12", "g22", "G"):
             assert getattr(m1, key).tobytes() == getattr(m2, key).tobytes()
         assert not np.any(m1.dGdt) and not np.any(m2.dGdt)
@@ -454,10 +454,10 @@ def test_open_meshes_give_the_dense_bits(grid, preset, values, diffusion, base, 
     for (o1, o2), (d1, d2) in zip(opened, dense):
         assert o1.shape == (d1.shape[0], 1) and o2.shape == (1, d2.shape[1])
         for kwargs in ({}, {"want_derivs": True}):
-            assert_same_metric(metric_fields(chart, o1, o2, t, h_fd=grid.h_fd, **kwargs),
-                               metric_fields(chart, d1, d2, t, h_fd=grid.h_fd, **kwargs))
+            assert_same_metric(metric_fields(chart, o1, o2, t, **kwargs),
+                               metric_fields(chart, d1, d2, t, **kwargs))
         for key in ("d1", "d2"):
-            partial = kappa.partial(key, grid.domain, grid.h_fd)
+            partial = getattr(kappa, key)
             assert_same_bits(np.broadcast_to(partial(o1, o2, t), d1.shape), partial(d1, d2, t))
         assert_same_bits(np.broadcast_to(kappa.value(o1, o2, t), d1.shape),
                          kappa.value(d1, d2, t))
@@ -494,7 +494,7 @@ def per_array_scan(chart, kappa, grid, times, lambda1, lambda2, margin):
     kmin = min(float(_on_mesh(kappa, X1, X2, t).min()) for t in times)
     minima = dict.fromkeys(("min_kg11", "min_kg12", "min_kg22"), np.inf)
     for t in times:
-        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_dGdt=False)
+        mf = metric_fields(chart, X1, X2, t, want_dGdt=False)
         k = _on_mesh(kappa, X1, X2, t)
         for key, ginv in (("min_kg11", mf.ginv11), ("min_kg12", mf.ginv12),
                           ("min_kg22", mf.ginv22)):
@@ -510,10 +510,9 @@ def per_array_scan(chart, kappa, grid, times, lambda1, lambda2, margin):
 
     M = np.zeros(5)
     m1_factor2 = 0.0
-    k1 = kappa.partial("d1", chart.domain, grid.h_fd)
-    k2 = kappa.partial("d2", chart.domain, grid.h_fd)
+    k1, k2 = kappa.d1, kappa.d2
     for t in times:
-        mf = metric_fields(chart, X1, X2, t, h_fd=grid.h_fd, want_derivs=True)
+        mf = metric_fields(chart, X1, X2, t, want_derivs=True)
         k = _on_mesh(kappa, X1, X2, t)
         G = mf.G
         term_a = np.abs(k * mf.g11 / G - lambda2).max()
@@ -611,8 +610,8 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def run_configs(draw):
-    """Valid RunConfigs: every preset with any subset of its parameters, an
-    optional h_fd, and every scalar anywhere in its bound."""
+    """Valid RunConfigs: every preset with any subset of its parameters and
+    every scalar anywhere in its bound."""
     def params(names):
         return {name: draw(finite) for name in names if draw(st.booleans())}
 
@@ -628,7 +627,7 @@ def run_configs(draw):
         surface_preset=preset, horizon=draw(positive), n1=n1, n2=n2,
         dt=draw(positive), domain=(a, b, c, d), surface_params=params(PRESET_PARAMS[preset]),
         diffusion_preset=diffusion, diffusion_params=params(DIFFUSION_PARAMS[diffusion]),
-        h_fd=draw(st.none() | positive), theta=draw(st.floats(0.5, 1.0)), tol=draw(positive),
+        theta=draw(st.floats(0.5, 1.0)), tol=draw(positive),
         max_iter=draw(st.integers(min_value=1)), probes=draw(st.integers(min_value=1)),
         margin=draw(st.floats(0.0, 1.0, exclude_max=True)), seed=draw(st.integers(min_value=0)),
         scan_times=draw(st.integers(min_value=2)),

@@ -29,7 +29,8 @@ from evolvesurf import (
     user_chart,
     z_norm,
 )
-from evolvesurf.diagnostics import manufactured_forcing, manufactured_solution, solve_reported
+from evolvesurf.diagnostics import (manufactured_forcing, manufactured_solution, mms_convergence,
+                                    solve_reported)
 from evolvesurf.geometry import metric_fields
 from evolvesurf import operator
 from evolvesurf.operator import field_l2
@@ -193,21 +194,57 @@ class TestUserCallables:
     GRID = make_grid((0.0, 1.0, 0.0, 1.0), 12, 7)
 
     def test_user_chart_gets_dense_components(self, const_kappa, eigenmode):
-        # np.stack needs x1 and x2 of one shape; the partials are finite
-        # differences of this evaluator
+        # graph_oscillation's table, each component broadcast to the shape of
+        # x1, which fails unless x1 and x2 are of one shape
         shapes = set()
+        graph = make_chart("graph_oscillation", domain=self.GRID.domain, horizon=1.0,
+                           epsilon=0.05, omega=1.0)
 
-        def x_eval(x1, x2, t):
-            shapes.add((np.shape(x1), np.shape(x2)))
-            return np.stack([x1, x2, 0.05 * np.sin(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2)])
+        def recorded(ev):
+            def dense(x1, x2, t):
+                shapes.add((np.shape(x1), np.shape(x2)))
+                return np.stack([np.broadcast_to(c, np.shape(x1)) for c in ev(x1, x2, t)])
+            return dense
 
-        chart = user_chart(x_eval, self.GRID.domain, 1.0)
+        chart = user_chart({key: recorded(ev) for key, ev in graph.evals.items()},
+                           self.GRID.domain, 1.0)
         v0 = eigenmode(self.GRID)
         traj = solve_direct(chart, const_kappa, self.GRID, v0, 0.005, 1e-3)
         assert shapes == {((14, 9), (14, 9))}   # the full mesh, dense
         with dense_meshes():
             ref = solve_direct(chart, const_kappa, self.GRID, v0, 0.005, 1e-3)
         assert traj.fields.tobytes() == ref.fields.tobytes()
+
+    @pytest.mark.parametrize("run", ["lambda_select", "solve_direct", "solve_picard",
+                                     "mms_convergence"])
+    def test_preset_table_gives_the_preset_bits(self, eigenmode, run):
+        # graph_oscillation's full table as a user chart: evaluated on dense
+        # meshes and stacked, the same products in the same order
+        graph = make_chart("graph_oscillation", domain=self.GRID.domain, horizon=1.0,
+                           epsilon=0.05, omega=1.0)
+        chart = user_chart(graph.evals, graph.domain, graph.horizon, name="copy")
+        kappa = make_diffusion("sinusoidal", base=1.0, amp=0.2)
+        grid, v0 = self.GRID, eigenmode(self.GRID)
+        lam = lambda_select(graph, kappa, grid, np.linspace(0.0, 0.02, 3))
+
+        def picard(ch):
+            traj, history = solve_picard(ch, kappa, grid, *lam, v0, 0.02, 2e-3, tol=1e-10)
+            return traj.fields.tobytes(), history.z_norms
+
+        def mms(ch):
+            sp = pytest.importorskip("sympy")
+            exact = manufactured_solution(
+                lambda X1, X2, t: sp.exp(-t) * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2))
+            levels = [(7, 4e-3), (9, 2e-3), (11, 1e-3)]
+            return mms_convergence(ch, kappa, exact, levels, T=0.02).rows
+
+        result = {
+            "lambda_select": lambda ch: lambda_select(ch, kappa, grid, np.linspace(0.0, 0.02, 3)),
+            "solve_direct": lambda ch: solve_direct(ch, kappa, grid, v0, 0.02, 2e-3).fields.tobytes(),
+            "solve_picard": picard,
+            "mms_convergence": mms,
+        }[run]
+        assert result(chart) == result(graph)
 
     @pytest.mark.parametrize("provider,shape", [
         (lambda frame, t: (1.0 + t) * np.sin(np.pi * frame.grid.interior_mesh(sparse=True)[0]),
