@@ -16,7 +16,7 @@ its C_star, the largest norm of the lower-order perturbation over the scan,
 is estimated only at the scan times whose Schur upper bound could decide it.
 The estimators take A = assemble_A(grid, lambda1, lambda2) by its grid and
 weights and work in its DST-I sine basis (``operator.SineBasis``), mapped
-into and out of by dense products with the sine matrix of each axis; the C_A
+into and out of by products with the sine matrix of each axis; the C_A
 quotient sums each piece of constant forcing in closed form.
 """
 

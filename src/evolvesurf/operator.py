@@ -36,12 +36,11 @@ per-step assembly of a moving march, writes its nine terms straight into
 those views, and ``lower_order_parts`` the terms of B2..B4;
 ``_stencil_matrix`` adds (di, dj, coefficient) terms into them for A, B1 and
 B5.  B(t) = L(t) - A is scipy's DIA arithmetic, which adds
-diagonals of equal offset and stays DIA; the theta-scheme system
-I + theta dt L is refilled in place by the marcher (``timestepper``).  A DIA
-matvec sums each row in column order, as a CSR matvec on the same entries
-does.  ``stencil_weights`` reads the preconditioner weights off the
-diagonals as views, and ``stencil_entries`` lists the in-grid entries for
-the matrix dump.
+diagonals of equal offset and stays DIA.  A DIA matvec sums each row in
+column order, as a CSR matvec on the same entries does.
+``stencil_weights`` sums the preconditioner weights over views of the
+diagonals, and ``stencil_entries`` lists the in-grid entries for the matrix
+dump.
 
 A ``StepFrame`` is everything one time t evaluates: the coefficient fields
 (one full-mesh evaluation of the metric and the diffusivity), and what is
@@ -57,10 +56,11 @@ through a frame too.
 ``SineBasis`` is the DST-I eigenbasis of A, built from the grid and the
 weights: every solve with A or I + s A (Picard stages, the C_sharp and C_A
 estimators, the GMRES preconditioner) is a division per mode there.  The
-transform is a pair of dense products with the orthonormal sine matrix of
-each axis (``sine_matrix``, built once per node count), O(n1 n2 (n1 + n2))
-per transform; up to about 150 nodes per axis that beats an FFT, and its
-cost does not depend on the factors of n + 1.  ``factorize`` (sparse LU) is
+transform is a pair of products with the orthonormal sine matrix of each
+axis (``sine_matrix``, built once per node count), O(n1 n2 (n1 + n2)) per
+transform, dense below SINE_FOLD_NODES nodes and folded by the parity of
+the sine from there on (half the multiply-adds); its cost does not depend
+on the factors of n + 1.  ``factorize`` (sparse LU) is
 left for a static L; it imports ``scipy.sparse.linalg`` on first use, so a
 run that factorizes nothing loads neither that module nor the
 ``scipy.linalg`` it pulls in.
@@ -108,10 +108,18 @@ def _stencil_diagonals(grid, pairs):
     data = np.full((len(offsets), n1 * n2), -0.0)
     views = {}
     for di, dj in pairs:
-        i0, i1, j0, j1 = _block(n1, n2, di, dj)
-        diag = data[offsets.index(di * n2 + dj)].reshape(n1, n2)
-        views[di, dj] = diag[i0 + di:i1 + di, j0 + dj:j1 + dj]
+        views[di, dj] = _block_view(data[offsets.index(di * n2 + dj)], n1, n2, di, dj)
     return sp.dia_matrix((data, offsets), shape=(n1 * n2, n1 * n2)), views
+
+
+def _block_view(diagonal, n1, n2, di, dj):
+    """The (n1, n2)-shaped view of the stored diagonal di*n2 + dj that holds the (di, dj) block.
+
+    Element [i - i0, j - j0] is the entry that row (i, j) places on column
+    (i+di, j+dj), stored at that column, for the nodes ``_block(n1, n2, di, dj)``.
+    """
+    i0, i1, j0, j1 = _block(n1, n2, di, dj)
+    return diagonal.reshape(n1, n2)[i0 + di:i1 + di, j0 + dj:j1 + dj]
 
 
 def _stencil_matrix(grid, terms):
@@ -737,35 +745,30 @@ def factorize(matrix):
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-@functools.lru_cache(maxsize=16)
-def _in_row(ndof, n2):
-    """Mask of the positions of the +-1 diagonals that stay in one grid row; cached, read-only."""
-    mask = np.arange(ndof - 1) % n2 != n2 - 1
-    mask.flags.writeable = False
-    return mask
-
-
 def stencil_weights(mat, grid):
     """Mean weights (lambda1, lambda2) of the X1 and X2 neighbor couplings of L(t).
 
     The GMRES preconditioner reads them off the diagonals +-n2 and +-1 of
-    ``mat``, a DIA matrix of this module that stores them, skipping the
-    positions of +-1 that wrap to the next grid row.  The diagonals are read
-    as views of its data.  An axis with a single interior node has no
+    ``mat``, a DIA matrix of this module that stores them.  Each coupling
+    (di, dj) is summed over its block of its diagonal (``_block_view``, a
+    view of the data that skips the positions of +-1 wrapping to the next
+    grid row), and a mean is the two sums of an axis over their count, so
+    no entry is copied.  An axis with a single interior node has no
     couplings and reads 0.
     """
-    n2, n = grid.n2, mat.shape[0]
+    n1, n2 = grid.n1, grid.n2
     rows = dict(zip(mat.offsets.tolist(), mat.data))
-    in_row = _in_row(n, n2)
 
-    def diagonal(k):   # the entries (i, i + k), stored at their columns
-        return rows[k][max(k, 0):n + min(k, 0)]
+    def mean_weight(di, dj, h):
+        i0, i1, j0, j1 = _block(n1, n2, di, dj)
+        count = 2 * (i1 - i0) * (j1 - j0)   # the blocks of (di, dj) and (-di, -dj)
+        if not count:
+            return 0.0
+        total = sum(_block_view(rows[s * (di * n2 + dj)], n1, n2, s * di, s * dj).sum()
+                    for s in (1, -1))
+        return -total / count * h ** 2
 
-    def mean_weight(w, h):
-        return -w.mean() * h ** 2 if w.size else 0.0
-
-    return (mean_weight(np.concatenate([diagonal(n2), diagonal(-n2)]), grid.h1),
-            mean_weight(np.concatenate([diagonal(1)[in_row], diagonal(-1)[in_row]]), grid.h2))
+    return mean_weight(1, 0, grid.h1), mean_weight(0, 1, grid.h2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -782,35 +785,107 @@ def sine_matrix(n):
     return S
 
 
+# nodes per axis from which the sine products fold by parity (``_SineAxis``):
+# the crossover measured in ``SineBasis``'s docstring, BLAS on one thread
+SINE_FOLD_NODES = 101
+
+
+class _SineAxis:
+    """The products with the sine matrix S of one axis: S x over axis -2, x S over axis -1.
+
+    Below SINE_FOLD_NODES nodes they are dense products with
+    ``sine_matrix(n)``.  From there on they fold by the parity of the sine,
+    S[n+1-k, l] = (-1)^(l+1) S[k, l] (k, l = 1..n): over the first
+    c = ceil(n/2) entries, the sums p_k = x_k + x_{n+1-k} give the rows of
+    odd l through the c x c block of those rows, and the differences
+    q_k = x_k - x_{n+1-k} the rows of even l through the floor(n/2) x c
+    block.  For odd n, p holds twice the middle entry, so the first block's
+    middle column is halved (exactly), and q's middle entry is 0.  A column
+    of x costs n c multiply-adds instead of n^2, and one sum and one
+    difference pass.  Each product is an explicit ``np.matmul`` call, which
+    the tests count.
+    """
+
+    def __init__(self, n):
+        S = sine_matrix(n)
+        self.folded = n >= SINE_FOLD_NODES
+        if not self.folded:
+            self.S = S
+            return
+        self.c = c = (n + 1) // 2
+        sums = S[0::2, :c].copy()
+        if n % 2:
+            sums[:, -1] *= 0.5
+        diffs = S[1::2, :c].copy()
+        self.halves = (sums, diffs)   # for S x
+        # for x S; contiguous, which BLAS multiplies faster than the transposed views
+        self.halves_T = (np.ascontiguousarray(sums.T), np.ascontiguousarray(diffs.T))
+
+    def left(self, x):
+        """S x over axis -2 of x."""
+        if not self.folded:
+            return np.matmul(self.S, x)
+        c, (sums, diffs) = self.c, self.halves
+        head, tail = x[..., :c, :], x[..., ::-1, :][..., :c, :]
+        out = np.empty(x.shape)
+        np.matmul(sums, head + tail, out=out[..., 0::2, :])
+        np.matmul(diffs, head - tail, out=out[..., 1::2, :])
+        return out
+
+    def right(self, x):
+        """x S over axis -1 of x (S is symmetric)."""
+        if not self.folded:
+            return np.matmul(x, self.S)
+        c, (sums, diffs) = self.c, self.halves_T
+        head, tail = x[..., :c], x[..., ::-1][..., :c]
+        out = np.empty(x.shape)
+        np.matmul(head + tail, sums, out=out[..., 0::2])
+        np.matmul(head - tail, diffs, out=out[..., 1::2])
+        return out
+
+
 class SineBasis:
     """Orthonormal DST-I eigenbasis of A = assemble_A(grid, lambda1, lambda2).
 
     The sine modes sin(pi k i/(n1+1)) sin(pi l j/(n2+1)) diagonalize the
     5-point operator with eigenvalues lambda1 mu1_k + lambda2 mu2_l, where
     mu_k = (4/h^2) sin^2(pi k/(2(n+1))).  The orthonormal DST-I maps into and
-    out of that basis as the dense products S1 V S2 with the symmetric,
-    orthogonal ``sine_matrix`` of each axis, so it is its own inverse and
-    preserves the Euclidean norm: ``forward(f)`` carries the same l2 norm as
-    f.  A transform costs O(n1 n2 (n1 + n2)) operations, with no dependence
-    on the factors of n + 1.  Against an O(n log n) FFT-based DST-I
-    (scipy's) the products win up to about 150 nodes per axis, the largest
-    grid of any workload, test or demo.  Time per 2-D transform, BLAS on one
-    thread of a 2-vCPU Xeon KVM guest:
+    out of that basis as the products S1 V S2 with the symmetric, orthogonal
+    ``sine_matrix`` of each axis, so it is its own inverse and preserves the
+    Euclidean norm: ``forward(f)`` carries the same l2 norm as f.  A
+    transform costs O(n1 n2 (n1 + n2)) operations, with no dependence on the
+    factors of n + 1.  An axis of fewer than SINE_FOLD_NODES nodes takes the
+    dense product; any other folds it by the parity of the sine
+    (``_SineAxis``), half the multiply-adds for one sum/difference pass.
+    Time per n x n transform, BLAS on one thread of a 2-vCPU Xeon KVM guest
+    (medians of 21 alternating ``timeit`` rounds on a shared host):
 
-        grid       15^2    63^2    127^2    150x100  255^2   511^2
-        products   4 us    28 us   0.23 ms  0.21 ms  1.8 ms  12.7 ms
-        FFT        21 us   82 us   0.27 ms  1.79 ms  0.83 ms  4.7 ms
+        n      dense     folded    FFT
+        15     5 us      23 us     22 us
+        63     28 us     46 us     60 us
+        95     82 us     95 us     129 us
+        100    81 us     93 us     818 us
+        101    125 us    100 us    218 us
+        127    236 us    181 us    218 us
+        150    355 us    255 us    2.76 ms
+        255    2.17 ms   2.07 ms   1.17 ms
+        511    14.2 ms   11.9 ms   5.7 ms
 
-    (151 is prime, the slow case of an FFT.)  Leading axes of the arguments
-    are batch axes.
+    The crossover is SINE_FOLD_NODES = 101: in 21 alternating rounds per
+    size, the fold was faster in none at every size from 95 to 100 and in
+    17 to 21 at every size measured from 101 to 127 (the dense product's
+    time jumps between 100 and 101 nodes), and a grid of at most 100 nodes
+    per axis keeps the bits of the dense products.  The FFT is scipy's
+    DST-I, which no run imports; it wins from about 255 nodes per axis where
+    n + 1 has small factors (101 and 151 are prime, the slow case).  Leading
+    axes of the arguments are batch axes.
     """
 
     def __init__(self, grid, lambda1, lambda2):
         def eigenvalues(n, h):
             return 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
 
-        self._S1 = sine_matrix(grid.n1)
-        self._S2 = sine_matrix(grid.n2)
+        self._axis1, self._axis2 = _SineAxis(grid.n1), _SineAxis(grid.n2)
         self._mu1 = eigenvalues(grid.n1, grid.h1)
         self._mu2 = eigenvalues(grid.n2, grid.h2)
         self.eigenvalues = self._eigenvalues(lambda1, lambda2)
@@ -831,13 +906,16 @@ class SineBasis:
 
         return solve
 
+    def _transform(self, fields):
+        return self._axis2.right(self._axis1.left(fields))
+
     def forward(self, values):
         """Mode coefficients, shape (..., n1, n2), of grid functions (..., ndof)."""
         values = np.asarray(values)
         shape = values.shape[:-1] + self.eigenvalues.shape
-        return self._S1 @ np.reshape(values, shape) @ self._S2
+        return self._transform(np.reshape(values, shape))
 
     def inverse(self, coeffs):
         """Grid functions, shape (..., ndof), from mode coefficients (..., n1, n2)."""
-        out = self._S1 @ coeffs @ self._S2
+        out = self._transform(coeffs)
         return out.reshape(out.shape[:-2] + (-1,))

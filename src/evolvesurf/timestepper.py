@@ -20,23 +20,21 @@ otherwise StepSolveError names the step, time, residual and solver (LU,
 DST-I, or GMRES with its iteration count).  The gate forms L(t_{k+1}) v_{k+1}
 once, and step k+1 reuses it for its right-hand side.
 The comparison operator A of a Picard stage is inverted exactly by DST-I in
-its sine eigenbasis (``operator.SineBasis``: dense products with the sine
-matrix of each axis, O(n1 n2 (n1 + n2)) per step) and no factorization.  Any
-other static operator (rigid chart, time-independent diffusivity) is
-LU-factorized once per march.  A moving operator is solved by GMRES
-(``_gmres``, in-tree) started from the previous step's value and
-preconditioned on the right with (I + theta dt A_k)^{-1}, where A_k is the
-constant 5-point operator with the mean stencil weights of L(t_{k+1}),
+its sine eigenbasis (``operator.SineBasis``: products with the sine matrix
+of each axis, O(n1 n2 (n1 + n2)) per step, folded by parity on large axes)
+and no factorization.  Any other static operator (rigid chart,
+time-independent diffusivity) is LU-factorized once per march, from the one
+system matrix I + theta dt L that march builds (DIA, with the stencil
+diagonals of L, ``operator``), which the LU copies.  A moving operator is
+solved by GMRES (``_gmres``, in-tree) started from the previous step's value
+and preconditioned on the right with (I + theta dt A_k)^{-1}, where A_k is
+the constant 5-point operator with the mean stencil weights of L(t_{k+1}),
 inverted by DST-I: one pair of sine transforms per Krylov iteration, and its
 stopping estimate is the unpreconditioned residual.  The smallness of
-B = L - A relative to A keeps that iteration to a few steps, and no matrix
-is factorized per step.
-Every system matrix I + theta dt L is DIA, with the stencil diagonals of L
-(``operator``), so a moving march converts no matrix to another sparse
-format.  A marcher keeps one system buffer: each step overwrites its data
-with theta dt L(t_{k+1}) and adds 1 on the main diagonal, so a moving march
-allocates no system matrix per step; a static LU march drops the buffer once
-the LU has copied it.
+B = L - A relative to A keeps that iteration to a few steps.  GMRES needs
+only the product z -> z + theta dt (L(t_{k+1}) z), formed with the frame's
+own L as the residual gate forms it, so a moving march builds no system
+matrix and factorizes none.
 
 Each step time t_k is evaluated once, in its StepFrame (``operator``): the
 full-mesh metric and diffusivity, the coefficient fields and L(t_k).  The
@@ -177,18 +175,21 @@ class _ComparisonStage:
 def _gmres(system, precond, b, x0, target, maxiter):
     """Right-preconditioned GMRES (Saad-Schultz 1986), one cycle: (x, iterations).
 
-    Solves system @ x = b from x0 over x0 + P^{-1} K_j(system P^{-1}, r0) by
-    Arnoldi with modified Gram-Schmidt and Givens rotations on the Hessenberg
-    columns.  With the preconditioner on the right, the last entry of the
-    rotated right-hand side is the norm of the unpreconditioned residual
-    b - system @ x_j; the cycle stops once it is at most ``target``, at a
-    happy breakdown (the Krylov space is invariant, x_j is exact), or after
-    ``maxiter`` steps.  ``precond`` (r -> P^{-1} r) is applied once per step,
-    and the basis grows by one vector per step: z_j = P^{-1} v_j is kept, so
-    x = x0 + Z y needs no further apply.  An x0 whose residual is at most
-    ``target`` is returned after 0 steps.
+    Solves M x = b from x0 over x0 + P^{-1} K_j(M P^{-1}, r0) by Arnoldi
+    with modified Gram-Schmidt and Givens rotations on the Hessenberg
+    columns.  M is given only by its product ``system`` (z -> M z): a
+    moving theta-step passes z -> z + theta dt (L(t_k) z), with the step
+    frame's own L, so no system matrix is built.  With the preconditioner on
+    the right, the last entry of the rotated right-hand side is the norm of
+    the unpreconditioned residual b - M x_j; the cycle stops once it is at
+    most ``target``, at a happy breakdown (the Krylov space is invariant,
+    x_j is exact), or after ``maxiter`` steps.  ``system`` and ``precond``
+    (r -> P^{-1} r) are applied once per step, and the basis grows by one
+    vector per step: z_j = P^{-1} v_j is kept, so x = x0 + Z y needs no
+    further apply.  An x0 whose residual is at most ``target`` is returned
+    after 0 steps.
     """
-    r = b - system @ x0
+    r = b - system(x0)
     beta = np.linalg.norm(r)
     if beta <= target:
         return x0, 0
@@ -199,7 +200,7 @@ def _gmres(system, precond, b, x0, target, maxiter):
     g = [beta]           # rotated right-hand side beta e_1
     for j in range(min(maxiter, b.size)):
         pre.append(precond(basis[j]))
-        w = system @ pre[j]
+        w = system(pre[j])
         w_norm = np.linalg.norm(w)
         col = []
         for v in basis:
@@ -263,11 +264,11 @@ class _ThetaMarcher:
     _ComparisonStage.  The implicit solve is a DST-I solve in the sine
     eigenbasis for the comparison operator A of a Picard stage (no LU), one
     LU per march for any other static operator, and DST-preconditioned GMRES
-    for a moving one.  The SineBasis of its preconditioners (the sine
-    matrices and the eigenvalue axes mu1, mu2) is built once per marcher: a
-    step forms only lambda1 mu1 + lambda2 mu2 for its weights.  The solve of
-    a static operator is built once per marcher, so the stages of a Picard
-    iteration share it.
+    on the product z + theta dt (L z) for a moving one.  The SineBasis of its
+    preconditioners (the sine matrices and the eigenvalue axes mu1, mu2) is
+    built once per marcher: a step forms only lambda1 mu1 + lambda2 mu2 for
+    its weights.  The solve of a static operator is built once per marcher,
+    so the stages of a Picard iteration share it.
     """
 
     def __init__(self, dt, theta, frames, t0=0.0):
@@ -284,7 +285,6 @@ class _ThetaMarcher:
         self._held = {}      # step index -> StepFrame, at most two entries
         self._direct = None  # (solve, name) of a static operator's system
         self._basis = None   # SineBasis of a moving march's preconditioners, built once
-        self._system_buffer = None   # I + theta dt L of ``_system``, refilled each step
 
     def time(self, k):
         return self.t0 + k * self.dt
@@ -313,16 +313,13 @@ class _ThetaMarcher:
                                          shape).ravel()
 
     def _system(self, L):
-        """I + theta dt L in the marcher's one system buffer, refilled from L's diagonals.
+        """The matrix I + theta dt L, a DIA matrix with L's offsets, for the LU of a static L.
 
-        The buffer is a DIA matrix with L's offsets; each call overwrites its
-        data with theta dt L.data and adds 1 on the main diagonal, so a
-        moving march allocates no system matrix after its first step.
+        Its data is theta dt L.data with 1 added on the main diagonal.  A
+        moving march builds none: its GMRES applies z + theta dt (L z).
         """
-        if self._system_buffer is None:
-            self._system_buffer = L.copy()
-        system = self._system_buffer
-        np.multiply(L.data, self.theta * self.dt, out=system.data)
+        system = L.copy()
+        system.data *= self.theta * self.dt
         system.data[system.offsets == 0] += 1.0
         return system
 
@@ -330,9 +327,7 @@ class _ThetaMarcher:
         """(solve, name) of the system of a static operator L: DST-I for A, else one LU."""
         weights = getattr(self.frames, "A_weights", None)
         if weights is None:
-            lu = factorize(self._system(L))
-            self._system_buffer = None   # the LU holds its own copy
-            return lu.solve, "LU"
+            return factorize(self._system(L)).solve, "LU"   # the LU holds its own copy
         return SineBasis(self.grid, *weights).shifted_solver(*weights, self.theta * self.dt), "DST-I"
 
     def solve(self, k, rhs, guess):
@@ -353,9 +348,17 @@ class _ThetaMarcher:
             lam1, lam2 = stencil_weights(L, self.grid)
             if self._basis is None:
                 self._basis = SineBasis(self.grid, lam1, lam2)
-            precond = self._basis.shifted_solver(lam1, lam2, self.theta * self.dt)
-            v, iterations = _gmres(self._system(L), precond, rhs, guess,
-                                   KRYLOV_RTOL * scale, KRYLOV_MAXITER)
+            shift = self.theta * self.dt
+            precond = self._basis.shifted_solver(lam1, lam2, shift)
+
+            def system(z):   # (I + theta dt L) z, as the residual gate forms it
+                w = L @ z
+                w *= shift
+                w += z
+                return w
+
+            v, iterations = _gmres(system, precond, rhs, guess, KRYLOV_RTOL * scale,
+                                   KRYLOV_MAXITER)
             solver = "GMRES"
         Lv = L @ v
         r = self.theta * self.dt * Lv   # then + v (addition commutes exactly) - rhs
@@ -644,9 +647,8 @@ class _PicardWindows:
     def result(self):
         """Iterate the last window, once every step time is in; returns the history.
 
-        A direct march has returned by then, so its step frames and system
-        buffer are gone.  The history's ``agreement`` is set when direct rows
-        came in.
+        A direct march has returned by then, so its step frames are gone.
+        The history's ``agreement`` is set when direct rows came in.
         """
         self._iterate(len(self.times) - 1)
         if self.rows:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -124,6 +125,24 @@ def ndof_allocations():
     """ndof_allocations(call, ndof) -> (call(), ndof-sized blocks it allocates); see
     ``_ndof_allocations``."""
     return _ndof_allocations
+
+
+def count_matmul_madds(patch):
+    """List that records, through the MonkeyPatch ``patch``, the multiply-adds
+    of every ``np.matmul`` call, counted from its operand shapes: a product
+    (..., a, b) @ (..., b, c) counts a b c for each matrix of its broadcast
+    batch.  The sine products of ``operator.SineBasis`` are such calls."""
+    madds = []
+    matmul = np.matmul
+
+    def counting(x1, x2, *args, **kwargs):
+        s1, s2 = np.shape(x1), np.shape(x2)
+        batch = math.prod(np.broadcast_shapes(s1[:-2], s2[:-2]))
+        madds.append(batch * s1[-2] * s1[-1] * s2[-1])
+        return matmul(x1, x2, *args, **kwargs)
+
+    patch.setattr(np, "matmul", counting)
+    return madds
 
 
 def count_sparse_products(patch):

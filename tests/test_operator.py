@@ -39,7 +39,7 @@ from evolvesurf.operator import (
     weighted_symmetry_defect,
 )
 
-from conftest import count_sparse_products
+from conftest import count_matmul_madds, count_sparse_products
 from oracles import assemble_B, symbolic_operator_apply
 
 
@@ -170,13 +170,27 @@ def assembled_by_coo(assemble, *args):
 
 
 def diagonal_stencil_weights(mat, grid):
-    """Mean X1 and X2 neighbor weights read off the diagonals +-n2 and +-1 of ``mat``."""
-    n2 = grid.n2
-    w1 = np.concatenate([mat.diagonal(n2), mat.diagonal(-n2)])
-    in_row = np.arange(mat.shape[0] - 1) % n2 != n2 - 1   # skip the row-wrap zeros
-    w2 = np.concatenate([mat.diagonal(1)[in_row], mat.diagonal(-1)[in_row]])
-    return (-w1.mean() * grid.h1 ** 2 if w1.size else 0.0,
-            -w2.mean() * grid.h2 ** 2 if w2.size else 0.0)
+    """Mean X1 and X2 neighbor weights read off the diagonals +-n2 and +-1 of ``mat``.
+
+    The entries of each coupling (di, dj) are laid out on the grid at their
+    columns, in-row ones only, and summed per coupling as ``stencil_weights``
+    sums its views.
+    """
+    n1, n2, ndof = grid.n1, grid.n2, mat.shape[0]
+
+    def coupling_sum(di, dj):
+        k = di * n2 + dj
+        at_columns = np.zeros(ndof)
+        at_columns[max(k, 0):ndof + min(k, 0)] = mat.diagonal(k)
+        rows = slice(max(di, 0), n1 + min(di, 0))
+        cols = slice(max(dj, 0), n2 + min(dj, 0))   # skips the row-wrap positions
+        return at_columns.reshape(n1, n2)[rows, cols].sum()
+
+    def mean_weight(di, dj, h):
+        count = 2 * (n1 - abs(di)) * (n2 - abs(dj))
+        return -(coupling_sum(di, dj) + coupling_sum(-di, -dj)) / count * h ** 2 if count else 0.0
+
+    return mean_weight(1, 0, grid.h1), mean_weight(0, 1, grid.h2)
 
 
 def assert_same_entries(mat, ref):
@@ -647,9 +661,11 @@ class TestAnisotropicIdentities:
             verify_anisotropic_identities(g, 1.0, 1.0)
 
 
-# single-node axes, n + 1 prime (11, 17, 151), and 150 x 100, the largest
-# grid of any workload
-SINE_GRIDS = [(12, 7), (10, 16), (1, 7), (7, 1), (12, 10), (31, 31), (150, 100)]
+# single-node axes, n + 1 prime (11, 17, 151), 150 x 100, the largest grid of
+# any workload, and axes at and above SINE_FOLD_NODES = 101 that fold: odd
+# (127 x 129), even by odd (128 x 101), and beside a dense axis (128 x 100)
+SINE_GRIDS = [(12, 7), (10, 16), (1, 7), (7, 1), (12, 10), (31, 31), (150, 100),
+              (127, 129), (128, 101), (128, 100)]
 
 
 class TestSolvers:
@@ -678,6 +694,30 @@ class TestSolvers:
             assert np.max(np.abs(S @ S - np.eye(n))) <= 1e-13
             with pytest.raises(ValueError):
                 S[0, 0] = 0.0
+
+    def test_folded_axes_halve_the_sine_products(self, monkeypatch):
+        # multiply-adds of one 2-D transform, from the operand shapes: a folded
+        # axis of n nodes costs n ceil(n/2) per column instead of n^2, and an
+        # axis below SINE_FOLD_NODES keeps its dense product
+        madds = count_matmul_madds(monkeypatch)
+        n = operator.SINE_FOLD_NODES
+        c, f = (n + 1) // 2, n // 2   # the halves of an n-node axis: sums, differences
+
+        def transform(n1, n2, fold_nodes=n):
+            monkeypatch.setattr(operator, "SINE_FOLD_NODES", fold_nodes)
+            basis = SineBasis(make_grid((0.0, 1.0, 0.0, 1.0), n1, n2), 1.0, 1.0)
+            madds.clear()
+            basis.forward(np.ones(n1 * n2))
+            return list(madds)
+
+        dense = 10 ** 6   # no axis folds
+        assert sum(transform(127, 127, dense)) == 4_096_766
+        assert sum(transform(127, 127)) == 2_064_512
+        assert transform(63, 63) == transform(63, 63, dense) == [63 ** 3] * 2
+        assert transform(128, n - 1) == [64 * 64 * (n - 1)] * 2 + [128 * (n - 1) ** 2]
+        assert transform(128, n - 1, dense)[-1] == 128 * (n - 1) ** 2
+        assert transform(n - 1, n) == [(n - 1) ** 2 * n, (n - 1) * c * c, (n - 1) * c * f]
+        assert transform(n - 1, n, dense)[0] == (n - 1) ** 2 * n
 
     @pytest.mark.parametrize("n1,n2", SINE_GRIDS)
     def test_shifted_solver_inverts_I_plus_shift_A(self, n1, n2):

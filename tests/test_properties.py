@@ -53,11 +53,13 @@ from evolvesurf.diagnostics import (  # noqa: E402
 )
 from evolvesurf.geometry import PRESET_NAMES, PRESET_PARAMS, metric_fields  # noqa: E402
 from evolvesurf.operator import (  # noqa: E402
+    SINE_FOLD_NODES,
     SineBasis,
     StepFrame,
     StepFrames,
     _on_mesh,
     max_abs_entry,
+    sine_matrix,
     static_problem,
     stencil_weights,
     weighted_symmetry_defect,
@@ -152,6 +154,29 @@ def test_shifted_solver_inverts_I_plus_sA(grid, lam1, lam2, shift, seed):
 
 
 @PROPERTY
+@given(n1=st.integers(SINE_FOLD_NODES - 8, SINE_FOLD_NODES + 28),
+       n2=st.integers(SINE_FOLD_NODES - 8, SINE_FOLD_NODES + 28),
+       batch=st.sampled_from([(), (3,), (2, 2)]), seed=st.integers(0, 2 ** 16))
+@example(n1=SINE_FOLD_NODES, n2=SINE_FOLD_NODES + 1, batch=(3,), seed=0)
+@example(n1=SINE_FOLD_NODES - 1, n2=SINE_FOLD_NODES + 26, batch=(), seed=1)
+def test_folded_sine_products_match_the_dense_ones(n1, n2, batch, seed):
+    # axes drawn on either side of SINE_FOLD_NODES, odd and even: the products
+    # of the basis (folded on every axis at or above it) against the dense
+    # S1 V S2, for one grid function and for batches
+    basis = SineBasis(make_grid((0.0, 1.0, 0.0, 1.0), n1, n2), 1.0, 1.0)
+    S1, S2 = sine_matrix(n1), sine_matrix(n2)
+    values = np.random.default_rng(seed).standard_normal(batch + (n1 * n2,))
+    dense = S1 @ values.reshape(batch + (n1, n2)) @ S2
+    got = basis.forward(values)
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    ref = (S1 @ dense @ S2).reshape(values.shape)
+    got = basis.inverse(dense)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@PROPERTY
 @given(grid=grids(), lam1=weights, lam2=weights, preset=st.sampled_from(PRESET_NAMES),
        diffusion=st.sampled_from(DIFFUSION_PRESETS), t=st.floats(0.0, 2.0))
 def test_B_parts_sum_to_L_minus_A(grid, lam1, lam2, preset, diffusion, t):
@@ -200,7 +225,7 @@ def test_dia_operators_equal_coo_reference(grid, lam1, lam2, theta, dt, seed):
                 B = L - A
                 assert B.format == "dia"
                 assert_same_entries(B, ref - ref_A)
-                # the marcher's refilled system buffer
+                # the system matrix that the LU of a static march factors
                 marcher = timestepper._ThetaMarcher(dt, theta, StepFrames(chart, kappa, grid))
                 system = marcher._system(L)
                 assert system.format == "dia"
@@ -274,6 +299,40 @@ def test_picard_converges_to_the_direct_march(grid, chart, diffusion, theta, dt,
     assert hist.converged
     scale = np.max(np.abs(direct.fields))
     assert np.max(np.abs(traj.fields - direct.fields)) <= 10.0 * tol * scale
+
+
+@st.composite
+def ledger_grids(draw):
+    """Non-square grids of 12 to 24 nodes per axis on rectangles of sides 1 to 2."""
+    n1 = draw(st.integers(12, 24))
+    n2 = draw(st.integers(12, 24).filter(lambda n: n != n1))
+    a = draw(st.floats(-1.0, 1.0))
+    c = draw(st.floats(-1.0, 1.0))
+    return make_grid((a, a + draw(st.floats(1.0, 2.0)), c, c + draw(st.floats(1.0, 2.0))),
+                     n1, n2)
+
+
+# the acceptance tolerances of the energy residual
+LEDGER_TOL = {"flat_static": 1e-3, "isotropic_scaling": 1e-3, "translating_patch": 1e-3,
+              "graph_oscillation": 5e-3}
+
+
+@PROPERTY
+@given(grid=ledger_grids(), theta=st.floats(0.5, 1.0), T=st.floats(2e-4, 1e-3),
+       nsteps=st.integers(4, 40))
+def test_energy_ledger_balances_within_the_acceptance_tolerance(grid, theta, T, nsteps):
+    # mass(t) + dissipation(t) + dilation(t) = mass(0) up to the discretization,
+    # for every preset and diffusivity, at dt = T / nsteps; the spatial part of
+    # the residual grows with the horizon, which is kept to at most 1e-3
+    a, b, c, d = grid.domain
+    X1, X2 = grid.interior_mesh()
+    v0 = (np.sin(np.pi * (X1 - a) / (b - a)) * np.sin(np.pi * (X2 - c) / (d - c))).ravel()
+    for preset in PRESET_NAMES:
+        chart = make_chart(preset, domain=grid.domain, horizon=2.0)
+        for diffusion in DIFFUSION_PRESETS:
+            ledger = solve_reported(chart, make_diffusion(diffusion), grid, v0, T, T / nsteps,
+                                    theta=theta)[1]
+            assert ledger.max_rel_residual() <= LEDGER_TOL[preset]
 
 
 @PROPERTY

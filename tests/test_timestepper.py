@@ -578,13 +578,14 @@ class TestImplicitSolve:
         assert len(times) == traj.nsteps + 1
         assert times == [k * 1e-3 for k in range(traj.nsteps + 1)]
 
-    def test_moving_march_refills_one_system_buffer(self, graph, const_kappa, unit_grid,
-                                                    eigenmode, monkeypatch):
-        # all N GMRES solves of a march get one system data array, refilled with
-        # I + theta dt L(t_k) each step; the solve leaves L(t_k) as assembled
+    def test_moving_march_applies_its_operator_without_a_system_matrix(
+            self, graph, const_kappa, unit_grid, eigenmode, monkeypatch):
+        # no step builds I + theta dt L(t_k): every GMRES product is
+        # z + theta dt (L(t_k) z) with the frame's own L, bit for bit, and the
+        # solves leave each L(t_k) as assembled
         theta, dt = 0.7, 1e-3
-        assembled, systems = [], []
-        gmres = timestepper._gmres
+        assembled, solves, systems = [], [], []
+        gmres, system_matrix = timestepper._gmres, timestepper._ThetaMarcher._system
 
         def recording_assemble(*args, **kwargs):
             L = assemble_L(*args, **kwargs)
@@ -592,20 +593,31 @@ class TestImplicitSolve:
             return L
 
         def recording_gmres(system, *args):
-            systems.append((system.data, system.data.copy()))
-            return gmres(system, *args)
+            L = assembled[len(solves) + 1][0]   # step k solves with L(t_k)
+            products = []
+
+            def recording(z):
+                w = system(z)
+                products.append(w.tobytes() == (z + theta * dt * (L @ z)).tobytes())
+                return w
+
+            solves.append(products)
+            return gmres(recording, *args)
+
+        def counting_system(self, L):
+            systems.append(L)
+            return system_matrix(self, L)
 
         monkeypatch.setattr(operator, "assemble_L", recording_assemble)
         monkeypatch.setattr(timestepper, "_gmres", recording_gmres)
+        monkeypatch.setattr(timestepper._ThetaMarcher, "_system", counting_system)
         traj = solve_direct(graph, const_kappa, unit_grid, eigenmode(unit_grid), 0.02, dt,
                             theta=theta)
-        assert len(systems) == traj.nsteps == 20
+        assert len(solves) == traj.nsteps == 20
         assert len(assembled) == traj.nsteps + 1
-        assert all(data is systems[0][0] for data, _ in systems)
-        for (_, filled), (L, _) in zip(systems, assembled[1:]):
-            system = sp.dia_matrix((filled, L.offsets), shape=L.shape)
-            ref = sp.identity(unit_grid.ndof, format="dia") + theta * dt * L
-            assert system.toarray().tobytes() == ref.toarray().tobytes()
+        assert systems == []
+        # the initial residual and one product per Krylov iteration, at least one
+        assert all(len(products) >= 2 and all(products) for products in solves)
         for L, data in assembled:
             assert L.data.tobytes() == data.tobytes()
 
@@ -636,7 +648,7 @@ class TestImplicitSolve:
             return factorize(matrix)
 
         def system_released(k, frame, window, Lv):
-            # the LU copies its system, and the march keeps no system buffer beside it
+            # the LU copies its system matrix, and the march keeps none beside it
             assert all(ref() is None for ref in calls)
 
         monkeypatch.setattr(timestepper, "factorize", counting)
@@ -674,11 +686,11 @@ class TestImplicitSolve:
         assert min(iterations) >= 1
         assert len(forward) == sum(iterations)
         # a guess that already solves the step returns after 0 iterations and 0 applies
-        system = calls[-1][0]   # I + theta dt L(t_N) of the last step
+        system = calls[-1][0]   # z -> (I + theta dt L(t_N)) z of the last step
         v = traj.fields[-1]
         marcher = timestepper._ThetaMarcher(1e-3, 0.5, StepFrames(graph, const_kappa, unit_grid))
         applies = len(forward)
-        solved, _ = marcher.solve(traj.nsteps, system @ v, guess=v)
+        solved, _ = marcher.solve(traj.nsteps, system(v), guess=v)
         assert solved.tobytes() == v.tobytes()
         assert iterations[-1] == 0
         assert len(forward) == applies
@@ -687,7 +699,6 @@ class TestImplicitSolve:
         # with no tolerance to stop on, the cycle ends when the Krylov space is
         # invariant: after one step for an eigenvector, after n steps at the latest
         d = np.arange(1.0, 21.0)
-        system = sp.diags([d], [0], format="dia")
         applies = []
 
         def identity(r):
@@ -696,7 +707,8 @@ class TestImplicitSolve:
 
         for b, steps in ((np.eye(20)[3], 1), (np.random.default_rng(0).standard_normal(20), 20)):
             applies.clear()
-            x, iterations = timestepper._gmres(system, identity, b, np.zeros(20), 0.0, 100)
+            x, iterations = timestepper._gmres(lambda z: d * z, identity, b, np.zeros(20),
+                                               0.0, 100)
             assert iterations == len(applies) == steps
             assert np.max(np.abs(x - b / d)) <= 1e-14 * np.max(np.abs(b))
 
